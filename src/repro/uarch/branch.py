@@ -5,6 +5,9 @@ events (``branch-instructions``, ``branch-misses``). The workload models
 emit streams of ``(site, outcome)`` pairs; these predictors consume the
 stream sequentially (prediction state genuinely depends on history, so
 this path is a Python loop by necessity) and count mispredictions.
+:meth:`_PredictorBase.predict_and_update` is the per-branch reference
+model; :meth:`_PredictorBase.run_trace` hands a whole stream to one
+batch loop per predictor class (``_run_batch``), bit-identical to it.
 
 Predictors
 ----------
@@ -21,13 +24,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.uarch.cache import CHUNK
 from repro.uarch.config import BranchConfig
 
 _WEAKLY_TAKEN = 2  # 2-bit counter states: 0,1 predict NT; 2,3 predict T.
 
 
 class _PredictorBase:
-    """Common counting shell; subclasses implement _predict_update."""
+    """Common counting shell. Subclasses implement ``_predict_update``
+    (one branch, the reference) and ``_run_batch`` (a chunk of the
+    stream, returning its mispredicts), which must agree bit for bit."""
 
     def __init__(self):
         self.branches = 0
@@ -56,13 +62,14 @@ class _PredictorBase:
                 f"sites length {sites.shape[0]} != outcomes length "
                 f"{outcomes.shape[0]}"
             )
-        before = self.mispredicts
-        predict = self.predict_and_update
-        site_list = sites.tolist()
-        out_list = outcomes.tolist()
-        for i in range(len(site_list)):
-            predict(site_list[i], out_list[i])
-        return self.mispredicts - before
+        n = sites.shape[0]
+        mispredicts = 0
+        for start in range(0, n, CHUNK):
+            mispredicts += self._run_batch(sites[start:start + CHUNK],
+                                           outcomes[start:start + CHUNK])
+        self.branches += n
+        self.mispredicts += mispredicts
+        return mispredicts
 
     def reset(self):
         self.branches = 0
@@ -74,6 +81,9 @@ class StaticTakenPredictor(_PredictorBase):
 
     def _predict_update(self, site, taken):
         return True
+
+    def _run_batch(self, sites, taken):
+        return taken.shape[0] - int(np.count_nonzero(taken))
 
 
 class BimodalPredictor(_PredictorBase):
@@ -96,6 +106,23 @@ class BimodalPredictor(_PredictorBase):
         elif counter > 0:
             self._table[idx] = counter - 1
         return prediction
+
+    def _run_batch(self, sites, taken):
+        table = self._table
+        mispredicts = 0
+        for idx, t in zip((sites & self._mask).tolist(), taken.tolist()):
+            counter = table[idx]
+            if t:
+                if counter < _WEAKLY_TAKEN:
+                    mispredicts += 1
+                if counter < 3:
+                    table[idx] = counter + 1
+            else:
+                if counter >= _WEAKLY_TAKEN:
+                    mispredicts += 1
+                if counter > 0:
+                    table[idx] = counter - 1
+        return mispredicts
 
     def reset(self):
         super().reset()
@@ -130,6 +157,27 @@ class GSharePredictor(_PredictorBase):
         self._history = ((self._history << 1) | int(taken)) & self._history_mask
         return prediction
 
+    def _run_batch(self, sites, taken):
+        table, mask = self._table, self._mask
+        history, history_mask = self._history, self._history_mask
+        mispredicts = 0
+        for site, t in zip(sites.tolist(), taken.tolist()):
+            idx = (site ^ history) & mask
+            counter = table[idx]
+            if t:
+                if counter < _WEAKLY_TAKEN:
+                    mispredicts += 1
+                if counter < 3:
+                    table[idx] = counter + 1
+            else:
+                if counter >= _WEAKLY_TAKEN:
+                    mispredicts += 1
+                if counter > 0:
+                    table[idx] = counter - 1
+            history = ((history << 1) | t) & history_mask
+        self._history = history
+        return mispredicts
+
     def reset(self):
         super().reset()
         self._table = [_WEAKLY_TAKEN] * len(self._table)
@@ -163,6 +211,45 @@ class TournamentPredictor(_PredictorBase):
             elif choice > 0:
                 self._chooser[idx] = choice - 1
         return prediction
+
+    def _run_batch(self, sites, taken):
+        """Bimodal, gshare and chooser updates inlined; the components'
+        own ``branches``/``mispredicts`` stay untouched, as in
+        :meth:`_predict_update`."""
+        bimodal, gshare = self._bimodal._table, self._gshare._table
+        chooser, mask = self._chooser, self._mask
+        history = self._gshare._history
+        history_mask = self._gshare._history_mask
+        mispredicts = 0
+        for site, idx, t in zip(sites.tolist(), (sites & mask).tolist(),
+                                taken.tolist()):
+            counter = bimodal[idx]
+            p_bim = counter >= _WEAKLY_TAKEN
+            if t:
+                if counter < 3:
+                    bimodal[idx] = counter + 1
+            elif counter > 0:
+                bimodal[idx] = counter - 1
+            g_idx = (site ^ history) & mask
+            counter = gshare[g_idx]
+            p_gsh = counter >= _WEAKLY_TAKEN
+            if t:
+                if counter < 3:
+                    gshare[g_idx] = counter + 1
+            elif counter > 0:
+                gshare[g_idx] = counter - 1
+            history = ((history << 1) | t) & history_mask
+            choice = chooser[idx]
+            if (p_gsh if choice >= _WEAKLY_TAKEN else p_bim) != t:
+                mispredicts += 1
+            if p_bim != p_gsh:
+                if p_gsh == t:
+                    if choice < 3:
+                        chooser[idx] = choice + 1
+                elif choice > 0:
+                    chooser[idx] = choice - 1
+        self._gshare._history = history
+        return mispredicts
 
     def reset(self):
         super().reset()

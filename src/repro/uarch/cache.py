@@ -11,16 +11,42 @@ The per-set structure is an :class:`collections.OrderedDict` mapping tag
 to a dirty bit: ``move_to_end`` gives O(1) LRU updates, FIFO simply never
 reorders, and random picks an arbitrary resident tag. Dirty lines are
 tracked so evictions count write-back transactions.
+
+:meth:`SetAssociativeCache.access` is the per-access reference model.
+:meth:`SetAssociativeCache.access_many` is the fused batch path the
+simulator runs: set indices and tags are computed once with numpy, one
+Python loop walks them in chunks of at most :data:`CHUNK` accesses, and
+the counters are added once per batch. Both leave the same bits behind.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from repro.uarch.config import CacheConfig
+
+#: Most accesses a batch loop turns into Python lists at once; bounds
+#: the transient memory of the fused loops.
+CHUNK = 1024
+
+
+def as_batch(addrs, writes=None):
+    """``(addrs, writes)`` as aligned arrays; ``writes`` defaults to
+    all-loads."""
+    addrs = np.asarray(addrs)
+    n = addrs.shape[0]
+    if writes is None:
+        return addrs, np.zeros(n, dtype=bool)
+    writes = np.asarray(writes, dtype=bool)
+    if writes.shape[0] != n:
+        raise ValueError(
+            f"writes length {writes.shape[0]} != addrs length {n}"
+        )
+    return addrs, writes
 
 
 @dataclass
@@ -67,6 +93,20 @@ class CacheStats:
             writebacks=self.writebacks,
         )
 
+    def add_batch(self, writes, hits, evictions, writebacks):
+        """Count one batch of demand accesses: ``writes`` marks stores
+        and ``hits`` the accesses that hit."""
+        n = writes.shape[0]
+        stores = int(np.count_nonzero(writes))
+        misses = n - int(np.count_nonzero(hits))
+        store_misses = int(np.count_nonzero(writes & ~hits))
+        self.loads += n - stores
+        self.stores += stores
+        self.load_misses += misses - store_misses
+        self.store_misses += store_misses
+        self.evictions += evictions
+        self.writebacks += writebacks
+
 
 class SetAssociativeCache:
     """One cache level.
@@ -87,7 +127,6 @@ class SetAssociativeCache:
         self._n_sets = config.n_sets
         self._sets = [OrderedDict() for _ in range(config.n_sets)]
         self._rng = np.random.default_rng(rng)
-        self._fill_seq = 0
 
     # -- address helpers -------------------------------------------------
 
@@ -136,26 +175,32 @@ class SetAssociativeCache:
 
     def _fill(self, ways, tag, dirty=False):
         if len(ways) >= self.config.associativity:
-            if self.config.policy == "random":
-                victim_pos = int(self._rng.integers(len(ways)))
-                victim = next(
-                    t for i, t in enumerate(ways) if i == victim_pos
-                )
-                victim_dirty = ways.pop(victim)
-            else:
-                # LRU and FIFO both evict the head: LRU reorders on hits,
-                # FIFO does not, so the head is the right victim for both.
-                _, victim_dirty = ways.popitem(last=False)
             self.stats.evictions += 1
-            if victim_dirty:
+            if self.pop_victim(ways):
                 # Write-back cache: evicting a dirty line costs a
                 # memory-side write transaction.
                 self.stats.writebacks += 1
-        self._fill_seq += 1
         ways[tag] = dirty
+
+    def pop_victim(self, ways):
+        """Evict one line from the full set ``ways``; returns its dirty
+        bit.
+
+        LRU and FIFO both evict the head: LRU reorders on hits, FIFO does
+        not, so the head is the right victim for both. ``random`` makes
+        one draw from the cache's generator per eviction, so any loop
+        that evicts in reference order draws the same victims.
+        """
+        if self.config.policy == "random":
+            victim_pos = int(self._rng.integers(len(ways)))
+            return ways.pop(next(islice(ways, victim_pos, None)))
+        return ways.popitem(last=False)[1]
 
     def access_many(self, addrs, writes=None):
         """Access a vector of byte addresses in order.
+
+        Bit-identical to calling :meth:`access` on each address in turn,
+        including set order, dirty bits and the ``random`` policy's draws.
 
         Parameters
         ----------
@@ -169,22 +214,42 @@ class SetAssociativeCache:
         numpy.ndarray
             Boolean hit mask, aligned with ``addrs``.
         """
-        addrs = np.asarray(addrs)
+        addrs, writes = as_batch(addrs, writes)
         n = addrs.shape[0]
-        if writes is None:
-            writes = np.zeros(n, dtype=bool)
-        else:
-            writes = np.asarray(writes, dtype=bool)
-            if writes.shape[0] != n:
-                raise ValueError(
-                    f"writes length {writes.shape[0]} != addrs length {n}"
-                )
-        hits = np.empty(n, dtype=bool)
-        access = self.access  # local binding for the hot loop
-        addr_list = addrs.tolist()
-        write_list = writes.tolist()
-        for i in range(n):
-            hits[i] = access(addr_list[i], write_list[i])
+        hits = np.ones(n, dtype=bool)
+        if n == 0:
+            return hits
+        lines = addrs >> self._offset_bits
+        n_sets, sets = self._n_sets, self._sets
+        assoc = self.config.associativity
+        lru = self.config.policy == "lru"
+        random_policy = self.config.policy == "random"
+        pop_victim = self.pop_victim
+        evictions = writebacks = 0
+        for start in range(0, n, CHUNK):
+            chunk = lines[start:start + CHUNK]
+            misses = []
+            miss = misses.append
+            for i, set_idx, tag, write in zip(
+                    range(start, n), (chunk % n_sets).tolist(),
+                    (chunk // n_sets).tolist(),
+                    writes[start:start + CHUNK].tolist()):
+                ways = sets[set_idx]
+                if tag in ways:
+                    if lru:
+                        ways.move_to_end(tag)
+                    if write:
+                        ways[tag] = True
+                    continue
+                miss(i)
+                if len(ways) >= assoc:
+                    evictions += 1
+                    if (pop_victim(ways) if random_policy
+                            else ways.popitem(last=False)[1]):
+                        writebacks += 1
+                ways[tag] = write
+            hits[misses] = False
+        self.stats.add_batch(writes, hits, evictions, writebacks)
         return hits
 
     # -- introspection -----------------------------------------------------

@@ -69,6 +69,34 @@ class CounterSample:
         return self.instructions / self.cycles
 
 
+#: dtype kinds accepted per interval field, with how errors name them.
+_INTEGER = ("iu", "an integer")
+_FLAG = ("iub", "a bool or integer")
+
+
+def _field(interval, name, kinds=None, length=None):
+    """One interval field as a checked 1-D array of ``length`` elements
+    (when given) whose dtype kind is in ``kinds`` (when given). An empty
+    field may have any dtype: an empty list has no useful one."""
+    values = np.asarray(getattr(interval, name))
+    if values.ndim != 1:
+        raise ValueError(
+            f"interval.{name} must be 1-D, got shape {values.shape}"
+        )
+    if length is not None and values.shape[0] != length:
+        raise ValueError(
+            f"interval.{name} length {values.shape[0]} != {length}"
+        )
+    if values.shape[0] == 0:
+        return values.astype(np.int64)
+    if kinds is not None and values.dtype.kind not in kinds[0]:
+        raise ValueError(
+            f"interval.{name} must be {kinds[1]} array, got dtype "
+            f"{values.dtype}"
+        )
+    return values
+
+
 class CPU:
     """One simulated core (plus shared LLC slice).
 
@@ -97,14 +125,20 @@ class CPU:
     def execute_interval(self, interval):
         """Run one trace interval through the machine.
 
+        The interval is validated before any component sees it, so a
+        rejected interval (:class:`ValueError` naming the field) leaves
+        the CPU as it was.
+
         Returns
         -------
         CounterSample
         """
-        addrs = np.asarray(interval.addresses)
-        writes = np.asarray(interval.is_write, dtype=bool)
-        sites = np.asarray(interval.branch_sites)
-        taken = np.asarray(interval.branch_taken, dtype=bool)
+        addrs = _field(interval, "addresses", _INTEGER)
+        writes = _field(interval, "is_write",
+                        length=addrs.shape[0]).astype(bool, copy=False)
+        sites = _field(interval, "branch_sites", _INTEGER)
+        taken = _field(interval, "branch_taken", _FLAG,
+                       length=sites.shape[0]).astype(bool, copy=False)
         n_instructions = int(interval.n_instructions)
         min_instructions = addrs.shape[0] + sites.shape[0]
         if n_instructions < min_instructions:

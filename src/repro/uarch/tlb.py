@@ -11,6 +11,9 @@ The Table IV events this module feeds:
 
 The TLB itself is a set-associative cache keyed by virtual page number,
 reusing the same OrderedDict LRU machinery shape as the data caches.
+:meth:`TLB.lookup` is the per-access reference model;
+:meth:`TwoLevelTLB.access_many` runs a batch as one fused dTLB -> STLB
+loop over precomputed set indices and tags, bit-identical to it.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.uarch.cache import CHUNK, as_batch
 from repro.uarch.config import TLBConfig
 
 
@@ -115,39 +119,62 @@ class TwoLevelTLB:
         TLBCounters
             Event deltas for this batch.
         """
-        addrs = np.asarray(addrs)
+        addrs, writes = as_batch(addrs, writes)
         n = addrs.shape[0]
-        if writes is None:
-            writes = np.zeros(n, dtype=bool)
-        else:
-            writes = np.asarray(writes, dtype=bool)
-            if writes.shape[0] != n:
-                raise ValueError(
-                    f"writes length {writes.shape[0]} != addrs length {n}"
-                )
-        out = TLBCounters()
-        dtlb_lookup = self.dtlb.lookup
-        stlb_lookup = self.stlb.lookup
-        addr_list = addrs.tolist()
-        write_list = writes.tolist()
-        for i in range(n):
-            addr = addr_list[i]
-            if write_list[i]:
-                out.stores += 1
-            else:
-                out.loads += 1
-            if dtlb_lookup(addr):
-                continue
-            if write_list[i]:
-                out.store_misses += 1
-            else:
-                out.load_misses += 1
-            if stlb_lookup(addr):
-                out.stlb_hits += 1
-            else:
-                out.walks += 1
-                out.walk_cycles += self.walk_cycles
-        return out
+        if n == 0:
+            return TLBCounters()
+        dtlb, stlb = self.dtlb, self.stlb
+        pages = addrs >> dtlb._page_bits
+        # An access to the page translated just before is a dTLB hit on
+        # its set's MRU entry, which changes no state: walk page changes.
+        heads = np.flatnonzero(np.concatenate(([True],
+                                               pages[1:] != pages[:-1])))
+        pages = pages[heads]
+        m = pages.shape[0]
+        n1, sets1, assoc1 = dtlb._n_sets, dtlb._sets, dtlb.config.associativity
+        n2, sets2, assoc2 = stlb._n_sets, stlb._sets, stlb.config.associativity
+        dtlb_hits = np.ones(n, dtype=bool)
+        walks = 0
+        for start in range(0, m, CHUNK):
+            page = pages[start:start + CHUNK]
+            misses = []
+            for i, set1, tag1, set2, tag2 in zip(
+                    range(start, m),
+                    (page % n1).tolist(), (page // n1).tolist(),
+                    (page % n2).tolist(), (page // n2).tolist()):
+                ways = sets1[set1]
+                if tag1 in ways:
+                    ways.move_to_end(tag1)
+                    continue
+                misses.append(i)
+                if len(ways) >= assoc1:
+                    ways.popitem(last=False)
+                ways[tag1] = True
+                ways = sets2[set2]
+                if tag2 in ways:
+                    ways.move_to_end(tag2)
+                    continue
+                walks += 1
+                if len(ways) >= assoc2:
+                    ways.popitem(last=False)
+                ways[tag2] = True
+            dtlb_hits[heads[misses]] = False
+        stores = int(np.count_nonzero(writes))
+        dtlb_misses = n - int(np.count_nonzero(dtlb_hits))
+        store_misses = int(np.count_nonzero(writes & ~dtlb_hits))
+        dtlb.hits += n - dtlb_misses
+        dtlb.misses += dtlb_misses
+        stlb.hits += dtlb_misses - walks
+        stlb.misses += walks
+        return TLBCounters(
+            loads=n - stores,
+            stores=stores,
+            load_misses=dtlb_misses - store_misses,
+            store_misses=store_misses,
+            stlb_hits=dtlb_misses - walks,
+            walks=walks,
+            walk_cycles=walks * self.walk_cycles,
+        )
 
     def reset(self):
         self.dtlb.reset()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.uarch.cache import SetAssociativeCache
+from repro.uarch.cache import CHUNK, SetAssociativeCache
 from repro.uarch.config import CacheConfig
 
 
@@ -131,18 +131,53 @@ class TestRandomReplacement:
         assert c.stats.evictions == 8
 
 
+def cache_state(c):
+    """Everything a fill or hit can change: stats, each set's tags in
+    order with their dirty bits, and the replacement generator."""
+    return (c.stats.snapshot(), [list(ways.items()) for ways in c._sets],
+            c._rng.bit_generator.state)
+
+
 class TestBatchAccess:
-    def test_matches_scalar_path(self):
-        rng = np.random.default_rng(0)
-        addrs = rng.integers(0, 1 << 14, size=500)
-        writes = rng.uniform(size=500) < 0.4
-        c1, c2 = tiny_cache(), tiny_cache()
-        hits_batch = c1.access_many(addrs, writes)
+    @settings(max_examples=80, deadline=None)
+    @given(assoc=st.sampled_from([1, 2, 4, 16]),
+           sets=st.sampled_from([1, 3, 4, 5, 12]),
+           policy=st.sampled_from(["lru", "fifo", "random"]),
+           accesses=st.lists(st.tuples(st.integers(0, 255), st.booleans()),
+                             max_size=400),
+           split=st.integers(0, 400))
+    def test_matches_scalar_path(self, assoc, sets, policy, accesses, split):
+        # Lines 0..255 over at most 192 frames: every geometry conflicts.
+        addrs = np.array([line * 64 + line % 64 for line, _ in accesses],
+                         dtype=np.int64)
+        writes = np.array([w for _, w in accesses], dtype=bool)
+        c1 = tiny_cache(assoc=assoc, sets=sets, policy=policy)
+        c2 = tiny_cache(assoc=assoc, sets=sets, policy=policy)
+        # Two batches: state must carry across batch boundaries.
+        hits_batch = np.concatenate([
+            c1.access_many(addrs[:split], writes[:split]),
+            c1.access_many(addrs[split:], writes[split:]),
+        ])
         hits_scalar = np.array(
-            [c2.access(int(a), bool(w)) for a, w in zip(addrs, writes)]
+            [c2.access(int(a), bool(w)) for a, w in zip(addrs, writes)],
+            dtype=bool,
         )
         np.testing.assert_array_equal(hits_batch, hits_scalar)
-        assert c1.stats.snapshot() == c2.stats.snapshot()
+        assert cache_state(c1) == cache_state(c2)
+
+    def test_matches_scalar_path_across_chunks(self):
+        rng = np.random.default_rng(0)
+        n = 2 * CHUNK + 37
+        addrs = rng.integers(0, 1 << 14, size=n)
+        writes = rng.uniform(size=n) < 0.4
+        for policy in ("lru", "fifo", "random"):
+            c1, c2 = tiny_cache(policy=policy), tiny_cache(policy=policy)
+            hits_batch = c1.access_many(addrs, writes)
+            hits_scalar = np.array(
+                [c2.access(int(a), bool(w)) for a, w in zip(addrs, writes)]
+            )
+            np.testing.assert_array_equal(hits_batch, hits_scalar)
+            assert cache_state(c1) == cache_state(c2)
 
     def test_default_all_loads(self):
         c = tiny_cache()

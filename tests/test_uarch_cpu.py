@@ -102,6 +102,50 @@ class TestExecuteInterval:
         assert s.page_faults == 10
 
 
+def cpu_state(cpu):
+    """Every piece of simulator state an interval can change."""
+    hier = cpu.hierarchy
+    caches = [(c.stats.snapshot(), [list(w.items()) for w in c._sets])
+              for c in (hier.l1, hier.l2, hier.llc)]
+    tlbs = [([list(w.items()) for w in t._sets], t.hits, t.misses)
+            for t in (cpu.tlb.dtlb, cpu.tlb.stlb)]
+    return (caches, tlbs, vars(cpu.predictor),
+            (cpu.pager.faults, list(cpu.pager._resident)))
+
+
+class TestIntervalValidation:
+    @pytest.mark.parametrize("bad, field", [
+        # 3 branch sites, 2 outcomes: used to raise only after the pager,
+        # TLB and caches had already taken the interval's accesses.
+        (dict(branch_sites=[1, 2, 3], branch_taken=[True, False]),
+         "branch_taken"),
+        (dict(addresses=np.arange(8) * 4096.0), "addresses"),
+        (dict(addresses=np.zeros((2, 4), dtype=int)), "addresses"),
+        (dict(is_write=np.zeros(7, dtype=bool)), "is_write"),
+        (dict(branch_sites=[1.5, 2.0], branch_taken=[True, True]),
+         "branch_sites"),
+        (dict(branch_sites=[1, 2], branch_taken=[0.5, 1.0]),
+         "branch_taken"),
+    ])
+    def test_rejected_interval_leaves_cpu_untouched(self, bad, field):
+        fields = dict(addresses=np.arange(8) * 4096,
+                      is_write=np.zeros(8, dtype=bool),
+                      branch_sites=[1, 2], branch_taken=[True, False])
+        fields.update(bad)
+        iv = FakeInterval(n_instructions=100, **fields)
+        cpu = CPU(small_test_machine(), seed=0)
+        with pytest.raises(ValueError, match=f"interval.{field}"):
+            cpu.execute_interval(iv)
+        assert cpu_state(cpu) == cpu_state(CPU(small_test_machine(), seed=0))
+
+    def test_empty_fields_of_any_dtype_accepted(self):
+        cpu = CPU(small_test_machine())
+        s = cpu.execute_interval(FakeInterval(addresses=[], is_write=[],
+                                              branch_sites=[],
+                                              branch_taken=[]))
+        assert s.l1_loads == s.branch_instructions == 0
+
+
 class TestRunAndReset:
     def test_run_returns_sample_per_interval(self):
         cpu = CPU(small_test_machine(), seed=0)
