@@ -18,13 +18,19 @@
 # hosts, bit-identical everywhere), guarded by the BENCH_engine.json /
 # BENCH_subset.json / BENCH_parallel.json / BENCH_obs.json /
 # BENCH_history.json / BENCH_kernels.json / BENCH_shard.json baselines.
+# `make bench-e2e` runs the end-to-end benchmark that BENCHMARK.json
+# declares (bench/run.py: four CLI/daemon workloads, outputs checked
+# against bench/goldens.json, end-to-end metrics only, tracing off);
+# `make bench-trace` runs it with one traced pass per workload added,
+# ending with the per-layer metrics.
 
 PYTHON ?= python
 RUN = PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) $(PYTHON)
 
 .PHONY: qa lint lint-deep ruff mypy determinism serve-smoke \
 	shard-smoke history-smoke test bench bench-engine bench-subset \
-	bench-parallel bench-obs bench-history bench-kernels bench-shard
+	bench-parallel bench-obs bench-history bench-kernels bench-shard \
+	bench-e2e bench-trace
 
 qa: lint lint-deep ruff mypy determinism serve-smoke shard-smoke \
 		history-smoke
@@ -101,3 +107,9 @@ bench-kernels:
 
 bench-shard:
 	$(RUN) -m repro.engine.shard_bench --check
+
+bench-e2e:
+	$(PYTHON) bench/run.py --trace 0
+
+bench-trace:
+	$(PYTHON) bench/run.py

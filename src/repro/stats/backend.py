@@ -91,9 +91,12 @@ def reference_pair_distances(arrays, idx_i, idx_j, band=None):
     """Oracle DTW pair distances.
 
     Matches what the engine historically computed: the equal-length
-    unbanded case uses :func:`batched_pair_distances` (the PR-2 fast
-    path, itself bit-identical to per-pair), everything else one
-    :func:`dtw_distance` per pair.
+    unbanded case uses :func:`batched_pair_distances`, everything else
+    one :func:`dtw_distance` per pair. The batch is bit-identical to
+    ``dtw_distance(a, b, band=L)`` per pair, the exact per-pair oracle
+    for it; unbanded ``dtw_distance`` associates the first-row border
+    differently and can differ in the last bit (see
+    :mod:`repro.stats.dtw`).
     """
     if _aligned_fast_path(arrays, band):
         return batched_pair_distances(np.vstack(arrays), idx_i, idx_j)

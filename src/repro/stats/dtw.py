@@ -22,8 +22,25 @@ Besides the per-pair reference fills, three batched kernels compute many
 pairs at once: :func:`batched_pair_distances` (equal-length, unbanded),
 :func:`banded_pair_distances` (equal-length with a Sakoe-Chiba band) and
 :func:`bucketed_pair_distances` (mixed-length pairs grouped by exact
-``(len_a, len_b)`` shape). All three run anti-diagonal wavefronts and
-are **bit-identical** to the sequential reference fills, by two facts:
+``(len_a, len_b)`` shape). All three run anti-diagonal wavefronts, and
+each is **bit-identical** to one named per-pair call:
+
+* :func:`banded_pair_distances` and :func:`bucketed_pair_distances` to
+  ``dtw_distance(a, b, band=band)``, for the band they are given
+  (``None`` included);
+* :func:`batched_pair_distances` to ``dtw_distance(a, b, band=L)``,
+  *not* to unbanded ``dtw_distance(a, b)``.
+
+The last point is the border association. :func:`_accumulate` folds
+``cost[0, 0]`` into the first row *after* the cumsum, while
+:func:`_accumulate_banded` and :func:`_pair_wavefront` accumulate both
+borders as plain prefix sums; ``band=L`` admits every cell, so only the
+border association separates the two, and it moves the last bit on a
+few pairs in a thousand. The equal-length kernel keeps its association
+because every scorecard and golden pins it; :func:`_batched_accumulate`
+replicates whichever reference fill serves its pair class.
+
+The interiors agree by two facts:
 
 * ``min`` over IEEE-754 doubles is exact -- it returns one of its
   operands unchanged -- so ``min(min(up, left), diag)`` equals
@@ -34,12 +51,6 @@ are **bit-identical** to the sequential reference fills, by two facts:
   operands in both orders of computation, and each wavefront step is
   elementwise over the pair axis, so batch composition and pair-axis
   chunking cannot move a bit either.
-
-The border associations differ deliberately between the reference fills
-(:func:`_accumulate` folds ``cost[0, 0]`` into the first row *after* the
-cumsum; :func:`_accumulate_banded` and :func:`_pair_wavefront` accumulate
-borders as plain prefix sums) and the batched kernels replicate whichever
-reference fill serves their pair class -- see :func:`_batched_accumulate`.
 """
 
 from __future__ import annotations
@@ -236,23 +247,31 @@ def dtw_path(a, b, band=None):
     return float(acc[-1, -1]), _traceback(acc)
 
 
-#: Pairs per wavefront batch. The batched kernel materializes two
-#: ``(pairs, L, L)`` float64 tensors; at SPEC'17 scale (903 pairs,
-#: L=100) that is ~140 MB -- chunking the pair axis caps it at
-#: ~2 MB/chunk with no output change (the wavefront is elementwise
-#: over the pair axis, so chunk composition cannot move a bit).
-DEFAULT_PAIR_CHUNK = 128
+#: Pairs per wavefront batch. :func:`_pair_wavefront` holds eight
+#: ``(L, pairs)`` float64 buffers (both series, both borders, three
+#: rolling diagonals and one scratch block), ~6.5 MB at L=100 and 1024
+#: pairs, so one SPEC'17 event (43 workloads, 903 pairs) runs as a
+#: single chunk in well under 20 MB of temporaries. Chunking the pair
+#: axis cannot move a bit: the wavefront is elementwise over the pair
+#: axis.
+DEFAULT_PAIR_CHUNK = 1024
 
 
 def batched_pair_distances(x, idx_i, idx_j, pair_chunk=DEFAULT_PAIR_CHUNK):
     """DTW distances for selected pairs of equal-length 1-D series.
 
-    One batched anti-diagonal wavefront over a ``(pairs, L, L)`` tensor,
+    One batched anti-diagonal wavefront (:func:`_pair_wavefront`),
     processed ``pair_chunk`` pairs at a time to cap peak memory. Every
     operation is elementwise over the pair axis, so each pair's distance
     is bit-identical no matter which other pairs share the batch or how
     the batch is chunked -- the engine's pair cache relies on that to
     mix cached and freshly-computed pairs freely.
+
+    Per pair the result equals ``dtw_distance(a, b, band=L)`` bit for
+    bit: both borders are plain prefix sums, as in
+    :func:`_accumulate_banded`. Unbanded :func:`dtw_distance` folds the
+    corner into the first row after its cumsum instead, so it can differ
+    from this kernel in the last bit (see the module docstring).
 
     Parameters
     ----------
@@ -261,8 +280,7 @@ def batched_pair_distances(x, idx_i, idx_j, pair_chunk=DEFAULT_PAIR_CHUNK):
     idx_i, idx_j:
         Row-index arrays of equal length selecting the pairs.
     pair_chunk:
-        Maximum pairs per materialized ``(pairs, L, L)`` tensor;
-        ``None`` disables chunking (the pre-chunking behaviour).
+        Maximum pairs per wavefront batch; ``None`` disables chunking.
 
     Returns
     -------
@@ -284,26 +302,52 @@ def batched_pair_distances(x, idx_i, idx_j, pair_chunk=DEFAULT_PAIR_CHUNK):
 
 
 def _pair_wavefront(x, idx_i, idx_j):
-    """One materialized anti-diagonal wavefront over a pair batch."""
+    """Diagonal-major anti-diagonal wavefront over a pair batch.
+
+    Pairs sit on the last axis: ``a[i]`` is row ``i`` of every pair's
+    first series, ``b_rev[k]`` row ``L-1-k`` of its second. Anti-diagonal
+    ``d`` is stored by row ``i`` (cell ``(i, d-i)`` in row ``i``), so
+    its cells are one contiguous slice and the three neighbours are
+    slices of the two previous diagonals: up ``prev1[i-1]``, left
+    ``prev1[i]``, diag ``prev2[i-1]``. Three rolling buffers hold the
+    diagonals still needed, so memory is O(L * pairs), and every
+    interior cell computes ``cost + min(min(up, left), diag)`` on the
+    operands the full-grid recurrence names. Both borders are plain
+    prefix sums.
+    """
     length = x.shape[1]
-    cost = np.abs(x[idx_i][:, :, None] - x[idx_j][:, None, :])
-    acc = np.empty_like(cost)
-    acc[:, 0, :] = np.cumsum(cost[:, 0, :], axis=1)
-    acc[:, :, 0] = np.cumsum(cost[:, :, 0], axis=1)
-    for d in range(2, 2 * length - 1):
-        i_lo = max(1, d - (length - 1))
-        i_hi = min(length - 1, d - 1)
-        if i_lo > i_hi:
-            continue
-        i = np.arange(i_lo, i_hi + 1)
-        j = d - i
-        up = acc[:, i - 1, j]
-        left = acc[:, i, j - 1]
-        diag = acc[:, i - 1, j - 1]
-        acc[:, i, j] = cost[:, i, j] + np.minimum(
-            np.minimum(up, left), diag
-        )
-    return acc[:, -1, -1]
+    last = length - 1
+    a = np.ascontiguousarray(x[idx_i].T, dtype=float)
+    b_rev = np.ascontiguousarray(x[idx_j].T[::-1], dtype=float)
+    b = b_rev[::-1]
+    row0 = np.cumsum(np.abs(a[0] - b), axis=0)  # acc[0, j]
+    col0 = np.cumsum(np.abs(a - b[0]), axis=0)  # acc[i, 0]
+    prev2 = np.empty_like(a)
+    prev1 = np.empty_like(a)
+    cur = np.empty_like(a)
+    best = np.empty_like(a)
+    # Bound once: with few pairs the loop is interpreter-bound.
+    minimum, subtract, absolute, add = np.minimum, np.subtract, np.abs, np.add
+    prev1[0] = row0[0]
+    for d in range(1, 2 * length - 1):
+        # Interior cells of diagonal d sit in rows lo..hi.
+        lo = 1 if d <= last else d - last
+        hi = d - 1 if d <= last else last
+        if lo <= hi:
+            n = hi - lo + 1
+            m = best[:n]
+            minimum(prev1[lo - 1 : hi], prev1[lo : hi + 1], out=m)
+            minimum(m, prev2[lo - 1 : hi], out=m)
+            cell = cur[lo : hi + 1]
+            k = last - d + lo  # b[d - lo] is b_rev[k]
+            subtract(a[lo : hi + 1], b_rev[k : k + n], out=cell)
+            absolute(cell, out=cell)
+            add(cell, m, out=cell)
+        if d <= last:
+            cur[0] = row0[d]
+            cur[d] = col0[d]
+        prev2, prev1, cur = prev1, cur, prev2
+    return prev1[last].copy()
 
 
 def _batched_accumulate(cost, band=None):

@@ -18,6 +18,29 @@ from repro.stats.dtw import (
 )
 
 
+def _pair_wavefront(x, idx_i, idx_j):
+    """One materialized anti-diagonal wavefront over a pair batch."""
+    length = x.shape[1]
+    cost = np.abs(x[idx_i][:, :, None] - x[idx_j][:, None, :])
+    acc = np.empty_like(cost)
+    acc[:, 0, :] = np.cumsum(cost[:, 0, :], axis=1)
+    acc[:, :, 0] = np.cumsum(cost[:, :, 0], axis=1)
+    for d in range(2, 2 * length - 1):
+        i_lo = max(1, d - (length - 1))
+        i_hi = min(length - 1, d - 1)
+        if i_lo > i_hi:
+            continue
+        i = np.arange(i_lo, i_hi + 1)
+        j = d - i
+        up = acc[:, i - 1, j]
+        left = acc[:, i, j - 1]
+        diag = acc[:, i - 1, j - 1]
+        acc[:, i, j] = cost[:, i, j] + np.minimum(
+            np.minimum(up, left), diag
+        )
+    return acc[:, -1, -1]
+
+
 def series(min_len=2, max_len=20):
     return st.lists(
         st.floats(-50, 50, allow_nan=False, allow_infinity=False),
@@ -318,3 +341,99 @@ class TestPairChunking:
         unchunked = batched_pair_distances(x, idx_i, idx_j,
                                            pair_chunk=None)
         assert big.tobytes() == unchunked.tobytes()
+
+
+@st.composite
+def pair_batches(draw):
+    """A ``(k, L)`` series matrix and a pair selection over it.
+
+    Values span 1e-3 to 1e6 in magnitude, optionally rounded to
+    integers so cost ties are common; pairs may repeat and may pair a
+    series with itself."""
+    length = draw(st.integers(1, 40))
+    k = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2 ** 31 - 1))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3, 1e6]))
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(k, length)) * scale
+    if draw(st.booleans()):
+        x = np.round(x)
+    n_pairs = draw(st.integers(0, 24))
+    idx_i = rng.integers(0, k, size=n_pairs)
+    idx_j = rng.integers(0, k, size=n_pairs)
+    return x, idx_i, idx_j
+
+
+class TestWavefrontOracle:
+    """The diagonal-major wavefront behind batched_pair_distances must
+    reproduce, bit for bit, both the materialized ``(pairs, L, L)``
+    wavefront it replaced (``_pair_wavefront`` above) and the per-pair
+    banded fill ``dtw_distance(a, b, band=L)``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pair_batches())
+    def test_matches_materialized_wavefront(self, batch):
+        x, idx_i, idx_j = batch
+        got = batched_pair_distances(x, idx_i, idx_j)
+        assert got.shape == idx_i.shape
+        assert got.tobytes() == _pair_wavefront(x, idx_i, idx_j).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(pair_batches())
+    def test_matches_per_pair_full_band(self, batch):
+        x, idx_i, idx_j = batch
+        got = batched_pair_distances(x, idx_i, idx_j)
+        length = x.shape[1]
+        want = np.array([dtw_distance(x[i], x[j], band=length)
+                         for i, j in zip(idx_i, idx_j)])
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(pair_batches(), st.data())
+    def test_every_pair_chunk(self, batch, data):
+        x, idx_i, idx_j = batch
+        chunk = data.draw(st.integers(1, len(idx_i) + 3))
+        got = batched_pair_distances(x, idx_i, idx_j, pair_chunk=chunk)
+        assert got.tobytes() == _pair_wavefront(x, idx_i, idx_j).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(pair_batches())
+    def test_self_pairs_are_zero(self, batch):
+        x, _, _ = batch
+        idx = np.arange(x.shape[0])
+        got = batched_pair_distances(x, idx, idx)
+        assert got.tobytes() == np.zeros(len(idx)).tobytes()
+
+    @pytest.mark.parametrize("length", [1, 2])
+    def test_shortest_series(self, length):
+        x = np.array([[0.5, -2.0], [3.0, 1.25], [7.0, 7.0]])[:, :length]
+        idx_i, idx_j = np.array([0, 0, 1, 2]), np.array([1, 2, 2, 2])
+        got = batched_pair_distances(x, idx_i, idx_j)
+        assert got.tobytes() == _pair_wavefront(x, idx_i, idx_j).tobytes()
+        want = np.array([dtw_distance(x[i], x[j], band=length)
+                         for i, j in zip(idx_i, idx_j)])
+        assert got.tobytes() == want.tobytes()
+
+    def test_empty_pair_selection(self):
+        x = np.ones((3, 5))
+        empty = np.array([], dtype=int)
+        assert batched_pair_distances(x, empty, empty).shape == (0,)
+
+    def test_borders_are_plain_prefix_sums(self):
+        # Enough pairs that some optimal paths run along the first row,
+        # where the border association is bit-visible: the batch keeps
+        # band=L's plain prefix sums, and unbanded dtw_distance (which
+        # adds cost[0, 0] after the first-row cumsum) differs in the
+        # last bit on a few of them.
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(48, 16))
+        idx_i, idx_j = np.triu_indices(48, k=1)
+        got = batched_pair_distances(x, idx_i, idx_j)
+        assert got.tobytes() == _pair_wavefront(x, idx_i, idx_j).tobytes()
+        banded = np.array([dtw_distance(x[i], x[j], band=16)
+                           for i, j in zip(idx_i, idx_j)])
+        assert got.tobytes() == banded.tobytes()
+        unbanded = np.array([dtw_distance(x[i], x[j])
+                             for i, j in zip(idx_i, idx_j)])
+        assert np.any(got != unbanded)
+        np.testing.assert_allclose(got, unbanded, rtol=1e-14)
