@@ -908,7 +908,12 @@ def _cmd_report(args):
     else:
         from repro.workloads.custom import suite_from_json
 
-        suite = suite_from_json(args.suite)
+        try:
+            suite = suite_from_json(args.suite)
+        except (OSError, ValueError) as exc:
+            # A bad path, bad JSON or a malformed spec: one line, exit 2.
+            print(f"repro report: {exc}", file=sys.stderr)
+            return 2
     report = build_report(suite, config.session(),
                           metric_seed=config.metric_seed)
     print(render_report(report))

@@ -57,28 +57,32 @@ class DemandPager:
     def touch_many(self, addrs):
         """Touch a batch of addresses; returns the number of faults.
 
-        The common case (all pages already resident) is handled with a
-        vectorized membership test before falling back to the exact
-        per-access path for the novel pages only. Ordering among novel
-        pages is preserved, which keeps FIFO eviction exact.
+        When the batch cannot evict, only the first occurrence of each
+        distinct page can fault: one membership pass over those pages, in
+        first-occurrence order, and one ordered insert. Otherwise every
+        access replays through :meth:`touch`. Either way the FIFO order
+        of resident pages equals per-access :meth:`touch`'s.
         """
         addrs = np.asarray(addrs)
         if addrs.shape[0] == 0:
             return 0
         pages = addrs >> self._page_bits
+        _, first_idx = np.unique(pages, return_index=True)
+        resident = self._resident
+        if len(resident) + first_idx.shape[0] <= self.resident_pages:
+            # No eviction can occur in this batch, so faults happen only at
+            # the first occurrence of each distinct page.
+            novel = [page for page in pages[np.sort(first_idx)].tolist()
+                     if page not in resident]
+            resident.update(dict.fromkeys(novel, True))
+            self.faults += len(novel)
+            return len(novel)
+        # Thrashing regime: evictions inside the batch can re-fault a
+        # page touched earlier, so replay every access exactly.
         before = self.faults
         touch = self.touch
-        unique_pages, first_idx = np.unique(pages, return_index=True)
-        if self.resident_count + unique_pages.shape[0] <= self.resident_pages:
-            # No eviction can occur in this batch, so faults happen only at
-            # the first occurrence of each distinct page: loop over those.
-            for i in np.sort(first_idx).tolist():
-                touch(int(addrs[i]))
-        else:
-            # Thrashing regime: evictions inside the batch can re-fault a
-            # page touched earlier, so replay every access exactly.
-            for addr in addrs.tolist():
-                touch(addr)
+        for addr in addrs.tolist():
+            touch(addr)
         return self.faults - before
 
     @property

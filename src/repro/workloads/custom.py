@@ -33,6 +33,7 @@ Example spec::
 
 from __future__ import annotations
 
+import inspect
 import json
 
 from repro.workloads.base import KernelSpec, Phase, Suite, Workload
@@ -42,6 +43,9 @@ _PHASE_FIELDS = {
     "write_fraction", "branch_model", "branch_params",
     "branches_per_op", "alu_per_op", "intensity",
 }
+
+#: Kernel arguments the trace generator passes itself.
+_RESERVED_PARAMS = ("n", "rng", "cursor")
 
 
 def _build_kernel(spec, where):
@@ -53,10 +57,33 @@ def _build_kernel(spec, where):
             f"{where}: unknown kernel {kernel!r}; available: "
             f"{sorted(KERNELS)}"
         )
+    params = dict(spec.get("params", {}))
+    signature = inspect.signature(KERNELS[kernel]).parameters
+    for name in params:
+        if name in _RESERVED_PARAMS:
+            raise ValueError(
+                f"{where}: param {name!r} is reserved: the trace "
+                f"generator passes it to kernel {kernel!r}"
+            )
+        if name not in signature:
+            accepted = [p for p in signature if p not in _RESERVED_PARAMS]
+            raise ValueError(
+                f"{where}: kernel {kernel!r} takes no param {name!r}; "
+                f"accepted: {accepted}"
+            )
+    missing = [
+        name for name, p in signature.items()
+        if name not in _RESERVED_PARAMS and name not in params
+        and p.default is inspect.Parameter.empty
+    ]
+    if missing:
+        raise ValueError(
+            f"{where}: kernel {kernel!r} needs params {missing}"
+        )
     return KernelSpec(
         kernel=kernel,
         weight=float(spec.get("weight", 1.0)),
-        params=dict(spec.get("params", {})),
+        params=params,
     )
 
 
@@ -98,9 +125,11 @@ def suite_from_spec(spec):
     -------
     repro.workloads.base.Suite
     """
+    if not isinstance(spec, dict):
+        raise ValueError("suite spec must be a JSON object")
     if "name" not in spec:
         raise ValueError("suite spec needs a 'name'")
-    if "workloads" not in spec or not spec["workloads"]:
+    if not isinstance(spec.get("workloads"), dict) or not spec["workloads"]:
         raise ValueError("suite spec needs a non-empty 'workloads' map")
     workloads = []
     for wl_name, wl_spec in spec["workloads"].items():

@@ -2,9 +2,14 @@
 
 Each kernel produces a numpy array of byte addresses with a
 characteristic locality structure. Workload phases are weighted mixes of
-these kernels (see :mod:`repro.workloads.base`). All kernels are
-vectorized except the pointer chase, whose address sequence is inherently
-serial; its loop is bounded by the (small) per-interval operation count.
+these kernels (see :mod:`repro.workloads.base`).
+
+Cost model: one interval costs O(ops) -- the number of accesses asked
+for -- never O(working set). Every kernel is vectorized except the
+pointer chase, whose address sequence is inherently serial: one Python
+step per access. Anything the size of the working set (the chase's
+permutation, the Zipf CDF) is built once per workload and kept in the
+cursor, so it costs O(working set) once per workload, not per interval.
 
 Kernels are *stateful across intervals* via the ``cursor`` dict a caller
 threads through: a streaming kernel continues where the previous interval
@@ -42,17 +47,23 @@ def random_uniform(n, rng, working_set, base=0, granularity=LINE):
     return base + rng.integers(0, slots, size=n) * granularity
 
 
-def zipfian(n, rng, working_set, alpha=1.1, base=0, granularity=LINE):
+def zipfian(n, rng, working_set, alpha=1.1, base=0, granularity=LINE,
+            cursor=None):
     """Zipf-distributed accesses: a few hot lines, a long cold tail.
 
     Models key-value stores and caches with skewed popularity. Uses the
-    inverse-CDF of a truncated zeta distribution, vectorized.
+    inverse-CDF of a truncated zeta distribution, vectorized. The CDF is
+    built once per ``(slots, alpha)`` and kept in ``cursor``.
     """
     slots = max(working_set // granularity, 1)
-    ranks = np.arange(1, slots + 1, dtype=float)
-    weights = ranks ** (-alpha)
-    cdf = np.cumsum(weights)
-    cdf /= cdf[-1]
+    key = ("zipf", slots, alpha)
+    cdf = None if cursor is None else cursor.get(key)
+    if cdf is None:
+        ranks = np.arange(1, slots + 1, dtype=float)
+        cdf = np.cumsum(ranks ** (-alpha))
+        cdf /= cdf[-1]
+        if cursor is not None:
+            cursor[key] = cdf
     u = rng.uniform(size=n)
     idx = np.searchsorted(cdf, u)
     # Scatter ranks over the address space so hot lines do not all share
@@ -69,6 +80,11 @@ def pointer_chase(n, rng, working_set, base=0, granularity=LINE,
     Models linked lists and graph traversals (the ``lat_mem_rd`` pattern):
     maximal miss rate once the working set exceeds a cache level, no
     spatial locality.
+
+    The walk follows ``perm`` from ``perm[0]``, so it visits only the
+    cycle of the permutation that contains ``perm[0]``, not every slot:
+    a uniform permutation's cycle through a given slot covers about half
+    the slots on average, and can cover under 1% of them.
     """
     slots = max(working_set // granularity, 2)
     key = ("chase", working_set, base)
@@ -77,14 +93,17 @@ def pointer_chase(n, rng, working_set, base=0, granularity=LINE,
     else:
         perm = rng.permutation(slots)
         pos = int(perm[0])
-    out = np.empty(n, dtype=np.int64)
-    perm_list = perm.tolist()
-    for i in range(n):
-        out[i] = pos
-        pos = perm_list[pos]
+    # A zero-copy view yields one Python int per step. A list copy of the
+    # permutation would cost O(slots) per call, or peak RSS if cached.
+    step = memoryview(perm)
+    out = []
+    append = out.append
+    for _ in range(n):
+        append(pos)
+        pos = step[pos]
     if cursor is not None:
         cursor[key] = (perm, pos)
-    return base + out * granularity
+    return base + np.array(out, dtype=np.int64) * granularity
 
 
 def hot_cold(n, rng, hot_bytes, cold_bytes, hot_fraction=0.9, base=0,
@@ -192,7 +211,7 @@ KERNELS = {
     "fresh_pages": fresh_pages,
 }
 
-_STATEFUL = {"sequential_stream", "pointer_chase", "stencil2d",
+_STATEFUL = {"sequential_stream", "zipfian", "pointer_chase", "stencil2d",
              "gather_scatter", "page_stride", "fresh_pages"}
 
 

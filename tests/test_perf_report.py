@@ -83,3 +83,32 @@ class TestRenderReport:
         assert main(["--quick", "report", str(path)]) == 0
         out = capsys.readouterr().out
         assert "custom2" in out
+
+    @pytest.mark.parametrize("text, match", [
+        (None, "No such file"),
+        ("{not json", "Expecting property name"),
+        ('{"name": "s", "workloads": {"w": {"phases": [{"kernels": '
+         '[{"kernel": "zipfian", "params": {"workingset": 65536}}]}]}}}',
+         "w.phases[0].kernels[0]: kernel 'zipfian' takes no param "
+         "'workingset'"),
+        ('{"name": "s", "workloads": {"w": {"phases": [{"kernels": '
+         '[{"kernel": "zipfian", "params": {"working_set": 65536, '
+         '"cursor": {}}}]}]}}}',
+         "w.phases[0].kernels[0]: param 'cursor' is reserved"),
+        ('{"name": "s", "workloads": {"w": {"phases": [{"kernels": '
+         '[{"kernel": "quantum_tunnel"}]}]}}}', "unknown kernel"),
+    ])
+    def test_cli_report_bad_suite_one_line_exit_2(self, capsys, tmp_path,
+                                                   text, match):
+        from repro.cli import main
+
+        path = tmp_path / "suite.json"
+        if text is not None:
+            path.write_text(text)
+        assert main(["--quick", "report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("repro report: ")
+        assert match in lines[0]

@@ -40,14 +40,35 @@ class TestDemandPager:
         assert p.touch_many(addrs) == 3
         assert p.resident_count == 3
 
-    def test_touch_many_matches_scalar(self):
-        rng = np.random.default_rng(0)
-        addrs = rng.integers(0, 1 << 24, size=500)
-        p1, p2 = DemandPager(), DemandPager()
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), resident_pages=st.integers(1, 12),
+           over=st.sampled_from([0, 1]))
+    def test_touch_many_matches_scalar(self, data, resident_pages, over):
+        # The batch's resident + unique page count sits exactly on the
+        # no-eviction test (over=0) or one past it (over=1).
+        pages = st.integers(0, 3 * resident_pages)
+        warm = data.draw(st.lists(pages, max_size=2 * resident_pages))
+        p1 = DemandPager(resident_pages=resident_pages)
+        p2 = DemandPager(resident_pages=resident_pages)
+        for page in warm:
+            p1.touch(page * PAGE)
+            p2.touch(page * PAGE)
+        unique = resident_pages - p1.resident_count + over
+        if unique < 1:
+            return
+        distinct = data.draw(st.lists(pages, min_size=unique,
+                                      max_size=unique, unique=True))
+        extra = data.draw(st.lists(st.sampled_from(distinct), max_size=20))
+        order = data.draw(st.permutations(distinct + extra))
+        offsets = data.draw(st.lists(st.integers(0, PAGE - 1),
+                                     min_size=len(order),
+                                     max_size=len(order)))
+        addrs = np.array(order, dtype=np.int64) * PAGE + offsets
         batch = p1.touch_many(addrs)
         scalar = sum(p2.touch(int(a)) for a in addrs)
         assert batch == scalar
-        assert p1.resident_count == p2.resident_count
+        assert (p1.faults, p1.evictions) == (p2.faults, p2.evictions)
+        assert list(p1._resident) == list(p2._resident)
 
     def test_fifo_eviction_and_refault(self):
         p = DemandPager(resident_pages=2)

@@ -95,6 +95,33 @@ class TestSuiteFromSpec:
         with pytest.raises(ValueError, match="unknown phase fields"):
             suite_from_spec(spec)
 
+    @pytest.mark.parametrize("param, match", [
+        ("workingset", "takes no param 'workingset'"),
+        ("cursor", "param 'cursor' is reserved"),
+        ("n", "param 'n' is reserved"),
+        ("rng", "param 'rng' is reserved"),
+    ])
+    def test_bad_kernel_param_rejected(self, param, match):
+        spec = demo_spec()
+        spec["workloads"]["pointer"]["phases"][1]["kernels"][0][
+            "params"][param] = MB
+        with pytest.raises(ValueError, match=match) as info:
+            suite_from_spec(spec)
+        assert str(info.value).startswith("pointer.phases[1].kernels[0]: ")
+
+    def test_missing_required_param_rejected(self):
+        spec = demo_spec()
+        spec["workloads"]["streamy"]["phases"][0]["kernels"][0]["params"] = {}
+        with pytest.raises(ValueError,
+                           match=r"needs params \['working_set'\]"):
+            suite_from_spec(spec)
+
+    @pytest.mark.parametrize("spec", [[], "suite", {"name": "s",
+                                                     "workloads": ["w"]}])
+    def test_non_object_spec_rejected(self, spec):
+        with pytest.raises(ValueError, match="suite spec"):
+            suite_from_spec(spec)
+
     def test_missing_kernel_name_rejected(self):
         spec = demo_spec()
         del spec["workloads"]["streamy"]["phases"][0]["kernels"][0]["kernel"]

@@ -93,6 +93,27 @@ class TestZipfian:
         addrs = zipfian(1000, rng, working_set=MB)
         assert addrs.max() < MB
 
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           calls=st.lists(st.tuples(st.sampled_from([0, 1, 2]),
+                                    st.integers(1, 300)),
+                          min_size=1, max_size=6))
+    def test_cursor_cdf_is_bitwise_cursorless(self, seed, calls):
+        # (slots, alpha) keys that share a slot count or an alpha share
+        # one cursor; each call must equal the cursor-less call from the
+        # same RNG state, bit for bit.
+        keys = [dict(working_set=64 * 1000, alpha=1.1),
+                dict(working_set=64 * 1000, alpha=0.7),
+                dict(working_set=64 * 37, alpha=1.1)]
+        with_cursor = np.random.default_rng(seed)
+        without = np.random.default_rng(seed)
+        cursor = {}
+        for which, n in calls:
+            got = zipfian(n, with_cursor, cursor=cursor, **keys[which])
+            want = zipfian(n, without, **keys[which])
+            assert got.tobytes() == want.tobytes()
+        assert len(cursor) == len({which for which, _ in calls})
+
 
 class TestPointerChase:
     def test_deterministic_walk(self):
@@ -109,6 +130,26 @@ class TestPointerChase:
         b = pointer_chase(10, rng, working_set=64 * 128, cursor=cursor)
         # Continuation: no repeats until the 128-slot cycle wraps.
         assert np.intersect1d(a, b).size == 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), slots=st.integers(2, 400),
+           splits=st.lists(st.integers(1, 200), min_size=1, max_size=6))
+    def test_split_walk_matches_one_walk_and_reference(self, seed, slots,
+                                                       splits):
+        ws = 64 * slots
+        cursor = {}
+        rng = np.random.default_rng(seed)
+        split = np.concatenate([pointer_chase(n, rng, ws, cursor=cursor)
+                                for n in splits])
+        whole = pointer_chase(sum(splits), np.random.default_rng(seed), ws)
+        assert split.tobytes() == whole.tobytes()
+        # Reference walk over a Python list of the same permutation.
+        perm = np.random.default_rng(seed).permutation(slots).tolist()
+        pos, ref = perm[0], []
+        for _ in range(sum(splits)):
+            ref.append(pos)
+            pos = perm[pos]
+        np.testing.assert_array_equal(split, np.array(ref) * 64)
 
     def test_no_self_loop_start(self):
         rng = np.random.default_rng(8)
