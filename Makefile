@@ -23,6 +23,8 @@
 # against bench/goldens.json, end-to-end metrics only, tracing off);
 # `make bench-trace` runs it with one traced pass per workload added,
 # ending with the per-layer metrics.
+# `make rebless` rewrites the tier-1 golden files (counters, scores,
+# traces) after a deliberate science change and shows which moved.
 
 PYTHON ?= python
 RUN = PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) $(PYTHON)
@@ -30,7 +32,7 @@ RUN = PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) $(PYTHON)
 .PHONY: qa lint lint-deep ruff mypy determinism serve-smoke \
 	shard-smoke history-smoke test bench bench-engine bench-subset \
 	bench-parallel bench-obs bench-history bench-kernels bench-shard \
-	bench-e2e bench-trace
+	bench-e2e bench-trace rebless
 
 qa: lint lint-deep ruff mypy determinism serve-smoke shard-smoke \
 		history-smoke
@@ -113,3 +115,11 @@ bench-e2e:
 
 bench-trace:
 	$(PYTHON) bench/run.py
+
+# Each golden test file rewrites its tests/data JSON when run as a
+# script; the diff stat names the files whose pinned bits moved.
+rebless:
+	$(RUN) tests/test_golden_counters.py
+	$(RUN) tests/test_golden_scores.py
+	$(RUN) tests/test_golden_traces.py
+	git diff --stat -- tests/data

@@ -80,7 +80,7 @@ from repro.experiments.runner import (
     measure_suites,
     perspector_for,
 )
-from repro.workloads import available_suites
+from repro.workloads import available_suites, load_suite
 
 _EXPERIMENTS = {
     "fig1": "repro.experiments.fig1_normalization",
@@ -95,6 +95,19 @@ _EXPERIMENTS = {
     "machine": "repro.experiments.machine_ablations",
     "stability": "repro.experiments.stability",
 }
+
+
+def _int_at_least(lo):
+    """argparse ``type``: an int no smaller than ``lo`` (else exit 2)."""
+    def parse(text):
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {lo}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _config(args, default_preset=ExperimentConfig.full):
@@ -176,10 +189,16 @@ def _cmd_subset(args):
     from repro.engine import Engine, SubsetEvaluator, SubsetSearch
     from repro.obs import publish
 
+    # Checked against the suite model, before any measurement runs.
+    n_workloads = len(load_suite(args.suite))
+    if args.size > n_workloads:
+        print(f"repro subset: --size {args.size} exceeds the "
+              f"{n_workloads} workloads of {args.suite}", file=sys.stderr)
+        return 2
     config = _config(args)
     matrix = measure_suites([args.suite], config)[args.suite]
     engine = Engine.from_config(config)
-    if args.search:
+    if args.search is not None:
         evaluator = SubsetEvaluator(matrix, seed=config.metric_seed,
                                     engine=engine)
         result = SubsetSearch(
@@ -604,9 +623,9 @@ def build_parser():
         "subset", help="LHS subset generation / multi-candidate search"
     )
     p_sub.add_argument("suite", choices=available_suites())
-    p_sub.add_argument("--size", type=int, default=8)
+    p_sub.add_argument("--size", type=_int_at_least(2), default=8)
     p_sub.add_argument(
-        "--search", type=int, default=None, metavar="N",
+        "--search", type=_int_at_least(1), default=None, metavar="N",
         help="evaluate up to N candidate subsets through the sliced "
              "evaluator (precomputes the full-suite kernels once) and "
              "report the lowest-mean-deviation one, instead of the "
@@ -861,8 +880,9 @@ def build_parser():
     p_cb = _client_parser("subset", "subset generation/search on the "
                                     "daemon")
     p_cb.add_argument("suite", choices=available_suites())
-    p_cb.add_argument("--size", type=int, default=8)
-    p_cb.add_argument("--search", type=int, default=None, metavar="N")
+    p_cb.add_argument("--size", type=_int_at_least(2), default=8)
+    p_cb.add_argument("--search", type=_int_at_least(1), default=None,
+                      metavar="N")
     p_cb.add_argument("--method", default="lhs",
                       choices=["lhs", "random", "swap"])
     _client_parser("metrics", "live engine metrics snapshot (JSON)")

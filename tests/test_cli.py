@@ -86,6 +86,33 @@ class TestCommands:
                                        "--search", "4", "--method",
                                        "annealing"])
 
+    @pytest.mark.parametrize("command", [["subset"], ["client", "subset"]])
+    @pytest.mark.parametrize("flags", [
+        ["--size", "1"], ["--size", "-2"], ["--search", "0"],
+        ["--search", "-3"], ["--size", "four"],
+    ])
+    def test_subset_bad_size_or_search_is_usage_error(self, command, flags,
+                                                      capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(command + ["lmbench"] + flags)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--size" in err or "--search" in err
+
+    def test_subset_size_above_suite_exits_before_measuring(
+            self, capsys, monkeypatch):
+        def measure(*args, **kwargs):
+            raise AssertionError("measured a suite for an invalid --size")
+
+        monkeypatch.setattr("repro.cli.measure_suites", measure)
+        for extra in ([], ["--search", "4"]):
+            assert main(["--quick", "subset", "lmbench", "--size", "99"]
+                        + extra) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == ("repro subset: --size 99 exceeds the 10 "
+                           "workloads of lmbench\n")
+
     def test_experiment_fig2(self, capsys):
         assert main(["experiment", "fig2"]) == 0
         out = capsys.readouterr().out
