@@ -13,11 +13,9 @@
 # bench (<= 5% with the run-history store enabled, bit-identical),
 # and the vectorized-vs-reference
 # kernel bench (banded all-pairs DTW >= 5x, mixed-length bucketed
-# >= 3x, all bit-identical), and the shard fan-out bench (all-pairs
-# DTW through 2 local shard daemons >= 1.6x over 1 on multi-core
-# hosts, bit-identical everywhere), guarded by the BENCH_engine.json /
+# >= 3x, all bit-identical), guarded by the BENCH_engine.json /
 # BENCH_subset.json / BENCH_parallel.json / BENCH_obs.json /
-# BENCH_history.json / BENCH_kernels.json / BENCH_shard.json baselines.
+# BENCH_history.json / BENCH_kernels.json baselines.
 # `make bench-e2e` runs the end-to-end benchmark that BENCHMARK.json
 # declares (bench/run.py: four CLI/daemon workloads, outputs checked
 # against bench/goldens.json, end-to-end metrics only, tracing off);
@@ -30,12 +28,10 @@ PYTHON ?= python
 RUN = PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) $(PYTHON)
 
 .PHONY: qa lint lint-deep ruff mypy determinism serve-smoke \
-	shard-smoke history-smoke test bench bench-engine bench-subset \
-	bench-parallel bench-obs bench-history bench-kernels bench-shard \
-	bench-e2e bench-trace rebless
+	history-smoke test bench bench-engine bench-subset bench-parallel \
+	bench-obs bench-history bench-kernels bench-e2e bench-trace rebless
 
-qa: lint lint-deep ruff mypy determinism serve-smoke shard-smoke \
-		history-smoke
+qa: lint lint-deep ruff mypy determinism serve-smoke history-smoke
 	@echo "qa: all gates passed"
 
 lint:
@@ -68,13 +64,6 @@ determinism:
 serve-smoke:
 	$(RUN) -m repro.qa.service_check --workers 2
 
-# Shard-smoke: boot 2 local daemons as shard workers, run sharded
-# scoring and subset search (cold, disk-warm, vectorized daemons,
-# kill-one-shard), and diff every artifact bit-for-bit against the
-# serial oracle (same check as `repro qa --shards 2`).
-shard-smoke:
-	$(RUN) -m repro.qa.shard_check --shards 2
-
 # History-smoke: recording on vs off must be bit-identical, an
 # equal-digest re-run must diff to zero, and a perturbed score bit /
 # inflated wall time / degraded hit rate must each trip the trajectory
@@ -86,7 +75,7 @@ test:
 	$(RUN) -m pytest -x -q
 
 bench: bench-engine bench-subset bench-parallel bench-obs \
-		bench-history bench-kernels bench-shard
+		bench-history bench-kernels
 	$(RUN) -m pytest benchmarks -q
 
 bench-engine:
@@ -106,9 +95,6 @@ bench-history:
 
 bench-kernels:
 	$(RUN) -m repro.stats.kernel_bench --check
-
-bench-shard:
-	$(RUN) -m repro.engine.shard_bench --check
 
 bench-e2e:
 	$(PYTHON) bench/run.py --trace 0

@@ -119,7 +119,6 @@ def _config(args, default_preset=ExperimentConfig.full):
         cache=not getattr(args, "no_cache", False),
         cache_dir=getattr(args, "cache_dir", None),
         backend=getattr(args, "backend", None),
-        shards=getattr(args, "shard_hosts", None),
         history_dir=getattr(args, "history_dir", None),
     )
 
@@ -265,17 +264,6 @@ def _cmd_qa(args):
         if args.backend:
             serve_argv = ["--backend", args.backend]
         status = max(status, service_main(serve_argv))
-    if args.shards:
-        # The shard determinism variant: N local daemons as shard
-        # workers; sharded scorecards (cold, disk-warm, vectorized
-        # daemons, kill-one-shard) and a sharded subset search must be
-        # bit-identical to the serial oracle.
-        from repro.qa.shard_check import main as shard_main
-
-        shard_argv = ["--shards", str(args.shards)]
-        if args.backend:
-            shard_argv.extend(["--backend", args.backend])
-        status = max(status, shard_main(shard_argv))
     if args.history:
         # The history determinism variant: recording on vs off must be
         # bit-identical, an equal-digest re-run must diff to zero, and
@@ -293,11 +281,7 @@ def _cmd_qa(args):
 def _cmd_serve(args):
     from repro.service import ScoringService
 
-    # A daemon is a shard *worker*, never a shard coordinator: a worker
-    # that re-sharded its blocks to a host list including itself would
-    # recurse into its own scoring funnel and deadlock. Any inherited
-    # --shard-hosts / $REPRO_SHARDS is stripped here.
-    config = replace(_config(args), shards=None)
+    config = _config(args)
     service = ScoringService(config, host=args.host, port=args.port)
     return service.run()
 
@@ -340,39 +324,6 @@ def _cmd_client(args):
               f"({exc})", file=sys.stderr)
         return 2
     return 0
-
-
-def _cmd_shard(args):
-    from repro.engine.shard import parse_shard_hosts
-    from repro.service import ServiceClient, ServiceError
-
-    if not args.shard_hosts:
-        print("repro shard: no shard hosts (pass --shard-hosts or set "
-              "$REPRO_SHARDS)", file=sys.stderr)
-        return 2
-    try:
-        hosts = parse_shard_hosts(args.shard_hosts)
-    except ValueError as exc:
-        print(f"repro shard: {exc}", file=sys.stderr)
-        return 2
-    status = 0
-    for host in hosts:
-        client = ServiceClient(host=host.host, port=host.port,
-                               timeout=args.timeout,
-                               connect_timeout=args.timeout, retries=0)
-        try:
-            health = client.health()
-        except ServiceError as exc:
-            print(f"{host.address:24s}  DOWN  {exc}")
-            status = 1
-        else:
-            print(f"{host.address:24s}  OK    "
-                  f"backend={health.get('backend')} "
-                  f"workers={health.get('workers')} "
-                  f"cache_dir={health.get('cache_dir')} "
-                  f"requests={health.get('requests')} "
-                  f"inflight={health.get('inflight')}")
-    return status
 
 
 #: Drivers that default to the quick preset when run without --quick
@@ -560,15 +511,6 @@ def _add_engine_flags(p):
              "bit-identical to the reference kernels)",
     )
     p.add_argument(
-        "--shard-hosts", metavar="HOST:PORT,...",
-        default=os.environ.get("REPRO_SHARDS") or None,
-        help="comma-separated 'repro serve' daemons to shard DTW pair "
-             "blocks and subset candidate batches across; a failed "
-             "shard's blocks re-dispatch to the survivors (default: "
-             "$REPRO_SHARDS if set, else no sharding; results are "
-             "bit-identical at any shard count)",
-    )
-    p.add_argument(
         "--history-dir", metavar="DIR",
         default=os.environ.get("REPRO_HISTORY") or None,
         help="append this run's scorecard (bit-exact wire encoding), "
@@ -716,13 +658,6 @@ def build_parser():
              "and shutdown must leak no shm segments or cache tmp files",
     )
     p_qa.add_argument(
-        "--shards", type=int, default=0, metavar="N",
-        help="also run the shard determinism variant: spin up N local "
-             "scoring daemons as shard workers and diff sharded "
-             "scorecards (cold, disk-warm, vectorized daemons, "
-             "kill-one-shard) bit-for-bit against the serial oracle",
-    )
-    p_qa.add_argument(
         "--history", action="store_true",
         help="also run the history determinism variant: recording on "
              "vs off must be bit-identical, an equal-digest re-run "
@@ -830,7 +765,6 @@ def build_parser():
         help="run the scoring daemon: one shared warm engine "
              "(persistent pool, kernel cache, disk tier) behind an "
              "HTTP/JSON API (POST /v1/score|compare|subset, "
-             "POST /v1/shard/exec for shard-worker duty, "
              "GET /v1/metrics|health|history, POST /v1/shutdown)",
     )
     p_serve.add_argument("--host", default=DEFAULT_HOST,
@@ -894,27 +828,6 @@ def build_parser():
     _client_parser("shutdown", "graceful drain-and-stop")
     _add_trace_flags(p_client)
 
-    p_shard = sub.add_parser(
-        "shard",
-        help="shard-coordinator utilities (multi-host scoring fan-out)",
-    )
-    shard_sub = p_shard.add_subparsers(dest="shard_command",
-                                       required=True)
-    p_shard_status = shard_sub.add_parser(
-        "status",
-        help="probe each shard daemon's /v1/health and print one "
-             "status line per shard; exits nonzero if any is down",
-    )
-    p_shard_status.add_argument(
-        "--shard-hosts", metavar="HOST:PORT,...",
-        default=os.environ.get("REPRO_SHARDS") or None,
-        help="shard daemons to probe (default: $REPRO_SHARDS)",
-    )
-    p_shard_status.add_argument(
-        "--timeout", type=float, default=5.0, metavar="SECONDS",
-        help="connect/read timeout per probe (default 5)",
-    )
-    _add_trace_flags(p_shard)
     return parser
 
 
@@ -1058,7 +971,6 @@ def main(argv=None):
         "obs": _cmd_obs,
         "serve": _cmd_serve,
         "client": _cmd_client,
-        "shard": _cmd_shard,
     }
     handler = handlers[args.command]
     if getattr(args, "history_dir", None) \

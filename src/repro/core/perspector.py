@@ -65,12 +65,6 @@ class PerspectorConfig:
         | ``"vectorized"``). ``None`` resolves via ``$REPRO_BACKEND``
         then the reference default. Backends are bit-identical -- purely
         a speed knob, and cache keys never include it.
-    shards:
-        Optional ``"host:port,host:port"`` list of ``repro serve``
-        daemons to fan DTW pair blocks and subset candidate batches
-        across (``--shard-hosts`` / ``$REPRO_SHARDS``; DESIGN.md §14).
-        ``None`` keeps everything on this machine. Like every other
-        knob here, sharding never changes an output bit.
     """
 
     pca_variance: float = DEFAULT_VARIANCE
@@ -83,7 +77,6 @@ class PerspectorConfig:
     cache: bool = True
     cache_dir: str | None = None
     backend: str | None = None
-    shards: str | None = None
 
 
 class Perspector:

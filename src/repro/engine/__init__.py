@@ -22,12 +22,6 @@
   subset by index slicing (bit-identical to the from-scratch
   shared-bounds path), and :class:`SubsetSearch`, the multi-candidate
   LHS/random/swap search driver behind ``repro subset --search``.
-* :mod:`repro.engine.shard` -- :class:`ShardCoordinator`, the
-  multi-host fan-out: DTW pair blocks and subset candidate batches
-  partitioned deterministically across ``repro serve`` daemons
-  (``--shard-hosts`` / ``$REPRO_SHARDS``) over the bit-exact wire
-  protocol, reassembled in input order, with failed shards' blocks
-  re-dispatched to survivors.
 
 The engine is a pure accelerator: with the cache off and one worker it
 runs exactly today's serial path, and every acceleration preserves
@@ -44,15 +38,6 @@ from repro.engine.cache import (
 from repro.engine.diskcache import DiskCache
 from repro.engine.engine import Engine
 from repro.engine.parallel import ParallelExecutor
-from repro.engine.shard import (
-    NoShardsAlive,
-    ShardBlock,
-    ShardCoordinator,
-    ShardError,
-    ShardHost,
-    execute_block,
-    parse_shard_hosts,
-)
 from repro.engine.shm import ShmRef, ShmStore, leaked_segments
 from repro.engine.subset_eval import (
     SubsetEvaluator,
@@ -71,15 +56,8 @@ __all__ = [
     "content_key",
     "leaked_segments",
     "Engine",
-    "NoShardsAlive",
     "ParallelExecutor",
-    "ShardBlock",
-    "ShardCoordinator",
-    "ShardError",
-    "ShardHost",
     "SubsetEvaluator",
     "SubsetSearch",
     "SubsetSearchResult",
-    "execute_block",
-    "parse_shard_hosts",
 ]

@@ -30,9 +30,9 @@ under a valid key; ``repro qa`` checks for stale orphans
 (:func:`stale_artifacts`) and :meth:`DiskCache.put` sweeps expired ones
 opportunistically.
 
-**Concurrent writers are safe** -- a prerequisite for shard daemons
-sharing one ``--cache-dir`` over network storage (DESIGN.md section
-14). There is no separate index file to corrupt: the directory *is*
+**Concurrent writers are safe** -- pool workers, a scoring daemon and
+CLI invocations may share one ``--cache-dir``, possibly over network
+storage (DESIGN.md section 9). There is no separate index file to corrupt: the directory *is*
 the LRU index (mtimes order it), so the only shared-write hazards are
 the tmp file and the final rename. Tmp names carry a host discriminator
 plus pid plus a process-local sequence (two hosts on shared storage

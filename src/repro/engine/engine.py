@@ -140,20 +140,11 @@ class Engine:
         via ``$REPRO_BACKEND`` then the reference default. Backends are
         bit-identical, so this is purely a speed knob and cache keys
         never include it.
-    shards:
-        Optional shard-worker daemons for the multi-host fan-out
-        (DESIGN.md section 14): a ``"host:port,host:port"`` spec (the
-        ``--shard-hosts`` / ``$REPRO_SHARDS`` format), anything
-        :func:`repro.engine.shard.parse_shard_hosts` accepts, or a
-        prebuilt :class:`~repro.engine.shard.ShardCoordinator`. When
-        set, fresh DTW pair blocks and subset-search candidate batches
-        execute on the shard daemons instead of locally -- bit-identical
-        at any shard count, like every other knob here.
     """
 
     def __init__(self, cache=True, workers=1, max_entries=None,
                  cache_dir=None, disk_max_bytes=None, shm_min_bytes=None,
-                 persistent_pool=True, backend=None, shards=None):
+                 persistent_pool=True, backend=None):
         #: The active ComputeBackend the DTW / KS hot paths dispatch
         #: through (bit-identical across backends by contract).
         self.backend = resolve_backend(backend)
@@ -183,21 +174,6 @@ class Engine:
         #: :meth:`_any_pair_cached` answer "fully cold" in O(1) instead
         #: of hashing O(n^2) candidate keys per trend call.
         self._pair_digests = set()
-        #: Multi-host shard fan-out (None = everything runs locally).
-        self._coordinator = None
-        self.shards = ()
-        if shards:
-            from repro.engine.shard import ShardCoordinator, parse_shard_hosts
-
-            if isinstance(shards, ShardCoordinator):
-                self._coordinator = shards
-                self.shards = shards.hosts
-            else:
-                hosts = parse_shard_hosts(shards)
-                if hosts:
-                    self._coordinator = ShardCoordinator(
-                        hosts, metrics=self.metrics)
-                    self.shards = hosts
 
     @property
     def workers(self):
@@ -208,23 +184,16 @@ class Engine:
         disk = self.cache.disk
         return None if disk is None else disk.root
 
-    @property
-    def shard_coordinator(self):
-        """The active :class:`~repro.engine.shard.ShardCoordinator`, or
-        None when everything runs locally."""
-        return self._coordinator
-
     @classmethod
     def from_config(cls, config):
         """Build an engine from any config carrying ``workers``/``cache``
-        /``cache_dir``/``shards`` knobs
+        /``cache_dir``/``backend`` knobs
         (:class:`~repro.core.perspector.PerspectorConfig`,
         :class:`~repro.experiments.runner.ExperimentConfig`)."""
         return cls(cache=getattr(config, "cache", True),
                    workers=getattr(config, "workers", 1),
                    cache_dir=getattr(config, "cache_dir", None),
-                   backend=getattr(config, "backend", None),
-                   shards=getattr(config, "shards", None))
+                   backend=getattr(config, "backend", None))
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -232,8 +201,6 @@ class Engine:
         """Shut the worker pool down and sweep shared-memory segments
         (idempotent; also runs at gc/interpreter exit via the
         executor's finalizers, so forgetting it leaks nothing)."""
-        if self._coordinator is not None:
-            self._coordinator.close()
         self.executor.close()
 
     def __enter__(self):
@@ -266,7 +233,6 @@ class Engine:
         details["cache_enabled"] = self.cache.enabled
         details["cache_dir"] = self.cache_dir
         details["workers"] = self.workers
-        details["shards"] = len(self.shards)
         return details
 
     # -- traced cache access -----------------------------------------------
@@ -316,17 +282,7 @@ class Engine:
         if missing:
             idx_i = np.array([pairs[p][0] for p in missing])
             idx_j = np.array([pairs[p][1] for p in missing])
-            if self._coordinator is not None and len(missing) > 1:
-                # Sharded fan-out: contiguous pair blocks execute on
-                # the shard daemons. Partitioning is a pure function of
-                # the missing set and every daemon backend is
-                # bit-identical, so the assembled matrix carries the
-                # same bits as the local computation below.
-                fresh = self._coordinator.dtw_pairs(arrays, idx_i, idx_j,
-                                                    band)
-            else:
-                fresh = self.backend.pair_distances(arrays, idx_i, idx_j,
-                                                    band)
+            fresh = self.backend.pair_distances(arrays, idx_i, idx_j, band)
             for p, value in zip(missing, fresh):
                 values[p] = self.cache.put(pkeys[p], float(value),
                                            disk=False)
@@ -408,23 +364,7 @@ class Engine:
                 pending.append((event, norm, None, False))
                 continue
             values[event] = self._tscore(self.dtw_matrix(norm, band=band))
-        if pending and self._coordinator is not None:
-            # Sharded: normalize inline and let dtw_matrix fan each
-            # event's pair blocks out to the shard daemons. The kernels
-            # are the exact ones the pool task runs (the cached
-            # assembly equals _dtw_matrix_direct bit-for-bit), so
-            # routing through the shards changes no output bit.
-            for event, arrays, nkey, do_norm in pending:
-                if do_norm:
-                    norm = normalize_series_set(arrays, n_points=n_points,
-                                                cdf=cdf)
-                    if nkey is not None:
-                        self.cache.put(nkey, norm)
-                else:
-                    norm = arrays
-                values[event] = self._tscore(
-                    self.dtw_matrix(norm, band=band))
-        elif pending:
+        if pending:
             results = self.executor.map(
                 _trend_event_task,
                 [(tuple(arrays), n_points, band, do_norm, cdf,

@@ -548,27 +548,17 @@ class SubsetSearch:
 
     def _evaluate_all(self, candidates):
         """Evaluate candidates in order, fanning fresh ones out in
-        contiguous batches -- across the shard daemons when the engine
-        has a shard coordinator (DESIGN.md section 14), else across the
-        engine's worker pool when ``workers > 1``. Either way each
-        remote side builds an identical single-process evaluator, so
-        the merged reports are bit-identical to serial evaluation."""
+        contiguous batches across the engine's worker pool when
+        ``workers > 1``. Each worker builds an identical single-process
+        evaluator, so the merged reports are bit-identical to serial
+        evaluation."""
         candidates = [tuple(c) for c in candidates]
         engine = self.evaluator.engine
         fresh = []
         for names in candidates:
             if not self.evaluator.memoized(names) and names not in fresh:
                 fresh.append(names)
-        coordinator = engine.shard_coordinator
-        if coordinator is not None and len(fresh) > 1:
-            reports = coordinator.subset_batches(
-                self.evaluator.matrix, fresh, self.evaluator.seed,
-                self.evaluator.full_scores, self.evaluator.n_points,
-                self.evaluator.band, self.evaluator.cdf,
-            )
-            for names, report in zip(fresh, reports):
-                self.evaluator.adopt(names, report)
-        elif engine.workers > 1 and len(fresh) > 1:
+        if engine.workers > 1 and len(fresh) > 1:
             n_batches = min(engine.workers, len(fresh))
             size = -(-len(fresh) // n_batches)
             batches = [fresh[i:i + size]

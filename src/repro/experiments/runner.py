@@ -50,7 +50,6 @@ class ExperimentConfig:
     cache: bool = True
     cache_dir: str | None = None
     backend: str | None = None
-    shards: str | None = None
     #: Where to append longitudinal run-history records
     #: (:mod:`repro.obs.history`); ``None`` disables recording. Like
     #: the other engine knobs, it never affects an output bit.
@@ -59,7 +58,7 @@ class ExperimentConfig:
     def measurement_key(self):
         """The fields that determine measured traces. Scoring knobs
         (``metric_seed``, ``workers``, ``cache``, ``cache_dir``,
-        ``backend``, ``shards``, ``history_dir``) are excluded, so
+        ``backend``, ``history_dir``) are excluded, so
         re-scoring the same traces under different settings reuses the
         measurement cache."""
         return (self.n_intervals, self.ops_per_interval,
@@ -179,7 +178,6 @@ def perspector_for(config, session=None, engine=None):
             cache=config.cache,
             cache_dir=getattr(config, "cache_dir", None),
             backend=getattr(config, "backend", None),
-            shards=getattr(config, "shards", None),
         ),
         engine=engine,
     )

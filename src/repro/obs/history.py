@@ -12,7 +12,7 @@ week?". This module is the missing memory:
   (plain JSON number + little-endian IEEE-754 hex bits, exactly the
   :mod:`repro.service.protocol` convention), the
   :class:`~repro.obs.metrics.MetricsRegistry` snapshot (cache tiers,
-  pool/shard utilization), per-span-name wall/self-time totals from
+  pool utilization), per-span-name wall/self-time totals from
   the tracer, and the run manifest itself -- enough to re-key, re-plot
   and bit-diff any run from its artifact alone.
 * :class:`HistoryRecorder` -- the in-process collection hook. Like the

@@ -35,8 +35,8 @@ def manifest_path(trace_path):
 #: Environment variables that change how a run executes; resolved into
 #: every manifest so history records capture the execution environment,
 #: not just the config mapping.
-ENV_VARS = ("REPRO_BACKEND", "REPRO_SHARDS", "REPRO_CACHE_DIR",
-            "REPRO_TRACE", "REPRO_HISTORY")
+ENV_VARS = ("REPRO_BACKEND", "REPRO_CACHE_DIR", "REPRO_TRACE",
+            "REPRO_HISTORY")
 
 
 def _canonical(value):

@@ -13,10 +13,6 @@ raises:
 * **Did the pool earn its keep?** Per ``parallel.map`` fan-out:
   dispatched task count, worker count, and utilization = summed
   worker-task busy time / (map wall time x workers).
-* **Did the shards earn their keep?** Per ``shard.dispatch`` fan-out
-  (DESIGN.md §14): blocks, failures, busy time and utilization for
-  every shard daemon, so stragglers and dead shards are visible at a
-  glance.
 """
 
 from __future__ import annotations
@@ -102,42 +98,6 @@ def pool_stats(spans):
     return out
 
 
-def shard_stats(spans):
-    """Per ``shard.dispatch`` fan-out: one row per shard daemon with
-    its block count, busy time, and utilization against the dispatch
-    wall time. Block spans are executed on the coordinator's dispatch
-    threads and adopted under the dispatch span, so grouping by parent
-    sid reassembles each fan-out."""
-    blocks_by_dispatch = defaultdict(lambda: defaultdict(
-        lambda: {"blocks": 0, "busy_ns": 0, "failed": 0}))
-    for span in spans:
-        if span.name != "shard.block" or span.parent is None:
-            continue
-        row = blocks_by_dispatch[span.parent][
-            span.attrs.get("shard", "?")]
-        row["blocks"] += 1
-        row["busy_ns"] += span.duration_ns
-        if span.attrs.get("failed"):
-            row["failed"] += 1
-    out = []
-    for span in spans:
-        if span.name != "shard.dispatch":
-            continue
-        wall_ns = span.duration_ns
-        for shard, row in sorted(blocks_by_dispatch.get(span.sid,
-                                                        {}).items()):
-            out.append({
-                "shard": shard,
-                "blocks": row["blocks"],
-                "failed": row["failed"],
-                "wall_ns": wall_ns,
-                "busy_ns": row["busy_ns"],
-                "utilization": (row["busy_ns"] / wall_ns) if wall_ns
-                               else 0.0,
-            })
-    return out
-
-
 def render_summary(spans, top=15):
     """The full ``repro obs summary`` report for a span list."""
     if not spans:
@@ -194,18 +154,6 @@ def render_summary(spans, top=15):
                 f"{_fmt_ms(row['busy_ns'])} {row['utilization']:>5.0%}"
             )
 
-    shards = shard_stats(spans)
-    if shards:
-        lines.append("")
-        lines.append("shard fan-outs (shard.dispatch):")
-        lines.append(f"  {'shard':<24} {'blocks':>6} {'failed':>6} "
-                     f"{'wall ms':>10} {'busy ms':>10} {'util':>6}")
-        for row in shards:
-            lines.append(
-                f"  {row['shard']:<24} {row['blocks']:>6} "
-                f"{row['failed']:>6} {_fmt_ms(row['wall_ns'])} "
-                f"{_fmt_ms(row['busy_ns'])} {row['utilization']:>5.0%}"
-            )
     return "\n".join(lines)
 
 

@@ -165,12 +165,6 @@ SANCTIONED_EFFECTS = (
      frozenset({IO, READS_GLOBAL, WRITES_GLOBAL})),
     ("repro.engine.parallel.",
      frozenset({IO, READS_GLOBAL, WRITES_GLOBAL})),
-    # The shard coordinator is transport too: HTTP to `repro serve`
-    # daemons plus its own span-derived timing. `repro qa --shards N`
-    # holds the runtime bargain (sharded runs bit-identical to serial,
-    # through failure and re-dispatch).
-    ("repro.engine.shard.",
-     frozenset({IO, CLOCK, READS_GLOBAL, WRITES_GLOBAL})),
 )
 
 

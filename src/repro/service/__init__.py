@@ -14,12 +14,6 @@
   with backoff, so a dead daemon fails fast with
   :class:`ServiceConnectionError`).
 
-Daemons double as **shard workers** (DESIGN.md §14): the
-``POST /v1/shard/exec`` endpoint executes one
-:mod:`repro.engine.shard` block -- a DTW pair range or a
-subset-candidate batch -- on the daemon's engine, which is how
-``--shard-hosts`` scales scoring past one machine.
-
 The daemon's invariant, enforced by ``repro.qa.service_check`` /
 ``make serve-smoke``: a scorecard served over HTTP is bit-identical to
 the one-shot ``repro score`` output at any worker count and cache
@@ -43,8 +37,6 @@ from repro.service.client import (
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     ServedScorecard,
-    decode_array,
-    decode_counter_matrix,
     decode_scorecard,
     encode_array,
     encode_comparison,
@@ -65,8 +57,6 @@ __all__ = [
     "ServiceConnectionError",
     "ServiceError",
     "ServiceThread",
-    "decode_array",
-    "decode_counter_matrix",
     "decode_scorecard",
     "encode_array",
     "encode_comparison",

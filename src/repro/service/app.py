@@ -15,13 +15,16 @@ surface over HTTP/JSON (DESIGN.md section 12):
 ``POST /v1/subset``
     ``{"suite": name, "size": 8, "search": N?, "method": "lhs"}`` --
     LHS subset report, or the multi-candidate sliced search when
-    ``search`` is given; exactly ``repro subset``.
+    ``search`` is given; exactly ``repro subset``, including its bounds
+    (``2 <= size <=`` the suite's workload count, ``search >= 1``),
+    which are checked before anything is measured.
 
 The three scoring endpoints also accept an optional ``"backend"``
 field (``"reference"`` | ``"vectorized"``) selecting the compute
 backend for that one request; backends are bit-identical, so the
 response bytes never depend on it (``repro qa --serve --backend
-vectorized`` enforces that over real HTTP).
+vectorized`` enforces that over real HTTP). Any field an endpoint does
+not know is a 400 naming it, never a silently defaulted answer.
 ``GET /v1/metrics``
     Live :class:`~repro.obs.metrics.MetricsRegistry` snapshot of the
     shared engine (cache tiers, shm transport, pool lifecycle, service
@@ -69,7 +72,7 @@ from contextlib import contextmanager
 from repro.obs.trace import span
 from repro.service import http as service_http
 from repro.service import protocol
-from repro.workloads import available_suites
+from repro.workloads import available_suites, load_suite
 
 #: Default bind address/port of ``repro serve``.
 DEFAULT_HOST = "127.0.0.1"
@@ -81,6 +84,30 @@ _SEARCH_METHODS = ("lhs", "random", "swap")
 
 class RequestError(ValueError):
     """A well-formed HTTP request with unusable contents (maps to 400)."""
+
+
+def _request_fields(request, allowed):
+    """The JSON object body of ``request``, rejecting any field outside
+    ``allowed``: a misspelt optional field must fail loudly, not fall
+    back to its default and answer a different question."""
+    payload = request.json()
+    unknown = sorted(set(payload) - set(allowed))
+    if unknown:
+        raise RequestError(f"unknown field(s) {unknown}; expected a "
+                           f"subset of {sorted(allowed)}")
+    return payload
+
+
+def _require_int(payload, name, lo, hi=None, default=None):
+    """``payload[name]`` as an int in ``[lo, hi]`` (``bool`` is not an
+    int here, whatever Python says)."""
+    value = payload.get(name, default)
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or value < lo or (hi is not None and value > hi)):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise RequestError(f"{name!r} must be an int {bound}, got "
+                           f"{value!r}")
+    return value
 
 
 def _require_suite(name):
@@ -286,7 +313,6 @@ class ScoringService:
             ("POST", "/v1/score", self._handle_score),
             ("POST", "/v1/compare", self._handle_compare),
             ("POST", "/v1/subset", self._handle_subset),
-            ("POST", "/v1/shard/exec", self._handle_shard_exec),
             ("GET", "/v1/metrics", self._handle_metrics),
             ("GET", "/v1/health", self._handle_health),
             ("GET", "/v1/history", self._handle_history),
@@ -304,7 +330,7 @@ class ScoringService:
     # -- endpoints ---------------------------------------------------------
 
     async def _handle_score(self, request):
-        payload = request.json()
+        payload = _request_fields(request, ("suite", "focus", "backend"))
         suite = _require_suite(payload.get("suite"))
         focus = _require_focus(payload.get("focus", "all"))
         backend = _require_backend(payload.get("backend"))
@@ -313,7 +339,7 @@ class ScoringService:
         return 200, protocol.ok_envelope(protocol.encode_scorecard(card))
 
     async def _handle_compare(self, request):
-        payload = request.json()
+        payload = _request_fields(request, ("suites", "focus", "backend"))
         suites = payload.get("suites")
         if not isinstance(suites, list) or len(suites) < 2:
             raise RequestError("'suites' must list at least two suites")
@@ -326,17 +352,16 @@ class ScoringService:
             protocol.encode_comparison(comparison))
 
     async def _handle_subset(self, request):
-        payload = request.json()
+        payload = _request_fields(
+            request, ("suite", "size", "search", "method", "backend"))
         suite = _require_suite(payload.get("suite"))
-        size = payload.get("size", 8)
-        if not isinstance(size, int) or size < 1:
-            raise RequestError(f"'size' must be a positive int, got "
-                               f"{size!r}")
+        # The bounds `repro subset` enforces, checked against the suite
+        # model before any measurement runs.
+        size = _require_int(payload, "size", 2, len(load_suite(suite)),
+                            default=8)
         search = payload.get("search")
-        if search is not None and (not isinstance(search, int)
-                                   or search < 1):
-            raise RequestError(f"'search' must be a positive int, got "
-                               f"{search!r}")
+        if search is not None:
+            search = _require_int(payload, "search", 1)
         method = payload.get("method", "lhs")
         if method not in _SEARCH_METHODS:
             raise RequestError(f"unknown method {method!r}; expected one "
@@ -351,27 +376,6 @@ class ScoringService:
         encoded["kind"] = kind
         return 200, protocol.ok_envelope(encoded)
 
-    async def _handle_shard_exec(self, request):
-        """Execute one shard block (DESIGN.md section 14) on this
-        daemon's engine and backend. The payload carries bit-exact
-        operands; the response carries bit-pattern results, so a
-        coordinator assembling blocks from any mix of daemons gets the
-        serial path's exact floats."""
-        from repro.engine.shard import OPS, execute_block
-
-        payload = request.json()
-        block = payload.get("block")
-        if not isinstance(block, dict):
-            raise RequestError("'block' must be a JSON object")
-        if block.get("op") not in OPS:
-            raise RequestError(
-                f"unknown shard op {block.get('op')!r}; expected one of "
-                f"{list(OPS)}")
-        result = await self._run_scoring(self._shard_exec_sync,
-                                         execute_block, block)
-        result["id"] = block.get("id")
-        return 200, protocol.ok_envelope(result)
-
     async def _handle_metrics(self, request):
         snapshot = self.metrics.snapshot()
         return 200, protocol.ok_envelope({
@@ -383,13 +387,10 @@ class ScoringService:
     async def _handle_health(self, request):
         import time
 
-        from repro.engine.shard import OPS
-
         uptime = time.monotonic() - self._started_monotonic  # qa-ignore[obs-discipline]
         return 200, protocol.ok_envelope({
             "status": "ok",
             "suites": list(available_suites()),
-            "shard_ops": list(OPS),
             "workers": self.engine.workers,
             "cache_enabled": self.engine.cache.enabled,
             "cache_dir": self.engine.cache_dir,
@@ -550,9 +551,6 @@ class ScoringService:
             publish("search_result" if kind == "search"
                     else "subset_report", result)
         return kind, result
-
-    def _shard_exec_sync(self, execute_block, block):
-        return execute_block(self.engine, block)
 
     def _subset_job(self, suite, size, search, method):
         from repro.core.subset import LHSSubsetGenerator

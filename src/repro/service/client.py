@@ -3,8 +3,7 @@
 One small wrapper over :mod:`http.client` -- no new dependencies, one
 connection per call (the server speaks ``Connection: close``), JSON in
 and out, protocol-version checked. Used by the ``repro client``
-subcommand, the shard coordinator (:mod:`repro.engine.shard`), the
-service tests, and ``repro.qa.service_check``.
+subcommand, the service tests, and ``repro.qa.service_check``.
 
 Transport failures are bounded: the connect phase runs under its own
 (short) timeout, reads under the request timeout, and connection-level
@@ -172,11 +171,6 @@ class ServiceClient:
         if backend is not None:
             payload["backend"] = backend
         return self._request("POST", "/v1/subset", payload)
-
-    def shard_exec(self, block):
-        """Execute one shard block (:mod:`repro.engine.shard`) on the
-        daemon's engine; returns the block's bit-pattern result."""
-        return self._request("POST", "/v1/shard/exec", {"block": block})
 
     def shutdown(self):
         """Ask the daemon to drain and stop."""

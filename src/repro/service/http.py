@@ -18,12 +18,9 @@ import asyncio
 import json
 from dataclasses import dataclass
 
-#: Upper bound on a request body. Plain scoring requests are a few
-#: hundred bytes of JSON, but shard blocks (POST /v1/shard/exec)
-#: legitimately carry hex-encoded operand arrays -- a full counter
-#: matrix with series, or a wave of DTW pair operands -- so the cap is
-#: sized for those; anything near it is still a confused peer.
-MAX_BODY_BYTES = 64 << 20
+#: Upper bound on a request body. Scoring requests are a few hundred
+#: bytes of JSON; anything near the cap is a confused peer.
+MAX_BODY_BYTES = 1 << 20
 
 #: Per-line limit handed to ``asyncio.start_server`` -- bounds the
 #: request line and each header line.

@@ -57,10 +57,9 @@ def _bits_map(mapping):
 def encode_array(array):
     """JSON-safe dict carrying one ndarray's exact bytes.
 
-    The dtype string, shape and raw little-endian buffer travel as hex,
-    so :func:`decode_array` rebuilds a bit-identical array on the peer
-    -- the shard fan-out (DESIGN.md section 14) rides on this for its
-    operand transport, the same way scores ride on :func:`float_bits`.
+    The dtype string, shape and raw buffer travel as hex, so the
+    encoding pins an array bit for bit, the same way scores ride on
+    :func:`float_bits`.
     """
     array = np.ascontiguousarray(array)
     if array.dtype.hasobject:
@@ -70,14 +69,6 @@ def encode_array(array):
         "shape": list(array.shape),
         "data": array.tobytes().hex(),
     }
-
-
-def decode_array(payload):
-    """Inverse of :func:`encode_array`; returns an owned, writable
-    array."""
-    flat = np.frombuffer(bytes.fromhex(payload["data"]),
-                         dtype=np.dtype(payload["dtype"]))
-    return flat.reshape([int(dim) for dim in payload["shape"]]).copy()
 
 
 def encode_counter_matrix(matrix):
@@ -94,22 +85,6 @@ def encode_counter_matrix(matrix):
             for event, series_list in matrix.series.items()
         },
     }
-
-
-def decode_counter_matrix(payload):
-    """Inverse of :func:`encode_counter_matrix`."""
-    from repro.core.matrix import CounterMatrix
-
-    return CounterMatrix(
-        workloads=tuple(payload["workloads"]),
-        events=tuple(payload["events"]),
-        values=decode_array(payload["values"]),
-        series={
-            event: [decode_array(s) for s in series_list]
-            for event, series_list in payload["series"].items()
-        },
-        suite_name=payload.get("suite_name", ""),
-    )
 
 
 # -- scorecards ---------------------------------------------------------------

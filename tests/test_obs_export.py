@@ -142,46 +142,3 @@ class TestManifest:
         digest = config_digest({"cache_dir": object()})
         assert len(digest) == 64
 
-
-class TestShardSummary:
-    def _spans(self):
-        dispatch = SpanRecord(sid=1, parent=None, name="shard.dispatch",
-                              start_ns=0, end_ns=100_000_000,
-                              attrs={"blocks": 3, "shards": 2})
-        blocks = [
-            SpanRecord(sid=2, parent=1, name="shard.block", start_ns=0,
-                       end_ns=40_000_000, attrs={"shard": "a:1"}),
-            SpanRecord(sid=3, parent=1, name="shard.block",
-                       start_ns=40_000_000, end_ns=90_000_000,
-                       attrs={"shard": "a:1"}),
-            SpanRecord(sid=4, parent=1, name="shard.block", start_ns=0,
-                       end_ns=60_000_000,
-                       attrs={"shard": "b:2", "failed": True}),
-        ]
-        return [dispatch] + blocks
-
-    def test_shard_stats_groups_by_dispatch_and_shard(self):
-        from repro.obs.summary import shard_stats
-
-        rows = shard_stats(self._spans())
-        assert [row["shard"] for row in rows] == ["a:1", "b:2"]
-        a, b = rows
-        assert a["blocks"] == 2 and a["failed"] == 0
-        assert a["busy_ns"] == 90_000_000
-        assert a["utilization"] == pytest.approx(0.9)
-        assert b["blocks"] == 1 and b["failed"] == 1
-        assert b["wall_ns"] == 100_000_000
-
-    def test_render_summary_shows_shard_section(self):
-        from repro.obs.summary import render_summary
-
-        text = render_summary(self._spans())
-        assert "shard fan-outs (shard.dispatch):" in text
-        assert "a:1" in text and "b:2" in text
-
-    def test_no_shard_section_without_shard_spans(self):
-        from repro.obs.summary import render_summary
-
-        lone = [SpanRecord(sid=1, parent=None, name="kernel.trend",
-                           start_ns=0, end_ns=10)]
-        assert "shard fan-outs" not in render_summary(lone)

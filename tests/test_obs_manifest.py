@@ -83,11 +83,11 @@ class TestConfigDigest:
 class TestResolvedEnv:
     def test_snapshot_covers_every_var(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "vectorized")
-        monkeypatch.delenv("REPRO_SHARDS", raising=False)
+        monkeypatch.delenv("REPRO_HISTORY", raising=False)
         env = resolved_env()
         assert set(env) == set(ENV_VARS)
         assert env["REPRO_BACKEND"] == "vectorized"
-        assert env["REPRO_SHARDS"] is None
+        assert env["REPRO_HISTORY"] is None
 
     def test_manifest_records_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", "/tmp/cache-here")

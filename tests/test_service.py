@@ -253,6 +253,45 @@ class TestErrors:
         with pytest.raises(ServiceError) as excinfo:
             client._request("GET", "/v1/nope")
         assert excinfo.value.status == 404
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("POST", "/v1/shard/exec", {"block": {}})
+        assert excinfo.value.status == 404
+
+    def test_oversized_content_length_is_400_without_reading_body(
+            self, service):
+        _config, client = service
+        connection = http.client.HTTPConnection(client.host, client.port,
+                                                timeout=30.0)
+        try:
+            # Headers only, declaring one byte over the 1 MiB cap: a
+            # server that tried to read the body would block here until
+            # the timeout.
+            connection.putrequest("POST", "/v1/score")
+            connection.putheader("Content-Type", "application/json")
+            connection.putheader("Content-Length", str((1 << 20) + 1))
+            connection.endheaders()
+            response = connection.getresponse()
+            payload = json.loads(response.read().decode("utf-8"))
+        finally:
+            connection.close()
+        assert response.status == 400
+        assert "Content-Length" in payload["error"]
+
+    @pytest.mark.parametrize("path, payload, field", [
+        ("/v1/score", {"suite": "nbench", "fcous": "llc"}, "fcous"),
+        ("/v1/compare", {"suites": ["nbench", "nbench"], "focs": "llc"},
+         "focs"),
+        ("/v1/subset", {"suite": "nbench", "size": 4, "serach": 2},
+         "serach"),
+    ])
+    def test_unknown_request_field_is_400(self, service, path, payload,
+                                          field):
+        _config, client = service
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("POST", path, payload)
+        assert excinfo.value.status == 400
+        assert "unknown field" in excinfo.value.message
+        assert repr(field) in excinfo.value.message
 
     def test_wrong_method_is_405(self, service):
         _config, client = service
@@ -281,6 +320,38 @@ class TestErrors:
         with pytest.raises(ServiceError) as excinfo:
             client.subset("nbench", size=0)
         assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize("fields, name", [
+        ({"size": 1}, "size"),
+        ({"size": 11}, "size"),  # nbench has 10 workloads
+        ({"size": True}, "size"),
+        ({"size": 4.0}, "size"),
+        ({"size": 4, "search": 0}, "search"),
+        ({"size": 4, "search": True}, "search"),
+        ({"size": 4, "search": "2"}, "search"),
+    ])
+    def test_subset_bounds_match_cli_and_precede_measuring(
+            self, service, monkeypatch, fields, name):
+        from repro.experiments import runner
+
+        def no_measuring(*args, **kwargs):
+            raise AssertionError("measured before validating")
+
+        monkeypatch.setattr(runner, "measure_suites", no_measuring)
+        _config, client = service
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("POST", "/v1/subset",
+                            {"suite": "nbench", **fields})
+        assert excinfo.value.status == 400
+        assert repr(name) in excinfo.value.message
+
+    def test_subset_size_may_equal_the_suite_size(self, service):
+        from repro.workloads import load_suite
+
+        _config, client = service
+        n = len(load_suite("nbench"))
+        result = client.subset("nbench", size=n)
+        assert len(result["selected"]) == n
 
     def test_unknown_backend_is_400(self, service):
         _config, client = service
