@@ -22,7 +22,8 @@
 # `make bench-trace` runs it with one traced pass per workload added,
 # ending with the per-layer metrics.
 # `make rebless` rewrites the tier-1 golden files (counters, scores,
-# traces) after a deliberate science change and shows which moved.
+# traces) after a deliberate science change, shows which moved and, if
+# any did, reminds the author to bump the disk tier's FORMAT_VERSION.
 
 PYTHON ?= python
 RUN = PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) $(PYTHON)
@@ -103,9 +104,14 @@ bench-trace:
 	$(PYTHON) bench/run.py
 
 # Each golden test file rewrites its tests/data JSON when run as a
-# script; the diff stat names the files whose pinned bits moved.
+# script; the diff stat names the files whose pinned bits moved. A moved
+# bit also means an existing --cache-dir would keep serving the old
+# measured suites and scorecards, hence the FORMAT_VERSION reminder.
 rebless:
 	$(RUN) tests/test_golden_counters.py
 	$(RUN) tests/test_golden_scores.py
 	$(RUN) tests/test_golden_traces.py
 	git diff --stat -- tests/data
+	@git diff --quiet -- tests/data || echo "rebless: tests/data moved;" \
+		"bump repro.engine.diskcache.FORMAT_VERSION so existing" \
+		"--cache-dir tiers stop serving old measured suites and scorecards"

@@ -28,43 +28,21 @@ The public API below is re-exported lazily (PEP 562) so that importing a
 single substrate (e.g. ``repro.stats``) does not pull in the whole stack.
 """
 
+from repro._lazy import lazy_exports
+
 __version__ = "1.0.0"
 
-_CORE_EXPORTS = {
-    "Perspector": "repro.core",
-    "PerspectorConfig": "repro.core",
-    "SuiteScorecard": "repro.core",
-    "CounterMatrix": "repro.core",
-    "cluster_score": "repro.core",
-    "trend_score": "repro.core",
-    "coverage_score": "repro.core",
-    "spread_score": "repro.core",
-    "Engine": "repro.engine",
-    "EventFocus": "repro.core.focus",
-    "LHSSubsetGenerator": "repro.core.subset",
-    "SubsetReport": "repro.core.subset",
-    "SubsetEvaluator": "repro.engine.subset_eval",
-    "SubsetSearch": "repro.engine.subset_eval",
-    "SubsetSearchResult": "repro.engine.subset_eval",
-    "load_suite": "repro.workloads",
-    "load_all_suites": "repro.workloads",
-    "available_suites": "repro.workloads",
-}
-
-__all__ = sorted(_CORE_EXPORTS) + ["__version__"]
-
-
-def __getattr__(name):
-    """Lazily resolve the public API (PEP 562)."""
-    if name in _CORE_EXPORTS:
-        import importlib
-
-        module = importlib.import_module(_CORE_EXPORTS[name])
-        value = getattr(module, name)
-        globals()[name] = value  # cache for subsequent lookups
-        return value
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
-
-
-def __dir__():
-    return __all__
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core": (
+        "Perspector", "PerspectorConfig", "SuiteScorecard", "CounterMatrix",
+        "cluster_score", "trend_score", "coverage_score", "spread_score",
+    ),
+    "repro.engine": ("Engine",),
+    "repro.core.focus": ("EventFocus",),
+    "repro.core.subset": ("LHSSubsetGenerator", "SubsetReport"),
+    "repro.engine.subset_eval": (
+        "SubsetEvaluator", "SubsetSearch", "SubsetSearchResult",
+    ),
+    "repro.workloads": ("load_suite", "load_all_suites", "available_suites"),
+})
+__all__ = __all__ + ["__version__"]

@@ -74,11 +74,14 @@ import os
 import sys
 from dataclasses import replace
 
-from repro.core.subset import LHSSubsetGenerator
+# Neither these modules nor the lazy package inits they sit under import
+# numpy or the simulator; every import that does lives in the handler
+# that needs it, so a disk-warm ``repro score`` imports neither.
 from repro.experiments.runner import (
     ExperimentConfig,
     measure_suites,
     perspector_for,
+    score_suite,
 )
 from repro.workloads import available_suites, load_suite
 
@@ -130,27 +133,42 @@ def _cmd_suites(args):
 
 
 def _cmd_score(args):
+    from repro.obs.history import publish
+
+    if args.history_windows:
+        if not args.history_dir:
+            # The trajectory is only ever published to a history store;
+            # without one it would be computed and thrown away.
+            print("repro score: --history-windows needs a history store "
+                  "(pass --history-dir or set $REPRO_HISTORY)",
+                  file=sys.stderr)
+            return 2
+        return _score_with_windows(args)
+    card, metrics = score_suite(args.suite, _config(args), args.focus)
+    publish("scorecard", card)
+    publish("metrics", metrics)
+    print(card)
+    return 0
+
+
+def _score_with_windows(args):
+    """``repro score --history-windows N``: the windowed trajectory
+    needs the measured matrix, so this path bypasses the disk tier's
+    scorecard entry."""
     from repro.engine import Engine
-    from repro.obs import publish
+    from repro.obs.history import publish, window_trajectory
 
     config = _config(args)
     matrix = measure_suites([args.suite], config)[args.suite]
-    # The engine is built explicitly (instead of letting the Perspector
-    # facade build a private one) so the run's MetricsRegistry snapshot
-    # is available to the history recorder; the engine is a pure
-    # accelerator, so the scorecard bits are identical either way.
     with Engine.from_config(config) as engine:
         card = perspector_for(config, engine=engine).score(
             matrix, focus=args.focus
         )
         publish("scorecard", card)
-        if getattr(args, "history_windows", None):
-            from repro.obs import window_trajectory
-
-            publish("windows", window_trajectory(
-                matrix, seed=config.metric_seed,
-                n_windows=args.history_windows, engine=engine,
-            ))
+        publish("windows", window_trajectory(
+            matrix, seed=config.metric_seed,
+            n_windows=args.history_windows, engine=engine,
+        ))
         publish("metrics", engine.metrics.snapshot())
     print(card)
     return 0
@@ -185,6 +203,7 @@ def _cmd_compare(args):
 
 
 def _cmd_subset(args):
+    from repro.core.subset import LHSSubsetGenerator
     from repro.engine import Engine, SubsetEvaluator, SubsetSearch
     from repro.obs import publish
 
@@ -758,7 +777,7 @@ def build_parser():
              f"negative disables)",
     )
 
-    from repro.service.app import DEFAULT_HOST, DEFAULT_PORT
+    from repro.service.protocol import DEFAULT_HOST, DEFAULT_PORT
 
     p_serve = sub.add_parser(
         "serve",

@@ -14,81 +14,33 @@ scoring (:mod:`repro.core.focus`, Section IV-B), LHS subset generation
 detection (:mod:`repro.core.phases`).
 """
 
-from repro.core.matrix import CounterMatrix
-from repro.core.normalization import (
-    normalize_matrix,
-    normalize_matrices_jointly,
-    normalize_series,
-    normalize_series_set,
-)
-from repro.core.cluster_score import ClusterScoreResult, cluster_score
-from repro.core.trend_score import (
-    TrendScoreResult,
-    event_trend_score,
-    trend_score,
-)
-from repro.core.coverage_score import (
-    CoverageScoreResult,
-    coverage_score,
-    coverage_scores_jointly,
-)
-from repro.core.spread_score import SpreadScoreResult, spread_score
-from repro.core.focus import EventFocus, apply_focus
-from repro.core.report import SuiteComparison, SuiteScorecard
-from repro.core.perspector import Perspector, PerspectorConfig
-from repro.core.subset import (
-    LHSSubsetGenerator,
-    SubsetReport,
-    random_subset_names,
-    random_subset_report,
-    report_from_scores,
-)
-from repro.core.phases import (
-    PhaseDetectionResult,
-    PhaseSegment,
-    boundary_recall,
-    detect_phases,
-    true_boundaries_from_intervals,
-)
-from repro.core.calibrate import CalibrationResult, SuiteCalibrator
-from repro.core.io import from_csv, from_json, to_csv, to_json
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CounterMatrix",
-    "normalize_matrix",
-    "normalize_matrices_jointly",
-    "normalize_series",
-    "normalize_series_set",
-    "ClusterScoreResult",
-    "cluster_score",
-    "TrendScoreResult",
-    "event_trend_score",
-    "trend_score",
-    "CoverageScoreResult",
-    "coverage_score",
-    "coverage_scores_jointly",
-    "SpreadScoreResult",
-    "spread_score",
-    "EventFocus",
-    "apply_focus",
-    "SuiteComparison",
-    "SuiteScorecard",
-    "Perspector",
-    "PerspectorConfig",
-    "LHSSubsetGenerator",
-    "SubsetReport",
-    "random_subset_names",
-    "random_subset_report",
-    "report_from_scores",
-    "PhaseDetectionResult",
-    "PhaseSegment",
-    "boundary_recall",
-    "detect_phases",
-    "true_boundaries_from_intervals",
-    "CalibrationResult",
-    "SuiteCalibrator",
-    "from_csv",
-    "from_json",
-    "to_csv",
-    "to_json",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.matrix": ("CounterMatrix",),
+    "repro.core.normalization": (
+        "normalize_matrix", "normalize_matrices_jointly", "normalize_series",
+        "normalize_series_set",
+    ),
+    "repro.core.cluster_score": ("ClusterScoreResult", "cluster_score"),
+    "repro.core.trend_score": (
+        "TrendScoreResult", "event_trend_score", "trend_score",
+    ),
+    "repro.core.coverage_score": (
+        "CoverageScoreResult", "coverage_score", "coverage_scores_jointly",
+    ),
+    "repro.core.spread_score": ("SpreadScoreResult", "spread_score"),
+    "repro.core.focus": ("EventFocus", "apply_focus"),
+    "repro.core.report": ("SuiteComparison", "SuiteScorecard"),
+    "repro.core.perspector": ("Perspector", "PerspectorConfig"),
+    "repro.core.subset": (
+        "LHSSubsetGenerator", "SubsetReport", "random_subset_names",
+        "random_subset_report", "report_from_scores",
+    ),
+    "repro.core.phases": (
+        "PhaseDetectionResult", "PhaseSegment", "boundary_recall",
+        "detect_phases", "true_boundaries_from_intervals",
+    ),
+    "repro.core.calibrate": ("CalibrationResult", "SuiteCalibrator"),
+    "repro.core.io": ("from_csv", "from_json", "to_csv", "to_json"),
+})

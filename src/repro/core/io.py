@@ -52,6 +52,18 @@ def to_csv(matrix, path_or_buffer=None):
     return None
 
 
+def _cell(text, line_no, event):
+    """One CSV counter value as a float, or a ``ValueError`` naming the
+    line and the event column."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(
+            f"CSV line {line_no}, column {event!r}: {text!r} is not a "
+            f"number"
+        ) from None
+
+
 def from_csv(path_or_buffer, suite_name=""):
     """Read a CounterMatrix (totals only) from CSV.
 
@@ -85,7 +97,10 @@ def from_csv(path_or_buffer, suite_name=""):
                 f"{len(header)}"
             )
         workloads.append(row[0])
-        values.append([float(v) for v in row[1:]])
+        values.append([_cell(text, line_no, event)
+                       for text, event in zip(row[1:], events)])
+    if not workloads:
+        raise ValueError("CSV has a header but no workload rows")
     return CounterMatrix(
         workloads=tuple(workloads),
         events=events,

@@ -2,11 +2,16 @@
 
 * :mod:`repro.engine.cache` -- content-addressed kernel cache: results
   keyed by the SHA-256 of the input arrays' bytes plus every config knob
-  that affects the output, so stale hits are impossible by construction.
+  that affects the output, so a kernel entry cannot go stale.
 * :mod:`repro.engine.diskcache` -- on-disk second tier under the same
   keys (``--cache-dir`` / ``$REPRO_CACHE_DIR``): atomic, versioned,
   size-capped LRU files that let warm starts survive across processes
-  and CLI invocations.
+  and CLI invocations. It also holds measured suites and whole
+  scorecards, keyed by suite name and settings rather than by input
+  bytes: those stay valid only while the suite models, the simulator
+  and the scoring code stay the same, and
+  :data:`~repro.engine.diskcache.FORMAT_VERSION` is bumped when they
+  change.
 * :mod:`repro.engine.parallel` -- deterministic fan-out over a
   persistent ``spawn`` process pool with input-order reassembly.
 * :mod:`repro.engine.shm` -- shared-memory operand transport: large
@@ -28,36 +33,17 @@ runs exactly today's serial path, and every acceleration preserves
 bit-identical scorecards (checked by ``repro.qa.determinism``).
 """
 
-from repro.engine.cache import (
-    MISS,
-    CacheStats,
-    KernelCache,
-    array_digest,
-    content_key,
-)
-from repro.engine.diskcache import DiskCache
-from repro.engine.engine import Engine
-from repro.engine.parallel import ParallelExecutor
-from repro.engine.shm import ShmRef, ShmStore, leaked_segments
-from repro.engine.subset_eval import (
-    SubsetEvaluator,
-    SubsetSearch,
-    SubsetSearchResult,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MISS",
-    "CacheStats",
-    "DiskCache",
-    "KernelCache",
-    "ShmRef",
-    "ShmStore",
-    "array_digest",
-    "content_key",
-    "leaked_segments",
-    "Engine",
-    "ParallelExecutor",
-    "SubsetEvaluator",
-    "SubsetSearch",
-    "SubsetSearchResult",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.engine.cache": (
+        "MISS", "CacheStats", "KernelCache", "array_digest", "content_key",
+    ),
+    "repro.engine.diskcache": ("DiskCache",),
+    "repro.engine.engine": ("Engine",),
+    "repro.engine.parallel": ("ParallelExecutor",),
+    "repro.engine.shm": ("ShmRef", "ShmStore", "leaked_segments"),
+    "repro.engine.subset_eval": (
+        "SubsetEvaluator", "SubsetSearch", "SubsetSearchResult",
+    ),
+})

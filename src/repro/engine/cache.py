@@ -9,11 +9,20 @@ input arrays' raw bytes plus every kernel-config knob that affects the
 output. Two consequences fall out of keying on content:
 
 * **Correctness without invalidation.** Any change to a value or a
-  config knob changes the key, so stale hits are impossible; there is
-  nothing to invalidate.
+  config knob changes the key, so a kernel entry cannot go stale;
+  there is nothing to invalidate.
 * **Cross-entry-point reuse.** A focused re-scoring that selects an
   event subset feeds byte-identical series to the trend kernel and hits
   the cache, no matter which code path computed them first.
+
+:func:`content_key` also keys the disk tier's measured-suite and
+scorecard entries (:mod:`repro.experiments.runner`). Those keys name a
+suite and its settings rather than hashing input bytes, so they are
+valid only while the suite models, the simulator and the scoring code
+stay the same; :data:`repro.engine.diskcache.FORMAT_VERSION` is bumped
+when they change. :func:`content_key` imports nothing beyond hashlib:
+it touches numpy only for ndarray and numpy-scalar parts, which cannot
+exist unless numpy is already imported.
 
 Cached values are returned by reference; they are treated as immutable
 by every engine code path (and are frozen dataclasses or arrays nobody
@@ -23,10 +32,9 @@ writes to).
 from __future__ import annotations
 
 import hashlib
+import sys
 from collections import OrderedDict
 from dataclasses import dataclass
-
-import numpy as np
 
 #: Sentinel distinguishing "missing" from a cached ``None``.
 MISS = object()
@@ -41,13 +49,14 @@ TIER_MISS = "miss"
 def _feed(h, part):
     """Feed one key part into a hash, with type tags so e.g. the string
     ``"1"`` and the integer ``1`` cannot collide."""
-    if isinstance(part, np.ndarray):
+    np = sys.modules.get("numpy")  # no numpy loaded: no numpy parts
+    if np is not None and isinstance(part, np.ndarray):
         a = np.ascontiguousarray(part)
         h.update(b"<nd>")
         h.update(str(a.dtype).encode())
         h.update(repr(a.shape).encode())
         h.update(a.tobytes())
-    elif isinstance(part, (np.floating, np.integer)):
+    elif np is not None and isinstance(part, (np.floating, np.integer)):
         _feed(h, part.item())
     elif isinstance(part, bytes):
         h.update(b"<b>")
@@ -99,6 +108,8 @@ def content_key(kind, *parts):
 
 def array_digest(array):
     """Digest of one array's contents (used to orient symmetric pairs)."""
+    import numpy as np
+
     h = hashlib.sha256()
     _feed(h, np.asarray(array))
     return h.hexdigest()

@@ -1,15 +1,27 @@
-"""On-disk cache tier under the engine's content-addressed keys.
+"""On-disk cache tier under the engine's keys.
 
 The in-process :class:`~repro.engine.cache.KernelCache` evaporates when
 the process exits, so every CLI invocation (and every spawned worker)
-starts cold. :class:`DiskCache` persists kernel results across
-processes under the *same* SHA-256 content keys -- keys are
-content-addressed, so entries need no invalidation and are safe to
-share between concurrent processes.
+starts cold. :class:`DiskCache` persists results across processes under
+the same SHA-256 keys, and entries are safe to share between concurrent
+processes.
 
-**Payloads** are numeric only: scalars, ndarrays, flat sequences of
-ndarrays, and :class:`~repro.core.matrix.CounterMatrix` (the measured
-suites themselves, so a warm CLI run skips simulation). Every file is
+**Keys and staleness.** Two kinds of key live here. Kernel results are
+keyed by the SHA-256 of their input arrays' bytes plus every knob that
+affects the output, so a changed input can never hit a stale entry.
+Measured suites (``"measured-suite"``) and whole scorecards
+(``"scorecard"``, see :mod:`repro.experiments.runner`) are keyed by
+suite *name* and settings instead: the measurement fields, and for a
+scorecard also ``metric_seed`` and the focus. Those entries stay valid
+only while the suite models, the simulator and the scoring code stay
+the same. A change to any of them that moves a pinned bit must bump
+:data:`FORMAT_VERSION`, which orphans every existing entry (``make
+rebless`` prints that reminder when ``tests/data`` moves).
+
+**Payloads** are scalars, ndarrays, flat sequences of ndarrays,
+:class:`~repro.core.matrix.CounterMatrix` (the measured suites
+themselves, so a warm CLI run skips simulation) and
+:class:`~repro.core.report.SuiteScorecard`. Every file is
 
 * one JSON header line -- magic, :data:`FORMAT_VERSION`, payload
   metadata, array count (a version bump orphans old entries: they read
@@ -19,9 +31,13 @@ suites themselves, so a warm CLI run skips simulation). Every file is
   state and must never execute on read).
 
 Scalars are stored as 0-d float64/int64 arrays, so round-trips are
-bit-exact; values outside the payload grammar (score-result
-dataclasses, ...) are simply not persisted (:func:`encode` returns
-``None``) and recomputed -- correctness never depends on the tier.
+bit-exact. A scorecard has no arrays at all: its header carries
+:func:`repro.service.protocol.scorecard_record`, every float as its
+IEEE-754 hex bits, so reading one back needs neither numpy nor the
+simulator (the disk-warm ``repro score`` path). Values outside the
+payload grammar (kernel-result dataclasses, ...) are simply not
+persisted (:func:`encode` returns ``None``) and recomputed --
+correctness never depends on the tier.
 
 **Writes are atomic**: payload to a ``*.tmp`` file in the same
 directory, then :func:`os.replace`. A crash or KeyboardInterrupt
@@ -39,8 +55,8 @@ plus pid plus a process-local sequence (two hosts on shared storage
 can collide on pid alone), and a racing :func:`os.replace` -- possible
 on filesystems where rename-over-existing is not atomic -- is retried,
 then conceded as a benign lost race when the competing writer's entry
-is already in place (content-addressed keys guarantee both wrote the
-same bytes; ``disk_put_races`` counts concessions).
+is already in place (one key always maps to the same bytes;
+``disk_put_races`` counts concessions).
 
 **Eviction** is size-capped LRU on mtime: every hit touches the entry,
 and a put that pushes the tier past ``max_bytes`` removes
@@ -53,15 +69,14 @@ import hashlib
 import itertools
 import json
 import os
-import socket
 import time
-
-import numpy as np
 
 from repro.engine.cache import MISS
 
-#: Bump to orphan every existing entry (format or semantics change).
-FORMAT_VERSION = 1
+#: Bump to orphan every existing entry (format or semantics change,
+#: including any change to the suite models, the simulator or the
+#: scoring code that moves a pinned bit).
+FORMAT_VERSION = 2
 
 _MAGIC = "repro-diskcache"
 
@@ -85,6 +100,8 @@ def _writer_tag():
     unique when two hosts share one cache directory over the network."""
     global _HOST_TAG
     if _HOST_TAG is None:
+        import socket
+
         _HOST_TAG = hashlib.sha256(
             socket.gethostname().encode("utf-8", "replace")
         ).hexdigest()[:8]
@@ -96,6 +113,8 @@ def _writer_tag():
 
 def encode(value):
     """``(meta, arrays)`` for a supported value, else ``None``."""
+    import numpy as np
+
     if isinstance(value, bool):
         return None  # not a kernel result; keep the grammar numeric
     if isinstance(value, (int, np.integer)):
@@ -117,7 +136,12 @@ def encode(value):
         kind = "list" if isinstance(value, list) else "tuple"
         return {"type": "array-seq", "seq": kind}, list(value)
     from repro.core.matrix import CounterMatrix
+    from repro.core.report import SuiteScorecard
 
+    if isinstance(value, SuiteScorecard):
+        from repro.service.protocol import scorecard_record
+
+        return {"type": "scorecard", "card": scorecard_record(value)}, []
     if isinstance(value, CounterMatrix):
         arrays = [value.values]
         counts = {}
@@ -151,6 +175,10 @@ def decode(meta, arrays):
         return arrays[0]
     if kind == "array-seq":
         return list(arrays) if meta["seq"] == "list" else tuple(arrays)
+    if kind == "scorecard":
+        from repro.service.protocol import decode_stored_scorecard
+
+        return decode_stored_scorecard(meta["card"])
     if kind == "counter-matrix":
         from repro.core.matrix import CounterMatrix
 
@@ -254,10 +282,16 @@ class DiskCache:
                     raise ValueError("bad magic")
                 if header.get("version") != FORMAT_VERSION:
                     raise ValueError("version mismatch")
-                arrays = [
-                    np.lib.format.read_array(f, allow_pickle=False)
-                    for _ in range(header["n_arrays"])
-                ]
+                arrays = []
+                if header["n_arrays"]:
+                    # A scorecard entry has no arrays: its hit path
+                    # never imports numpy.
+                    import numpy as np
+
+                    arrays = [
+                        np.lib.format.read_array(f, allow_pickle=False)
+                        for _ in range(header["n_arrays"])
+                    ]
             value = decode(header["meta"], arrays)
         except FileNotFoundError:
             self._misses.inc()
@@ -281,6 +315,8 @@ class DiskCache:
     def put(self, key, value):
         """Persist a supported value under ``key``; returns whether it
         was stored. Unsupported values are skipped (not an error)."""
+        import numpy as np
+
         encoded = encode(value)
         if encoded is None:
             return False

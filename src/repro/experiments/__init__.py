@@ -21,10 +21,10 @@ identical by construction.
 | stability                  | bootstrap / seed-replication stability |
 """
 
-from repro.experiments.runner import (
-    ExperimentConfig,
-    measure_suites,
-    perspector_for,
-)
+from repro._lazy import lazy_exports
 
-__all__ = ["ExperimentConfig", "measure_suites", "perspector_for"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.experiments.runner": (
+        "ExperimentConfig", "measure_suites", "perspector_for",
+    ),
+})

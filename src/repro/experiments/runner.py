@@ -6,6 +6,11 @@ settings. :func:`measure_suites` provides that with an in-process cache,
 so a bench session that regenerates Fig. 3, Fig. 4 and Fig. 6 simulates
 each suite exactly once.
 
+:func:`score_suite` is the ``repro score`` path: with a disk tier it
+also persists whole scorecards, so a repeat request reads one small
+file. This module imports neither numpy nor the simulator until a
+suite is actually measured or scored.
+
 Two preset configurations:
 
 * :func:`ExperimentConfig.quick` -- short traces for CI/benches
@@ -16,12 +21,10 @@ Two preset configurations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
-from repro.core.matrix import CounterMatrix
 from repro.obs.trace import span
-from repro.perf.session import PerfSession
-from repro.workloads import load_suite
 
 _CACHE = {}
 
@@ -37,7 +40,8 @@ class ExperimentConfig:
     drivers regenerate the figures. With ``cache_dir`` set, the
     *measured suites themselves* also persist there (keyed by suite
     name + every measurement field), so a warm CLI invocation skips the
-    suite simulations entirely.
+    suite simulations entirely, and so do ``repro score``'s whole
+    scorecards (:func:`score_suite`).
     """
 
     n_intervals: int = 16
@@ -77,6 +81,8 @@ class ExperimentConfig:
 
     def session(self):
         """Build the PerfSession these settings describe."""
+        from repro.perf.session import PerfSession
+
         return PerfSession(
             n_intervals=self.n_intervals,
             ops_per_interval=self.ops_per_interval,
@@ -134,6 +140,9 @@ def _measure_suite(name, config, disk, session):
             if cached is not MISS:
                 sp.set(source="disk")
                 return cached, session
+        from repro.core.matrix import CounterMatrix
+        from repro.workloads import load_suite
+
         if session is None:
             session = config.session()
         measurement = session.run_suite(load_suite(name))
@@ -142,6 +151,79 @@ def _measure_suite(name, config, disk, session):
         if disk is not None:
             disk.put(dkey, matrix)
     return matrix, session
+
+
+def score_suite(name, config=None, focus="all"):
+    """``(scorecard, metrics snapshot)`` of one suite under one focus:
+    what ``repro score`` prints and records.
+
+    With a disk tier (``config.cache_dir`` set and the cache on), the
+    whole scorecard persists there too, keyed by suite name,
+    :meth:`ExperimentConfig.measurement_key`, ``metric_seed`` and
+    ``focus`` (a focus value string such as ``"llc"``). A repeat
+    request then reads one small file and imports neither numpy nor
+    the simulator; its metrics snapshot is the disk tier's. A miss runs
+    the path the tier sits in front of, unchanged, and stores its
+    result. An active :mod:`repro.qa.contracts` sanitizer bypasses the
+    entry, since its checks must see the measured matrix. The tier
+    never changes a printed or recorded score bit.
+    """
+    config = config if config is not None else ExperimentConfig.full()
+    key = (name, config.measurement_key())
+    card, matrix, metrics = _score_suite(
+        name, config, focus, _disk_for(config), _CACHE.get(key),
+        scorecards=not _sanitizer_active(),
+    )
+    if matrix is not None:
+        _CACHE[key] = matrix
+    return card, metrics
+
+
+def _score_suite(name, config, focus, disk, matrix, scorecards):
+    """Score one suite, the scorecard entry consulted first.
+
+    Like :func:`_measure_suite`, everything between the ``disk.get``
+    and the ``disk.put`` is a pure function of the key (rule
+    ``cache-purity``), and the process-level memo in
+    :func:`score_suite` stays outside. ``matrix`` is the memoized
+    measurement, or ``None``. Returns ``(card, matrix, metrics)``;
+    ``matrix`` is ``None`` on a scorecard hit.
+    """
+    with span("experiment.score", suite=name, focus=focus) as sp:
+        skey = None
+        if disk is not None and scorecards:
+            from repro.engine.cache import MISS, content_key
+
+            skey = content_key("scorecard", name, config.measurement_key(),
+                               config.metric_seed, focus)
+            cached = disk.get(skey)
+            if cached is not MISS:
+                sp.set(source="disk")
+                return cached, None, disk.metrics.snapshot()
+        if matrix is None:
+            matrix, _session = _measure_suite(name, config, disk, None)
+        from repro.engine.engine import Engine
+
+        # The engine is built explicitly (instead of letting the
+        # Perspector facade build a private one) so the run's metrics
+        # snapshot reaches the history recorder; the engine is a pure
+        # accelerator, so the scorecard bits are identical either way.
+        with Engine.from_config(config) as engine:
+            card = perspector_for(config, engine=engine).score(
+                matrix, focus=focus)
+            metrics = engine.metrics.snapshot()
+        sp.set(source="scored")
+        if skey is not None:
+            disk.put(skey, card)
+    return card, matrix, metrics
+
+
+def _sanitizer_active():
+    """Whether a :mod:`repro.qa.contracts` sanitizer is on. Nothing
+    can switch one on without importing that module, so the check
+    imports nothing."""
+    contracts = sys.modules.get("repro.qa.contracts")
+    return contracts is not None and contracts.sanitizer_active()
 
 
 _DISK_TIERS = {}

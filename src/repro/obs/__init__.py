@@ -32,107 +32,29 @@ vs off (``repro qa --history``). Spans and history records observe;
 they never perturb.
 """
 
-from repro.obs.export import (
-    FORMAT_CHROME,
-    FORMAT_JSONL,
-    FORMATS,
-    chrome_events,
-    load_spans,
-    load_spans_tolerant,
-    write_trace,
-)
-from repro.obs.history import (
-    HistoryRecorder,
-    HistoryStore,
-    RunDiff,
-    TrajectoryFinding,
-    build_record,
-    check_store,
-    check_trajectory,
-    current_recorder,
-    diff_records,
-    install_recorder,
-    publish,
-    render_diff,
-    render_history,
-    uninstall_recorder,
-    window_trajectory,
-)
-from repro.obs.manifest import (
-    build_manifest,
-    config_digest,
-    load_manifest,
-    manifest_path,
-    resolved_env,
-    write_manifest,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    MetricsSnapshot,
-)
-from repro.obs.summary import render_summary, summarize_file
-from repro.obs.trace import (
-    NOOP_SPAN,
-    ShippedSpans,
-    SpanRecord,
-    Tracer,
-    current_tracer,
-    enabled,
-    install,
-    span,
-    swap,
-    uninstall,
-    validate_spans,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FORMAT_CHROME",
-    "FORMAT_JSONL",
-    "FORMATS",
-    "NOOP_SPAN",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "HistoryRecorder",
-    "HistoryStore",
-    "MetricsRegistry",
-    "MetricsSnapshot",
-    "RunDiff",
-    "ShippedSpans",
-    "SpanRecord",
-    "Tracer",
-    "TrajectoryFinding",
-    "build_manifest",
-    "build_record",
-    "check_store",
-    "check_trajectory",
-    "chrome_events",
-    "config_digest",
-    "current_recorder",
-    "current_tracer",
-    "diff_records",
-    "enabled",
-    "install",
-    "install_recorder",
-    "load_manifest",
-    "load_spans",
-    "load_spans_tolerant",
-    "manifest_path",
-    "publish",
-    "render_diff",
-    "render_history",
-    "render_summary",
-    "resolved_env",
-    "span",
-    "summarize_file",
-    "swap",
-    "uninstall",
-    "uninstall_recorder",
-    "validate_spans",
-    "window_trajectory",
-    "write_manifest",
-    "write_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.obs.export": (
+        "FORMAT_CHROME", "FORMAT_JSONL", "FORMATS", "chrome_events",
+        "load_spans", "load_spans_tolerant", "write_trace",
+    ),
+    "repro.obs.history": (
+        "HistoryRecorder", "HistoryStore", "RunDiff", "TrajectoryFinding",
+        "build_record", "check_store", "check_trajectory", "current_recorder",
+        "diff_records", "install_recorder", "publish", "render_diff",
+        "render_history", "uninstall_recorder", "window_trajectory",
+    ),
+    "repro.obs.manifest": (
+        "build_manifest", "config_digest", "load_manifest", "manifest_path",
+        "resolved_env", "write_manifest",
+    ),
+    "repro.obs.metrics": (
+        "Counter", "Gauge", "Histogram", "MetricsRegistry", "MetricsSnapshot",
+    ),
+    "repro.obs.summary": ("render_summary", "summarize_file"),
+    "repro.obs.trace": (
+        "NOOP_SPAN", "ShippedSpans", "SpanRecord", "Tracer", "current_tracer",
+        "enabled", "install", "span", "swap", "uninstall", "validate_spans",
+    ),
+})

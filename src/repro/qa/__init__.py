@@ -23,40 +23,17 @@ does not import the contracts/determinism halves (or numpy-heavy
 dependents) before runpy executes the module.
 """
 
-_EXPORTS = {
-    "ArraySpec": "repro.qa.contracts",
-    "ContractViolation": "repro.qa.contracts",
-    "Violation": "repro.qa.contracts",
-    "check_array": "repro.qa.contracts",
-    "check_counter_matrix": "repro.qa.contracts",
-    "check_series_set": "repro.qa.contracts",
-    "checked_array": "repro.qa.contracts",
-    "drain_violations": "repro.qa.contracts",
-    "sanitize": "repro.qa.contracts",
-    "sanitizer_active": "repro.qa.contracts",
-    "sanitizer_mode": "repro.qa.contracts",
-    "DeterminismReport": "repro.qa.determinism",
-    "check_determinism": "repro.qa.determinism",
-    "diff_scorecards": "repro.qa.determinism",
-    "Finding": "repro.qa.lint",
-    "lint_paths": "repro.qa.lint",
-    "lint_source": "repro.qa.lint",
-}
+from repro._lazy import lazy_exports
 
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name):
-    """Lazily resolve the public API (PEP 562)."""
-    if name in _EXPORTS:
-        import importlib
-
-        module = importlib.import_module(_EXPORTS[name])
-        value = getattr(module, name)
-        globals()[name] = value  # cache for subsequent lookups
-        return value
-    raise AttributeError(f"module 'repro.qa' has no attribute {name!r}")
-
-
-def __dir__():
-    return __all__
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.qa.contracts": (
+        "ArraySpec", "ContractViolation", "Violation", "check_array",
+        "check_counter_matrix", "check_series_set", "checked_array",
+        "drain_violations", "sanitize", "sanitizer_active",
+        "sanitizer_mode",
+    ),
+    "repro.qa.determinism": (
+        "DeterminismReport", "check_determinism", "diff_scorecards",
+    ),
+    "repro.qa.lint": ("Finding", "lint_paths", "lint_source"),
+})

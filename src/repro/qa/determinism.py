@@ -81,14 +81,16 @@ def diff_scorecards(a, b):
             _compare_mapping(f"{name}.{attr}", getattr(da, attr),
                              getattr(db, attr), mismatches)
     ca, cb = a.details.get("coverage"), b.details.get("coverage")
-    if ca is not None and cb is not None:
+    if (ca is None) != (cb is None):
+        mismatches.append("details['coverage']: present in one run only")
+    elif ca is not None:
         if ca.n_components != cb.n_components:
             mismatches.append(
                 f"coverage.n_components: {ca.n_components} != "
                 f"{cb.n_components}"
             )
-        elif ca.component_variances.tobytes() != \
-                cb.component_variances.tobytes():
+        elif [_bits(v) for v in ca.component_variances] != \
+                [_bits(v) for v in cb.component_variances]:
             mismatches.append("coverage.component_variances: bit drift")
     return mismatches
 
@@ -149,7 +151,10 @@ def check_determinism(suite_or_matrix, seed=0, focus="all",
     * when ``cache_dir`` is given: a disk-cold run that populates the
       on-disk tier, then a disk-warm run (fresh process-level state,
       same directory) that must reproduce the baseline from the
-      persisted entries.
+      persisted entries; and ``scorecard-tier``, the baseline stored
+      as the disk tier's scorecard entry (what a disk-warm ``repro
+      score`` prints from) and served back by a fresh tier, every
+      per-k, per-event, per-item and coverage-component bit included.
 
     When ``backend`` names a non-reference compute backend, the
     baseline runs are pinned to the reference backend and every variant
@@ -218,6 +223,14 @@ def check_determinism(suite_or_matrix, seed=0, focus="all",
             f"[{label}] {m}" for m in diff_scorecards(cards[0], card)
         )
         cards.append(card)
+    if cache_dir is not None:
+        card = _served_from_scorecard_tier(cards[0], cache_dir, seed)
+        if card is None:
+            mismatches.append("[scorecard-tier] the stored scorecard was "
+                              "not served back")
+        else:
+            mismatches.extend(f"[scorecard-tier] {m}"
+                              for m in diff_scorecards(cards[0], card))
     # Tracing must observe, never perturb: a run under an installed span
     # tracer (fanned, when workers > 1, so worker spans ship back) must
     # be bit-identical to the baseline, and the collected span tree must
@@ -251,6 +264,20 @@ def check_determinism(suite_or_matrix, seed=0, focus="all",
         scorecards=tuple(cards),
         seed=seed,
     )
+
+
+def _served_from_scorecard_tier(card, cache_dir, seed):
+    """``card`` stored as a disk-tier scorecard entry, then read back
+    by a fresh tier on the same directory (as a later ``repro score``
+    process would); ``None`` if it was not served."""
+    from repro.engine.cache import MISS, content_key
+    from repro.engine.diskcache import DiskCache
+
+    key = content_key("scorecard", card.suite_name, card.focus, seed)
+    writer = DiskCache(cache_dir)
+    writer.put(key, card)
+    served = DiskCache(cache_dir).get(key)
+    return None if served is MISS else served
 
 
 def diff_search_results(a, b):

@@ -37,7 +37,7 @@ from repro.qa.flow.effects import (
 )
 
 #: Bumping this invalidates every cached module summary.
-SUMMARY_VERSION = 1
+SUMMARY_VERSION = 2
 
 _MUTABLE_CALLS = frozenset({
     "dict", "list", "set", "OrderedDict", "defaultdict", "deque",
@@ -273,6 +273,25 @@ def _record_imports(node, imports, module, is_package):
             imports[alias.asname or alias.name] = target
 
 
+def _record_lazy_exports(call, imports):
+    """Bind the names of a package ``__init__``'s
+    ``lazy_exports(__name__, {module: (name, ...)})`` table
+    (:mod:`repro._lazy`) as if each were imported from its module."""
+    chain = dotted(call.func)
+    if chain is None or chain.rsplit(".", 1)[-1] != "lazy_exports" or \
+            len(call.args) < 2 or not isinstance(call.args[1], ast.Dict):
+        return
+    table = call.args[1]
+    for key, names in zip(table.keys, table.values):
+        if not (isinstance(key, ast.Constant) and isinstance(key.value, str)
+                and isinstance(names, (ast.Tuple, ast.List))):
+            continue
+        for name in names.elts:
+            if isinstance(name, ast.Constant) and \
+                    isinstance(name.value, str):
+                imports[name.value] = f"{key.value}.{name.value}"
+
+
 class _FunctionExtractor:
     """Extracts atoms/calls/locals for one function scope."""
 
@@ -445,6 +464,8 @@ def extract_module(module, path, source, digest, is_package=False):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             _record_imports(node, summary.imports, module, is_package)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            if isinstance(node.value, ast.Call):
+                _record_lazy_exports(node.value, summary.imports)
             targets = (node.targets if isinstance(node, ast.Assign)
                        else [node.target])
             for target in targets:

@@ -11,7 +11,8 @@ A package ``__init__`` that re-exports names is the public API surface;
   names lazily, so the stale-entry check is skipped there.
 
 Only statically-resolvable ``__all__`` lists (list/tuple of string
-literals) are checked; computed ``__all__`` expressions are left alone.
+literals) are checked; computed ``__all__`` expressions -- including
+the one :func:`repro._lazy.lazy_exports` returns -- are left alone.
 """
 
 from __future__ import annotations
@@ -65,6 +66,15 @@ class AllDrift(Rule):
                             all_entries = _static_all(stmt.value)
                         else:
                             bound.add(target.id)
+                    elif isinstance(target, ast.Tuple):
+                        # ``__all__, __getattr__, __dir__ =
+                        # lazy_exports(...)``: a computed __all__.
+                        names = {e.id for e in target.elts
+                                 if isinstance(e, ast.Name)}
+                        if "__all__" in names:
+                            all_node, all_entries = stmt, None
+                        has_getattr |= "__getattr__" in names
+                        bound |= names - {"__all__"}
             elif isinstance(stmt, ast.AnnAssign) and \
                     isinstance(stmt.target, ast.Name):
                 bound.add(stmt.target.id)

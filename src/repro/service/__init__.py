@@ -22,46 +22,17 @@ state, warm requests hit the shared caches (visible in
 tmp orphans.
 """
 
-from repro.service.app import (
-    DEFAULT_HOST,
-    DEFAULT_PORT,
-    RequestError,
-    ScoringService,
-    ServiceThread,
-)
-from repro.service.client import (
-    ServiceClient,
-    ServiceConnectionError,
-    ServiceError,
-)
-from repro.service.protocol import (
-    PROTOCOL_VERSION,
-    ServedScorecard,
-    decode_scorecard,
-    encode_array,
-    encode_comparison,
-    encode_counter_matrix,
-    encode_scorecard,
-    encode_search_result,
-    encode_subset_report,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_HOST",
-    "DEFAULT_PORT",
-    "PROTOCOL_VERSION",
-    "RequestError",
-    "ScoringService",
-    "ServedScorecard",
-    "ServiceClient",
-    "ServiceConnectionError",
-    "ServiceError",
-    "ServiceThread",
-    "decode_scorecard",
-    "encode_array",
-    "encode_comparison",
-    "encode_counter_matrix",
-    "encode_scorecard",
-    "encode_search_result",
-    "encode_subset_report",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.service.app": ("RequestError", "ScoringService", "ServiceThread"),
+    "repro.service.client": (
+        "ServiceClient", "ServiceConnectionError", "ServiceError",
+    ),
+    "repro.service.protocol": (
+        "DEFAULT_HOST", "DEFAULT_PORT", "PROTOCOL_VERSION", "ServedScorecard",
+        "decode_scorecard", "encode_array", "encode_comparison",
+        "encode_counter_matrix", "encode_scorecard", "encode_search_result",
+        "encode_subset_report",
+    ),
+})

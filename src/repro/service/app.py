@@ -72,11 +72,8 @@ from contextlib import contextmanager
 from repro.obs.trace import span
 from repro.service import http as service_http
 from repro.service import protocol
+from repro.service.protocol import DEFAULT_HOST, DEFAULT_PORT
 from repro.workloads import available_suites, load_suite
-
-#: Default bind address/port of ``repro serve``.
-DEFAULT_HOST = "127.0.0.1"
-DEFAULT_PORT = 8641
 
 _FOCUS_CHOICES = ("all", "llc", "tlb", "branch", "core")
 _SEARCH_METHODS = ("lhs", "random", "swap")

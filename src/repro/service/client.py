@@ -20,8 +20,12 @@ import http.client
 import json
 import time
 
-from repro.service.app import DEFAULT_HOST, DEFAULT_PORT
-from repro.service.protocol import PROTOCOL_VERSION, decode_scorecard
+from repro.service.protocol import (
+    DEFAULT_HOST,
+    DEFAULT_PORT,
+    PROTOCOL_VERSION,
+    decode_scorecard,
+)
 
 
 class ServiceError(RuntimeError):

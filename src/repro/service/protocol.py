@@ -22,6 +22,12 @@ repo trusts.
 Every response also carries ``rendered``: the exact ``str()`` text the
 CLI would have printed, so ``repro client score`` emits byte-for-byte
 what ``repro score`` does.
+
+The same codec persists whole scorecards in the disk tier
+(:func:`scorecard_record` / :func:`decode_stored_scorecard`), so the
+wire, the run history and the disk share one bit encoding. The module
+imports numpy only to encode arrays: a disk-warm ``repro score``
+decodes its scorecard without it.
 """
 
 from __future__ import annotations
@@ -29,7 +35,12 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
-import numpy as np
+#: Default bind address/port of ``repro serve`` (and of the client).
+DEFAULT_HOST = "127.0.0.1"
+DEFAULT_PORT = 8641
+
+#: The four Section III scores, in wire order.
+_SCORES = ("cluster", "trend", "coverage", "spread")
 
 #: Wire-format version; servers and clients reject mismatches loudly
 #: instead of mis-decoding silently.
@@ -61,6 +72,8 @@ def encode_array(array):
     encoding pins an array bit for bit, the same way scores ride on
     :func:`float_bits`.
     """
+    import numpy as np
+
     array = np.ascontiguousarray(array)
     if array.dtype.hasobject:
         raise ValueError("object arrays have no wire representation")
@@ -90,16 +103,18 @@ def encode_counter_matrix(matrix):
 # -- scorecards ---------------------------------------------------------------
 
 
-def encode_scorecard(card):
-    """JSON-safe dict for one :class:`~repro.core.report.SuiteScorecard`."""
-    scores = {name: getattr(card, name)
-              for name in ("cluster", "trend", "coverage", "spread")}
+def scorecard_record(card):
+    """The bit-exact core of :func:`encode_scorecard`: scores, per-k /
+    per-event / per-item maps and coverage components as IEEE-754 hex,
+    without the ``rendered`` text or the ``details["engine"]`` counters
+    of the run that computed it. This is the disk tier's scorecard
+    entry; :func:`decode_stored_scorecard` reads it back."""
+    scores = {name: getattr(card, name) for name in _SCORES}
     payload = {
         "suite": card.suite_name,
         "focus": card.focus,
         "scores": {name: float(v) for name, v in scores.items()},
         "score_bits": {name: float_bits(v) for name, v in scores.items()},
-        "rendered": str(card),
         "violations": [str(v) for v in card.violations],
         "details": {},
     }
@@ -121,9 +136,18 @@ def encode_scorecard(card):
                 float_bits(v) for v in coverage.component_variances
             ],
         }
+    return payload
+
+
+def encode_scorecard(card):
+    """JSON-safe dict for one :class:`~repro.core.report.SuiteScorecard`:
+    :func:`scorecard_record` plus the rendered text and the engine
+    counters."""
+    payload = scorecard_record(card)
+    payload["rendered"] = str(card)
     engine = card.details.get("engine")
     if engine is not None:
-        details["engine"] = dict(engine)
+        payload["details"]["engine"] = dict(engine)
     return payload
 
 
@@ -142,7 +166,7 @@ class ServedCoverage:
     """Coverage-detail shim carrying exactly what the bit-diff reads."""
 
     n_components: int
-    component_variances: np.ndarray
+    component_variances: tuple
 
 
 @dataclass(frozen=True)
@@ -163,12 +187,13 @@ class ServedScorecard:
     violations: tuple = ()
 
 
-def decode_scorecard(payload):
-    """Rebuild a :class:`ServedScorecard` from :func:`encode_scorecard`
-    output, reconstructing every float from its bit pattern."""
+def _decode_scores(payload):
     bits = payload["score_bits"]
+    return {name: bits_float(bits[name]) for name in _SCORES}
+
+
+def _decode_details(wire_details):
     details = {}
-    wire_details = payload.get("details", {})
     cluster = wire_details.get("cluster")
     if cluster is not None:
         details["cluster"] = ServedDetail(per_k={
@@ -193,24 +218,45 @@ def decode_scorecard(payload):
     if coverage is not None:
         details["coverage"] = ServedCoverage(
             n_components=int(coverage["n_components"]),
-            component_variances=np.array([
+            component_variances=tuple(
                 bits_float(v)
                 for v in coverage["component_variance_bits"]
-            ]),
+            ),
         )
     engine = wire_details.get("engine")
     if engine is not None:
         details["engine"] = dict(engine)
+    return details
+
+
+def decode_scorecard(payload):
+    """Rebuild a :class:`ServedScorecard` from :func:`encode_scorecard`
+    output, reconstructing every float from its bit pattern."""
     return ServedScorecard(
         suite_name=payload["suite"],
         focus=payload["focus"],
-        cluster=bits_float(bits["cluster"]),
-        trend=bits_float(bits["trend"]),
-        coverage=bits_float(bits["coverage"]),
-        spread=bits_float(bits["spread"]),
-        details=details,
+        details=_decode_details(payload.get("details", {})),
         rendered=payload["rendered"],
         violations=tuple(payload.get("violations", ())),
+        **_decode_scores(payload),
+    )
+
+
+def decode_stored_scorecard(payload):
+    """Rebuild a :class:`~repro.core.report.SuiteScorecard` from
+    :func:`scorecard_record` output, every float from its bit pattern;
+    it prints exactly what the original prints. Unlike the wire
+    decoder, every top-level field is required: a missing one raises
+    ``KeyError``, and a malformed bit string raises ``ValueError`` or
+    ``struct.error``."""
+    from repro.core.report import SuiteScorecard
+
+    return SuiteScorecard(
+        suite_name=payload["suite"],
+        focus=payload["focus"],
+        details=_decode_details(payload["details"]),
+        violations=tuple(payload["violations"]),
+        **_decode_scores(payload),
     )
 
 

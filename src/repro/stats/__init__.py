@@ -29,109 +29,42 @@ where the algorithm is inherently sequential (e.g. the DTW recurrence,
 which runs over a numpy cost matrix row by row).
 """
 
-from repro.stats.distance import (
-    euclidean,
-    manhattan,
-    pairwise_distances,
-    cdist,
-)
-from repro.stats.preprocessing import (
-    minmax_normalize,
-    joint_minmax_normalize,
-    zscore_normalize,
-    clip_unit_interval,
-)
-from repro.stats.kmeans import KMeans, KMeansResult, kmeans
-from repro.stats.silhouette import (
-    silhouette_samples,
-    silhouette_per_cluster,
-    silhouette_score,
-)
-from repro.stats.pca import PCA, PCAResult, pca_fit_transform
-from repro.stats.dtw import (
-    dtw_distance,
-    dtw_path,
-    dtw_matrix,
-    batched_pair_distances,
-    banded_pair_distances,
-    bucketed_pair_distances,
-)
-from repro.stats.kstest import (
-    ks_statistic_uniform,
-    ks_statistic_uniform_columns,
-    kolmogorov_sf_batch,
-    ks_test_uniform,
-    ks_two_sample,
-    KSResult,
-)
-from repro.stats.backend import (
-    ComputeBackend,
-    available_backends,
-    get_backend,
-    resolve_backend,
-)
-from repro.stats.lhs import latin_hypercube, maximin_latin_hypercube
-from repro.stats.hierarchical import (
-    HierarchicalClustering,
-    linkage_matrix,
-    fcluster_by_count,
-)
-from repro.stats.descriptive import (
-    empirical_cdf,
-    percentile_resample,
-    summary,
-    coefficient_of_variation,
-)
-from repro.stats.bootstrap import (
-    BootstrapResult,
-    bootstrap_statistic,
-    ranking_stability,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "euclidean",
-    "manhattan",
-    "pairwise_distances",
-    "cdist",
-    "minmax_normalize",
-    "joint_minmax_normalize",
-    "zscore_normalize",
-    "clip_unit_interval",
-    "KMeans",
-    "KMeansResult",
-    "kmeans",
-    "silhouette_samples",
-    "silhouette_per_cluster",
-    "silhouette_score",
-    "PCA",
-    "PCAResult",
-    "pca_fit_transform",
-    "dtw_distance",
-    "dtw_path",
-    "dtw_matrix",
-    "batched_pair_distances",
-    "banded_pair_distances",
-    "bucketed_pair_distances",
-    "ks_statistic_uniform",
-    "ks_statistic_uniform_columns",
-    "kolmogorov_sf_batch",
-    "ks_test_uniform",
-    "ks_two_sample",
-    "KSResult",
-    "ComputeBackend",
-    "available_backends",
-    "get_backend",
-    "resolve_backend",
-    "latin_hypercube",
-    "maximin_latin_hypercube",
-    "HierarchicalClustering",
-    "linkage_matrix",
-    "fcluster_by_count",
-    "empirical_cdf",
-    "percentile_resample",
-    "summary",
-    "coefficient_of_variation",
-    "BootstrapResult",
-    "bootstrap_statistic",
-    "ranking_stability",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.stats.distance": (
+        "euclidean", "manhattan", "pairwise_distances", "cdist",
+    ),
+    "repro.stats.preprocessing": (
+        "minmax_normalize", "joint_minmax_normalize", "zscore_normalize",
+        "clip_unit_interval",
+    ),
+    "repro.stats.kmeans": ("KMeans", "KMeansResult", "kmeans"),
+    "repro.stats.silhouette": (
+        "silhouette_samples", "silhouette_per_cluster", "silhouette_score",
+    ),
+    "repro.stats.pca": ("PCA", "PCAResult", "pca_fit_transform"),
+    "repro.stats.dtw": (
+        "dtw_distance", "dtw_path", "dtw_matrix", "batched_pair_distances",
+        "banded_pair_distances", "bucketed_pair_distances",
+    ),
+    "repro.stats.kstest": (
+        "ks_statistic_uniform", "ks_statistic_uniform_columns",
+        "kolmogorov_sf_batch", "ks_test_uniform", "ks_two_sample", "KSResult",
+    ),
+    "repro.stats.backend": (
+        "ComputeBackend", "available_backends", "get_backend",
+        "resolve_backend",
+    ),
+    "repro.stats.lhs": ("latin_hypercube", "maximin_latin_hypercube"),
+    "repro.stats.hierarchical": (
+        "HierarchicalClustering", "linkage_matrix", "fcluster_by_count",
+    ),
+    "repro.stats.descriptive": (
+        "empirical_cdf", "percentile_resample", "summary",
+        "coefficient_of_variation",
+    ),
+    "repro.stats.bootstrap": (
+        "BootstrapResult", "bootstrap_statistic", "ranking_stability",
+    ),
+})

@@ -25,7 +25,9 @@ only there. The registry is a fixed mapping -- no mutation hooks -- and
 every function in this module is top-level and effect-free, which the
 deep lint's backend-purity rule enforces (attribute calls through a
 backend object are opaque to the call graph, so the whole module is held
-to the worker-safe standard wholesale).
+to the worker-safe standard wholesale). The kernels are imported inside
+the dispatch functions, so naming the backends (the CLI's
+``--backend`` choices) imports no numpy.
 """
 
 from __future__ import annotations
@@ -33,19 +35,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
-
-from repro.stats.dtw import (
-    banded_pair_distances,
-    batched_pair_distances,
-    bucketed_pair_distances,
-    dtw_distance,
-)
-from repro.stats.kstest import (
-    ks_statistic_uniform,
-    ks_statistic_uniform_columns,
-)
 
 DEFAULT_BACKEND = "reference"
 
@@ -98,6 +87,10 @@ def reference_pair_distances(arrays, idx_i, idx_j, band=None):
     differently and can differ in the last bit (see
     :mod:`repro.stats.dtw`).
     """
+    import numpy as np
+
+    from repro.stats.dtw import batched_pair_distances, dtw_distance
+
     if _aligned_fast_path(arrays, band):
         return batched_pair_distances(np.vstack(arrays), idx_i, idx_j)
     return np.array(
@@ -117,6 +110,15 @@ def vectorized_pair_distances(arrays, idx_i, idx_j, band=None):
     series fall back to the per-pair reference -- the batched kernels
     are univariate and silently flattening would change the cost matrix.
     """
+    import numpy as np
+
+    from repro.stats.dtw import (
+        banded_pair_distances,
+        batched_pair_distances,
+        bucketed_pair_distances,
+        dtw_distance,
+    )
+
     if _aligned_fast_path(arrays, band):
         return batched_pair_distances(np.vstack(arrays), idx_i, idx_j)
     if any(a.ndim != 1 for a in arrays):
@@ -134,6 +136,10 @@ def vectorized_pair_distances(arrays, idx_i, idx_j, band=None):
 
 def reference_ks_columns(x):
     """Oracle per-column KS D-values: one reference call per column."""
+    import numpy as np
+
+    from repro.stats.kstest import ks_statistic_uniform
+
     x = np.asarray(x, dtype=float)
     return np.array(
         [ks_statistic_uniform(x[:, j]) for j in range(x.shape[1])]
@@ -142,6 +148,8 @@ def reference_ks_columns(x):
 
 def vectorized_ks_columns(x):
     """Column-batched KS D-values; bit-identical to the reference."""
+    from repro.stats.kstest import ks_statistic_uniform_columns
+
     return ks_statistic_uniform_columns(x)
 
 

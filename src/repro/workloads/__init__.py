@@ -19,35 +19,18 @@ character (see DESIGN.md section 2 and the module docstrings under
 * SPEC'17 is large, diverse and comparatively well spread.
 """
 
-from repro.workloads.base import KernelSpec, Phase, Workload, Suite
-from repro.workloads.trace import TraceInterval
-from repro.workloads.suites.registry import (
-    available_suites,
-    load_suite,
-    load_all_suites,
-)
-from repro.workloads.custom import (
-    suite_from_json,
-    suite_from_spec,
-    suite_to_spec,
-)
-from repro.workloads.synthetic import (
-    make_grouped_suite,
-    make_synthetic_suite,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "KernelSpec",
-    "Phase",
-    "Workload",
-    "Suite",
-    "TraceInterval",
-    "available_suites",
-    "load_suite",
-    "load_all_suites",
-    "suite_from_json",
-    "suite_from_spec",
-    "suite_to_spec",
-    "make_grouped_suite",
-    "make_synthetic_suite",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.workloads.base": ("KernelSpec", "Phase", "Workload", "Suite"),
+    "repro.workloads.trace": ("TraceInterval",),
+    "repro.workloads.suites.registry": (
+        "available_suites", "load_suite", "load_all_suites",
+    ),
+    "repro.workloads.custom": (
+        "suite_from_json", "suite_from_spec", "suite_to_spec",
+    ),
+    "repro.workloads.synthetic": (
+        "make_grouped_suite", "make_synthetic_suite",
+    ),
+})

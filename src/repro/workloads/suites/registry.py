@@ -1,29 +1,32 @@
-"""Suite registry: one entry per Table III suite."""
+"""Suite registry: one entry per Table III suite.
+
+Each suite model is imported when it is first built, so listing the
+suites (the CLI's ``choices``) imports no suite model and no numpy.
+"""
 
 from __future__ import annotations
 
-from repro.workloads.suites import (
-    ligra,
-    lmbench,
-    nbench,
-    parsec,
-    sgxgauge,
-    spec17,
-)
+import importlib
 
-_BUILDERS = {
-    "parsec": parsec.build,
-    "spec17": spec17.build,
-    "ligra": ligra.build,
-    "lmbench": lmbench.build,
-    "nbench": nbench.build,
-    "sgxgauge": sgxgauge.build,
+#: Suite name -> the module whose ``build()`` makes it, in Table III
+#: order.
+_MODULES = {
+    "parsec": "repro.workloads.suites.parsec",
+    "spec17": "repro.workloads.suites.spec17",
+    "ligra": "repro.workloads.suites.ligra",
+    "lmbench": "repro.workloads.suites.lmbench",
+    "nbench": "repro.workloads.suites.nbench",
+    "sgxgauge": "repro.workloads.suites.sgxgauge",
 }
+
+
+def _build(name):
+    return importlib.import_module(_MODULES[name]).build()
 
 
 def available_suites():
     """Names of every modelled suite, in Table III order."""
-    return list(_BUILDERS)
+    return list(_MODULES)
 
 
 def load_suite(name):
@@ -36,13 +39,13 @@ def load_suite(name):
     key = name.lower().replace("'", "").replace("-", "")
     if key == "spec2017":
         key = "spec17"
-    if key not in _BUILDERS:
+    if key not in _MODULES:
         raise KeyError(
             f"unknown suite {name!r}; available: {available_suites()}"
         )
-    return _BUILDERS[key]()
+    return _build(key)
 
 
 def load_all_suites():
     """Build every suite model. Returns a name -> Suite dict."""
-    return {name: builder() for name, builder in _BUILDERS.items()}
+    return {name: _build(name) for name in _MODULES}

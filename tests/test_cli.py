@@ -113,6 +113,22 @@ class TestCommands:
             assert err == ("repro subset: --size 99 exceeds the 10 "
                            "workloads of lmbench\n")
 
+    def test_history_windows_without_a_store_is_rejected(
+            self, capsys, monkeypatch):
+        def measure(*args, **kwargs):
+            raise AssertionError("measured a suite for a discarded "
+                                 "trajectory")
+
+        monkeypatch.delenv("REPRO_HISTORY", raising=False)
+        monkeypatch.setattr("repro.cli.measure_suites", measure)
+        monkeypatch.setattr("repro.cli.score_suite", measure)
+        assert main(["--quick", "score", "nbench",
+                     "--history-windows", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("repro score: --history-windows ")
+
     def test_experiment_fig2(self, capsys):
         assert main(["experiment", "fig2"]) == 0
         out = capsys.readouterr().out

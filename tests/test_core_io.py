@@ -63,6 +63,20 @@ class TestCsv:
         with pytest.raises(ValueError, match="fields"):
             from_csv(io.StringIO("workload,e0,e1\nw,1\n"))
 
+    @pytest.mark.parametrize("cell, shown", [("", "''"), ("12x", "'12x'"),
+                                             (" ", "' '")])
+    def test_bad_cell_names_line_and_column(self, cell, shown):
+        text = f"workload,e0,e1\nw0,1,2\nw1,3,{cell}\n"
+        with pytest.raises(ValueError) as exc:
+            from_csv(io.StringIO(text))
+        assert str(exc.value) == (f"CSV line 3, column 'e1': {shown} is "
+                                  f"not a number")
+
+    def test_header_with_only_blank_rows_rejected(self):
+        with pytest.raises(ValueError,
+                           match="^CSV has a header but no workload rows$"):
+            from_csv(io.StringIO("workload,e0\n\n\n"))
+
     def test_series_not_in_csv(self):
         m = sample_matrix(with_series=True)
         back = from_csv(io.StringIO(to_csv(m)))

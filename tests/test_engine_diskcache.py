@@ -327,3 +327,127 @@ class TestConcurrency:
         tags = {_writer_tag() for _ in range(10)}
         assert len(tags) == 10
         assert all(f"-{os.getpid()}-" in tag for tag in tags)
+
+
+def _scorecard():
+    from repro.core.report import SuiteScorecard
+    from repro.service.protocol import ServedCoverage, ServedDetail
+
+    return SuiteScorecard(
+        suite_name="s", focus="all", cluster=0.1 + 0.2, trend=-0.0,
+        coverage=float("nan"), spread=1e-300,
+        details={
+            "cluster": ServedDetail(per_k={2: 0.25, 3: float("nan")}),
+            "trend": ServedDetail(per_event={"ipc": 1.5}),
+            "spread": ServedDetail(per_item={"w0": 0.125}),
+            "coverage": ServedCoverage(n_components=2,
+                                       component_variances=(0.9, 0.1)),
+        },
+    )
+
+
+def _rewrite_header(edit):
+    """A corruption that edits a stored entry's parsed JSON header."""
+    def corrupt(raw):
+        line, _, rest = raw.partition(b"\n")
+        header = json.loads(line)
+        edit(header)
+        return json.dumps(header).encode() + b"\n" + rest
+    return corrupt
+
+
+def _card_field(path, value=None):
+    """Replace (or, with ``value=None``, delete) one field of the stored
+    scorecard record."""
+    def edit(header):
+        node = header["meta"]["card"]
+        for part in path[:-1]:
+            node = node[part]
+        if value is None:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+    return _rewrite_header(edit)
+
+
+#: Damaged scorecard entries: each must read as a miss and be deleted.
+BAD_ENTRIES = {
+    "truncated": lambda raw: raw[:len(raw) // 2],
+    "empty": lambda raw: b"",
+    "non-json-header": lambda raw: b"{not json\n",
+    "bad-magic": _rewrite_header(
+        lambda h: h.update(magic="not-repro")),
+    "wrong-version": _rewrite_header(
+        lambda h: h.update(version=FORMAT_VERSION + 1)),
+    "non-hex-score-bits": _card_field(("score_bits", "cluster"), "zz" * 8),
+    "short-score-bits": _card_field(("score_bits", "trend"), "00ff"),
+    "non-hex-per-k-bits": _card_field(
+        ("details", "cluster", "per_k_bits", "2"), "not hex!"),
+    "non-hex-coverage-bits": _card_field(
+        ("details", "coverage", "component_variance_bits"), ["xyz"]),
+    "missing-score": _card_field(("score_bits", "spread")),
+    "missing-details": _card_field(("details",)),
+    "missing-violations": _card_field(("violations",)),
+    "missing-suite": _card_field(("suite",)),
+    "missing-per-event-map": _card_field(
+        ("details", "trend", "per_event_bits")),
+    "missing-card": _rewrite_header(lambda h: h["meta"].pop("card")),
+}
+
+
+def _entry_paths(root):
+    return [os.path.join(d, f) for d, _, files in os.walk(root)
+            for f in files]
+
+
+def _header(path):
+    with open(path, "rb") as f:
+        return json.loads(f.readline())
+
+
+class TestScorecardEntries:
+    def test_round_trip_is_bit_exact_with_no_arrays(self, tmp_path):
+        from repro.qa.determinism import diff_scorecards
+
+        card = _scorecard()
+        cache = DiskCache(tmp_path)
+        key = _key("card")
+        assert cache.put(key, card)
+        meta, arrays = encode(card)
+        assert meta["type"] == "scorecard" and arrays == []
+        back = cache.get(key)
+        assert diff_scorecards(card, back) == []
+        assert str(back) == str(card)
+
+    @pytest.mark.parametrize("damage", sorted(BAD_ENTRIES))
+    def test_damaged_entry_is_miss_and_deleted(self, tmp_path, damage):
+        cache = DiskCache(tmp_path)
+        key = _key("card", damage)
+        cache.put(key, _scorecard())
+        path = cache._path(key)
+        with open(path, "rb") as f:
+            raw = f.read()
+        with open(path, "wb") as f:
+            f.write(BAD_ENTRIES[damage](raw))
+        assert cache.get(key) is MISS
+        assert cache.misses == 1 and cache.hits == 0
+        assert not os.path.exists(path)  # cannot fail twice
+
+    def test_corrupt_entry_falls_through_to_recomputation(self, tmp_path,
+                                                          capsys):
+        from repro.cli import main
+
+        argv = ["--quick", "score", "nbench", "--focus", "llc",
+                "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        [entry] = [path for path in _entry_paths(tmp_path)
+                   if _header(path)["meta"]["type"] == "scorecard"]
+        with open(entry, "rb") as f:
+            raw = f.read()
+        with open(entry, "wb") as f:
+            f.write(BAD_ENTRIES["non-hex-score-bits"](raw))
+        assert main(argv) == 0
+        assert capsys.readouterr().out == cold
+        with open(entry, "rb") as f:
+            assert f.read() == raw  # recomputed and stored again

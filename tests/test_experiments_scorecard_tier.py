@@ -1,0 +1,141 @@
+"""The disk tier's scorecard entries behind ``repro score``.
+
+A stored scorecard must round-trip every bit the wire and the history
+carry, a changed key part must miss, and a disk-warm ``repro score``
+must print the cold run's bytes without importing numpy or the
+simulator.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+
+import pytest
+
+from repro.engine import MISS, DiskCache, content_key
+from repro.experiments import runner
+from repro.experiments.runner import (
+    ExperimentConfig,
+    measure_suites,
+    perspector_for,
+    score_suite,
+)
+from repro.obs import Tracer, install, uninstall
+from repro.qa.contracts import sanitize
+from repro.qa.determinism import diff_scorecards
+from repro.service.protocol import encode_scorecard, scorecard_record
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+
+
+@pytest.mark.parametrize("suite", ["nbench", "ligra"])
+def test_every_field_round_trips_bit_for_bit(suite, tmp_path):
+    config = ExperimentConfig.quick()
+    matrix = measure_suites([suite], config)[suite]
+    disk = DiskCache(tmp_path)
+    for focus in ("all", "llc", "tlb"):
+        card = perspector_for(config).score(matrix, focus=focus)
+        key = content_key("test-scorecard", suite, focus)
+        assert disk.put(key, card)
+        back = disk.get(key)
+        assert back is not MISS
+        assert diff_scorecards(card, back) == []
+        assert str(back) == str(card)
+        assert scorecard_record(back) == scorecard_record(card)
+        # The history record of a hit carries the cold run's bits; only
+        # the engine counters of the computing run are not stored.
+        cold = encode_scorecard(card)
+        del cold["details"]["engine"]
+        assert encode_scorecard(back) == cold
+
+
+def _source(config, suite="nbench", focus="all"):
+    """Where ``score_suite`` got its scorecard: ``"disk"`` or
+    ``"scored"`` (the ``experiment.score`` span's ``source``)."""
+    tracer = install(Tracer())
+    try:
+        score_suite(suite, config, focus)
+    finally:
+        uninstall()
+    [found] = [s for s in tracer.spans() if s.name == "experiment.score"]
+    return found.attrs["source"]
+
+
+def test_each_key_part_misses_when_changed(tmp_path):
+    base = replace(ExperimentConfig.quick(), cache_dir=str(tmp_path))
+    matrix = measure_suites(["nbench"], base)["nbench"]
+    assert _source(base) == "scored"
+    assert _source(base) == "disk"
+    variants = [replace(base, metric_seed=base.metric_seed + 1),
+                replace(base, cache=False)]
+    planted = []
+    for field in ("n_intervals", "ops_per_interval", "warmup_intervals",
+                  "warmup_boost", "seed"):
+        variant = replace(base, **{field: getattr(base, field) + 1})
+        # Scoring only: the miss reuses the base measurement.
+        planted.append(("nbench", variant.measurement_key()))
+        runner._CACHE[planted[-1]] = matrix
+        variants.append(variant)
+    try:
+        for variant in variants:
+            assert _source(variant) == "scored", variant
+    finally:
+        for key in planted:
+            runner._CACHE.pop(key)
+    assert _source(base, focus="llc") == "scored"
+    assert _source(base, suite="lmbench") == "scored"
+    with sanitize("collect"):
+        assert _source(base) == "scored"
+    # The workers, backend and history knobs never move a bit, so they
+    # share the entry.
+    assert _source(replace(base, backend="vectorized",
+                           history_dir=str(tmp_path / "h"))) == "disk"
+
+
+def test_history_run_may_hit_and_records_the_cold_bits(tmp_path, capsys):
+    from repro.cli import main
+    from repro.obs import HistoryStore, diff_records
+
+    argv = ["--quick", "score", "nbench", "--focus", "tlb",
+            "--cache-dir", str(tmp_path / "tier"),
+            "--history-dir", str(tmp_path / "history")]
+    assert main(argv) == 0
+    assert main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == out[1]
+    store = HistoryStore(tmp_path / "history")
+    cold, warm = (store.load(run) for run in store.run_ids())
+    assert warm["metrics"]["values"]["disk_hits"] >= 1
+    assert "cache_hits" not in warm["metrics"]["values"]  # no kernel ran
+    diff = diff_records(cold, warm)
+    assert diff.same_digest and diff.clean, diff.drift
+
+
+_HIT_PROBE = """
+import json, sys
+from repro.cli import main
+status = main(sys.argv[1:])
+sys.stdout.flush()
+loaded = sorted(m for m in sys.modules
+                if m == "numpy" or m.startswith(("numpy.", "repro.uarch")))
+sys.stderr.write(json.dumps({"status": status, "loaded": loaded}))
+"""
+
+
+def test_disk_warm_score_imports_neither_numpy_nor_the_simulator(
+        tmp_path, capsys):
+    from repro.cli import main
+
+    argv = ["--quick", "score", "nbench", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = SRC
+    warm = subprocess.run([sys.executable, "-c", _HIT_PROBE, *argv],
+                          capture_output=True, env=env, check=True)
+    probe = json.loads(warm.stderr.decode().strip().splitlines()[-1])
+    assert probe == {"status": 0, "loaded": []}
+    assert warm.stdout.decode() == cold

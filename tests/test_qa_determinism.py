@@ -62,6 +62,24 @@ class TestMatrixPath:
         # Two baselines, cache-off, disk-cold, disk-warm, traced.
         assert len(report.scorecards) == 6
 
+    def test_scorecard_tier_variant_catches_a_lossy_entry(
+            self, tmp_path, monkeypatch):
+        from repro.service import protocol
+
+        real = protocol.scorecard_record
+
+        def lossy(card):
+            record = real(card)
+            record["details"]["cluster"]["per_k_bits"].popitem()
+            return record
+
+        monkeypatch.setattr(protocol, "scorecard_record", lossy)
+        report = check_determinism(fixture_matrix(), seed=0,
+                                   cache_dir=str(tmp_path))
+        assert not report.identical
+        assert [m.split(":")[0] for m in report.mismatches] == [
+            "[scorecard-tier] cluster.per_k"]
+
     def test_focus_is_threaded_through(self):
         report = check_determinism(fixture_matrix(), seed=0, focus="llc")
         assert report.identical, str(report)

@@ -233,6 +233,30 @@ class TestEffects:
         })
         assert CLOCK in a.solver.effects("pkg.user.use")
 
+    def test_lazy_export_chasing(self, tmp_path):
+        a = self.solve(tmp_path, {
+            "__init__.py": """\
+                from repro._lazy import lazy_exports
+
+                __all__, __getattr__, __dir__ = lazy_exports(__name__, {
+                    "pkg.impl": ("helper",),
+                })
+            """,
+            "impl.py": """\
+                import time
+
+                def helper():
+                    return time.time()
+            """,
+            "user.py": """\
+                import pkg
+
+                def use():
+                    return pkg.helper()
+            """,
+        })
+        assert CLOCK in a.solver.effects("pkg.user.use")
+
     def test_default_rng_seeded_vs_unseeded(self, tmp_path):
         a = self.solve(tmp_path, {
             "m.py": """\

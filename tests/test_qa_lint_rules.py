@@ -341,6 +341,16 @@ class TestAllDrift:
         """, path=INIT)
         assert findings == []
 
+    def test_shared_lazy_exports_helper_clean(self):
+        findings = lint("""\
+            from repro._lazy import lazy_exports
+
+            __all__, __getattr__, __dir__ = lazy_exports(__name__, {
+                "fakepkg.mod": ("thing",),
+            })
+        """, path=INIT)
+        assert findings == []
+
     def test_non_init_module_exempt(self):
         findings = lint("from fakepkg.mod import thing\n",
                         path="src/repro/fakepkg/mod.py")
