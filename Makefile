@@ -6,16 +6,9 @@
 # scoring engine -- and the sliced subset search -- bit-identical at
 # workers=2), and the serve-smoke check (the scoring daemon serves the
 # CLI's exact bits and shuts down leak-free).
-# `make bench` includes the engine's cold-vs-warm cache bench, the
-# subset evaluator's sliced-vs-naive bench, the warm-substrate
-# bench (persistent pool vs pool-per-call + disk-cold vs disk-warm
-# CLI), the tracing-overhead bench, the history-recording overhead
-# bench (<= 5% with the run-history store enabled, bit-identical),
-# and the vectorized-vs-reference
-# kernel bench (banded all-pairs DTW >= 5x, mixed-length bucketed
-# >= 3x, all bit-identical), guarded by the BENCH_engine.json /
-# BENCH_subset.json / BENCH_parallel.json / BENCH_obs.json /
-# BENCH_history.json / BENCH_kernels.json baselines.
+# `make bench` runs the paper-artifact benches in benchmarks/ (each
+# regenerates one figure or table at the quick preset and asserts the
+# paper's claims about it).
 # `make bench-e2e` runs the end-to-end benchmark that BENCHMARK.json
 # declares (bench/run.py: four CLI/daemon workloads, outputs checked
 # against bench/goldens.json, end-to-end metrics only, tracing off);
@@ -29,8 +22,7 @@ PYTHON ?= python
 RUN = PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) $(PYTHON)
 
 .PHONY: qa lint lint-deep ruff mypy determinism serve-smoke \
-	history-smoke test bench bench-engine bench-subset bench-parallel \
-	bench-obs bench-history bench-kernels bench-e2e bench-trace rebless
+	history-smoke test bench bench-e2e bench-trace rebless
 
 qa: lint lint-deep ruff mypy determinism serve-smoke history-smoke
 	@echo "qa: all gates passed"
@@ -75,27 +67,8 @@ history-smoke:
 test:
 	$(RUN) -m pytest -x -q
 
-bench: bench-engine bench-subset bench-parallel bench-obs \
-		bench-history bench-kernels
+bench:
 	$(RUN) -m pytest benchmarks -q
-
-bench-engine:
-	$(RUN) -m repro.engine.bench --check
-
-bench-subset:
-	$(RUN) -m repro.engine.subset_bench --check
-
-bench-parallel:
-	$(RUN) -m repro.engine.parallel_bench --check
-
-bench-obs:
-	$(RUN) -m repro.obs.bench --check
-
-bench-history:
-	$(RUN) -m repro.obs.history_bench --check
-
-bench-kernels:
-	$(RUN) -m repro.stats.kernel_bench --check
 
 bench-e2e:
 	$(PYTHON) bench/run.py --trace 0

@@ -501,7 +501,7 @@ def _add_engine_flags(p):
     these flags changes any output bit; they only trade speed for
     resources."""
     p.add_argument(
-        "--workers", type=int, default=1, metavar="N",
+        "--workers", type=_int_at_least(1), default=1, metavar="N",
         help="worker processes for the scoring engine's parallel "
              "fan-out (default 1 = serial; results are bit-identical "
              "for any value)",
@@ -656,7 +656,7 @@ def build_parser():
     p_qa.add_argument("--full", action="store_true",
                       help="full-length traces (slower)")
     p_qa.add_argument(
-        "--workers", type=int, default=1, metavar="N",
+        "--workers", type=_int_at_least(1), default=1, metavar="N",
         help="also check engine invariance at this worker count "
              "(scorecards must be bit-identical to the serial path)",
     )

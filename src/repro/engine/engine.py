@@ -131,9 +131,6 @@ class Engine:
         Minimum ndarray operand size routed through the shared-memory
         transport instead of the worker pickle pipe (``None`` = the
         :data:`repro.engine.shm.DEFAULT_MIN_BYTES` default).
-    persistent_pool:
-        ``False`` restores the pool-per-call lifecycle; exists only for
-        the ``BENCH_parallel.json`` comparison arm.
     backend:
         Compute-backend name (``"reference"`` | ``"vectorized"``) or a
         :class:`~repro.stats.backend.ComputeBackend`; ``None`` resolves
@@ -144,7 +141,7 @@ class Engine:
 
     def __init__(self, cache=True, workers=1, max_entries=None,
                  cache_dir=None, disk_max_bytes=None, shm_min_bytes=None,
-                 persistent_pool=True, backend=None):
+                 backend=None):
         #: The active ComputeBackend the DTW / KS hot paths dispatch
         #: through (bit-identical across backends by contract).
         self.backend = resolve_backend(backend)
@@ -164,9 +161,7 @@ class Engine:
             )
         self.cache = KernelCache(enabled=cache, max_entries=max_entries,
                                  disk=disk, metrics=self.metrics)
-        executor_kwargs = {"workers": workers,
-                           "persistent": persistent_pool,
-                           "metrics": self.metrics}
+        executor_kwargs = {"workers": workers, "metrics": self.metrics}
         if shm_min_bytes is not None:
             executor_kwargs["shm_min_bytes"] = shm_min_bytes
         self.executor = ParallelExecutor(**executor_kwargs)

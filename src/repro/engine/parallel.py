@@ -22,9 +22,8 @@ see DESIGN.md section 9):
 * **The pool is created lazily, once, and reused** across every ``map``
   call of the executor's lifetime. Trend scoring issues one fan-out per
   pending-event batch, K-means one per sweep, the subset search one per
-  candidate batch -- paying pool startup per *call* multiplied that
-  cost by the number of calls (the ``BENCH_parallel.json`` gate holds
-  the persistent pool to >= 2x over pool-per-call). Cleanup runs via
+  candidate batch -- paying pool startup per *call* would multiply
+  that cost by the number of calls. Cleanup runs via
   ``close()``/context-manager, and via :func:`weakref.finalize` when
   the executor is dropped or the interpreter exits.
 * **The start method is pinned to ``"spawn"``** on every platform. The
@@ -96,10 +95,6 @@ class ParallelExecutor:
     workers:
         Process count. ``1`` runs everything inline in the calling
         process (no pool is ever created); higher values fan out.
-    persistent:
-        Reuse one lazily-created pool across ``map`` calls (default).
-        ``False`` restores the pool-per-call lifecycle -- kept only as
-        the comparison arm of ``repro.engine.parallel_bench``.
     shm_min_bytes:
         Minimum ndarray operand size routed through shared memory
         instead of the pickle pipe (``0`` publishes everything).
@@ -110,8 +105,8 @@ class ParallelExecutor:
         counters; a private registry is created when omitted.
     """
 
-    def __init__(self, workers=1, persistent=True,
-                 shm_min_bytes=shm.DEFAULT_MIN_BYTES, metrics=None):
+    def __init__(self, workers=1, shm_min_bytes=shm.DEFAULT_MIN_BYTES,
+                 metrics=None):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if metrics is None:
@@ -119,7 +114,6 @@ class ParallelExecutor:
 
             metrics = MetricsRegistry()
         self.workers = workers
-        self.persistent = persistent
         self.shm_min_bytes = shm_min_bytes
         self.metrics = metrics
         self._pool = None
@@ -218,32 +212,14 @@ class ParallelExecutor:
                     for args in arg_tuples
                 ]
                 chunksize = self._chunksize(len(payloads))
-                if self.persistent:
-                    pool = self._ensure_pool()
-                    try:
-                        results = list(pool.map(_invoke, payloads,
-                                                chunksize=chunksize))
-                    except BrokenProcessPool:
-                        self._pool_broken.inc()
-                        self._dispose_pool()
-                        raise
-                else:
-                    from concurrent.futures import ProcessPoolExecutor
-
-                    # The comparison arm must count worker crashes too:
-                    # metrics parity with the persistent branch (the
-                    # with-block already disposes the one-shot pool).
-                    with ProcessPoolExecutor(
-                        max_workers=self.workers,
-                        mp_context=multiprocessing.get_context(START_METHOD),
-                    ) as pool:
-                        self._pool_created.inc()
-                        try:
-                            results = list(pool.map(_invoke, payloads,
-                                                    chunksize=chunksize))
-                        except BrokenProcessPool:
-                            self._pool_broken.inc()
-                            raise
+                pool = self._ensure_pool()
+                try:
+                    results = list(pool.map(_invoke, payloads,
+                                            chunksize=chunksize))
+                except BrokenProcessPool:
+                    self._pool_broken.inc()
+                    self._dispose_pool()
+                    raise
                 return self._unship(results, map_span.sid)
             finally:
                 # End of generation: segments published for this call

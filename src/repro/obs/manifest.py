@@ -80,9 +80,9 @@ def git_describe(cwd=None):
 
     Memoized per (process, cwd): manifests are built per run, and a
     daemon recording history builds one per served request -- a
-    subprocess spawn each would dwarf the recording cost the
-    ``bench-history`` gate bounds. The tree state a process started
-    from is the honest provenance for everything it computes anyway.
+    subprocess spawn each would dwarf the cost of recording itself.
+    The tree state a process started from is the honest provenance for
+    everything it computes anyway.
     """
     if cwd in _GIT_DESCRIBE_CACHE:
         return _GIT_DESCRIBE_CACHE[cwd]

@@ -8,8 +8,8 @@ rules that make it safe to leave permanently wired into the hot paths:
   no tracer is installed it returns a shared no-op handle whose
   ``__enter__``/``__exit__``/``set`` do nothing. No span object, no
   timestamps, no allocation beyond the (empty) kwargs dict at the call
-  site. The ``BENCH_obs.json`` gate holds this path under 1% of a full
-  score run.
+  site. The end-to-end benchmark reports what tracing costs as the
+  ``bench.trace_overhead_pct`` per-layer metric.
 * **Observe, never perturb.** Instrumented code must not branch on
   tracing state, draw RNG values for span ids, or read wall-clock time
   in a way that feeds results. Span ids are sequential per tracer;

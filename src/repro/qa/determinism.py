@@ -440,6 +440,27 @@ def check_search_determinism(matrix, subset_size=4, n_candidates=8,
     )
 
 
+def synthetic_matrix(seed, n_workloads, n_events, length):
+    """A seeded random CounterMatrix with per-workload series, for
+    checks that need scores but no simulation."""
+    from repro.core.matrix import CounterMatrix
+
+    rng = np.random.default_rng(seed)
+    workloads = tuple(f"wl{i:02d}" for i in range(n_workloads))
+    events = tuple(f"ev{i}" for i in range(n_events))
+    series = {
+        e: [rng.uniform(0.0, 10.0, size=length) for _ in workloads]
+        for e in events
+    }
+    return CounterMatrix(
+        workloads=workloads,
+        events=events,
+        values=rng.uniform(1.0, 100.0, size=(n_workloads, n_events)),
+        series=series,
+        suite_name="synthetic",
+    )
+
+
 def _default_subject(seed, quick):
     """A synthetic suite exercising all four scores through the full
     simulate-measure-score stack."""
@@ -497,11 +518,9 @@ def main(argv=None):
         # bit-identity contract; cover `subset --search` (swap
         # refinement, cache off, workers=N, disk-cold/disk-warm) on a
         # small synthetic matrix.
-        from repro.engine.bench import build_subject
-
         search_report = check_search_determinism(
-            build_subject(seed=args.seed, n_workloads=10, n_events=3,
-                          length=32),
+            synthetic_matrix(seed=args.seed, n_workloads=10, n_events=3,
+                             length=32),
             seed=args.seed, workers=args.workers, cache_dir=tmp,
             backend=args.backend,
         )

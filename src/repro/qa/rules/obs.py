@@ -18,9 +18,9 @@ breaks both, so two shapes are flagged in library code:
   surface.
 
 Exempt: tests/examples/benchmarks, the ``obs`` package itself (it is
-the clock's home), ``cli.py``, ``*bench`` driver modules, ``main()``
-entry points and ``if __name__ == "__main__":`` blocks (those *are*
-CLI surface), and prints that route an explicit ``file=`` stream.
+the clock's home), ``cli.py``, ``main()`` entry points and
+``if __name__ == "__main__":`` blocks (those *are* CLI surface), and
+prints that route an explicit ``file=`` stream.
 """
 
 from __future__ import annotations
@@ -62,9 +62,7 @@ class ObsDiscipline(Rule):
     def applies_to(self, ctx):
         if ctx.in_directory("tests", "examples", "benchmarks", "obs"):
             return False
-        if ctx.path.name == "cli.py" or ctx.path.stem.endswith("bench"):
-            return False
-        return True
+        return ctx.path.name != "cli.py"
 
     def check(self, tree, ctx):
         guarded = set()  # nodes inside a __main__ guard: fully exempt

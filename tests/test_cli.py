@@ -99,6 +99,23 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "--size" in err or "--search" in err
 
+    @pytest.mark.parametrize("command", [
+        ["score", "nbench"], ["compare", "nbench", "lmbench"],
+        ["subset", "lmbench"], ["experiment", "fig2"], ["serve"], ["qa"],
+    ])
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_is_usage_error(self, command, workers,
+                                              capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--quick"] + command + ["--workers", workers])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert "--workers" in errors[0]
+
     def test_subset_size_above_suite_exits_before_measuring(
             self, capsys, monkeypatch):
         def measure(*args, **kwargs):

@@ -53,13 +53,6 @@ class TestPoolLifecycle:
         assert second <= pool_pids  # ...and no fresh process appeared
         assert os.getpid() not in first | second
 
-    def test_pool_per_call_spawns_fresh_workers(self):
-        with ParallelExecutor(workers=2, persistent=False) as ex:
-            first = set(ex.map(_pid_task, [(i,) for i in range(8)]))
-            second = set(ex.map(_pid_task, [(i,) for i in range(8)]))
-        assert ex._pool is None  # never created a persistent pool
-        assert first.isdisjoint(second)
-
     def test_worker_exception_does_not_wedge_pool(self):
         with ParallelExecutor(workers=2) as ex:
             ex.map(_pid_task, [(i,) for i in range(8)])
@@ -82,17 +75,6 @@ class TestPoolLifecycle:
             assert os.getpid() not in set(
                 ex.map(_pid_task, [(i,) for i in range(8)])
             )
-
-    def test_worker_death_counts_pool_broken_non_persistent(self):
-        from concurrent.futures.process import BrokenProcessPool
-
-        with ParallelExecutor(workers=2, persistent=False) as ex:
-            with pytest.raises(BrokenProcessPool):
-                ex.map(_exit_task, [(i,) for i in range(8)])
-            # metrics parity with the persistent arm: the crash is
-            # counted even though the with-block disposed the pool
-            assert ex.metrics.counter("pool_broken").value == 1
-            assert ex.metrics.counter("pool_created").value == 1
 
     def test_close_is_idempotent_and_context_manager_closes(self):
         ex = ParallelExecutor(workers=2)

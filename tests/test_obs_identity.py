@@ -1,8 +1,9 @@
 """The observe-never-perturb contract, end to end: scoring with a span
-tracer installed must be bit-identical to scoring without one -- serial,
-fanned across worker processes, and against a warm disk tier -- and the
-collected span tree must be well-formed, with worker spans re-parented
-under their dispatching ``parallel.map`` span."""
+tracer or a run-history recorder installed must be bit-identical to
+scoring without one -- serial, fanned across worker processes, and
+against a warm disk tier -- and the collected span tree must be
+well-formed, with worker spans re-parented under their dispatching
+``parallel.map`` span."""
 
 import os
 
@@ -12,8 +13,11 @@ import pytest
 from repro.core.matrix import CounterMatrix
 from repro.core.perspector import PerspectorConfig
 from repro.engine import Engine
+from repro.obs import history as obs_history
 from repro.obs import trace as obs_trace
+from repro.obs.manifest import build_manifest
 from repro.qa.determinism import diff_scorecards
+from repro.service.protocol import decode_scorecard
 
 
 def fixture_matrix(seed=0, n_workloads=6, n_events=3, length=30):
@@ -36,18 +40,39 @@ def fixture_matrix(seed=0, n_workloads=6, n_events=3, length=30):
 @pytest.fixture(autouse=True)
 def _no_ambient_tracer():
     obs_trace.uninstall()
+    obs_history.uninstall_recorder()
     yield
     obs_trace.uninstall()
+    obs_history.uninstall_recorder()
 
 
-def score_once(traced, **engine_kwargs):
-    """One fresh-engine scoring run; returns (scorecard, spans)."""
+def score_once(traced, history_dir=None, **engine_kwargs):
+    """One fresh-engine scoring run; returns (scorecard, spans).
+
+    With ``history_dir`` a history recorder is installed as well, and
+    the run's record is appended to the store there, as
+    ``--history-dir`` does."""
     engine = Engine(**engine_kwargs)
     tracer = obs_trace.install(obs_trace.Tracer()) if traced else None
+    recorder = (None if history_dir is None
+                else obs_history.install_recorder())
     try:
         card = engine.score_matrix(fixture_matrix(), PerspectorConfig(),
                                    "all")
+        if recorder is not None:
+            obs_history.publish("scorecard", card)
+            obs_history.publish("metrics", engine.metrics.snapshot())
+            manifest = build_manifest(command="score", argv=[],
+                                      config={"subject": "obs-fixture"})
+            obs_history.HistoryStore(history_dir).append(
+                obs_history.build_record(
+                    "score", manifest, recorder,
+                    spans=tracer.spans() if traced else None,
+                )
+            )
     finally:
+        if recorder is not None:
+            obs_history.uninstall_recorder()
         if traced:
             obs_trace.uninstall()
         engine.close()
@@ -81,6 +106,18 @@ class TestBitIdentity:
         tiers = {s.attrs.get("tier") for s in spans
                  if s.name == "cache.lookup"}
         assert "disk" in tiers  # the warm run was actually served by disk
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_recording(self, tmp_path, workers):
+        plain, _ = score_once(traced=False)
+        recorded, _ = score_once(traced=True, history_dir=tmp_path,
+                                 workers=workers)
+        assert diff_scorecards(plain, recorded) == []
+        # The record itself carries the same bits.
+        store = obs_history.HistoryStore(tmp_path)
+        (run_id,) = store.run_ids()
+        stored = decode_scorecard(store.load(run_id)["scorecards"][0])
+        assert diff_scorecards(plain, stored) == []
 
     def test_tracing_does_not_perturb_engine_counters(self):
         plain, _ = score_once(traced=False)

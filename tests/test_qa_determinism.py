@@ -17,6 +17,7 @@ from repro.qa.determinism import (
     check_search_determinism,
     diff_scorecards,
     diff_search_results,
+    synthetic_matrix,
 )
 
 
@@ -125,10 +126,8 @@ class TestDiffScorecards:
 
 class TestSearchDeterminism:
     def _matrix(self, seed=0):
-        from repro.engine.bench import build_subject
-
-        return build_subject(seed=seed, n_workloads=8, n_events=2,
-                             length=16)
+        return synthetic_matrix(seed=seed, n_workloads=8, n_events=2,
+                                length=16)
 
     def test_search_runs_are_bit_identical(self):
         report = check_search_determinism(self._matrix(), subset_size=4,

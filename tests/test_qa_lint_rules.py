@@ -526,11 +526,13 @@ class TestObsDiscipline:
     def test_cli_and_bench_modules_exempt(self):
         source = "import time\nt0 = time.perf_counter()\nprint(t0)\n"
         assert lint(source, path="src/repro/cli.py") == []
-        assert lint(source, path="src/repro/engine/subset_bench.py") == []
         assert lint(source, path="src/repro/obs/manifest.py") == []
         assert lint(source, path="tests/test_thing.py") == []
-        assert rule_ids(lint(source, path="src/repro/core/thing.py")) == \
-            ["obs-discipline", "obs-discipline"]
+        # A module named like a bench driver gets no carve-out.
+        for path in ("src/repro/core/thing.py",
+                     "src/repro/engine/subset_bench.py"):
+            assert rule_ids(lint(source, path=path)) == \
+                ["obs-discipline", "obs-discipline"]
 
     def test_suppression(self):
         findings = lint("""\
