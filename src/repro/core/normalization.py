@@ -166,21 +166,35 @@ def normalize_series_set(series_list, n_points=100, cdf="quantized"):
     lo, hi = float(stacked.min()), float(stacked.max())
     span = hi - lo
     global_step = span / CDF_QUANT_LEVELS
-    out = []
-    for s in series_list:
-        own_mean = abs(float(s.mean()))
-        # Resolution floor per series: 1/Q of the event's cross-set range,
-        # a relative fraction of the series' own level, and twice the
-        # Poisson shot noise of the counts -- variation below any of
-        # these is measurement noise, not phase signal. (Since the CDF is
-        # taken per series, quantization only needs to create ties within
-        # a series; per-series steps do not break comparability.)
-        step = max(global_step,
-                   own_mean * CDF_RELATIVE_FLOOR,
-                   2.0 * np.sqrt(own_mean))
-        if step == 0:
-            out.append(np.full(n_points, 100.0))
-            continue
-        quantized = np.floor((s - lo) / step)
-        out.append(normalize_series(quantized, n_points=n_points))
-    return out
+    # Resolution step per series: 1/Q of the event's cross-set range, or
+    # the series' own floor when that is coarser. (Since the CDF is
+    # taken per series, quantization only needs to create ties within a
+    # series; per-series steps do not break comparability.)
+    return [
+        normalize_quantized(s, lo, max(global_step, quantization_floor(s)),
+                            n_points=n_points)
+        for s in series_list
+    ]
+
+
+def quantization_floor(series):
+    """One raveled series' own resolution floor for the quantized CDF:
+    a relative fraction of its level and twice the Poisson shot noise of
+    its counts -- variation below either is measurement noise, not phase
+    signal. Depends on the series alone, so callers may compute it once
+    per series."""
+    own_mean = abs(float(series.mean()))
+    return max(own_mean * CDF_RELATIVE_FLOOR, 2.0 * np.sqrt(own_mean))
+
+
+def normalize_quantized(series, lo, step, n_points=100):
+    """The ``"quantized"`` reading of :func:`normalize_series_set` for one
+    raveled series, given the set minimum ``lo`` and the series' step
+    (``max`` of the set's global step and :func:`quantization_floor`).
+
+    The result depends on nothing else, so a caller that normalizes the
+    same series under the same ``(lo, step)`` many times (the subset
+    evaluator's fallback path) may memoize it under that pair."""
+    if step == 0:
+        return np.full(n_points, 100.0)
+    return normalize_series(np.floor((series - lo) / step), n_points=n_points)

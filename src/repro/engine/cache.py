@@ -34,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import sys
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 #: Sentinel distinguishing "missing" from a cached ``None``.
@@ -115,6 +116,20 @@ def array_digest(array):
     return h.hexdigest()
 
 
+def pair_key(digest_a, digest_b, band):
+    """Key of one DTW pair from the two series' :func:`array_digest` values.
+
+    DTW accumulation is exactly symmetric (minimum is commutative,
+    additions see the same operands), so the digests are sorted and
+    both orientations share one entry. The key is a plain tuple, not a
+    hash: pair entries are memory-only (one file per float would drown
+    the disk tier), and a pass over a few thousand pairs should not
+    re-hash what the digests already name."""
+    if digest_b < digest_a:
+        digest_a, digest_b = digest_b, digest_a
+    return ("dtw-pair", digest_a, digest_b, band)
+
+
 @dataclass(frozen=True)
 class CacheStats:
     """Hit/miss counters of a :class:`KernelCache`.
@@ -194,6 +209,7 @@ class KernelCache:
         self.disk = disk if self.enabled else None
         self.metrics = metrics
         self._store = OrderedDict()
+        self._memory_only = False
         self._hits = metrics.counter("cache_hits")
         self._misses = metrics.counter("cache_misses")
 
@@ -218,7 +234,7 @@ class KernelCache:
             self._store.move_to_end(key)
             return self._store[key], TIER_MEMORY
         self._misses.inc()
-        if disk and self.disk is not None:
+        if disk and self.disk is not None and not self._memory_only:
             value = self.disk.get(key)
             if value is not MISS:
                 return self._remember(key, value), TIER_DISK
@@ -237,9 +253,26 @@ class KernelCache:
         through to the disk tier unless ``disk=False``."""
         if self.enabled:
             self._remember(key, value)
-            if disk and self.disk is not None:
+            if disk and self.disk is not None and not self._memory_only:
                 self.disk.put(key, value)
         return value
+
+    @contextmanager
+    def memory_only(self):
+        """Treat every lookup and put inside the block as ``disk=False``.
+
+        For intermediates computed through shared kernels whose callers
+        cannot pass ``disk=False`` themselves: the subset evaluator
+        scores each candidate inside this block, so the candidate's
+        K-means labels and silhouette distances stay in memory while
+        its whole report persists (DESIGN.md section 8). Not
+        re-entrant across threads; the engine's callers are
+        single-threaded."""
+        saved, self._memory_only = self._memory_only, True
+        try:
+            yield
+        finally:
+            self._memory_only = saved
 
     def _remember(self, key, value):
         """Memory-tier insert + LRU bound (no disk side effects)."""

@@ -18,10 +18,21 @@ the same. A change to any of them that moves a pinned bit must bump
 :data:`FORMAT_VERSION`, which orphans every existing entry (``make
 rebless`` prints that reminder when ``tests/data`` moves).
 
+**What persists.** Results a later run asks for: full-suite kernel
+results, measured suites, whole scorecards and a subset search's
+per-candidate :class:`~repro.core.subset.SubsetReport`. Intermediates
+used once stay in memory: DTW pairs (one file per float would drown
+the tier) and everything a subset candidate computes on the way to its
+report -- its normalized series, DTW matrices, K-means labels and
+silhouette distances (the subset evaluator scores candidates under
+:meth:`~repro.engine.cache.KernelCache.memory_only`). Writing those
+cost more than recomputing them, and almost none were read back.
+
 **Payloads** are scalars, ndarrays, flat sequences of ndarrays,
 :class:`~repro.core.matrix.CounterMatrix` (the measured suites
-themselves, so a warm CLI run skips simulation) and
-:class:`~repro.core.report.SuiteScorecard`. Every file is
+themselves, so a warm CLI run skips simulation),
+:class:`~repro.core.report.SuiteScorecard` and
+:class:`~repro.core.subset.SubsetReport`. Every file is
 
 * one JSON header line -- magic, :data:`FORMAT_VERSION`, payload
   metadata, array count (a version bump orphans old entries: they read
@@ -34,7 +45,9 @@ Scalars are stored as 0-d float64/int64 arrays, so round-trips are
 bit-exact. A scorecard has no arrays at all: its header carries
 :func:`repro.service.protocol.scorecard_record`, every float as its
 IEEE-754 hex bits, so reading one back needs neither numpy nor the
-simulator (the disk-warm ``repro score`` path). Values outside the
+simulator (the disk-warm ``repro score`` path). A subset report is
+stored the same way, through
+:func:`repro.service.protocol.subset_report_record`. Values outside the
 payload grammar (kernel-result dataclasses, ...) are simply not
 persisted (:func:`encode` returns ``None``) and recomputed --
 correctness never depends on the tier.
@@ -69,6 +82,7 @@ import hashlib
 import itertools
 import json
 import os
+import sys
 import time
 
 from repro.engine.cache import MISS
@@ -142,6 +156,13 @@ def encode(value):
         from repro.service.protocol import scorecard_record
 
         return {"type": "scorecard", "card": scorecard_record(value)}, []
+    # Only a process that imported repro.core.subset can hold a report.
+    subset = sys.modules.get("repro.core.subset")
+    if subset is not None and isinstance(value, subset.SubsetReport):
+        from repro.service.protocol import subset_report_record
+
+        return {"type": "subset-report",
+                "report": subset_report_record(value)}, []
     if isinstance(value, CounterMatrix):
         arrays = [value.values]
         counts = {}
@@ -179,6 +200,10 @@ def decode(meta, arrays):
         from repro.service.protocol import decode_stored_scorecard
 
         return decode_stored_scorecard(meta["card"])
+    if kind == "subset-report":
+        from repro.service.protocol import decode_subset_report
+
+        return decode_subset_report(meta["report"])
     if kind == "counter-matrix":
         from repro.core.matrix import CounterMatrix
 
@@ -277,7 +302,12 @@ class DiskCache:
         path = self._path(key)
         try:
             with open(path, "rb") as f:
-                header = json.loads(f.readline().decode("utf-8"))
+                line = f.readline()
+                if not line.endswith(b"\n"):
+                    # An entry without arrays is its header alone, so
+                    # the newline is what tells it from a truncation.
+                    raise ValueError("truncated header")
+                header = json.loads(line.decode("utf-8"))
                 if header.get("magic") != _MAGIC:
                     raise ValueError("bad magic")
                 if header.get("version") != FORMAT_VERSION:

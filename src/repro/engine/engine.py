@@ -9,7 +9,9 @@ capabilities without changing a single output bit:
   decompositions (via whole CoverageScore results) and per-k K-means
   labels are cached under content-addressed keys. Focused re-scoring,
   subset fidelity checks and repeated experiment runs hit the cache
-  instead of recomputing.
+  instead of recomputing. The missing DTW pairs of one or several
+  matrices go to the backend in one deduplicated batch
+  (:meth:`Engine.dtw_matrices`).
 * **Parallel fan-out** (:mod:`repro.engine.parallel`): per-event DTW
   matrices, the per-k K-means sweep and per-suite comparison scoring
   fan across a process pool when ``workers > 1``. Results are
@@ -47,6 +49,7 @@ from repro.engine.cache import (
     KernelCache,
     array_digest,
     content_key,
+    pair_key,
 )
 from repro.engine.parallel import ParallelExecutor
 from repro.obs.metrics import MetricsRegistry
@@ -257,42 +260,98 @@ class Engine:
         cached = self._cached("dtw-matrix", mkey)
         if cached is not MISS:
             return cached
-        n = len(arrays)
-        out = np.zeros((n, n))
-        if n < 2:
-            return self.cache.put(mkey, out)
+        return self._fill_dtw_matrix(arrays, mkey, band)
+
+    def _fill_dtw_matrix(self, arrays, mkey, band):
+        """Compute (reusing cached pairs) and store the matrix of
+        validated ``arrays`` whose ``mkey`` lookup missed."""
         digests = [array_digest(a) for a in arrays]
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        # DTW accumulation is exactly symmetric (minimum is commutative,
-        # additions see the same operands), so pairs are keyed on the
-        # sorted digest pair and shared across orientations. Pair
-        # entries stay memory-only (disk=False): one file per float
-        # would drown the disk tier, and the matrix above them persists.
-        pkeys = [
-            content_key("dtw-pair", *sorted((digests[i], digests[j])), band)
-            for i, j in pairs
-        ]
-        values = [self.cache.lookup(k, disk=False) for k in pkeys]
-        missing = [p for p, v in enumerate(values) if v is MISS]
-        if missing:
-            idx_i = np.array([pairs[p][0] for p in missing])
-            idx_j = np.array([pairs[p][1] for p in missing])
-            fresh = self.backend.pair_distances(arrays, idx_i, idx_j, band)
-            for p, value in zip(missing, fresh):
-                values[p] = self.cache.put(pkeys[p], float(value),
-                                           disk=False)
-        self._pair_digests.update(digests)
-        for (i, j), value in zip(pairs, values):
-            out[i, j] = value
-            out[j, i] = value
+        (out,), _computed = self.dtw_matrices([(arrays, digests)], band)
         return self.cache.put(mkey, out)
+
+    def dtw_matrices(self, sets, band=None):
+        """Pairwise DTW matrices of several series sets, from at most
+        one backend kernel call.
+
+        ``sets`` holds ``(arrays, digests)`` pairs: validated series and
+        their :func:`~repro.engine.cache.array_digest`, which the caller
+        computes once (the subset evaluator memoizes them per series).
+        Pairs already in the pair store are reused; the missing ones are
+        deduplicated by :func:`~repro.engine.cache.pair_key` across all
+        sets, so each distinct pair reaches the kernel once, and go to
+        one ``pair_distances`` call. The kernel is elementwise over the
+        pair axis, so no bit depends on the batching -- as long as the
+        batch takes the same kernel path each set would alone, which is
+        why several sets must share one 1-D length (the equal-length
+        fast path is chosen per call).
+
+        Returns
+        -------
+        (list[numpy.ndarray], int)
+            One symmetric matrix per set, and how many pairs the kernel
+            computed.
+        """
+        if len(sets) > 1:
+            lengths = {a.shape for arrays, _digests in sets for a in arrays}
+            if len(lengths) > 1 or any(len(shape) != 1 for shape in lengths):
+                raise ValueError(
+                    "dtw_matrices batches several sets only over 1-D "
+                    f"series of one length, got shapes {sorted(lengths)}"
+                )
+        # Every distinct series of the batch rides along, not only those
+        # in missing pairs: for one set this is the argument list
+        # dtw_matrix always passed, so the kernel path cannot change.
+        rows, row_of = [], {}
+        known, missing = {}, {}
+        set_keys = []
+        for arrays, digests in sets:
+            for a, d in zip(arrays, digests):
+                if d not in row_of:
+                    row_of[d] = len(rows)
+                    rows.append(a)
+            n = len(arrays)
+            keys = []
+            for i in range(n):
+                for j in range(i + 1, n):
+                    key = pair_key(digests[i], digests[j], band)
+                    keys.append(key)
+                    if key in known or key in missing:
+                        continue
+                    # Pair entries stay memory-only (disk=False): one
+                    # file per float would drown the disk tier, and the
+                    # matrices above them persist.
+                    value = self.cache.lookup(key, disk=False)
+                    if value is MISS:
+                        missing[key] = (row_of[digests[i]],
+                                        row_of[digests[j]])
+                    else:
+                        known[key] = value
+            set_keys.append(keys)
+            self._pair_digests.update(digests)
+        if missing:
+            idx = np.array(list(missing.values())).reshape(-1, 2)
+            fresh = self.backend.pair_distances(rows, idx[:, 0], idx[:, 1],
+                                                band)
+            for key, value in zip(missing, fresh):
+                known[key] = self.cache.put(key, float(value), disk=False)
+        matrices = []
+        for (arrays, _digests), keys in zip(sets, set_keys):
+            n = len(arrays)
+            out = np.zeros((n, n))
+            if n > 1:
+                idx_i, idx_j = np.triu_indices(n, k=1)
+                values = [known[key] for key in keys]
+                out[idx_i, idx_j] = values
+                out[idx_j, idx_i] = values
+            matrices.append(out)
+        return matrices, len(missing)
 
     def dtw_pair(self, a, b, band=None):
         """Cached DTW distance of one pair, sharing the pair store with
         :meth:`dtw_matrix` (and computed by the same kernel family)."""
         arrays = validate_series_list([a, b])
         digests = [array_digest(s) for s in arrays]
-        pkey = content_key("dtw-pair", *sorted(digests), band)
+        pkey = pair_key(digests[0], digests[1], band)
         value = self.cache.lookup(pkey, disk=False)
         if value is not MISS:
             return value
@@ -311,10 +370,8 @@ class Engine:
         n = len(norm)
         for i in range(n):
             for j in range(i + 1, n):
-                pkey = content_key(
-                    "dtw-pair", *sorted((digests[i], digests[j])), band,
-                )
-                self.cache.put(pkey, float(dmatrix[i, j]), disk=False)
+                self.cache.put(pair_key(digests[i], digests[j], band),
+                               float(dmatrix[i, j]), disk=False)
         self._pair_digests.update(digests)
         self.cache.put(
             content_key("dtw-matrix", tuple(norm), band), dmatrix,
@@ -352,13 +409,19 @@ class Engine:
                 pending.append((event, arrays, nkey, True))
                 continue
             mkey = content_key("dtw-matrix", tuple(norm), band)
-            if self.cache.peek(mkey) is MISS and not self._any_pair_cached(
-                    norm, band):
-                # Normalization known but DTW entirely cold: the matrix
-                # is the expensive half, so it still goes to the pool.
-                pending.append((event, norm, None, False))
-                continue
-            values[event] = self._tscore(self.dtw_matrix(norm, band=band))
+            # Memory, then disk: a disk-warm run reads the matrix back
+            # instead of recomputing every pair.
+            dmatrix = self._cached("dtw-matrix", mkey)
+            if dmatrix is MISS:
+                if not self._any_pair_cached(norm, band):
+                    # Normalization known but DTW entirely cold: the
+                    # matrix is the expensive half, so it still goes to
+                    # the pool.
+                    pending.append((event, norm, None, False))
+                    continue
+                dmatrix = self._fill_dtw_matrix(
+                    validate_series_list(norm), mkey, band)
+            values[event] = self._tscore(dmatrix)
         if pending:
             results = self.executor.map(
                 _trend_event_task,
@@ -392,9 +455,7 @@ class Engine:
         if len(known) < 2:
             return False
         return any(
-            self.cache.peek(content_key(
-                "dtw-pair", *sorted((known[i], known[j])), band,
-            )) is not MISS
+            self.cache.peek(pair_key(known[i], known[j], band)) is not MISS
             for i in range(len(known)) for j in range(i + 1, len(known))
         )
 

@@ -20,17 +20,25 @@ slicing:
   DESIGN.md section 8 for the exact condition), the subset's pairwise
   DTW matrix is the sliced submatrix of the full one, and ``TScore_z``
   is its off-diagonal mean. Where the condition fails, the evaluator
-  falls back to the engine's cached per-pair path and records which
-  path ran in ``SubsetReport.details['trend_paths']``;
+  falls back to recomputing the event -- every fallback event of one
+  candidate in a single DTW kernel call, from per-series normalizations
+  memoized under ``(event, row, lo, step)`` -- and records which path
+  ran in ``SubsetReport.details['trend_paths']``;
 * **ClusterScore / CoverageScore** depend on the subset *jointly*
   (K-means and PCA re-fit), so they re-run -- but on the already-sliced
   normalized rows, through the shared :class:`~repro.engine.Engine`
-  cache, whose content-addressed keys make repeats across candidates
-  (and across evaluator instances) free. The silhouette distance
-  matrix is deliberately *not* sliced: BLAS-backed Euclidean distances
-  are shape-dependent at the ULP level, so slicing would break bit
-  identity (measured; see DESIGN.md section 8). Recomputing it on the
-  tiny subset is microseconds and exact by construction.
+  cache (memory tier only), whose content-addressed keys make repeats
+  across candidates (and across evaluator instances) free. The
+  silhouette distance matrix is deliberately *not* sliced: BLAS-backed
+  Euclidean distances are shape-dependent at the ULP level, so slicing
+  would break bit identity (measured; see DESIGN.md section 8).
+  Recomputing it on the tiny subset is microseconds and exact by
+  construction.
+
+With a disk tier, what persists is each candidate's whole report
+(through the wire codec, keyed by one evaluator digest plus the
+candidate's row order), not its intermediates, so a disk-warm search
+computes no DTW pair (DESIGN.md section 8).
 
 Every sliced score is **bit-identical** to the from-scratch
 shared-bounds path -- the sliced trend path is only taken when the
@@ -56,8 +64,9 @@ import numpy as np
 from repro.core.matrix import CounterMatrix
 from repro.core.normalization import (
     CDF_QUANT_LEVELS,
-    CDF_RELATIVE_FLOOR,
+    normalize_quantized,
     normalize_series_set,
+    quantization_floor,
 )
 from repro.core.subset import (
     LHSSubsetGenerator,
@@ -65,7 +74,7 @@ from repro.core.subset import (
     random_subset_names,
     report_from_scores,
 )
-from repro.engine.cache import content_key
+from repro.engine.cache import MISS, array_digest, content_key
 from repro.engine.engine import Engine
 from repro.obs.trace import span
 from repro.stats.preprocessing import minmax_normalize
@@ -94,12 +103,14 @@ class _TrendEventKernel:
     """Precomputed full-suite trend state for one event.
 
     ``dmatrix`` is the full pairwise DTW matrix over the normalized
-    series; the remaining fields are the per-series statistics the
-    slice-exactness test needs (all over the *raveled* raw series,
-    exactly as :func:`normalize_series_set` sees them).
+    series; ``series`` holds the *raveled* raw series, exactly as
+    :func:`normalize_series_set` sees them, and the remaining fields are
+    their per-series statistics, which the slice-exactness test and the
+    fallback's per-series normalization share.
     """
 
     dmatrix: np.ndarray
+    series: tuple
     mins: np.ndarray
     maxs: np.ndarray
     floors: np.ndarray
@@ -156,6 +167,10 @@ class SubsetEvaluator:
         self.cdf = cdf
         self._memo = {}
         self._index = {w: i for i, w in enumerate(matrix.workloads)}
+        #: (event, row, lo, step) -> (normalized series, its digest): a
+        #: fallback event re-normalizes only series it has not met
+        #: under that set minimum and step.
+        self._norm_series = {}
 
         with span("subset.precompute", suite=str(matrix.suite_name or ""),
                   workloads=matrix.n_workloads):
@@ -187,6 +202,16 @@ class SubsetEvaluator:
                 for event in self._events
             }
 
+            # Everything a report depends on besides the candidate's
+            # rows, hashed once: the disk tier keys each candidate's
+            # report by this plus its index order (see _report_key).
+            self._digest = content_key(
+                "subset-evaluator", values, tuple(matrix.workloads),
+                tuple(matrix.events),
+                {str(e): list(matrix.series[e]) for e in self._events},
+                seed, n_points, band, cdf, dict(full_scores),
+            )
+
     # -- precompute --------------------------------------------------------
 
     def _trend_kernel(self, series_list):
@@ -196,16 +221,15 @@ class SubsetEvaluator:
         arrays = [np.asarray(s, dtype=float) for s in series_list]
         norm = self._normalized_set(arrays)
         dmatrix = self.engine.dtw_matrix(norm, band=self.band)
-        raveled = [a.ravel() for a in arrays]
+        raveled = tuple(a.ravel() for a in arrays)
         mins = np.array([r.min() for r in raveled])
         maxs = np.array([r.max() for r in raveled])
-        means = np.array([abs(float(r.mean())) for r in raveled])
-        floors = np.maximum(means * CDF_RELATIVE_FLOOR,
-                            2.0 * np.sqrt(means))
+        floors = np.array([quantization_floor(r) for r in raveled])
         lo = float(mins.min())
         hi = float(maxs.max())
         return _TrendEventKernel(
             dmatrix=dmatrix,
+            series=raveled,
             mins=mins,
             maxs=maxs,
             floors=floors,
@@ -266,6 +290,20 @@ class SubsetEvaluator:
         the search driver to merge worker-pool results)."""
         self._memo[self._candidate_key(names)] = report
 
+    def recall(self, names):
+        """Whether a report for this candidate is already stored -- in
+        the evaluator's memo, the engine's memory tier or its disk tier
+        -- adopting it if so. Computes nothing: the search driver asks
+        before fanning candidates out to the worker pool."""
+        key = self._candidate_key(names)
+        if key not in self._memo:
+            report = self.engine._cached("subset-report",
+                                         self._report_key(key))
+            if report is MISS:
+                return False
+            self._memo[key] = report
+        return True
+
     def _candidate_key(self, names):
         key = tuple(self._index[w] for w in names)
         if len(set(key)) != len(key):
@@ -274,8 +312,20 @@ class SubsetEvaluator:
             raise ValueError("subsets need at least 2 workloads")
         return key
 
+    def _report_key(self, key):
+        """Cache key of one candidate's whole report: the evaluator
+        digest (matrix, seed, trend knobs, full scores) plus the
+        candidate's row order."""
+        return content_key("subset-report", self._digest, key)
+
     def evaluate(self, names):
         """Score one candidate subset (workload names, order-sensitive).
+
+        The evaluator's memo answers first, then a stored report (engine
+        memory, then the disk tier), and only then is the candidate
+        computed. A computed report is stored whole, disk included; its
+        intermediates (per-candidate K-means labels, silhouette
+        distances, normalized series, DTW pairs) stay in memory.
 
         Returns
         -------
@@ -291,64 +341,103 @@ class SubsetEvaluator:
             return self._memo[key]
 
         with span("subset.evaluate", size=len(key)) as sp:
-            idx = list(key)
-            k = len(idx)
-            x = self._base[idx]
-            subset_scores = {}
-            if k >= 4:
-                subset_scores["cluster"] = self.engine.cluster_score(
-                    x, seed=self.seed, normalize=False,
-                ).value
-            else:
-                subset_scores["cluster"] = float("nan")
-            subset_scores["coverage"] = self.engine.coverage_score(
-                x, normalize=False,
-            ).value
-            subset_scores["spread"] = float(
-                np.mean([self._row_spread[i] for i in idx])
-            )
-
-            details = {}
-            if self._events:
-                per_event = {}
-                paths = {}
-                for event in self._events:
-                    kernel = self._trend[event]
-                    if self._slice_exact(kernel, idx):
-                        sub = kernel.dmatrix[np.ix_(idx, idx)]
-                        per_event[event] = float(sub.sum() / (k * (k - 1)))
-                        paths[event] = "sliced"
-                    else:
-                        per_event[event] = self._fallback_event(event, idx)
-                        paths[event] = "fallback"
-                # Eq. 8 averages in event order; the summation order is
-                # part of the bit-identity contract.
-                subset_scores["trend"] = float(
-                    np.mean([per_event[e] for e in self._events])
-                )
-                details["trend_paths"] = paths
-                values = list(paths.values())
-                sp.set(sliced=values.count("sliced"),
-                       fallback=values.count("fallback"))
-            else:
-                subset_scores["trend"] = float("nan")
-
-            report = report_from_scores(names, self.full_scores,
-                                        subset_scores, details=details)
+            rkey = self._report_key(key)
+            report, tier = self.engine.cache.lookup_tier(rkey)
+            pairs = 0
+            if report is MISS:
+                with self.engine.cache.memory_only():
+                    report, pairs = self._compute(names, list(key))
+                self.engine.cache.put(rkey, report)
+            paths = list(report.details.get("trend_paths", {}).values())
+            sp.set(tier=tier, dtw_pairs=pairs, dtw_calls=int(pairs > 0),
+                   sliced=paths.count("sliced"),
+                   fallback=paths.count("fallback"))
             self._memo[key] = report
             return report
 
-    def _fallback_event(self, event, idx):
-        """``TScore_z`` of one event recomputed from the subset's raw
-        series -- the engine's cached per-pair path, run inline (no pool
-        round-trip per candidate)."""
-        arrays = [
-            np.asarray(self.matrix.series[event][i], dtype=float)
-            for i in idx
-        ]
-        norm = self._normalized_set(arrays)
-        dmatrix = self.engine.dtw_matrix(norm, band=self.band)
-        return Engine._tscore(dmatrix)
+    def _compute(self, names, idx):
+        """The candidate's report and how many DTW pairs it computed."""
+        k = len(idx)
+        x = self._base[idx]
+        subset_scores = {}
+        if k >= 4:
+            subset_scores["cluster"] = self.engine.cluster_score(
+                x, seed=self.seed, normalize=False,
+            ).value
+        else:
+            subset_scores["cluster"] = float("nan")
+        subset_scores["coverage"] = self.engine.coverage_score(
+            x, normalize=False,
+        ).value
+        subset_scores["spread"] = float(
+            np.mean([self._row_spread[i] for i in idx])
+        )
+
+        details = {}
+        pairs = 0
+        if self._events:
+            per_event = {}
+            paths = {}
+            fallback = []
+            for event in self._events:
+                kernel = self._trend[event]
+                if self._slice_exact(kernel, idx):
+                    sub = kernel.dmatrix[np.ix_(idx, idx)]
+                    per_event[event] = float(sub.sum() / (k * (k - 1)))
+                    paths[event] = "sliced"
+                else:
+                    fallback.append(event)
+                    paths[event] = "fallback"
+            if fallback:
+                matrices, pairs = self.engine.dtw_matrices(
+                    [self._fallback_set(event, idx) for event in fallback],
+                    band=self.band,
+                )
+                for event, dmatrix in zip(fallback, matrices):
+                    per_event[event] = Engine._tscore(dmatrix)
+            # Eq. 8 averages in event order; the summation order is
+            # part of the bit-identity contract.
+            subset_scores["trend"] = float(
+                np.mean([per_event[e] for e in self._events])
+            )
+            details["trend_paths"] = paths
+        else:
+            subset_scores["trend"] = float("nan")
+
+        report = report_from_scores(names, self.full_scores, subset_scores,
+                                    details=details)
+        return report, pairs
+
+    def _fallback_set(self, event, idx):
+        """The subset's normalized series of one fallback event and
+        their digests, ready for :meth:`Engine.dtw_matrices`.
+
+        Under ``"quantized"`` each series' normalization depends only on
+        the subset's minimum ``lo`` and the series' own step, so it is
+        memoized under ``(event, row, lo, step)`` -- the very arithmetic
+        :func:`normalize_series_set` runs, through the same per-series
+        helpers. Other readings normalize the set whole."""
+        kernel = self._trend[event]
+        if self.cdf != "quantized":
+            norm = normalize_series_set([kernel.series[i] for i in idx],
+                                        n_points=self.n_points,
+                                        cdf=self.cdf)
+            return norm, [array_digest(a) for a in norm]
+        sel = np.asarray(idx)
+        lo = float(kernel.mins[sel].min())
+        global_step = (float(kernel.maxs[sel].max()) - lo) / CDF_QUANT_LEVELS
+        arrays, digests = [], []
+        for i in idx:
+            step = max(global_step, kernel.floors[i])
+            mkey = (event, i, lo, float(step))
+            hit = self._norm_series.get(mkey)
+            if hit is None:
+                norm = normalize_quantized(kernel.series[i], lo, step,
+                                           n_points=self.n_points)
+                hit = self._norm_series[mkey] = (norm, array_digest(norm))
+            arrays.append(hit[0])
+            digests.append(hit[1])
+        return arrays, digests
 
 
 @dataclass(frozen=True)
@@ -549,15 +638,20 @@ class SubsetSearch:
     def _evaluate_all(self, candidates):
         """Evaluate candidates in order, fanning fresh ones out in
         contiguous batches across the engine's worker pool when
-        ``workers > 1``. Each worker builds an identical single-process
-        evaluator, so the merged reports are bit-identical to serial
-        evaluation."""
+        ``workers > 1``. Reports already stored (memory or disk tier)
+        are read back first, so only genuinely new candidates cost a
+        worker round-trip. Each worker builds an identical
+        single-process evaluator, so the merged reports are
+        bit-identical to serial evaluation."""
         candidates = [tuple(c) for c in candidates]
         engine = self.evaluator.engine
         fresh = []
         for names in candidates:
             if not self.evaluator.memoized(names) and names not in fresh:
                 fresh.append(names)
+        if engine.workers > 1 and len(fresh) > 1:
+            fresh = [names for names in fresh
+                     if not self.evaluator.recall(names)]
         if engine.workers > 1 and len(fresh) > 1:
             n_batches = min(engine.workers, len(fresh))
             size = -(-len(fresh) // n_batches)

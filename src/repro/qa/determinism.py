@@ -365,7 +365,8 @@ def check_search_determinism(matrix, subset_size=4, n_candidates=8,
     that many processes of the persistent spawn pool (plus a fanned run
     with shared-memory transport forced for every array); and when
     ``cache_dir`` is given, a disk-cold then a disk-warm run against
-    the on-disk cache tier. A non-reference ``backend`` pins the
+    the on-disk cache tier; the disk-warm run must also compute no DTW
+    pair at all. A non-reference ``backend`` pins the
     baseline to the reference backend and re-runs every variant under
     the requested one, as in :func:`check_determinism`.
 
@@ -402,11 +403,23 @@ def check_search_determinism(matrix, subset_size=4, n_candidates=8,
             for label, kwargs in variants
         ]
     for label, kwargs in variants:
+        counted = None
+        if label.endswith("disk-warm"):
+            kwargs, counted = _pair_counting(kwargs)
         result = run_once(**kwargs)
         mismatches.extend(
             f"[{label}] {m}"
             for m in diff_search_results(results[0], result)
         )
+        if counted is not None and sum(counted):
+            # Every full-suite kernel and every candidate report is on
+            # disk by now: a missing or undecodable entry shows up here
+            # instead of being silently recomputed.
+            mismatches.append(
+                f"[{label}] computed {sum(counted)} DTW pair(s); a "
+                f"disk-warm search must read every kernel and candidate "
+                f"report back"
+            )
         results.append(result)
     # Trace-on bit-identity + span-tree well-formedness, as in
     # check_determinism.
@@ -438,6 +451,28 @@ def check_search_determinism(matrix, subset_size=4, n_candidates=8,
         results=tuple(results),
         seed=seed,
     )
+
+
+def _pair_counting(engine_kwargs):
+    """``engine_kwargs`` with the backend swapped for one that records
+    the size of every DTW pair batch it computes, plus that record (a
+    list; empty while no pair was computed). It sees every call made
+    through the engine's own backend -- all candidate work and every
+    inline full-suite matrix fill -- but not trend-event pool tasks,
+    which look their backend up by name even when run inline."""
+    import dataclasses
+
+    from repro.stats.backend import resolve_backend
+
+    backend = resolve_backend(engine_kwargs.get("backend"))
+    counted = []
+
+    def pair_distances(arrays, idx_i, idx_j, band=None):
+        counted.append(len(idx_i))
+        return backend.pair_distances(arrays, idx_i, idx_j, band)
+
+    counting = dataclasses.replace(backend, pair_distances=pair_distances)
+    return dict(engine_kwargs, backend=counting), counted
 
 
 def synthetic_matrix(seed, n_workloads, n_events, length):

@@ -23,9 +23,11 @@ Every response also carries ``rendered``: the exact ``str()`` text the
 CLI would have printed, so ``repro client score`` emits byte-for-byte
 what ``repro score`` does.
 
-The same codec persists whole scorecards in the disk tier
-(:func:`scorecard_record` / :func:`decode_stored_scorecard`), so the
-wire, the run history and the disk share one bit encoding. The module
+The same codec persists whole scorecards and subset-search candidate
+reports in the disk tier (:func:`scorecard_record` /
+:func:`decode_stored_scorecard`, :func:`subset_report_record` /
+:func:`decode_subset_report`), so the wire, the run history and the
+disk share one bit encoding. The module
 imports numpy only to encode arrays: a disk-warm ``repro score``
 decodes its scorecard without it.
 """
@@ -273,16 +275,64 @@ def encode_comparison(comparison):
     }
 
 
-def encode_subset_report(report):
-    """JSON-safe dict for a :class:`~repro.core.subset.SubsetReport`."""
-    return {
+def subset_report_record(report):
+    """The bit-exact core of :func:`encode_subset_report`: selection,
+    scores, deviations and the per-event trend paths, without the
+    ``rendered`` text. This is the disk tier's subset-report entry;
+    :func:`decode_subset_report` reads it back.
+
+    JSON maps lose their order in a sorted dump, so the order the
+    report prints its scores in rides along as ``score_order``, and the
+    trend paths travel as ``[event, path]`` pairs in event order."""
+    payload = {
         "selected": [str(w) for w in report.selected],
-        "rendered": str(report),
+        "score_order": [str(name) for name in report.full_scores],
         "full_score_bits": _bits_map(report.full_scores),
         "subset_score_bits": _bits_map(report.subset_scores),
         "deviation_bits": _bits_map(report.deviations),
         "mean_deviation_pct_bits": float_bits(report.mean_deviation_pct),
     }
+    paths = report.details.get("trend_paths")
+    if paths is not None:
+        payload["trend_paths"] = [[str(event), str(path)]
+                                  for event, path in paths.items()]
+    return payload
+
+
+def encode_subset_report(report):
+    """JSON-safe dict for a :class:`~repro.core.subset.SubsetReport`:
+    :func:`subset_report_record` plus the rendered text."""
+    payload = subset_report_record(report)
+    payload["rendered"] = str(report)
+    return payload
+
+
+def decode_subset_report(payload):
+    """Rebuild a :class:`~repro.core.subset.SubsetReport` from
+    :func:`subset_report_record` output, every float from its bit
+    pattern and every map in ``score_order``; it prints exactly what the
+    original prints. A missing field raises ``KeyError``, a malformed
+    bit string ``ValueError`` or ``struct.error``."""
+    from repro.core.subset import SubsetReport
+
+    order = payload["score_order"]
+    full = payload["full_score_bits"]
+    subset = payload["subset_score_bits"]
+    deviations = payload["deviation_bits"]
+    details = {}
+    if "trend_paths" in payload:
+        details["trend_paths"] = {
+            event: path for event, path in payload["trend_paths"]
+        }
+    return SubsetReport(
+        selected=tuple(payload["selected"]),
+        full_scores={name: bits_float(full[name]) for name in order},
+        subset_scores={name: bits_float(subset[name]) for name in order},
+        deviations={name: bits_float(deviations[name])
+                    for name in order if name in deviations},
+        mean_deviation_pct=bits_float(payload["mean_deviation_pct_bits"]),
+        details=details,
+    )
 
 
 def encode_search_result(result):

@@ -154,6 +154,37 @@ class TestSearchDeterminism:
         # Two baselines, cache-off, disk-cold, disk-warm, traced.
         assert len(report.results) == 6
 
+    @pytest.mark.parametrize("damage", ["unstored", "undecodable"])
+    def test_disk_warm_recomputation_fails_loudly(self, tmp_path,
+                                                  monkeypatch, damage):
+        from repro.engine import diskcache
+        from repro.service import protocol
+
+        if damage == "unstored":
+            real = diskcache.encode
+
+            def encode(value):
+                meta = real(value)
+                if meta is not None and meta[0]["type"] == "subset-report":
+                    return None
+                return meta
+
+            monkeypatch.setattr(diskcache, "encode", encode)
+        else:
+            def decode(payload):
+                raise ValueError("undecodable report")
+
+            monkeypatch.setattr(protocol, "decode_subset_report", decode)
+        report = check_search_determinism(self._matrix(), subset_size=4,
+                                          n_candidates=6, method="random",
+                                          seed=0, cache_dir=str(tmp_path))
+        # The bits still match (recomputation is exact); only the
+        # disk-warm run's DTW work gives the lost entries away.
+        assert not report.identical
+        [mismatch] = report.mismatches
+        assert mismatch.startswith("[disk-warm] computed ")
+        assert "DTW pair(s)" in mismatch
+
     def test_diff_detects_injected_drift(self):
         report = check_search_determinism(self._matrix(), subset_size=4,
                                           n_candidates=3, method="lhs",
