@@ -28,7 +28,7 @@ backend for the DTW / KS hot paths: ``reference`` or ``vectorized``);
 none of the four changes any output bit. ``lint`` runs
 the project's static-analysis pass (:mod:`repro.qa.lint`); with
 ``--deep`` it adds the whole-program contract rules (cache-purity,
-pool-safety, shm-readonly -- :mod:`repro.qa.flow`) and ``--format
+pool-safety, backend-purity -- :mod:`repro.qa.flow`) and ``--format
 json`` emits findings machine-readably for CI. ``analyze effects``
 prints a function's inferred effect set with the justifying call
 chains. ``qa`` runs the bit-for-bit determinism checker
@@ -452,7 +452,7 @@ def _cmd_obs_diff(args):
 
 
 def _cmd_obs_check(args):
-    from repro.obs import check_store
+    from repro.obs.history import by_digest, check_store, skipped_notes
 
     store = _require_history_dir(args)
     if store is None:
@@ -464,14 +464,17 @@ def _cmd_obs_check(args):
         max_hit_drop=(None if args.max_hit_drop < 0
                       else args.max_hit_drop),
     )
-    trajectories = store.trajectories()
+    records, skipped = store.scan()
+    trajectories = by_digest(records)
+    for note in skipped_notes(skipped):
+        print(note)
     if findings:
         for finding in findings:
             print(finding)
         print(f"history check: FAIL ({len(findings)} finding(s) across "
               f"{len(trajectories)} trajectory(ies))", file=sys.stderr)
         return 1
-    print(f"history check: ok ({len(store)} run(s), "
+    print(f"history check: ok ({len(records)} run(s), "
           f"{len(trajectories)} trajectory(ies), no score drift, no "
           f"perf regressions)")
     return 0
@@ -616,7 +619,7 @@ def build_parser():
     p_lint.add_argument(
         "--deep", action="store_true",
         help="also run the whole-program effect analyzer: cache-purity, "
-             "pool-safety and shm-readonly proven over the cross-module "
+             "pool-safety and backend-purity proven over the cross-module "
              "call graph (incremental via a digest-keyed summary cache)",
     )
     p_lint.add_argument(
@@ -674,7 +677,7 @@ def build_parser():
         help="also run the service determinism variant: a scoring "
              "daemon's HTTP responses must be bit-identical to the "
              "one-shot CLI, warm requests must hit the shared caches, "
-             "and shutdown must leak no shm segments or cache tmp files",
+             "and shutdown must leak no cache tmp files",
     )
     p_qa.add_argument(
         "--history", action="store_true",

@@ -14,10 +14,6 @@
   change.
 * :mod:`repro.engine.parallel` -- deterministic fan-out over a
   persistent ``spawn`` process pool with input-order reassembly.
-* :mod:`repro.engine.shm` -- shared-memory operand transport: large
-  read-only arrays are published once per fan-out under their content
-  digest and workers attach zero-copy instead of receiving pickled
-  copies.
 * :mod:`repro.engine.engine` -- :class:`Engine`, which wires both under
   the Section III score kernels (normalized series sets, DTW matrices
   and pairs, PCA/coverage, per-k K-means) and exposes suite-level
@@ -42,7 +38,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.engine.diskcache": ("DiskCache",),
     "repro.engine.engine": ("Engine",),
     "repro.engine.parallel": ("ParallelExecutor",),
-    "repro.engine.shm": ("ShmRef", "ShmStore", "leaked_segments"),
     "repro.engine.subset_eval": (
         "SubsetEvaluator", "SubsetSearch", "SubsetSearchResult",
     ),

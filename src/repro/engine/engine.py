@@ -120,20 +120,12 @@ class Engine:
         today's serial path with zero pool overhead; higher values run
         a *persistent* spawn pool, created lazily on the first fan-out
         and reused across every subsequent one.
-    max_entries:
-        Optional LRU bound on the in-memory cache (``None`` = unbounded).
     cache_dir:
         Optional directory for the on-disk cache tier
         (:class:`~repro.engine.diskcache.DiskCache`): kernel results
         persist under the same content-addressed keys, so warm starts
         survive across processes and CLI invocations. ``None`` (default)
         keeps the cache memory-only.
-    disk_max_bytes:
-        Size cap for the disk tier (LRU-evicted on overflow).
-    shm_min_bytes:
-        Minimum ndarray operand size routed through the shared-memory
-        transport instead of the worker pickle pipe (``None`` = the
-        :data:`repro.engine.shm.DEFAULT_MIN_BYTES` default).
     backend:
         Compute-backend name (``"reference"`` | ``"vectorized"``) or a
         :class:`~repro.stats.backend.ComputeBackend`; ``None`` resolves
@@ -142,32 +134,23 @@ class Engine:
         never include it.
     """
 
-    def __init__(self, cache=True, workers=1, max_entries=None,
-                 cache_dir=None, disk_max_bytes=None, shm_min_bytes=None,
-                 backend=None):
+    def __init__(self, cache=True, workers=1, cache_dir=None, backend=None):
         #: The active ComputeBackend the DTW / KS hot paths dispatch
         #: through (bit-identical across backends by contract).
         self.backend = resolve_backend(backend)
         #: One registry for every counter across the engine's layers --
-        #: kernel cache, disk tier, shm transport, worker pool.
+        #: kernel cache, disk tier, worker pool.
         #: ``details['engine']`` is a ``snapshot().delta()`` view over it.
         self.metrics = MetricsRegistry()
         disk = None
         if cache and cache_dir is not None:
-            from repro.engine.diskcache import DEFAULT_MAX_BYTES, DiskCache
+            from repro.engine.diskcache import DiskCache
 
-            disk = DiskCache(
-                cache_dir,
-                max_bytes=(DEFAULT_MAX_BYTES if disk_max_bytes is None
-                           else disk_max_bytes),
-                metrics=self.metrics,
-            )
-        self.cache = KernelCache(enabled=cache, max_entries=max_entries,
-                                 disk=disk, metrics=self.metrics)
-        executor_kwargs = {"workers": workers, "metrics": self.metrics}
-        if shm_min_bytes is not None:
-            executor_kwargs["shm_min_bytes"] = shm_min_bytes
-        self.executor = ParallelExecutor(**executor_kwargs)
+            disk = DiskCache(cache_dir, metrics=self.metrics)
+        self.cache = KernelCache(enabled=cache, disk=disk,
+                                 metrics=self.metrics)
+        self.executor = ParallelExecutor(workers=workers,
+                                         metrics=self.metrics)
         #: Digests seen in any cached DTW pair -- lets
         #: :meth:`_any_pair_cached` answer "fully cold" in O(1) instead
         #: of hashing O(n^2) candidate keys per trend call.
@@ -196,9 +179,9 @@ class Engine:
     # -- lifecycle ---------------------------------------------------------
 
     def close(self):
-        """Shut the worker pool down and sweep shared-memory segments
-        (idempotent; also runs at gc/interpreter exit via the
-        executor's finalizers, so forgetting it leaks nothing)."""
+        """Shut the worker pool down (idempotent; also runs at
+        gc/interpreter exit via the executor's finalizer, so forgetting
+        it leaks nothing)."""
         self.executor.close()
 
     def __enter__(self):

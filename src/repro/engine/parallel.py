@@ -16,8 +16,7 @@ pipeline:
   serial path runs, so each element's result is bit-identical whether
   it was computed in-process or in a worker.
 
-Two transport/lifecycle decisions (new in the warm execution substrate;
-see DESIGN.md section 9):
+Two lifecycle decisions (see DESIGN.md section 9):
 
 * **The pool is created lazily, once, and reused** across every ``map``
   call of the executor's lifetime. Trend scoring issues one fan-out per
@@ -35,10 +34,10 @@ see DESIGN.md section 9):
   parent did *before* the fork). Spawned workers import fresh and see
   exactly the task arguments -- nothing else.
 
-Large read-only ndarray operands are transported through
-:mod:`repro.engine.shm` instead of the pickle pipe: ``map`` publishes
-each distinct array once per call (one *generation*), ships tiny
-handles, and sweeps the segments in ``finally``.
+Task arguments and results travel through the pool's pickle pipe:
+the largest operand the paper's suites produce is spec17's 43 x 14
+float64 counter matrix (4,816 bytes), too small for any zero-copy
+transport to pay for itself.
 
 The ``repro.qa.determinism`` checker verifies the resulting scorecards
 are bit-identical across worker counts.
@@ -49,7 +48,6 @@ from __future__ import annotations
 import multiprocessing
 import weakref
 
-from repro.engine import shm
 from repro.obs import trace as obs_trace
 from repro.obs.trace import ShippedSpans, span
 
@@ -58,8 +56,7 @@ START_METHOD = "spawn"
 
 
 def _invoke(payload):
-    """Top-level trampoline so (fn, args) pairs survive pickling; shm
-    handles are resolved to read-only arrays before the call.
+    """Top-level trampoline so (fn, args) pairs survive pickling.
 
     When the owner is tracing (``traced``), the worker runs the task
     under its own fresh tracer, wraps it in a ``worker.task`` span, and
@@ -68,13 +65,13 @@ def _invoke(payload):
     re-parents them under the dispatching ``parallel.map`` span."""
     fn, args, traced = payload
     if not traced:
-        return fn(*shm.restore(args))
+        return fn(*args)
     tracer = obs_trace.Tracer()
     previous = obs_trace.swap(tracer)
     try:
         with tracer.span("worker.task",
                          fn=getattr(fn, "__name__", str(fn))):
-            result = fn(*shm.restore(args))
+            result = fn(*args)
     finally:
         obs_trace.swap(previous)
     return ShippedSpans(result=result, spans=tracer.drain())
@@ -95,18 +92,13 @@ class ParallelExecutor:
     workers:
         Process count. ``1`` runs everything inline in the calling
         process (no pool is ever created); higher values fan out.
-    shm_min_bytes:
-        Minimum ndarray operand size routed through shared memory
-        instead of the pickle pipe (``0`` publishes everything).
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry` for the
         pool-lifecycle counters (``pool_created`` / ``pool_reused`` /
-        ``pool_broken``) and, through the operand store, the ``shm_*``
-        counters; a private registry is created when omitted.
+        ``pool_broken``); a private registry is created when omitted.
     """
 
-    def __init__(self, workers=1, shm_min_bytes=shm.DEFAULT_MIN_BYTES,
-                 metrics=None):
+    def __init__(self, workers=1, metrics=None):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if metrics is None:
@@ -114,11 +106,9 @@ class ParallelExecutor:
 
             metrics = MetricsRegistry()
         self.workers = workers
-        self.shm_min_bytes = shm_min_bytes
         self.metrics = metrics
         self._pool = None
         self._pool_finalizer = None
-        self._store = None
         self._pool_created = metrics.counter("pool_created")
         self._pool_reused = metrics.counter("pool_reused")
         self._pool_broken = metrics.counter("pool_broken")
@@ -153,12 +143,9 @@ class ParallelExecutor:
         self._pool = None
 
     def close(self):
-        """Shut the pool down and sweep the operand store (idempotent;
-        also runs via ``weakref.finalize`` at gc/interpreter exit)."""
+        """Shut the pool down (idempotent; also runs via
+        ``weakref.finalize`` at gc/interpreter exit)."""
         self._dispose_pool()
-        if self._store is not None:
-            self._store.close()
-            self._store = None
 
     def __enter__(self):
         return self
@@ -167,21 +154,12 @@ class ParallelExecutor:
         self.close()
         return False
 
-    # -- transport ---------------------------------------------------------
-
-    @property
-    def store(self):
-        """The lazily-created shared-memory operand store."""
-        if self._store is None:
-            self._store = shm.ShmStore(metrics=self.metrics)
-        return self._store
+    # -- mapping -----------------------------------------------------------
 
     def _chunksize(self, n_tasks):
         """Batch pipe round-trips: ~4 chunks per worker balances pickle
         amortization against tail latency, matching stdlib guidance."""
         return max(1, n_tasks // (self.workers * 4))
-
-    # -- mapping -----------------------------------------------------------
 
     def map(self, fn, arg_tuples):
         """Apply ``fn(*args)`` for each args tuple; results in input order.
@@ -201,30 +179,20 @@ class ParallelExecutor:
                 return [fn(*args) for args in arg_tuples]
         from concurrent.futures.process import BrokenProcessPool
 
-        store = self.store
         traced = obs_trace.enabled()
         with span("parallel.map", fn=fn_name, tasks=len(arg_tuples),
                   workers=self.workers) as map_span:
+            payloads = [(fn, args, traced) for args in arg_tuples]
+            chunksize = self._chunksize(len(payloads))
+            pool = self._ensure_pool()
             try:
-                payloads = [
-                    (fn, shm.substitute(args, store, self.shm_min_bytes),
-                     traced)
-                    for args in arg_tuples
-                ]
-                chunksize = self._chunksize(len(payloads))
-                pool = self._ensure_pool()
-                try:
-                    results = list(pool.map(_invoke, payloads,
-                                            chunksize=chunksize))
-                except BrokenProcessPool:
-                    self._pool_broken.inc()
-                    self._dispose_pool()
-                    raise
-                return self._unship(results, map_span.sid)
-            finally:
-                # End of generation: segments published for this call
-                # are unlinked even on exceptions or KeyboardInterrupt.
-                store.sweep()
+                results = list(pool.map(_invoke, payloads,
+                                        chunksize=chunksize))
+            except BrokenProcessPool:
+                self._pool_broken.inc()
+                self._dispose_pool()
+                raise
+            return self._unship(results, map_span.sid)
 
     @staticmethod
     def _unship(results, parent_sid):

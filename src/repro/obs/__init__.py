@@ -5,12 +5,12 @@
   no-op handle that makes permanently-wired instrumentation free while
   tracing is off; and cross-process collection (workers buffer spans
   locally, ship them back piggybacked on task results through the
-  parallel transport, and the owner re-parents them under the
+  pool's pickle pipe, and the owner re-parents them under the
   dispatching ``parallel.map`` span).
 * :mod:`repro.obs.metrics` -- the unified
   :class:`~repro.obs.metrics.MetricsRegistry` (counters / gauges /
   histograms) behind every engine-layer counter: kernel-cache hits,
-  disk-tier traffic, shm publishes, pool lifecycle events.
+  disk-tier traffic, pool lifecycle events.
   ``SuiteScorecard.details["engine"]`` is a ``snapshot()``/``delta()``
   view over it.
 * :mod:`repro.obs.export` -- JSONL span logs and Chrome

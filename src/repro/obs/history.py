@@ -286,27 +286,62 @@ class HistoryStore:
         if len(matches) > 1:
             raise KeyError(f"run id {run_id!r} is ambiguous in "
                            f"{self.root}: {matches}")
-        path = os.path.join(self.root, f"{matches[0]}.json")
-        with open(path, encoding="utf-8") as f:
-            record = json.load(f)
-        version = record.get("schema_version")
-        if version != SCHEMA_VERSION:
-            raise ValueError(f"{path}: history schema {version!r} != "
-                             f"{SCHEMA_VERSION}")
-        return record
+        return _read_record(os.path.join(self.root, f"{matches[0]}.json"))
+
+    def scan(self):
+        """``(records, skipped)``: every readable record, oldest first,
+        and one message naming each record file that was skipped
+        because it does not decode or carries another schema version."""
+        records, skipped = [], []
+        for path in self._paths():
+            try:
+                records.append(_read_record(path))
+            except ValueError as exc:
+                skipped.append(str(exc))
+        return records, skipped
 
     def runs(self):
-        """All records, oldest first."""
-        return [self.load(run_id) for run_id in self.run_ids()]
+        """All readable records, oldest first (damaged ones skipped)."""
+        return self.scan()[0]
 
     def trajectories(self):
         """``{config_digest: [records, oldest first]}`` preserving
         first-seen digest order."""
-        out = {}
-        for record in self.runs():
-            out.setdefault(record.get("config_digest", "?"),
-                           []).append(record)
-        return out
+        return by_digest(self.runs())
+
+
+def _read_record(path):
+    """One record file; a ``ValueError`` naming ``path`` when it is not
+    a JSON object of this :data:`SCHEMA_VERSION`."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            record = json.load(f)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ValueError(f"{path}: damaged history record ({exc})") \
+            from None
+    if not isinstance(record, dict):
+        raise ValueError(f"{path}: damaged history record (not a JSON "
+                         f"object)")
+    version = record.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise ValueError(f"{path}: history schema {version!r} != "
+                         f"{SCHEMA_VERSION}")
+    return record
+
+
+def by_digest(records):
+    """``{config_digest: [records in input order]}`` preserving
+    first-seen digest order."""
+    out = {}
+    for record in records:
+        out.setdefault(record.get("config_digest", "?"), []).append(record)
+    return out
+
+
+def skipped_notes(skipped):
+    """One ``note:`` line per record file :meth:`HistoryStore.scan`
+    skipped."""
+    return [f"note: skipped {message}" for message in skipped]
 
 
 # -- bit-exact diffing --------------------------------------------------------
@@ -546,7 +581,8 @@ def check_trajectory(records, max_wall_pct=MAX_WALL_REGRESSION_PCT,
 def check_store(store, digest=None, max_wall_pct=MAX_WALL_REGRESSION_PCT,
                 max_hit_drop=MAX_HIT_RATE_DROP):
     """Run :func:`check_trajectory` over every trajectory in a store
-    (or just ``digest``'s); returns the combined finding list."""
+    (or just ``digest``'s); returns the combined finding list. Damaged
+    records are skipped (see :meth:`HistoryStore.scan`)."""
     findings = []
     for run_digest, records in store.trajectories().items():
         if digest is not None and not run_digest.startswith(digest):
@@ -578,14 +614,17 @@ def render_history(store, digest=None):
     """The ``repro obs history`` report: every trajectory (grouped by
     config digest), one line per run, plus per-score sparkline-style
     drift strips (``*`` first run, ``=`` bit-equal to the previous run,
-    ``!`` drift)."""
-    trajectories = store.trajectories()
+    ``!`` drift). Each damaged record file that was skipped gets one
+    ``note:`` line at the end."""
+    records, skipped = store.scan()
+    trajectories = by_digest(records)
     if digest is not None:
         trajectories = {d: records
                         for d, records in trajectories.items()
                         if d.startswith(digest)}
     if not trajectories:
-        return "history: no recorded runs"
+        return "\n".join(["history: no recorded runs",
+                          *skipped_notes(skipped)])
     lines = []
     for run_digest, records in trajectories.items():
         commands = sorted({r.get("command", "?") for r in records})
@@ -627,7 +666,7 @@ def render_history(store, digest=None):
                          f"{record.get('command', '?'):<14} "
                          f"wall {wall_text} s  {when}")
         lines.append("")
-    return "\n".join(lines).rstrip()
+    return "\n".join(lines + skipped_notes(skipped)).rstrip()
 
 
 # -- windowed trajectories inside one run -------------------------------------

@@ -2,11 +2,11 @@
 
 Before this module, every engine layer grew its own counters --
 :class:`~repro.engine.cache.CacheStats` hits/misses, the disk tier's
-``snapshot()`` dict, ``ShmStore.published``/``published_bytes`` plain
-ints -- and ``Engine._engine_details`` recomputed per-pass deltas by
-hand across all of them. Counters kept in three shapes drift in three
-ways. :class:`MetricsRegistry` is the single store: each layer declares
-its instruments once (counters, gauges, histograms) against the
+``snapshot()`` dict, the pool's plain ints -- and
+``Engine._engine_details`` recomputed per-pass deltas by hand across
+all of them. Counters kept in three shapes drift in three ways.
+:class:`MetricsRegistry` is the single store: each layer declares its
+instruments once (counters, gauges, histograms) against the
 registry its owning :class:`~repro.engine.Engine` carries, legacy
 accessors (``KernelCache.stats()``, ``DiskCache.hits``, ...) become
 views over the same integers, and a per-pass delta is one

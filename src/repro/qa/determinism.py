@@ -9,15 +9,14 @@ bit patterns of every score and every per-item decomposition value
 (NaN == NaN under this comparison, unlike ``==``). It also enforces the
 scoring engine's invariance contract: disabling the kernel cache,
 fanning the work across ``--workers N`` processes of the persistent
-spawn pool (with and without shared-memory transport forced on), or
-going through a cold-then-warm on-disk cache tier, must not move a
-single bit. Neither may running under an installed span tracer
+spawn pool, or going through a cold-then-warm on-disk cache tier, must
+not move a single bit. Neither may running under an installed span tracer
 (:mod:`repro.obs`): the trace-on variant re-scores under a live tracer,
 requires bit-identical output, and validates the collected span tree
 (every span closed, nested within its same-process parent, worker spans
-re-parented under their dispatching map-call span). The CLI entry point finishes with a leak check: no
-shared-memory segments may remain in ``/dev/shm`` and no half-written
-tmp artifacts may remain in the disk-cache directory.
+re-parented under their dispatching map-call span). The CLI entry
+point finishes with a leak check: no half-written tmp artifacts may
+remain in the disk-cache directory.
 
 Run it as ``python -m repro.qa.determinism`` (the default drives a
 synthetic suite through the full simulate-measure-score stack, covering
@@ -145,9 +144,7 @@ def check_determinism(suite_or_matrix, seed=0, focus="all",
 
     * the kernel cache disabled;
     * when ``workers > 1``: the work fanned across that many processes
-      of the engine's persistent spawn pool, and a second fanned run
-      with the shared-memory operand transport forced on for every
-      array (``shm_min_bytes=0``);
+      of the engine's persistent spawn pool;
     * when ``cache_dir`` is given: a disk-cold run that populates the
       on-disk tier, then a disk-warm run (fresh process-level state,
       same directory) that must reproduce the baseline from the
@@ -170,23 +167,13 @@ def check_determinism(suite_or_matrix, seed=0, focus="all",
     """
     from repro.core.perspector import Perspector, PerspectorConfig
 
-    def run_once(engine_kwargs=None, **config_kwargs):
+    def run_once(**config_kwargs):
         session = None if session_factory is None else session_factory()
-        engine = None
-        if engine_kwargs is not None:
-            from repro.engine import Engine
-
-            engine = Engine(**engine_kwargs)
         perspector = Perspector(
             session=session,
             config=PerspectorConfig(seed=seed, **config_kwargs),
-            engine=engine,
         )
-        try:
-            return perspector.score(suite_or_matrix, focus=focus)
-        finally:
-            if engine is not None:
-                engine.close()
+        return perspector.score(suite_or_matrix, focus=focus)
 
     cross = backend not in (None, "reference")
     baseline_kwargs = {"backend": "reference"} if cross else {}
@@ -195,10 +182,6 @@ def check_determinism(suite_or_matrix, seed=0, focus="all",
     variants = [("cache=off", {"cache": False})]
     if workers > 1:
         variants.append((f"workers={workers}", {"workers": workers}))
-        variants.append((
-            f"workers={workers}+shm",
-            {"engine_kwargs": {"workers": workers, "shm_min_bytes": 0}},
-        ))
     if cache_dir is not None:
         variants.append(("disk-cold", {"cache_dir": cache_dir}))
         variants.append(("disk-warm", {"cache_dir": cache_dir}))
@@ -207,16 +190,10 @@ def check_determinism(suite_or_matrix, seed=0, focus="all",
         # the reference baseline's bits on every execution shape. The
         # disk-warm arm additionally proves cache keys are backend-free:
         # it serves entries the disk-cold arm wrote under this backend.
-        rebased = [(f"backend={backend}", {"backend": backend})]
-        for label, kwargs in variants:
-            kwargs = dict(kwargs)
-            if "engine_kwargs" in kwargs:
-                kwargs["engine_kwargs"] = dict(kwargs["engine_kwargs"],
-                                               backend=backend)
-            else:
-                kwargs["backend"] = backend
-            rebased.append((f"{backend}:{label}", kwargs))
-        variants = rebased
+        variants = [(f"backend={backend}", {"backend": backend})] + [
+            (f"{backend}:{label}", dict(kwargs, backend=backend))
+            for label, kwargs in variants
+        ]
     for label, config_kwargs in variants:
         card = run_once(**config_kwargs)
         mismatches.extend(
@@ -362,13 +339,12 @@ def check_search_determinism(matrix, subset_size=4, n_candidates=8,
     seed; diff the results bit-for-bit. Like :func:`check_determinism`,
     extra variant runs enforce the engine invariance contract: cache
     disabled; when ``workers > 1``, candidate batches fanned across
-    that many processes of the persistent spawn pool (plus a fanned run
-    with shared-memory transport forced for every array); and when
+    that many processes of the persistent spawn pool; and when
     ``cache_dir`` is given, a disk-cold then a disk-warm run against
     the on-disk cache tier; the disk-warm run must also compute no DTW
-    pair at all. A non-reference ``backend`` pins the
-    baseline to the reference backend and re-runs every variant under
-    the requested one, as in :func:`check_determinism`.
+    pair at all. A non-reference ``backend`` pins the baseline to the
+    reference backend and re-runs every variant under the requested
+    one, as in :func:`check_determinism`.
 
     Returns
     -------
@@ -392,8 +368,6 @@ def check_search_determinism(matrix, subset_size=4, n_candidates=8,
     variants = [("cache=off", {"cache": False})]
     if workers > 1:
         variants.append((f"workers={workers}", {"workers": workers}))
-        variants.append((f"workers={workers}+shm",
-                         {"workers": workers, "shm_min_bytes": 0}))
     if cache_dir is not None:
         variants.append(("disk-cold", {"cache_dir": cache_dir}))
         variants.append(("disk-warm", {"cache_dir": cache_dir}))
@@ -535,11 +509,9 @@ def main(argv=None):
                              "every variant (e.g. vectorized)")
     args = parser.parse_args(argv)
 
-    import gc
     import tempfile
 
     from repro.engine.diskcache import stale_artifacts
-    from repro.engine.shm import leaked_segments
 
     with tempfile.TemporaryDirectory(prefix="repro-qa-cache-") as tmp:
         suite, factory = _default_subject(args.seed, quick=not args.full)
@@ -561,24 +533,16 @@ def main(argv=None):
         )
         print(search_report)
 
-        # Leak checks: every shared-memory segment published during the
-        # fanned runs must be unlinked by now (the engines were closed),
-        # and the disk tier must hold no half-written tmp files or
-        # stale lock artifacts.
-        gc.collect()
-        leaked = leaked_segments()
+        # Leak check: the disk tier must hold no half-written tmp files
+        # or stale lock artifacts.
         stale = stale_artifacts(tmp)
-        if leaked:
-            print(f"leak check: FAIL -- {len(leaked)} shared-memory "
-                  f"segment(s) left in /dev/shm: {sorted(leaked)}")
-        elif stale:
+        if stale:
             print(f"leak check: FAIL -- {len(stale)} stale disk-cache "
                   f"artifact(s): {sorted(stale)}")
         else:
-            print("leak check: PASS -- no shared-memory segments or "
-                  "disk-cache tmp artifacts left behind")
-    ok = (report.identical and search_report.identical
-          and not leaked and not stale)
+            print("leak check: PASS -- no disk-cache tmp artifacts left "
+                  "behind")
+    ok = report.identical and search_report.identical and not stale
     return 0 if ok else 1
 
 

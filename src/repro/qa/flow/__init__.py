@@ -3,22 +3,20 @@
 The per-file linter (:mod:`repro.qa.lint`) answers "is this line
 suspicious?"; this package answers cross-module questions that no
 single file can: is every cached kernel *actually* pure, is every
-pool-submitted callable picklable and deterministic, does any
-shared-memory operand get mutated through an alias?
+pool-submitted callable picklable and deterministic, is every
+compute-backend dispatch target free of side effects?
 
 * :mod:`repro.qa.flow.summary` -- one parse per module into a
   JSON-serializable :class:`~repro.qa.flow.summary.ModuleSummary`
-  (effect atoms, call sites, class/import tables, shm dataflow).
+  (effect atoms, call sites, class/import tables).
 * :mod:`repro.qa.flow.indexer` -- project walking plus the
   digest-keyed summary cache that makes warm re-runs incremental.
 * :mod:`repro.qa.flow.callgraph` -- cross-module symbol resolution and
   edges, including ``functools.partial`` and pool-boundary targets.
 * :mod:`repro.qa.flow.effects` -- the effect lattice, the intrinsics
   tables and the fixpoint :class:`~repro.qa.flow.effects.EffectSolver`.
-* :mod:`repro.qa.flow.dataflow` -- intra-procedural shm-readonly
-  taint analysis.
 * :mod:`repro.qa.flow.deeprules` -- the ``cache-purity`` /
-  ``pool-safety`` / ``shm-readonly`` contract checkers.
+  ``pool-safety`` / ``backend-purity`` contract checkers.
 * :mod:`repro.qa.flow.analyze` -- drivers: ``repro lint --deep`` and
   ``repro analyze effects`` live here.
 """

@@ -19,11 +19,6 @@
     RNG state and driver-global writes both diverge from the
     single-process answer.
 
-``shm-readonly``
-    Arrays attached from the shared-memory operand store are concurrent
-    read-only views; the intra-procedural dataflow
-    (:mod:`repro.qa.flow.dataflow`) reports every mutation funnel.
-
 ``backend-purity``
     Every function in :mod:`repro.stats.backend` is (or backs) a
     dispatch target that pool tasks and the scoring daemon call by
@@ -87,11 +82,6 @@ DEEP_RULES = (
         "pool-safety",
         "pool-submitted callables must be module-top-level and free of "
         "unseeded RNG and global writes",
-    ),
-    DeepRule(
-        "shm-readonly",
-        "arrays attached from the shared-memory store must never be "
-        "mutated in place",
     ),
     DeepRule(
         "backend-purity",
@@ -175,19 +165,6 @@ def check_pool_safety(graph, solver):
     return findings
 
 
-def check_shm_readonly(index):
-    """Surface the per-module dataflow verdicts as findings."""
-    findings = []
-    for summary in index.modules.values():
-        for fq, violation in summary.shm_findings:
-            findings.append(Finding(
-                path=summary.path, line=violation.line, col=violation.col,
-                rule_id="shm-readonly",
-                message=f"in {fq}: {violation.message}",
-            ))
-    return findings
-
-
 def check_backend_purity(index, solver):
     """Findings for every backend-registry function that is not a
     clean module-top-level dispatch target."""
@@ -225,6 +202,5 @@ def check_all(index, graph, solver):
     findings = []
     findings.extend(check_cache_purity(graph, solver))
     findings.extend(check_pool_safety(graph, solver))
-    findings.extend(check_shm_readonly(index))
     findings.extend(check_backend_purity(index, solver))
     return sorted(findings)

@@ -160,9 +160,7 @@ SANCTIONED_EFFECTS = (
      frozenset({IO, READS_GLOBAL, WRITES_GLOBAL})),
     ("repro.engine.diskcache.",
      frozenset({IO, CLOCK, READS_GLOBAL, WRITES_GLOBAL})),
-    # Operand transport + pool lifecycle state, leak-checked by qa.
-    ("repro.engine.shm.",
-     frozenset({IO, READS_GLOBAL, WRITES_GLOBAL})),
+    # Pool lifecycle state, leak-checked by qa.
     ("repro.engine.parallel.",
      frozenset({IO, READS_GLOBAL, WRITES_GLOBAL})),
 )

@@ -4,9 +4,7 @@ One parse of one module produces a :class:`ModuleSummary`: every
 function (methods and nested functions included) with its directly
 observed :class:`~repro.qa.flow.effects.EffectAtom` list and raw call
 sites, the import table, class records (bases, methods, inferred
-``self.attr`` constructor types), module-level bindings, and the
-intra-procedural ``shm-readonly`` violations
-(:mod:`repro.qa.flow.dataflow`).
+``self.attr`` constructor types) and module-level bindings.
 
 Everything here is JSON-serializable -- the summary is exactly what
 the indexer caches per file digest, so a warm ``repro lint --deep``
@@ -22,7 +20,6 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from repro.qa.flow import dataflow  # noqa: F401 -- submodule import
 from repro.qa.flow.effects import (
     CLOCK,
     EffectAtom,
@@ -37,7 +34,7 @@ from repro.qa.flow.effects import (
 )
 
 #: Bumping this invalidates every cached module summary.
-SUMMARY_VERSION = 2
+SUMMARY_VERSION = 3
 
 _MUTABLE_CALLS = frozenset({
     "dict", "list", "set", "OrderedDict", "defaultdict", "deque",
@@ -170,7 +167,6 @@ class ModuleSummary:
     module_types: dict = field(default_factory=dict)
     module_assigned: list = field(default_factory=list)
     module_mutables: list = field(default_factory=list)
-    shm_findings: list = field(default_factory=list)  # (fq, ShmViolation)
     parse_error: object = None  # str | None
 
     def as_dict(self):
@@ -184,10 +180,6 @@ class ModuleSummary:
             "module_types": dict(self.module_types),
             "module_assigned": list(self.module_assigned),
             "module_mutables": list(self.module_mutables),
-            "shm_findings": [
-                {"func": fq, **violation.as_dict()}
-                for fq, violation in self.shm_findings
-            ],
             "parse_error": self.parse_error,
         }
 
@@ -203,10 +195,6 @@ class ModuleSummary:
             module_types=dict(d["module_types"]),
             module_assigned=list(d["module_assigned"]),
             module_mutables=list(d["module_mutables"]),
-            shm_findings=[
-                (entry["func"], dataflow.ShmViolation.from_dict(entry))
-                for entry in d["shm_findings"]
-            ],
             parse_error=d.get("parse_error"),
         )
 
@@ -481,26 +469,11 @@ def extract_module(module, path, source, digest, is_package=False):
                         summary.module_types[target.id] = ctor
 
     # Pass B: functions, methods, nested functions.
-    def resolve_for(record):
-        def _resolve(chain):
-            head, _, rest = chain.partition(".")
-            ctor = record.local_types.get(head) or \
-                summary.module_types.get(head)
-            if ctor is not None and rest:
-                base = expand_head(ctor, record.local_imports,
-                                   summary.imports)
-                return f"{base}.{rest}"
-            return expand_head(chain, record.local_imports, summary.imports)
-        return _resolve
-
     def visit_function(func, prefix, cls_fq, nested):
         fq = f"{prefix}.{func.name}"
         extractor = _FunctionExtractor(summary, func, fq, cls_fq, nested)
         record = extractor.run()
         summary.functions[fq] = record
-        for violation in dataflow.analyze_function(
-                func, resolve_for(record)):
-            summary.shm_findings.append((fq, violation))
         if cls_fq is not None:
             cls = summary.classes[cls_fq]
             cls.methods.setdefault(func.name, fq)

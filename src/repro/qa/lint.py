@@ -7,7 +7,7 @@ shape compiler diagnostics take -- and the process exits non-zero when
 any finding survives suppression, so the pass can gate a merge. With
 ``--deep`` the whole-program effect analyzer (:mod:`repro.qa.flow`)
 additionally proves the cross-module contracts (cache purity,
-pool safety, shm read-only discipline); ``--format json`` emits the
+pool safety, backend purity); ``--format json`` emits the
 findings as a JSON array for CI consumption.
 
 Suppression is per-line and per-rule: append ``# qa-ignore[rule-id]``
@@ -186,7 +186,7 @@ def main(argv=None):
         description="Project-specific numerical static-analysis pass.",
         epilog=(
             "--deep additionally runs the whole-program effect analyzer "
-            "(repro.qa.flow): cache-purity, pool-safety and shm-readonly "
+            "(repro.qa.flow): cache-purity, pool-safety and backend-purity "
             "are proven over the cross-module call graph, with findings "
             "carrying the justifying call chain. Deep analysis caches "
             "per-module summaries keyed by file digest ($REPRO_FLOW_CACHE "
@@ -199,7 +199,7 @@ def main(argv=None):
                         help="print the rule catalogue and exit")
     parser.add_argument("--deep", action="store_true",
                         help="also run the whole-program contract rules "
-                             "(cache-purity, pool-safety, shm-readonly)")
+                             "(cache-purity, pool-safety, backend-purity)")
     parser.add_argument("--format", choices=("text", "json"),
                         default="text", dest="output_format",
                         help="findings as human-readable lines (default) "

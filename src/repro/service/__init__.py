@@ -18,8 +18,8 @@ The daemon's invariant, enforced by ``repro.qa.service_check`` /
 ``make serve-smoke``: a scorecard served over HTTP is bit-identical to
 the one-shot ``repro score`` output at any worker count and cache
 state, warm requests hit the shared caches (visible in
-``GET /v1/metrics``), and shutdown leaks no shm segments or disk-cache
-tmp orphans.
+``GET /v1/metrics``), and shutdown leaks no pool processes or
+disk-cache tmp orphans.
 """
 
 from repro._lazy import lazy_exports

@@ -27,7 +27,7 @@ vectorized`` enforces that over real HTTP). Any field an endpoint does
 not know is a 400 naming it, never a silently defaulted answer.
 ``GET /v1/metrics``
     Live :class:`~repro.obs.metrics.MetricsRegistry` snapshot of the
-    shared engine (cache tiers, shm transport, pool lifecycle, service
+    shared engine (cache tiers, pool lifecycle, service
     request counters) -- ``repro obs`` as a service surface.
 ``GET /v1/health``
     Liveness + engine configuration + daemon uptime and per-endpoint
@@ -37,10 +37,11 @@ not know is a 400 naming it, never a silently defaulted answer.
     The daemon's longitudinal run history (:mod:`repro.obs.history`):
     when the service config carries ``history_dir``, every served
     score/compare/subset run is recorded into the same append-only
-    store the CLI writes, and this endpoint lists the stored runs.
+    store the CLI writes, and this endpoint lists the stored runs
+    (``skipped`` names each damaged record file it left out).
 ``POST /v1/shutdown``
     Graceful stop: the listener closes, in-flight requests drain, the
-    engine's ``close()`` path tears down pool and shm segments.
+    engine's ``close()`` path tears the worker pool down.
 
 **Admission model.** Connections are admitted concurrently on the
 event loop (health/metrics stay responsive mid-scoring), while all
@@ -190,8 +191,8 @@ class ScoringService:
 
     def close(self):
         """Tear the scoring thread and the shared engine down
-        (idempotent; the engine's ``close()`` shuts the worker pool and
-        sweeps shm segments)."""
+        (idempotent; the engine's ``close()`` shuts the worker pool
+        down)."""
         if self._closed:
             return
         self._closed = True
@@ -409,8 +410,9 @@ class ScoringService:
         if self._history is None:
             return 200, protocol.ok_envelope(
                 {"enabled": False, "runs": []})
+        records, skipped = self._history.scan()
         runs = []
-        for record in self._history.runs():
+        for record in records:
             cards = record.get("scorecards") or ()
             runs.append({
                 "run_id": record.get("run_id"),
@@ -425,7 +427,7 @@ class ScoringService:
             })
         return 200, protocol.ok_envelope(
             {"enabled": True, "history_dir": self._history.root,
-             "runs": runs})
+             "runs": runs, "skipped": skipped})
 
     async def _handle_shutdown(self, request):
         # The response is written by the connection handler *after*

@@ -1,8 +1,7 @@
 """Tests for the warm execution substrate: persistent spawn pool
-lifecycle, shared-memory operand transport, and the serial / fanned /
-disk-warm bit-identity contract."""
+lifecycle, operand transport through the pickle pipe, and the serial /
+fanned / disk-warm bit-identity contract."""
 
-import gc
 import os
 
 import numpy as np
@@ -10,8 +9,7 @@ import pytest
 
 from repro.core.matrix import CounterMatrix
 from repro.core.perspector import PerspectorConfig
-from repro.engine import Engine, ParallelExecutor, ShmRef, ShmStore
-from repro.engine import shm as shm_mod
+from repro.engine import Engine, ParallelExecutor
 from repro.engine.parallel import START_METHOD
 from repro.qa.determinism import diff_scorecards
 
@@ -22,8 +20,18 @@ def _pid_task(_i):
     return os.getpid()
 
 
-def _sum_task(array):
-    return float(np.sum(array))
+def _operand_arrays(operand):
+    if isinstance(operand, CounterMatrix):
+        return [operand.values] + [series for event in operand.events
+                                   for series in operand.series[event]]
+    return [operand]
+
+
+def _operand_task(operand):
+    """The bytes a task received plus one reduction over them."""
+    arrays = _operand_arrays(operand)
+    total = np.float64(sum(float(np.sum(a)) for a in arrays))
+    return [a.tobytes() for a in arrays], total.tobytes()
 
 
 def _raise_task(flag):
@@ -85,81 +93,21 @@ class TestPoolLifecycle:
         ex.close()  # second close is a no-op
 
 
-class TestShmTransport:
-    def test_publish_dedupes_by_content(self):
-        store = ShmStore()
-        try:
-            x = np.arange(64, dtype=float)
-            ref1 = store.publish(x)
-            ref2 = store.publish(x.copy())  # same bytes, new object
-            assert ref1 == ref2
-            assert store.published == 1
-            assert store.published_bytes == x.nbytes
-            assert len(store) == 1
-        finally:
-            store.close()
-        assert shm_mod.leaked_segments() == []
-
-    def test_substitute_restore_roundtrip_bit_exact(self):
-        matrix = fixture_matrix(seed=5)
-        args = (matrix, {"x": np.arange(32, dtype=float)},
-                [np.ones(8)], 3, "label")
-        store = ShmStore()
-        try:
-            packed = shm_mod.substitute(args, store, min_bytes=0)
-            # every ndarray became a handle, scalars passed through
-            assert isinstance(packed[0], shm_mod.PackedMatrix)
-            assert isinstance(packed[0].values, ShmRef)
-            assert isinstance(packed[1]["x"], ShmRef)
-            assert isinstance(packed[2][0], ShmRef)
-            assert packed[3] == 3 and packed[4] == "label"
-            restored = shm_mod.restore(packed)
-            assert isinstance(restored[0], CounterMatrix)
-            assert restored[0].values.tobytes() == matrix.values.tobytes()
-            for event in matrix.events:
-                for a, b in zip(restored[0].series[event],
-                                matrix.series[event]):
-                    assert a.tobytes() == b.tobytes()
-            assert restored[1]["x"].tobytes() == args[1]["x"].tobytes()
-            assert not restored[1]["x"].flags.writeable
-        finally:
-            store.close()
-        assert shm_mod.leaked_segments() == []
-
-    def test_small_arrays_bypass_shm(self):
-        store = ShmStore()
-        try:
-            out = shm_mod.substitute(np.ones(4), store, min_bytes=1 << 20)
-            assert isinstance(out, np.ndarray)
-            assert store.published == 0
-        finally:
-            store.close()
-
-    def test_map_with_forced_shm_matches_serial(self):
-        arrays = [np.random.default_rng(i).uniform(size=256)
-                  for i in range(6)]
-        serial = [float(np.sum(a)) for a in arrays]
-        with ParallelExecutor(workers=2, shm_min_bytes=0) as ex:
-            fanned = ex.map(_sum_task, [(a,) for a in arrays])
-        assert [np.float64(a).tobytes() for a in serial] == \
-               [np.float64(b).tobytes() for b in fanned]
-        assert shm_mod.leaked_segments() == []
-
-    def test_failed_fanout_still_sweeps_segments(self):
-        with ParallelExecutor(workers=2, shm_min_bytes=0) as ex:
-            with pytest.raises(RuntimeError, match="boom"):
-                ex.map(_raise_task, [(True,), (False,), (True,)])
-            # the generation's segments were swept in the finally
-            assert len(ex.store) == 0
-        assert shm_mod.leaked_segments() == []
-
-    def test_dropped_store_finalizer_unlinks(self):
-        store = ShmStore()
-        store.publish(np.arange(128, dtype=float))
-        assert shm_mod.leaked_segments() != []
-        del store
-        gc.collect()
-        assert shm_mod.leaked_segments() == []
+class TestPoolTransport:
+    def test_large_operands_match_serial(self):
+        """Operands of 64 KiB and up -- plain arrays and a whole
+        CounterMatrix -- cross the pool's pickle pipe bit-exact."""
+        operands = [np.random.default_rng(i).uniform(size=8192)
+                    for i in range(4)]
+        operands.append(fixture_matrix(seed=5, n_workloads=43,
+                                       n_events=14, length=64))
+        assert all(sum(a.nbytes for a in _operand_arrays(op)) >= 64 * 1024
+                   for op in operands)
+        serial = [_operand_task(op) for op in operands]
+        with ParallelExecutor(workers=2) as ex:
+            fanned = ex.map(_operand_task, [(op,) for op in operands])
+            assert ex.metrics.counter("pool_created").value == 1
+        assert fanned == serial
 
 
 class TestSubstrateBitIdentity:
@@ -171,7 +119,7 @@ class TestSubstrateBitIdentity:
         config = PerspectorConfig(seed=3)
         serial = Engine(workers=1).score_matrix(matrix, config, "all")
 
-        with Engine(workers=2, shm_min_bytes=0) as engine:
+        with Engine(workers=2) as engine:
             fanned = engine.score_matrix(matrix, config, "all")
         assert diff_scorecards(serial, fanned) == []
 
@@ -186,4 +134,3 @@ class TestSubstrateBitIdentity:
         assert warm_engine.cache.disk.hits > 0
         details = warm.details["engine"]
         assert details["disk_hits"] > 0
-        assert shm_mod.leaked_segments() == []

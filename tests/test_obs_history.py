@@ -199,6 +199,75 @@ class TestHistoryStore:
         assert store.trajectories() == {}
 
 
+#: Ways a record file gets damaged: truncated at several offsets (a
+#: negative offset counts from the end), not UTF-8, not a JSON object,
+#: or written under another schema version.
+DAMAGE = ("truncate:0", "truncate:1", "truncate:200", "truncate:-2",
+          "binary", "array", "schema")
+
+
+def damage_record(path, damage):
+    raw = open(path, "rb").read()
+    kind, _, arg = damage.partition(":")
+    if kind == "truncate":
+        out = raw[:int(arg)]
+    elif kind == "binary":
+        out = b"\xff\xfe" + raw[2:]
+    elif kind == "array":
+        out = b"[1, 2]\n"
+    else:
+        record = json.loads(raw)
+        record["schema_version"] = 99
+        out = json.dumps(record).encode()
+    open(path, "wb").write(out)
+
+
+def damaged_store(root, damage):
+    """Three records of one digest with the middle one damaged; returns
+    the store and the damaged file's path."""
+    store = HistoryStore(root)
+    paths = [store.append(synthetic_record(wall_s=float(i)))
+             for i in range(3)]
+    damage_record(paths[1], damage)
+    return store, paths[1]
+
+
+@pytest.mark.parametrize("damage", DAMAGE)
+class TestDamagedRecords:
+    def test_scan_skips_and_names_the_file(self, tmp_path, damage):
+        store, bad = damaged_store(tmp_path, damage)
+        records, skipped = store.scan()
+        assert [r["wall_time_s"] for r in records] == [0.0, 2.0]
+        assert len(skipped) == 1 and skipped[0].startswith(f"{bad}: ")
+        assert store.runs() == records
+        assert [len(t) for t in store.trajectories().values()] == [2]
+
+    def test_load_raises_one_value_error(self, tmp_path, damage):
+        store, bad = damaged_store(tmp_path, damage)
+        with pytest.raises(ValueError) as info:
+            store.load("2")
+        assert str(info.value).startswith(f"{bad}: ")
+        assert store.load("3")["wall_time_s"] == 2.0
+
+    def test_cli_notes_the_skipped_file(self, tmp_path, capsys, damage):
+        _store, bad = damaged_store(tmp_path, damage)
+        hist = str(tmp_path)
+        note = f"note: skipped {bad}: "
+        assert main(["obs", "history", "--history-dir", hist]) == 0
+        out = capsys.readouterr().out
+        assert out.count(note) == 1
+        assert "2 run(s)" in out
+        assert main(["obs", "check", "--history-dir", hist,
+                     "--max-wall-pct", "-1"]) == 0
+        out = capsys.readouterr().out
+        assert out.count(note) == 1
+        assert "history check: ok (2 run(s)" in out
+        assert main(["obs", "diff", "--history-dir", hist, "1", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro obs diff: {bad}: ")
+        assert err.count("\n") == 1
+
+
 class TestDiffRecords:
     def test_identical_records_diff_clean(self):
         a = synthetic_record(run_id="run-000001")

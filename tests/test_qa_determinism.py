@@ -51,10 +51,10 @@ class TestMatrixPath:
         assert report.scorecards[0].suite_name == "determinism-fixture"
 
     def test_workers_adds_invariance_runs(self):
-        # ...plus the fanned run and the fanned+forced-shm run.
+        # ...plus the fanned run.
         report = check_determinism(fixture_matrix(), seed=0, workers=2)
         assert report.identical, str(report)
-        assert len(report.scorecards) == 6
+        assert len(report.scorecards) == 5
 
     def test_cache_dir_adds_disk_runs(self, tmp_path):
         report = check_determinism(fixture_matrix(), seed=0,
@@ -139,12 +139,12 @@ class TestSearchDeterminism:
         assert "PASS" in str(report)
 
     def test_workers_adds_invariance_runs(self):
-        # ...plus the fanned run and the fanned+forced-shm run.
+        # ...plus the fanned run.
         report = check_search_determinism(self._matrix(), subset_size=4,
                                           n_candidates=4, seed=0,
                                           workers=2)
         assert report.identical, str(report)
-        assert len(report.results) == 6
+        assert len(report.results) == 5
 
     def test_cache_dir_adds_disk_runs(self, tmp_path):
         report = check_search_determinism(self._matrix(), subset_size=4,

@@ -1,9 +1,9 @@
 """Deep contract rules: seeded adversarial fixtures for each rule.
 
 Every fixture is the *wrong* program the rule exists to catch -- an
-impure cached kernel, a closure crossing the pool boundary, a mutation
-of a shared-memory view -- plus the corrected twin that must stay
-clean. Analysis is static; fixtures are never imported.
+impure cached kernel, a closure crossing the pool boundary, an
+effectful backend dispatch function -- plus the corrected twin that
+must stay clean. Analysis is static; fixtures are never imported.
 """
 
 import json
@@ -198,109 +198,6 @@ class TestPoolSafety:
             """,
         })
         assert by_rule(findings, "pool-safety") == []
-
-
-class TestShmReadonly:
-    def test_subscript_store_flagged(self, tmp_path):
-        findings = findings_for(tmp_path, {
-            "worker.py": """\
-                from repro.engine import shm
-
-
-                def clobber(ref):
-                    view = shm.resolve(ref)
-                    view[0] = 1.0
-                    return view
-            """,
-        })
-        flagged = by_rule(findings, "shm-readonly")
-        assert len(flagged) == 1
-        assert "subscript store" in flagged[0].message
-        assert "pkg.worker.clobber" in flagged[0].message
-
-    def test_alias_augmented_assignment_flagged(self, tmp_path):
-        findings = findings_for(tmp_path, {
-            "worker.py": """\
-                from repro.engine.shm import restore
-
-
-                def scale(args):
-                    arrays = restore(args)
-                    first = arrays
-                    first += 2.0
-                    return first
-            """,
-        })
-        flagged = by_rule(findings, "shm-readonly")
-        assert len(flagged) == 1
-        assert "augmented assignment" in flagged[0].message
-
-    def test_out_kwarg_and_mutator_method_flagged(self, tmp_path):
-        findings = findings_for(tmp_path, {
-            "worker.py": """\
-                import numpy as np
-
-                from repro.engine.shm import ShmStore
-
-
-                def crunch(store, ref, other):
-                    a = store.attach(ref)
-                    np.add(a, other, out=a)
-                    a.sort()
-                    return a
-            """,
-        })
-        flagged = by_rule(findings, "shm-readonly")
-        kinds = sorted(f.message.split(" writes into")[0].split(": ")[-1]
-                       for f in flagged)
-        assert len(flagged) == 2
-        assert any("out= argument" in f.message for f in flagged)
-        assert any(".sort() call" in f.message for f in flagged)
-
-    def test_local_store_binding_resolves_attach(self, tmp_path):
-        findings = findings_for(tmp_path, {
-            "worker.py": """\
-                from repro.engine.shm import ShmStore
-
-
-                def mutate(ref):
-                    store = ShmStore()
-                    view = store.attach(ref)
-                    view[2] = 9
-                    return view
-            """,
-        })
-        assert len(by_rule(findings, "shm-readonly")) == 1
-
-    def test_copy_then_mutate_clean(self, tmp_path):
-        findings = findings_for(tmp_path, {
-            "worker.py": """\
-                from repro.engine import shm
-
-
-                def safe(ref):
-                    view = shm.resolve(ref)
-                    view = view.copy()
-                    view[0] = 1.0
-                    view.sort()
-                    return view
-            """,
-        })
-        assert by_rule(findings, "shm-readonly") == []
-
-    def test_suppression(self, tmp_path):
-        findings = findings_for(tmp_path, {
-            "worker.py": """\
-                from repro.engine import shm
-
-
-                def clobber(ref):
-                    view = shm.resolve(ref)
-                    view[0] = 1.0  # qa-ignore[shm-readonly]
-                    return view
-            """,
-        })
-        assert by_rule(findings, "shm-readonly") == []
 
 
 class TestCli:

@@ -5,7 +5,7 @@ This is the pytest face of the static-analysis pass -- any new finding
 in the library tree fails CI here with the same ``file:line:col
 rule-id`` diagnostics the CLI prints. The deep gate additionally runs
 the whole-program effect analyzer (:mod:`repro.qa.flow`): cache-purity,
-pool-safety and shm-readonly must hold over the full cross-module call
+pool-safety and backend-purity must hold over the full cross-module call
 graph. Fix the code (or, for a justified exception, add a per-line
 ``# qa-ignore[rule-id]``) rather than loosening the rules.
 """

@@ -568,7 +568,7 @@ class TestCli:
         out = capsys.readouterr().out
         for rule_id in ("rng-discipline", "arg-mutation", "float-equality",
                         "overbroad-except", "all-drift", "obs-discipline",
-                        "cache-purity", "pool-safety", "shm-readonly"):
+                        "cache-purity", "pool-safety", "backend-purity"):
             assert rule_id in out
 
 
