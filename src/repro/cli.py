@@ -9,7 +9,7 @@
     perspector experiment fig1|fig2|fig3|fig4|fig5|fig6|subset|mux|ablations
     perspector lint [--deep] [--format text|json] [paths ...]
     perspector analyze effects <symbol> [--root DIR]
-    perspector qa [--seed N] [--backend NAME] [--serve] [--history]
+    perspector qa [--seed N] [--serve] [--history]
     perspector obs summary TRACE [--top N]
     perspector obs history [--history-dir DIR] [--digest PREFIX]
     perspector obs diff [RUN-A RUN-B] [--history-dir DIR]
@@ -23,9 +23,7 @@ and ``experiment`` accept ``--workers N`` (fan scoring across a
 persistent spawn worker pool), ``--no-cache`` (disable the engine's
 kernel cache), ``--cache-dir DIR`` / ``$REPRO_CACHE_DIR`` (persist
 measured suites and kernel results on disk, so repeat invocations
-start warm) and ``--backend NAME`` / ``$REPRO_BACKEND`` (the compute
-backend for the DTW / KS hot paths: ``reference`` or ``vectorized``);
-none of the four changes any output bit. ``lint`` runs
+start warm); none of the three changes any output bit. ``lint`` runs
 the project's static-analysis pass (:mod:`repro.qa.lint`); with
 ``--deep`` it adds the whole-program contract rules (cache-purity,
 pool-safety, backend-purity -- :mod:`repro.qa.flow`) and ``--format
@@ -70,6 +68,7 @@ so piping a report into a file never interleaves progress chatter.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -100,16 +99,26 @@ _EXPERIMENTS = {
 }
 
 
-def _int_at_least(lo):
-    """argparse ``type``: an int no smaller than ``lo`` (else exit 2)."""
+def _bounded(kind, lo, hi=None, above=False):
+    """argparse ``type``: an int or finite float that is ``>= lo``
+    (``> lo`` with ``above``) and ``<= hi`` when given (else exit 2)."""
+    if above:
+        bound = f"> {lo}"
+    elif hi is None:
+        bound = f">= {lo}"
+    else:
+        bound = f"in [{lo}, {hi}]"
+
     def parse(text):
-        value = int(text)
-        if value < lo:
-            raise argparse.ArgumentTypeError(
-                f"must be >= {lo}, got {value}")
+        value = kind(text)
+        # Written so NaN fails every comparison and is rejected.
+        ok = (value > lo if above else value >= lo) and value < math.inf
+        if not ok or (hi is not None and value > hi):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
         return value
 
-    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    # argparse names the type in "invalid int value" / "invalid float value".
+    parse.__name__ = kind.__name__
     return parse
 
 
@@ -121,7 +130,6 @@ def _config(args, default_preset=ExperimentConfig.full):
         workers=getattr(args, "workers", 1),
         cache=not getattr(args, "no_cache", False),
         cache_dir=getattr(args, "cache_dir", None),
-        backend=getattr(args, "backend", None),
         history_dir=getattr(args, "history_dir", None),
     )
 
@@ -270,8 +278,6 @@ def _cmd_qa(args):
             "--workers", str(args.workers)]
     if args.full:
         argv.append("--full")
-    if args.backend:
-        argv.extend(["--backend", args.backend])
     status = determinism_main(argv)
     if args.serve:
         # The service determinism variant: a daemon-served scorecard
@@ -279,10 +285,7 @@ def _cmd_qa(args):
         # hit the shared caches, shutdown must leak nothing.
         from repro.qa.service_check import main as service_main
 
-        serve_argv = []
-        if args.backend:
-            serve_argv = ["--backend", args.backend]
-        status = max(status, service_main(serve_argv))
+        status = max(status, service_main([]))
     if args.history:
         # The history determinism variant: recording on vs off must be
         # bit-identical, an equal-digest re-run must diff to zero, and
@@ -290,10 +293,7 @@ def _cmd_qa(args):
         # must each be flagged.
         from repro.qa.history_check import main as history_main
 
-        history_argv = []
-        if args.backend:
-            history_argv = ["--backend", args.backend]
-        status = max(status, history_main(history_argv))
+        status = max(status, history_main([]))
     return status
 
 
@@ -504,7 +504,7 @@ def _add_engine_flags(p):
     these flags changes any output bit; they only trade speed for
     resources."""
     p.add_argument(
-        "--workers", type=_int_at_least(1), default=1, metavar="N",
+        "--workers", type=_bounded(int, 1), default=1, metavar="N",
         help="worker processes for the scoring engine's parallel "
              "fan-out (default 1 = serial; results are bit-identical "
              "for any value)",
@@ -522,15 +522,6 @@ def _add_engine_flags(p):
              "content-addressed keys, so repeat invocations start warm "
              "(default: $REPRO_CACHE_DIR if set, else memory-only; "
              "results are bit-identical either way)",
-    )
-    from repro.stats.backend import available_backends
-
-    p.add_argument(
-        "--backend", choices=available_backends(),
-        default=os.environ.get("REPRO_BACKEND") or None,
-        help="compute backend for the DTW / KS hot paths (default: "
-             "$REPRO_BACKEND if set, else reference; every backend is "
-             "bit-identical to the reference kernels)",
     )
     p.add_argument(
         "--history-dir", metavar="DIR",
@@ -587,9 +578,9 @@ def build_parser():
         "subset", help="LHS subset generation / multi-candidate search"
     )
     p_sub.add_argument("suite", choices=available_suites())
-    p_sub.add_argument("--size", type=_int_at_least(2), default=8)
+    p_sub.add_argument("--size", type=_bounded(int, 2), default=8)
     p_sub.add_argument(
-        "--search", type=_int_at_least(1), default=None, metavar="N",
+        "--search", type=_bounded(int, 1), default=None, metavar="N",
         help="evaluate up to N candidate subsets through the sliced "
              "evaluator (precomputes the full-suite kernels once) and "
              "report the lowest-mean-deviation one, instead of the "
@@ -659,18 +650,9 @@ def build_parser():
     p_qa.add_argument("--full", action="store_true",
                       help="full-length traces (slower)")
     p_qa.add_argument(
-        "--workers", type=_int_at_least(1), default=1, metavar="N",
+        "--workers", type=_bounded(int, 1), default=1, metavar="N",
         help="also check engine invariance at this worker count "
              "(scorecards must be bit-identical to the serial path)",
-    )
-    from repro.stats.backend import available_backends
-
-    p_qa.add_argument(
-        "--backend", choices=available_backends(),
-        default=os.environ.get("REPRO_BACKEND") or None,
-        help="also cross-check this compute backend's scorecards "
-             "bit-for-bit against the reference backend on every "
-             "variant (default: $REPRO_BACKEND if set)",
     )
     p_qa.add_argument(
         "--serve", action="store_true",
@@ -708,7 +690,8 @@ def build_parser():
     # off args.trace, and summarizing a trace must not be traced.
     p_sum.add_argument("trace_path", metavar="TRACE",
                        help="JSONL trace file (from --trace)")
-    p_sum.add_argument("--top", type=int, default=15, metavar="N",
+    p_sum.add_argument("--top", type=_bounded(int, 1), default=15,
+                       metavar="N",
                        help="how many span names to rank by self time "
                             "(default 15)")
 
@@ -791,7 +774,8 @@ def build_parser():
     )
     p_serve.add_argument("--host", default=DEFAULT_HOST,
                          help=f"bind address (default {DEFAULT_HOST})")
-    p_serve.add_argument("--port", type=int, default=DEFAULT_PORT,
+    p_serve.add_argument("--port", type=_bounded(int, 0, 65535),
+                         default=DEFAULT_PORT,
                          help=f"bind port; 0 picks an ephemeral one "
                               f"(default {DEFAULT_PORT})")
     _add_engine_flags(p_serve)
@@ -806,16 +790,19 @@ def build_parser():
     def _client_parser(name, help_text):
         p = client_sub.add_parser(name, help=help_text)
         p.add_argument("--host", default=DEFAULT_HOST)
-        p.add_argument("--port", type=int, default=DEFAULT_PORT)
-        p.add_argument("--timeout", type=float, default=600.0,
-                       metavar="SECONDS",
+        p.add_argument("--port", type=_bounded(int, 0, 65535),
+                       default=DEFAULT_PORT)
+        p.add_argument("--timeout", type=_bounded(float, 0, above=True),
+                       default=600.0, metavar="SECONDS",
                        help="read timeout per request (default 600)")
-        p.add_argument("--connect-timeout", type=float, default=10.0,
+        p.add_argument("--connect-timeout",
+                       type=_bounded(float, 0, above=True), default=10.0,
                        metavar="SECONDS",
                        help="TCP connect timeout (default 10; an "
                             "unreachable daemon fails fast instead of "
                             "hanging for the full read timeout)")
-        p.add_argument("--retries", type=int, default=2, metavar="N",
+        p.add_argument("--retries", type=_bounded(int, 0), default=2,
+                       metavar="N",
                        help="extra attempts after a connection failure, "
                             "with exponential backoff (default 2; HTTP "
                             "errors are never retried)")
@@ -836,8 +823,8 @@ def build_parser():
     p_cb = _client_parser("subset", "subset generation/search on the "
                                     "daemon")
     p_cb.add_argument("suite", choices=available_suites())
-    p_cb.add_argument("--size", type=_int_at_least(2), default=8)
-    p_cb.add_argument("--search", type=_int_at_least(1), default=None,
+    p_cb.add_argument("--size", type=_bounded(int, 2), default=8)
+    p_cb.add_argument("--search", type=_bounded(int, 1), default=None,
                       metavar="N")
     p_cb.add_argument("--method", default="lhs",
                       choices=["lhs", "random", "swap"])

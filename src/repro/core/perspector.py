@@ -60,11 +60,6 @@ class PerspectorConfig:
         process (or CLI invocation) starts warm. ``None`` keeps the
         cache memory-only. Like ``workers``/``cache``, the tier never
         changes an output bit.
-    backend:
-        Compute-backend name for the DTW / KS hot paths (``"reference"``
-        | ``"vectorized"``). ``None`` resolves via ``$REPRO_BACKEND``
-        then the reference default. Backends are bit-identical -- purely
-        a speed knob, and cache keys never include it.
     """
 
     pca_variance: float = DEFAULT_VARIANCE
@@ -76,7 +71,6 @@ class PerspectorConfig:
     workers: int = 1
     cache: bool = True
     cache_dir: str | None = None
-    backend: str | None = None
 
 
 class Perspector:

@@ -34,7 +34,7 @@ import numpy as np
 from repro.core.matrix import CounterMatrix
 from repro.core.normalization import normalize_matrix
 from repro.qa.contracts import ArraySpec, checked_array
-from repro.stats.backend import get_backend
+from repro.stats.backend import ks_columns
 from repro.stats.kstest import ks_two_sample
 
 #: Paper's reading: D below this = weakly uniform.
@@ -69,7 +69,7 @@ class SpreadScoreResult:
 
 @checked_array(matrix=ArraySpec(ndim=2, finite=True))
 def spread_score(matrix, normalize=True, axis="workloads", sampled=False,
-                 rng=0, backend=None):
+                 rng=0):
     """Compute the SpreadScore of a suite (Eq. 14).
 
     Parameters
@@ -87,11 +87,6 @@ def spread_score(matrix, normalize=True, axis="workloads", sampled=False,
         uniform draws instead of the exact one-sample statistic.
     rng:
         Seed/Generator for the sampled variant.
-    backend:
-        Compute-backend name or :class:`~repro.stats.backend.ComputeBackend`
-        for the exact per-column KS statistics (``None`` = reference).
-        Backends are bit-identical, so this only changes speed; the
-        sampled variant always runs the reference two-sample path.
 
     Returns
     -------
@@ -129,7 +124,7 @@ def spread_score(matrix, normalize=True, axis="workloads", sampled=False,
             per_item[name] = float(ks_two_sample(values, reference).statistic)
     else:
         columns = np.stack(list(vectors.values()), axis=1)
-        stats = get_backend(backend or "reference").ks_columns(columns)
+        stats = ks_columns(columns)
         per_item = {name: float(d) for name, d in zip(vectors, stats)}
 
     value = float(np.mean(list(per_item.values())))

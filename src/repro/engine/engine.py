@@ -10,7 +10,7 @@ capabilities without changing a single output bit:
   labels are cached under content-addressed keys. Focused re-scoring,
   subset fidelity checks and repeated experiment runs hit the cache
   instead of recomputing. The missing DTW pairs of one or several
-  matrices go to the backend in one deduplicated batch
+  matrices go to the kernel in one deduplicated batch
   (:meth:`Engine.dtw_matrices`).
 * **Parallel fan-out** (:mod:`repro.engine.parallel`): per-event DTW
   matrices, the per-k K-means sweep and per-suite comparison scoring
@@ -21,13 +21,11 @@ capabilities without changing a single output bit:
 
 Determinism-under-caching hinges on one kernel-selection rule: a given
 (series pair, band) always yields the same bits whatever code path
-computes it. The engine dispatches DTW pairs and the per-column KS
-statistics through a :class:`~repro.stats.backend.ComputeBackend`
-(``reference`` | ``vectorized``, resolved by
-:func:`repro.stats.backend.resolve_backend`); every registered backend
-is bit-identical to the reference kernels, so mixing cached and fresh
-pairs is safe and cache keys never mention the backend -- a property
-``repro qa --backend vectorized`` cross-checks end to end.
+computes it. The engine dispatches DTW pairs through the one
+:class:`~repro.stats.backend.ComputeBackend` record
+(:func:`repro.stats.backend.kernels`), whose batched kernels are
+bit-identical to one ``dtw_distance`` per pair, so mixing cached and
+fresh pairs is safe whichever batch computed them.
 """
 
 from __future__ import annotations
@@ -54,7 +52,7 @@ from repro.engine.cache import (
 from repro.engine.parallel import ParallelExecutor
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import span
-from repro.stats.backend import get_backend, resolve_backend
+from repro.stats.backend import kernels
 from repro.stats.distance import pairwise_distances
 from repro.stats.dtw import validate_series_list
 from repro.stats.kmeans import KMeans
@@ -63,8 +61,7 @@ from repro.stats.kmeans import KMeans
 # -- worker tasks (top-level so they pickle) --------------------------------
 
 
-def _trend_event_task(series_list, n_points, band, normalize, cdf,
-                      backend="reference"):
+def _trend_event_task(series_list, n_points, band, normalize, cdf):
     """Normalize one event's series set (optionally) and compute its
     pairwise DTW matrix. Pure: returns everything it computed."""
     arrays = [np.asarray(s, dtype=float) for s in series_list]
@@ -72,19 +69,19 @@ def _trend_event_task(series_list, n_points, band, normalize, cdf,
         norm = normalize_series_set(arrays, n_points=n_points, cdf=cdf)
     else:
         norm = validate_series_list(arrays)
-    return norm, _dtw_matrix_direct(norm, band, backend=backend)
+    return norm, _dtw_matrix_direct(norm, band)
 
 
-def _dtw_matrix_direct(arrays, band, backend="reference"):
+def _dtw_matrix_direct(arrays, band):
     """The plain (cache-free) pairwise DTW matrix over validated arrays,
-    via the same backend kernels the cached assembly path uses."""
+    via the same kernels the cached assembly path uses."""
     arrays = validate_series_list(arrays)
     n = len(arrays)
     out = np.zeros((n, n))
     if n < 2:
         return out
     idx_i, idx_j = np.triu_indices(n, k=1)
-    totals = get_backend(backend).pair_distances(arrays, idx_i, idx_j, band)
+    totals = kernels().pair_distances(arrays, idx_i, idx_j, band)
     out[idx_i, idx_j] = totals
     out[idx_j, idx_i] = totals
     return out
@@ -96,13 +93,12 @@ def _kmeans_task(x, k, seed, n_restarts):
 
 
 def _score_matrix_task(matrix, config, focus_value, normalize, cache,
-                       cache_dir=None, backend="reference"):
+                       cache_dir=None):
     """Score one suite matrix in a worker with a fresh single-process
     engine -- the same code path the serial loop runs. The worker
     shares the owner's disk tier (atomic renames make concurrent
     writers safe), so its kernel results warm later runs too."""
-    engine = Engine(cache=cache, workers=1, cache_dir=cache_dir,
-                    backend=backend)
+    engine = Engine(cache=cache, workers=1, cache_dir=cache_dir)
     return engine.score_matrix(matrix, config, focus_value,
                                normalize=normalize)
 
@@ -127,17 +123,15 @@ class Engine:
         survive across processes and CLI invocations. ``None`` (default)
         keeps the cache memory-only.
     backend:
-        Compute-backend name (``"reference"`` | ``"vectorized"``) or a
-        :class:`~repro.stats.backend.ComputeBackend`; ``None`` resolves
-        via ``$REPRO_BACKEND`` then the reference default. Backends are
-        bit-identical, so this is purely a speed knob and cache keys
-        never include it.
+        A :class:`~repro.stats.backend.ComputeBackend` record to
+        dispatch through instead of :func:`~repro.stats.backend.kernels`
+        -- a seam for wrapped copies that count or record kernel calls.
+        Pool tasks always use ``kernels()``.
     """
 
     def __init__(self, cache=True, workers=1, cache_dir=None, backend=None):
-        #: The active ComputeBackend the DTW / KS hot paths dispatch
-        #: through (bit-identical across backends by contract).
-        self.backend = resolve_backend(backend)
+        #: The ComputeBackend record DTW pair batches dispatch through.
+        self.backend = kernels() if backend is None else backend
         #: One registry for every counter across the engine's layers --
         #: kernel cache, disk tier, worker pool.
         #: ``details['engine']`` is a ``snapshot().delta()`` view over it.
@@ -168,13 +162,12 @@ class Engine:
     @classmethod
     def from_config(cls, config):
         """Build an engine from any config carrying ``workers``/``cache``
-        /``cache_dir``/``backend`` knobs
+        /``cache_dir`` knobs
         (:class:`~repro.core.perspector.PerspectorConfig`,
         :class:`~repro.experiments.runner.ExperimentConfig`)."""
         return cls(cache=getattr(config, "cache", True),
                    workers=getattr(config, "workers", 1),
-                   cache_dir=getattr(config, "cache_dir", None),
-                   backend=getattr(config, "backend", None))
+                   cache_dir=getattr(config, "cache_dir", None))
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -254,7 +247,7 @@ class Engine:
 
     def dtw_matrices(self, sets, band=None):
         """Pairwise DTW matrices of several series sets, from at most
-        one backend kernel call.
+        one kernel call.
 
         ``sets`` holds ``(arrays, digests)`` pairs: validated series and
         their :func:`~repro.engine.cache.array_digest`, which the caller
@@ -408,8 +401,7 @@ class Engine:
         if pending:
             results = self.executor.map(
                 _trend_event_task,
-                [(tuple(arrays), n_points, band, do_norm, cdf,
-                  self.backend.name)
+                [(tuple(arrays), n_points, band, do_norm, cdf)
                  for (_event, arrays, _nkey, do_norm) in pending],
             )
             for (event, _arrays, nkey, _do_norm), (norm, dmatrix) in zip(
@@ -573,11 +565,8 @@ class Engine:
             cached = self._cached("spread-score", key)
             if cached is not MISS:
                 return cached
-            # The backend is deliberately absent from the key: backends
-            # are bit-identical, so the entry is shared across them.
             result = core_spread_score(matrix, normalize=normalize,
-                                       axis=axis, sampled=sampled, rng=rng,
-                                       backend=self.backend)
+                                       axis=axis, sampled=sampled, rng=rng)
             return self.cache.put(key, result)
 
     # -- suite-level scoring -----------------------------------------------
@@ -653,6 +642,6 @@ class Engine:
         return self.executor.map(
             _score_matrix_task,
             [(m, config, focus_value, normalize, self.cache.enabled,
-              self.cache_dir, self.backend.name)
+              self.cache_dir)
              for m in matrices],
         )

@@ -77,6 +77,7 @@ from repro.core.subset import (
 from repro.engine.cache import MISS, array_digest, content_key
 from repro.engine.engine import Engine
 from repro.obs.trace import span
+from repro.stats.backend import ks_columns
 from repro.stats.preprocessing import minmax_normalize
 
 
@@ -189,11 +190,9 @@ class SubsetEvaluator:
             self._base = np.clip(base, 0.0, 1.0)
 
             # Eq. 14 is row-local: one KS D-value per workload row,
-            # reusable by every subset containing that row. Computed by
-            # the engine's backend (bit-identical whichever is active).
+            # reusable by every subset containing that row.
             self._row_spread = tuple(
-                float(d)
-                for d in self.engine.backend.ks_columns(self._base.T)
+                float(d) for d in ks_columns(self._base.T)
             )
 
             self._events = list(matrix.series)

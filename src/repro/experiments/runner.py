@@ -33,10 +33,10 @@ _CACHE = {}
 class ExperimentConfig:
     """Trace-length and seed settings shared by the experiment drivers.
 
-    ``workers``, ``cache``, ``cache_dir`` and ``backend`` configure the
-    scoring engine (:class:`repro.engine.Engine`): process fan-out
-    width, the content-addressed kernel cache, its optional on-disk
-    tier, and the compute backend. None of them affects any output bit -- they only change how fast the
+    ``workers``, ``cache`` and ``cache_dir`` configure the scoring
+    engine (:class:`repro.engine.Engine`): process fan-out width, the
+    content-addressed kernel cache and its optional on-disk tier. None
+    of them affects any output bit -- they only change how fast the
     drivers regenerate the figures. With ``cache_dir`` set, the
     *measured suites themselves* also persist there (keyed by suite
     name + every measurement field), so a warm CLI invocation skips the
@@ -53,7 +53,6 @@ class ExperimentConfig:
     workers: int = 1
     cache: bool = True
     cache_dir: str | None = None
-    backend: str | None = None
     #: Where to append longitudinal run-history records
     #: (:mod:`repro.obs.history`); ``None`` disables recording. Like
     #: the other engine knobs, it never affects an output bit.
@@ -62,7 +61,7 @@ class ExperimentConfig:
     def measurement_key(self):
         """The fields that determine measured traces. Scoring knobs
         (``metric_seed``, ``workers``, ``cache``, ``cache_dir``,
-        ``backend``, ``history_dir``) are excluded, so
+        ``history_dir``) are excluded, so
         re-scoring the same traces under different settings reuses the
         measurement cache."""
         return (self.n_intervals, self.ops_per_interval,
@@ -259,7 +258,6 @@ def perspector_for(config, session=None, engine=None):
             workers=config.workers,
             cache=config.cache,
             cache_dir=getattr(config, "cache_dir", None),
-            backend=getattr(config, "backend", None),
         ),
         engine=engine,
     )

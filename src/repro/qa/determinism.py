@@ -128,8 +128,7 @@ class DeterminismReport:
 
 
 def check_determinism(suite_or_matrix, seed=0, focus="all",
-                      session_factory=None, workers=1, cache_dir=None,
-                      backend=None):
+                      session_factory=None, workers=1, cache_dir=None):
     """Score the input twice under one seed; diff the results bit-for-bit.
 
     Each run builds a *fresh* Perspector (and, unless ``session_factory``
@@ -153,14 +152,6 @@ def check_determinism(suite_or_matrix, seed=0, focus="all",
       score`` prints from) and served back by a fresh tier, every
       per-k, per-event, per-item and coverage-component bit included.
 
-    When ``backend`` names a non-reference compute backend, the
-    baseline runs are pinned to the reference backend and every variant
-    (plus an extra serial run) is re-run under the requested backend:
-    vectorized scorecards must reproduce the *reference* bits on every
-    execution shape, and the disk-warm variant doubles as proof that
-    cache keys are backend-free (entries written by one backend serve
-    the other).
-
     Returns
     -------
     DeterminismReport
@@ -175,9 +166,7 @@ def check_determinism(suite_or_matrix, seed=0, focus="all",
         )
         return perspector.score(suite_or_matrix, focus=focus)
 
-    cross = backend not in (None, "reference")
-    baseline_kwargs = {"backend": "reference"} if cross else {}
-    cards = [run_once(**baseline_kwargs), run_once(**baseline_kwargs)]
+    cards = [run_once(), run_once()]
     mismatches = list(diff_scorecards(cards[0], cards[1]))
     variants = [("cache=off", {"cache": False})]
     if workers > 1:
@@ -185,15 +174,6 @@ def check_determinism(suite_or_matrix, seed=0, focus="all",
     if cache_dir is not None:
         variants.append(("disk-cold", {"cache_dir": cache_dir}))
         variants.append(("disk-warm", {"cache_dir": cache_dir}))
-    if cross:
-        # Cross-backend identity: the requested backend must reproduce
-        # the reference baseline's bits on every execution shape. The
-        # disk-warm arm additionally proves cache keys are backend-free:
-        # it serves entries the disk-cold arm wrote under this backend.
-        variants = [(f"backend={backend}", {"backend": backend})] + [
-            (f"{backend}:{label}", dict(kwargs, backend=backend))
-            for label, kwargs in variants
-        ]
     for label, config_kwargs in variants:
         card = run_once(**config_kwargs)
         mismatches.extend(
@@ -217,20 +197,16 @@ def check_determinism(suite_or_matrix, seed=0, focus="all",
     from repro.obs import trace as obs_trace
 
     traced_kwargs = {"workers": workers} if workers > 1 else {}
-    traced_label = "traced"
-    if cross:
-        traced_kwargs["backend"] = backend
-        traced_label = f"{backend}:traced"
     tracer = obs_trace.install(obs_trace.Tracer())
     try:
         card = run_once(**traced_kwargs)
     finally:
         obs_trace.uninstall()
     mismatches.extend(
-        f"[{traced_label}] {m}" for m in diff_scorecards(cards[0], card)
+        f"[traced] {m}" for m in diff_scorecards(cards[0], card)
     )
     mismatches.extend(
-        f"[{traced_label}] span tree: {problem}"
+        f"[traced] span tree: {problem}"
         for problem in obs_trace.validate_spans(tracer.spans(),
                                                 owner_pid=os.getpid())
     )
@@ -334,7 +310,7 @@ class SearchDeterminismReport:
 
 def check_search_determinism(matrix, subset_size=4, n_candidates=8,
                              method="swap", seed=0, workers=1,
-                             cache_dir=None, backend=None):
+                             cache_dir=None):
     """Run ``SubsetSearch.search`` twice from fresh engines under one
     seed; diff the results bit-for-bit. Like :func:`check_determinism`,
     extra variant runs enforce the engine invariance contract: cache
@@ -342,9 +318,7 @@ def check_search_determinism(matrix, subset_size=4, n_candidates=8,
     that many processes of the persistent spawn pool; and when
     ``cache_dir`` is given, a disk-cold then a disk-warm run against
     the on-disk cache tier; the disk-warm run must also compute no DTW
-    pair at all. A non-reference ``backend`` pins the baseline to the
-    reference backend and re-runs every variant under the requested
-    one, as in :func:`check_determinism`.
+    pair at all.
 
     Returns
     -------
@@ -361,9 +335,7 @@ def check_search_determinism(matrix, subset_size=4, n_candidates=8,
         finally:
             engine.close()
 
-    cross = backend not in (None, "reference")
-    baseline_kwargs = {"backend": "reference"} if cross else {}
-    results = [run_once(**baseline_kwargs), run_once(**baseline_kwargs)]
+    results = [run_once(), run_once()]
     mismatches = list(diff_search_results(results[0], results[1]))
     variants = [("cache=off", {"cache": False})]
     if workers > 1:
@@ -371,14 +343,9 @@ def check_search_determinism(matrix, subset_size=4, n_candidates=8,
     if cache_dir is not None:
         variants.append(("disk-cold", {"cache_dir": cache_dir}))
         variants.append(("disk-warm", {"cache_dir": cache_dir}))
-    if cross:
-        variants = [(f"backend={backend}", {"backend": backend})] + [
-            (f"{backend}:{label}", dict(kwargs, backend=backend))
-            for label, kwargs in variants
-        ]
     for label, kwargs in variants:
         counted = None
-        if label.endswith("disk-warm"):
+        if label == "disk-warm":
             kwargs, counted = _pair_counting(kwargs)
         result = run_once(**kwargs)
         mismatches.extend(
@@ -400,21 +367,17 @@ def check_search_determinism(matrix, subset_size=4, n_candidates=8,
     from repro.obs import trace as obs_trace
 
     traced_kwargs = {"workers": workers} if workers > 1 else {}
-    traced_label = "traced"
-    if cross:
-        traced_kwargs["backend"] = backend
-        traced_label = f"{backend}:traced"
     tracer = obs_trace.install(obs_trace.Tracer())
     try:
         result = run_once(**traced_kwargs)
     finally:
         obs_trace.uninstall()
     mismatches.extend(
-        f"[{traced_label}] {m}"
+        f"[traced] {m}"
         for m in diff_search_results(results[0], result)
     )
     mismatches.extend(
-        f"[{traced_label}] span tree: {problem}"
+        f"[traced] span tree: {problem}"
         for problem in obs_trace.validate_spans(tracer.spans(),
                                                 owner_pid=os.getpid())
     )
@@ -428,24 +391,24 @@ def check_search_determinism(matrix, subset_size=4, n_candidates=8,
 
 
 def _pair_counting(engine_kwargs):
-    """``engine_kwargs`` with the backend swapped for one that records
-    the size of every DTW pair batch it computes, plus that record (a
-    list; empty while no pair was computed). It sees every call made
-    through the engine's own backend -- all candidate work and every
-    inline full-suite matrix fill -- but not trend-event pool tasks,
-    which look their backend up by name even when run inline."""
+    """``engine_kwargs`` with a kernel record that records the size of
+    every DTW pair batch it computes, plus that record (a list; empty
+    while no pair was computed). It sees every call made through the
+    engine's own record -- all candidate work and every inline
+    full-suite matrix fill -- but not trend-event pool tasks, which
+    read :func:`~repro.stats.backend.kernels` even when run inline."""
     import dataclasses
 
-    from repro.stats.backend import resolve_backend
+    from repro.stats.backend import kernels
 
-    backend = resolve_backend(engine_kwargs.get("backend"))
+    record = kernels()
     counted = []
 
     def pair_distances(arrays, idx_i, idx_j, band=None):
         counted.append(len(idx_i))
-        return backend.pair_distances(arrays, idx_i, idx_j, band)
+        return record.pair_distances(arrays, idx_i, idx_j, band)
 
-    counting = dataclasses.replace(backend, pair_distances=pair_distances)
+    counting = dataclasses.replace(record, pair_distances=pair_distances)
     return dict(engine_kwargs, backend=counting), counted
 
 
@@ -503,10 +466,6 @@ def main(argv=None):
     parser.add_argument("--workers", type=int, default=1, metavar="N",
                         help="also require a run fanned across N worker "
                              "processes to be bit-identical")
-    parser.add_argument("--backend", default=None,
-                        help="also require this compute backend to "
-                             "reproduce the reference backend's bits on "
-                             "every variant (e.g. vectorized)")
     args = parser.parse_args(argv)
 
     import tempfile
@@ -517,8 +476,7 @@ def main(argv=None):
         suite, factory = _default_subject(args.seed, quick=not args.full)
         report = check_determinism(suite, seed=args.seed, focus=args.focus,
                                    session_factory=factory,
-                                   workers=args.workers, cache_dir=tmp,
-                                   backend=args.backend)
+                                   workers=args.workers, cache_dir=tmp)
         print(report)
 
         # The sliced subset evaluator and search driver carry the same
@@ -529,7 +487,6 @@ def main(argv=None):
             synthetic_matrix(seed=args.seed, n_workloads=10, n_events=3,
                              length=32),
             seed=args.seed, workers=args.workers, cache_dir=tmp,
-            backend=args.backend,
         )
         print(search_report)
 

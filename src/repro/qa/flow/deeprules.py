@@ -20,16 +20,14 @@
     single-process answer.
 
 ``backend-purity``
-    Every function in :mod:`repro.stats.backend` is (or backs) a
-    dispatch target that pool tasks and the scoring daemon call by
-    name. They must all stay module-top-level (nested functions and
-    methods either fail to pickle under spawn or capture state the
-    registry promises not to carry) and transitively free of
-    ``WRITES_GLOBAL`` / ``RNG_UNSEEDED`` / ``CLOCK`` / ``IO`` -- an
-    effectful backend would make "which backend ran" observable, and
-    the whole registry contract is that it never is.
-    (``READS_GLOBAL`` is permitted: ``resolve_backend`` reads
-    ``$REPRO_BACKEND`` once at engine construction.)
+    Every function in :mod:`repro.stats.backend` is (or backs) the
+    dispatch that the engine calls through a record attribute, which
+    the call graph cannot see through. They must all stay
+    module-top-level (nested functions and methods either fail to
+    pickle under spawn or capture state a pool task cannot carry) and
+    transitively free of ``WRITES_GLOBAL`` / ``RNG_UNSEEDED`` /
+    ``CLOCK`` / ``IO`` -- an effectful kernel would make its caller
+    impure behind the analysis's back.
 
 Every finding embeds the justifying call chain (who calls whom down to
 the intrinsic atom) so the report is actionable without re-running the
@@ -56,7 +54,7 @@ FORBIDDEN_CACHED = frozenset({WRITES_GLOBAL, RNG_UNSEEDED, CLOCK, IO})
 #: Effects a pool-submitted task may not carry.
 POOL_FORBIDDEN = frozenset({RNG_UNSEEDED, WRITES_GLOBAL})
 
-#: The compute-backend registry module held to dispatch purity.
+#: The compute-dispatch module held to dispatch purity.
 BACKEND_MODULE = "repro.stats.backend"
 
 #: Effects a backend dispatch function may not carry.

@@ -259,15 +259,11 @@ def main(argv=None):
         description="history recording determinism + regression-gate "
                     "check",
     )
-    parser.add_argument("--backend", default=None,
-                        help="compute backend for the scoring arms")
-    args = parser.parse_args(argv)
-
-    from dataclasses import replace
+    parser.parse_args(argv)
 
     from repro.experiments.runner import ExperimentConfig, clear_cache
 
-    config = replace(ExperimentConfig.quick(), backend=args.backend)
+    config = ExperimentConfig.quick()
     failures = []
 
     clear_cache()

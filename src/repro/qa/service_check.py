@@ -130,14 +130,9 @@ def _served_session(config, suite, focus, cli_card, label, failures,
 
 
 def check_service(suite="nbench", focus="all", workers=1, cache_dir=None,
-                  quick=True, backend=None):
+                  quick=True):
     """Run the full service-vs-CLI check; returns a list of failure
-    strings (empty = PASS).
-
-    A non-reference ``backend`` keeps the CLI arm on the reference
-    backend but boots the daemons with the requested one: served
-    vectorized scorecards must reproduce the reference CLI bits on
-    every session (cold, warm, restarted-from-disk, concurrent)."""
+    strings (empty = PASS)."""
     from repro.engine.diskcache import stale_artifacts
     from repro.experiments import runner
     from repro.experiments.runner import ExperimentConfig
@@ -145,22 +140,17 @@ def check_service(suite="nbench", focus="all", workers=1, cache_dir=None,
     preset = (ExperimentConfig.quick if quick
               else ExperimentConfig.full)()
     config = replace(preset, workers=workers, cache_dir=cache_dir)
-    cross = backend not in (None, "reference")
-    cli_config = replace(config, backend="reference") if cross else config
-    serve_config = replace(config, backend=backend) if cross else config
-    label = f"serve[{backend}]" if cross else "serve"
     failures = []
 
     # CLI arm first, from a cold measurement memo -- the bits every
-    # served response must reproduce (pinned to the reference backend
-    # when cross-checking another one).
+    # served response must reproduce.
     runner.clear_cache()
-    cli_card = _cli_scorecard(suite, focus, cli_config)
+    cli_card = _cli_scorecard(suite, focus, config)
 
     # Session 1: daemon from a cold process-state (memo cleared), warm
     # across its own requests.
     runner.clear_cache()
-    _served_session(serve_config, suite, focus, cli_card, label, failures,
+    _served_session(config, suite, focus, cli_card, "serve", failures,
                     expect_disk_hits=False)
 
     # Session 2 (only with a disk tier): a *restarted* daemon, cold
@@ -168,9 +158,8 @@ def check_service(suite="nbench", focus="all", workers=1, cache_dir=None,
     # with disk-tier hits and still carry identical bits.
     if cache_dir is not None:
         runner.clear_cache()
-        _served_session(serve_config, suite, focus, cli_card,
-                        f"{label}-restart", failures,
-                        expect_disk_hits=True)
+        _served_session(config, suite, focus, cli_card,
+                        "serve-restart", failures, expect_disk_hits=True)
 
     # Leak check: the daemons were closed; no write orphan may survive.
     if cache_dir is not None:
@@ -198,11 +187,6 @@ def main(argv=None):
     parser.add_argument("--full", action="store_true",
                         help="full-length traces (slower; default is "
                              "the quick preset)")
-    parser.add_argument("--backend", default=None,
-                        help="boot the daemons with this compute backend "
-                             "while the CLI arm stays on the reference "
-                             "backend; served cards must still match "
-                             "bit-for-bit (e.g. vectorized)")
     args = parser.parse_args(argv)
 
     import tempfile
@@ -210,12 +194,10 @@ def main(argv=None):
     with tempfile.TemporaryDirectory(prefix="repro-serve-smoke-") as tmp:
         failures = check_service(
             suite=args.suite, focus=args.focus, workers=args.workers,
-            cache_dir=tmp, quick=not args.full, backend=args.backend,
+            cache_dir=tmp, quick=not args.full,
         )
     head = (f"service determinism check (suite={args.suite!r}, "
-            f"focus={args.focus!r}, workers={args.workers}"
-            + (f", backend={args.backend!r}" if args.backend else "")
-            + "): ")
+            f"focus={args.focus!r}, workers={args.workers}): ")
     if not failures:
         print(head + "PASS -- served scorecards bit-identical to the "
                      "one-shot CLI (cold, warm, restarted-from-disk, "

@@ -19,12 +19,8 @@ surface over HTTP/JSON (DESIGN.md section 12):
     (``2 <= size <=`` the suite's workload count, ``search >= 1``),
     which are checked before anything is measured.
 
-The three scoring endpoints also accept an optional ``"backend"``
-field (``"reference"`` | ``"vectorized"``) selecting the compute
-backend for that one request; backends are bit-identical, so the
-response bytes never depend on it (``repro qa --serve --backend
-vectorized`` enforces that over real HTTP). Any field an endpoint does
-not know is a 400 naming it, never a silently defaulted answer.
+Any field a scoring endpoint does not know is a 400 naming it, never
+a silently defaulted answer.
 ``GET /v1/metrics``
     Live :class:`~repro.obs.metrics.MetricsRegistry` snapshot of the
     shared engine (cache tiers, pool lifecycle, service
@@ -123,17 +119,6 @@ def _require_focus(focus):
     return focus
 
 
-def _require_backend(backend):
-    from repro.stats.backend import available_backends
-
-    if backend is None:
-        return None
-    if backend not in available_backends():
-        raise RequestError(f"unknown backend {backend!r}; expected one "
-                           f"of {list(available_backends())}")
-    return backend
-
-
 class ScoringService:
     """One shared-engine scoring daemon.
 
@@ -212,10 +197,14 @@ class ScoringService:
                 loop.add_signal_handler(signum, self._shutdown.set)
             except (NotImplementedError, RuntimeError):
                 pass  # non-main thread or non-unix: shutdown via HTTP
-        server = await asyncio.start_server(
-            self._client_connected, host=self.host, port=self.port,
-            limit=service_http.LINE_LIMIT,
-        )
+        try:
+            server = await asyncio.start_server(
+                self._client_connected, host=self.host, port=self.port,
+                limit=service_http.LINE_LIMIT,
+            )
+        except BaseException:
+            self.close()
+            raise
         self.bound_port = server.sockets[0].getsockname()[1]
         print(f"repro serve: listening on http://{self.host}:"
               f"{self.bound_port} (workers={self.engine.workers}, "
@@ -236,11 +225,20 @@ class ScoringService:
               file=sys.stderr)
 
     def run(self):
-        """Blocking entry point (the ``repro serve`` handler)."""
+        """Blocking entry point (the ``repro serve`` handler): exit
+        status 0, or 2 with one stderr line when the address cannot be
+        bound (busy port, unknown host, port out of range)."""
         try:
             asyncio.run(self.serve())
         except KeyboardInterrupt:
             self.close()
+        except (OSError, OverflowError) as exc:
+            # Only the bind can raise these out of serve(): requests
+            # fail per connection, and serve() closes itself on a
+            # failed bind.
+            print(f"repro serve: cannot listen on {self.host}:"
+                  f"{self.port}: {exc}", file=sys.stderr)
+            return 2
         return 0
 
     # -- connection handling -----------------------------------------------
@@ -328,30 +326,27 @@ class ScoringService:
     # -- endpoints ---------------------------------------------------------
 
     async def _handle_score(self, request):
-        payload = _request_fields(request, ("suite", "focus", "backend"))
+        payload = _request_fields(request, ("suite", "focus"))
         suite = _require_suite(payload.get("suite"))
         focus = _require_focus(payload.get("focus", "all"))
-        backend = _require_backend(payload.get("backend"))
-        card = await self._run_scoring(self._score_sync, suite, focus,
-                                       backend)
+        card = await self._run_scoring(self._score_sync, suite, focus)
         return 200, protocol.ok_envelope(protocol.encode_scorecard(card))
 
     async def _handle_compare(self, request):
-        payload = _request_fields(request, ("suites", "focus", "backend"))
+        payload = _request_fields(request, ("suites", "focus"))
         suites = payload.get("suites")
         if not isinstance(suites, list) or len(suites) < 2:
             raise RequestError("'suites' must list at least two suites")
         suites = [_require_suite(s) for s in suites]
         focus = _require_focus(payload.get("focus", "all"))
-        backend = _require_backend(payload.get("backend"))
         comparison = await self._run_scoring(self._compare_sync,
-                                             suites, focus, backend)
+                                             suites, focus)
         return 200, protocol.ok_envelope(
             protocol.encode_comparison(comparison))
 
     async def _handle_subset(self, request):
         payload = _request_fields(
-            request, ("suite", "size", "search", "method", "backend"))
+            request, ("suite", "size", "search", "method"))
         suite = _require_suite(payload.get("suite"))
         # The bounds `repro subset` enforces, checked against the suite
         # model before any measurement runs.
@@ -364,9 +359,8 @@ class ScoringService:
         if method not in _SEARCH_METHODS:
             raise RequestError(f"unknown method {method!r}; expected one "
                                f"of {list(_SEARCH_METHODS)}")
-        backend = _require_backend(payload.get("backend"))
         kind, result = await self._run_scoring(
-            self._subset_sync, suite, size, search, method, backend)
+            self._subset_sync, suite, size, search, method)
         if kind == "search":
             encoded = protocol.encode_search_result(result)
         else:
@@ -392,7 +386,6 @@ class ScoringService:
             "workers": self.engine.workers,
             "cache_enabled": self.engine.cache.enabled,
             "cache_dir": self.engine.cache_dir,
-            "backend": self.engine.backend.name,
             "requests": self._requests.value,
             "inflight": self._active,
             "uptime_s": uptime,
@@ -439,29 +432,7 @@ class ScoringService:
     # -- synchronous scoring jobs (run on the scoring thread) --------------
 
     @contextmanager
-    def _backend_override(self, backend):
-        """Swap the shared engine's compute backend for one request.
-
-        Race-free despite the shared engine: every scoring job runs on
-        the single ``_scoring`` thread, so no two requests can hold the
-        engine at once. Bit-safe despite the swap: backends are
-        bit-identical and cache keys are backend-free, so the override
-        can never leak request-specific bits into the shared caches.
-        """
-        if backend is None:
-            yield
-            return
-        from repro.stats.backend import get_backend
-
-        saved = self.engine.backend
-        self.engine.backend = get_backend(backend)
-        try:
-            yield
-        finally:
-            self.engine.backend = saved
-
-    @contextmanager
-    def _served_run(self, command, params, backend):
+    def _served_run(self, command, params):
         """Record one served scoring job into the history store.
 
         Runs entirely on the single scoring thread, *after* the
@@ -496,8 +467,6 @@ class ScoringService:
         # cannot change an output bit (the store location itself).
         config = dict(asdict(self.config), **params)
         config.pop("history_dir", None)
-        if backend:
-            config["backend"] = backend
         manifest = build_manifest(
             command=f"serve:{command}", argv=[], config=config,
         )
@@ -510,43 +479,35 @@ class ScoringService:
             print(f"repro serve: history append failed: {exc}",
                   file=sys.stderr)
 
-    def _score_sync(self, suite, focus, backend=None):
+    def _score_sync(self, suite, focus):
         from repro.experiments.runner import measure_suites, perspector_for
 
-        with self._served_run("score", {"suite": suite, "focus": focus},
-                              backend) as publish:
-            with self._backend_override(backend):
-                matrix = measure_suites([suite], self.config)[suite]
-                perspector = perspector_for(self.config,
-                                            engine=self.engine)
-                card = perspector.score(matrix, focus=focus)
+        with self._served_run("score", {"suite": suite,
+                                        "focus": focus}) as publish:
+            matrix = measure_suites([suite], self.config)[suite]
+            perspector = perspector_for(self.config, engine=self.engine)
+            card = perspector.score(matrix, focus=focus)
             publish("scorecard", card)
         return card
 
-    def _compare_sync(self, suites, focus, backend=None):
+    def _compare_sync(self, suites, focus):
         from repro.experiments.runner import measure_suites, perspector_for
 
         with self._served_run("compare", {"suites": list(suites),
-                                          "focus": focus},
-                              backend) as publish:
-            with self._backend_override(backend):
-                matrices = measure_suites(suites, self.config)
-                perspector = perspector_for(self.config,
-                                            engine=self.engine)
-                comparison = perspector.compare(
-                    *[matrices[s] for s in suites], focus=focus)
+                                          "focus": focus}) as publish:
+            matrices = measure_suites(suites, self.config)
+            perspector = perspector_for(self.config, engine=self.engine)
+            comparison = perspector.compare(
+                *[matrices[s] for s in suites], focus=focus)
             for card in comparison.scorecards:
                 publish("scorecard", card)
         return comparison
 
-    def _subset_sync(self, suite, size, search, method, backend=None):
+    def _subset_sync(self, suite, size, search, method):
         with self._served_run("subset", {"suite": suite, "size": size,
                                          "search": search,
-                                         "method": method},
-                              backend) as publish:
-            with self._backend_override(backend):
-                kind, result = self._subset_job(suite, size, search,
-                                                method)
+                                         "method": method}) as publish:
+            kind, result = self._subset_job(suite, size, search, method)
             publish("search_result" if kind == "search"
                     else "subset_report", result)
         return kind, result

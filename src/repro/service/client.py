@@ -146,34 +146,24 @@ class ServiceClient:
         ``{"enabled": bool, "runs": [...]}``, oldest run first."""
         return self._request("GET", "/v1/history")
 
-    def score(self, suite, focus="all", backend=None):
-        """The raw ``/v1/score`` result payload. ``backend`` selects
-        the compute backend for this one request (bit-identical across
-        backends; ``None`` keeps the daemon's default)."""
-        payload = {"suite": suite, "focus": focus}
-        if backend is not None:
-            payload["backend"] = backend
-        return self._request("POST", "/v1/score", payload)
+    def score(self, suite, focus="all"):
+        """The raw ``/v1/score`` result payload."""
+        return self._request("POST", "/v1/score",
+                             {"suite": suite, "focus": focus})
 
-    def score_card(self, suite, focus="all", backend=None):
+    def score_card(self, suite, focus="all"):
         """The served scorecard decoded back to floats from its bit
         patterns (:class:`~repro.service.protocol.ServedScorecard`)."""
-        return decode_scorecard(
-            self.score(suite, focus=focus, backend=backend))
+        return decode_scorecard(self.score(suite, focus=focus))
 
-    def compare(self, suites, focus="all", backend=None):
-        payload = {"suites": list(suites), "focus": focus}
-        if backend is not None:
-            payload["backend"] = backend
-        return self._request("POST", "/v1/compare", payload)
+    def compare(self, suites, focus="all"):
+        return self._request("POST", "/v1/compare",
+                             {"suites": list(suites), "focus": focus})
 
-    def subset(self, suite, size=8, search=None, method="lhs",
-               backend=None):
+    def subset(self, suite, size=8, search=None, method="lhs"):
         payload = {"suite": suite, "size": size, "method": method}
         if search is not None:
             payload["search"] = search
-        if backend is not None:
-            payload["backend"] = backend
         return self._request("POST", "/v1/subset", payload)
 
     def shutdown(self):

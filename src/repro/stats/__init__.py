@@ -15,9 +15,9 @@ implemented from first principles on top of numpy:
   band, including the batched pair kernels.
 * :mod:`repro.stats.kstest` -- one- and two-sample Kolmogorov-Smirnov tests,
   including the column-batched one-sample kernel.
-* :mod:`repro.stats.backend` -- the pluggable compute-backend registry
-  (``reference`` | ``vectorized``) the engine dispatches the DTW / KS hot
-  paths through; every backend is bit-identical to the reference oracle.
+* :mod:`repro.stats.backend` -- the one compute dispatch the engine
+  routes the DTW / KS hot paths through; its batched kernels are
+  bit-identical to the per-pair / per-column loops.
 * :mod:`repro.stats.lhs` -- Latin hypercube sampling (plain and maximin).
 * :mod:`repro.stats.hierarchical` -- agglomerative clustering, used by the
   prior-work baseline.
@@ -53,8 +53,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "kolmogorov_sf_batch", "ks_test_uniform", "ks_two_sample", "KSResult",
     ),
     "repro.stats.backend": (
-        "ComputeBackend", "available_backends", "get_backend",
-        "resolve_backend",
+        "ComputeBackend", "kernels", "pair_distances", "ks_columns",
     ),
     "repro.stats.lhs": ("latin_hypercube", "maximin_latin_hypercube"),
     "repro.stats.hierarchical": (

@@ -116,6 +116,56 @@ class TestCommands:
         assert len(errors) == 1
         assert "--workers" in errors[0]
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["client", "health", "--timeout", "-1"], "--timeout"),
+        (["client", "health", "--timeout", "0"], "--timeout"),
+        (["client", "health", "--timeout", "nan"], "--timeout"),
+        (["client", "health", "--connect-timeout", "-1"],
+         "--connect-timeout"),
+        (["client", "health", "--connect-timeout", "inf"],
+         "--connect-timeout"),
+        (["client", "score", "nbench", "--retries", "-1"], "--retries"),
+        (["obs", "summary", "trace.jsonl", "--top", "-3"], "--top"),
+        (["obs", "summary", "trace.jsonl", "--top", "0"], "--top"),
+        (["serve", "--port", "70000"], "--port"),
+        (["serve", "--port", "-1"], "--port"),
+        (["client", "score", "nbench", "--port", "65536"], "--port"),
+        (["client", "compare", "nbench", "lmbench", "--port", "-1"],
+         "--port"),
+        (["client", "subset", "nbench", "--port", "70000"], "--port"),
+        (["client", "metrics", "--port", "70000"], "--port"),
+        (["client", "health", "--port", "-1"], "--port"),
+        (["client", "history", "--port", "65536"], "--port"),
+        (["client", "shutdown", "--port", "70000"], "--port"),
+        # The retired compute-backend selector.
+        (["score", "nbench", "--backend", "vectorized"], "--backend"),
+    ])
+    def test_bad_argument_is_one_usage_error(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert flag in errors[0]
+
+    def test_serve_on_a_busy_port_is_one_error_line(self, capsys):
+        import socket
+
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            port = busy.getsockname()[1]
+            assert main(["serve", "--host", "127.0.0.1", "--port",
+                         str(port), "--workers", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f"repro serve: cannot listen on "
+                              f"127.0.0.1:{port}: ")
+
     def test_subset_size_above_suite_exits_before_measuring(
             self, capsys, monkeypatch):
         def measure(*args, **kwargs):

@@ -2,11 +2,15 @@
 
 Every ``python -m repro.<module>`` they cite must be a runnable module,
 every backticked ``repro.<pkg>.<name>`` must be an importable module or
-an attribute of one, and every backticked ``make <target>`` must name a
-target the Makefile defines, so deleting a module, a name or a target
+an attribute of one, every backticked ``make <target>`` must name a
+target the Makefile defines, and every backticked ``REPRO_*``
+environment variable must appear as a string literal under
+``src/repro``, so deleting a module, a name, a target or a variable
 fails here rather than leaving dead instructions behind.
 """
 
+import ast
+import functools
 import importlib.util
 import re
 from pathlib import Path
@@ -32,6 +36,7 @@ BACKTICK_RE = re.compile(r"`([^`]+)`")
 DOTTED_RE = re.compile(r"\brepro(?:\.\w+)+")
 MAKE_RE = re.compile(r"^make((?:\s+[\w-]+)+)\s*$")
 TARGET_RE = re.compile(r"^([\w-]+)\s*:(?!=)", re.MULTILINE)
+ENV_RE = re.compile(r"\bREPRO_\w+")
 
 
 def _text(name):
@@ -73,6 +78,27 @@ def _cited_dotted_names(text):
     return names
 
 
+def _cited_env_vars(text):
+    """Every ``REPRO_*`` name inside a backticked span outside code
+    fences."""
+    names = set()
+    for span in BACKTICK_RE.findall(FENCE_RE.sub("", text)):
+        names.update(ENV_RE.findall(span))
+    return names
+
+
+@functools.lru_cache(maxsize=None)
+def _source_strings():
+    """Every string literal in the package source."""
+    strings = set()
+    for path in (ROOT / "src" / "repro").rglob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        strings.update(node.value for node in ast.walk(tree)
+                       if isinstance(node, ast.Constant)
+                       and isinstance(node.value, str))
+    return frozenset(strings)
+
+
 def _make_targets():
     return set(TARGET_RE.findall(_text("Makefile")))
 
@@ -102,6 +128,12 @@ def test_cited_modules_are_runnable(document):
 
 
 @pytest.mark.parametrize("document", DOCUMENTS)
+def test_cited_env_vars_are_read(document):
+    dead = sorted(_cited_env_vars(_text(document)) - _source_strings())
+    assert dead == [], f"{document} cites unread variables: {dead}"
+
+
+@pytest.mark.parametrize("document", DOCUMENTS)
 def test_cited_make_targets_exist(document):
     dead = sorted(_cited_make_targets(_text(document)) - _make_targets())
     assert dead == [], f"{document} cites missing make targets: {dead}"
@@ -113,13 +145,18 @@ def test_guard_sees_references():
     modules = set()
     names = set()
     cited = set()
+    env_vars = set()
     for document in DOCUMENTS:
         text = _text(document)
         modules.update(MODULE_RE.findall(text))
         names.update(_cited_dotted_names(text))
         cited.update(_cited_make_targets(text))
+        env_vars.update(_cited_env_vars(text))
     assert "repro.qa.determinism" in modules
     assert "repro.engine.diskcache.FORMAT_VERSION" in names
     assert not _resolves("repro.engine.no_such_module")
     assert not _resolves("repro.engine.diskcache.NO_SUCH_NAME")
     assert {"qa", "bench", "bench-e2e"} <= cited
+    assert {"REPRO_CACHE_DIR", "REPRO_TRACE"} <= env_vars
+    assert "REPRO_CACHE_DIR" in _source_strings()
+    assert "REPRO_NO_SUCH_VARIABLE" not in _source_strings()

@@ -31,7 +31,7 @@ from repro.service.protocol import (
     encode_subset_report,
     subset_report_record,
 )
-from repro.stats.backend import resolve_backend
+from repro.stats.backend import kernels
 
 from tests.test_engine_diskcache import _scorecard
 
@@ -65,9 +65,10 @@ def _matrix(seed=0, n=10, m=3, length=16, constant=()):
     )
 
 
-def _recording_backend(name=None):
-    """A backend that records every pair key it is asked to compute."""
-    backend = resolve_backend(name)
+def _recording_backend():
+    """A kernel record that records every pair key it is asked to
+    compute."""
+    backend = kernels()
     seen = []
 
     def pair_distances(arrays, idx_i, idx_j, band=None):

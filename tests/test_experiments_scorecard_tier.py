@@ -88,9 +88,9 @@ def test_each_key_part_misses_when_changed(tmp_path):
     assert _source(base, suite="lmbench") == "scored"
     with sanitize("collect"):
         assert _source(base) == "scored"
-    # The workers, backend and history knobs never move a bit, so they
-    # share the entry.
-    assert _source(replace(base, backend="vectorized",
+    # The workers and history knobs never move a bit, so they share
+    # the entry.
+    assert _source(replace(base, workers=2,
                            history_dir=str(tmp_path / "h"))) == "disk"
 
 

@@ -82,11 +82,11 @@ class TestConfigDigest:
 
 class TestResolvedEnv:
     def test_snapshot_covers_every_var(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "vectorized")
+        monkeypatch.setenv("REPRO_TRACE", "run.jsonl")
         monkeypatch.delenv("REPRO_HISTORY", raising=False)
         env = resolved_env()
         assert set(env) == set(ENV_VARS)
-        assert env["REPRO_BACKEND"] == "vectorized"
+        assert env["REPRO_TRACE"] == "run.jsonl"
         assert env["REPRO_HISTORY"] is None
 
     def test_manifest_records_environment(self, monkeypatch):
@@ -97,9 +97,9 @@ class TestResolvedEnv:
         assert set(manifest["env"]) == set(ENV_VARS)
 
     def test_env_does_not_perturb_config_digest(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         digest_unset = build_manifest("score", [], BASE_CONFIG)
-        monkeypatch.setenv("REPRO_BACKEND", "vectorized")
+        monkeypatch.setenv("REPRO_CACHE_DIR", "/tmp/cache-here")
         digest_set = build_manifest("score", [], BASE_CONFIG)
         assert digest_unset["config_digest"] == digest_set["config_digest"]
 

@@ -186,34 +186,15 @@ class TestEndpoints:
         assert len(result["best"]["selected"]) == 4
 
     def test_health_reports_default_backend(self, service):
-        from repro.stats.backend import resolve_backend
-
-        _config, client = service
-        # The daemon resolved its backend the same way an engine would
-        # (explicit > $REPRO_BACKEND > reference), so the health report
-        # must agree with a fresh resolution in this environment.
-        assert client.health()["backend"] == resolve_backend().name
-
-    def test_backend_request_field_is_bit_invisible(self, service):
-        from repro.stats.backend import resolve_backend
+        from repro.stats.backend import kernels
 
         config, client = service
-        served = client.score_card("nbench", backend="vectorized")
-        card = _cli_card(config, "nbench")
-        assert diff_scorecards(card, served) == []
-        assert served.rendered == str(card)
-        # The override is per-request: the daemon's default survives.
-        assert client.health()["backend"] == resolve_backend().name
-
-    def test_compare_and_subset_accept_backend(self, service):
-        _config, client = service
-        ref = client.compare(["nbench", "nbench"])
-        vec = client.compare(["nbench", "nbench"], backend="vectorized")
-        assert [w["rendered"] for w in vec["scorecards"]] == \
-            [w["rendered"] for w in ref["scorecards"]]
-        ref = client.subset("nbench", size=4)
-        vec = client.subset("nbench", size=4, backend="vectorized")
-        assert vec["rendered"] == ref["rendered"]
+        # The daemon computes with the one default dispatch, so health
+        # names no backend and a served card matches the CLI's bits.
+        assert kernels().pair_distances is not None
+        assert "backend" not in client.health()
+        served = client.score_card("nbench")
+        assert diff_scorecards(_cli_card(config, "nbench"), served) == []
 
     def test_concurrent_sessions_get_identical_bytes(self, service):
         _config, client = service
@@ -281,6 +262,12 @@ class TestErrors:
          "focs"),
         ("/v1/subset", {"suite": "nbench", "size": 4, "serach": 2},
          "serach"),
+        # The retired per-request backend selector: an old client gets
+        # one clear error instead of a silently ignored field.
+        ("/v1/compare", {"suites": ["nbench", "nbench"],
+                         "backend": "vectorized"}, "backend"),
+        ("/v1/subset", {"suite": "nbench", "size": 4,
+                        "backend": "vectorized"}, "backend"),
     ])
     def test_unknown_request_field_is_400(self, service, path, payload,
                                           field):
@@ -354,9 +341,11 @@ class TestErrors:
     def test_unknown_backend_is_400(self, service):
         _config, client = service
         with pytest.raises(ServiceError) as excinfo:
-            client.score("nbench", backend="gpu")
+            client._request("POST", "/v1/score",
+                            {"suite": "nbench", "backend": "gpu"})
         assert excinfo.value.status == 400
-        assert "unknown backend" in excinfo.value.message
+        assert "unknown field" in excinfo.value.message
+        assert "'backend'" in excinfo.value.message
 
 
 class TestServiceHistory:

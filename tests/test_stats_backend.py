@@ -1,21 +1,22 @@
 """Tests for repro.stats.backend and the batched compute kernels.
 
-The registry's whole contract is that backends are a speed knob and
+The dispatch's whole contract is that batching is a speed choice and
 never a numerical one, so almost every test here is a bit-identity
-assertion: batched wavefront vs the sequential reference fill, bucketed
+assertion: batched wavefront vs the sequential fill, bucketed
 mixed-length sweeps vs the per-pair loop, column-batched KS vs the
-scalar statistic, and whole engines run under both backends.
+scalar statistic, and whole engines run on the dispatch and on the
+per-pair / per-column oracles below.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.stats.backend import (
-    ComputeBackend,
-    available_backends,
-    get_backend,
-    resolve_backend,
-)
+from repro.stats import backend
+from repro.stats.backend import ComputeBackend, kernels
 from repro.stats.dtw import (
     _accumulate,
     _accumulate_banded,
@@ -31,6 +32,35 @@ from repro.stats.kstest import (
     ks_statistic_uniform,
     ks_statistic_uniform_columns,
 )
+
+
+def reference_pair_distances(arrays, idx_i, idx_j, band=None):
+    """Oracle DTW pair distances: one ``dtw_distance`` per pair.
+
+    Equal-length unbanded 1-D pairs use ``band=L``, the exact per-pair
+    twin of the batch kernel; unbanded ``dtw_distance`` associates the
+    first-row border differently and can differ in the last bit (see
+    :mod:`repro.stats.dtw`).
+    """
+    if (band is None and arrays and all(a.ndim == 1 for a in arrays)
+            and len({a.shape[0] for a in arrays}) == 1):
+        band = arrays[0].shape[0]
+    return np.array(
+        [dtw_distance(arrays[i], arrays[j], band=band)
+         for i, j in zip(idx_i, idx_j)]
+    )
+
+
+def reference_ks_columns(x):
+    """Oracle per-column KS D-values: one scalar call per column."""
+    x = np.asarray(x, dtype=float)
+    return np.array(
+        [ks_statistic_uniform(x[:, j]) for j in range(x.shape[1])]
+    )
+
+
+#: The DTW oracle as a record, for ``Engine(backend=ORACLE)``.
+ORACLE = ComputeBackend(pair_distances=reference_pair_distances)
 
 
 def bits(values):
@@ -175,47 +205,67 @@ class TestColumnKS:
         assert bits(got) == bits(expected)
 
 
+@st.composite
+def series_sets(draw):
+    """A DTW pair request: 2-7 univariate series of one shared length
+    or of two lengths (so shape buckets hold several pairs), a band
+    (``None`` or narrow to wide), and every distinct pair in a drawn
+    order."""
+    n = draw(st.integers(2, 7))
+    lengths = [draw(st.integers(1, 20)), draw(st.integers(1, 20))]
+    if draw(st.booleans()):
+        lengths = lengths[:1]
+    band = draw(st.one_of(st.none(), st.integers(0, 24)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    arrays = [rng.uniform(0.0, 10.0, size=draw(st.sampled_from(lengths)))
+              for _ in range(n)]
+    pairs = draw(st.permutations(
+        [(i, j) for i in range(n) for j in range(i + 1, n)]))
+    idx_i = np.array([i for i, _ in pairs])
+    idx_j = np.array([j for _, j in pairs])
+    return arrays, idx_i, idx_j, band
+
+
 class TestRegistry:
-    def test_two_backends_registered(self):
-        assert available_backends() == ("reference", "vectorized")
+    def test_one_record_registered(self):
+        assert list(backend._BACKENDS) == ["batched"]
+        record = kernels()
+        assert record is backend._BACKENDS["batched"]
+        assert record.pair_distances is backend.pair_distances
 
-    def test_get_backend_passthrough_and_errors(self):
-        backend = get_backend("vectorized")
-        assert isinstance(backend, ComputeBackend)
-        assert get_backend(backend) is backend
-        with pytest.raises(ValueError, match="unknown backend"):
-            get_backend("gpu")
+    @settings(max_examples=150, deadline=None)
+    @given(request=series_sets())
+    def test_backends_dispatch_identically(self, request):
+        arrays, idx_i, idx_j, band = request
+        assert bits(kernels().pair_distances(arrays, idx_i, idx_j, band)) \
+            == bits(reference_pair_distances(arrays, idx_i, idx_j, band))
 
-    def test_resolve_precedence(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert resolve_backend().name == "reference"
-        monkeypatch.setenv("REPRO_BACKEND", "vectorized")
-        assert resolve_backend().name == "vectorized"
-        # An explicit choice beats the environment.
-        assert resolve_backend("reference").name == "reference"
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 80), cols=st.integers(1, 9),
+           decimals=st.one_of(st.none(), st.integers(0, 2)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_ks_columns_match_oracle(self, n, cols, decimals, seed):
+        # Rounding makes ties and repeated values, the edge the sorted
+        # column kernel must handle like the scalar one.
+        x = np.random.default_rng(seed).uniform(-0.2, 1.2, size=(n, cols))
+        if decimals is not None:
+            x = np.round(x, decimals)
+        assert bits(backend.ks_columns(x)) == bits(reference_ks_columns(x))
 
-    def test_resolve_rejects_unknown_env_value(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "quantum")
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend()
-
-    def test_backends_dispatch_identically(self):
+    def test_multivariate_series_take_the_per_pair_loop(self):
         rng = np.random.default_rng(11)
-        arrays = [rng.uniform(0.0, 10.0, size=n)
-                  for n in (12, 12, 16, 12, 16)]
-        idx_i, idx_j = np.triu_indices(len(arrays), k=1)
-        for band in (None, 0, 3):
-            ref = get_backend("reference").pair_distances(
-                arrays, idx_i, idx_j, band)
-            vec = get_backend("vectorized").pair_distances(
-                arrays, idx_i, idx_j, band)
-            assert bits(ref) == bits(vec)
-        x = rng.uniform(size=(40, 5))
-        assert bits(get_backend("reference").ks_columns(x)) == bits(
-            get_backend("vectorized").ks_columns(x))
+        arrays = [rng.uniform(0.0, 10.0, size=(n, 2)) for n in (6, 6, 9)]
+        idx_i, idx_j = np.triu_indices(3, k=1)
+        for band in (None, 2):
+            assert bits(kernels().pair_distances(arrays, idx_i, idx_j,
+                                                 band)) == bits(
+                reference_pair_distances(arrays, idx_i, idx_j, band))
 
 
 class TestEngineCrossBackend:
+    """Engines on the dispatch and on the oracle record agree bit for
+    bit, and share cache entries."""
+
     def _series(self, equal=True, seed=12):
         rng = np.random.default_rng(seed)
         lengths = [20] * 6 if equal else [14, 20, 20, 17, 14, 20]
@@ -227,8 +277,7 @@ class TestEngineCrossBackend:
         from repro.engine import Engine
 
         series = self._series(equal=equal)
-        with Engine(backend="reference") as ref_engine, \
-                Engine(backend="vectorized") as vec_engine:
+        with Engine(backend=ORACLE) as ref_engine, Engine() as vec_engine:
             ref = ref_engine.dtw_matrix(series, band=band)
             vec = vec_engine.dtw_matrix(series, band=band)
         assert ref.tobytes() == vec.tobytes()
@@ -237,35 +286,51 @@ class TestEngineCrossBackend:
         from repro.engine import Engine
 
         a, b = self._series(equal=False)[:2]
-        with Engine(backend="reference") as ref_engine, \
-                Engine(backend="vectorized") as vec_engine:
+        with Engine(backend=ORACLE) as ref_engine, Engine() as vec_engine:
             assert bits([ref_engine.dtw_pair(a, b, band=2)]) == bits(
                 [vec_engine.dtw_pair(a, b, band=2)])
 
     def test_cache_keys_are_backend_free(self, tmp_path):
-        # A disk tier written by one backend must serve the other: the
-        # vectorized engine's first lookup lands as a disk hit on the
-        # reference engine's entry, and the bits agree.
+        # A disk tier written through one record must serve the other:
+        # the dispatch engine's first lookup lands as a disk hit on the
+        # oracle engine's entry, and the bits agree.
         from repro.engine import Engine
 
         series = self._series()
         cache_dir = str(tmp_path / "kernels")
-        with Engine(backend="reference", cache_dir=cache_dir) as engine:
+        with Engine(backend=ORACLE, cache_dir=cache_dir) as engine:
             ref = engine.dtw_matrix(series, band=3)
-        with Engine(backend="vectorized", cache_dir=cache_dir) as engine:
+        with Engine(cache_dir=cache_dir) as engine:
             vec = engine.dtw_matrix(series, band=3)
             assert engine.cache.disk.hits > 0
         assert ref.tobytes() == vec.tobytes()
 
-    def test_engine_resolves_env_backend(self, monkeypatch):
+    def test_engine_and_inline_tasks_read_the_registry(self, monkeypatch):
+        # A wrapped record swapped into the registry must see both the
+        # engine's own pair batches and the trend-event tasks that the
+        # executor runs inline at one worker.
         from repro.engine import Engine
 
-        monkeypatch.setenv("REPRO_BACKEND", "vectorized")
-        with Engine() as engine:
-            assert engine.backend.name == "vectorized"
+        counted = []
+        record = kernels()
 
-    def test_spread_score_backend_knob(self):
+        def pair_distances(arrays, idx_i, idx_j, band=None):
+            counted.append(len(idx_i))
+            return record.pair_distances(arrays, idx_i, idx_j, band)
+
+        monkeypatch.setitem(
+            backend._BACKENDS, "batched",
+            dataclasses.replace(record, pair_distances=pair_distances))
+        series = self._series()
+        with Engine() as engine:
+            engine.dtw_matrix(series)
+            assert counted == [15]
+            engine.trend_score({"e0": series[:4], "e1": series[2:]})
+        assert counted == [15, 6, 6]
+
+    def test_spread_score_matches_column_oracle(self):
         from repro.core.matrix import CounterMatrix
+        from repro.core.normalization import normalize_matrix
         from repro.core.spread_score import spread_score
 
         rng = np.random.default_rng(13)
@@ -275,8 +340,9 @@ class TestEngineCrossBackend:
             values=rng.uniform(1.0, 100.0, size=(12, 3)),
             suite_name="backend-test",
         )
-        ref = spread_score(matrix, backend="reference")
-        vec = spread_score(matrix, backend="vectorized")
-        assert bits([ref.value]) == bits([vec.value])
-        assert bits(list(ref.per_item.values())) == bits(
-            list(vec.per_item.values()))
+        for axis in ("workloads", "events"):
+            result = spread_score(matrix, axis=axis)
+            norm = normalize_matrix(matrix.values)
+            columns = norm.T if axis == "workloads" else norm
+            assert bits(list(result.per_item.values())) == bits(
+                reference_ks_columns(columns))
