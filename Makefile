@@ -1,11 +1,12 @@
 # Development targets. `make qa` is the pre-merge gate documented in
 # benchmarks/README.md: the in-tree static-analysis pass (per-file
 # rules plus the whole-program effect analyzer behind --deep), ruff,
-# mypy (both skipped with a notice when not installed), the
-# bit-for-bit determinism checker (which also proves the parallel
-# scoring engine -- and the sliced subset search -- bit-identical at
-# workers=2), and the serve-smoke check (the scoring daemon serves the
-# CLI's exact bits and shuts down leak-free).
+# mypy (both skipped with a notice when not installed), and the
+# bit-for-bit determinism harness: one table of rows proving scoring
+# and the sliced subset search bit-identical across cache, pool
+# (workers=2), disk tier and tracer; the scoring daemon serving the
+# CLI's exact bits cold, warm, concurrently and after a restart; and
+# history recording changing no bit -- ending with a leak check.
 # `make bench` runs the paper-artifact benches in benchmarks/ (each
 # regenerates one figure or table at the quick preset and asserts the
 # paper's claims about it).
@@ -21,10 +22,10 @@
 PYTHON ?= python
 RUN = PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) $(PYTHON)
 
-.PHONY: qa lint lint-deep ruff mypy determinism serve-smoke \
-	history-smoke test bench bench-e2e bench-trace rebless
+.PHONY: qa lint lint-deep ruff mypy determinism test bench bench-e2e \
+	bench-trace rebless
 
-qa: lint lint-deep ruff mypy determinism serve-smoke history-smoke
+qa: lint lint-deep ruff mypy determinism
 	@echo "qa: all gates passed"
 
 lint:
@@ -49,20 +50,6 @@ mypy:
 
 determinism:
 	$(RUN) -m repro.qa.determinism --workers 2
-
-# Serve-smoke: boot the scoring daemon, score over real HTTP, diff the
-# served scorecards bit-for-bit against the one-shot CLI (cold, warm,
-# restarted-over-a-warm-disk-tier, concurrent), check the warm-cache
-# counters moved, and verify a leak-free shutdown.
-serve-smoke:
-	$(RUN) -m repro.qa.service_check --workers 2
-
-# History-smoke: recording on vs off must be bit-identical, an
-# equal-digest re-run must diff to zero, and a perturbed score bit /
-# inflated wall time / degraded hit rate must each trip the trajectory
-# gates (same check as `repro qa --history`).
-history-smoke:
-	$(RUN) -m repro.qa.history_check
 
 test:
 	$(RUN) -m pytest -x -q

@@ -9,7 +9,7 @@
     perspector experiment fig1|fig2|fig3|fig4|fig5|fig6|subset|mux|ablations
     perspector lint [--deep] [--format text|json] [paths ...]
     perspector analyze effects <symbol> [--root DIR]
-    perspector qa [--seed N] [--serve] [--history]
+    perspector qa [--seed N] [--workers N] [--full]
     perspector obs summary TRACE [--top N]
     perspector obs history [--history-dir DIR] [--digest PREFIX]
     perspector obs diff [RUN-A RUN-B] [--history-dir DIR]
@@ -29,9 +29,10 @@ the project's static-analysis pass (:mod:`repro.qa.lint`); with
 pool-safety, backend-purity -- :mod:`repro.qa.flow`) and ``--format
 json`` emits findings machine-readably for CI. ``analyze effects``
 prints a function's inferred effect set with the justifying call
-chains. ``qa`` runs the bit-for-bit determinism checker
-(:mod:`repro.qa.determinism`). The ``repro`` console script is an
-alias of this one, so ``repro lint src/repro`` works as documented.
+chains. ``qa`` runs the bit-for-bit determinism harness
+(:mod:`repro.qa.determinism`): engine, served and history rows. The
+``repro`` console script is an alias of this one, so ``repro lint
+src/repro`` works as documented.
 
 Every subcommand also accepts ``--trace FILE`` / ``--trace-format
 {jsonl,chrome}`` (default: ``$REPRO_TRACE`` if set): the run executes
@@ -50,16 +51,15 @@ history`` lists the stored trajectories, ``repro obs diff`` diffs two
 runs at the IEEE-754 bit level (drift under an equal digest is a
 determinism regression), and ``repro obs check`` gates a trajectory on
 score drift and perf regressions. Recording never changes an output
-bit either -- ``repro qa --history`` checks that.
+bit either -- ``repro qa`` checks that too.
 
 ``serve`` runs the scoring daemon (:mod:`repro.service`): one shared
 engine -- persistent pool, kernel cache, disk tier -- kept hot across
 HTTP requests, with ``score``/``compare``/``subset`` as endpoints and
 a live metrics snapshot at ``GET /v1/metrics``. ``client`` is the
 matching blocking client; ``repro client score <suite>`` prints
-byte-for-byte what ``repro score <suite>`` prints (the service qa
-variant, ``repro qa --serve`` / ``make serve-smoke``, enforces that at
-the IEEE-754 bit level).
+byte-for-byte what ``repro score <suite>`` prints (the served rows of
+``repro qa`` enforce that at the IEEE-754 bit level).
 
 Report tables go to stdout; status lines (``wrote ...``) go to stderr,
 so piping a report into a file never interleaves progress chatter.
@@ -272,29 +272,14 @@ def _cmd_analyze(args):
 
 
 def _cmd_qa(args):
-    from repro.qa.determinism import main as determinism_main
+    from repro.qa.determinism import check_all
 
-    argv = ["--seed", str(args.seed), "--focus", args.focus,
-            "--workers", str(args.workers)]
-    if args.full:
-        argv.append("--full")
-    status = determinism_main(argv)
-    if args.serve:
-        # The service determinism variant: a daemon-served scorecard
-        # must be bit-identical to the one-shot CLI, warm requests must
-        # hit the shared caches, shutdown must leak nothing.
-        from repro.qa.service_check import main as service_main
-
-        status = max(status, service_main([]))
-    if args.history:
-        # The history determinism variant: recording on vs off must be
-        # bit-identical, an equal-digest re-run must diff to zero, and
-        # a perturbed record / inflated wall time / degraded hit rate
-        # must each be flagged.
-        from repro.qa.history_check import main as history_main
-
-        status = max(status, history_main([]))
-    return status
+    ok = True
+    for report in check_all(seed=args.seed, focus=args.focus,
+                            full=args.full, workers=args.workers):
+        print(report, flush=True)
+        ok = ok and report.identical
+    return 0 if ok else 1
 
 
 def _cmd_serve(args):
@@ -651,23 +636,9 @@ def build_parser():
                       help="full-length traces (slower)")
     p_qa.add_argument(
         "--workers", type=_bounded(int, 1), default=1, metavar="N",
-        help="also check engine invariance at this worker count "
-             "(scorecards must be bit-identical to the serial path)",
-    )
-    p_qa.add_argument(
-        "--serve", action="store_true",
-        help="also run the service determinism variant: a scoring "
-             "daemon's HTTP responses must be bit-identical to the "
-             "one-shot CLI, warm requests must hit the shared caches, "
-             "and shutdown must leak no cache tmp files",
-    )
-    p_qa.add_argument(
-        "--history", action="store_true",
-        help="also run the history determinism variant: recording on "
-             "vs off must be bit-identical, an equal-digest re-run "
-             "must diff to zero, and perturbed bits / inflated wall "
-             "time / degraded hit rates must each be flagged by "
-             "'repro obs check'",
+        help="also check engine invariance at this worker count, and "
+             "run the served rows' daemon at it (every result must be "
+             "bit-identical to the serial path)",
     )
     _add_trace_flags(p_qa)
 
@@ -909,7 +880,7 @@ def _run_history(handler, args, argv):
     """Run one scoring subcommand with history recording (and a span
     tracer, so the record carries self-time totals); append the record
     to the ``--history-dir`` store on success. Recording changes no
-    output bit (``repro qa --history`` enforces that); if ``--trace``
+    output bit (``repro qa`` enforces that); if ``--trace``
     was also given, the span log and its manifest are written exactly
     as in :func:`_run_traced`.
     """
@@ -920,23 +891,25 @@ def _run_history(handler, args, argv):
         Tracer,
         build_manifest,
         build_record,
-        install,
         install_recorder,
         manifest_path,
-        uninstall,
+        swap,
         uninstall_recorder,
         write_manifest,
         write_trace,
     )
 
-    tracer = install(Tracer())
+    # Restore, not drop, a caller's tracer: ``repro qa --trace`` runs
+    # this in-process.
+    tracer = Tracer()
+    previous = swap(tracer)
     recorder = install_recorder()
     start = time.perf_counter()
     try:
         with tracer.span(f"cli.{args.command}"):
             status = handler(args)
     finally:
-        uninstall()
+        swap(previous)
         uninstall_recorder()
     wall_s = time.perf_counter() - start
     spans = tracer.spans()

@@ -26,10 +26,10 @@
   trajectory regression gates (``repro obs history`` / ``diff`` /
   ``check``).
 
-The hard invariant (enforced by ``repro qa``): tracing on vs off is
-bit-identical in every score output, and so is history recording on
-vs off (``repro qa --history``). Spans and history records observe;
-they never perturb.
+The hard invariant (enforced by ``repro qa``'s ``traced`` and
+``recorded`` rows): tracing on vs off is bit-identical in every score
+output, and so is history recording on vs off. Spans and history
+records observe; they never perturb.
 """
 
 from repro._lazy import lazy_exports

@@ -15,8 +15,11 @@ way sanitizers do for a training/inference stack:
   :class:`~repro.qa.contracts.ContractViolation`) or *collect* mode
   (violations accumulate onto the resulting
   :class:`~repro.core.report.SuiteScorecard`).
-* :mod:`repro.qa.determinism` -- re-runs ``Perspector.score`` twice
-  under one seed and diffs the scorecards bit-for-bit.
+* :mod:`repro.qa.determinism` -- the one qa harness behind ``repro
+  qa``: tables of rows (scoring and subset search across cache, pool,
+  disk tier and tracer; the daemon vs ``repro score``; history
+  recording on vs off), each result diffed bit-for-bit against its
+  table's baseline, then a leak check.
 
 Exports resolve lazily (PEP 562) so that ``python -m repro.qa.lint``
 does not import the contracts/determinism halves (or numpy-heavy

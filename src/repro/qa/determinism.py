@@ -1,36 +1,46 @@
-"""Bit-for-bit determinism checker for the scoring pipeline.
+"""The qa harness: bit-for-bit determinism of everything that scores.
 
 Reproducibility claims are only honest at the bit level: "close enough"
 drift between two same-seed runs means an unseeded RNG or an
-order-dependent reduction is hiding somewhere. This checker runs
-``Perspector.score`` twice -- two *fresh* Perspector/PerfSession
-instances under one seed -- and diffs the scorecards through the IEEE-754
-bit patterns of every score and every per-item decomposition value
-(NaN == NaN under this comparison, unlike ``==``). It also enforces the
-scoring engine's invariance contract: disabling the kernel cache,
-fanning the work across ``--workers N`` processes of the persistent
-spawn pool, or going through a cold-then-warm on-disk cache tier, must
-not move a single bit. Neither may running under an installed span tracer
-(:mod:`repro.obs`): the trace-on variant re-scores under a live tracer,
-requires bit-identical output, and validates the collected span tree
-(every span closed, nested within its same-process parent, worker spans
-re-parented under their dispatching map-call span). The CLI entry
-point finishes with a leak check: no half-written tmp artifacts may
-remain in the disk-cache directory.
+order-dependent reduction is hiding somewhere. Every check here is a
+table of ``(label, run)`` rows that one loop runs: each row's result is
+diffed against the check's baseline with that result kind's diff
+(IEEE-754 bit patterns of every score and per-item value, so NaN ==
+NaN, unlike ``==``), and the row adds its own checks. Four tables:
 
-Run it as ``python -m repro.qa.determinism`` (the default drives a
-synthetic suite through the full simulate-measure-score stack, covering
-all four scores) or call :func:`check_determinism` with any suite or
+* **score** (:func:`check_determinism`) -- ``Perspector.score`` from
+  fresh instances: a second baseline, the kernel cache off, fanned
+  across ``workers=N`` processes of the persistent spawn pool,
+  disk-cold then disk-warm on the on-disk tier, the scorecard stored in
+  and served back by that tier, and under an installed span tracer
+  whose span tree must also validate;
+* **search** (:func:`check_search_determinism`) -- ``SubsetSearch``
+  through the same engine rows; its disk-warm run must compute no DTW
+  pair;
+* **served** (:func:`check_served`) -- a real daemon over real HTTP
+  must answer with ``repro score``'s bits and rendered bytes: cold,
+  warm (kernel-cache hits move), to three concurrent sessions, and
+  restarted over the warm disk tier (disk hits on its first request);
+* **history** (:func:`check_history`) -- recording observes, never
+  perturbs: recorder on vs off, an equal-digest CLI re-run that diffs
+  to zero, and deterministic windowed trajectories.
+
+:func:`check_all` runs the four over one temp directory and ends with a
+leak check: no half-written tmp artifact may remain there. Run it as
+``repro qa`` or ``python -m repro.qa.determinism`` (one command, one
+set of options), or call a check with any suite or
 :class:`~repro.core.matrix.CounterMatrix`.
 """
 
 from __future__ import annotations
 
-import argparse
+import contextlib
 import os
 import struct
 import sys
-from dataclasses import dataclass
+import tempfile
+import threading
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -94,145 +104,6 @@ def diff_scorecards(a, b):
     return mismatches
 
 
-@dataclass(frozen=True)
-class DeterminismReport:
-    """Outcome of a two-run determinism check.
-
-    Attributes
-    ----------
-    identical:
-        Whether the two scorecards were bit-for-bit identical.
-    mismatches:
-        Human-readable descriptions of every bit-level difference.
-    scorecards:
-        The two scorecards, in run order.
-    seed:
-        The shared seed both runs used.
-    """
-
-    identical: bool
-    mismatches: tuple
-    scorecards: tuple
-    seed: int
-
-    def __str__(self):
-        card = self.scorecards[0]
-        head = (f"determinism check (seed={self.seed}, suite="
-                f"{card.suite_name!r}): ")
-        if self.identical:
-            return (head + "PASS -- scorecards bit-identical across "
-                    f"{len(self.scorecards)} runs")
-        lines = [head + f"FAIL -- {len(self.mismatches)} mismatch(es)"]
-        lines.extend(f"  {m}" for m in self.mismatches)
-        return "\n".join(lines)
-
-
-def check_determinism(suite_or_matrix, seed=0, focus="all",
-                      session_factory=None, workers=1, cache_dir=None):
-    """Score the input twice under one seed; diff the results bit-for-bit.
-
-    Each run builds a *fresh* Perspector (and, unless ``session_factory``
-    is given, a fresh default :class:`~repro.perf.session.PerfSession`),
-    so no state leaks between runs -- exactly the "two cold processes"
-    setting a user hitting reproducibility bugs would be in.
-
-    On top of the two baseline runs, the check verifies the scoring
-    engine's invariance contract through a set of variant runs, each of
-    which must be bit-identical to the baseline (mismatches are
-    prefixed with the variant label):
-
-    * the kernel cache disabled;
-    * when ``workers > 1``: the work fanned across that many processes
-      of the engine's persistent spawn pool;
-    * when ``cache_dir`` is given: a disk-cold run that populates the
-      on-disk tier, then a disk-warm run (fresh process-level state,
-      same directory) that must reproduce the baseline from the
-      persisted entries; and ``scorecard-tier``, the baseline stored
-      as the disk tier's scorecard entry (what a disk-warm ``repro
-      score`` prints from) and served back by a fresh tier, every
-      per-k, per-event, per-item and coverage-component bit included.
-
-    Returns
-    -------
-    DeterminismReport
-    """
-    from repro.core.perspector import Perspector, PerspectorConfig
-
-    def run_once(**config_kwargs):
-        session = None if session_factory is None else session_factory()
-        perspector = Perspector(
-            session=session,
-            config=PerspectorConfig(seed=seed, **config_kwargs),
-        )
-        return perspector.score(suite_or_matrix, focus=focus)
-
-    cards = [run_once(), run_once()]
-    mismatches = list(diff_scorecards(cards[0], cards[1]))
-    variants = [("cache=off", {"cache": False})]
-    if workers > 1:
-        variants.append((f"workers={workers}", {"workers": workers}))
-    if cache_dir is not None:
-        variants.append(("disk-cold", {"cache_dir": cache_dir}))
-        variants.append(("disk-warm", {"cache_dir": cache_dir}))
-    for label, config_kwargs in variants:
-        card = run_once(**config_kwargs)
-        mismatches.extend(
-            f"[{label}] {m}" for m in diff_scorecards(cards[0], card)
-        )
-        cards.append(card)
-    if cache_dir is not None:
-        card = _served_from_scorecard_tier(cards[0], cache_dir, seed)
-        if card is None:
-            mismatches.append("[scorecard-tier] the stored scorecard was "
-                              "not served back")
-        else:
-            mismatches.extend(f"[scorecard-tier] {m}"
-                              for m in diff_scorecards(cards[0], card))
-    # Tracing must observe, never perturb: a run under an installed span
-    # tracer (fanned, when workers > 1, so worker spans ship back) must
-    # be bit-identical to the baseline, and the collected span tree must
-    # be well-formed -- every span closed, children nested within their
-    # same-process parents, worker spans re-parented under their
-    # dispatching map-call span.
-    from repro.obs import trace as obs_trace
-
-    traced_kwargs = {"workers": workers} if workers > 1 else {}
-    tracer = obs_trace.install(obs_trace.Tracer())
-    try:
-        card = run_once(**traced_kwargs)
-    finally:
-        obs_trace.uninstall()
-    mismatches.extend(
-        f"[traced] {m}" for m in diff_scorecards(cards[0], card)
-    )
-    mismatches.extend(
-        f"[traced] span tree: {problem}"
-        for problem in obs_trace.validate_spans(tracer.spans(),
-                                                owner_pid=os.getpid())
-    )
-    cards.append(card)
-    return DeterminismReport(
-        identical=not mismatches,
-        mismatches=tuple(mismatches),
-        scorecards=tuple(cards),
-        seed=seed,
-    )
-
-
-def _served_from_scorecard_tier(card, cache_dir, seed):
-    """``card`` stored as a disk-tier scorecard entry, then read back
-    by a fresh tier on the same directory (as a later ``repro score``
-    process would); ``None`` if it was not served."""
-    from repro.engine.cache import MISS, content_key
-    from repro.engine.diskcache import DiskCache
-
-    key = content_key("scorecard", card.suite_name, card.focus, seed)
-    writer = DiskCache(cache_dir)
-    writer.put(key, card)
-    served = DiskCache(cache_dir).get(key)
-    return None if served is MISS else served
-
-
 def diff_search_results(a, b):
     """Bit-level differences between two
     :class:`~repro.engine.subset_eval.SubsetSearchResult` objects; empty
@@ -276,118 +147,193 @@ def diff_search_results(a, b):
 
 
 @dataclass(frozen=True)
-class SearchDeterminismReport:
-    """Outcome of a subset-search determinism check.
+class DeterminismReport:
+    """Outcome of one check's table of rows.
 
     Attributes
     ----------
-    identical:
-        Whether every run's search result was bit-for-bit identical.
-    mismatches:
-        Human-readable descriptions of every bit-level difference.
-    results:
-        The search results, in run order.
+    name:
+        What was checked: the result kind and its subject.
     seed:
-        The shared seed all runs used.
+        The seed every run of the check used.
+    rows:
+        ``(label, mismatches)`` per row, in run order; a row passes
+        when its tuple of mismatches is empty.
+    results:
+        The baseline, then each row's result (``None`` for a row with
+        nothing to diff), in run order.
     """
 
-    identical: bool
-    mismatches: tuple
-    results: tuple
+    name: str
     seed: int
+    rows: tuple
+    results: tuple
+
+    @property
+    def mismatches(self):
+        """Every row's mismatches, each prefixed with its row label."""
+        return tuple(f"[{label}] {m}" for label, found in self.rows
+                     for m in found)
+
+    @property
+    def identical(self):
+        return not self.mismatches
 
     def __str__(self):
-        head = (f"subset-search determinism check (seed={self.seed}, "
-                f"method={self.results[0].method!r}, "
-                f"{self.results[0].n_evaluated} candidates): ")
-        if self.identical:
-            return (head + "PASS -- results bit-identical across "
-                    f"{len(self.results)} runs")
-        lines = [head + f"FAIL -- {len(self.mismatches)} mismatch(es)"]
-        lines.extend(f"  {m}" for m in self.mismatches)
+        lines = []
+        for label, found in self.rows:
+            head = f"{self.name} [{label}]: "
+            if not found:
+                lines.append(head + "PASS")
+                continue
+            lines.append(head + f"FAIL -- {len(found)} mismatch(es)")
+            lines.extend(f"  {m}" for m in found)
         return "\n".join(lines)
+
+
+def _run_rows(name, seed, baseline, diff, rows):
+    """The one loop every check runs. Each ``(label, run)`` row's
+    ``run()`` returns ``(result, problems)``; the result (unless
+    ``None``) is diffed against ``baseline`` with ``diff``, and the
+    row's own ``problems`` are added."""
+    outcomes, results = [], [baseline]
+    for label, run in rows:
+        result, problems = run()
+        found = [] if result is None else list(diff(baseline, result))
+        outcomes.append((label, tuple(found) + tuple(problems)))
+        results.append(result)
+    return DeterminismReport(name=name, seed=seed, rows=tuple(outcomes),
+                             results=tuple(results))
+
+
+def _engine_rows(run, workers, cache_dir, disk_warm=None):
+    """The engine-invariance rows both result kinds share. ``run(**kw)``
+    re-runs the subject from fresh state under engine options ``kw``;
+    ``disk_warm``, when given, replaces the plain disk-warm row."""
+    rows = [("baseline", lambda: (run(), ())),
+            ("cache=off", lambda: (run(cache=False), ()))]
+    if workers > 1:
+        rows.append((f"workers={workers}",
+                     lambda: (run(workers=workers), ())))
+    if cache_dir is not None:
+        rows.append(("disk-cold", lambda: (run(cache_dir=cache_dir), ())))
+        rows.append(("disk-warm", disk_warm
+                     or (lambda: (run(cache_dir=cache_dir), ()))))
+    rows.append(("traced", lambda: _traced(run, workers)))
+    return rows
+
+
+def _traced(run, workers):
+    """The traced row. Tracing must observe, never perturb: the subject
+    runs under a fresh span tracer (fanned when ``workers > 1``, so
+    worker spans ship back) and its span tree must be well-formed --
+    every span closed, nested within its same-process parent, worker
+    spans re-parented under their dispatching map-call span. The
+    caller's own tracer (``repro qa --trace``) is restored afterwards."""
+    from repro.obs import trace as obs_trace
+
+    tracer = obs_trace.Tracer()
+    previous = obs_trace.swap(tracer)
+    try:
+        result = run(**({"workers": workers} if workers > 1 else {}))
+    finally:
+        obs_trace.swap(previous)
+    return result, [f"span tree: {problem}" for problem in
+                    obs_trace.validate_spans(tracer.spans(),
+                                             owner_pid=os.getpid())]
+
+
+def check_determinism(suite_or_matrix, seed=0, focus="all",
+                      session_factory=None, workers=1, cache_dir=None):
+    """The score table: ``Perspector.score`` under one seed, diffed bit
+    for bit against a baseline run.
+
+    Every run builds a *fresh* Perspector (and, unless
+    ``session_factory`` is given, a fresh default
+    :class:`~repro.perf.session.PerfSession`), so no state leaks between
+    runs -- the "two cold processes" setting a user hitting
+    reproducibility bugs would be in. The rows: a second baseline; the
+    kernel cache off; when ``workers > 1``, that many pool processes;
+    when ``cache_dir`` is given, a disk-cold then a disk-warm run on
+    the on-disk tier, and ``scorecard-tier``, the baseline stored as the
+    tier's scorecard entry (what a disk-warm ``repro score`` prints
+    from) and served back by a fresh tier; and ``traced``.
+
+    Returns
+    -------
+    DeterminismReport
+    """
+    from repro.core.perspector import Perspector, PerspectorConfig
+
+    def run(**config_kwargs):
+        session = None if session_factory is None else session_factory()
+        perspector = Perspector(
+            session=session,
+            config=PerspectorConfig(seed=seed, **config_kwargs),
+        )
+        return perspector.score(suite_or_matrix, focus=focus)
+
+    baseline = run()
+    rows = _engine_rows(run, workers, cache_dir)
+    if cache_dir is not None:
+        rows.insert(-1, ("scorecard-tier", lambda: _served_from_scorecard_tier(
+            baseline, cache_dir, seed)))
+    return _run_rows(f"score {baseline.suite_name!r}", seed, baseline,
+                     diff_scorecards, rows)
+
+
+def _served_from_scorecard_tier(card, cache_dir, seed):
+    """``card`` stored as a disk-tier scorecard entry, then read back
+    by a fresh tier on the same directory (as a later ``repro score``
+    process would)."""
+    from repro.engine.cache import MISS, content_key
+    from repro.engine.diskcache import DiskCache
+
+    key = content_key("scorecard", card.suite_name, card.focus, seed)
+    DiskCache(cache_dir).put(key, card)
+    served = DiskCache(cache_dir).get(key)
+    if served is MISS:
+        return None, ("the stored scorecard was not served back",)
+    return served, ()
 
 
 def check_search_determinism(matrix, subset_size=4, n_candidates=8,
                              method="swap", seed=0, workers=1,
                              cache_dir=None):
-    """Run ``SubsetSearch.search`` twice from fresh engines under one
-    seed; diff the results bit-for-bit. Like :func:`check_determinism`,
-    extra variant runs enforce the engine invariance contract: cache
-    disabled; when ``workers > 1``, candidate batches fanned across
-    that many processes of the persistent spawn pool; and when
-    ``cache_dir`` is given, a disk-cold then a disk-warm run against
-    the on-disk cache tier; the disk-warm run must also compute no DTW
-    pair at all.
+    """The search table: ``SubsetSearch.search`` from fresh engines
+    under one seed, through the engine rows of
+    :func:`check_determinism`; the disk-warm run must also compute no
+    DTW pair at all.
 
     Returns
     -------
-    SearchDeterminismReport
+    DeterminismReport
     """
     from repro.engine import Engine, SubsetSearch
 
-    def run_once(**engine_kwargs):
-        engine = Engine(**engine_kwargs)
-        try:
+    def run(**engine_kwargs):
+        with Engine(**engine_kwargs) as engine:
             search = SubsetSearch(matrix, subset_size, seed=seed,
                                   engine=engine)
             return search.search(n_candidates, method=method)
-        finally:
-            engine.close()
 
-    results = [run_once(), run_once()]
-    mismatches = list(diff_search_results(results[0], results[1]))
-    variants = [("cache=off", {"cache": False})]
-    if workers > 1:
-        variants.append((f"workers={workers}", {"workers": workers}))
-    if cache_dir is not None:
-        variants.append(("disk-cold", {"cache_dir": cache_dir}))
-        variants.append(("disk-warm", {"cache_dir": cache_dir}))
-    for label, kwargs in variants:
-        counted = None
-        if label == "disk-warm":
-            kwargs, counted = _pair_counting(kwargs)
-        result = run_once(**kwargs)
-        mismatches.extend(
-            f"[{label}] {m}"
-            for m in diff_search_results(results[0], result)
-        )
-        if counted is not None and sum(counted):
-            # Every full-suite kernel and every candidate report is on
-            # disk by now: a missing or undecodable entry shows up here
-            # instead of being silently recomputed.
-            mismatches.append(
-                f"[{label}] computed {sum(counted)} DTW pair(s); a "
-                f"disk-warm search must read every kernel and candidate "
-                f"report back"
-            )
-        results.append(result)
-    # Trace-on bit-identity + span-tree well-formedness, as in
-    # check_determinism.
-    from repro.obs import trace as obs_trace
+    def disk_warm():
+        kwargs, counted = _pair_counting({"cache_dir": cache_dir})
+        result = run(**kwargs)
+        # Every full-suite kernel and every candidate report is on disk
+        # by now: a missing or undecodable entry shows up here instead
+        # of being silently recomputed.
+        if not sum(counted):
+            return result, ()
+        return result, (f"computed {sum(counted)} DTW pair(s); a "
+                        f"disk-warm search must read every kernel and "
+                        f"candidate report back",)
 
-    traced_kwargs = {"workers": workers} if workers > 1 else {}
-    tracer = obs_trace.install(obs_trace.Tracer())
-    try:
-        result = run_once(**traced_kwargs)
-    finally:
-        obs_trace.uninstall()
-    mismatches.extend(
-        f"[traced] {m}"
-        for m in diff_search_results(results[0], result)
-    )
-    mismatches.extend(
-        f"[traced] span tree: {problem}"
-        for problem in obs_trace.validate_spans(tracer.spans(),
-                                                owner_pid=os.getpid())
-    )
-    results.append(result)
-    return SearchDeterminismReport(
-        identical=not mismatches,
-        mismatches=tuple(mismatches),
-        results=tuple(results),
-        seed=seed,
-    )
+    baseline = run()
+    rows = _engine_rows(run, workers, cache_dir, disk_warm=disk_warm)
+    return _run_rows(f"search {method!r} ({baseline.n_evaluated} "
+                     f"candidates)", seed, baseline, diff_search_results,
+                     rows)
 
 
 def _pair_counting(engine_kwargs):
@@ -410,6 +356,200 @@ def _pair_counting(engine_kwargs):
 
     counting = dataclasses.replace(record, pair_distances=pair_distances)
     return dict(engine_kwargs, backend=counting), counted
+
+
+def check_served(config, focus="all"):
+    """The served table: a scoring daemon on an ephemeral port must
+    serve what ``repro score nbench`` prints. The baseline is
+    :func:`~repro.experiments.runner.score_suite` from a cold
+    measurement memo; every served card must match it bit for bit and
+    carry its ``str()`` as ``rendered``. Rows: ``served`` (a cold
+    daemon's first request), ``served-warm`` (a second request must
+    move the kernel-cache hit counter), ``served-concurrent`` (three
+    sessions at once, rendered bytes only) and ``served-restart`` (a
+    daemon restarted over the warm disk tier must read it on its first
+    request). Daemons run on ``config``, so the disk tier is
+    ``config.cache_dir``.
+
+    Returns
+    -------
+    DeterminismReport
+    """
+    from repro.experiments import runner
+    from repro.service import ServiceClient, ServiceThread
+
+    def diff(card, served):
+        found = diff_scorecards(card, served)
+        if served.rendered != str(card):
+            found.append(f"rendered text differs from the CLI: "
+                         f"{served.rendered!r} != {str(card)!r}")
+        return found
+
+    daemon = contextlib.ExitStack()
+    clients = []
+
+    def boot():
+        """Stop the running daemon, if any; start one from a cold
+        process memo over the same disk tier."""
+        daemon.close()
+        runner.clear_cache()
+        thread = daemon.enter_context(ServiceThread(config))
+        clients.append(ServiceClient(host=thread.host, port=thread.port))
+        return clients[-1]
+
+    def counter(name):
+        return clients[-1].metrics()["values"].get(name, 0)
+
+    def served():
+        return boot().score_card("nbench", focus=focus), ()
+
+    def warm():
+        before = counter("cache_hits")
+        card = clients[-1].score_card("nbench", focus=focus)
+        moved = counter("cache_hits") - before
+        return card, () if moved > 0 else (
+            f"a warm second request moved cache_hits by {moved}",)
+
+    def concurrent():
+        rendered = [None] * 3
+
+        def session(i):
+            rendered[i] = clients[-1].score("nbench", focus=focus)["rendered"]
+
+        tenants = [threading.Thread(target=session, args=(i,))
+                   for i in range(len(rendered))]
+        for tenant in tenants:
+            tenant.start()
+        for tenant in tenants:
+            tenant.join()
+        return None, [f"session {i} got different bytes: {text!r}"
+                      for i, text in enumerate(rendered)
+                      if text != str(cli_card)]
+
+    def restart():
+        card = boot().score_card("nbench", focus=focus)
+        hits = counter("disk_hits")
+        return card, () if hits > 0 else (
+            f"a daemon restarted over a warm disk tier read {hits} "
+            f"disk-tier hits on its first request",)
+
+    runner.clear_cache()
+    cli_card, _metrics = runner.score_suite("nbench", config, focus)
+    with daemon:
+        return _run_rows("served 'nbench'", config.metric_seed, cli_card,
+                         diff, [("served", served), ("served-warm", warm),
+                                ("served-concurrent", concurrent),
+                                ("served-restart", restart)])
+
+
+def check_history(config, store_dir):
+    """The history table: recording observes, never perturbs. The
+    baseline scores parsec on ``config`` without a recorder. Rows:
+    ``recorded`` (the same scoring with a recorder installed; the
+    record's wire ``score_bits`` must be the scorecard's), ``rerun``
+    (two ``repro --quick score parsec`` runs into the store at
+    ``store_dir`` share a config digest, diff to zero drift and print
+    identical bytes) and ``windows`` (two :func:`~repro.obs.history.window_trajectory`
+    passes are identical, and the final window carries the
+    evaluator's full-suite bits).
+
+    Returns
+    -------
+    DeterminismReport
+    """
+    import io
+
+    from repro.cli import main as cli_main
+    from repro.engine import Engine, SubsetEvaluator
+    from repro.experiments.runner import measure_suites, perspector_for
+    from repro.obs.history import (
+        HistoryRecorder,
+        HistoryStore,
+        diff_records,
+        install_recorder,
+        publish,
+        uninstall_recorder,
+        window_trajectory,
+    )
+    from repro.service.protocol import encode_scorecard, float_bits
+
+    matrix = measure_suites(["parsec"], config)["parsec"]
+
+    def score():
+        with Engine.from_config(config) as engine:
+            card = perspector_for(config, engine=engine).score(matrix)
+            publish("scorecard", card)
+            publish("metrics", engine.metrics.snapshot())
+        return card
+
+    def recorded():
+        recorder = install_recorder(HistoryRecorder())
+        try:
+            card = score()
+        finally:
+            uninstall_recorder()
+        if len(recorder.scorecards) != 1 or \
+                recorder.metrics_snapshot is None:
+            return card, ("the recorder did not capture exactly one "
+                          "scorecard and a metrics snapshot",)
+        bits = encode_scorecard(recorder.scorecards[0])["score_bits"]
+        direct = encode_scorecard(card)["score_bits"]
+        return card, () if bits == direct else (
+            f"recorded score_bits {bits} != direct {direct}",)
+
+    def rerun():
+        argv = ["--quick", "score", "parsec", "--history-dir", store_dir]
+        if config.cache_dir:
+            argv += ["--cache-dir", config.cache_dir]
+        problems, printed = [], []
+        for _ in range(2):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                status = cli_main(list(argv))
+            if status != 0:
+                problems.append(f"CLI exited {status}")
+            printed.append(out.getvalue())
+        if printed[0] != printed[1]:
+            problems.append("printed scorecards differ between two "
+                            "identical recorded runs")
+        records = HistoryStore(store_dir).runs()
+        if len(records) != 2:
+            return None, problems + [f"store holds {len(records)} runs, "
+                                     f"expected 2"]
+        diff = diff_records(*records)
+        if not diff.same_digest:
+            problems.append("config digests differ across identical runs")
+        problems.extend(f"drift: {d}" for d in diff.drift)
+        return None, problems
+
+    def windows():
+        seed = config.metric_seed
+        with Engine.from_config(config) as engine:
+            first = window_trajectory(matrix, seed=seed, n_windows=3,
+                                      engine=engine)
+            second = window_trajectory(matrix, seed=seed, n_windows=3,
+                                       engine=engine)
+            evaluator = SubsetEvaluator(matrix, seed=seed, engine=engine)
+            full = evaluator.evaluate(list(matrix.workloads))
+        problems = []
+        if first != second:
+            problems.append("two window_trajectory passes are not "
+                            "bit-identical")
+        last = first[-1]
+        if last["workloads"] != len(matrix.workloads):
+            problems.append(f"final window spans {last['workloads']} "
+                            f"workloads, expected {len(matrix.workloads)}")
+        full_bits = {name: float_bits(value)
+                     for name, value in full.subset_scores.items()}
+        if last["score_bits"] != full_bits:
+            problems.append(f"final window bits {last['score_bits']} != "
+                            f"full-suite evaluator bits {full_bits}")
+        return None, problems
+
+    return _run_rows("history 'parsec'", config.metric_seed, score(),
+                     diff_scorecards, [("recorded", recorded),
+                                       ("rerun", rerun),
+                                       ("windows", windows)])
 
 
 def synthetic_matrix(seed, n_workloads, n_events, length):
@@ -451,56 +591,45 @@ def _default_subject(seed, quick):
     return suite, factory
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.qa.determinism",
-        description="Re-run Perspector.score twice under one seed and "
-                    "diff the scorecards bit-for-bit.",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--focus", default="all",
-                        choices=["all", "llc", "tlb", "branch", "core"])
-    parser.add_argument("--full", action="store_true",
-                        help="full-length traces (slower; default is the "
-                             "quick preset)")
-    parser.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="also require a run fanned across N worker "
-                             "processes to be bit-identical")
-    args = parser.parse_args(argv)
-
-    import tempfile
-
+def check_all(seed=0, focus="all", full=False, workers=1):
+    """Every table over one temp directory (the disk tier and the
+    history store live under it), then the leak check over it: no
+    half-written tmp artifact may remain. Yields each report as its
+    check completes."""
     from repro.engine.diskcache import stale_artifacts
+    from repro.experiments.runner import ExperimentConfig
 
-    with tempfile.TemporaryDirectory(prefix="repro-qa-cache-") as tmp:
-        suite, factory = _default_subject(args.seed, quick=not args.full)
-        report = check_determinism(suite, seed=args.seed, focus=args.focus,
-                                   session_factory=factory,
-                                   workers=args.workers, cache_dir=tmp)
-        print(report)
-
-        # The sliced subset evaluator and search driver carry the same
-        # bit-identity contract; cover `subset --search` (swap
-        # refinement, cache off, workers=N, disk-cold/disk-warm) on a
-        # small synthetic matrix.
-        search_report = check_search_determinism(
-            synthetic_matrix(seed=args.seed, n_workloads=10, n_events=3,
+    with tempfile.TemporaryDirectory(prefix="repro-qa-") as tmp:
+        cache_dir = os.path.join(tmp, "cache")
+        suite, factory = _default_subject(seed, quick=not full)
+        yield check_determinism(suite, seed=seed, focus=focus,
+                                session_factory=factory, workers=workers,
+                                cache_dir=cache_dir)
+        yield check_search_determinism(
+            synthetic_matrix(seed=seed, n_workloads=10, n_events=3,
                              length=32),
-            seed=args.seed, workers=args.workers, cache_dir=tmp,
+            seed=seed, workers=workers, cache_dir=cache_dir,
         )
-        print(search_report)
+        preset = ExperimentConfig.full() if full else ExperimentConfig.quick()
+        config = replace(preset, workers=workers, cache_dir=cache_dir)
+        yield check_served(config, focus=focus)
+        # Serial: the rows above cover fan-out, and a pool per history
+        # engine would add ~1 s.
+        yield check_history(replace(config, workers=1),
+                            os.path.join(tmp, "history"))
+        yield _run_rows("qa temp dir", seed, None, None, [(
+            "leak check",
+            lambda: (None, [f"stale tmp artifact: {path}"
+                            for path in stale_artifacts(tmp)]),
+        )])
 
-        # Leak check: the disk tier must hold no half-written tmp files
-        # or stale lock artifacts.
-        stale = stale_artifacts(tmp)
-        if stale:
-            print(f"leak check: FAIL -- {len(stale)} stale disk-cache "
-                  f"artifact(s): {sorted(stale)}")
-        else:
-            print("leak check: PASS -- no disk-cache tmp artifacts left "
-                  "behind")
-    ok = report.identical and search_report.identical and not stale
-    return 0 if ok else 1
+
+def main(argv=None):
+    """``python -m repro.qa.determinism ARGS`` is ``repro qa ARGS``: the
+    same parser, bounds and trace flags."""
+    from repro.cli import main as cli_main
+
+    return cli_main(["qa", *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":

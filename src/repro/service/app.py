@@ -47,7 +47,7 @@ content-addressed caches -- a suite one client scored is warm for
 every other client -- and request interleavings can never reorder a
 reduction: scoring is serialized, so every response is bit-identical
 to the one-shot CLI at any concurrency level, worker count or cache
-state (``repro.qa.service_check`` enforces this).
+state (the served rows of ``repro qa`` enforce this).
 
 **Determinism.** Handlers run the very code paths the CLI handlers
 run (:func:`~repro.experiments.runner.measure_suites` +
@@ -535,13 +535,13 @@ class ScoringService:
 
 class ServiceThread:
     """A :class:`ScoringService` on a daemon thread -- the harness the
-    tests and ``repro.qa.service_check`` drive real HTTP traffic
-    against without a subprocess.
+    tests and the served rows of :mod:`repro.qa.determinism` drive real
+    HTTP traffic against without a subprocess.
 
-    ``start()`` blocks until the listener is bound (so :attr:`port` is
-    valid); stop it by POSTing ``/v1/shutdown`` (e.g.
-    :meth:`~repro.service.client.ServiceClient.shutdown`) and then
-    :meth:`join`.
+    Use it as a context manager: entering starts it and blocks until
+    the listener is bound (so :attr:`port` is valid); leaving POSTs
+    ``/v1/shutdown`` unless a shutdown was already requested, then
+    joins.
     """
 
     def __init__(self, config, host=DEFAULT_HOST, port=0):
@@ -576,6 +576,16 @@ class ServiceThread:
     @property
     def port(self):
         return self.service.bound_port
+
+    def __enter__(self):
+        return self.start()
+
+    def __exit__(self, *exc_info):
+        from repro.service.client import ServiceClient
+
+        if self._thread.is_alive() and not self.service._shutdown.is_set():
+            ServiceClient(host=self.host, port=self.port).shutdown()
+        self.join()
 
     def join(self, timeout=30.0):
         self._thread.join(timeout)

@@ -3,7 +3,7 @@
 One small wrapper over :mod:`http.client` -- no new dependencies, one
 connection per call (the server speaks ``Connection: close``), JSON in
 and out, protocol-version checked. Used by the ``repro client``
-subcommand, the service tests, and ``repro.qa.service_check``.
+subcommand, the service tests, and the served rows of ``repro qa``.
 
 Transport failures are bounded: the connect phase runs under its own
 (short) timeout, reads under the request timeout, and connection-level

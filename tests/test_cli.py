@@ -102,12 +102,20 @@ class TestCommands:
     @pytest.mark.parametrize("command", [
         ["score", "nbench"], ["compare", "nbench", "lmbench"],
         ["subset", "lmbench"], ["experiment", "fig2"], ["serve"], ["qa"],
+        # The module entry point parses with the `repro qa` subparser.
+        ["-m", "repro.qa.determinism"],
     ])
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_workers_below_one_is_usage_error(self, command, workers,
                                               capsys):
+        from repro.qa import determinism
+
+        if command[0] == "-m":
+            entry, argv = determinism.main, ["--workers", workers]
+        else:
+            entry, argv = main, ["--quick", *command, "--workers", workers]
         with pytest.raises(SystemExit) as exc:
-            main(["--quick"] + command + ["--workers", workers])
+            entry(argv)
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == ""

@@ -3,12 +3,16 @@
 Every ``python -m repro.<module>`` they cite must be a runnable module,
 every backticked ``repro.<pkg>.<name>`` must be an importable module or
 an attribute of one, every backticked ``make <target>`` must name a
-target the Makefile defines, and every backticked ``REPRO_*``
+target the Makefile defines, every backticked ``REPRO_*``
 environment variable must appear as a string literal under
-``src/repro``, so deleting a module, a name, a target or a variable
-fails here rather than leaving dead instructions behind.
+``src/repro``, and every ``--flag`` of a backticked ``repro <sub> ...``
+or ``perspector <sub> ...`` command must be an option that
+subcommand's parser accepts, so deleting a module, a name, a target, a
+variable or a flag fails here rather than leaving dead instructions
+behind.
 """
 
+import argparse
 import ast
 import functools
 import importlib.util
@@ -37,6 +41,9 @@ DOTTED_RE = re.compile(r"\brepro(?:\.\w+)+")
 MAKE_RE = re.compile(r"^make((?:\s+[\w-]+)+)\s*$")
 TARGET_RE = re.compile(r"^([\w-]+)\s*:(?!=)", re.MULTILINE)
 ENV_RE = re.compile(r"\bREPRO_\w+")
+#: A CLI invocation inside a backticked span, and the flags it passes.
+CLI_RE = re.compile(r"(?:^|\s)(?:repro|perspector)\s+(.*)")
+FLAG_RE = re.compile(r"--[a-z][\w-]*")
 
 
 def _text(name):
@@ -118,6 +125,49 @@ def _cited_make_targets(text):
     return cited
 
 
+def _subcommands(parser):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def _unknown_flags(command):
+    """Flags of one ``repro ...`` command line that the (sub)command
+    they follow does not accept; ``None`` when the line names no
+    subcommand (prose such as ``repro score: ...``)."""
+    from repro.cli import build_parser
+
+    parser = build_parser()
+    named = False
+    unknown = []
+    for token in command.split():
+        flag = FLAG_RE.match(token.lstrip("[("))
+        if flag:
+            if flag.group() not in parser._option_string_actions:
+                unknown.append(flag.group())
+        elif token in _subcommands(parser):
+            parser = _subcommands(parser)[token]
+            named = True
+    return unknown if named else None
+
+
+def _cited_commands(text):
+    """``{span: command}`` for every backticked span outside code fences
+    that holds a ``repro ...`` or ``perspector ...`` command line."""
+    spans = BACKTICK_RE.findall(FENCE_RE.sub("", text))
+    return {span: m.group(1) for span in spans
+            for m in [CLI_RE.search(span)] if m}
+
+
+def _cited_unknown_flags(text):
+    """Every ``repro <sub> --flag`` in a backticked span outside code
+    fences whose subcommand does not accept ``--flag``."""
+    return {f"{span}: {flag}"
+            for span, command in _cited_commands(text).items()
+            for flag in _unknown_flags(command) or ()}
+
+
 @pytest.mark.parametrize("document", DOCUMENTS)
 def test_cited_modules_are_runnable(document):
     text = _text(document)
@@ -139,6 +189,12 @@ def test_cited_make_targets_exist(document):
     assert dead == [], f"{document} cites missing make targets: {dead}"
 
 
+@pytest.mark.parametrize("document", DOCUMENTS)
+def test_cited_cli_flags_exist(document):
+    dead = sorted(_cited_unknown_flags(_text(document)))
+    assert dead == [], f"{document} cites flags no parser accepts: {dead}"
+
+
 def test_guard_sees_references():
     # A regex that silently matched nothing would pass every check.
     assert "qa" in _make_targets()
@@ -146,12 +202,16 @@ def test_guard_sees_references():
     names = set()
     cited = set()
     env_vars = set()
+    flagged = set()
     for document in DOCUMENTS:
         text = _text(document)
         modules.update(MODULE_RE.findall(text))
         names.update(_cited_dotted_names(text))
         cited.update(_cited_make_targets(text))
         env_vars.update(_cited_env_vars(text))
+        flagged.update(command for command in _cited_commands(text).values()
+                       if _unknown_flags(command) is not None
+                       and FLAG_RE.search(command))
     assert "repro.qa.determinism" in modules
     assert "repro.engine.diskcache.FORMAT_VERSION" in names
     assert not _resolves("repro.engine.no_such_module")
@@ -160,3 +220,11 @@ def test_guard_sees_references():
     assert {"REPRO_CACHE_DIR", "REPRO_TRACE"} <= env_vars
     assert "REPRO_CACHE_DIR" in _source_strings()
     assert "REPRO_NO_SUCH_VARIABLE" not in _source_strings()
+    assert "qa --workers 2" in flagged
+    assert _unknown_flags("obs check --max-wall-pct -1") == []
+    assert _unknown_flags("--quick score nbench --cache-dir D") == []
+    assert _unknown_flags("qa --workers 2 [--no-such-flag]") == [
+        "--no-such-flag"]
+    assert _unknown_flags("score: bad suite --workers") is None
+    assert _cited_unknown_flags("`repro score nbench --shards 2`") == {
+        "repro score nbench --shards 2: --shards"}

@@ -322,6 +322,9 @@ class TestCheckTrajectory:
     def test_clean_trajectory_has_no_findings(self):
         records = [synthetic_record(run_id=f"run-{i}", wall_s=1.0 + 0.1 * i)
                    for i in range(3)]
+        # A 90/10 -> 88/12 hit rate is inside the drop tolerance.
+        records.append(synthetic_record(run_id="run-3", wall_s=1.2,
+                                        hits=88, misses=12))
         assert check_trajectory(records) == []
 
     def test_score_drift_always_fatal(self):
@@ -434,10 +437,13 @@ class TestHistoryCli:
         clear_cache()
 
     def test_record_diff_check_flow(self, capsys, tmp_path):
+        # The second leg reads its scorecard back from the disk tier the
+        # first wrote: a cold and a disk-warm run share one digest.
         hist = str(tmp_path / "hist")
         for _ in range(2):
             assert main(["--quick", "score", "nbench",
-                         "--history-dir", hist]) == 0
+                         "--history-dir", hist, "--history-windows", "3",
+                         "--cache-dir", str(tmp_path / "cache")]) == 0
         captured = capsys.readouterr()
         assert "recorded run" in captured.err
         assert "recorded run" not in captured.out
@@ -446,7 +452,9 @@ class TestHistoryCli:
         assert len(store.run_ids()) == 2
         a, b = store.runs()
         assert a["config_digest"] == b["config_digest"]
-        assert diff_records(a, b).clean
+        assert len(a["windows"]) == len(b["windows"]) == 3
+        diff = diff_records(a, b)
+        assert diff.drift == ()
 
         assert main(["obs", "diff", "--history-dir", hist]) == 0
         out = capsys.readouterr().out

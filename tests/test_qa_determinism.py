@@ -1,8 +1,10 @@
-"""Determinism checker: bit-identical same-seed runs, and drift detection.
+"""The qa harness: bit-identical same-seed runs, and drift detection.
 
 The full-stack check (synthetic suite -> PerfSession -> all four scores)
 is the acceptance criterion from the QA subsystem: two cold runs under
-one seed must produce bit-for-bit identical scorecards.
+one seed must produce bit-for-bit identical scorecards. Every row of the
+harness's tables must also be live: a perturbation it exists to catch
+must fail it.
 """
 
 import dataclasses
@@ -19,6 +21,10 @@ from repro.qa.determinism import (
     diff_search_results,
     synthetic_matrix,
 )
+
+
+def labels(report):
+    return [label for label, _mismatches in report.rows]
 
 
 def fixture_matrix(seed=11):
@@ -42,26 +48,28 @@ class TestMatrixPath:
         assert "PASS" in str(report)
 
     def test_report_carries_all_scorecards(self):
-        # Two baseline runs plus the cache-off and traced invariance
-        # runs.
+        # The baseline plus one scorecard per row: a second baseline
+        # and the cache-off and traced invariance runs.
         report = check_determinism(fixture_matrix(), seed=4)
         assert isinstance(report, DeterminismReport)
-        assert len(report.scorecards) == 4
+        assert labels(report) == ["baseline", "cache=off", "traced"]
+        assert len(report.results) == 4
         assert report.seed == 4
-        assert report.scorecards[0].suite_name == "determinism-fixture"
+        assert report.results[0].suite_name == "determinism-fixture"
 
     def test_workers_adds_invariance_runs(self):
         # ...plus the fanned run.
         report = check_determinism(fixture_matrix(), seed=0, workers=2)
         assert report.identical, str(report)
-        assert len(report.scorecards) == 5
+        assert labels(report) == ["baseline", "cache=off", "workers=2",
+                                  "traced"]
 
     def test_cache_dir_adds_disk_runs(self, tmp_path):
         report = check_determinism(fixture_matrix(), seed=0,
                                    cache_dir=str(tmp_path))
         assert report.identical, str(report)
-        # Two baselines, cache-off, disk-cold, disk-warm, traced.
-        assert len(report.scorecards) == 6
+        assert labels(report) == ["baseline", "cache=off", "disk-cold",
+                                  "disk-warm", "scorecard-tier", "traced"]
 
     def test_scorecard_tier_variant_catches_a_lossy_entry(
             self, tmp_path, monkeypatch):
@@ -84,16 +92,16 @@ class TestMatrixPath:
     def test_focus_is_threaded_through(self):
         report = check_determinism(fixture_matrix(), seed=0, focus="llc")
         assert report.identical, str(report)
-        assert report.scorecards[0].focus == "llc"
+        assert report.results[0].focus == "llc"
 
 
 class TestDiffScorecards:
     def test_identical_cards_diff_empty(self):
-        card = check_determinism(fixture_matrix(), seed=0).scorecards[0]
+        card = check_determinism(fixture_matrix(), seed=0).results[0]
         assert diff_scorecards(card, card) == []
 
     def test_injected_score_drift_detected(self):
-        card = check_determinism(fixture_matrix(), seed=0).scorecards[0]
+        card = check_determinism(fixture_matrix(), seed=0).results[0]
         drifted = dataclasses.replace(
             card, spread=card.spread + 1e-15)
         mismatches = diff_scorecards(card, drifted)
@@ -102,25 +110,27 @@ class TestDiffScorecards:
         assert "bits" in mismatches[0]
 
     def test_nan_equals_nan_bitwise(self):
-        card = check_determinism(fixture_matrix(), seed=0).scorecards[0]
+        card = check_determinism(fixture_matrix(), seed=0).results[0]
         a = dataclasses.replace(card, trend=float("nan"))
         b = dataclasses.replace(card, trend=float("nan"))
         assert diff_scorecards(a, b) == []
 
     def test_metadata_drift_detected(self):
-        card = check_determinism(fixture_matrix(), seed=0).scorecards[0]
+        card = check_determinism(fixture_matrix(), seed=0).results[0]
         renamed = dataclasses.replace(card, suite_name="other")
         assert any(m.startswith("suite_name") for m in
                    diff_scorecards(card, renamed))
 
     def test_failing_report_str_lists_mismatches(self):
-        card = check_determinism(fixture_matrix(), seed=0).scorecards[0]
+        card = check_determinism(fixture_matrix(), seed=0).results[0]
         drifted = dataclasses.replace(card, coverage=card.coverage + 1e-12)
         mismatches = tuple(diff_scorecards(card, drifted))
-        report = DeterminismReport(identical=False, mismatches=mismatches,
-                                   scorecards=(card, drifted), seed=0)
+        report = DeterminismReport(name="score", seed=0,
+                                   rows=(("drifted", mismatches),),
+                                   results=(card, drifted))
+        assert not report.identical
         text = str(report)
-        assert "FAIL" in text
+        assert "score [drifted]: FAIL" in text
         assert "coverage" in text
 
 
@@ -133,8 +143,7 @@ class TestSearchDeterminism:
         report = check_search_determinism(self._matrix(), subset_size=4,
                                           n_candidates=4, seed=0)
         assert report.identical, str(report)
-        # Two baseline runs plus the cache-off and traced invariance
-        # runs.
+        assert labels(report) == ["baseline", "cache=off", "traced"]
         assert len(report.results) == 4
         assert "PASS" in str(report)
 
@@ -144,15 +153,16 @@ class TestSearchDeterminism:
                                           n_candidates=4, seed=0,
                                           workers=2)
         assert report.identical, str(report)
-        assert len(report.results) == 5
+        assert labels(report) == ["baseline", "cache=off", "workers=2",
+                                  "traced"]
 
     def test_cache_dir_adds_disk_runs(self, tmp_path):
         report = check_search_determinism(self._matrix(), subset_size=4,
                                           n_candidates=4, seed=0,
                                           cache_dir=str(tmp_path))
         assert report.identical, str(report)
-        # Two baselines, cache-off, disk-cold, disk-warm, traced.
-        assert len(report.results) == 6
+        assert labels(report) == ["baseline", "cache=off", "disk-cold",
+                                  "disk-warm", "traced"]
 
     @pytest.mark.parametrize("damage", ["unstored", "undecodable"])
     def test_disk_warm_recomputation_fails_loudly(self, tmp_path,
@@ -215,6 +225,91 @@ class TestFullStack:
         report = check_determinism(suite, seed=0, session_factory=factory)
         assert report.identical, str(report)
         # all four scores were actually exercised
-        card = report.scorecards[0]
+        card = report.results[0]
         for score in ("cluster", "trend", "coverage", "spread"):
             assert np.isfinite(getattr(card, score)), score
+
+
+class TestHarness:
+    """The whole table, and the served and history rows each catching
+    the perturbation they exist for."""
+
+    ROWS = {
+        "score 'qa-determinism'": [
+            "baseline", "cache=off", "workers=2", "disk-cold", "disk-warm",
+            "scorecard-tier", "traced"],
+        "search 'swap' (8 candidates)": [
+            "baseline", "cache=off", "workers=2", "disk-cold", "disk-warm",
+            "traced"],
+        "served 'nbench'": [
+            "served", "served-warm", "served-concurrent", "served-restart"],
+        "history 'parsec'": ["recorded", "rerun", "windows"],
+        "qa temp dir": ["leak check"],
+    }
+
+    def test_whole_table_passes_and_traces_every_check(self, tmp_path,
+                                                       capsys):
+        import re
+
+        from repro.cli import main
+        from repro.obs import load_spans
+
+        trace = tmp_path / "qa.jsonl"
+        assert main(["qa", "--workers", "2", "--trace", str(trace)]) == 0
+        ran = {}
+        for line in capsys.readouterr().out.splitlines():
+            match = re.fullmatch(r"(.+) \[(.+)\]: (PASS|FAIL.*)", line)
+            if match:
+                assert match.group(3) == "PASS", line
+                ran.setdefault(match.group(1), []).append(match.group(2))
+        assert ran == self.ROWS
+        # The traced rows restore the command's own tracer instead of
+        # dropping it, so the search check's spans reach the file.
+        names = {span.name for span in load_spans(str(trace))}
+        assert "subset.evaluate" in names
+
+    def test_served_rows_catch_a_flipped_wire_bit(self, tmp_path,
+                                                  monkeypatch):
+        from dataclasses import replace
+
+        from repro.experiments.runner import ExperimentConfig
+        from repro.qa.determinism import check_served
+        from repro.service import client
+
+        real = client.decode_scorecard
+
+        def flipped(payload):
+            card = real(payload)
+            return replace(card, cluster=np.nextafter(card.cluster, np.inf))
+
+        monkeypatch.setattr(client, "decode_scorecard", flipped)
+        report = check_served(replace(ExperimentConfig.quick(),
+                                      cache_dir=str(tmp_path)))
+        # served-concurrent compares rendered bytes, which ride the
+        # wire as text.
+        assert [m.split(":")[0] for m in report.mismatches] == [
+            "[served] cluster", "[served-warm] cluster",
+            "[served-restart] cluster"]
+
+    def test_recorded_row_catches_a_perturbed_record(self, tmp_path,
+                                                     monkeypatch):
+        from dataclasses import replace
+
+        from repro.experiments.runner import ExperimentConfig
+        from repro.obs.history import HistoryRecorder
+        from repro.qa.determinism import check_history
+
+        real = HistoryRecorder.publish
+
+        def perturbed(self, kind, obj):
+            if kind == "scorecard":
+                obj = replace(obj, trend=np.nextafter(obj.trend, np.inf))
+            real(self, kind, obj)
+
+        monkeypatch.setattr(HistoryRecorder, "publish", perturbed)
+        report = check_history(
+            replace(ExperimentConfig.quick(),
+                    cache_dir=str(tmp_path / "cache")),
+            str(tmp_path / "history"))
+        [mismatch] = report.mismatches
+        assert mismatch.startswith("[recorded] recorded score_bits ")

@@ -83,11 +83,8 @@ def service(tmp_path_factory):
     gracefully with leak checks in the teardown."""
     cache_dir = str(tmp_path_factory.mktemp("service-cache"))
     config = replace(ExperimentConfig.quick(), cache_dir=cache_dir)
-    thread = ServiceThread(config).start()
-    client = ServiceClient(host=thread.host, port=thread.port)
-    yield config, client
-    client.shutdown()
-    thread.join()
+    with ServiceThread(config) as thread:
+        yield config, ServiceClient(host=thread.host, port=thread.port)
     assert stale_artifacts(cache_dir) == []
 
 
@@ -357,13 +354,9 @@ class TestServiceHistory:
         hist = str(tmp_path / "hist")
         _store, bad = damaged_store(hist, damage)
         config = replace(ExperimentConfig.quick(), history_dir=hist)
-        thread = ServiceThread(config).start()
-        client = ServiceClient(host=thread.host, port=thread.port)
-        try:
-            listing = client.history()
-        finally:
-            client.shutdown()
-            thread.join()
+        with ServiceThread(config) as thread:
+            listing = ServiceClient(host=thread.host,
+                                    port=thread.port).history()
         assert [r["wall_time_s"] for r in listing["runs"]] == [0.0, 2.0]
         assert len(listing["skipped"]) == 1
         assert listing["skipped"][0].startswith(f"{bad}: ")
@@ -379,9 +372,8 @@ class TestServiceHistory:
             cache_dir=str(tmp_path / "cache"),
             history_dir=str(tmp_path / "hist"),
         )
-        thread = ServiceThread(config).start()
-        client = ServiceClient(host=thread.host, port=thread.port)
-        try:
+        with ServiceThread(config) as thread:
+            client = ServiceClient(host=thread.host, port=thread.port)
             served = client.score_card("nbench")
             client.score("nbench")
             listing = client.history()
@@ -401,9 +393,6 @@ class TestServiceHistory:
             diff = diff_records(record_a, record_b)
             assert diff.same_digest and diff.clean
             assert client.health()["history_dir"] == config.history_dir
-        finally:
-            client.shutdown()
-            thread.join()
 
 
 class TestShutdown:
@@ -413,13 +402,14 @@ class TestShutdown:
         cache dir clean."""
         config = replace(ExperimentConfig.quick(), workers=2,
                          cache_dir=str(tmp_path))
-        thread = ServiceThread(config).start()
-        client = ServiceClient(host=thread.host, port=thread.port)
-        rendered = client.score("nbench")["rendered"]
-        assert rendered
-        reply = client.shutdown()
-        assert reply["status"] == "shutting down"
-        thread.join()
+        with ServiceThread(config) as thread:
+            client = ServiceClient(host=thread.host, port=thread.port)
+            rendered = client.score("nbench")["rendered"]
+            assert rendered
+            reply = client.shutdown()
+            assert reply["status"] == "shutting down"
+        # Leaving the block joined the thread without a second
+        # shutdown request.
         executor = thread.service.engine.executor
         assert executor.metrics.counter("pool_created").value >= 1
         assert executor._pool is None
@@ -432,19 +422,24 @@ class TestShutdown:
     def test_serial_and_fanned_daemons_serve_identical_bits(self,
                                                             tmp_path):
         """Worker count is invisible in served bytes (the engine
-        invariance contract, through HTTP)."""
+        invariance contract, through HTTP). The fanned daemon restarts
+        over the serial one's disk tier, so its first request must
+        read that tier and still carry the one-shot CLI's bits."""
+        from repro.experiments.runner import clear_cache
+
         rendered = {}
         for workers in (1, 2):
             config = replace(ExperimentConfig.quick(), workers=workers,
                              cache_dir=str(tmp_path))
-            thread = ServiceThread(config).start()
-            client = ServiceClient(host=thread.host, port=thread.port)
-            try:
-                rendered[workers] = client.score("nbench")["rendered"]
-            finally:
-                client.shutdown()
-                thread.join()
+            clear_cache()
+            with ServiceThread(config) as thread:
+                client = ServiceClient(host=thread.host, port=thread.port)
+                card = client.score_card("nbench")
+                disk_hits = client.metrics()["values"].get("disk_hits", 0)
+            rendered[workers] = card.rendered
         assert rendered[1] == rendered[2]
+        assert disk_hits > 0
+        assert diff_scorecards(_cli_card(config, "nbench"), card) == []
 
 
 def _dead_port():
