@@ -7,37 +7,54 @@ fill. Writes are modelled as write-allocate (a store miss fills the line),
 matching the inclusive write-back hierarchy of the Coffee Lake part in
 Table II closely enough for event counting.
 
-The per-set structure is an :class:`collections.OrderedDict` mapping tag
-to a dirty bit: ``move_to_end`` gives O(1) LRU updates, FIFO simply never
-reorders, and random picks an arbitrary resident tag. Dirty lines are
-tracked so evictions count write-back transactions.
+The state is three ``(n_sets, ways)`` arrays: the tag in each way (-1
+marks an empty way), a stamp from a per-cache clock, and a dirty bit.
+The stamp is the fill time, and under LRU also the time of the last
+demand hit, so eviction order is stamp order under every policy: LRU
+and FIFO evict the row's smallest stamp, and ``random`` draws a
+position in stamp order. Empty ways carry stamp -1, so a fill takes one
+before evicting. Dirty lines are tracked so evictions count write-back
+transactions.
 
 :meth:`SetAssociativeCache.access` is the per-access reference model.
-:meth:`SetAssociativeCache.access_many` is the fused batch path the
-simulator runs: set indices and tags are computed once with numpy, one
-Python loop walks them in chunks of at most :data:`CHUNK` accesses, and
-the counters are added once per batch. Both leave the same bits behind.
+:meth:`SetAssociativeCache.run_ops` is the batch kernel the simulator
+runs: an ordered stream of demand and prefetch ops is sorted by set,
+and the ops of every set are processed in rounds, the *r*-th op of each
+set in round *r*. Ops in one round touch distinct sets, so they commute,
+and each set still sees its ops in stream order. Both paths leave the
+same bits behind.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
 from repro.uarch.config import CacheConfig
 
-#: Most accesses a batch loop turns into Python lists at once; bounds
-#: the transient memory of the fused loops.
+#: Most accesses the TLB and branch loops turn into Python lists at
+#: once; bounds their transient memory.
 CHUNK = 1024
+
+#: Largest stamp; stamps are int32, renumbered before the clock passes it.
+STAMP_LIMIT = 2**31 - 1
+
+#: Most ops one kernel call sorts into rounds; bounds its transient
+#: arrays to 32 KiB each. Whole warm-up intervals (up to ~18k ops at the
+#: L2) left ~1.6 MB more heap behind on a cold ``score nbench`` than the
+#: arrays' own size, through allocator fragmentation.
+ROUNDS_CHUNK = 4096
 
 
 def as_batch(addrs, writes=None):
     """``(addrs, writes)`` as aligned arrays; ``writes`` defaults to
-    all-loads."""
+    all-loads. Integer addresses must be byte addresses in ``[0,
+    2**63)``; unsigned ones come back as ``int64``."""
     addrs = np.asarray(addrs)
+    check_addresses(addrs, "addrs")
+    if addrs.dtype.kind == "u":
+        addrs = addrs.astype(np.int64)
     n = addrs.shape[0]
     if writes is None:
         return addrs, np.zeros(n, dtype=bool)
@@ -47,6 +64,40 @@ def as_batch(addrs, writes=None):
             f"writes length {writes.shape[0]} != addrs length {n}"
         )
     return addrs, writes
+
+
+def check_addresses(addrs, name):
+    """Raise one :class:`ValueError` naming ``name`` if an integer
+    address array holds a value outside ``[0, 2**63)``. A negative
+    address would have a negative tag, and -1 marks an empty way."""
+    if (addrs.size and addrs.dtype.kind in "iu"
+            and not 0 <= addrs.min() <= addrs.max() < 2**63):
+        raise ValueError(f"{name} must be byte addresses in [0, 2**63)")
+
+
+def _stable_argsort(keys, bound):
+    """Stable argsort of non-negative integer ``keys`` below ``bound``.
+    Keys that fit 16 bits sort by radix, ~10x faster than int64."""
+    if bound <= 1 << 16:
+        keys = keys.astype(np.uint16)
+    return np.argsort(keys, kind="stable")
+
+
+def _round_order(sets, n_sets):
+    """``(ops, bounds)``: op indices in round-major order, round *r*
+    holding the *r*-th op of every set in ``ops[bounds[r]:bounds[r +
+    1]]``."""
+    n = sets.shape[0]
+    order = _stable_argsort(sets, n_sets)
+    sorted_sets = sets[order]
+    new_set = np.empty(n, dtype=bool)
+    new_set[0] = True
+    np.not_equal(sorted_sets[1:], sorted_sets[:-1], out=new_set[1:])
+    set_start = np.flatnonzero(new_set)
+    rank = np.arange(n) - np.repeat(set_start, np.diff(set_start, append=n))
+    per_round = np.bincount(rank)
+    ops = order[_stable_argsort(rank, per_round.shape[0])]
+    return ops, np.concatenate(([0], np.cumsum(per_round)))
 
 
 @dataclass
@@ -125,7 +176,11 @@ class SetAssociativeCache:
         self.stats = CacheStats()
         self._offset_bits = config.line_bytes.bit_length() - 1
         self._n_sets = config.n_sets
-        self._sets = [OrderedDict() for _ in range(config.n_sets)]
+        shape = (config.n_sets, config.associativity)
+        self._tags = np.full(shape, -1, dtype=np.int64)
+        self._stamps = np.full(shape, -1, dtype=np.int32)
+        self._dirty = np.zeros(shape, dtype=bool)
+        self._clock = 0
         self._rng = np.random.default_rng(rng)
 
     # -- address helpers -------------------------------------------------
@@ -142,7 +197,7 @@ class SetAssociativeCache:
     def tag(self, addr):
         return self.line_address(addr) // self._n_sets
 
-    # -- core access path -------------------------------------------------
+    # -- per-access reference path ----------------------------------------
 
     def access(self, addr, is_write=False):
         """Access one byte address. Returns ``True`` on hit.
@@ -152,49 +207,70 @@ class SetAssociativeCache:
         """
         line = self.line_address(int(addr))
         set_idx, tag = line % self._n_sets, line // self._n_sets
-        ways = self._sets[set_idx]
 
         if is_write:
             self.stats.stores += 1
         else:
             self.stats.loads += 1
 
-        if tag in ways:
+        way = self._find(set_idx, tag)
+        if way is not None:
             if self.config.policy == "lru":
-                ways.move_to_end(tag)
+                self._stamps[set_idx, way] = self._take_stamps(1)
             if is_write:
-                ways[tag] = True  # mark dirty
+                self._dirty[set_idx, way] = True
             return True
 
         if is_write:
             self.stats.store_misses += 1
         else:
             self.stats.load_misses += 1
-        self._fill(ways, tag, dirty=is_write)
+        self._fill(set_idx, tag, dirty=is_write)
         return False
 
-    def _fill(self, ways, tag, dirty=False):
-        if len(ways) >= self.config.associativity:
+    def _take_stamps(self, n):
+        """The first of ``n`` fresh stamps. Stamps only order the ways
+        of one set, so before the clock would pass :data:`STAMP_LIMIT`
+        each row's stamps are renumbered to their ranks in the row."""
+        if self._clock + n > STAMP_LIMIT:
+            ranks = np.argsort(np.argsort(self._stamps, axis=1), axis=1)
+            self._stamps = np.where(self._tags >= 0, ranks,
+                                    -1).astype(np.int32)
+            self._clock = self._stamps.shape[1]
+        self._clock += n
+        return self._clock - n
+
+    def _find(self, set_idx, tag):
+        """The way of ``set_idx`` holding ``tag``, or ``None``."""
+        ways = self._tags[set_idx].tolist()
+        return ways.index(tag) if tag in ways else None
+
+    def _fill(self, set_idx, tag, dirty=False):
+        """Install ``tag`` in ``set_idx``, evicting when the set is full.
+
+        LRU and FIFO both evict the smallest stamp: LRU restamps on
+        hits, FIFO does not. ``random`` makes one draw from the cache's
+        generator per eviction, a position in stamp order, so any loop
+        that evicts in reference order draws the same victims.
+        """
+        stamps = self._stamps[set_idx].tolist()
+        if self.config.policy == "random" and min(stamps) >= 0:
+            # A full row's stamps are distinct.
+            victim = sorted(stamps)[self._rng.integers(len(stamps))]
+            way = stamps.index(victim)
+        else:
+            way = stamps.index(min(stamps))
+        if self._tags[set_idx, way] >= 0:
             self.stats.evictions += 1
-            if self.pop_victim(ways):
+            if self._dirty[set_idx, way]:
                 # Write-back cache: evicting a dirty line costs a
                 # memory-side write transaction.
                 self.stats.writebacks += 1
-        ways[tag] = dirty
+        self._tags[set_idx, way] = tag
+        self._stamps[set_idx, way] = self._take_stamps(1)
+        self._dirty[set_idx, way] = dirty
 
-    def pop_victim(self, ways):
-        """Evict one line from the full set ``ways``; returns its dirty
-        bit.
-
-        LRU and FIFO both evict the head: LRU reorders on hits, FIFO does
-        not, so the head is the right victim for both. ``random`` makes
-        one draw from the cache's generator per eviction, so any loop
-        that evicts in reference order draws the same victims.
-        """
-        if self.config.policy == "random":
-            victim_pos = int(self._rng.integers(len(ways)))
-            return ways.pop(next(islice(ways, victim_pos, None)))
-        return ways.popitem(last=False)[1]
+    # -- batch path ---------------------------------------------------------
 
     def access_many(self, addrs, writes=None):
         """Access a vector of byte addresses in order.
@@ -215,58 +291,130 @@ class SetAssociativeCache:
             Boolean hit mask, aligned with ``addrs``.
         """
         addrs, writes = as_batch(addrs, writes)
-        n = addrs.shape[0]
-        hits = np.ones(n, dtype=bool)
+        if self.config.policy == "random":
+            return np.array([self.access(a, w) for a, w in
+                             zip(addrs.tolist(), writes.tolist())],
+                            dtype=bool)
+        return self.run_ops(addrs >> self._offset_bits, writes)
+
+    def run_ops(self, lines, writes, prefetch=None):
+        """Run an ordered stream of ops on line addresses through this
+        level.
+
+        A demand op is :meth:`access` on its line. A prefetch op (where
+        ``prefetch`` is set; its write flag must be clear) installs its
+        line clean if absent and changes nothing if present: no stamp,
+        no demand counter. Evictions and writebacks of both kinds are
+        counted. LRU and FIFO only: ``random`` must draw its victims in
+        reference order, so it runs the per-access methods.
+
+        Returns
+        -------
+        numpy.ndarray
+            Per op, whether its line was resident before it: a demand
+            hit, or a prefetch that installs nothing.
+        """
+        n = lines.shape[0]
+        present = np.ones(n, dtype=bool)
         if n == 0:
-            return hits
-        lines = addrs >> self._offset_bits
-        n_sets, sets = self._n_sets, self._sets
-        assoc = self.config.associativity
-        lru = self.config.policy == "lru"
-        random_policy = self.config.policy == "random"
-        pop_victim = self.pop_victim
-        evictions = writebacks = 0
-        for start in range(0, n, CHUNK):
-            chunk = lines[start:start + CHUNK]
-            misses = []
-            miss = misses.append
-            for i, set_idx, tag, write in zip(
-                    range(start, n), (chunk % n_sets).tolist(),
-                    (chunk // n_sets).tolist(),
-                    writes[start:start + CHUNK].tolist()):
-                ways = sets[set_idx]
-                if tag in ways:
-                    if lru:
-                        ways.move_to_end(tag)
-                    if write:
-                        ways[tag] = True
-                    continue
-                miss(i)
-                if len(ways) >= assoc:
-                    evictions += 1
-                    if (pop_victim(ways) if random_policy
-                            else ways.popitem(last=False)[1]):
-                        writebacks += 1
-                ways[tag] = write
-            hits[misses] = False
-        self.stats.add_batch(writes, hits, evictions, writebacks)
+            return present
+        # A run of ops on one line acts like its first op with the
+        # run's writes OR-ed together, as a demand op if it holds one:
+        # the ops after the first find the line resident, and they can
+        # only restamp the set's newest line or set its dirty bit.
+        first = np.empty(n, dtype=bool)
+        first[0] = True
+        np.not_equal(lines[1:], lines[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        merged_writes = np.logical_or.reduceat(writes, starts)
+        merged_prefetch = (None if prefetch is None
+                           else np.logical_and.reduceat(prefetch, starts))
+        for lo in range(0, starts.shape[0], ROUNDS_CHUNK):
+            part = slice(lo, lo + ROUNDS_CHUNK)
+            present[starts[part]] = self._rounds(
+                lines[starts[part]], merged_writes[part],
+                None if merged_prefetch is None else merged_prefetch[part])
+        demand = slice(None) if prefetch is None else ~prefetch
+        self.stats.add_batch(writes[demand], present[demand], 0, 0)
+        return present
+
+    def _rounds(self, lines, writes, prefetch):
+        """The kernel behind :meth:`run_ops`: counts the evictions and
+        writebacks of a stream of ops and returns each op's hit, in
+        stream order."""
+        n = lines.shape[0]
+        n_sets, n_ways = self._tags.shape
+        ops, bounds = _round_order(lines % n_sets, n_sets)
+        op_sets = lines[ops] % n_sets
+        op_tags = lines[ops] // n_sets
+        op_rows = op_sets * n_ways
+        op_writes = writes[ops]
+        op_stamps = (self._take_stamps(n) + ops).astype(np.int32)
+        # Hits that keep their stamp: every hit under FIFO, prefetch
+        # hits under LRU (None: no hit does).
+        if self.config.policy != "lru":
+            keep_stamp = np.ones(n, dtype=bool)
+        else:
+            keep_stamp = None if prefetch is None else prefetch[ops]
+        old_tags = np.empty(n, dtype=np.int64)
+        old_dirty = np.empty(n, dtype=bool)
+        tags2d, stamps2d = self._tags, self._stamps
+        tags, stamps, dirty = (a.reshape(-1) for a in
+                               (tags2d, stamps2d, self._dirty))
+        tag_column = op_tags[:, None]
+        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            s, t = op_sets[a:b], op_tags[a:b]
+            # A matching way sorts before every stamp, an empty way (-1)
+            # before every real one: argmin is the hit way, else the
+            # victim.
+            key = stamps2d.take(s, axis=0)
+            key[tags2d.take(s, axis=0) == tag_column[a:b]] = -2
+            way = op_rows[a:b] + key.argmin(axis=1)
+            old = old_tags[a:b] = tags[way]
+            was_dirty = old_dirty[a:b] = dirty[way]
+            hit = old == t
+            tags[way] = t
+            if keep_stamp is None:
+                stamps[way] = op_stamps[a:b]
+            else:
+                stamps[way] = np.where(hit & keep_stamp[a:b], stamps[way],
+                                       op_stamps[a:b])
+            dirty[way] = (was_dirty & hit) | op_writes[a:b]
+        op_hits = old_tags == op_tags
+        evicted = ~op_hits & (old_tags >= 0)
+        self.stats.evictions += int(np.count_nonzero(evicted))
+        self.stats.writebacks += int(np.count_nonzero(evicted & old_dirty))
+        hits = np.empty(n, dtype=bool)
+        hits[ops] = op_hits
         return hits
 
     # -- introspection -----------------------------------------------------
 
+    def lines(self):
+        """Each set's resident lines as ``(tag, dirty)`` pairs in
+        eviction order, oldest stamp first."""
+        order = np.argsort(self._stamps, axis=1, kind="stable")
+        tags = np.take_along_axis(self._tags, order, axis=1).tolist()
+        dirty = np.take_along_axis(self._dirty, order, axis=1).tolist()
+        return [[(t, d) for t, d in zip(row, bits) if t >= 0]
+                for row, bits in zip(tags, dirty)]
+
     def contains(self, addr):
         """Whether the line holding ``addr`` is currently resident."""
         line = self.line_address(int(addr))
-        return (line // self._n_sets) in self._sets[line % self._n_sets]
+        set_idx, tag = line % self._n_sets, line // self._n_sets
+        return self._find(set_idx, tag) is not None
 
     def resident_lines(self):
         """Total number of valid lines."""
-        return sum(len(s) for s in self._sets)
+        return int(np.count_nonzero(self._tags >= 0))
 
     def flush(self):
         """Invalidate every line (stats are kept)."""
-        for s in self._sets:
-            s.clear()
+        self._tags.fill(-1)
+        self._stamps.fill(-1)
+        self._dirty.fill(False)
+        self._clock = 0
 
     def reset(self):
         """Invalidate and zero the stats."""

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.uarch.branch import make_predictor
+from repro.uarch.cache import check_addresses
 from repro.uarch.config import MachineConfig
 from repro.uarch.hierarchy import CacheHierarchy, HierarchyCounters
 from repro.uarch.memory import DemandPager
@@ -127,13 +128,14 @@ class CPU:
 
         The interval is validated before any component sees it, so a
         rejected interval (:class:`ValueError` naming the field) leaves
-        the CPU as it was.
+        the CPU as it was. Addresses must lie in ``[0, 2**63)``.
 
         Returns
         -------
         CounterSample
         """
         addrs = _field(interval, "addresses", _INTEGER)
+        check_addresses(addrs, "interval.addresses")
         writes = _field(interval, "is_write",
                         length=addrs.shape[0]).astype(bool, copy=False)
         sites = _field(interval, "branch_sites", _INTEGER)

@@ -5,6 +5,11 @@ what the PMU counts as an ``LLC-load``/``LLC-store`` (Table IV), and an
 access that also misses the LLC is an ``LLC-load-miss``/``LLC-store-miss``
 serviced by DRAM. An optional next-line prefetcher sits beside the L2 and
 fills both L2 and LLC (without perturbing the demand counters).
+
+A batch runs one :meth:`SetAssociativeCache.run_ops` call per level, each
+over the op stream that level sees in reference order; with ``random``
+replacement the lower levels run the per-access composition, so victim
+draws from the shared generator stay in reference order.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.uarch.cache import CHUNK, SetAssociativeCache, as_batch
+from repro.uarch.cache import SetAssociativeCache, as_batch
 from repro.uarch.config import MachineConfig
 from repro.uarch.prefetch import NextLinePrefetcher
 
@@ -68,6 +73,15 @@ class CacheHierarchy:
     def access_many(self, addrs, writes=None):
         """Run a batch of byte addresses through all three levels.
 
+        The L1 takes the batch. Without the prefetcher, the L2 takes the
+        L1 misses and the LLC the L2 misses. With it, the L2 takes the
+        interleaved ops ``[demand x, prefetch x+1]`` per L1 miss ``x``
+        (line addresses) and the LLC ``[demand x`` if the L2 missed,
+        ``prefetch x+1]``: the levels share no state, so one
+        :meth:`SetAssociativeCache.run_ops` call per level is exact.
+        ``random`` replacement shares one generator across levels, so
+        with it the lower levels run the per-access composition instead.
+
         Returns
         -------
         HierarchyCounters
@@ -93,8 +107,11 @@ class CacheHierarchy:
                 llc_writes = miss_writes[l2_miss_mask]
                 if llc_addrs.shape[0]:
                     self.llc.access_many(llc_addrs, llc_writes)
+            elif "random" in (self.l2.config.policy,
+                              self.llc.config.policy):
+                self._prefetching_per_access(miss_addrs, miss_writes)
             else:
-                self._prefetching_lower_levels(miss_addrs, miss_writes)
+                self._prefetching_op_streams(miss_addrs, miss_writes)
 
         after = (self.l1.stats, self.l2.stats, self.llc.stats)
         d_l1 = _delta(before[0], after[0])
@@ -114,107 +131,47 @@ class CacheHierarchy:
             llc_store_misses=d_llc["store_misses"],
         )
 
-    def _prefetching_lower_levels(self, addrs, writes):
-        """The L1 misses ``addrs`` through L2 and LLC, with prefetch fills
-        interleaved so a stream's next line is resident by the time it
-        is needed.
-
-        One fused loop per chunk, bit-identical to this per-miss
-        composition of the reference methods::
-
-            if not l2.access(addr, wr):
-                llc.access(addr, wr)
-            (target,) = pf.prefetch_targets(np.array([addr]))
-            pf.install(l2, target)
-            pf.install(llc, target)
-
-        All levels share one line size, so the target ``addr +
-        line_bytes`` is line ``line + 1`` in both caches.
-        """
-        l2, llc, pf = self.l2, self.llc, self.prefetcher
+    def _prefetching_op_streams(self, addrs, writes):
+        """The L1 misses ``addrs`` through L2 and LLC with next-line
+        prefetch: one op stream per level. All levels share one line
+        size, so the target ``addr + line_bytes`` is line ``line + 1``
+        in both caches."""
         n = addrs.shape[0]
-        lines = addrs >> l2._offset_bits
-        n2, sets2, assoc2 = l2._n_sets, l2._sets, l2.config.associativity
-        n3, sets3, assoc3 = llc._n_sets, llc._sets, llc.config.associativity
-        lru2, lru3 = l2.config.policy == "lru", llc.config.policy == "lru"
-        rand2 = l2.config.policy == "random"
-        rand3 = llc.config.policy == "random"
-        pop2, pop3 = l2.pop_victim, llc.pop_victim
-        l2_hits = np.ones(n, dtype=bool)
-        llc_hits = np.ones(n, dtype=bool)
-        ev2 = wb2 = ev3 = wb3 = installed = 0
-        for start in range(0, n, CHUNK):
-            line = lines[start:start + CHUNK]
-            nxt = line + 1
-            l2_misses, llc_misses = [], []
-            for (i, set2, tag2, set3, tag3, pf_set2, pf_tag2, pf_set3,
-                 pf_tag3, write) in zip(
-                    range(start, n),
-                    (line % n2).tolist(), (line // n2).tolist(),
-                    (line % n3).tolist(), (line // n3).tolist(),
-                    (nxt % n2).tolist(), (nxt // n2).tolist(),
-                    (nxt % n3).tolist(), (nxt // n3).tolist(),
-                    writes[start:start + CHUNK].tolist()):
-                ways = sets2[set2]
-                if tag2 in ways:
-                    if lru2:
-                        ways.move_to_end(tag2)
-                    if write:
-                        ways[tag2] = True
-                else:
-                    l2_misses.append(i)
-                    if len(ways) >= assoc2:
-                        ev2 += 1
-                        if (pop2(ways) if rand2
-                                else ways.popitem(last=False)[1]):
-                            wb2 += 1
-                    ways[tag2] = write
-                    ways = sets3[set3]
-                    if tag3 in ways:
-                        if lru3:
-                            ways.move_to_end(tag3)
-                        if write:
-                            ways[tag3] = True
-                    else:
-                        llc_misses.append(i)
-                        if len(ways) >= assoc3:
-                            ev3 += 1
-                            if (pop3(ways) if rand3
-                                    else ways.popitem(last=False)[1]):
-                                wb3 += 1
-                        ways[tag3] = write
-                # Next-line prefetch: install clean, no demand counts.
-                ways = sets2[pf_set2]
-                if pf_tag2 not in ways:
-                    installed += 1
-                    if len(ways) >= assoc2:
-                        ev2 += 1
-                        if (pop2(ways) if rand2
-                                else ways.popitem(last=False)[1]):
-                            wb2 += 1
-                    ways[pf_tag2] = False
-                ways = sets3[pf_set3]
-                if pf_tag3 not in ways:
-                    installed += 1
-                    if len(ways) >= assoc3:
-                        ev3 += 1
-                        if (pop3(ways) if rand3
-                                else ways.popitem(last=False)[1]):
-                            wb3 += 1
-                    ways[pf_tag3] = False
-            l2_hits[l2_misses] = False
-            llc_hits[llc_misses] = False
-        l2.stats.add_batch(writes, l2_hits, ev2, wb2)
-        llc_mask = ~l2_hits
-        llc.stats.add_batch(writes[llc_mask], llc_hits[llc_mask], ev3, wb3)
-        pf.issued += n
-        pf.installed += installed
+        lines = addrs >> self.l2._offset_bits
+        ops = np.stack([lines, lines + 1], axis=1).reshape(-1)
+        prefetch = np.tile([False, True], n)
+        op_writes = np.zeros(2 * n, dtype=bool)
+        op_writes[0::2] = writes
+        l2_present = self.l2.run_ops(ops, op_writes, prefetch)
+        # The LLC sees every prefetch, and the demand ops the L2 missed.
+        keep = prefetch.copy()
+        keep[0::2] = ~l2_present[0::2]
+        llc_prefetch = prefetch[keep]
+        llc_present = self.llc.run_ops(ops[keep], op_writes[keep],
+                                       llc_prefetch)
+        self.prefetcher.issued += n
+        self.prefetcher.installed += (
+            n - int(np.count_nonzero(l2_present[1::2]))
+            + n - int(np.count_nonzero(llc_present[llc_prefetch])))
+
+    def _prefetching_per_access(self, addrs, writes):
+        """The reference composition, one L1 miss at a time."""
+        pf = self.prefetcher
+        for addr, write, target in zip(addrs.tolist(), writes.tolist(),
+                                       pf.prefetch_targets(addrs)):
+            if not self.l2.access(addr, write):
+                self.llc.access(addr, write)
+            pf.install(self.l2, target)
+            pf.install(self.llc, target)
 
     def reset(self):
-        """Invalidate all levels and zero every stat."""
+        """Invalidate all levels and zero every stat, the prefetcher's
+        included."""
         self.l1.reset()
         self.l2.reset()
         self.llc.reset()
+        if self.prefetcher is not None:
+            self.prefetcher.reset()
 
 
 def _delta(before, after):

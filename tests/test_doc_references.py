@@ -2,7 +2,10 @@
 
 Every ``python -m repro.<module>`` they cite must be a runnable module,
 every backticked ``repro.<pkg>.<name>`` must be an importable module or
-an attribute of one, every backticked ``make <target>`` must name a
+an attribute of one, every backticked ``Class.attr`` whose ``Class`` is
+defined under ``src/repro`` must name a class attribute, dataclass
+field or ``self.attr`` assignment of that class, every backticked
+``make <target>`` must name a
 target the Makefile defines, every backticked ``REPRO_*``
 environment variable must appear as a string literal under
 ``src/repro``, and every ``--flag`` of a backticked ``repro <sub> ...``
@@ -41,6 +44,8 @@ DOTTED_RE = re.compile(r"\brepro(?:\.\w+)+")
 MAKE_RE = re.compile(r"^make((?:\s+[\w-]+)+)\s*$")
 TARGET_RE = re.compile(r"^([\w-]+)\s*:(?!=)", re.MULTILINE)
 ENV_RE = re.compile(r"\bREPRO_\w+")
+#: ``Class.attr`` (a capitalised name, then one attribute).
+CLASS_ATTR_RE = re.compile(r"(?<![\w.])([A-Z]\w*)\.(\w+)")
 #: A CLI invocation inside a backticked span, and the flags it passes.
 CLI_RE = re.compile(r"(?:^|\s)(?:repro|perspector)\s+(.*)")
 FLAG_RE = re.compile(r"--[a-z][\w-]*")
@@ -83,6 +88,51 @@ def _cited_dotted_names(text):
     for span in BACKTICK_RE.findall(FENCE_RE.sub("", text)):
         names.update(DOTTED_RE.findall(span))
     return names
+
+
+def _cited_class_attrs(text):
+    """Every ``Class.attr`` inside a backticked span outside code
+    fences."""
+    names = set()
+    for span in BACKTICK_RE.findall(FENCE_RE.sub("", text)):
+        names.update(CLASS_ATTR_RE.findall(span))
+    return names
+
+
+@functools.lru_cache(maxsize=None)
+def _class_attrs():
+    """``{class name: attribute names}`` for every class defined under
+    ``src/repro``: names bound in its body (methods, class attributes,
+    dataclass fields) and every ``self.attr`` it assigns. A name defined
+    by several classes gets the union."""
+    attrs = {}
+    for path in (ROOT / "src" / "repro").rglob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            names = attrs.setdefault(node.name, set())
+            for sub in ast.walk(node):
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.ClassDef)) and sub is not node:
+                    names.add(sub.name)
+                elif isinstance(sub, ast.Name) and isinstance(sub.ctx,
+                                                              ast.Store):
+                    names.add(sub.id)
+                elif (isinstance(sub, ast.Attribute)
+                      and isinstance(sub.ctx, ast.Store)
+                      and isinstance(sub.value, ast.Name)
+                      and sub.value.id == "self"):
+                    names.add(sub.attr)
+    return attrs
+
+
+def _dead_class_attrs(text):
+    """Cited ``Class.attr`` names whose class is defined under
+    ``src/repro`` but defines no ``attr``."""
+    known = _class_attrs()
+    return {f"{cls}.{attr}" for cls, attr in _cited_class_attrs(text)
+            if cls in known and attr not in known[cls]}
 
 
 def _cited_env_vars(text):
@@ -178,6 +228,12 @@ def test_cited_modules_are_runnable(document):
 
 
 @pytest.mark.parametrize("document", DOCUMENTS)
+def test_cited_class_attrs_exist(document):
+    dead = sorted(_dead_class_attrs(_text(document)))
+    assert dead == [], f"{document} cites missing class attributes: {dead}"
+
+
+@pytest.mark.parametrize("document", DOCUMENTS)
 def test_cited_env_vars_are_read(document):
     dead = sorted(_cited_env_vars(_text(document)) - _source_strings())
     assert dead == [], f"{document} cites unread variables: {dead}"
@@ -203,12 +259,14 @@ def test_guard_sees_references():
     cited = set()
     env_vars = set()
     flagged = set()
+    class_attrs = set()
     for document in DOCUMENTS:
         text = _text(document)
         modules.update(MODULE_RE.findall(text))
         names.update(_cited_dotted_names(text))
         cited.update(_cited_make_targets(text))
         env_vars.update(_cited_env_vars(text))
+        class_attrs.update(_cited_class_attrs(text))
         flagged.update(command for command in _cited_commands(text).values()
                        if _unknown_flags(command) is not None
                        and FLAG_RE.search(command))
@@ -221,6 +279,11 @@ def test_guard_sees_references():
     assert "REPRO_CACHE_DIR" in _source_strings()
     assert "REPRO_NO_SUCH_VARIABLE" not in _source_strings()
     assert "qa --workers 2" in flagged
+    assert ("CPU", "execute_interval") in class_attrs
+    assert _dead_class_attrs("`CPU.execute_interval`, `Engine.close`") == set()
+    assert _dead_class_attrs("`CPU.no_such_method`, `NotOurs.x`") == {
+        "CPU.no_such_method"}
+    assert _dead_class_attrs("`repro.uarch.cpu.CPU.x`, `README.md`") == set()
     assert _unknown_flags("obs check --max-wall-pct -1") == []
     assert _unknown_flags("--quick score nbench --cache-dir D") == []
     assert _unknown_flags("qa --workers 2 [--no-such-flag]") == [

@@ -2,12 +2,14 @@
 
 ``tests/data/golden_counters.json`` pins two kinds of fingerprint:
 
-* ``suites`` -- the quick-preset measured :class:`CounterMatrix` of each
-  suite the tier-1 tests already measure: the sha256 of its bit-exact
-  wire encoding (values plus every per-event series) and each value's
-  IEEE-754 hex, so a failure names the cells that moved. The matrices
-  come through the ``measure_suites`` memo, so other tests' measurements
-  are reused.
+* ``suites`` -- the quick-preset measured :class:`CounterMatrix` of
+  five suites: the sha256 of its bit-exact wire encoding (values plus
+  every per-event series) and each value's IEEE-754 hex, so a failure
+  names the cells that moved. The matrices come through the
+  ``measure_suites`` memo, so other tests' measurements are reused.
+* ``full_suites`` -- the same fingerprint of full-preset suites: the
+  full-preset ``nbench`` matrix is exactly what a cold ``repro score
+  nbench`` measures.
 * ``cpu`` -- direct :class:`CPU` runs on ``small_test_machine()`` over
   prefetcher {on, off} x policy {lru, fifo, random} (and each predictor
   kind): one sha256 over every :class:`CounterSample`, one over the
@@ -37,8 +39,12 @@ from repro.uarch.cpu import CPU
 
 GOLDEN = Path(__file__).parent / "data" / "golden_counters.json"
 
-#: Quick-preset suites the tier-1 tests measure anyway (CLI and service).
-SUITES = ("nbench", "ligra", "lmbench")
+#: Quick-preset suites: the three the CLI and service tests measure
+#: anyway, plus two whose chases and streams reach the LLC.
+SUITES = ("nbench", "ligra", "lmbench", "parsec", "sgxgauge")
+
+#: Full-preset suites (``ExperimentConfig.full()``).
+FULL_SUITES = ("nbench",)
 
 #: (prefetcher, replacement policy, predictor kind) per CPU fingerprint.
 CPU_CASES = tuple(
@@ -106,7 +112,8 @@ def _sample_record(sample):
 
 
 def _sets(sets):
-    return [[[int(tag), bool(dirty)] for tag, dirty in ways.items()]
+    """Per set, its ``(tag, dirty)`` pairs in order."""
+    return [[[int(tag), bool(dirty)] for tag, dirty in ways]
             for ways in sets]
 
 
@@ -117,7 +124,7 @@ def _cpu_state(cpu):
         cache = getattr(hier, name)
         levels[name] = {
             "stats": dataclasses.astuple(cache.stats),
-            "sets": _sets(cache._sets),
+            "sets": _sets(cache.lines()),
         }
     pf = hier.prefetcher
     pred = cpu.predictor
@@ -133,7 +140,8 @@ def _cpu_state(cpu):
         "rng": str(hier.l1._rng.bit_generator.state),
         "prefetcher": None if pf is None else [pf.issued, pf.installed],
         "tlb": {
-            name: [_sets(level._sets), level.hits, level.misses]
+            name: [_sets(w.items() for w in level._sets), level.hits,
+                   level.misses]
             for name, level in (("dtlb", cpu.tlb.dtlb),
                                 ("stlb", cpu.tlb.stlb))
         },
@@ -152,9 +160,12 @@ def cpu_fingerprint(prefetch, policy, kind):
 
 def compute_goldens():
     matrices = measure_suites(list(SUITES), ExperimentConfig.quick())
+    full = measure_suites(list(FULL_SUITES), ExperimentConfig.full())
     return {
         "suites": {name: suite_fingerprint(matrices[name])
                    for name in SUITES},
+        "full_suites": {name: suite_fingerprint(full[name])
+                        for name in FULL_SUITES},
         "cpu": {case_name(*case): cpu_fingerprint(*case)
                 for case in CPU_CASES},
     }
@@ -165,11 +176,8 @@ def golden():
     return json.loads(GOLDEN.read_text())
 
 
-@pytest.mark.parametrize("suite", SUITES)
-def test_quick_suite_counters_unchanged(golden, suite):
-    matrix = measure_suites([suite], ExperimentConfig.quick())[suite]
+def _check_suite(matrix, want):
     got = suite_fingerprint(matrix)
-    want = golden["suites"][suite]
     moved = [
         f"{workload}/{event}: {bits} -> {got['values'].get(workload, {}).get(event)}"
         for workload, row in want["values"].items()
@@ -178,6 +186,18 @@ def test_quick_suite_counters_unchanged(golden, suite):
     ]
     assert not moved, "counter values moved:\n" + "\n".join(moved)
     assert got["sha256"] == want["sha256"], "a counter series moved"
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_quick_suite_counters_unchanged(golden, suite):
+    matrix = measure_suites([suite], ExperimentConfig.quick())[suite]
+    _check_suite(matrix, golden["suites"][suite])
+
+
+@pytest.mark.parametrize("suite", FULL_SUITES)
+def test_full_suite_counters_unchanged(golden, suite):
+    matrix = measure_suites([suite], ExperimentConfig.full())[suite]
+    _check_suite(matrix, golden["full_suites"][suite])
 
 
 @pytest.mark.parametrize("case", CPU_CASES, ids=lambda c: case_name(*c))

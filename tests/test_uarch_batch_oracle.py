@@ -1,7 +1,8 @@
 """Batch paths against the per-access reference models, bit for bit.
 
-The simulator runs fused batch loops (``CacheHierarchy.access_many``,
-``TwoLevelTLB.access_many``, ``run_trace``); the per-access methods
+The simulator runs batch paths (``SetAssociativeCache.run_ops`` under
+``CacheHierarchy.access_many``, the fused loops of
+``TwoLevelTLB.access_many`` and ``run_trace``); the per-access methods
 (``SetAssociativeCache.access``, ``NextLinePrefetcher.install`` /
 ``prefetch_targets``, ``TLB.lookup``, ``predict_and_update``) are the
 oracle. Every counter and every piece of state must agree.
@@ -21,9 +22,11 @@ from repro.uarch.branch import (
     TournamentPredictor,
     _PredictorBase,
 )
-from repro.uarch.cache import CHUNK, CacheStats
-from repro.uarch.config import TLBConfig, small_test_machine
+from repro.uarch import cache as cache_module
+from repro.uarch.cache import CHUNK, CacheStats, SetAssociativeCache
+from repro.uarch.config import CacheConfig, TLBConfig, small_test_machine
 from repro.uarch.hierarchy import CacheHierarchy, HierarchyCounters
+from repro.uarch.prefetch import NextLinePrefetcher
 from repro.uarch.tlb import TLBCounters, TwoLevelTLB
 
 accesses = st.lists(st.tuples(st.integers(0, 2047), st.booleans()),
@@ -34,6 +37,145 @@ def _arrays(pairs, stride):
     addrs = np.array([u * stride + u % 61 for u, _ in pairs], dtype=np.int64)
     writes = np.array([w for _, w in pairs], dtype=bool)
     return addrs, writes
+
+
+# -- one cache level: the op kernel -----------------------------------------
+
+
+def _cache(policy, assoc, sets):
+    return SetAssociativeCache(CacheConfig(
+        name="K", size_bytes=assoc * sets * 64, line_bytes=64,
+        associativity=assoc, policy=policy), rng=7)
+
+
+def cache_state(c):
+    return c.stats.snapshot(), c.lines(), c._rng.bit_generator.state
+
+
+def reference_ops(cache, pf, lines, writes, prefetch):
+    """Per op: ``access`` for a demand op, ``install`` for a prefetch;
+    whether the line was resident before it."""
+    return [not pf.install(cache, line * 64) if is_pf
+            else cache.access(line * 64, write)
+            for line, write, is_pf in zip(lines.tolist(), writes.tolist(),
+                                          prefetch.tolist())]
+
+
+def _check_ops(policy, assoc, sets, calls):
+    fast, slow = _cache(policy, assoc, sets), _cache(policy, assoc, sets)
+    pf = NextLinePrefetcher(64)
+    for lines, writes, prefetch in calls:
+        installed = pf.installed
+        want = reference_ops(slow, pf, lines, writes, prefetch)
+        got = fast.run_ops(lines, writes, prefetch)
+        assert got.tolist() == want
+        assert (int(np.count_nonzero(~got & prefetch))
+                == pf.installed - installed)
+        assert cache_state(fast) == cache_state(slow)
+
+
+#: One op: ``(line, prefetch, write)``; a line of -1 repeats the line of
+#: the op before, so runs on one line (the kernel's merge) occur.
+ops = st.lists(st.tuples(st.one_of(st.just(-1), st.integers(0, 63)),
+                         st.booleans(), st.booleans()), max_size=250)
+
+
+def _op_arrays(triples, line_of):
+    lines, prev = [], 0
+    for i, (u, _, _) in enumerate(triples):
+        prev = prev if u < 0 else line_of(i, u)
+        lines.append(prev)
+    prefetch = np.array([p for _, p, _ in triples], dtype=bool)
+    writes = np.array([w for _, _, w in triples], dtype=bool) & ~prefetch
+    return np.array(lines, dtype=np.int64), writes, prefetch
+
+
+def _split(arrays, cuts):
+    bounds = [0, *sorted(c % (arrays[0].shape[0] + 1) for c in cuts),
+              arrays[0].shape[0]]
+    return [tuple(a[lo:hi] for a in arrays)
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+class TestOpKernelOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(policy=st.sampled_from(["lru", "fifo"]),
+           assoc=st.integers(1, 16),
+           sets=st.sampled_from([1, 3, 4, 5, 7, 12]),
+           layout=st.sampled_from(["mixed", "one-set", "own-set"]),
+           triples=ops, cuts=st.lists(st.integers(0, 250), max_size=3))
+    def test_matches_access_and_install(self, policy, assoc, sets, layout,
+                                        triples, cuts):
+        # "own-set" gives each op of a call its own set (rounds = 1),
+        # "one-set" puts every op in set 0 (rounds = ops).
+        if layout == "own-set":
+            sets = 257
+        line_of = {"mixed": lambda i, u: u,
+                   "one-set": lambda i, u: u * sets,
+                   "own-set": lambda i, u: i + sets * u}[layout]
+        arrays = _op_arrays(triples, line_of)
+        _check_ops(policy, assoc, sets, _split(arrays, cuts))
+
+    @pytest.mark.parametrize("policy", ["lru", "fifo"])
+    def test_prefetch_of_resident_line_keeps_its_stamp(self, policy):
+        # Set of 2 ways: fill A then B, prefetch A (resident), then C.
+        # The prefetch must not refresh A, so C evicts A either way.
+        lines = np.array([0, 1, 0, 2])
+        prefetch = np.array([False, False, True, False])
+        writes = np.zeros(4, dtype=bool)
+        c = _cache(policy, assoc=2, sets=1)
+        assert c.run_ops(lines, writes, prefetch).tolist() == [
+            False, False, True, False]
+        assert c.lines() == [[(1, False), (2, False)]]
+        _check_ops(policy, 2, 1, [(lines, writes, prefetch)])
+
+    @pytest.mark.parametrize("between", [[], [6]])
+    def test_write_after_prefetch_fill_dirties_the_line(self, between):
+        # A clean prefetch fill of line 5, a store to it (straight after,
+        # or after an op on the other set), then line 7 evicts it from
+        # its one-way set: one writeback.
+        lines = np.array([5, *between, 5, 7])
+        prefetch = np.zeros(lines.shape[0], dtype=bool)
+        prefetch[0] = True
+        writes = np.zeros(lines.shape[0], dtype=bool)
+        writes[-2] = True
+        _check_ops("lru", 1, 2, [(lines, writes, prefetch)])
+        c = _cache("lru", 1, 2)
+        c.run_ops(lines, writes, prefetch)
+        assert c.stats.writebacks == 1
+
+    @pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
+    def test_stamp_renumbering_keeps_order(self, policy, monkeypatch):
+        # The reference runs without renumbering; a limit of 40 then
+        # renumbers the batch path's stamps every few calls, which
+        # eviction order must not notice.
+        rng = np.random.default_rng(6)
+        addrs = rng.integers(0, 30, size=400) * 64
+        writes = rng.uniform(size=400) < 0.3
+        slow = _cache(policy, 4, 3)
+        want = [slow.access(a, w) for a, w in zip(addrs.tolist(),
+                                                  writes.tolist())]
+        monkeypatch.setattr(cache_module, "STAMP_LIMIT", 40)
+        fast = _cache(policy, 4, 3)
+        got = [hit for lo in range(0, 400, 9)
+               for hit in fast.access_many(addrs[lo:lo + 9],
+                                           writes[lo:lo + 9]).tolist()]
+        assert got == want
+        assert fast._clock <= 40
+        assert cache_state(fast) == cache_state(slow)
+
+    @pytest.mark.parametrize("chunk", [None, 16])
+    def test_state_carries_across_calls(self, chunk, monkeypatch):
+        # chunk=16 also carries state across the kernel's own chunks.
+        if chunk is not None:
+            monkeypatch.setattr(cache_module, "ROUNDS_CHUNK", chunk)
+        rng = np.random.default_rng(4)
+        lines = rng.integers(0, 40, size=600)
+        prefetch = rng.uniform(size=600) < 0.4
+        writes = (rng.uniform(size=600) < 0.3) & ~prefetch
+        calls = _split((lines, writes, prefetch), [50, 51, 300, 420])
+        for policy in ("lru", "fifo"):
+            _check_ops(policy, 4, 3, calls)
 
 
 # -- cache hierarchy ----------------------------------------------------------
@@ -59,7 +201,7 @@ def reference_hierarchy(h, addrs, writes):
 
 
 def hierarchy_state(h):
-    levels = [(c.stats.snapshot(), [list(w.items()) for w in c._sets])
+    levels = [(c.stats.snapshot(), c.lines())
               for c in (h.l1, h.l2, h.llc)]
     pf = h.prefetcher
     return (levels, h.l1._rng.bit_generator.state,

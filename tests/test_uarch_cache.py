@@ -134,7 +134,7 @@ class TestRandomReplacement:
 def cache_state(c):
     """Everything a fill or hit can change: stats, each set's tags in
     order with their dirty bits, and the replacement generator."""
-    return (c.stats.snapshot(), [list(ways.items()) for ways in c._sets],
+    return (c.stats.snapshot(), c.lines(),
             c._rng.bit_generator.state)
 
 
@@ -184,6 +184,16 @@ class TestBatchAccess:
         c.access_many(np.array([0, 0, 64]))
         assert c.stats.stores == 0
         assert c.stats.loads == 3
+
+    @pytest.mark.parametrize("addrs", [
+        np.array([0, 64, -64]),
+        np.array([0, 2**63], dtype=np.uint64),
+    ])
+    def test_out_of_range_addresses_raise(self, addrs):
+        c = tiny_cache()
+        with pytest.raises(ValueError, match=r"addrs must be byte addresses"):
+            c.access_many(addrs)
+        assert cache_state(c) == cache_state(tiny_cache())
 
     def test_length_mismatch_raises(self):
         c = tiny_cache()

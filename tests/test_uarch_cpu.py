@@ -105,7 +105,7 @@ class TestExecuteInterval:
 def cpu_state(cpu):
     """Every piece of simulator state an interval can change."""
     hier = cpu.hierarchy
-    caches = [(c.stats.snapshot(), [list(w.items()) for w in c._sets])
+    caches = [(c.stats.snapshot(), c.lines())
               for c in (hier.l1, hier.l2, hier.llc)]
     tlbs = [([list(w.items()) for w in t._sets], t.hits, t.misses)
             for t in (cpu.tlb.dtlb, cpu.tlb.stlb)]
@@ -126,6 +126,9 @@ class TestIntervalValidation:
          "branch_sites"),
         (dict(branch_sites=[1, 2], branch_taken=[0.5, 1.0]),
          "branch_taken"),
+        # A negative line's tag could equal the caches' empty-way -1.
+        (dict(addresses=np.arange(8) * 4096 - 64), "addresses"),
+        (dict(addresses=np.full(8, 2**63, dtype=np.uint64)), "addresses"),
     ])
     def test_rejected_interval_leaves_cpu_untouched(self, bad, field):
         fields = dict(addresses=np.arange(8) * 4096,
@@ -137,6 +140,14 @@ class TestIntervalValidation:
         with pytest.raises(ValueError, match=f"interval.{field}"):
             cpu.execute_interval(iv)
         assert cpu_state(cpu) == cpu_state(CPU(small_test_machine(), seed=0))
+
+    def test_unsigned_addresses_below_2_63_accepted(self):
+        addrs = np.arange(8, dtype=np.uint64) * 4096 + (2**63 - 2**20)
+        signed = CPU(small_test_machine()).execute_interval(
+            FakeInterval(addresses=addrs.astype(np.int64)))
+        unsigned = CPU(small_test_machine()).execute_interval(
+            FakeInterval(addresses=addrs))
+        assert signed == unsigned
 
     def test_empty_fields_of_any_dtype_accepted(self):
         cpu = CPU(small_test_machine())

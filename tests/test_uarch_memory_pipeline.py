@@ -1,5 +1,7 @@
 """Tests for repro.uarch.memory, prefetch, pipeline, and hierarchy."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -190,6 +192,27 @@ class TestHierarchy:
         h.reset()
         c = h.access_many(addrs)
         assert c.l1_load_misses == 100  # cold again
+
+    @pytest.mark.parametrize("policy", ["lru", "fifo"])
+    def test_reset_matches_fresh_hierarchy(self, policy):
+        machine = dataclasses.replace(
+            small_test_machine().with_policy(policy), enable_prefetcher=True)
+        rng = np.random.default_rng(5)
+        addrs = rng.integers(0, 1 << 16, size=1500)
+        writes = rng.uniform(size=1500) < 0.3
+        used, fresh = CacheHierarchy(machine), CacheHierarchy(machine)
+        used.access_many(addrs[::-1], ~writes)
+        used.reset()
+        assert used.access_many(addrs, writes) == fresh.access_many(
+            addrs, writes)
+        for pf in (used.prefetcher, fresh.prefetcher):
+            assert pf.issued > 0 and pf.installed > 0
+        assert ((used.prefetcher.issued, used.prefetcher.installed)
+                == (fresh.prefetcher.issued, fresh.prefetcher.installed))
+        for a, b in zip((used.l1, used.l2, used.llc),
+                        (fresh.l1, fresh.l2, fresh.llc)):
+            assert a.stats == b.stats
+            assert a.lines() == b.lines()
 
     def test_writes_length_mismatch_raises(self):
         h = CacheHierarchy(small_test_machine())
