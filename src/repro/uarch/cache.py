@@ -16,13 +16,15 @@ position in stamp order. Empty ways carry stamp -1, so a fill takes one
 before evicting. Dirty lines are tracked so evictions count write-back
 transactions.
 
-:meth:`SetAssociativeCache.access` is the per-access reference model.
-:meth:`SetAssociativeCache.run_ops` is the batch kernel the simulator
-runs: an ordered stream of demand and prefetch ops is sorted by set,
+A ``random`` victim is a pure function of the cache's seed, the set and
+how many victims that set has drawn before (:func:`victim_positions`),
+so the draws do not depend on the order in which sets are visited.
+
+:meth:`SetAssociativeCache.run_ops` is the one kernel, for every
+policy: an ordered stream of demand and prefetch ops is sorted by set,
 and the ops of every set are processed in rounds, the *r*-th op of each
 set in round *r*. Ops in one round touch distinct sets, so they commute,
-and each set still sees its ops in stream order. Both paths leave the
-same bits behind.
+and each set still sees its ops in stream order.
 """
 
 from __future__ import annotations
@@ -45,6 +47,13 @@ STAMP_LIMIT = 2**31 - 1
 #: L2) left ~1.6 MB more heap behind on a cold ``score nbench`` than the
 #: arrays' own size, through allocator fragmentation.
 ROUNDS_CHUNK = 4096
+
+#: SplitMix64's stream increment and finalizer multipliers (Steele,
+#: Lea and Flood, "Fast Splittable Pseudorandom Number Generators",
+#: OOPSLA 2014).
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
 
 def as_batch(addrs, writes=None):
@@ -73,6 +82,31 @@ def check_addresses(addrs, name):
     if (addrs.size and addrs.dtype.kind in "iu"
             and not 0 <= addrs.min() <= addrs.max() < 2**63):
         raise ValueError(f"{name} must be byte addresses in [0, 2**63)")
+
+
+def _mix(z):
+    """SplitMix64's finalizer, a bijection of ``uint64`` arrays."""
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    return z ^ (z >> np.uint64(31))
+
+
+def victim_positions(seed, sets, draws, n_ways):
+    """The ``random`` victim of each of ``sets``: a position in the full
+    row's stamp order, below ``n_ways``.
+
+    Each set of a cache seeded ``seed`` is its own SplitMix64 stream,
+    and a set that has drawn ``draws`` victims before takes that
+    stream's next output. This is counter-based generation (Salmon et
+    al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011): a draw
+    depends on no other set's, so any evaluation order gives the same
+    victims."""
+    sets = np.asarray(sets).astype(np.uint64)
+    draws = np.asarray(draws, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        stream = _mix(np.uint64(seed % 2**64) + sets * _GAMMA)
+        out = _mix(stream + (draws + np.uint64(1)) * _GAMMA)
+    return (out % np.uint64(n_ways)).astype(np.intp)
 
 
 def _stable_argsort(keys, bound):
@@ -144,7 +178,7 @@ class CacheStats:
             writebacks=self.writebacks,
         )
 
-    def add_batch(self, writes, hits, evictions, writebacks):
+    def add_batch(self, writes, hits):
         """Count one batch of demand accesses: ``writes`` marks stores
         and ``hits`` the accesses that hit."""
         n = writes.shape[0]
@@ -155,8 +189,6 @@ class CacheStats:
         self.stores += stores
         self.load_misses += misses - store_misses
         self.store_misses += store_misses
-        self.evictions += evictions
-        self.writebacks += writebacks
 
 
 class SetAssociativeCache:
@@ -166,12 +198,12 @@ class SetAssociativeCache:
     ----------
     config:
         Geometry and policy (:class:`repro.uarch.config.CacheConfig`).
-    rng:
-        Seed or Generator; only used by the ``random`` replacement
-        policy. Defaults to 0 so replacement is deterministic.
+    seed:
+        Integer key of the ``random`` policy's victim draws; unused by
+        LRU and FIFO. Defaults to 0 so replacement is deterministic.
     """
 
-    def __init__(self, config: CacheConfig, rng=0):
+    def __init__(self, config: CacheConfig, seed=0):
         self.config = config
         self.stats = CacheStats()
         self._offset_bits = config.line_bytes.bit_length() - 1
@@ -181,7 +213,9 @@ class SetAssociativeCache:
         self._stamps = np.full(shape, -1, dtype=np.int32)
         self._dirty = np.zeros(shape, dtype=bool)
         self._clock = 0
-        self._rng = np.random.default_rng(rng)
+        self._seed = int(seed)
+        # Victims each set has drawn under ``random``.
+        self._draws = np.zeros(config.n_sets, dtype=np.uint64)
 
     # -- address helpers -------------------------------------------------
 
@@ -197,36 +231,7 @@ class SetAssociativeCache:
     def tag(self, addr):
         return self.line_address(addr) // self._n_sets
 
-    # -- per-access reference path ----------------------------------------
-
-    def access(self, addr, is_write=False):
-        """Access one byte address. Returns ``True`` on hit.
-
-        A miss allocates the line (write-allocate), evicting per policy
-        when the set is full.
-        """
-        line = self.line_address(int(addr))
-        set_idx, tag = line % self._n_sets, line // self._n_sets
-
-        if is_write:
-            self.stats.stores += 1
-        else:
-            self.stats.loads += 1
-
-        way = self._find(set_idx, tag)
-        if way is not None:
-            if self.config.policy == "lru":
-                self._stamps[set_idx, way] = self._take_stamps(1)
-            if is_write:
-                self._dirty[set_idx, way] = True
-            return True
-
-        if is_write:
-            self.stats.store_misses += 1
-        else:
-            self.stats.load_misses += 1
-        self._fill(set_idx, tag, dirty=is_write)
-        return False
+    # -- batch path ---------------------------------------------------------
 
     def _take_stamps(self, n):
         """The first of ``n`` fresh stamps. Stamps only order the ways
@@ -240,43 +245,10 @@ class SetAssociativeCache:
         self._clock += n
         return self._clock - n
 
-    def _find(self, set_idx, tag):
-        """The way of ``set_idx`` holding ``tag``, or ``None``."""
-        ways = self._tags[set_idx].tolist()
-        return ways.index(tag) if tag in ways else None
-
-    def _fill(self, set_idx, tag, dirty=False):
-        """Install ``tag`` in ``set_idx``, evicting when the set is full.
-
-        LRU and FIFO both evict the smallest stamp: LRU restamps on
-        hits, FIFO does not. ``random`` makes one draw from the cache's
-        generator per eviction, a position in stamp order, so any loop
-        that evicts in reference order draws the same victims.
-        """
-        stamps = self._stamps[set_idx].tolist()
-        if self.config.policy == "random" and min(stamps) >= 0:
-            # A full row's stamps are distinct.
-            victim = sorted(stamps)[self._rng.integers(len(stamps))]
-            way = stamps.index(victim)
-        else:
-            way = stamps.index(min(stamps))
-        if self._tags[set_idx, way] >= 0:
-            self.stats.evictions += 1
-            if self._dirty[set_idx, way]:
-                # Write-back cache: evicting a dirty line costs a
-                # memory-side write transaction.
-                self.stats.writebacks += 1
-        self._tags[set_idx, way] = tag
-        self._stamps[set_idx, way] = self._take_stamps(1)
-        self._dirty[set_idx, way] = dirty
-
-    # -- batch path ---------------------------------------------------------
-
     def access_many(self, addrs, writes=None):
         """Access a vector of byte addresses in order.
 
-        Bit-identical to calling :meth:`access` on each address in turn,
-        including set order, dirty bits and the ``random`` policy's draws.
+        The demand-only case of :meth:`run_ops`.
 
         Parameters
         ----------
@@ -291,22 +263,20 @@ class SetAssociativeCache:
             Boolean hit mask, aligned with ``addrs``.
         """
         addrs, writes = as_batch(addrs, writes)
-        if self.config.policy == "random":
-            return np.array([self.access(a, w) for a, w in
-                             zip(addrs.tolist(), writes.tolist())],
-                            dtype=bool)
         return self.run_ops(addrs >> self._offset_bits, writes)
 
     def run_ops(self, lines, writes, prefetch=None):
         """Run an ordered stream of ops on line addresses through this
         level.
 
-        A demand op is :meth:`access` on its line. A prefetch op (where
+        A demand op (a load, or a store where ``writes`` is set) hits
+        if its line is resident, restamping it under LRU and setting its
+        dirty bit on a store; a miss fills the line (write-allocate),
+        evicting per policy when the set is full. A prefetch op (where
         ``prefetch`` is set; its write flag must be clear) installs its
         line clean if absent and changes nothing if present: no stamp,
         no demand counter. Evictions and writebacks of both kinds are
-        counted. LRU and FIFO only: ``random`` must draw its victims in
-        reference order, so it runs the per-access methods.
+        counted.
 
         Returns
         -------
@@ -335,7 +305,7 @@ class SetAssociativeCache:
                 lines[starts[part]], merged_writes[part],
                 None if merged_prefetch is None else merged_prefetch[part])
         demand = slice(None) if prefetch is None else ~prefetch
-        self.stats.add_batch(writes[demand], present[demand], 0, 0)
+        self.stats.add_batch(writes[demand], present[demand])
         return present
 
     def _rounds(self, lines, writes, prefetch):
@@ -356,6 +326,7 @@ class SetAssociativeCache:
             keep_stamp = np.ones(n, dtype=bool)
         else:
             keep_stamp = None if prefetch is None else prefetch[ops]
+        draws = self._draws if self.config.policy == "random" else None
         old_tags = np.empty(n, dtype=np.int64)
         old_dirty = np.empty(n, dtype=bool)
         tags2d, stamps2d = self._tags, self._stamps
@@ -366,10 +337,21 @@ class SetAssociativeCache:
             s, t = op_sets[a:b], op_tags[a:b]
             # A matching way sorts before every stamp, an empty way (-1)
             # before every real one: argmin is the hit way, else the
-            # victim.
+            # LRU/FIFO victim.
             key = stamps2d.take(s, axis=0)
             key[tags2d.take(s, axis=0) == tag_column[a:b]] = -2
-            way = op_rows[a:b] + key.argmin(axis=1)
+            col = key.argmin(axis=1)
+            if draws is not None:
+                # A miss on a full row: every key is a real stamp.
+                full = np.flatnonzero(key.min(axis=1) >= 0)
+                if full.shape[0]:
+                    rows = s[full]
+                    pos = victim_positions(self._seed, rows, draws[rows],
+                                           n_ways)
+                    draws[rows] += np.uint64(1)
+                    col[full] = np.argsort(key[full], axis=1)[
+                        np.arange(full.shape[0]), pos]
+            way = op_rows[a:b] + col
             old = old_tags[a:b] = tags[way]
             was_dirty = old_dirty[a:b] = dirty[way]
             hit = old == t
@@ -402,19 +384,21 @@ class SetAssociativeCache:
     def contains(self, addr):
         """Whether the line holding ``addr`` is currently resident."""
         line = self.line_address(int(addr))
-        set_idx, tag = line % self._n_sets, line // self._n_sets
-        return self._find(set_idx, tag) is not None
+        return bool((self._tags[line % self._n_sets]
+                     == line // self._n_sets).any())
 
     def resident_lines(self):
         """Total number of valid lines."""
         return int(np.count_nonzero(self._tags >= 0))
 
     def flush(self):
-        """Invalidate every line (stats are kept)."""
+        """Invalidate every line and restart the victim draws (stats are
+        kept)."""
         self._tags.fill(-1)
         self._stamps.fill(-1)
         self._dirty.fill(False)
         self._clock = 0
+        self._draws.fill(0)
 
     def reset(self):
         """Invalidate and zero the stats."""

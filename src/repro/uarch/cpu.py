@@ -106,13 +106,14 @@ class CPU:
     machine:
         Full machine description (see :func:`repro.uarch.config.xeon_e2186g`).
     seed:
-        Seed for the random replacement policy, if configured. Defaults
-        to 0 so an unconfigured CPU is still deterministic.
+        Integer key of the ``random`` replacement policy's victim draws,
+        if configured: each cache level derives its own from it.
+        Defaults to 0 so an unconfigured CPU is still deterministic.
     """
 
     def __init__(self, machine: MachineConfig, seed=0):
         self.machine = machine
-        self.hierarchy = CacheHierarchy(machine, rng=seed)
+        self.hierarchy = CacheHierarchy(machine, seed=seed)
         self.tlb = TwoLevelTLB(
             machine.dtlb, machine.stlb, machine.memory.walk_cycles
         )

@@ -7,9 +7,8 @@ serviced by DRAM. An optional next-line prefetcher sits beside the L2 and
 fills both L2 and LLC (without perturbing the demand counters).
 
 A batch runs one :meth:`SetAssociativeCache.run_ops` call per level, each
-over the op stream that level sees in reference order; with ``random``
-replacement the lower levels run the per-access composition, so victim
-draws from the shared generator stay in reference order.
+over the op stream that level sees in reference order, under every
+replacement policy.
 """
 
 from __future__ import annotations
@@ -59,11 +58,12 @@ class HierarchyCounters:
 class CacheHierarchy:
     """L1 -> L2 -> LLC demand path with optional next-line prefetch."""
 
-    def __init__(self, machine: MachineConfig, rng=0):
-        rng = np.random.default_rng(rng)
-        self.l1 = SetAssociativeCache(machine.l1, rng=rng)
-        self.l2 = SetAssociativeCache(machine.l2, rng=rng)
-        self.llc = SetAssociativeCache(machine.llc, rng=rng)
+    def __init__(self, machine: MachineConfig, seed=0):
+        # Each level keys its ``random`` victim draws on its own seed,
+        # distinct per (seed, level).
+        self.l1 = SetAssociativeCache(machine.l1, seed=4 * seed)
+        self.l2 = SetAssociativeCache(machine.l2, seed=4 * seed + 1)
+        self.llc = SetAssociativeCache(machine.llc, seed=4 * seed + 2)
         self.prefetcher = (
             NextLinePrefetcher(machine.l2.line_bytes)
             if machine.enable_prefetcher
@@ -79,8 +79,6 @@ class CacheHierarchy:
         (line addresses) and the LLC ``[demand x`` if the L2 missed,
         ``prefetch x+1]``: the levels share no state, so one
         :meth:`SetAssociativeCache.run_ops` call per level is exact.
-        ``random`` replacement shares one generator across levels, so
-        with it the lower levels run the per-access composition instead.
 
         Returns
         -------
@@ -107,9 +105,6 @@ class CacheHierarchy:
                 llc_writes = miss_writes[l2_miss_mask]
                 if llc_addrs.shape[0]:
                     self.llc.access_many(llc_addrs, llc_writes)
-            elif "random" in (self.l2.config.policy,
-                              self.llc.config.policy):
-                self._prefetching_per_access(miss_addrs, miss_writes)
             else:
                 self._prefetching_op_streams(miss_addrs, miss_writes)
 
@@ -153,16 +148,6 @@ class CacheHierarchy:
         self.prefetcher.installed += (
             n - int(np.count_nonzero(l2_present[1::2]))
             + n - int(np.count_nonzero(llc_present[llc_prefetch])))
-
-    def _prefetching_per_access(self, addrs, writes):
-        """The reference composition, one L1 miss at a time."""
-        pf = self.prefetcher
-        for addr, write, target in zip(addrs.tolist(), writes.tolist(),
-                                       pf.prefetch_targets(addrs)):
-            if not self.l2.access(addr, write):
-                self.llc.access(addr, write)
-            pf.install(self.l2, target)
-            pf.install(self.llc, target)
 
     def reset(self):
         """Invalidate all levels and zero every stat, the prefetcher's

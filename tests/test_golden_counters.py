@@ -14,7 +14,8 @@
   prefetcher {on, off} x policy {lru, fifo, random} (and each predictor
   kind): one sha256 over every :class:`CounterSample`, one over the
   simulator state the samples leave behind (set contents in order, dirty
-  bits, stats, TLB sets, predictor tables, the replacement RNG).
+  bits, stats, each set's ``random`` victim draw count, TLB sets,
+  predictor tables).
 
 A deliberate science change re-blesses in the same commit::
 
@@ -137,7 +138,8 @@ def _cpu_state(cpu):
                            part.branches, part.mispredicts])
     return {
         "caches": levels,
-        "rng": str(hier.l1._rng.bit_generator.state),
+        "draws": [getattr(hier, name)._draws.tolist()
+                  for name in ("l1", "l2", "llc")],
         "prefetcher": None if pf is None else [pf.issued, pf.installed],
         "tlb": {
             name: [_sets(w.items() for w in level._sets), level.hits,

@@ -2,10 +2,12 @@
 
 The simulator runs batch paths (``SetAssociativeCache.run_ops`` under
 ``CacheHierarchy.access_many``, the fused loops of
-``TwoLevelTLB.access_many`` and ``run_trace``); the per-access methods
-(``SetAssociativeCache.access``, ``NextLinePrefetcher.install`` /
-``prefetch_targets``, ``TLB.lookup``, ``predict_and_update``) are the
-oracle. Every counter and every piece of state must agree.
+``TwoLevelTLB.access_many`` and ``run_trace``); the per-access models
+are the oracle: ``access`` and ``install`` in ``tests/uarch_reference.py``
+for the caches under every replacement policy, ``TLB.lookup`` and
+``predict_and_update``. Every counter and every piece of state must
+agree, each set's ``random`` draw count included, across calls and
+across the kernel's chunks.
 """
 
 import dataclasses
@@ -26,8 +28,8 @@ from repro.uarch import cache as cache_module
 from repro.uarch.cache import CHUNK, CacheStats, SetAssociativeCache
 from repro.uarch.config import CacheConfig, TLBConfig, small_test_machine
 from repro.uarch.hierarchy import CacheHierarchy, HierarchyCounters
-from repro.uarch.prefetch import NextLinePrefetcher
 from repro.uarch.tlb import TLBCounters, TwoLevelTLB
+from tests.uarch_reference import access, install
 
 accesses = st.lists(st.tuples(st.integers(0, 2047), st.booleans()),
                     max_size=300)
@@ -45,32 +47,28 @@ def _arrays(pairs, stride):
 def _cache(policy, assoc, sets):
     return SetAssociativeCache(CacheConfig(
         name="K", size_bytes=assoc * sets * 64, line_bytes=64,
-        associativity=assoc, policy=policy), rng=7)
+        associativity=assoc, policy=policy), seed=7)
 
 
 def cache_state(c):
-    return c.stats.snapshot(), c.lines(), c._rng.bit_generator.state
+    return c.stats.snapshot(), c.lines(), c._draws.tolist()
 
 
-def reference_ops(cache, pf, lines, writes, prefetch):
+def reference_ops(cache, lines, writes, prefetch):
     """Per op: ``access`` for a demand op, ``install`` for a prefetch;
     whether the line was resident before it."""
-    return [not pf.install(cache, line * 64) if is_pf
-            else cache.access(line * 64, write)
+    return [not install(cache, line * 64) if is_pf
+            else access(cache, line * 64, write)
             for line, write, is_pf in zip(lines.tolist(), writes.tolist(),
                                           prefetch.tolist())]
 
 
 def _check_ops(policy, assoc, sets, calls):
     fast, slow = _cache(policy, assoc, sets), _cache(policy, assoc, sets)
-    pf = NextLinePrefetcher(64)
     for lines, writes, prefetch in calls:
-        installed = pf.installed
-        want = reference_ops(slow, pf, lines, writes, prefetch)
+        want = reference_ops(slow, lines, writes, prefetch)
         got = fast.run_ops(lines, writes, prefetch)
         assert got.tolist() == want
-        assert (int(np.count_nonzero(~got & prefetch))
-                == pf.installed - installed)
         assert cache_state(fast) == cache_state(slow)
 
 
@@ -99,7 +97,7 @@ def _split(arrays, cuts):
 
 class TestOpKernelOracle:
     @settings(max_examples=150, deadline=None)
-    @given(policy=st.sampled_from(["lru", "fifo"]),
+    @given(policy=st.sampled_from(["lru", "fifo", "random"]),
            assoc=st.integers(1, 16),
            sets=st.sampled_from([1, 3, 4, 5, 7, 12]),
            layout=st.sampled_from(["mixed", "one-set", "own-set"]),
@@ -153,8 +151,8 @@ class TestOpKernelOracle:
         addrs = rng.integers(0, 30, size=400) * 64
         writes = rng.uniform(size=400) < 0.3
         slow = _cache(policy, 4, 3)
-        want = [slow.access(a, w) for a, w in zip(addrs.tolist(),
-                                                  writes.tolist())]
+        want = [access(slow, a, w) for a, w in zip(addrs.tolist(),
+                                                   writes.tolist())]
         monkeypatch.setattr(cache_module, "STAMP_LIMIT", 40)
         fast = _cache(policy, 4, 3)
         got = [hit for lo in range(0, 400, 9)
@@ -174,7 +172,7 @@ class TestOpKernelOracle:
         prefetch = rng.uniform(size=600) < 0.4
         writes = (rng.uniform(size=600) < 0.3) & ~prefetch
         calls = _split((lines, writes, prefetch), [50, 51, 300, 420])
-        for policy in ("lru", "fifo"):
+        for policy in ("lru", "fifo", "random"):
             _check_ops(policy, 4, 3, calls)
 
 
@@ -186,32 +184,31 @@ def reference_hierarchy(h, addrs, writes):
     the lower levels on the L1 misses (a batch per level without the
     prefetcher, interleaved per miss with it)."""
     misses = [(a, w) for a, w in zip(addrs.tolist(), writes.tolist())
-              if not h.l1.access(a, w)]
-    if h.prefetcher is None:
-        llc_stream = [(a, w) for a, w in misses if not h.l2.access(a, w)]
+              if not access(h.l1, a, w)]
+    pf = h.prefetcher
+    if pf is None:
+        llc_stream = [(a, w) for a, w in misses if not access(h.l2, a, w)]
         for a, w in llc_stream:
-            h.llc.access(a, w)
+            access(h.llc, a, w)
         return
     for a, w in misses:
-        if not h.l2.access(a, w):
-            h.llc.access(a, w)
-        (target,) = h.prefetcher.prefetch_targets(np.array([a]))
-        h.prefetcher.install(h.l2, target)
-        h.prefetcher.install(h.llc, target)
+        if not access(h.l2, a, w):
+            access(h.llc, a, w)
+        target = a + pf.line_bytes
+        pf.issued += 1
+        pf.installed += install(h.l2, target) + install(h.llc, target)
 
 
 def hierarchy_state(h):
-    levels = [(c.stats.snapshot(), c.lines())
-              for c in (h.l1, h.l2, h.llc)]
+    levels = [cache_state(c) for c in (h.l1, h.l2, h.llc)]
     pf = h.prefetcher
-    return (levels, h.l1._rng.bit_generator.state,
-            None if pf is None else (pf.issued, pf.installed))
+    return levels, None if pf is None else (pf.issued, pf.installed)
 
 
 def _hierarchy(prefetch, policy):
     machine = dataclasses.replace(small_test_machine().with_policy(policy),
                                   enable_prefetcher=prefetch)
-    return CacheHierarchy(machine, rng=3)
+    return CacheHierarchy(machine, seed=3)
 
 
 def _check_hierarchy(prefetch, policy, batches):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.uarch.cache import CHUNK, SetAssociativeCache
+from repro.uarch.cache import CHUNK, SetAssociativeCache, victim_positions
 from repro.uarch.config import CacheConfig
+from tests.uarch_reference import access
 
 
 def tiny_cache(assoc=2, sets=4, line=64, policy="lru"):
@@ -19,6 +20,11 @@ def tiny_cache(assoc=2, sets=4, line=64, policy="lru"):
             policy=policy,
         )
     )
+
+
+def hit(c, addr, is_write=False):
+    """One access through the batch kernel: whether it hit."""
+    return bool(c.access_many([addr], [is_write])[0])
 
 
 class TestAddressSplitting:
@@ -41,30 +47,30 @@ class TestAddressSplitting:
 class TestBasicHitMiss:
     def test_cold_miss_then_hit(self):
         c = tiny_cache()
-        assert c.access(0x1000) is False
-        assert c.access(0x1000) is True
+        assert hit(c, 0x1000) is False
+        assert hit(c, 0x1000) is True
 
     def test_same_line_different_offset_hits(self):
         c = tiny_cache()
-        c.access(0x1000)
-        assert c.access(0x1001) is True
-        assert c.access(0x103F) is True
+        hit(c, 0x1000)
+        assert hit(c, 0x1001) is True
+        assert hit(c, 0x103F) is True
 
     def test_next_line_misses(self):
         c = tiny_cache()
-        c.access(0x1000)
-        assert c.access(0x1040) is False
+        hit(c, 0x1000)
+        assert hit(c, 0x1040) is False
 
     def test_write_allocate(self):
         c = tiny_cache()
-        assert c.access(0x2000, is_write=True) is False
-        assert c.access(0x2000, is_write=False) is True
+        assert hit(c, 0x2000, is_write=True) is False
+        assert hit(c, 0x2000, is_write=False) is True
 
     def test_stats_split_loads_stores(self):
         c = tiny_cache()
-        c.access(0x0, is_write=False)
-        c.access(0x0, is_write=True)
-        c.access(0x40, is_write=True)
+        hit(c, 0x0, is_write=False)
+        hit(c, 0x0, is_write=True)
+        hit(c, 0x40, is_write=True)
         assert c.stats.loads == 1
         assert c.stats.stores == 2
         assert c.stats.load_misses == 1
@@ -75,20 +81,20 @@ class TestLRUReplacement:
     def test_eviction_order(self):
         c = tiny_cache(assoc=2, sets=1, line=64)
         a, b, d = 0x0, 0x40, 0x80  # all map to the single set
-        c.access(a)
-        c.access(b)
-        c.access(a)        # a is now MRU
-        c.access(d)        # evicts b (LRU)
-        assert c.access(a) is True
-        assert c.access(b) is False
+        hit(c, a)
+        hit(c, b)
+        hit(c, a)        # a is now MRU
+        hit(c, d)        # evicts b (LRU)
+        assert hit(c, a) is True
+        assert hit(c, b) is False
 
     def test_working_set_within_capacity_all_hit(self):
         c = tiny_cache(assoc=4, sets=8)
         lines = [i * 64 for i in range(32)]  # exactly capacity
         for addr in lines:
-            c.access(addr)
+            hit(c, addr)
         for addr in lines:
-            assert c.access(addr) is True
+            assert hit(c, addr) is True
 
     def test_working_set_exceeding_capacity_thrashes(self):
         c = tiny_cache(assoc=2, sets=2)  # 4 lines
@@ -96,13 +102,13 @@ class TestLRUReplacement:
         lines = [i * 64 for i in range(8)]
         for _ in range(3):
             for addr in lines:
-                c.access(addr)
+                hit(c, addr)
         assert c.stats.misses == 24  # no reuse survives
 
     def test_eviction_count(self):
         c = tiny_cache(assoc=2, sets=1)
         for i in range(5):
-            c.access(i * 64)
+            hit(c, i * 64)
         assert c.stats.evictions == 3
 
 
@@ -110,32 +116,38 @@ class TestFIFOReplacement:
     def test_fifo_ignores_reuse(self):
         c = tiny_cache(assoc=2, sets=1, policy="fifo")
         a, b, d = 0x0, 0x40, 0x80
-        c.access(a)
-        c.access(b)
-        c.access(a)        # reuse does NOT refresh a under FIFO
-        c.access(d)        # evicts a (oldest fill)
-        assert c.access(b) is True
-        assert c.access(a) is False
+        hit(c, a)
+        hit(c, b)
+        hit(c, a)        # reuse does NOT refresh a under FIFO
+        hit(c, d)        # evicts a (oldest fill)
+        assert hit(c, b) is True
+        assert hit(c, a) is False
 
 
 class TestRandomReplacement:
     def test_evicts_something(self):
-        c = SetAssociativeCache(
-            CacheConfig(name="R", size_bytes=2 * 64, line_bytes=64,
-                        associativity=2, policy="random"),
-            rng=0,
-        )
+        c = tiny_cache(assoc=2, sets=1, policy="random")
         for i in range(10):
-            c.access(i * 64 * 1)  # sets=1, so all conflict
+            hit(c, i * 64 * 1)  # sets=1, so all conflict
         assert c.resident_lines() == 2
         assert c.stats.evictions == 8
+        assert c._draws.tolist() == [8]
+
+    def test_draws_cover_every_way_evenly(self):
+        # 64 sets x 256 draws each, 16 ways: ~1024 per position.
+        sets = np.repeat(np.arange(64), 256)
+        draws = np.tile(np.arange(256), 64)
+        counts = np.bincount(victim_positions(5, sets, draws, 16),
+                             minlength=16)
+        assert counts.min() > 900 and counts.max() < 1150
+        assert not np.array_equal(victim_positions(6, sets, draws, 16),
+                                  victim_positions(5, sets, draws, 16))
 
 
 def cache_state(c):
     """Everything a fill or hit can change: stats, each set's tags in
-    order with their dirty bits, and the replacement generator."""
-    return (c.stats.snapshot(), c.lines(),
-            c._rng.bit_generator.state)
+    order with their dirty bits, and each set's victim draw count."""
+    return c.stats.snapshot(), c.lines(), c._draws.tolist()
 
 
 class TestBatchAccess:
@@ -159,7 +171,7 @@ class TestBatchAccess:
             c1.access_many(addrs[split:], writes[split:]),
         ])
         hits_scalar = np.array(
-            [c2.access(int(a), bool(w)) for a, w in zip(addrs, writes)],
+            [access(c2, int(a), bool(w)) for a, w in zip(addrs, writes)],
             dtype=bool,
         )
         np.testing.assert_array_equal(hits_batch, hits_scalar)
@@ -174,7 +186,7 @@ class TestBatchAccess:
             c1, c2 = tiny_cache(policy=policy), tiny_cache(policy=policy)
             hits_batch = c1.access_many(addrs, writes)
             hits_scalar = np.array(
-                [c2.access(int(a), bool(w)) for a, w in zip(addrs, writes)]
+                [access(c2, int(a), bool(w)) for a, w in zip(addrs, writes)]
             )
             np.testing.assert_array_equal(hits_batch, hits_scalar)
             assert cache_state(c1) == cache_state(c2)
@@ -210,21 +222,21 @@ class TestBatchAccess:
 class TestMaintenance:
     def test_flush_invalidates_but_keeps_stats(self):
         c = tiny_cache()
-        c.access(0x0)
+        hit(c, 0x0)
         c.flush()
         assert c.stats.loads == 1
-        assert c.access(0x0) is False
+        assert hit(c, 0x0) is False
 
     def test_reset_clears_everything(self):
         c = tiny_cache()
-        c.access(0x0)
+        hit(c, 0x0)
         c.reset()
         assert c.stats.accesses == 0
         assert c.resident_lines() == 0
 
     def test_contains(self):
         c = tiny_cache()
-        c.access(0x1000)
+        hit(c, 0x1000)
         assert c.contains(0x1000)
         assert c.contains(0x1010)  # same line
         assert not c.contains(0x2000)
@@ -265,8 +277,8 @@ class TestCacheProperties:
         c = tiny_cache(assoc=2, sets=8)
         rng = np.random.default_rng(seed)
         for addr in rng.integers(0, 1 << 16, size=200).tolist():
-            c.access(addr)
-            assert c.access(addr) is True
+            hit(c, addr)
+            assert hit(c, addr) is True
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 1000), assoc=st.sampled_from([1, 2, 4]))

@@ -18,7 +18,6 @@ from repro.uarch.config import (
 from repro.uarch.hierarchy import CacheHierarchy
 from repro.uarch.memory import DemandPager
 from repro.uarch.pipeline import TimingModel
-from repro.uarch.prefetch import NextLinePrefetcher
 from repro.uarch.tlb import TLBCounters
 
 PAGE = 4096
@@ -117,22 +116,29 @@ class TestDemandPager:
 
 class TestNextLinePrefetcher:
     def test_targets_are_next_line(self):
-        pf = NextLinePrefetcher(64)
-        targets = pf.prefetch_targets(np.array([0, 128]))
-        assert targets == [64, 192]
-        assert pf.issued == 2
+        h = CacheHierarchy(dataclasses.replace(small_test_machine(),
+                                               enable_prefetcher=True))
+        h.access_many(np.array([0, 128, 64]))
+        pf = h.prefetcher
+        # Lines 1 and 3 go into the L2 and the LLC; line 2, the target
+        # of the miss on line 1, is resident in both already.
+        assert (pf.issued, pf.installed) == (3, 4)
+        for level in (h.l2, h.llc):
+            assert level.contains(64) and level.contains(192)
 
     def test_install_fills_without_demand_stats(self):
         cache = SetAssociativeCache(
             CacheConfig(name="X", size_bytes=1024, line_bytes=64,
                         associativity=2)
         )
-        pf = NextLinePrefetcher(64)
-        assert pf.install(cache, 0x40) is True
+        line, write, prefetch = (np.array([1]), np.array([False]),
+                                 np.array([True]))
+        assert cache.run_ops(line, write, prefetch).tolist() == [False]
         assert cache.stats.accesses == 0
         assert cache.contains(0x40)
-        assert pf.install(cache, 0x40) is False  # already resident
-        assert pf.installed == 1
+        # Already resident: installs nothing.
+        assert cache.run_ops(line, write, prefetch).tolist() == [True]
+        assert cache.resident_lines() == 1
 
     def test_prefetcher_reduces_misses_on_streams(self):
         plain = small_test_machine()
@@ -193,7 +199,7 @@ class TestHierarchy:
         c = h.access_many(addrs)
         assert c.l1_load_misses == 100  # cold again
 
-    @pytest.mark.parametrize("policy", ["lru", "fifo"])
+    @pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
     def test_reset_matches_fresh_hierarchy(self, policy):
         machine = dataclasses.replace(
             small_test_machine().with_policy(policy), enable_prefetcher=True)
@@ -213,6 +219,7 @@ class TestHierarchy:
                         (fresh.l1, fresh.l2, fresh.llc)):
             assert a.stats == b.stats
             assert a.lines() == b.lines()
+            assert a._draws.tolist() == b._draws.tolist()
 
     def test_writes_length_mismatch_raises(self):
         h = CacheHierarchy(small_test_machine())

@@ -5,6 +5,7 @@ import pytest
 
 from repro.uarch.cache import SetAssociativeCache
 from repro.uarch.config import CacheConfig
+from tests.test_uarch_cache import hit
 
 
 def cache(assoc=2, sets=1):
@@ -17,30 +18,30 @@ def cache(assoc=2, sets=1):
 class TestWritebacks:
     def test_clean_eviction_no_writeback(self):
         c = cache(assoc=1)
-        c.access(0x0)              # load-fill
-        c.access(0x40)             # evicts the clean line
+        hit(c, 0x0)              # load-fill
+        hit(c, 0x40)             # evicts the clean line
         assert c.stats.evictions == 1
         assert c.stats.writebacks == 0
 
     def test_dirty_fill_writes_back(self):
         c = cache(assoc=1)
-        c.access(0x0, is_write=True)   # store-fill -> dirty
-        c.access(0x40)                 # evicts dirty line
+        hit(c, 0x0, is_write=True)   # store-fill -> dirty
+        hit(c, 0x40)                 # evicts dirty line
         assert c.stats.writebacks == 1
 
     def test_hit_store_dirties_line(self):
         c = cache(assoc=1)
-        c.access(0x0)                  # load-fill (clean)
-        c.access(0x0, is_write=True)   # hit store dirties
-        c.access(0x40)                 # evicts -> write-back
+        hit(c, 0x0)                  # load-fill (clean)
+        hit(c, 0x0, is_write=True)   # hit store dirties
+        hit(c, 0x40)                 # evicts -> write-back
         assert c.stats.writebacks == 1
 
     def test_reload_after_writeback_is_clean(self):
         c = cache(assoc=1)
-        c.access(0x0, is_write=True)
-        c.access(0x40)                 # wb #1
-        c.access(0x0)                  # reload clean
-        c.access(0x40)                 # evicts clean reload
+        hit(c, 0x0, is_write=True)
+        hit(c, 0x40)                 # wb #1
+        hit(c, 0x0)                  # reload clean
+        hit(c, 0x40)                 # evicts clean reload
         assert c.stats.writebacks == 1
 
     def test_writebacks_bounded_by_evictions(self):
@@ -65,8 +66,8 @@ class TestWritebacks:
 
     def test_snapshot_and_reset_carry_writebacks(self):
         c = cache(assoc=1)
-        c.access(0x0, is_write=True)
-        c.access(0x40)
+        hit(c, 0x0, is_write=True)
+        hit(c, 0x40)
         snap = c.stats.snapshot()
         assert snap.writebacks == 1
         c.reset()
@@ -76,8 +77,7 @@ class TestWritebacks:
         c = SetAssociativeCache(
             CacheConfig(name="R", size_bytes=2 * 64, line_bytes=64,
                         associativity=2, policy="random"),
-            rng=1,
+            seed=1,
         )
-        for i in range(20):
-            c.access(i * 64, is_write=True)
+        c.access_many(np.arange(20) * 64, np.ones(20, dtype=bool))
         assert c.stats.writebacks == c.stats.evictions == 18
