@@ -17,7 +17,8 @@
 # ending with the per-layer metrics.
 # `make rebless` rewrites the tier-1 golden files (counters, scores,
 # traces) after a deliberate science change, shows which moved and, if
-# any did, reminds the author to bump the disk tier's FORMAT_VERSION.
+# a bit the disk tier depends on did, reminds the author to bump the
+# disk tier's FORMAT_VERSION.
 
 PYTHON ?= python
 RUN = PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) $(PYTHON)
@@ -64,14 +65,30 @@ bench-trace:
 	$(PYTHON) bench/run.py
 
 # Each golden test file rewrites its tests/data JSON when run as a
-# script; the diff stat names the files whose pinned bits moved. A moved
-# bit also means an existing --cache-dir would keep serving the old
-# measured suites and scorecards, hence the FORMAT_VERSION reminder.
+# script; the diff stat names the files whose pinned bits moved. The
+# disk tier keys measured suites and scorecards by suite name, so an
+# existing --cache-dir keeps serving old bits after a move in the score
+# or trace goldens or in golden_counters.json's suites / full_suites
+# sections, hence the FORMAT_VERSION reminder. The direct-CPU `cpu`
+# fingerprints feed no disk-tier entry and trigger no reminder.
+DISK_TIER_GOLDENS = tests/data/golden_scores.json tests/data/golden_traces.json
+DISK_TIER_COUNTERS_MOVED = import json, subprocess, sys; \
+	path = "tests/data/golden_counters.json"; \
+	head = subprocess.run(["git", "show", "HEAD:" + path], \
+	                      capture_output=True, text=True).stdout; \
+	old, new = json.loads(head or "{}"), json.load(open(path)); \
+	sys.exit(0 if any(old.get(k) != new.get(k) \
+	                  for k in ("suites", "full_suites")) else 1)
+
 rebless:
 	$(RUN) tests/test_golden_counters.py
 	$(RUN) tests/test_golden_scores.py
 	$(RUN) tests/test_golden_traces.py
 	git diff --stat -- tests/data
-	@git diff --quiet -- tests/data || echo "rebless: tests/data moved;" \
-		"bump repro.engine.diskcache.FORMAT_VERSION so existing" \
-		"--cache-dir tiers stop serving old measured suites and scorecards"
+	@if ! git diff --quiet -- $(DISK_TIER_GOLDENS) || \
+		$(PYTHON) -c '$(DISK_TIER_COUNTERS_MOVED)'; then \
+		echo "rebless: disk-tier goldens moved; bump" \
+			"repro.engine.diskcache.FORMAT_VERSION so existing" \
+			"--cache-dir tiers stop serving old measured suites and" \
+			"scorecards"; \
+	fi

@@ -168,16 +168,16 @@ def _score_with_windows(args):
 
     config = _config(args)
     matrix = measure_suites([args.suite], config)[args.suite]
-    with Engine.from_config(config) as engine:
-        card = perspector_for(config, engine=engine).score(
-            matrix, focus=args.focus
-        )
-        publish("scorecard", card)
-        publish("windows", window_trajectory(
-            matrix, seed=config.metric_seed,
-            n_windows=args.history_windows, engine=engine,
-        ))
-        publish("metrics", engine.metrics.snapshot())
+    engine = Engine.from_config(config)
+    card = perspector_for(config, engine=engine).score(
+        matrix, focus=args.focus
+    )
+    publish("scorecard", card)
+    publish("windows", window_trajectory(
+        matrix, seed=config.metric_seed,
+        n_windows=args.history_windows, engine=engine,
+    ))
+    publish("metrics", engine.metrics.snapshot())
     print(card)
     return 0
 
@@ -188,14 +188,14 @@ def _cmd_compare(args):
 
     config = _config(args)
     matrices = measure_suites(args.suites, config)
-    with Engine.from_config(config) as engine:
-        perspector = perspector_for(config, engine=engine)
-        comparison = perspector.compare(
-            *[matrices[s] for s in args.suites], focus=args.focus
-        )
-        for card in comparison.scorecards:
-            publish("scorecard", card)
-        publish("metrics", engine.metrics.snapshot())
+    engine = Engine.from_config(config)
+    perspector = perspector_for(config, engine=engine)
+    comparison = perspector.compare(
+        *[matrices[s] for s in args.suites], focus=args.focus
+    )
+    for card in comparison.scorecards:
+        publish("scorecard", card)
+    publish("metrics", engine.metrics.snapshot())
     print(comparison.table())
     if args.bars:
         for score in ("cluster", "trend", "coverage", "spread"):

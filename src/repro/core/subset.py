@@ -170,8 +170,7 @@ class LHSSubsetGenerator:
         chosen = _greedy_unique_match(design, normalized)
         return tuple(matrix.workloads[i] for i in chosen)
 
-    def report(self, matrix, seed=0, full_scores=None, engine=None,
-               evaluator=None):
+    def report(self, matrix, seed=0, full_scores=None, engine=None):
         """Choose a subset and score its fidelity (Section IV-C).
 
         The subset's matrix is normalized with the *full suite's* bounds
@@ -181,19 +180,17 @@ class LHSSubsetGenerator:
         compare many subsetting methods against one full-suite baseline).
         Alternatively, pass a shared :class:`repro.engine.Engine` as
         ``engine`` and repeated kernel work (full-suite scores, K-means
-        fits, DTW pairs) is memoized across reports -- or a
-        :class:`repro.engine.subset_eval.SubsetEvaluator` as
-        ``evaluator`` and the subset is scored by slicing its
-        precomputed full-suite kernels (bit-identical, much faster when
-        many subsets of one suite are scored).
+        fits, DTW pairs) is memoized across reports. To score many
+        subsets of one suite, pass :meth:`select`'s names to a
+        :class:`repro.engine.subset_eval.SubsetEvaluator` instead: it
+        slices precomputed full-suite kernels (bit-identical, much
+        faster).
 
         Returns
         -------
         SubsetReport
         """
         selected = self.select(matrix)
-        if evaluator is not None:
-            return evaluator.evaluate(selected)
         subset_matrix = matrix.select_workloads(selected)
 
         if full_scores is None:
@@ -262,12 +259,10 @@ def random_subset_names(matrix, subset_size, seed=0):
 
 
 def random_subset_report(matrix, subset_size, seed=0, full_scores=None,
-                         engine=None, evaluator=None):
+                         engine=None):
     """Baseline: a uniformly random subset of the same size, scored the
     same way (used by the ablation bench to show LHS beats chance)."""
     names = random_subset_names(matrix, subset_size, seed=seed)
-    if evaluator is not None:
-        return evaluator.evaluate(names)
     subset_matrix = matrix.select_workloads(names)
     if full_scores is None:
         full_scores = _scores(matrix, seed=seed, engine=engine)

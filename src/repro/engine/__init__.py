@@ -12,8 +12,9 @@
   and the scoring code stay the same, and
   :data:`~repro.engine.diskcache.FORMAT_VERSION` is bumped when they
   change.
-* :mod:`repro.engine.parallel` -- deterministic fan-out over a
-  persistent ``spawn`` process pool with input-order reassembly.
+* :mod:`repro.engine.parallel` -- :func:`~repro.engine.parallel.parallel_map`,
+  deterministic fan-out over the process-wide ``spawn`` pool with
+  input-order reassembly.
 * :mod:`repro.engine.engine` -- :class:`Engine`, which wires both under
   the Section III score kernels (normalized series sets, DTW matrices
   and pairs, PCA/coverage, per-k K-means) and exposes suite-level
@@ -37,7 +38,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "repro.engine.diskcache": ("DiskCache",),
     "repro.engine.engine": ("Engine",),
-    "repro.engine.parallel": ("ParallelExecutor",),
     "repro.engine.subset_eval": (
         "SubsetEvaluator", "SubsetSearch", "SubsetSearchResult",
     ),

@@ -49,7 +49,7 @@ from repro.engine.cache import (
     content_key,
     pair_key,
 )
-from repro.engine.parallel import ParallelExecutor
+from repro.engine.parallel import POOL_COUNTERS, parallel_map
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import span
 from repro.stats.backend import kernels
@@ -113,9 +113,10 @@ class Engine:
         bit-identical either way; the cache only buys speed).
     workers:
         Process count for the parallel fan-outs. ``1`` (default) keeps
-        today's serial path with zero pool overhead; higher values run
-        a *persistent* spawn pool, created lazily on the first fan-out
-        and reused across every subsequent one.
+        today's serial path with zero pool overhead; higher values fan
+        out over the process's spawn pool of that width
+        (:func:`~repro.engine.parallel.parallel_map`), which every
+        engine in the process shares.
     cache_dir:
         Optional directory for the on-disk cache tier
         (:class:`~repro.engine.diskcache.DiskCache`): kernel results
@@ -130,6 +131,9 @@ class Engine:
     """
 
     def __init__(self, cache=True, workers=1, cache_dir=None, backend=None):
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        self.workers = workers
         #: The ComputeBackend record DTW pair batches dispatch through.
         self.backend = kernels() if backend is None else backend
         #: One registry for every counter across the engine's layers --
@@ -143,16 +147,14 @@ class Engine:
             disk = DiskCache(cache_dir, metrics=self.metrics)
         self.cache = KernelCache(enabled=cache, disk=disk,
                                  metrics=self.metrics)
-        self.executor = ParallelExecutor(workers=workers,
-                                         metrics=self.metrics)
+        # Registered up front, so details['engine'] carries the pool
+        # counters at any worker count.
+        for name in POOL_COUNTERS:
+            self.metrics.counter(name)
         #: Digests seen in any cached DTW pair -- lets
         #: :meth:`_any_pair_cached` answer "fully cold" in O(1) instead
         #: of hashing O(n^2) candidate keys per trend call.
         self._pair_digests = set()
-
-    @property
-    def workers(self):
-        return self.executor.workers
 
     @property
     def cache_dir(self):
@@ -168,21 +170,6 @@ class Engine:
         return cls(cache=getattr(config, "cache", True),
                    workers=getattr(config, "workers", 1),
                    cache_dir=getattr(config, "cache_dir", None))
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def close(self):
-        """Shut the worker pool down (idempotent; also runs at
-        gc/interpreter exit via the executor's finalizer, so forgetting
-        it leaks nothing)."""
-        self.executor.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
-        return False
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -399,10 +386,11 @@ class Engine:
                     validate_series_list(norm), mkey, band)
             values[event] = self._tscore(dmatrix)
         if pending:
-            results = self.executor.map(
+            results = parallel_map(
                 _trend_event_task,
                 [(tuple(arrays), n_points, band, do_norm, cdf)
                  for (_event, arrays, _nkey, do_norm) in pending],
+                self.workers, self.metrics,
             )
             for (event, _arrays, nkey, _do_norm), (norm, dmatrix) in zip(
                     pending, results):
@@ -469,9 +457,10 @@ class Engine:
             else:
                 labels_by_k[k] = labels
         if pending:
-            results = self.executor.map(
+            results = parallel_map(
                 _kmeans_task,
                 [(x, k, kseeds[k], n_restarts) for k, _key in pending],
+                self.workers, self.metrics,
             )
             for (k, key), labels in zip(pending, results):
                 labels_by_k[k] = self.cache.put(key, labels)
@@ -639,9 +628,10 @@ class Engine:
                                   normalize=normalize)
                 for m in matrices
             ]
-        return self.executor.map(
+        return parallel_map(
             _score_matrix_task,
             [(m, config, focus_value, normalize, self.cache.enabled,
               self.cache_dir)
              for m in matrices],
+            self.workers, self.metrics,
         )

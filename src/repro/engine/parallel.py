@@ -1,10 +1,9 @@
-"""Deterministic parallel fan-out for the scoring engine.
+"""Deterministic parallel fan-out over one process-wide worker pool.
 
-:class:`ParallelExecutor` maps a top-level function over a list of
-argument tuples, either serially (``workers=1``, the default -- no
-process overhead) or across a **persistent** worker pool. Three
-properties make the fan-out safe for a bit-for-bit-reproducible
-pipeline:
+:func:`parallel_map` maps a top-level function over a list of argument
+tuples, either inline (``workers=1`` or a single task -- no process
+overhead) or across the process's pool of that width. Three properties
+make the fan-out safe for a bit-for-bit-reproducible pipeline:
 
 * **Input-order reassembly.** Results always come back in submission
   order (``executor.map`` semantics), never completion order, so
@@ -18,13 +17,15 @@ pipeline:
 
 Two lifecycle decisions (see DESIGN.md section 9):
 
-* **The pool is created lazily, once, and reused** across every ``map``
-  call of the executor's lifetime. Trend scoring issues one fan-out per
-  pending-event batch, K-means one per sweep, the subset search one per
-  candidate batch -- paying pool startup per *call* would multiply
-  that cost by the number of calls. Cleanup runs via
-  ``close()``/context-manager, and via :func:`weakref.finalize` when
-  the executor is dropped or the interpreter exits.
+* **The pool belongs to the process, not to a caller.** One pool per
+  worker count is created lazily, under a lock, on the first fan-out at
+  that width and reused by every later one -- trend scoring's per-batch
+  fan-outs, K-means sweeps, subset-search batches, and every engine the
+  process builds (a compare, a subset search and the scoring daemon's
+  requests all share it). Paying pool startup per engine would multiply
+  that cost by the number of engines. The pools are shut down when the
+  interpreter exits; a pool whose worker died (``BrokenProcessPool``)
+  is dropped, so the next call at its width starts a fresh one.
 * **The start method is pinned to ``"spawn"``** on every platform. The
   platform-default ``fork`` duplicates the parent mid-flight: BLAS
   thread pools, the ``random``/NumPy global RNG state, and any open
@@ -45,14 +46,24 @@ are bit-identical across worker counts.
 
 from __future__ import annotations
 
+import atexit
 import multiprocessing
-import weakref
+import threading
 
 from repro.obs import trace as obs_trace
 from repro.obs.trace import ShippedSpans, span
 
 #: Pinned start method -- see the module docstring for why not ``fork``.
 START_METHOD = "spawn"
+
+#: The pool-lifecycle counters :func:`parallel_map` moves in a caller's
+#: registry: a pool this call spawned, one it found running, one that
+#: broke under it.
+POOL_COUNTERS = ("pool_created", "pool_reused", "pool_broken")
+
+#: The process's pools, keyed by worker count.
+_pools = {}
+_pools_lock = threading.Lock()
 
 
 def _invoke(payload):
@@ -77,135 +88,99 @@ def _invoke(payload):
     return ShippedSpans(result=result, spans=tracer.drain())
 
 
-def _shutdown_pool(pool):
-    """Finalizer target: tear one pool down without keeping the
-    executor alive."""
+def _pool_for(workers):
+    """``(pool, created)``: the process's pool of width ``workers``,
+    spawned on first use."""
+    with _pools_lock:
+        pool = _pools.get(workers)
+        if pool is not None:
+            return pool, False
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context(START_METHOD),
+        )
+        _pools[workers] = pool
+        return pool, True
+
+
+def _drop_pool(workers, pool):
+    """Forget a broken pool, so the next call at its width starts a
+    fresh one, and tear it down."""
+    with _pools_lock:
+        # Another caller that saw the same breakage may already have
+        # dropped it and spawned a replacement, which must stay.
+        if _pools.get(workers) is pool:
+            del _pools[workers]
     pool.shutdown(wait=True, cancel_futures=True)
 
 
-class ParallelExecutor:
-    """Map tasks over an optional persistent process pool, preserving
-    input order.
+@atexit.register
+def _shutdown_pools():
+    with _pools_lock:
+        pools = list(_pools.values())
+        _pools.clear()
+    for pool in pools:
+        pool.shutdown(wait=True, cancel_futures=True)
 
-    Parameters
-    ----------
-    workers:
-        Process count. ``1`` runs everything inline in the calling
-        process (no pool is ever created); higher values fan out.
-    metrics:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry` for the
-        pool-lifecycle counters (``pool_created`` / ``pool_reused`` /
-        ``pool_broken``); a private registry is created when omitted.
+
+def parallel_map(fn, arg_tuples, workers, metrics=None):
+    """Apply ``fn(*args)`` for each args tuple; results in input order.
+
+    ``fn`` must be a module-level function and every argument
+    picklable when ``workers > 1``. ``workers=1`` batches and
+    single-element batches run inline -- there is nothing to overlap.
+    A task that *raises* propagates the exception but leaves the pool
+    healthy for the next call; a task that kills its worker process
+    breaks the pool, which is dropped so the next call starts a fresh
+    one. ``metrics``, an optional
+    :class:`~repro.obs.metrics.MetricsRegistry`, counts the pool events
+    of this call (:data:`POOL_COUNTERS`).
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    arg_tuples = list(arg_tuples)
+    fn_name = getattr(fn, "__name__", str(fn))
+    if workers == 1 or len(arg_tuples) < 2:
+        with span("parallel.map", fn=fn_name,
+                  tasks=len(arg_tuples), inline=True):
+            return [fn(*args) for args in arg_tuples]
+    from concurrent.futures.process import BrokenProcessPool
 
-    def __init__(self, workers=1, metrics=None):
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if metrics is None:
-            from repro.obs.metrics import MetricsRegistry
+    traced = obs_trace.enabled()
+    with span("parallel.map", fn=fn_name, tasks=len(arg_tuples),
+              workers=workers) as map_span:
+        payloads = [(fn, args, traced) for args in arg_tuples]
+        # Batch pipe round-trips: ~4 chunks per worker balances pickle
+        # amortization against tail latency, matching stdlib guidance.
+        chunksize = max(1, len(payloads) // (workers * 4))
+        pool, created = _pool_for(workers)
+        if metrics is not None:
+            metrics.counter("pool_created" if created
+                            else "pool_reused").inc()
+        try:
+            results = list(pool.map(_invoke, payloads,
+                                    chunksize=chunksize))
+        except BrokenProcessPool:
+            if metrics is not None:
+                metrics.counter("pool_broken").inc()
+            _drop_pool(workers, pool)
+            raise
+        return _unship(results, map_span.sid)
 
-            metrics = MetricsRegistry()
-        self.workers = workers
-        self.metrics = metrics
-        self._pool = None
-        self._pool_finalizer = None
-        self._pool_created = metrics.counter("pool_created")
-        self._pool_reused = metrics.counter("pool_reused")
-        self._pool_broken = metrics.counter("pool_broken")
 
-    # -- pool lifecycle ----------------------------------------------------
-
-    @property
-    def start_method(self):
-        return START_METHOD
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            from concurrent.futures import ProcessPoolExecutor
-
-            pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=multiprocessing.get_context(START_METHOD),
-            )
-            self._pool = pool
-            self._pool_finalizer = weakref.finalize(
-                self, _shutdown_pool, pool,
-            )
-            self._pool_created.inc()
+def _unship(results, parent_sid):
+    """Unwrap :class:`~repro.obs.trace.ShippedSpans` payloads, adopting
+    the worker spans into the owner's tracer re-parented under the
+    dispatching map-call span."""
+    tracer = obs_trace.current_tracer()
+    out = []
+    for result in results:
+        if isinstance(result, ShippedSpans):
+            if tracer is not None:
+                tracer.adopt(result.spans, parent_sid=parent_sid)
+            out.append(result.result)
         else:
-            self._pool_reused.inc()
-        return self._pool
-
-    def _dispose_pool(self):
-        if self._pool_finalizer is not None:
-            self._pool_finalizer()  # detaches; idempotent
-            self._pool_finalizer = None
-        self._pool = None
-
-    def close(self):
-        """Shut the pool down (idempotent; also runs via
-        ``weakref.finalize`` at gc/interpreter exit)."""
-        self._dispose_pool()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
-        return False
-
-    # -- mapping -----------------------------------------------------------
-
-    def _chunksize(self, n_tasks):
-        """Batch pipe round-trips: ~4 chunks per worker balances pickle
-        amortization against tail latency, matching stdlib guidance."""
-        return max(1, n_tasks // (self.workers * 4))
-
-    def map(self, fn, arg_tuples):
-        """Apply ``fn(*args)`` for each args tuple; results in input order.
-
-        ``fn`` must be a module-level function and every argument
-        picklable when ``workers > 1``. Single-element batches always
-        run inline -- there is nothing to overlap. A task that *raises*
-        propagates the exception but leaves the pool healthy for the
-        next call; a task that kills its worker process breaks the pool,
-        which is disposed so the next call starts a fresh one.
-        """
-        arg_tuples = list(arg_tuples)
-        fn_name = getattr(fn, "__name__", str(fn))
-        if self.workers == 1 or len(arg_tuples) < 2:
-            with span("parallel.map", fn=fn_name,
-                      tasks=len(arg_tuples), inline=True):
-                return [fn(*args) for args in arg_tuples]
-        from concurrent.futures.process import BrokenProcessPool
-
-        traced = obs_trace.enabled()
-        with span("parallel.map", fn=fn_name, tasks=len(arg_tuples),
-                  workers=self.workers) as map_span:
-            payloads = [(fn, args, traced) for args in arg_tuples]
-            chunksize = self._chunksize(len(payloads))
-            pool = self._ensure_pool()
-            try:
-                results = list(pool.map(_invoke, payloads,
-                                        chunksize=chunksize))
-            except BrokenProcessPool:
-                self._pool_broken.inc()
-                self._dispose_pool()
-                raise
-            return self._unship(results, map_span.sid)
-
-    @staticmethod
-    def _unship(results, parent_sid):
-        """Unwrap :class:`~repro.obs.trace.ShippedSpans` payloads,
-        adopting the worker spans into the owner's tracer re-parented
-        under the dispatching map-call span."""
-        tracer = obs_trace.current_tracer()
-        out = []
-        for result in results:
-            if isinstance(result, ShippedSpans):
-                if tracer is not None:
-                    tracer.adopt(result.spans, parent_sid=parent_sid)
-                out.append(result.result)
-            else:
-                out.append(result)
-        return out
+            out.append(result)
+    return out

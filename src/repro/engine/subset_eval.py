@@ -76,6 +76,7 @@ from repro.core.subset import (
 )
 from repro.engine.cache import MISS, array_digest, content_key
 from repro.engine.engine import Engine
+from repro.engine.parallel import parallel_map
 from repro.obs.trace import span
 from repro.stats.backend import ks_columns
 from repro.stats.preprocessing import minmax_normalize
@@ -636,7 +637,7 @@ class SubsetSearch:
 
     def _evaluate_all(self, candidates):
         """Evaluate candidates in order, fanning fresh ones out in
-        contiguous batches across the engine's worker pool when
+        contiguous batches across the process's worker pool when
         ``workers > 1``. Reports already stored (memory or disk tier)
         are read back first, so only genuinely new candidates cost a
         worker round-trip. Each worker builds an identical
@@ -656,13 +657,14 @@ class SubsetSearch:
             size = -(-len(fresh) // n_batches)
             batches = [fresh[i:i + size]
                        for i in range(0, len(fresh), size)]
-            results = engine.executor.map(
+            results = parallel_map(
                 _evaluate_batch_task,
                 [(self.evaluator.matrix, batch, self.evaluator.seed,
                   self.evaluator.full_scores, self.evaluator.n_points,
                   self.evaluator.band, self.evaluator.cdf,
                   engine.cache.enabled, engine.cache_dir)
                  for batch in batches],
+                engine.workers, engine.metrics,
             )
             for batch, batch_reports in zip(batches, results):
                 for names, report in zip(batch, batch_reports):

@@ -207,10 +207,10 @@ def _score_suite(name, config, focus, disk, matrix, scorecards):
         # Perspector facade build a private one) so the run's metrics
         # snapshot reaches the history recorder; the engine is a pure
         # accelerator, so the scorecard bits are identical either way.
-        with Engine.from_config(config) as engine:
-            card = perspector_for(config, engine=engine).score(
-                matrix, focus=focus)
-            metrics = engine.metrics.snapshot()
+        engine = Engine.from_config(config)
+        card = perspector_for(config, engine=engine).score(
+            matrix, focus=focus)
+        metrics = engine.metrics.snapshot()
         sp.set(source="scored")
         if skey is not None:
             disk.put(skey, card)

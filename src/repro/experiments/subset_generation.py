@@ -25,9 +25,7 @@ from repro.baselines import baseline_subsets
 from repro.core.subset import (
     LHSSubsetGenerator,
     SubsetReport,
-    _scores,
-    random_subset_report,
-    report_from_scores,
+    random_subset_names,
 )
 from repro.engine import Engine, SubsetEvaluator, SubsetSearch
 from repro.experiments.runner import ExperimentConfig, measure_suites
@@ -78,19 +76,6 @@ class SubsetExperimentResult:
         ))
 
 
-def _report_for(matrix, names, seed, full_scores=None, engine=None,
-                evaluator=None):
-    """Score an arbitrary named subset exactly like LHSSubsetGenerator."""
-    if evaluator is not None:
-        return evaluator.evaluate(names)
-    subset_matrix = matrix.select_workloads(names)
-    if full_scores is None:
-        full_scores = _scores(matrix, seed=seed, engine=engine)
-    subset_scores = _scores(subset_matrix, seed=seed, bounds_from=matrix,
-                            engine=engine)
-    return report_from_scores(names, full_scores, subset_scores)
-
-
 def run(config=None, suite=SUBSET_SUITE, subset_size=SUBSET_SIZE,
         n_random=5, n_search=SEARCH_CANDIDATES):
     """Regenerate the Section IV-C experiment.
@@ -107,22 +92,18 @@ def run(config=None, suite=SUBSET_SUITE, subset_size=SUBSET_SIZE,
     # the full-suite kernels are computed once, every method's subsets
     # are scored by slicing them, and anything that must re-run (K-means,
     # PCA) hits the engine's content-addressed cache across reports.
-    engine = Engine.from_config(config)
-    evaluator = SubsetEvaluator(matrix, seed=seed, engine=engine)
-    full_scores = evaluator.full_scores
-    lhs = LHSSubsetGenerator(subset_size=subset_size, seed=seed).report(
-        matrix, seed=seed, full_scores=full_scores, evaluator=evaluator
-    )
+    evaluator = SubsetEvaluator(matrix, seed=seed,
+                                engine=Engine.from_config(config))
+    lhs = evaluator.evaluate(
+        LHSSubsetGenerator(subset_size=subset_size, seed=seed).select(matrix))
     randoms = tuple(
-        random_subset_report(matrix, subset_size, seed=seed + i,
-                             full_scores=full_scores, evaluator=evaluator)
+        evaluator.evaluate(random_subset_names(matrix, subset_size,
+                                               seed=seed + i))
         for i in range(n_random)
     )
     baselines = baseline_subsets(matrix, subset_size)
-    prior = _report_for(matrix, baselines["prior_pca_hierarchical"],
-                        seed, full_scores, evaluator=evaluator)
-    greedy = _report_for(matrix, baselines["greedy_maxmin"],
-                         seed, full_scores, evaluator=evaluator)
+    prior = evaluator.evaluate(baselines["prior_pca_hierarchical"])
+    greedy = evaluator.evaluate(baselines["greedy_maxmin"])
     search = SubsetSearch(
         matrix, subset_size, seed=seed, evaluator=evaluator,
     ).search(n_search, method="swap")

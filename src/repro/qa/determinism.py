@@ -10,7 +10,7 @@ NaN, unlike ``==``), and the row adds its own checks. Four tables:
 
 * **score** (:func:`check_determinism`) -- ``Perspector.score`` from
   fresh instances: a second baseline, the kernel cache off, fanned
-  across ``workers=N`` processes of the persistent spawn pool,
+  across ``workers=N`` processes of the process-wide spawn pool,
   disk-cold then disk-warm on the on-disk tier, the scorecard stored in
   and served back by that tier, and under an installed span tracer
   whose span tree must also validate;
@@ -312,10 +312,9 @@ def check_search_determinism(matrix, subset_size=4, n_candidates=8,
     from repro.engine import Engine, SubsetSearch
 
     def run(**engine_kwargs):
-        with Engine(**engine_kwargs) as engine:
-            search = SubsetSearch(matrix, subset_size, seed=seed,
-                                  engine=engine)
-            return search.search(n_candidates, method=method)
+        search = SubsetSearch(matrix, subset_size, seed=seed,
+                              engine=Engine(**engine_kwargs))
+        return search.search(n_candidates, method=method)
 
     def disk_warm():
         kwargs, counted = _pair_counting({"cache_dir": cache_dir})
@@ -476,10 +475,10 @@ def check_history(config, store_dir):
     matrix = measure_suites(["parsec"], config)["parsec"]
 
     def score():
-        with Engine.from_config(config) as engine:
-            card = perspector_for(config, engine=engine).score(matrix)
-            publish("scorecard", card)
-            publish("metrics", engine.metrics.snapshot())
+        engine = Engine.from_config(config)
+        card = perspector_for(config, engine=engine).score(matrix)
+        publish("scorecard", card)
+        publish("metrics", engine.metrics.snapshot())
         return card
 
     def recorded():
@@ -524,13 +523,13 @@ def check_history(config, store_dir):
 
     def windows():
         seed = config.metric_seed
-        with Engine.from_config(config) as engine:
-            first = window_trajectory(matrix, seed=seed, n_windows=3,
-                                      engine=engine)
-            second = window_trajectory(matrix, seed=seed, n_windows=3,
-                                       engine=engine)
-            evaluator = SubsetEvaluator(matrix, seed=seed, engine=engine)
-            full = evaluator.evaluate(list(matrix.workloads))
+        engine = Engine.from_config(config)
+        first = window_trajectory(matrix, seed=seed, n_windows=3,
+                                  engine=engine)
+        second = window_trajectory(matrix, seed=seed, n_windows=3,
+                                   engine=engine)
+        evaluator = SubsetEvaluator(matrix, seed=seed, engine=engine)
+        full = evaluator.evaluate(list(matrix.workloads))
         problems = []
         if first != second:
             problems.append("two window_trajectory passes are not "
@@ -613,10 +612,7 @@ def check_all(seed=0, focus="all", full=False, workers=1):
         preset = ExperimentConfig.full() if full else ExperimentConfig.quick()
         config = replace(preset, workers=workers, cache_dir=cache_dir)
         yield check_served(config, focus=focus)
-        # Serial: the rows above cover fan-out, and a pool per history
-        # engine would add ~1 s.
-        yield check_history(replace(config, workers=1),
-                            os.path.join(tmp, "history"))
+        yield check_history(config, os.path.join(tmp, "history"))
         yield _run_rows("qa temp dir", seed, None, None, [(
             "leak check",
             lambda: (None, [f"stale tmp artifact: {path}"

@@ -12,7 +12,7 @@ the whole project's symbol tables:
 * attribute types inferred from ``self.attr = Ctor(...)`` assignments
   and local ``x = Ctor(...)`` bindings,
 * call-through edges: ``functools.partial(f, ...)`` and callables
-  submitted across the :class:`~repro.engine.parallel.ParallelExecutor`
+  submitted across the :func:`~repro.engine.parallel.parallel_map`
   / ``ProcessPoolExecutor`` boundary.
 
 Unresolvable receivers produce *no* edge -- the analysis under-claims
@@ -33,16 +33,15 @@ from repro.qa.flow.summary import expand_head
 #: Resolved fully-qualified names with call-through semantics.
 PARTIAL_FQ = frozenset({"functools.partial"})
 
-#: Project pool-boundary methods (resolved names).
+#: Project pool-boundary functions (resolved names; also matched when
+#: called from outside the indexed root).
 POOL_FQ = frozenset({
-    "repro.engine.parallel.ParallelExecutor.map",
+    "repro.engine.parallel.parallel_map",
 })
 
-#: External pool-boundary suffixes (typed locals / direct use; also
-#: covers ParallelExecutor used from outside the indexed root).
+#: External pool-boundary suffixes (typed locals / direct use).
 POOL_EXTERNAL_SUFFIXES = (
     "ProcessPoolExecutor.map", "ProcessPoolExecutor.submit",
-    "ParallelExecutor.map",
     "Pool.map", "Pool.imap", "Pool.apply_async",
 )
 
@@ -312,15 +311,16 @@ class CallGraph:
                 self._arg_edge(summary, record, site, arg_index=0,
                                edge_kind="partial")
                 return
-            if any(value.endswith(suffix)
-                   for suffix in POOL_EXTERNAL_SUFFIXES):
+            if value in POOL_FQ or any(
+                    value.endswith(suffix)
+                    for suffix in POOL_EXTERNAL_SUFFIXES):
                 self._pool_site(summary, record, site)
                 return
         self._heuristic_sites(summary, record, site)
 
     def _heuristic_sites(self, summary, record, site):
         """Receiver-name idioms for sites whose receiver type could not
-        be resolved (``engine.executor.map``, ``*.cache.put``)."""
+        be resolved (``pool.map``, ``*.cache.put``)."""
         if site.chain is None or "." not in site.chain:
             return
         parts = site.chain.split(".")

@@ -28,7 +28,7 @@ extraction (:mod:`repro.qa.flow.summary`); this module's
 :class:`EffectSolver` then propagates them transitively over the call
 graph to a fixpoint: a function's effect set is its own atoms unioned
 with the *exported* effects of everything it calls (including edges
-through ``functools.partial`` and ``ParallelExecutor.map``).
+through ``functools.partial`` and ``parallel_map``).
 
 **Sanctioned substrate masks.** The memoization, transport and
 observability layers are deliberately effectful -- the disk cache does

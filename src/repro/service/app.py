@@ -1,7 +1,7 @@
 """The scoring daemon: one warm :class:`~repro.engine.Engine`, served.
 
 Everything the one-shot CLI can do dies with its process -- the
-persistent worker pool, the in-process kernel cache and the disk tier
+worker pool, the in-process kernel cache and the disk tier
 all start cold on every invocation. :class:`ScoringService` keeps one
 shared engine hot across requests and exposes the CLI's scoring
 surface over HTTP/JSON (DESIGN.md section 12):
@@ -23,8 +23,8 @@ Any field a scoring endpoint does not know is a 400 naming it, never
 a silently defaulted answer.
 ``GET /v1/metrics``
     Live :class:`~repro.obs.metrics.MetricsRegistry` snapshot of the
-    shared engine (cache tiers, pool lifecycle, service
-    request counters) -- ``repro obs`` as a service surface.
+    shared engine (cache tiers, the pool counters of its fan-outs,
+    service request counters) -- ``repro obs`` as a service surface.
 ``GET /v1/health``
     Liveness + engine configuration + daemon uptime and per-endpoint
     request counts (a stable identity line for history sampling of a
@@ -36,8 +36,9 @@ a silently defaulted answer.
     store the CLI writes, and this endpoint lists the stored runs
     (``skipped`` names each damaged record file it left out).
 ``POST /v1/shutdown``
-    Graceful stop: the listener closes, in-flight requests drain, the
-    engine's ``close()`` path tears the worker pool down.
+    Graceful stop: the listener closes, in-flight requests drain and
+    the scoring thread stops. The worker pool belongs to the process
+    (:mod:`repro.engine.parallel`) and is shut down when it exits.
 
 **Admission model.** Connections are admitted concurrently on the
 event loop (health/metrics stay responsive mid-scoring), while all
@@ -175,14 +176,12 @@ class ScoringService:
     # -- lifecycle ---------------------------------------------------------
 
     def close(self):
-        """Tear the scoring thread and the shared engine down
-        (idempotent; the engine's ``close()`` shuts the worker pool
-        down)."""
+        """Stop the scoring thread (idempotent). The worker pool is
+        the process's and outlives the service."""
         if self._closed:
             return
         self._closed = True
         self._scoring.shutdown(wait=True)
-        self.engine.close()
 
     async def serve(self, on_ready=None):
         """Accept and serve requests until a graceful shutdown is

@@ -280,7 +280,7 @@ def test_guard_sees_references():
     assert "REPRO_NO_SUCH_VARIABLE" not in _source_strings()
     assert "qa --workers 2" in flagged
     assert ("CPU", "execute_interval") in class_attrs
-    assert _dead_class_attrs("`CPU.execute_interval`, `Engine.close`") == set()
+    assert _dead_class_attrs("`CPU.execute_interval`, `Engine.score_matrix`") == set()
     assert _dead_class_attrs("`CPU.no_such_method`, `NotOurs.x`") == {
         "CPU.no_such_method"}
     assert _dead_class_attrs("`repro.uarch.cpu.CPU.x`, `README.md`") == set()

@@ -1,4 +1,4 @@
-"""Tests for repro.engine: content-addressed cache, parallel executor,
+"""Tests for repro.engine: content-addressed cache, parallel fan-out,
 and the Engine's bit-identity contract against the plain core kernels."""
 
 import numpy as np
@@ -15,9 +15,9 @@ from repro.engine import (
     CacheStats,
     Engine,
     KernelCache,
-    ParallelExecutor,
     content_key,
 )
+from repro.engine.parallel import parallel_map
 from repro.qa.determinism import diff_scorecards
 from repro.stats.dtw import dtw_matrix
 
@@ -151,19 +151,19 @@ class TestKernelCache:
             KernelCache(max_entries=0)
 
 
-class TestParallelExecutor:
+class TestParallelMap:
     def test_serial_is_plain_map(self):
-        ex = ParallelExecutor(workers=1)
-        assert ex.map(pow, [(2, 3), (3, 2)]) == [8, 9]
+        assert parallel_map(pow, [(2, 3), (3, 2)], 1) == [8, 9]
 
     def test_parallel_preserves_input_order(self):
-        ex = ParallelExecutor(workers=2)
         args = [(2, i) for i in range(8)]
-        assert ex.map(pow, args) == [2 ** i for i in range(8)]
+        assert parallel_map(pow, args, 2) == [2 ** i for i in range(8)]
 
     def test_invalid_workers_raises(self):
         with pytest.raises(ValueError, match="workers"):
-            ParallelExecutor(workers=0)
+            parallel_map(pow, [(2, 3)], 0)
+        with pytest.raises(ValueError, match="workers"):
+            Engine(workers=0)
 
 
 class TestEngineBitIdentity:

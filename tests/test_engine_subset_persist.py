@@ -142,10 +142,11 @@ class TestPersistedReports:
         cold = SubsetSearch(
             matrix, 4, seed=METRIC_SEED, engine=Engine(cache_dir=tmp_path),
         ).search(6, method="lhs")
-        with Engine(cache_dir=tmp_path, workers=2) as engine:
-            warm = SubsetSearch(matrix, 4, seed=METRIC_SEED,
-                                engine=engine).search(6, method="lhs")
-            assert engine.metrics.snapshot()["pool_created"] == 0
+        engine = Engine(cache_dir=tmp_path, workers=2)
+        warm = SubsetSearch(matrix, 4, seed=METRIC_SEED,
+                            engine=engine).search(6, method="lhs")
+        pools = engine.metrics.snapshot()
+        assert pools["pool_created"] + pools["pool_reused"] == 0
         assert diff_search_results(cold, warm) == []
 
     def test_evaluate_span_names_tier_and_pair_cost(self, tmp_path):

@@ -75,7 +75,6 @@ def score_once(traced, history_dir=None, **engine_kwargs):
             obs_history.uninstall_recorder()
         if traced:
             obs_trace.uninstall()
-        engine.close()
     return card, (tracer.spans() if traced else [])
 
 

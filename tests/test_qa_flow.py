@@ -343,6 +343,16 @@ class TestRealTree:
             record = analysis.graph.record(site.target)
             assert not record.nested and record.cls is None, site
 
+    def test_pool_targets(self):
+        analysis = analyze_project(SRC)
+        assert {site.target for site in analysis.graph.pool_sites} == {
+            "repro.engine.engine._trend_event_task",
+            "repro.engine.engine._kmeans_task",
+            "repro.engine.engine._score_matrix_task",
+            "repro.engine.parallel._invoke",
+            "repro.engine.subset_eval._evaluate_batch_task",
+        }
+
     def test_effects_report_renders_chain(self):
         from repro.qa.flow.analyze import effects_report
 

@@ -129,12 +129,11 @@ class TestPoolSafety:
     def test_lambda_submission_flagged(self, tmp_path):
         findings = findings_for(tmp_path, {
             "driver.py": """\
-                from repro.engine.parallel import ParallelExecutor
+                from repro.engine.parallel import parallel_map
 
 
                 def fan_out(items):
-                    executor = ParallelExecutor(workers=2)
-                    return executor.map(lambda x: x * 2, items)
+                    return parallel_map(lambda x: x * 2, items, 2)
             """,
         })
         flagged = by_rule(findings, "pool-safety")
@@ -144,15 +143,14 @@ class TestPoolSafety:
     def test_nested_function_submission_flagged(self, tmp_path):
         findings = findings_for(tmp_path, {
             "driver.py": """\
-                from repro.engine.parallel import ParallelExecutor
+                from repro.engine.parallel import parallel_map
 
 
                 def fan_out(items, scale):
                     def task(x):
                         return x * scale
 
-                    executor = ParallelExecutor(workers=2)
-                    return executor.map(task, items)
+                    return parallel_map(task, items, 2)
             """,
         })
         flagged = by_rule(findings, "pool-safety")
@@ -160,12 +158,30 @@ class TestPoolSafety:
         assert "nested function" in flagged[0].message
         assert "pkg.driver.fan_out.task" in flagged[0].message
 
+    def test_bound_method_submission_flagged(self, tmp_path):
+        findings = findings_for(tmp_path, {
+            "driver.py": """\
+                from repro.engine.parallel import parallel_map
+
+
+                class Driver:
+                    def task(self, x):
+                        return x * 2
+
+                    def fan_out(self, items):
+                        return parallel_map(self.task, items, 2)
+            """,
+        })
+        flagged = by_rule(findings, "pool-safety")
+        assert len(flagged) == 1
+        assert "bound method pkg.driver.Driver.task" in flagged[0].message
+
     def test_effectful_task_flagged_with_chain(self, tmp_path):
         findings = findings_for(tmp_path, {
             "driver.py": """\
                 import numpy as np
 
-                from repro.engine.parallel import ParallelExecutor
+                from repro.engine.parallel import parallel_map
 
 
                 def task(x):
@@ -173,8 +189,7 @@ class TestPoolSafety:
 
 
                 def fan_out(items):
-                    executor = ParallelExecutor(workers=2)
-                    return executor.map(task, items)
+                    return parallel_map(task, items, 2)
             """,
         })
         flagged = by_rule(findings, "pool-safety")
@@ -185,7 +200,7 @@ class TestPoolSafety:
     def test_clean_top_level_task_passes(self, tmp_path):
         findings = findings_for(tmp_path, {
             "driver.py": """\
-                from repro.engine.parallel import ParallelExecutor
+                from repro.engine.parallel import parallel_map
 
 
                 def task(x):
@@ -193,11 +208,33 @@ class TestPoolSafety:
 
 
                 def fan_out(items):
-                    executor = ParallelExecutor(workers=2)
-                    return executor.map(task, items)
+                    return parallel_map(task, items, 2)
             """,
         })
         assert by_rule(findings, "pool-safety") == []
+
+    def test_in_tree_parallel_map_is_a_pool_site(self, tmp_path):
+        # Inside the indexed tree parallel_map resolves to a project
+        # function, not an external name: only POOL_FQ makes the call a
+        # pool site (nothing in this fixture's parallel_map is one).
+        root = make_pkg(tmp_path, {
+            "engine/__init__.py": "",
+            "engine/parallel.py": """\
+                def parallel_map(fn, arg_tuples, workers, metrics=None):
+                    return [fn(*args) for args in arg_tuples]
+            """,
+            "driver.py": """\
+                from repro.engine.parallel import parallel_map
+
+
+                def fan_out(items):
+                    return parallel_map(lambda x: x * 2, items, 2)
+            """,
+        }, name="repro")
+        findings = deep_findings([root], cache_dir=None)
+        flagged = by_rule(findings, "pool-safety")
+        assert len(flagged) == 1
+        assert "lambda submitted to parallel_map" in flagged[0].message
 
 
 class TestCli:

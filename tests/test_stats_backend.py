@@ -277,18 +277,16 @@ class TestEngineCrossBackend:
         from repro.engine import Engine
 
         series = self._series(equal=equal)
-        with Engine(backend=ORACLE) as ref_engine, Engine() as vec_engine:
-            ref = ref_engine.dtw_matrix(series, band=band)
-            vec = vec_engine.dtw_matrix(series, band=band)
+        ref = Engine(backend=ORACLE).dtw_matrix(series, band=band)
+        vec = Engine().dtw_matrix(series, band=band)
         assert ref.tobytes() == vec.tobytes()
 
     def test_dtw_pair_bit_identical(self):
         from repro.engine import Engine
 
         a, b = self._series(equal=False)[:2]
-        with Engine(backend=ORACLE) as ref_engine, Engine() as vec_engine:
-            assert bits([ref_engine.dtw_pair(a, b, band=2)]) == bits(
-                [vec_engine.dtw_pair(a, b, band=2)])
+        ref = Engine(backend=ORACLE).dtw_pair(a, b, band=2)
+        assert bits([ref]) == bits([Engine().dtw_pair(a, b, band=2)])
 
     def test_cache_keys_are_backend_free(self, tmp_path):
         # A disk tier written through one record must serve the other:
@@ -298,17 +296,17 @@ class TestEngineCrossBackend:
 
         series = self._series()
         cache_dir = str(tmp_path / "kernels")
-        with Engine(backend=ORACLE, cache_dir=cache_dir) as engine:
-            ref = engine.dtw_matrix(series, band=3)
-        with Engine(cache_dir=cache_dir) as engine:
-            vec = engine.dtw_matrix(series, band=3)
-            assert engine.cache.disk.hits > 0
+        ref = Engine(backend=ORACLE, cache_dir=cache_dir).dtw_matrix(
+            series, band=3)
+        engine = Engine(cache_dir=cache_dir)
+        vec = engine.dtw_matrix(series, band=3)
+        assert engine.cache.disk.hits > 0
         assert ref.tobytes() == vec.tobytes()
 
     def test_engine_and_inline_tasks_read_the_registry(self, monkeypatch):
         # A wrapped record swapped into the registry must see both the
-        # engine's own pair batches and the trend-event tasks that the
-        # executor runs inline at one worker.
+        # engine's own pair batches and the trend-event tasks that
+        # parallel_map runs inline at one worker.
         from repro.engine import Engine
 
         counted = []
@@ -322,10 +320,10 @@ class TestEngineCrossBackend:
             backend._BACKENDS, "batched",
             dataclasses.replace(record, pair_distances=pair_distances))
         series = self._series()
-        with Engine() as engine:
-            engine.dtw_matrix(series)
-            assert counted == [15]
-            engine.trend_score({"e0": series[:4], "e1": series[2:]})
+        engine = Engine()
+        engine.dtw_matrix(series)
+        assert counted == [15]
+        engine.trend_score({"e0": series[:4], "e1": series[2:]})
         assert counted == [15, 6, 6]
 
     def test_spread_score_matches_column_oracle(self):
