@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.core.matrix import CounterMatrix
 from repro.core.normalization import normalize_matrix
-from repro.qa.contracts import ArraySpec, checked_array
 from repro.stats.distance import pairwise_distances
 from repro.stats.kmeans import KMeans
 from repro.stats.silhouette import silhouette_score
@@ -49,7 +48,6 @@ class ClusterScoreResult:
         return format(self.value, spec)
 
 
-@checked_array(matrix=ArraySpec(ndim=2, finite=True))
 def cluster_score(matrix, seed=0, n_restarts=8, normalize=True,
                   per_cluster_average=True, kernels=None):
     """Compute the ClusterScore of a suite (Eq. 6).

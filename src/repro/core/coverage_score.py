@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.core.matrix import CounterMatrix
 from repro.core.normalization import normalize_matrices_jointly, normalize_matrix
-from repro.qa.contracts import ArraySpec, checked_array
 from repro.stats.pca import PCA
 
 #: The paper retains 98% of the variance.
@@ -55,7 +54,6 @@ def _raw(matrix):
     return np.asarray(matrix, dtype=float)
 
 
-@checked_array(matrix=ArraySpec(ndim=2, finite=True))
 def coverage_score(matrix, variance=DEFAULT_VARIANCE, normalize=True):
     """CoverageScore of one suite in isolation (Eq. 13).
 

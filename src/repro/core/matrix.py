@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.qa import contracts
+from repro.stats.dtw import check_series_set
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,9 @@ class CounterMatrix:
     series:
         Optional ``{event: [series_per_workload]}``; each inner list is
         aligned with ``workloads``. Series may have different lengths
-        (the DTW normalization handles that).
+        (the DTW normalization handles that), but each must be
+        non-empty and finite: a ``NaN`` or ``inf`` sample raises one
+        ``ValueError`` naming the event and the workload.
     suite_name:
         Optional provenance label.
     """
@@ -54,21 +56,9 @@ class CounterMatrix:
         object.__setattr__(self, "values", values)
         n, m = len(self.workloads), len(self.events)
         if values.shape != (n, m):
-            message = (
+            raise ValueError(
                 f"values shape {values.shape} != ({n} workloads, {m} events)"
             )
-            mode = contracts.sanitizer_mode()
-            if mode == contracts.MODE_STRICT:
-                contracts.record(contracts.Violation(
-                    where=f"CounterMatrix({self.suite_name or '<unnamed>'})",
-                    rule="shape", message=message,
-                ))
-            elif mode != contracts.MODE_COLLECT:
-                raise ValueError(message)
-            # Collect mode lets the mangled matrix through; the scoring
-            # boundary reports it on the scorecard. Name-alignment checks
-            # below cannot run against a mismatched shape.
-            return
         if len(set(self.workloads)) != n:
             raise ValueError("duplicate workload names")
         if len(set(self.events)) != m:
@@ -79,21 +69,10 @@ class CounterMatrix:
                 str(self.events[j])
                 for j in np.where(~finite_mask.all(axis=0))[0]
             )
-            message = (
+            raise ValueError(
                 f"values contain non-finite entries "
                 f"(event column(s): {', '.join(bad)})"
             )
-            mode = contracts.sanitizer_mode()
-            if mode == contracts.MODE_STRICT:
-                contracts.record(contracts.Violation(
-                    where=f"CounterMatrix({self.suite_name or '<unnamed>'})",
-                    rule="finite", message=message, columns=bad,
-                ))
-            elif mode != contracts.MODE_COLLECT:
-                # Legacy (sanitizer-off) behaviour; collect mode lets the
-                # matrix through so the scoring boundary can report it on
-                # the scorecard.
-                raise ValueError(message)
         for event, series_list in self.series.items():
             if event not in self.events:
                 raise ValueError(f"series for unknown event {event!r}")
@@ -102,6 +81,7 @@ class CounterMatrix:
                     f"series for {event!r} has {len(series_list)} entries, "
                     f"expected {n}"
                 )
+        check_series_set(self.series, self.workloads)
 
     # -- construction ------------------------------------------------------
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.matrix import CounterMatrix
-from repro.qa import contracts
 from repro.stats.descriptive import normalize_series_for_dtw, percentile_resample
 from repro.stats.preprocessing import joint_minmax_normalize, minmax_normalize
 
@@ -50,21 +49,11 @@ def normalize_matrices_jointly(*matrices):
     """
     if not matrices:
         raise ValueError("need at least one matrix")
-    raws = []
-    for i, m in enumerate(matrices):
-        if isinstance(m, CounterMatrix):
-            contracts.check_counter_matrix(
-                m, where="normalize_matrices_jointly",
-                name=f"matrices[{i}]",
-            )
-            raws.append(m.values)
-        else:
-            raw = np.asarray(m, dtype=float)
-            contracts.check_array(
-                raw, where="normalize_matrices_jointly",
-                name=f"matrices[{i}]", ndim=2,
-            )
-            raws.append(raw)
+    raws = [
+        m.values if isinstance(m, CounterMatrix)
+        else np.asarray(m, dtype=float)
+        for m in matrices
+    ]
     events = None
     for m in matrices:
         if isinstance(m, CounterMatrix):

@@ -21,9 +21,8 @@ from repro.core.coverage_score import DEFAULT_VARIANCE
 from repro.core.focus import EventFocus, apply_focus
 from repro.core.matrix import CounterMatrix
 from repro.core.normalization import normalize_matrices_jointly
-from repro.core.report import SuiteComparison, SuiteScorecard
+from repro.core.report import SuiteComparison
 from repro.obs.trace import span
-from repro.qa import contracts
 
 
 @dataclass
@@ -137,8 +136,9 @@ class Perspector:
         """
         with span("perspector.score", focus=EventFocus.parse(focus).value):
             matrix = apply_focus(self.measure(suite_or_matrix), focus)
-            return self._score_matrix(matrix, EventFocus.parse(focus),
-                                      normalize=True)
+            return self.engine.score_matrix(
+                matrix, self.config, EventFocus.parse(focus).value,
+            )
 
     def compare(self, *suites_or_matrices, focus=EventFocus.ALL):
         """Score several suites under joint normalization (Fig. 3).
@@ -164,48 +164,10 @@ class Perspector:
                         f"{events} vs {m.events}"
                     )
             normalized = normalize_matrices_jointly(*matrices)
-            if self.config.workers > 1 and not contracts.sanitizer_active():
-                # Fan per-suite scoring across the engine's worker pool;
-                # results come back in input order so the comparison is
-                # bit-identical to the serial path.
-                scorecards = tuple(self.engine.score_matrices(
-                    normalized, self.config, focus.value, normalize=False,
-                ))
-            else:
-                scorecards = tuple(
-                    self._score_matrix(m, focus, normalize=False)
-                    for m in normalized
-                )
+            # The engine fans per-suite scoring across its worker pool
+            # when it has one; results come back in input order, so the
+            # comparison is bit-identical to the serial path.
+            scorecards = tuple(self.engine.score_matrices(
+                normalized, self.config, focus.value, normalize=False,
+            ))
             return SuiteComparison(scorecards=scorecards, focus=focus.value)
-
-    def _score_matrix(self, matrix, focus, normalize):
-        if contracts.sanitizer_active():
-            where = f"Perspector.score({matrix.suite_name or '<unnamed>'})"
-            # Strict mode raises ContractViolation here, naming the
-            # offending counter columns. Collect mode records and falls
-            # through; a poisoned matrix then yields an all-NaN scorecard
-            # carrying the violation report instead of feeding garbage
-            # to the kernels.
-            contracts.check_counter_matrix(matrix, where=where)
-            if matrix.has_series:
-                contracts.check_series_set(matrix.series, where=where)
-            if contracts.sanitizer_mode() == contracts.MODE_COLLECT:
-                pending = contracts.drain_violations()
-                if pending:
-                    return SuiteScorecard(
-                        suite_name=matrix.suite_name or "<unnamed>",
-                        focus=focus.value,
-                        cluster=float("nan"),
-                        trend=float("nan"),
-                        coverage=float("nan"),
-                        spread=float("nan"),
-                        details={},
-                        violations=tuple(pending),
-                    )
-        card = self.engine.score_matrix(
-            matrix, self.config, focus.value, normalize=normalize,
-        )
-        if contracts.sanitizer_mode() == contracts.MODE_COLLECT:
-            card = replace(card,
-                           violations=tuple(contracts.drain_violations()))
-        return card

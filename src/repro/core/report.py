@@ -32,10 +32,6 @@ class SuiteScorecard:
         per-event trends, ...) ride along in ``details``.
     details:
         ``{score_name: result_object}`` for drill-down.
-    violations:
-        Array-contract violations collected while scoring (only
-        populated under ``repro.qa.contracts.sanitize("collect")``;
-        empty means either a clean run or an inactive sanitizer).
     """
 
     suite_name: str
@@ -45,12 +41,6 @@ class SuiteScorecard:
     coverage: float
     spread: float
     details: dict = field(default_factory=dict)
-    violations: tuple = ()
-
-    @property
-    def is_contract_clean(self):
-        """No contract violations were recorded while scoring."""
-        return not self.violations
 
     def as_dict(self):
         """Plain-dict view (for CSV/JSON export)."""

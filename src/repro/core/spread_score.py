@@ -33,7 +33,6 @@ import numpy as np
 
 from repro.core.matrix import CounterMatrix
 from repro.core.normalization import normalize_matrix
-from repro.qa.contracts import ArraySpec, checked_array
 from repro.stats.backend import ks_columns
 from repro.stats.kstest import ks_two_sample
 
@@ -67,7 +66,6 @@ class SpreadScoreResult:
         return format(self.value, spec)
 
 
-@checked_array(matrix=ArraySpec(ndim=2, finite=True))
 def spread_score(matrix, normalize=True, axis="workloads", sampled=False,
                  rng=0):
     """Compute the SpreadScore of a suite (Eq. 14).

@@ -21,8 +21,7 @@ import numpy as np
 
 from repro.core.matrix import CounterMatrix
 from repro.core.normalization import normalize_series_set
-from repro.qa import contracts
-from repro.stats.dtw import dtw_matrix
+from repro.stats.dtw import check_series_set, dtw_matrix
 
 
 @dataclass(frozen=True)
@@ -114,10 +113,9 @@ def trend_score(matrix_or_series, events=None, n_points=100, band=None,
         series_by_event = matrix_or_series.series
     else:
         series_by_event = dict(matrix_or_series)
+        check_series_set(series_by_event)
     if not series_by_event:
         raise ValueError("no event series supplied")
-    if contracts.sanitizer_active():
-        contracts.check_series_set(series_by_event, where="trend_score")
 
     if events is None:
         events = list(series_by_event)

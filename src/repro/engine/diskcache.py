@@ -90,7 +90,7 @@ from repro.engine.cache import MISS
 #: Bump to orphan every existing entry (format or semantics change,
 #: including any change to the suite models, the simulator or the
 #: scoring code that moves a pinned bit).
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _MAGIC = "repro-diskcache"
 

@@ -21,7 +21,6 @@ Two preset configurations:
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 from repro.obs.trace import span
@@ -163,22 +162,19 @@ def score_suite(name, config=None, focus="all"):
     request then reads one small file and imports neither numpy nor
     the simulator; its metrics snapshot is the disk tier's. A miss runs
     the path the tier sits in front of, unchanged, and stores its
-    result. An active :mod:`repro.qa.contracts` sanitizer bypasses the
-    entry, since its checks must see the measured matrix. The tier
-    never changes a printed or recorded score bit.
+    result. The tier never changes a printed or recorded score bit.
     """
     config = config if config is not None else ExperimentConfig.full()
     key = (name, config.measurement_key())
     card, matrix, metrics = _score_suite(
         name, config, focus, _disk_for(config), _CACHE.get(key),
-        scorecards=not _sanitizer_active(),
     )
     if matrix is not None:
         _CACHE[key] = matrix
     return card, metrics
 
 
-def _score_suite(name, config, focus, disk, matrix, scorecards):
+def _score_suite(name, config, focus, disk, matrix):
     """Score one suite, the scorecard entry consulted first.
 
     Like :func:`_measure_suite`, everything between the ``disk.get``
@@ -190,7 +186,7 @@ def _score_suite(name, config, focus, disk, matrix, scorecards):
     """
     with span("experiment.score", suite=name, focus=focus) as sp:
         skey = None
-        if disk is not None and scorecards:
+        if disk is not None:
             from repro.engine.cache import MISS, content_key
 
             skey = content_key("scorecard", name, config.measurement_key(),
@@ -215,14 +211,6 @@ def _score_suite(name, config, focus, disk, matrix, scorecards):
         if skey is not None:
             disk.put(skey, card)
     return card, matrix, metrics
-
-
-def _sanitizer_active():
-    """Whether a :mod:`repro.qa.contracts` sanitizer is on. Nothing
-    can switch one on without importing that module, so the check
-    imports nothing."""
-    contracts = sys.modules.get("repro.qa.contracts")
-    return contracts is not None and contracts.sanitizer_active()
 
 
 _DISK_TIERS = {}

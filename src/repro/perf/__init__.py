@@ -12,9 +12,11 @@ package is the simulated equivalent:
   counter slots and round-robin multiplexing. Reproduces the accuracy
   loss the paper's footnote 1 warns about when more events are requested
   than slots exist.
-* :mod:`repro.perf.sampler` -- turns a stream of per-interval
-  :class:`repro.uarch.cpu.CounterSample` objects into per-event series
-  and totals.
+* :mod:`repro.perf.sampler` -- runs a workload's trace intervals on a
+  CPU model and keeps one :class:`repro.uarch.cpu.CounterSample` per
+  interval; :func:`~repro.perf.events.samples_to_series` and
+  :func:`~repro.perf.events.samples_to_totals` turn those into
+  per-event series and totals.
 * :mod:`repro.perf.session` -- the ``perf stat``-like front end: runs a
   workload (or a whole suite) on a CPU model and returns measurements.
 """

@@ -9,8 +9,6 @@ the simulated analogue of ``perf stat -I <interval_ms>``.
 
 from __future__ import annotations
 
-from repro.perf.events import samples_to_series, samples_to_totals
-
 
 class IntervalSampler:
     """Collects per-interval samples from a CPU model.
@@ -49,20 +47,3 @@ class IntervalSampler:
                 "no samples retained; fewer intervals than warmup_intervals?"
             )
         return samples
-
-    def collect_series(self, intervals, events=None):
-        """Collect and convert to per-event series and totals.
-
-        Returns
-        -------
-        tuple[dict, dict]
-            ``(series, totals)`` keyed by event name.
-        """
-        samples = self.collect(intervals)
-        if events is None:
-            series = samples_to_series(samples)
-            totals = samples_to_totals(samples)
-        else:
-            series = samples_to_series(samples, events)
-            totals = samples_to_totals(samples, events)
-        return series, totals

@@ -26,9 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.perf.events import TABLE_IV_EVENTS
-from repro.perf.pmu import PMU
 from repro.perf.sampler import IntervalSampler
-from repro.qa import contracts
 from repro.uarch.config import xeon_e2186g
 from repro.uarch.cpu import CPU
 
@@ -235,16 +233,6 @@ class PerfSession:
             event: [m.series[event] for m in measurements]
             for event in self.events
         }
-        if contracts.sanitizer_active():
-            # Output contract: the simulator must hand scoring a finite
-            # float matrix and finite per-event series.
-            contracts.check_array(
-                matrix, where=f"PerfSession.run_suite({suite.name})",
-                name="matrix", ndim=2, column_names=self.events,
-            )
-            contracts.check_series_set(
-                series, where=f"PerfSession.run_suite({suite.name})",
-            )
         return SuiteMeasurement(
             suite_name=suite.name,
             workload_names=names,
@@ -253,10 +241,3 @@ class PerfSession:
             series=series,
             instructions=tuple(m.instructions for m in measurements),
         )
-
-
-def make_multiplexed_session(n_slots, **kwargs):
-    """Convenience: a session whose PMU has only ``n_slots`` counters."""
-    events = kwargs.pop("events", TABLE_IV_EVENTS)
-    return PerfSession(events=events, pmu=PMU(n_slots=n_slots, events=events),
-                       **kwargs)

@@ -151,10 +151,6 @@ MUTATOR_METHODS = frozenset({
 SANCTIONED_EFFECTS = (
     # Tracing/metrics: clocks and exporter IO never reach an output bit.
     ("repro.obs.", frozenset({CLOCK, IO, READS_GLOBAL, WRITES_GLOBAL})),
-    # The runtime array-contract sanitizer keeps its mode/collector in
-    # thread-local state; checks are no-ops in the default "off" mode
-    # and never change a score bit in any mode.
-    ("repro.qa.contracts.", frozenset({READS_GLOBAL, WRITES_GLOBAL})),
     # The memoization tiers *are* the content-addressed store.
     ("repro.engine.cache.",
      frozenset({IO, READS_GLOBAL, WRITES_GLOBAL})),

@@ -1,8 +1,9 @@
 """Bare and overbroad exception handlers.
 
 ``except:`` and ``except Exception:`` swallow programming errors --
-including the :class:`~repro.qa.contracts.ContractViolation` the runtime
-sanitizer raises -- and turn hard failures into silent wrong numbers. A
+including the ``ValueError`` a :class:`~repro.core.matrix.CounterMatrix`
+raises on a non-finite counter or time series -- and turn hard failures
+into silent wrong numbers. A
 handler that *re-raises* (contains a bare ``raise``) is fine: it is a
 logging/cleanup wrapper, not a swallow.
 """

@@ -117,7 +117,6 @@ def scorecard_record(card):
         "focus": card.focus,
         "scores": {name: float(v) for name, v in scores.items()},
         "score_bits": {name: float_bits(v) for name, v in scores.items()},
-        "violations": [str(v) for v in card.violations],
         "details": {},
     }
     details = payload["details"]
@@ -186,7 +185,6 @@ class ServedScorecard:
     spread: float
     details: dict
     rendered: str
-    violations: tuple = ()
 
 
 def _decode_scores(payload):
@@ -239,7 +237,6 @@ def decode_scorecard(payload):
         focus=payload["focus"],
         details=_decode_details(payload.get("details", {})),
         rendered=payload["rendered"],
-        violations=tuple(payload.get("violations", ())),
         **_decode_scores(payload),
     )
 
@@ -257,7 +254,6 @@ def decode_stored_scorecard(payload):
         suite_name=payload["suite"],
         focus=payload["focus"],
         details=_decode_details(payload["details"]),
-        violations=tuple(payload["violations"]),
         **_decode_scores(payload),
     )
 

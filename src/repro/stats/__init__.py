@@ -46,7 +46,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.stats.pca": ("PCA", "PCAResult", "pca_fit_transform"),
     "repro.stats.dtw": (
         "dtw_distance", "dtw_path", "dtw_matrix", "batched_pair_distances",
-        "banded_pair_distances", "bucketed_pair_distances",
+        "bucketed_pair_distances",
     ),
     "repro.stats.kstest": (
         "ks_statistic_uniform", "ks_statistic_uniform_columns",

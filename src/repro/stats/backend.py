@@ -5,9 +5,7 @@ kernel each:
 
 * :func:`pair_distances` -- batched DTW pair distances (TrendScore,
   Section III-B): the equal-length unbanded batch
-  (:func:`repro.stats.dtw.batched_pair_distances`), the banded
-  anti-diagonal wavefront
-  (:func:`repro.stats.dtw.banded_pair_distances`) or shape-bucketed
+  (:func:`repro.stats.dtw.batched_pair_distances`) or shape-bucketed
   batches (:func:`repro.stats.dtw.bucketed_pair_distances`). Engines
   and pool tasks call it through the :class:`ComputeBackend` record
   that :func:`kernels` returns, so a wrapped copy can count the pairs.
@@ -54,16 +52,15 @@ def pair_distances(arrays, idx_i, idx_j, band=None):
     """Batched DTW pair distances, bit-identical to one
     ``dtw_distance`` per pair (``band=L`` for the unbanded batch).
 
-    Dispatch: equal-length unbanded pairs run the batch kernel;
-    equal-length banded pairs run the banded wavefront; any other 1-D
-    mix runs shape-bucketed batches. Multivariate (2-D) series run one
+    Dispatch: equal-length unbanded pairs run the batch kernel; any
+    other 1-D mix, banded equal-length pairs included (one bucket), runs
+    shape-bucketed batches. Multivariate (2-D) series run one
     ``dtw_distance`` per pair -- the batched kernels are univariate and
     silently flattening would change the cost matrix.
     """
     import numpy as np
 
     from repro.stats.dtw import (
-        banded_pair_distances,
         batched_pair_distances,
         bucketed_pair_distances,
         dtw_distance,
@@ -76,11 +73,8 @@ def pair_distances(arrays, idx_i, idx_j, band=None):
                 for i, j in zip(idx_i, idx_j)
             ]
         )
-    if len({a.shape[0] for a in arrays}) == 1:
-        stacked = np.vstack(arrays)
-        if band is None:
-            return batched_pair_distances(stacked, idx_i, idx_j)
-        return banded_pair_distances(stacked, idx_i, idx_j, band)
+    if band is None and len({a.shape[0] for a in arrays}) == 1:
+        return batched_pair_distances(np.vstack(arrays), idx_i, idx_j)
     return bucketed_pair_distances(arrays, idx_i, idx_j, band=band)
 
 

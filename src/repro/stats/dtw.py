@@ -18,16 +18,15 @@ Implementation notes
 
 Batched kernels and the bit-identity invariant
 ----------------------------------------------
-Besides the per-pair reference fills, three batched kernels compute many
-pairs at once: :func:`batched_pair_distances` (equal-length, unbanded),
-:func:`banded_pair_distances` (equal-length with a Sakoe-Chiba band) and
-:func:`bucketed_pair_distances` (mixed-length pairs grouped by exact
-``(len_a, len_b)`` shape). All three run anti-diagonal wavefronts, and
-each is **bit-identical** to one named per-pair call:
+Besides the per-pair reference fills, two batched kernels compute many
+pairs at once: :func:`batched_pair_distances` (equal-length, unbanded)
+and :func:`bucketed_pair_distances` (pairs grouped by exact
+``(len_a, len_b)`` shape, banded or not; equal-length banded pairs are
+one bucket). Both run anti-diagonal wavefronts, and each is
+**bit-identical** to one named per-pair call:
 
-* :func:`banded_pair_distances` and :func:`bucketed_pair_distances` to
-  ``dtw_distance(a, b, band=band)``, for the band they are given
-  (``None`` included);
+* :func:`bucketed_pair_distances` to ``dtw_distance(a, b, band=band)``,
+  for the band it is given (``None`` included);
 * :func:`batched_pair_distances` to ``dtw_distance(a, b, band=L)``,
   *not* to unbanded ``dtw_distance(a, b)``.
 
@@ -401,53 +400,6 @@ def _batched_accumulate(cost, band=None):
     return acc
 
 
-def banded_pair_distances(x, idx_i, idx_j, band,
-                          pair_chunk=DEFAULT_PAIR_CHUNK):
-    """Banded DTW distances for selected pairs of equal-length 1-D series.
-
-    The banded counterpart of :func:`batched_pair_distances`: one
-    batched anti-diagonal wavefront with the band mask applied per
-    diagonal, bit-identical to :func:`_accumulate_banded` run pair by
-    pair (banded ablations get the same fast path unbanded runs enjoy).
-
-    Parameters
-    ----------
-    x:
-        ``(k, L)`` matrix, one series per row.
-    idx_i, idx_j:
-        Row-index arrays of equal length selecting the pairs.
-    band:
-        Sakoe-Chiba band half-width (clamped up to admit the corner).
-    pair_chunk:
-        Maximum pairs per materialized ``(pairs, L, L)`` tensor;
-        ``None`` disables chunking. Chunking cannot move a bit: every
-        wavefront operation is elementwise over the pair axis.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(len(idx_i),)`` distances, one per requested pair.
-    """
-    idx_i = np.asarray(idx_i)
-    idx_j = np.asarray(idx_j)
-    n_pairs = idx_i.shape[0]
-    if pair_chunk is not None and 0 < pair_chunk < n_pairs:
-        out = np.empty(n_pairs)
-        for start in range(0, n_pairs, pair_chunk):
-            stop = min(start + pair_chunk, n_pairs)
-            out[start:stop] = _banded_wavefront(
-                x, idx_i[start:stop], idx_j[start:stop], band
-            )
-        return out
-    return _banded_wavefront(x, idx_i, idx_j, band)
-
-
-def _banded_wavefront(x, idx_i, idx_j, band):
-    """One materialized banded wavefront over a pair batch."""
-    cost = np.abs(x[idx_i][:, :, None] - x[idx_j][:, None, :])
-    return _batched_accumulate(cost, band)[:, -1, -1]
-
-
 def bucketed_pair_distances(arrays, idx_i, idx_j, band=None,
                             pair_chunk=DEFAULT_PAIR_CHUNK):
     """DTW distances for selected pairs of 1-D series of *any* lengths.
@@ -544,6 +496,36 @@ def validate_series_list(series):
         _as_series(a, f"series[{i}]")
         arrays.append(a)
     return arrays
+
+
+def check_series_set(series_by_event, workloads=None):
+    """Reject a TrendScore input holding an empty or non-finite series.
+
+    ``series_by_event`` maps each event to one series per workload
+    (the ``T_z`` of Eq. 7). One ``ValueError`` names every offending
+    event and workload -- by name from ``workloads``, else by position
+    -- so a NaN or ``inf`` sample ends in an error, never in a score.
+    A clean event costs one ``isfinite`` pass over its concatenated
+    samples; only a failing event is re-checked series by series
+    (with :func:`validate_series_list`'s rules) to name the culprits.
+    """
+    problems = []
+    for event, series_list in series_by_event.items():
+        try:
+            if all(len(s) for s in series_list) and np.isfinite(
+                np.concatenate(series_list, axis=None)
+            ).all():
+                continue
+        except (TypeError, ValueError):
+            pass  # unsized or non-numeric: the per-series pass names it
+        for i, s in enumerate(series_list):
+            who = repr(workloads[i]) if workloads is not None else f"#{i}"
+            try:
+                _as_series(s, "the series")
+            except ValueError as exc:
+                problems.append(f"event {event!r}, workload {who}: {exc}")
+    if problems:
+        raise ValueError("invalid time series: " + "; ".join(problems))
 
 
 def dtw_matrix(series, band=None, normalize=False):

@@ -104,6 +104,17 @@ class TestJson:
         with pytest.raises(ValueError, match="missing keys"):
             from_json('{"workloads": ["a"]}')
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_series_literal_rejected(self, literal):
+        # json.loads accepts these literals; the matrix must not.
+        text = to_json(sample_matrix())
+        payload = text.replace('"cpu-cycles": [[',
+                               f'"cpu-cycles": [[{literal}, ')
+        assert payload != text
+        with pytest.raises(ValueError,
+                           match="event 'cpu-cycles', workload 'a'"):
+            from_json(payload)
+
     def test_indent_option(self):
         text = to_json(sample_matrix(), indent=2)
         assert "\n" in text

@@ -42,7 +42,8 @@ class TestCounterMatrix:
                           values=np.zeros((2, 2)))
 
     def test_nan_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError,
+                           match=r"non-finite.*event column\(s\): x"):
             CounterMatrix(workloads=("a",), events=("x",),
                           values=np.array([[np.nan]]))
 
@@ -55,6 +56,15 @@ class TestCounterMatrix:
             CounterMatrix(workloads=("a",), events=("x",),
                           values=np.zeros((1, 1)),
                           series={"x": [np.zeros(3), np.zeros(3)]})
+        # An empty or non-finite series is one error naming every
+        # offending event and workload, never a score.
+        with pytest.raises(ValueError,
+                           match=r"event 'x', workload 'b': .*non-finite.*"
+                                 r"event 'y', workload 'a': .*empty"):
+            CounterMatrix(workloads=("a", "b"), events=("x", "y"),
+                          values=np.ones((2, 2)),
+                          series={"x": [np.ones(3), [1.0, np.inf, 2.0]],
+                                  "y": [[], np.ones(3)]})
 
     def test_row_column_access(self):
         m = small_matrix()

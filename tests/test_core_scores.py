@@ -126,6 +126,12 @@ class TestTrendScore:
         with pytest.raises(ValueError, match="no"):
             trend_score(m)
 
+    def test_non_finite_raw_series_raises(self):
+        series = {"a": [np.arange(5.0), [1.0, np.nan, 3.0], np.ones(4)]}
+        with pytest.raises(ValueError,
+                           match=r"event 'a', workload #1: .*non-finite"):
+            trend_score(series)
+
     def test_event_restriction(self):
         rng = np.random.default_rng(2)
         series = {

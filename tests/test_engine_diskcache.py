@@ -387,7 +387,6 @@ BAD_ENTRIES = {
         ("details", "coverage", "component_variance_bits"), ["xyz"]),
     "missing-score": _card_field(("score_bits", "spread")),
     "missing-details": _card_field(("details",)),
-    "missing-violations": _card_field(("violations",)),
     "missing-suite": _card_field(("suite",)),
     "missing-per-event-map": _card_field(
         ("details", "trend", "per_event_bits")),

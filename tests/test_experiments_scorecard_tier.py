@@ -23,7 +23,6 @@ from repro.experiments.runner import (
     score_suite,
 )
 from repro.obs import Tracer, install, uninstall
-from repro.qa.contracts import sanitize
 from repro.qa.determinism import diff_scorecards
 from repro.service.protocol import encode_scorecard, scorecard_record
 
@@ -86,8 +85,6 @@ def test_each_key_part_misses_when_changed(tmp_path):
             runner._CACHE.pop(key)
     assert _source(base, focus="llc") == "scored"
     assert _source(base, suite="lmbench") == "scored"
-    with sanitize("collect"):
-        assert _source(base) == "scored"
     # The workers and history knobs never move a bit, so they share
     # the entry.
     assert _source(replace(base, workers=2,

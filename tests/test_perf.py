@@ -13,11 +13,7 @@ from repro.perf.events import (
 )
 from repro.perf.pmu import PMU, _forward_fill
 from repro.perf.sampler import IntervalSampler
-from repro.perf.session import (
-    PerfSession,
-    _workload_seed,
-    make_multiplexed_session,
-)
+from repro.perf.session import PerfSession, _workload_seed
 from repro.uarch.config import small_test_machine
 from repro.uarch.cpu import CPU, CounterSample
 from repro.workloads import load_suite
@@ -180,9 +176,9 @@ class TestIntervalSampler:
     def test_collect_series(self):
         cpu = CPU(small_test_machine(), seed=0)
         sampler = IntervalSampler(cpu)
-        series, totals = sampler.collect_series(
-            tiny_workload().intervals(4, 100, seed=0), events=["cpu-cycles"]
-        )
+        samples = sampler.collect(tiny_workload().intervals(4, 100, seed=0))
+        series = samples_to_series(samples, ["cpu-cycles"])
+        totals = samples_to_totals(samples, ["cpu-cycles"])
         assert series["cpu-cycles"].shape == (4,)
         assert totals["cpu-cycles"] == pytest.approx(
             series["cpu-cycles"].sum()
@@ -249,8 +245,8 @@ class TestPerfSession:
             m.select_workloads(("missing",))
 
     def test_multiplexed_session_runs(self):
-        sess = make_multiplexed_session(
-            n_slots=4, machine=small_test_machine(), n_intervals=8,
+        sess = PerfSession(
+            pmu=PMU(n_slots=4), machine=small_test_machine(), n_intervals=8,
             ops_per_interval=200, warmup_intervals=0, seed=1,
         )
         m = sess.run_workload(tiny_workload())
@@ -259,8 +255,8 @@ class TestPerfSession:
     def test_multiplexing_perturbs_measurement(self):
         w = tiny_workload()
         exact = self._session(warmup_intervals=0, n_intervals=8).run_workload(w)
-        muxed = make_multiplexed_session(
-            n_slots=4, machine=small_test_machine(), n_intervals=8,
+        muxed = PerfSession(
+            pmu=PMU(n_slots=4), machine=small_test_machine(), n_intervals=8,
             ops_per_interval=300, warmup_intervals=0, seed=5,
         ).run_workload(w)
         diffs = [

@@ -353,6 +353,14 @@ class TestRealTree:
             "repro.engine.subset_eval._evaluate_batch_task",
         }
 
+    def test_every_sanctioned_prefix_names_indexed_code(self):
+        # A deleted substrate must not leave its lint mask behind.
+        from repro.qa.flow.effects import SANCTIONED_EFFECTS
+
+        functions = analyze_project(SRC).index.functions
+        for prefix, _effects in SANCTIONED_EFFECTS:
+            assert any(fq.startswith(prefix) for fq in functions), prefix
+
     def test_effects_report_renders_chain(self):
         from repro.qa.flow.analyze import effects_report
 

@@ -22,7 +22,6 @@ from repro.stats.dtw import (
     _accumulate_banded,
     _batched_accumulate,
     _local_cost_matrix,
-    banded_pair_distances,
     bucketed_pair_distances,
     dtw_distance,
 )
@@ -115,24 +114,28 @@ class TestBatchedAccumulate:
 
 
 class TestBandedPairDistances:
+    """Equal-length banded pairs run as one bucket of
+    :func:`bucketed_pair_distances`."""
+
     def test_all_pairs_matches_per_pair_loop(self):
         rng = np.random.default_rng(4)
         x = rng.uniform(0.0, 10.0, size=(11, 25))
         idx_i, idx_j = np.triu_indices(11, k=1)
         for band in (0, 1, 3, 10, 40):
-            got = banded_pair_distances(x, idx_i, idx_j, band)
+            got = bucketed_pair_distances(list(x), idx_i, idx_j, band=band)
             expected = [dtw_distance(x[i], x[j], band=band)
                         for i, j in zip(idx_i, idx_j)]
             assert bits(got) == bits(expected)
 
     def test_chunking_is_invisible(self):
         rng = np.random.default_rng(5)
-        x = rng.uniform(0.0, 10.0, size=(9, 17))
+        x = list(rng.uniform(0.0, 10.0, size=(9, 17)))
         idx_i, idx_j = np.triu_indices(9, k=1)
-        whole = banded_pair_distances(x, idx_i, idx_j, 4, pair_chunk=None)
+        whole = bucketed_pair_distances(x, idx_i, idx_j, band=4,
+                                        pair_chunk=None)
         for chunk in (1, 2, 7, 1000):
-            assert bits(banded_pair_distances(
-                x, idx_i, idx_j, 4, pair_chunk=chunk)) == bits(whole)
+            assert bits(bucketed_pair_distances(
+                x, idx_i, idx_j, band=4, pair_chunk=chunk)) == bits(whole)
 
 
 class TestBucketedPairDistances:
