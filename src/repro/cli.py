@@ -51,15 +51,24 @@ history`` lists the stored trajectories, ``repro obs diff`` diffs two
 runs at the IEEE-754 bit level (drift under an equal digest is a
 determinism regression), and ``repro obs check`` gates a trajectory on
 score drift and perf regressions. Recording never changes an output
-bit either -- ``repro qa`` checks that too.
+bit either -- ``repro qa`` checks that too. A failed append is one
+``history append failed`` line after the report, exit 2.
+
+``score``, ``compare`` and ``subset`` adapt arguments in and text out;
+the request vocabulary, its checks and the jobs live in
+:mod:`repro.experiments.runner`, the recorder in
+:func:`repro.obs.history.record_run`, both shared with the daemon. A
+request that fails a check is one ``repro <cmd>: ...`` line, exit 2,
+before anything is measured.
 
 ``serve`` runs the scoring daemon (:mod:`repro.service`): one shared
 engine -- persistent pool, kernel cache, disk tier -- kept hot across
 HTTP requests, with ``score``/``compare``/``subset`` as endpoints and
 a live metrics snapshot at ``GET /v1/metrics``. ``client`` is the
-matching blocking client; ``repro client score <suite>`` prints
-byte-for-byte what ``repro score <suite>`` prints (the served rows of
-``repro qa`` enforce that at the IEEE-754 bit level).
+matching blocking client, declaring the same request arguments;
+``repro client score <suite>`` prints byte-for-byte what ``repro score
+<suite>`` prints (the served rows of ``repro qa`` enforce that at the
+IEEE-754 bit level).
 
 Report tables go to stdout; status lines (``wrote ...``) go to stderr,
 so piping a report into a file never interleaves progress chatter.
@@ -77,12 +86,25 @@ from dataclasses import replace
 # numpy or the simulator; every import that does lives in the handler
 # that needs it, so a disk-warm ``repro score`` imports neither.
 from repro.experiments.runner import (
+    FOCUS_VALUES,
+    REQUESTS,
+    SEARCH_METHODS,
     ExperimentConfig,
-    measure_suites,
-    perspector_for,
+    RequestError,
+    check_request,
+    compare_job,
+    score_job,
     score_suite,
+    subset_job,
 )
-from repro.workloads import available_suites, load_suite
+from repro.obs.history import (
+    MAX_HIT_RATE_DROP,
+    MAX_WALL_REGRESSION_PCT,
+    publish,
+    record_run,
+)
+from repro.obs.trace import span
+from repro.workloads import available_suites
 
 _EXPERIMENTS = {
     "fig1": "repro.experiments.fig1_normalization",
@@ -140,62 +162,40 @@ def _cmd_suites(args):
     return 0
 
 
+def _request(args, command):
+    """The ``command`` request ``args`` carries (:data:`REQUESTS`),
+    plus ``history_windows`` when ``repro score`` asks for it."""
+    request = {name: getattr(args, name) for name in REQUESTS[command]}
+    if getattr(args, "history_windows", 0):
+        request["history_windows"] = args.history_windows
+    return request
+
+
+def _checked_request(args):
+    request = _request(args, args.command)
+    check_request(args.command, request, flag=lambda name: f"--{name}")
+    return request
+
+
 def _cmd_score(args):
-    from repro.obs.history import publish
-
+    if args.history_windows and not args.history_dir:
+        # The trajectory is only ever published to a history store;
+        # without one it would be computed and thrown away.
+        raise RequestError("--history-windows needs a history store "
+                           "(pass --history-dir or set $REPRO_HISTORY)")
+    request, config = _checked_request(args), _config(args)
     if args.history_windows:
-        if not args.history_dir:
-            # The trajectory is only ever published to a history store;
-            # without one it would be computed and thrown away.
-            print("repro score: --history-windows needs a history store "
-                  "(pass --history-dir or set $REPRO_HISTORY)",
-                  file=sys.stderr)
-            return 2
-        return _score_with_windows(args)
-    card, metrics = score_suite(args.suite, _config(args), args.focus)
-    publish("scorecard", card)
-    publish("metrics", metrics)
-    print(card)
-    return 0
-
-
-def _score_with_windows(args):
-    """``repro score --history-windows N``: the windowed trajectory
-    needs the measured matrix, so this path bypasses the disk tier's
-    scorecard entry."""
-    from repro.engine import Engine
-    from repro.obs.history import publish, window_trajectory
-
-    config = _config(args)
-    matrix = measure_suites([args.suite], config)[args.suite]
-    engine = Engine.from_config(config)
-    card = perspector_for(config, engine=engine).score(
-        matrix, focus=args.focus
-    )
-    publish("scorecard", card)
-    publish("windows", window_trajectory(
-        matrix, seed=config.metric_seed,
-        n_windows=args.history_windows, engine=engine,
-    ))
-    publish("metrics", engine.metrics.snapshot())
+        card = score_job(config, request)
+    else:
+        card, metrics = score_suite(args.suite, config, args.focus)
+        publish("scorecard", card)
+        publish("metrics", metrics)
     print(card)
     return 0
 
 
 def _cmd_compare(args):
-    from repro.engine import Engine
-    from repro.obs import publish
-
-    config = _config(args)
-    matrices = measure_suites(args.suites, config)
-    engine = Engine.from_config(config)
-    perspector = perspector_for(config, engine=engine)
-    comparison = perspector.compare(
-        *[matrices[s] for s in args.suites], focus=args.focus
-    )
-    for card in comparison.scorecards:
-        publish("scorecard", card)
-    publish("metrics", engine.metrics.snapshot())
+    comparison = compare_job(_config(args), _checked_request(args))
     print(comparison.table())
     if args.bars:
         for score in ("cluster", "trend", "coverage", "spread"):
@@ -211,36 +211,8 @@ def _cmd_compare(args):
 
 
 def _cmd_subset(args):
-    from repro.core.subset import LHSSubsetGenerator
-    from repro.engine import Engine, SubsetEvaluator, SubsetSearch
-    from repro.obs import publish
-
-    # Checked against the suite model, before any measurement runs.
-    n_workloads = len(load_suite(args.suite))
-    if args.size > n_workloads:
-        print(f"repro subset: --size {args.size} exceeds the "
-              f"{n_workloads} workloads of {args.suite}", file=sys.stderr)
-        return 2
-    config = _config(args)
-    matrix = measure_suites([args.suite], config)[args.suite]
-    engine = Engine.from_config(config)
-    if args.search is not None:
-        evaluator = SubsetEvaluator(matrix, seed=config.metric_seed,
-                                    engine=engine)
-        result = SubsetSearch(
-            matrix, args.size, seed=config.metric_seed,
-            evaluator=evaluator,
-        ).search(args.search, method=args.method)
-        publish("search_result", result)
-        publish("metrics", engine.metrics.snapshot())
-        print(result)
-        return 0
-    report = LHSSubsetGenerator(
-        subset_size=args.size, seed=config.metric_seed
-    ).report(matrix, seed=config.metric_seed, engine=engine)
-    publish("subset_report", report)
-    publish("metrics", engine.metrics.snapshot())
-    print(report)
+    _kind, result = subset_job(_config(args), _checked_request(args))
+    print(result)
     return 0
 
 
@@ -299,27 +271,17 @@ def _cmd_client(args):
                            timeout=args.timeout,
                            connect_timeout=args.connect_timeout,
                            retries=args.retries)
+    command = args.client_command
+    call = getattr(client, command)
     try:
-        if args.client_command == "score":
-            print(client.score(args.suite, focus=args.focus)["rendered"])
-        elif args.client_command == "compare":
-            print(client.compare(args.suites,
-                                 focus=args.focus)["rendered"])
-        elif args.client_command == "subset":
-            print(client.subset(args.suite, size=args.size,
-                                search=args.search,
-                                method=args.method)["rendered"])
-        elif args.client_command == "metrics":
-            print(json.dumps(client.metrics(), indent=2, sort_keys=True))
-        elif args.client_command == "health":
-            print(json.dumps(client.health(), indent=2, sort_keys=True))
-        elif args.client_command == "history":
-            print(json.dumps(client.history(), indent=2,
-                             sort_keys=True))
-        else:  # shutdown
-            client.shutdown()
+        if command in REQUESTS:
+            print(call(**_request(args, command))["rendered"])
+        elif command == "shutdown":
+            call()
             print(f"asked {args.host}:{args.port} to shut down",
                   file=sys.stderr)
+        else:  # metrics, health, history
+            print(json.dumps(call(), indent=2, sort_keys=True))
     except ServiceError as exc:
         print(f"repro client: {exc}", file=sys.stderr)
         return 2
@@ -338,19 +300,18 @@ _QUICK_BY_DEFAULT = {"stability"}
 _NO_CONFIG = {"fig2", "mux", "machine"}
 
 
+def _experiment_config(args):
+    return _config(args, default_preset=(
+        ExperimentConfig.quick if args.name in _QUICK_BY_DEFAULT
+        else ExperimentConfig.full))
+
+
 def _cmd_experiment(args):
     import importlib
 
     module = importlib.import_module(_EXPERIMENTS[args.name])
-    if args.name in _NO_CONFIG:
-        kwargs = {}
-    else:
-        preset = (ExperimentConfig.quick
-                  if args.name in _QUICK_BY_DEFAULT
-                  else ExperimentConfig.full)
-        kwargs = {"config": _config(args, default_preset=preset)}
-    from repro.obs import publish
-
+    kwargs = ({} if args.name in _NO_CONFIG
+              else {"config": _experiment_config(args)})
     rendered = module.render(module.run(**kwargs))
     # Experiment drivers return rendered artifacts, not scorecard
     # objects; the history record keys on the rendered text's digest.
@@ -520,6 +481,37 @@ def _add_engine_flags(p):
     )
 
 
+def _add_request_args(p, command):
+    """Declare one scoring command's request arguments
+    (:data:`REQUESTS`): ``repro CMD`` and ``repro client CMD`` share
+    them."""
+    defaults = REQUESTS[command]
+    if command == "compare":
+        p.add_argument("suites", nargs="+", choices=available_suites())
+    else:
+        p.add_argument("suite", choices=available_suites())
+    if "focus" in defaults:
+        p.add_argument("--focus", default=defaults["focus"],
+                       choices=FOCUS_VALUES)
+    if command != "subset":
+        return
+    p.add_argument("--size", type=_bounded(int, 2), default=defaults["size"])
+    p.add_argument(
+        "--search", type=_bounded(int, 1), default=defaults["search"],
+        metavar="N",
+        help="evaluate up to N candidate subsets through the sliced "
+             "evaluator (precomputes the full-suite kernels once) and "
+             "report the lowest-mean-deviation one, instead of the "
+             "single LHS subset",
+    )
+    p.add_argument(
+        "--method", default=defaults["method"], choices=SEARCH_METHODS,
+        help="candidate generation for --search: N maximin-LHS designs, "
+             "N uniform draws, or a baseline-seeded greedy swap local "
+             "search (default: lhs)",
+    )
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="perspector",
@@ -533,11 +525,9 @@ def build_parser():
     _add_trace_flags(p_suites)
 
     p_score = sub.add_parser("score", help="score one suite")
-    p_score.add_argument("suite", choices=available_suites())
-    p_score.add_argument("--focus", default="all",
-                         choices=["all", "llc", "tlb", "branch", "core"])
+    _add_request_args(p_score, "score")
     p_score.add_argument(
-        "--history-windows", type=int, default=0, metavar="N",
+        "--history-windows", type=_bounded(int, 0), default=0, metavar="N",
         help="with --history-dir: also record an N-point windowed "
              "trajectory inside this run -- cumulative prefixes of the "
              "suite's interval-sampled counter windows scored "
@@ -549,9 +539,7 @@ def build_parser():
     _add_trace_flags(p_score)
 
     p_cmp = sub.add_parser("compare", help="compare suites jointly")
-    p_cmp.add_argument("suites", nargs="+", choices=available_suites())
-    p_cmp.add_argument("--focus", default="all",
-                       choices=["all", "llc", "tlb", "branch", "core"])
+    _add_request_args(p_cmp, "compare")
     p_cmp.add_argument("--csv", metavar="PATH",
                        help="also write the comparison as CSV")
     p_cmp.add_argument("--bars", action="store_true",
@@ -562,21 +550,7 @@ def build_parser():
     p_sub = sub.add_parser(
         "subset", help="LHS subset generation / multi-candidate search"
     )
-    p_sub.add_argument("suite", choices=available_suites())
-    p_sub.add_argument("--size", type=_bounded(int, 2), default=8)
-    p_sub.add_argument(
-        "--search", type=_bounded(int, 1), default=None, metavar="N",
-        help="evaluate up to N candidate subsets through the sliced "
-             "evaluator (precomputes the full-suite kernels once) and "
-             "report the lowest-mean-deviation one, instead of the "
-             "single LHS subset",
-    )
-    p_sub.add_argument(
-        "--method", default="lhs", choices=["lhs", "random", "swap"],
-        help="candidate generation for --search: N maximin-LHS designs, "
-             "N uniform draws, or a baseline-seeded greedy swap local "
-             "search (default: lhs)",
-    )
+    _add_request_args(p_sub, "subset")
     _add_engine_flags(p_sub)
     _add_trace_flags(p_sub)
 
@@ -630,8 +604,7 @@ def build_parser():
         "qa", help="bit-for-bit determinism check of the scoring pipeline"
     )
     p_qa.add_argument("--seed", type=int, default=0)
-    p_qa.add_argument("--focus", default="all",
-                      choices=["all", "llc", "tlb", "branch", "core"])
+    p_qa.add_argument("--focus", default="all", choices=FOCUS_VALUES)
     p_qa.add_argument("--full", action="store_true",
                       help="full-length traces (slower)")
     p_qa.add_argument(
@@ -714,11 +687,6 @@ def build_parser():
         help="only check trajectories whose config digest starts with "
              "PREFIX",
     )
-    from repro.obs.history import (
-        MAX_HIT_RATE_DROP,
-        MAX_WALL_REGRESSION_PCT,
-    )
-
     p_hcheck.add_argument(
         "--max-wall-pct", type=float, default=MAX_WALL_REGRESSION_PCT,
         metavar="PCT",
@@ -779,26 +747,13 @@ def build_parser():
                             "errors are never retried)")
         return p
 
-    p_cs = _client_parser(
-        "score",
-        "score one suite on the daemon; prints byte-for-byte what "
-        "'repro score' prints",
-    )
-    p_cs.add_argument("suite", choices=available_suites())
-    p_cs.add_argument("--focus", default="all",
-                      choices=["all", "llc", "tlb", "branch", "core"])
-    p_cc = _client_parser("compare", "compare suites on the daemon")
-    p_cc.add_argument("suites", nargs="+", choices=available_suites())
-    p_cc.add_argument("--focus", default="all",
-                      choices=["all", "llc", "tlb", "branch", "core"])
-    p_cb = _client_parser("subset", "subset generation/search on the "
-                                    "daemon")
-    p_cb.add_argument("suite", choices=available_suites())
-    p_cb.add_argument("--size", type=_bounded(int, 2), default=8)
-    p_cb.add_argument("--search", type=_bounded(int, 1), default=None,
-                      metavar="N")
-    p_cb.add_argument("--method", default="lhs",
-                      choices=["lhs", "random", "swap"])
+    for command, help_text in (
+        ("score", "score one suite on the daemon; prints byte-for-byte "
+                  "what 'repro score' prints"),
+        ("compare", "compare suites on the daemon"),
+        ("subset", "subset generation/search on the daemon"),
+    ):
+        _add_request_args(_client_parser(command, help_text), command)
     _client_parser("metrics", "live engine metrics snapshot (JSON)")
     _client_parser("health", "daemon liveness + configuration + uptime "
                              "and per-endpoint request counts (JSON)")
@@ -833,109 +788,20 @@ def _cmd_report(args):
     return 0
 
 
-def _run_traced(handler, args, argv):
-    """Run one subcommand under a span tracer; write the span log and
-    its run manifest on success (tracing changes no output bit)."""
-    from repro.obs import (
-        Tracer,
-        build_manifest,
-        install,
-        manifest_path,
-        uninstall,
-        write_manifest,
-        write_trace,
-    )
-
-    fmt = args.trace_format
-    tracer = install(Tracer())
-    try:
-        with tracer.span(f"cli.{args.command}"):
-            status = handler(args)
-    finally:
-        uninstall()
-    count = write_trace(tracer.spans(), args.trace, fmt)
-    manifest = build_manifest(
-        command=args.command,
-        argv=list(sys.argv[1:] if argv is None else argv),
-        config=dict(vars(args)),
-        trace_file=args.trace,
-        trace_format=fmt,
-    )
-    write_manifest(manifest_path(args.trace), manifest)
-    print(f"wrote {count} spans to {args.trace} ({fmt}); manifest at "
-          f"{manifest_path(args.trace)}", file=sys.stderr)
-    return status
-
-
 #: Subcommands whose runs the history store records.
 _HISTORY_COMMANDS = {"score", "compare", "subset", "experiment"}
 
-#: args entries that never change an output bit and therefore stay out
-#: of the history record's config digest: a traced and an untraced run
-#: (or two runs recording into different stores) share one trajectory.
-_NON_CONFIG_ARGS = ("trace", "trace_format", "history_dir")
 
-
-def _run_history(handler, args, argv):
-    """Run one scoring subcommand with history recording (and a span
-    tracer, so the record carries self-time totals); append the record
-    to the ``--history-dir`` store on success. Recording changes no
-    output bit (``repro qa`` enforces that); if ``--trace``
-    was also given, the span log and its manifest are written exactly
-    as in :func:`_run_traced`.
-    """
-    import time
-
-    from repro.obs import (
-        HistoryStore,
-        Tracer,
-        build_manifest,
-        build_record,
-        install_recorder,
-        manifest_path,
-        swap,
-        uninstall_recorder,
-        write_manifest,
-        write_trace,
-    )
-
-    # Restore, not drop, a caller's tracer: ``repro qa --trace`` runs
-    # this in-process.
-    tracer = Tracer()
-    previous = swap(tracer)
-    recorder = install_recorder()
-    start = time.perf_counter()
-    try:
-        with tracer.span(f"cli.{args.command}"):
-            status = handler(args)
-    finally:
-        swap(previous)
-        uninstall_recorder()
-    wall_s = time.perf_counter() - start
-    spans = tracer.spans()
-    config = {k: v for k, v in vars(args).items()
-              if k not in _NON_CONFIG_ARGS}
-    trace = getattr(args, "trace", None)
-    fmt = getattr(args, "trace_format", "jsonl")
-    manifest = build_manifest(
-        command=args.command,
-        argv=list(sys.argv[1:] if argv is None else argv),
-        config=config,
-        trace_file=trace,
-        trace_format=fmt if trace else None,
-    )
-    if trace:
-        count = write_trace(spans, trace, fmt)
-        write_manifest(manifest_path(trace), manifest)
-        print(f"wrote {count} spans to {trace} ({fmt}); manifest at "
-              f"{manifest_path(trace)}", file=sys.stderr)
-    if status == 0:
-        record = build_record(args.command, manifest, recorder,
-                              spans=spans, wall_s=wall_s)
-        path = HistoryStore(args.history_dir).append(record)
-        print(f"recorded run {record['config_digest'][:12]} to {path}",
-              file=sys.stderr)
-    return status
+def _run_config(args):
+    """``(config, request)`` of one run, digested into its manifest
+    with the command (:func:`repro.obs.history.record_run`): a scoring
+    run's resolved :class:`ExperimentConfig` and request, the same
+    mapping the daemon digests; any other run's parsed arguments."""
+    if args.command in REQUESTS:
+        return _config(args), _request(args, args.command)
+    if args.command == "experiment":
+        return _experiment_config(args), {"name": args.name}
+    return None, vars(args)
 
 
 def main(argv=None):
@@ -955,12 +821,36 @@ def main(argv=None):
         "client": _cmd_client,
     }
     handler = handlers[args.command]
-    if getattr(args, "history_dir", None) \
-            and args.command in _HISTORY_COMMANDS:
-        return _run_history(handler, args, argv)
-    if getattr(args, "trace", None):
-        return _run_traced(handler, args, argv)
-    return handler(args)
+    history_dir = (getattr(args, "history_dir", None)
+                   if args.command in _HISTORY_COMMANDS else None)
+    trace = getattr(args, "trace", None)
+
+    def job():
+        with span(f"cli.{args.command}"):
+            return handler(args)
+
+    try:
+        if not (history_dir or trace):
+            return handler(args)
+        config, request = _run_config(args)
+        status, path, error = record_run(
+            args.command, config, request, job, history_dir=history_dir,
+            trace=trace, trace_format=args.trace_format,
+            argv=sys.argv[1:] if argv is None else argv,
+        )
+    except RequestError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
+    if error is not None:
+        # The report is already out; only the record is missing.
+        print(f"repro {args.command}: history append failed: {error}",
+              file=sys.stderr)
+        return 2
+    if path is not None:
+        run_id = os.path.splitext(os.path.basename(path))[0]
+        print(f"recorded run {run_id.rsplit('-', 1)[1]} to {path}",
+              file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

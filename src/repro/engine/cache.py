@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import hashlib
 import sys
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -171,16 +170,13 @@ class CacheStats:
 
 
 class KernelCache:
-    """In-process LRU store for kernel results, keyed by content.
+    """In-process store for kernel results, keyed by content.
 
     Parameters
     ----------
     enabled:
         A disabled cache never stores and reports every lookup as a
         miss; callers need no branching.
-    max_entries:
-        Optional LRU bound (``None`` = unbounded; suite matrices are
-        tiny, so the default is safe for experiment-sized runs).
     disk:
         Optional :class:`~repro.engine.diskcache.DiskCache` second
         tier. Memory misses fall through to it (hits are promoted back
@@ -196,19 +192,15 @@ class KernelCache:
         copies -- :meth:`stats` is a view over them.
     """
 
-    def __init__(self, enabled=True, max_entries=None, disk=None,
-                 metrics=None):
-        if max_entries is not None and max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
+    def __init__(self, enabled=True, disk=None, metrics=None):
         if metrics is None:
             from repro.obs.metrics import MetricsRegistry
 
             metrics = MetricsRegistry()
         self.enabled = bool(enabled)
-        self.max_entries = max_entries
         self.disk = disk if self.enabled else None
         self.metrics = metrics
-        self._store = OrderedDict()
+        self._store = {}
         self._memory_only = False
         self._hits = metrics.counter("cache_hits")
         self._misses = metrics.counter("cache_misses")
@@ -231,7 +223,6 @@ class KernelCache:
             return MISS, TIER_MISS
         if key in self._store:
             self._hits.inc()
-            self._store.move_to_end(key)
             return self._store[key], TIER_MEMORY
         self._misses.inc()
         if disk and self.disk is not None and not self._memory_only:
@@ -275,12 +266,8 @@ class KernelCache:
             self._memory_only = saved
 
     def _remember(self, key, value):
-        """Memory-tier insert + LRU bound (no disk side effects)."""
+        """Memory-tier insert (no disk side effects)."""
         self._store[key] = value
-        self._store.move_to_end(key)
-        if self.max_entries is not None:
-            while len(self._store) > self.max_entries:
-                self._store.popitem(last=False)
         return value
 
     def get_or_compute(self, key, compute, disk=True):

@@ -23,13 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.runner import (
+    FOCUS_VALUES,
     ExperimentConfig,
     measure_suites,
     perspector_for,
 )
 from repro.workloads import available_suites
 
-FOCUSES = ("all", "llc", "tlb")
+#: The figure's three panels: all events, LLC, TLB.
+FOCUSES = FOCUS_VALUES[:3]
 
 
 @dataclass(frozen=True)

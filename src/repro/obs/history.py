@@ -18,8 +18,11 @@ week?". This module is the missing memory:
 * :class:`HistoryRecorder` -- the in-process collection hook. Like the
   span tracer, it installs as a module global; scoring handlers call
   :func:`publish` unconditionally (a no-op while no recorder is
-  installed), so recording can never perturb a result -- ``repro qa
-  --history`` enforces the consequence at the bit level.
+  installed), so recording can never perturb a result -- the history
+  rows of ``repro qa`` enforce the consequence at the bit level.
+* :func:`record_run` -- the one recording path of the CLI and the
+  daemon: it runs a job under a recorder (and a tracer), then builds
+  and appends the record, digesting one mapping for both sides.
 * :func:`diff_records` -- **bit-exact** score diffing through the hex
   bit patterns (never through re-parsed floats): under an equal
   ``config_digest``, any changed bit is a determinism regression, not
@@ -49,8 +52,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.obs.export import _atomic_write
 from repro.obs.summary import aggregate_by_name
@@ -139,6 +143,78 @@ def publish(kind, obj):
     """
     if _RECORDER is not None:
         _RECORDER.publish(kind, obj)
+
+
+def _swap_recorder(recorder):
+    global _RECORDER
+    previous, _RECORDER = _RECORDER, recorder
+    return previous
+
+
+def record_run(command, config, request, job, history_dir=None, trace=None,
+               trace_format="jsonl", argv=(), traced=True):
+    """Run ``job()`` as one observed run; ``(result, path, error)``.
+
+    The one recording path of the CLI and the daemon. The manifest
+    digests ``command`` (``"score"``, ``"serve:score"``), the fields of
+    ``config`` (an ``ExperimentConfig`` or ``None``) but
+    ``history_dir``, and the ``request`` parameters. With ``trace``,
+    the span log and manifest go there (one stderr line). With
+    ``history_dir``, what the job publishes is appended there as one
+    record: ``path`` is its file, or ``error`` the ``OSError`` the
+    append raised (the result survives). ``traced=False`` keeps the
+    process-wide tracer untouched, so the record has no self-times. If
+    ``job`` raises, nothing is written.
+    """
+    if not (history_dir or trace):
+        return job(), None, None
+    from repro.obs.export import write_trace
+    from repro.obs.manifest import (
+        build_manifest,
+        manifest_path,
+        write_manifest,
+    )
+    from repro.obs.trace import Tracer, swap
+
+    tracer = Tracer() if trace or traced else None
+    recorder = HistoryRecorder() if history_dir else None
+    # Restore, not drop, a caller's tracer and recorder: ``repro qa``
+    # runs the CLI in-process.
+    saved_tracer = swap(tracer) if tracer is not None else None
+    saved_recorder = (_swap_recorder(recorder) if recorder is not None
+                      else None)
+    start = time.perf_counter()
+    try:
+        result = job()
+    finally:
+        if tracer is not None:
+            swap(saved_tracer)
+        if recorder is not None:
+            _swap_recorder(saved_recorder)
+    wall_s = time.perf_counter() - start
+    run_config = {"command": command}
+    if config is not None:
+        run_config.update((k, v) for k, v in asdict(config).items()
+                          if k != "history_dir")
+    run_config.update(request)
+    manifest = build_manifest(
+        command=command, argv=list(argv), config=run_config,
+        trace_file=trace, trace_format=trace_format if trace else None,
+    )
+    spans = tracer.spans() if tracer is not None else ()
+    if trace:
+        count = write_trace(spans, trace, trace_format)
+        write_manifest(manifest_path(trace), manifest)
+        print(f"wrote {count} spans to {trace} ({trace_format}); manifest "
+              f"at {manifest_path(trace)}", file=sys.stderr)
+    if recorder is None:
+        return result, None, None
+    record = build_record(command, manifest, recorder, spans=spans,
+                          wall_s=wall_s)
+    try:
+        return result, HistoryStore(history_dir).append(record), None
+    except OSError as exc:
+        return result, None, exc
 
 
 # -- record building ----------------------------------------------------------

@@ -460,13 +460,12 @@ def check_history(config, store_dir):
 
     from repro.cli import main as cli_main
     from repro.engine import Engine, SubsetEvaluator
-    from repro.experiments.runner import measure_suites, perspector_for
+    from repro.experiments.runner import measure_suites, score_job
     from repro.obs.history import (
         HistoryRecorder,
         HistoryStore,
         diff_records,
         install_recorder,
-        publish,
         uninstall_recorder,
         window_trajectory,
     )
@@ -475,11 +474,7 @@ def check_history(config, store_dir):
     matrix = measure_suites(["parsec"], config)["parsec"]
 
     def score():
-        engine = Engine.from_config(config)
-        card = perspector_for(config, engine=engine).score(matrix)
-        publish("scorecard", card)
-        publish("metrics", engine.metrics.snapshot())
-        return card
+        return score_job(config, {"suite": "parsec", "focus": "all"})
 
     def recorded():
         recorder = install_recorder(HistoryRecorder())

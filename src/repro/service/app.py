@@ -15,12 +15,7 @@ surface over HTTP/JSON (DESIGN.md section 12):
 ``POST /v1/subset``
     ``{"suite": name, "size": 8, "search": N?, "method": "lhs"}`` --
     LHS subset report, or the multi-candidate sliced search when
-    ``search`` is given; exactly ``repro subset``, including its bounds
-    (``2 <= size <=`` the suite's workload count, ``search >= 1``),
-    which are checked before anything is measured.
-
-Any field a scoring endpoint does not know is a 400 naming it, never
-a silently defaulted answer.
+    ``search`` is given; exactly ``repro subset``.
 ``GET /v1/metrics``
     Live :class:`~repro.obs.metrics.MetricsRegistry` snapshot of the
     shared engine (cache tiers, the pool counters of its fan-outs,
@@ -40,6 +35,12 @@ a silently defaulted answer.
     the scoring thread stops. The worker pool belongs to the process
     (:mod:`repro.engine.parallel`) and is shut down when it exits.
 
+Every scoring request passes ``repro``'s own checks before anything
+is measured (a compare names at least two suites, ``2 <= size <=`` the
+suite's workload count, ``search >= 1``, known focus and method), and
+a failed one is a 400. So is any field a scoring endpoint does not
+know, never a silently defaulted answer.
+
 **Admission model.** Connections are admitted concurrently on the
 event loop (health/metrics stay responsive mid-scoring), while all
 kernel work is funneled through one dedicated scoring thread driving
@@ -50,11 +51,13 @@ reduction: scoring is serialized, so every response is bit-identical
 to the one-shot CLI at any concurrency level, worker count or cache
 state (the served rows of ``repro qa`` enforce this).
 
-**Determinism.** Handlers run the very code paths the CLI handlers
-run (:func:`~repro.experiments.runner.measure_suites` +
-:func:`~repro.experiments.runner.perspector_for`), just against the
-shared engine -- and the engine is a pure accelerator, so served
-scorecards carry the same bits the CLI prints.
+**One run path.** The handlers adapt JSON in and an envelope out;
+the request vocabulary, its checks and the jobs are the CLI's own
+(:mod:`repro.experiments.runner`), run against the shared engine, a
+pure accelerator, so served scorecards carry the bits the CLI prints.
+The CLI's recorder (:func:`~repro.obs.history.record_run`) records
+served runs under ``serve:<command>``, digesting the mapping a CLI
+record of the same request digests, that command aside.
 """
 
 from __future__ import annotations
@@ -65,59 +68,57 @@ import sys
 import threading
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from functools import partial
 
+from repro.experiments.runner import (
+    REQUESTS,
+    RequestError,
+    check_request,
+    compare_job,
+    score_job,
+    subset_job,
+)
+from repro.obs.history import HistoryStore, record_run
 from repro.obs.trace import span
 from repro.service import http as service_http
 from repro.service import protocol
 from repro.service.protocol import DEFAULT_HOST, DEFAULT_PORT
-from repro.workloads import available_suites, load_suite
-
-_FOCUS_CHOICES = ("all", "llc", "tlb", "branch", "core")
-_SEARCH_METHODS = ("lhs", "random", "swap")
+from repro.workloads import available_suites
 
 
-class RequestError(ValueError):
-    """A well-formed HTTP request with unusable contents (maps to 400)."""
+def _encode_subset(outcome):
+    kind, result = outcome
+    encoded = (protocol.encode_search_result if kind == "search"
+               else protocol.encode_subset_report)(result)
+    encoded["kind"] = kind
+    return encoded
 
 
-def _request_fields(request, allowed):
-    """The JSON object body of ``request``, rejecting any field outside
-    ``allowed``: a misspelt optional field must fail loudly, not fall
-    back to its default and answer a different question."""
+#: Each scoring endpoint's shared job and the encoder of its result.
+_SCORING = {
+    "score": (score_job, protocol.encode_scorecard),
+    "compare": (compare_job, protocol.encode_comparison),
+    "subset": (subset_job, _encode_subset),
+}
+
+
+def _checked_request(request, command):
+    """The ``command`` request in an HTTP request's JSON body, defaults
+    filled in (:data:`~repro.experiments.runner.REQUESTS`) and checked
+    (:func:`~repro.experiments.runner.check_request`). A field outside
+    the vocabulary is rejected: a misspelt optional field must fail
+    loudly, not fall back to its default and answer a different
+    question."""
     payload = request.json()
-    unknown = sorted(set(payload) - set(allowed))
+    fields = REQUESTS[command]
+    unknown = sorted(set(payload) - set(fields))
     if unknown:
         raise RequestError(f"unknown field(s) {unknown}; expected a "
-                           f"subset of {sorted(allowed)}")
-    return payload
-
-
-def _require_int(payload, name, lo, hi=None, default=None):
-    """``payload[name]`` as an int in ``[lo, hi]`` (``bool`` is not an
-    int here, whatever Python says)."""
-    value = payload.get(name, default)
-    if (isinstance(value, bool) or not isinstance(value, int)
-            or value < lo or (hi is not None and value > hi)):
-        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-        raise RequestError(f"{name!r} must be an int {bound}, got "
-                           f"{value!r}")
-    return value
-
-
-def _require_suite(name):
-    known = available_suites()
-    if name not in known:
-        raise RequestError(f"unknown suite {name!r}; expected one of "
-                           f"{sorted(known)}")
-    return name
-
-
-def _require_focus(focus):
-    if focus not in _FOCUS_CHOICES:
-        raise RequestError(f"unknown focus {focus!r}; expected one of "
-                           f"{list(_FOCUS_CHOICES)}")
-    return focus
+                           f"subset of {sorted(fields)}")
+    query = {name: payload.get(name, default)
+             for name, default in fields.items()}
+    check_request(command, query)
+    return query
 
 
 class ScoringService:
@@ -156,13 +157,8 @@ class ScoringService:
         self._started_monotonic = time.monotonic()  # qa-ignore[obs-discipline]
         self._started_unix = time.time()  # qa-ignore[obs-discipline]
         self._endpoint_requests = {}
-        history_dir = getattr(config, "history_dir", None)
-        if history_dir:
-            from repro.obs.history import HistoryStore
-
-            self._history = HistoryStore(history_dir)
-        else:
-            self._history = None
+        self._history = (HistoryStore(config.history_dir)
+                         if config.history_dir else None)
         # All kernel work funnels through this one thread: concurrent
         # sessions share the engine without interleaving its reductions.
         self._scoring = ThreadPoolExecutor(
@@ -305,67 +301,43 @@ class ScoringService:
 
     def _route_table(self):
         return (
-            ("POST", "/v1/score", self._handle_score),
-            ("POST", "/v1/compare", self._handle_compare),
-            ("POST", "/v1/subset", self._handle_subset),
+            *(("POST", f"/v1/{command}", partial(self._handle_scoring,
+                                                  command))
+              for command in _SCORING),
             ("GET", "/v1/metrics", self._handle_metrics),
             ("GET", "/v1/health", self._handle_health),
             ("GET", "/v1/history", self._handle_history),
             ("POST", "/v1/shutdown", self._handle_shutdown),
         )
 
-    async def _run_scoring(self, fn, *args):
-        """Run one synchronous scoring job on the dedicated engine
-        thread (the funnel that serializes all kernel work)."""
-        if self._shutdown.is_set():
-            raise RequestError("service is shutting down")
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(self._scoring, fn, *args)
+    def _recorded(self, command, query):
+        """One scoring job on the shared engine (run on the scoring
+        thread), recorded into the history store when one is
+        configured. A failed append is one stderr note: the request
+        itself succeeded."""
+        job, _encode = _SCORING[command]
+        result, _path, error = record_run(
+            f"serve:{command}", self.config, query,
+            lambda: job(self.config, query, self.engine),
+            history_dir=self.config.history_dir, traced=False,
+        )
+        if error is not None:
+            print(f"repro serve: history append failed: {error}",
+                  file=sys.stderr)
+        return result
 
     # -- endpoints ---------------------------------------------------------
 
-    async def _handle_score(self, request):
-        payload = _request_fields(request, ("suite", "focus"))
-        suite = _require_suite(payload.get("suite"))
-        focus = _require_focus(payload.get("focus", "all"))
-        card = await self._run_scoring(self._score_sync, suite, focus)
-        return 200, protocol.ok_envelope(protocol.encode_scorecard(card))
-
-    async def _handle_compare(self, request):
-        payload = _request_fields(request, ("suites", "focus"))
-        suites = payload.get("suites")
-        if not isinstance(suites, list) or len(suites) < 2:
-            raise RequestError("'suites' must list at least two suites")
-        suites = [_require_suite(s) for s in suites]
-        focus = _require_focus(payload.get("focus", "all"))
-        comparison = await self._run_scoring(self._compare_sync,
-                                             suites, focus)
-        return 200, protocol.ok_envelope(
-            protocol.encode_comparison(comparison))
-
-    async def _handle_subset(self, request):
-        payload = _request_fields(
-            request, ("suite", "size", "search", "method"))
-        suite = _require_suite(payload.get("suite"))
-        # The bounds `repro subset` enforces, checked against the suite
-        # model before any measurement runs.
-        size = _require_int(payload, "size", 2, len(load_suite(suite)),
-                            default=8)
-        search = payload.get("search")
-        if search is not None:
-            search = _require_int(payload, "search", 1)
-        method = payload.get("method", "lhs")
-        if method not in _SEARCH_METHODS:
-            raise RequestError(f"unknown method {method!r}; expected one "
-                               f"of {list(_SEARCH_METHODS)}")
-        kind, result = await self._run_scoring(
-            self._subset_sync, suite, size, search, method)
-        if kind == "search":
-            encoded = protocol.encode_search_result(result)
-        else:
-            encoded = protocol.encode_subset_report(result)
-        encoded["kind"] = kind
-        return 200, protocol.ok_envelope(encoded)
+    async def _handle_scoring(self, command, request):
+        """Check one scoring request, then run its job on the dedicated
+        engine thread (the funnel that serializes all kernel work)."""
+        query = _checked_request(request, command)
+        if self._shutdown.is_set():
+            raise RequestError("service is shutting down")
+        loop = asyncio.get_running_loop()
+        result = await loop.run_in_executor(self._scoring, self._recorded,
+                                            command, query)
+        return 200, protocol.ok_envelope(_SCORING[command][1](result))
 
     async def _handle_metrics(self, request):
         snapshot = self.metrics.snapshot()
@@ -427,109 +399,6 @@ class ScoringService:
         # goodbye still reaches the peer before the drain completes.
         self._shutdown.set()
         return 200, protocol.ok_envelope({"status": "shutting down"})
-
-    # -- synchronous scoring jobs (run on the scoring thread) --------------
-
-    @contextmanager
-    def _served_run(self, command, params):
-        """Record one served scoring job into the history store.
-
-        Runs entirely on the single scoring thread, *after* the
-        response object exists -- recording reads results, it never
-        feeds anything back, so a served scorecard's bits cannot depend
-        on whether a history store is configured (``repro qa
-        --history`` checks the same property for the CLI path). A
-        store failure is reported and swallowed: history is telemetry,
-        the request already succeeded.
-
-        Usage: ``with self._served_run(...) as publish: ...;
-        publish("scorecard", card)``. Without a configured store the
-        publish callable is a no-op and nothing is timed.
-        """
-        if self._history is None:
-            yield lambda kind, obj: None
-            return
-        import time
-
-        from dataclasses import asdict
-
-        from repro.obs.history import HistoryRecorder, build_record
-        from repro.obs.manifest import build_manifest
-
-        recorder = HistoryRecorder()
-        start = time.perf_counter()  # qa-ignore[obs-discipline]
-        yield recorder.publish
-        wall_s = time.perf_counter() - start  # qa-ignore[obs-discipline]
-        recorder.publish("metrics", self.metrics.snapshot())
-        # The digest config mirrors the CLI convention: the resolved
-        # run knobs plus the request parameters, minus the keys that
-        # cannot change an output bit (the store location itself).
-        config = dict(asdict(self.config), **params)
-        config.pop("history_dir", None)
-        manifest = build_manifest(
-            command=f"serve:{command}", argv=[], config=config,
-        )
-        try:
-            self._history.append(build_record(
-                f"serve:{command}", manifest, recorder, spans=(),
-                wall_s=wall_s,
-            ))
-        except OSError as exc:
-            print(f"repro serve: history append failed: {exc}",
-                  file=sys.stderr)
-
-    def _score_sync(self, suite, focus):
-        from repro.experiments.runner import measure_suites, perspector_for
-
-        with self._served_run("score", {"suite": suite,
-                                        "focus": focus}) as publish:
-            matrix = measure_suites([suite], self.config)[suite]
-            perspector = perspector_for(self.config, engine=self.engine)
-            card = perspector.score(matrix, focus=focus)
-            publish("scorecard", card)
-        return card
-
-    def _compare_sync(self, suites, focus):
-        from repro.experiments.runner import measure_suites, perspector_for
-
-        with self._served_run("compare", {"suites": list(suites),
-                                          "focus": focus}) as publish:
-            matrices = measure_suites(suites, self.config)
-            perspector = perspector_for(self.config, engine=self.engine)
-            comparison = perspector.compare(
-                *[matrices[s] for s in suites], focus=focus)
-            for card in comparison.scorecards:
-                publish("scorecard", card)
-        return comparison
-
-    def _subset_sync(self, suite, size, search, method):
-        with self._served_run("subset", {"suite": suite, "size": size,
-                                         "search": search,
-                                         "method": method}) as publish:
-            kind, result = self._subset_job(suite, size, search, method)
-            publish("search_result" if kind == "search"
-                    else "subset_report", result)
-        return kind, result
-
-    def _subset_job(self, suite, size, search, method):
-        from repro.core.subset import LHSSubsetGenerator
-        from repro.engine import SubsetEvaluator, SubsetSearch
-        from repro.experiments.runner import measure_suites
-
-        matrix = measure_suites([suite], self.config)[suite]
-        if search:
-            evaluator = SubsetEvaluator(
-                matrix, seed=self.config.metric_seed, engine=self.engine,
-            )
-            result = SubsetSearch(
-                matrix, size, seed=self.config.metric_seed,
-                evaluator=evaluator,
-            ).search(search, method=method)
-            return "search", result
-        report = LHSSubsetGenerator(
-            subset_size=size, seed=self.config.metric_seed,
-        ).report(matrix, seed=self.config.metric_seed, engine=self.engine)
-        return "report", report
 
 
 class ServiceThread:

@@ -147,6 +147,8 @@ class TestCommands:
         (["client", "shutdown", "--port", "70000"], "--port"),
         # The retired compute-backend selector.
         (["score", "nbench", "--backend", "vectorized"], "--backend"),
+        (["score", "nbench", "--history-windows", "-1"],
+         "--history-windows"),
     ])
     def test_bad_argument_is_one_usage_error(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -179,7 +181,8 @@ class TestCommands:
         def measure(*args, **kwargs):
             raise AssertionError("measured a suite for an invalid --size")
 
-        monkeypatch.setattr("repro.cli.measure_suites", measure)
+        monkeypatch.setattr("repro.experiments.runner.measure_suites",
+                            measure)
         for extra in ([], ["--search", "4"]):
             assert main(["--quick", "subset", "lmbench", "--size", "99"]
                         + extra) == 2
@@ -188,6 +191,20 @@ class TestCommands:
             assert err == ("repro subset: --size 99 exceeds the 10 "
                            "workloads of lmbench\n")
 
+    def test_compare_of_one_suite_exits_before_measuring(
+            self, capsys, monkeypatch):
+        def measure(*args, **kwargs):
+            raise AssertionError("measured a suite for a one-suite "
+                                 "compare")
+
+        monkeypatch.setattr("repro.experiments.runner.measure_suites",
+                            measure)
+        assert main(["--quick", "compare", "nbench"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "repro compare: compare needs at least 2 suites, " \
+                      "got ['nbench']\n"
+
     def test_history_windows_without_a_store_is_rejected(
             self, capsys, monkeypatch):
         def measure(*args, **kwargs):
@@ -195,7 +212,8 @@ class TestCommands:
                                  "trajectory")
 
         monkeypatch.delenv("REPRO_HISTORY", raising=False)
-        monkeypatch.setattr("repro.cli.measure_suites", measure)
+        monkeypatch.setattr("repro.experiments.runner.measure_suites",
+                            measure)
         monkeypatch.setattr("repro.cli.score_suite", measure)
         assert main(["--quick", "score", "nbench",
                      "--history-windows", "3"]) == 2
@@ -208,3 +226,13 @@ class TestCommands:
         assert main(["experiment", "fig2"]) == 0
         out = capsys.readouterr().out
         assert "coverage" in out
+
+
+class TestRequestVocabulary:
+    def test_matches_the_numpy_side(self):
+        from repro.core.focus import EventFocus
+        from repro.engine import SubsetSearch
+        from repro.experiments.runner import FOCUS_VALUES, SEARCH_METHODS
+
+        assert list(FOCUS_VALUES) == [f.value for f in EventFocus]
+        assert tuple(SEARCH_METHODS) == tuple(SubsetSearch.METHODS)

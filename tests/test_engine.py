@@ -117,15 +117,6 @@ class TestKernelCache:
         assert cache.peek("other") is MISS
         assert cache.stats().lookups == 0
 
-    def test_lru_eviction(self):
-        cache = KernelCache(max_entries=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.lookup("a") == 1  # refresh a; b is now LRU
-        cache.put("c", 3)
-        assert "b" not in cache
-        assert cache.peek("a") == 1 and cache.peek("c") == 3
-
     def test_get_or_compute(self):
         cache = KernelCache()
         calls = []
@@ -145,10 +136,6 @@ class TestKernelCache:
         assert delta.hit_rate == 0.5
         assert CacheStats(0, 0, 0).hit_rate == 0.0
         assert delta.as_dict()["hits"] == 1
-
-    def test_invalid_max_entries(self):
-        with pytest.raises(ValueError, match="max_entries"):
-            KernelCache(max_entries=0)
 
 
 class TestParallelMap:

@@ -18,6 +18,7 @@ from repro.engine import MISS, DiskCache, content_key
 from repro.experiments import runner
 from repro.experiments.runner import (
     ExperimentConfig,
+    clear_cache,
     measure_suites,
     perspector_for,
     score_suite,
@@ -110,14 +111,34 @@ def test_history_run_may_hit_and_records_the_cold_bits(tmp_path, capsys):
     assert diff.same_digest and diff.clean, diff.drift
 
 
+def test_a_tier_hit_reports_its_own_counts(tmp_path):
+    config = replace(ExperimentConfig.quick(), cache_dir=str(tmp_path))
+    counts = []
+    for _ in range(3):
+        clear_cache()
+        _card, metrics = score_suite("nbench", config)
+        counts.append(tuple(metrics.get(name) for name in
+                            ("disk_hits", "disk_misses", "disk_writes")))
+    clear_cache()
+    # The cold call scores through a fresh engine; each repeat is one
+    # scorecard read from the process-wide tier and nothing else.
+    assert counts[1:] == [(1, 0, 0), (1, 0, 0)]
+
+
 _HIT_PROBE = """
 import json, sys
-from repro.cli import main
+from repro.cli import build_parser, main
+
+def heavy():
+    return sorted(m for m in sys.modules if m == "numpy" or m.startswith(
+        ("numpy.", "repro.uarch", "repro.engine.engine")))
+
+build_parser()
+parser = heavy()
 status = main(sys.argv[1:])
 sys.stdout.flush()
-loaded = sorted(m for m in sys.modules
-                if m == "numpy" or m.startswith(("numpy.", "repro.uarch")))
-sys.stderr.write(json.dumps({"status": status, "loaded": loaded}))
+sys.stderr.write(json.dumps({"parser": parser, "status": status,
+                             "loaded": heavy()}))
 """
 
 
@@ -134,5 +155,5 @@ def test_disk_warm_score_imports_neither_numpy_nor_the_simulator(
     warm = subprocess.run([sys.executable, "-c", _HIT_PROBE, *argv],
                           capture_output=True, env=env, check=True)
     probe = json.loads(warm.stderr.decode().strip().splitlines()[-1])
-    assert probe == {"status": 0, "loaded": []}
+    assert probe == {"parser": [], "status": 0, "loaded": []}
     assert warm.stdout.decode() == cold

@@ -464,6 +464,18 @@ class TestHistoryCli:
         assert main(["obs", "history", "--history-dir", hist]) == 0
         assert "config " in capsys.readouterr().out
 
+    def test_failed_append_is_one_line_after_the_report(self, capsys,
+                                                        tmp_path):
+        store = tmp_path / "not-a-directory"
+        store.write_text("")
+        assert main(["--quick", "score", "nbench",
+                     "--history-dir", str(store)]) == 2
+        out, err = capsys.readouterr()
+        assert "cluster=" in out
+        assert "Traceback" not in err
+        assert err.count("\n") == 1
+        assert err.startswith("repro score: history append failed: ")
+
     def test_check_fails_on_perturbed_record(self, capsys, tmp_path):
         store = HistoryStore(tmp_path)
         store.append(synthetic_record())

@@ -394,6 +394,47 @@ class TestServiceHistory:
             assert client.health()["history_dir"] == config.history_dir
 
 
+    def test_served_and_cli_records_digest_one_mapping(self, tmp_path):
+        """A served run and a CLI run of the same request record the
+        same manifest config, apart from the command that keeps their
+        trajectories apart."""
+        from repro.cli import main
+        from repro.obs.history import HistoryStore
+
+        config = replace(
+            ExperimentConfig.quick(),
+            cache_dir=str(tmp_path / "cache"),
+            history_dir=str(tmp_path / "hist"),
+        )
+        with ServiceThread(config) as thread:
+            ServiceClient(host=thread.host, port=thread.port).score(
+                "nbench", focus="llc")
+        assert main(["--quick", "score", "nbench", "--focus", "llc",
+                     "--cache-dir", config.cache_dir,
+                     "--history-dir", config.history_dir]) == 0
+        served, cli = (record["manifest"]["config"] for record in
+                       HistoryStore(config.history_dir).runs())
+        assert (served.pop("command"), cli.pop("command")) == \
+            ("serve:score", "score")
+        assert served == cli
+
+    def test_failed_append_is_a_note_not_an_error(self, tmp_path,
+                                                  capsys):
+        store = tmp_path / "not-a-directory"
+        store.write_text("")
+        config = replace(ExperimentConfig.quick(),
+                         cache_dir=str(tmp_path / "cache"),
+                         history_dir=str(store))
+        with ServiceThread(config) as thread:
+            served = ServiceClient(host=thread.host,
+                                   port=thread.port).score_card("nbench")
+        assert served.rendered == str(_cli_card(config, "nbench"))
+        notes = [line for line in capsys.readouterr().err.splitlines()
+                 if "history append failed" in line]
+        assert len(notes) == 1
+        assert notes[0].startswith("repro serve: history append failed: ")
+
+
 class TestShutdown:
     def test_graceful_shutdown_leaves_no_leaks(self, tmp_path):
         """A dedicated daemon (fanned workers, so a pool really serves
