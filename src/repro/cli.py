@@ -77,6 +77,7 @@ so piping a report into a file never interleaves progress chatter.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -217,25 +218,45 @@ def _cmd_subset(args):
 
 
 def _cmd_lint(args):
-    from repro.qa.lint import main as lint_main
+    from repro.qa.lint import lint_paths
+    from repro.qa.rules import default_rules
 
-    argv = list(args.paths) or ["src/repro"]
-    if args.deep:
-        argv.append("--deep")
-    if args.output_format != "text":
-        argv.extend(["--format", args.output_format])
     if args.list_rules:
-        argv = ["--list-rules"]
-    return lint_main(argv)
+        from repro.qa.flow.deeprules import DEEP_RULES
+
+        for rule in default_rules():
+            print(f"{rule.rule_id:<18} {rule.description}")
+        for deep_rule in DEEP_RULES:
+            print(f"{deep_rule.rule_id:<18} [deep] "
+                  f"{deep_rule.description}")
+        return 0
+
+    paths = args.paths or ["src/repro"]
+    try:
+        findings = lint_paths(paths)
+        if args.deep:
+            from repro.qa.flow.analyze import deep_findings
+
+            findings = sorted(findings + deep_findings(paths))
+    except FileNotFoundError as exc:
+        print(f"repro lint: {exc}", file=sys.stderr)
+        return 2
+    if args.output_format == "json":
+        print(json.dumps([f.as_dict() for f in findings], indent=2))
+    else:
+        for finding in findings:
+            print(finding)
+    if findings:
+        print(f"{len(findings)} finding(s)", file=sys.stderr)
+        return 1
+    return 0
 
 
 def _cmd_analyze(args):
     from repro.qa.flow.analyze import effects_report
-    from repro.qa.flow.indexer import default_cache_dir
 
     try:
-        report = effects_report(args.symbol, root=args.root,
-                                cache_dir=default_cache_dir())
+        report = effects_report(args.symbol, root=args.root)
     except LookupError as exc:
         print(f"repro analyze: {exc}", file=sys.stderr)
         return 2
@@ -398,20 +419,21 @@ def _cmd_obs_diff(args):
 
 
 def _cmd_obs_check(args):
-    from repro.obs.history import by_digest, check_store, skipped_notes
+    from repro.obs.history import by_digest, check_trajectories, \
+        skipped_notes
 
     store = _require_history_dir(args)
     if store is None:
         return 2
-    findings = check_store(
-        store, digest=args.digest,
+    records, skipped = store.scan()
+    trajectories = by_digest(records)
+    findings = check_trajectories(
+        trajectories, digest=args.digest,
         max_wall_pct=(None if args.max_wall_pct < 0
                       else args.max_wall_pct),
         max_hit_drop=(None if args.max_hit_drop < 0
                       else args.max_hit_drop),
     )
-    records, skipped = store.scan()
-    trajectories = by_digest(records)
     for note in skipped_notes(skipped):
         print(note)
     if findings:
@@ -560,7 +582,15 @@ def build_parser():
     _add_trace_flags(p_exp)
 
     p_lint = sub.add_parser(
-        "lint", help="run the QA static-analysis pass over the tree"
+        "lint", help="run the QA static-analysis pass over the tree",
+        description="Project-specific numerical static-analysis pass.",
+        epilog=(
+            "--deep additionally runs the whole-program effect analyzer "
+            "(repro.qa.flow): cache-purity, pool-safety and backend-purity "
+            "are proven over the cross-module call graph, with findings "
+            "carrying the justifying call chain. Every run parses the "
+            "package fresh; nothing is cached."
+        ),
     )
     p_lint.add_argument("paths", nargs="*",
                         help="files or directories (default: src/repro)")
@@ -570,7 +600,7 @@ def build_parser():
         "--deep", action="store_true",
         help="also run the whole-program effect analyzer: cache-purity, "
              "pool-safety and backend-purity proven over the cross-module "
-             "call graph (incremental via a digest-keyed summary cache)",
+             "call graph, parsed fresh on every run",
     )
     p_lint.add_argument(
         "--format", choices=["text", "json"], default="text",

@@ -34,7 +34,7 @@ from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.engine.cache": (
-        "MISS", "CacheStats", "KernelCache", "array_digest", "content_key",
+        "MISS", "KernelCache", "array_digest", "content_key",
     ),
     "repro.engine.diskcache": ("DiskCache",),
     "repro.engine.engine": ("Engine",),

@@ -34,7 +34,6 @@ from __future__ import annotations
 import hashlib
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 #: Sentinel distinguishing "missing" from a cached ``None``.
 MISS = object()
@@ -129,46 +128,6 @@ def pair_key(digest_a, digest_b, band):
     return ("dtw-pair", digest_a, digest_b, band)
 
 
-@dataclass(frozen=True)
-class CacheStats:
-    """Hit/miss counters of a :class:`KernelCache`.
-
-    Attributes
-    ----------
-    hits / misses:
-        Lookup outcomes since construction (or the last counter reset).
-        A disabled cache counts every lookup as a miss.
-    entries:
-        Values currently stored.
-    """
-
-    hits: int
-    misses: int
-    entries: int
-
-    @property
-    def lookups(self):
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self):
-        """Hits per lookup in [0, 1]; 0.0 before any lookup."""
-        total = self.lookups
-        return self.hits / total if total else 0.0
-
-    def delta(self, earlier):
-        """Counter movement since an ``earlier`` snapshot."""
-        return CacheStats(
-            hits=self.hits - earlier.hits,
-            misses=self.misses - earlier.misses,
-            entries=self.entries,
-        )
-
-    def as_dict(self):
-        return {"hits": self.hits, "misses": self.misses,
-                "entries": self.entries}
-
-
 class KernelCache:
     """In-process store for kernel results, keyed by content.
 
@@ -189,7 +148,7 @@ class KernelCache:
         into (the owning engine shares one registry across all its
         layers); a private registry is created when omitted. The
         ``cache_hits``/``cache_misses`` counters there are the *only*
-        copies -- :meth:`stats` is a view over them.
+        copies.
     """
 
     def __init__(self, enabled=True, disk=None, metrics=None):
@@ -276,24 +235,6 @@ class KernelCache:
         if value is MISS:
             value = self.put(key, compute(), disk=disk)
         return value
-
-    # -- bookkeeping -------------------------------------------------------
-
-    def stats(self):
-        """Current :class:`CacheStats` snapshot (a view over the
-        registry's ``cache_hits``/``cache_misses`` counters)."""
-        return CacheStats(hits=self._hits.value, misses=self._misses.value,
-                          entries=len(self._store))
-
-    def reset_counters(self):
-        """Zero the hit/miss counters (entries stay)."""
-        self._hits.reset()
-        self._misses.reset()
-
-    def clear(self):
-        """Drop every entry and zero the counters."""
-        self._store.clear()
-        self.reset_counters()
 
     def __len__(self):
         return len(self._store)

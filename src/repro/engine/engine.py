@@ -173,16 +173,6 @@ class Engine:
 
     # -- bookkeeping -------------------------------------------------------
 
-    def stats(self):
-        """Cache hit/miss counters (:class:`~repro.engine.cache.CacheStats`)."""
-        return self.cache.stats()
-
-    def clear(self):
-        """Drop all in-memory cached kernel results (the disk tier, if
-        any, is content-addressed and needs no invalidation)."""
-        self.cache.clear()
-        self._pair_digests.clear()
-
     def _engine_details(self, before):
         """The ``SuiteScorecard.details['engine']`` payload for one
         scoring pass that started at registry snapshot ``before``
@@ -308,21 +298,6 @@ class Engine:
                 out[idx_j, idx_i] = values
             matrices.append(out)
         return matrices, len(missing)
-
-    def dtw_pair(self, a, b, band=None):
-        """Cached DTW distance of one pair, sharing the pair store with
-        :meth:`dtw_matrix` (and computed by the same kernel family)."""
-        arrays = validate_series_list([a, b])
-        digests = [array_digest(s) for s in arrays]
-        pkey = pair_key(digests[0], digests[1], band)
-        value = self.cache.lookup(pkey, disk=False)
-        if value is not MISS:
-            return value
-        value = float(self.backend.pair_distances(
-            arrays, np.array([0]), np.array([1]), band,
-        )[0])
-        self._pair_digests.update(digests)
-        return self.cache.put(pkey, value, disk=False)
 
     def _store_trend_event(self, nkey, norm, band, dmatrix):
         """Merge one worker-computed trend-event result into the cache:

@@ -376,7 +376,7 @@ def _disk_for(config):
     return _DISK_TIERS[cache_dir]
 
 
-def perspector_for(config, session=None, engine=None):
+def perspector_for(config, engine=None):
     """A :class:`~repro.core.perspector.Perspector` wired to an
     :class:`ExperimentConfig`'s scoring knobs (``metric_seed``,
     ``workers``, ``cache``). Passing ``engine`` scores through a shared
@@ -386,7 +386,6 @@ def perspector_for(config, session=None, engine=None):
     from repro.core.perspector import Perspector, PerspectorConfig
 
     return Perspector(
-        session=session,
         config=PerspectorConfig(
             seed=config.metric_seed,
             workers=config.workers,

@@ -41,9 +41,10 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "repro.obs.history": (
         "HistoryRecorder", "HistoryStore", "RunDiff", "TrajectoryFinding",
-        "build_record", "check_store", "check_trajectory", "current_recorder",
-        "diff_records", "install_recorder", "publish", "render_diff",
-        "render_history", "uninstall_recorder", "window_trajectory",
+        "build_record", "check_trajectories", "check_trajectory",
+        "current_recorder", "diff_records", "install_recorder", "publish",
+        "render_diff", "render_history", "uninstall_recorder",
+        "window_trajectory",
     ),
     "repro.obs.manifest": (
         "build_manifest", "config_digest", "load_manifest", "manifest_path",

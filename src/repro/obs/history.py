@@ -380,11 +380,6 @@ class HistoryStore:
         """All readable records, oldest first (damaged ones skipped)."""
         return self.scan()[0]
 
-    def trajectories(self):
-        """``{config_digest: [records, oldest first]}`` preserving
-        first-seen digest order."""
-        return by_digest(self.runs())
-
 
 def _read_record(path):
     """One record file; a ``ValueError`` naming ``path`` when it is not
@@ -654,13 +649,14 @@ def check_trajectory(records, max_wall_pct=MAX_WALL_REGRESSION_PCT,
     return findings
 
 
-def check_store(store, digest=None, max_wall_pct=MAX_WALL_REGRESSION_PCT,
-                max_hit_drop=MAX_HIT_RATE_DROP):
-    """Run :func:`check_trajectory` over every trajectory in a store
-    (or just ``digest``'s); returns the combined finding list. Damaged
-    records are skipped (see :meth:`HistoryStore.scan`)."""
+def check_trajectories(trajectories, digest=None,
+                       max_wall_pct=MAX_WALL_REGRESSION_PCT,
+                       max_hit_drop=MAX_HIT_RATE_DROP):
+    """Run :func:`check_trajectory` over every trajectory of a
+    :func:`by_digest` mapping (or just ``digest``'s); returns the
+    combined finding list."""
     findings = []
-    for run_digest, records in store.trajectories().items():
+    for run_digest, records in trajectories.items():
         if digest is not None and not run_digest.startswith(digest):
             continue
         findings.extend(check_trajectory(records,

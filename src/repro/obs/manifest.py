@@ -104,7 +104,7 @@ def _git_describe_uncached(cwd):
 
 
 def build_manifest(command, argv, config, trace_file=None,
-                   trace_format=None, extra=None):
+                   trace_format=None):
     """The manifest dict for one run.
 
     Parameters
@@ -118,8 +118,6 @@ def build_manifest(command, argv, config, trace_file=None,
         quick, ...); digested into ``config_digest``.
     trace_file / trace_format:
         The trace artifact this manifest accompanies.
-    extra:
-        Optional extra mapping merged in under ``"extra"``.
     """
     config = dict(config or {})
     versions = {"python": platform.python_version()}
@@ -135,7 +133,7 @@ def build_manifest(command, argv, config, trace_file=None,
         versions["repro"] = repro_version
     except ImportError:
         pass
-    manifest = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "argv": list(argv),
@@ -150,9 +148,6 @@ def build_manifest(command, argv, config, trace_file=None,
         "versions": versions,
         "created_unix": time.time(),
     }
-    if extra:
-        manifest["extra"] = dict(extra)
-    return manifest
 
 
 def write_manifest(path, manifest):

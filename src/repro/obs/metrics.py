@@ -1,15 +1,15 @@
 """Unified metrics registry for the engine's performance layers.
 
 Before this module, every engine layer grew its own counters --
-:class:`~repro.engine.cache.CacheStats` hits/misses, the disk tier's
+the kernel cache's hit/miss stats, the disk tier's
 ``snapshot()`` dict, the pool's plain ints -- and
 ``Engine._engine_details`` recomputed per-pass deltas by hand across
 all of them. Counters kept in three shapes drift in three ways.
 :class:`MetricsRegistry` is the single store: each layer declares its
 instruments once (counters, gauges, histograms) against the
 registry its owning :class:`~repro.engine.Engine` carries, legacy
-accessors (``KernelCache.stats()``, ``DiskCache.hits``, ...) become
-views over the same integers, and a per-pass delta is one
+accessors (``DiskCache.hits``, ...) become views over the same
+integers, and a per-pass delta is one
 ``registry.snapshot()`` before and one ``.delta()`` after.
 
 Instrument kinds:
@@ -46,7 +46,7 @@ class Counter:
         self.value += n
 
     def reset(self):
-        """Zero the counter (legacy ``reset_counters`` support)."""
+        """Zero the counter."""
         self.value = 0
 
 

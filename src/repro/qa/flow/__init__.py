@@ -7,10 +7,10 @@ pool-submitted callable picklable and deterministic, is every
 compute-backend dispatch target free of side effects?
 
 * :mod:`repro.qa.flow.summary` -- one parse per module into a
-  JSON-serializable :class:`~repro.qa.flow.summary.ModuleSummary`
-  (effect atoms, call sites, class/import tables).
-* :mod:`repro.qa.flow.indexer` -- project walking plus the
-  digest-keyed summary cache that makes warm re-runs incremental.
+  :class:`~repro.qa.flow.summary.ModuleSummary` (effect atoms, call
+  sites, class/import tables).
+* :mod:`repro.qa.flow.indexer` -- project walking: every module
+  under a root, parsed fresh on each run.
 * :mod:`repro.qa.flow.callgraph` -- cross-module symbol resolution and
   edges, including ``functools.partial`` and pool-boundary targets.
 * :mod:`repro.qa.flow.effects` -- the effect lattice, the intrinsics

@@ -1,7 +1,7 @@
 """Front-door drivers for the whole-program effect analyzer.
 
-:func:`analyze_project` runs the full pipeline -- index (digest-cached),
-call graph, effect fixpoint -- and returns the three artifacts bundled.
+:func:`analyze_project` runs the full pipeline -- index, call graph,
+effect fixpoint -- and returns the three artifacts bundled.
 :func:`deep_findings` is what ``repro lint --deep`` calls: it widens
 each requested path to its outermost package root (cross-module
 resolution needs the whole package), runs the contract rules, filters
@@ -21,7 +21,7 @@ from pathlib import Path
 from repro.qa.flow.callgraph import CallGraph
 from repro.qa.flow.deeprules import check_all
 from repro.qa.flow.effects import ALL_EFFECTS, EffectSolver, format_chain
-from repro.qa.flow.indexer import default_cache_dir, index_project
+from repro.qa.flow.indexer import index_project
 
 
 @dataclass
@@ -36,9 +36,9 @@ class FlowAnalysis:
         return check_all(self.index, self.graph, self.solver)
 
 
-def analyze_project(root, cache_dir=None):
+def analyze_project(root):
     """Index ``root`` and solve the effect fixpoint."""
-    index = index_project(root, cache_dir=cache_dir)
+    index = index_project(root)
     graph = CallGraph(index)
     solver = EffectSolver(graph).solve()
     return FlowAnalysis(index=index, graph=graph, solver=solver)
@@ -62,7 +62,7 @@ def _within(finding_path, requested):
         return str(Path(finding_path)) == str(requested)
 
 
-def deep_findings(paths, cache_dir=None):
+def deep_findings(paths):
     """All deep-rule findings under the requested paths, suppression
     applied. Directories are widened to their package root for
     analysis; findings are filtered back to what was asked for."""
@@ -84,7 +84,7 @@ def deep_findings(paths, cache_dir=None):
 
     findings = []
     for root in roots:
-        analysis = analyze_project(root, cache_dir=cache_dir)
+        analysis = analyze_project(root)
         findings.extend(analysis.findings())
 
     findings = [
@@ -140,15 +140,11 @@ def resolve_symbol(analysis, symbol):
     raise LookupError(f"{symbol!r} is ambiguous: {shown}{more}")
 
 
-def effects_report(symbol, root="src/repro", cache_dir=None,
-                   analysis=None):
+def effects_report(symbol, root="src/repro", analysis=None):
     """The ``repro analyze effects`` text: inferred effect set, what
     callers inherit after masking, and one call chain per effect."""
     if analysis is None:
-        if cache_dir is None:
-            cache_dir = default_cache_dir()
-        analysis = analyze_project(package_root(root),
-                                   cache_dir=cache_dir)
+        analysis = analyze_project(package_root(root))
     fq = resolve_symbol(analysis, symbol)
     record = analysis.graph.record(fq)
     solver = analysis.solver

@@ -195,15 +195,6 @@ class EffectAtom:
     col: int
     detail: str
 
-    def as_dict(self):
-        return {"effect": self.effect, "line": self.line, "col": self.col,
-                "detail": self.detail}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(effect=d["effect"], line=int(d["line"]),
-                   col=int(d["col"]), detail=d["detail"])
-
 
 @dataclass(frozen=True)
 class ChainStep:

@@ -1,54 +1,17 @@
-"""Project indexing: one summary per module, cached by file digest.
+"""Project indexing: one summary per module, parsed fresh every run.
 
 :func:`index_project` walks a package directory (or a plain directory
 of modules), derives dotted module names, and extracts a
-:class:`~repro.qa.flow.summary.ModuleSummary` per file. With a
-``cache_dir``, each summary is persisted as JSON keyed by the SHA-256
-of the file's bytes (plus :data:`~repro.qa.flow.summary.SUMMARY_VERSION`);
-a warm re-run re-extracts only files whose digest moved, which is what
-makes ``repro lint --deep`` incremental. The cache is a plain
-directory of ``<module>.json`` files -- safe to delete at any time,
-and concurrent writers land on identical content.
+:class:`~repro.qa.flow.summary.ModuleSummary` per file. Nothing is
+persisted: every run parses every file.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.qa.flow.summary import SUMMARY_VERSION, ModuleSummary, \
-    extract_module
-
-#: Environment override for the summary-cache directory used by the
-#: CLI (``repro lint --deep`` / ``repro analyze effects``).
-CACHE_DIR_ENV = "REPRO_FLOW_CACHE"
-
-
-def default_cache_dir():
-    """The CLI's summary-cache directory: ``$REPRO_FLOW_CACHE`` if set,
-    else ``~/.cache/repro-flow`` (``None`` disables caching)."""
-    override = os.environ.get(CACHE_DIR_ENV)
-    if override == "":
-        return None
-    if override is not None:
-        return Path(override)
-    home = Path.home()
-    return home / ".cache" / "repro-flow"
-
-
-@dataclass
-class IndexStats:
-    """Cold/warm accounting for one indexing run."""
-
-    extracted: int = 0
-    cached: int = 0
-
-    @property
-    def modules(self):
-        return self.extracted + self.cached
+from repro.qa.flow.summary import extract_module
 
 
 @dataclass
@@ -57,7 +20,6 @@ class ProjectIndex:
 
     root: str
     modules: dict = field(default_factory=dict)  # module -> ModuleSummary
-    stats: IndexStats = field(default_factory=IndexStats)
 
     @property
     def functions(self):
@@ -83,22 +45,6 @@ class ProjectIndex:
             if name in self.modules:
                 return self.modules[name]
         return None
-
-
-def _rehome(summary, path):
-    """Point a cached summary's recorded paths at today's file."""
-    if summary.path == path:
-        return
-    summary.path = path
-    for record in summary.functions.values():
-        record.path = path
-
-
-def _digest(source_bytes):
-    h = hashlib.sha256()
-    h.update(f"summary-v{SUMMARY_VERSION}:".encode())
-    h.update(source_bytes)
-    return h.hexdigest()
 
 
 def iter_module_files(root):
@@ -130,69 +76,11 @@ def iter_module_files(root):
         yield ".".join(parts), path, is_package
 
 
-class SummaryCache:
-    """Digest-keyed JSON store for module summaries."""
-
-    def __init__(self, directory):
-        self.directory = Path(directory)
-
-    def _path(self, module):
-        return self.directory / f"{module}.json"
-
-    def load(self, module, digest):
-        path = self._path(module)
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return None
-        if payload.get("digest") != digest or \
-                payload.get("version") != SUMMARY_VERSION:
-            return None
-        try:
-            return ModuleSummary.from_dict(payload["summary"])
-        except (KeyError, TypeError, ValueError):
-            return None
-
-    def store(self, summary):
-        self.directory.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "version": SUMMARY_VERSION,
-            "digest": summary.digest,
-            "summary": summary.as_dict(),
-        }
-        path = self._path(summary.module)
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True),
-                       encoding="utf-8")
-        os.replace(tmp, path)
-
-
-def index_project(root, cache_dir=None):
-    """Index every module under ``root`` into a :class:`ProjectIndex`.
-
-    ``cache_dir`` enables the per-module digest cache; ``None`` always
-    extracts fresh.
-    """
-    cache = SummaryCache(cache_dir) if cache_dir is not None else None
+def index_project(root):
+    """Index every module under ``root`` into a :class:`ProjectIndex`."""
     index = ProjectIndex(root=str(root))
     for module, path, is_package in iter_module_files(root):
-        source_bytes = path.read_bytes()
-        digest = _digest(source_bytes)
-        summary = cache.load(module, digest) if cache is not None else None
-        if summary is not None:
-            # Identical bytes may live at a different path than when
-            # the summary was cached (checkout moved, fixture copied);
-            # findings and chains must point at today's location.
-            _rehome(summary, str(path))
-            index.stats.cached += 1
-        else:
-            summary = extract_module(
-                module, str(path),
-                source_bytes.decode("utf-8", errors="replace"),
-                digest, is_package=is_package,
-            )
-            index.stats.extracted += 1
-            if cache is not None:
-                cache.store(summary)
-        index.modules[module] = summary
+        source = path.read_bytes().decode("utf-8", errors="replace")
+        index.modules[module] = extract_module(
+            module, str(path), source, is_package=is_package)
     return index

@@ -6,13 +6,9 @@ observed :class:`~repro.qa.flow.effects.EffectAtom` list and raw call
 sites, the import table, class records (bases, methods, inferred
 ``self.attr`` constructor types) and module-level bindings.
 
-Everything here is JSON-serializable -- the summary is exactly what
-the indexer caches per file digest, so a warm ``repro lint --deep``
-re-run parses only modules whose bytes changed. Cross-module work
-(project-symbol resolution, the call graph, the effect fixpoint) runs
-over summaries afterwards and never needs the AST again; bump
-:data:`SUMMARY_VERSION` whenever the extraction or the intrinsic
-tables change shape, which orphans stale cache entries.
+Cross-module work (project-symbol resolution, the call graph, the
+effect fixpoint) runs over summaries afterwards and never needs the
+AST again.
 """
 
 from __future__ import annotations
@@ -32,9 +28,6 @@ from repro.qa.flow.effects import (
     WRITES_GLOBAL,
     intrinsic_effect,
 )
-
-#: Bumping this invalidates every cached module summary.
-SUMMARY_VERSION = 3
 
 _MUTABLE_CALLS = frozenset({
     "dict", "list", "set", "OrderedDict", "defaultdict", "deque",
@@ -77,15 +70,6 @@ class CallSite:
     col: int
     args: list = field(default_factory=list)  # [(kind, chain-or-None)]
 
-    def as_dict(self):
-        return {"chain": self.chain, "line": self.line, "col": self.col,
-                "args": [list(a) for a in self.args]}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(chain=d["chain"], line=int(d["line"]), col=int(d["col"]),
-                   args=[tuple(a) for a in d["args"]])
-
 
 @dataclass
 class FunctionRecord:
@@ -104,29 +88,6 @@ class FunctionRecord:
     local_types: dict = field(default_factory=dict)   # name -> ctor chain
     local_imports: dict = field(default_factory=dict)  # alias -> fq
 
-    def as_dict(self):
-        return {
-            "fq": self.fq, "module": self.module, "name": self.name,
-            "path": self.path, "line": self.line, "col": self.col,
-            "nested": self.nested, "cls": self.cls,
-            "atoms": [a.as_dict() for a in self.atoms],
-            "calls": [c.as_dict() for c in self.calls],
-            "local_types": dict(self.local_types),
-            "local_imports": dict(self.local_imports),
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            fq=d["fq"], module=d["module"], name=d["name"], path=d["path"],
-            line=int(d["line"]), col=int(d["col"]), nested=bool(d["nested"]),
-            cls=d["cls"],
-            atoms=[EffectAtom.from_dict(a) for a in d["atoms"]],
-            calls=[CallSite.from_dict(c) for c in d["calls"]],
-            local_types=dict(d["local_types"]),
-            local_imports=dict(d["local_imports"]),
-        )
-
 
 @dataclass
 class ClassRecord:
@@ -140,19 +101,6 @@ class ClassRecord:
     methods: dict = field(default_factory=dict)     # name -> function fq
     attr_types: dict = field(default_factory=dict)  # attr -> ctor chain
 
-    def as_dict(self):
-        return {"fq": self.fq, "module": self.module, "name": self.name,
-                "line": self.line, "bases": list(self.bases),
-                "methods": dict(self.methods),
-                "attr_types": dict(self.attr_types)}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(fq=d["fq"], module=d["module"], name=d["name"],
-                   line=int(d["line"]), bases=list(d["bases"]),
-                   methods=dict(d["methods"]),
-                   attr_types=dict(d["attr_types"]))
-
 
 @dataclass
 class ModuleSummary:
@@ -160,7 +108,6 @@ class ModuleSummary:
 
     module: str
     path: str
-    digest: str
     imports: dict = field(default_factory=dict)
     functions: dict = field(default_factory=dict)  # fq -> FunctionRecord
     classes: dict = field(default_factory=dict)    # fq -> ClassRecord
@@ -168,35 +115,6 @@ class ModuleSummary:
     module_assigned: list = field(default_factory=list)
     module_mutables: list = field(default_factory=list)
     parse_error: object = None  # str | None
-
-    def as_dict(self):
-        return {
-            "version": SUMMARY_VERSION,
-            "module": self.module, "path": self.path, "digest": self.digest,
-            "imports": dict(self.imports),
-            "functions": {fq: r.as_dict()
-                          for fq, r in self.functions.items()},
-            "classes": {fq: c.as_dict() for fq, c in self.classes.items()},
-            "module_types": dict(self.module_types),
-            "module_assigned": list(self.module_assigned),
-            "module_mutables": list(self.module_mutables),
-            "parse_error": self.parse_error,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            module=d["module"], path=d["path"], digest=d["digest"],
-            imports=dict(d["imports"]),
-            functions={fq: FunctionRecord.from_dict(r)
-                       for fq, r in d["functions"].items()},
-            classes={fq: ClassRecord.from_dict(c)
-                     for fq, c in d["classes"].items()},
-            module_types=dict(d["module_types"]),
-            module_assigned=list(d["module_assigned"]),
-            module_mutables=list(d["module_mutables"]),
-            parse_error=d.get("parse_error"),
-        )
 
 
 # -- extraction ---------------------------------------------------------------
@@ -438,9 +356,9 @@ class _FunctionExtractor:
                       "iterates a set (hash-order dependent)")
 
 
-def extract_module(module, path, source, digest, is_package=False):
+def extract_module(module, path, source, is_package=False):
     """Parse one module and produce its :class:`ModuleSummary`."""
-    summary = ModuleSummary(module=module, path=str(path), digest=digest)
+    summary = ModuleSummary(module=module, path=str(path))
     try:
         tree = ast.parse(source, filename=str(path))
     except SyntaxError as exc:

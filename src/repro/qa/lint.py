@@ -7,8 +7,9 @@ shape compiler diagnostics take -- and the process exits non-zero when
 any finding survives suppression, so the pass can gate a merge. With
 ``--deep`` the whole-program effect analyzer (:mod:`repro.qa.flow`)
 additionally proves the cross-module contracts (cache purity,
-pool safety, backend purity); ``--format json`` emits the
-findings as a JSON array for CI consumption.
+pool safety, backend purity) over a fresh parse of the whole package;
+``--format json`` emits the findings as a JSON array for CI
+consumption.
 
 Suppression is per-line and per-rule: append ``# qa-ignore[rule-id]``
 to the offending line (several ids may be comma-separated), or a bare
@@ -23,13 +24,15 @@ Run it as::
     repro lint src/repro
     repro lint --deep --format json src/repro
     python -m repro.qa.lint src/repro tests
+
+The arguments are declared once, by the CLI's ``lint`` subparser:
+``python -m repro.qa.lint ARGS`` runs exactly ``repro lint ARGS``,
+``--trace`` included.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
-import json
 import re
 import sys
 from dataclasses import dataclass
@@ -179,64 +182,10 @@ def lint_paths(paths, rules=None):
 
 
 def main(argv=None):
-    from repro.qa.rules import default_rules
+    """``python -m repro.qa.lint ARGS`` is ``repro lint ARGS``."""
+    from repro.cli import main as cli_main
 
-    parser = argparse.ArgumentParser(
-        prog="repro lint",
-        description="Project-specific numerical static-analysis pass.",
-        epilog=(
-            "--deep additionally runs the whole-program effect analyzer "
-            "(repro.qa.flow): cache-purity, pool-safety and backend-purity "
-            "are proven over the cross-module call graph, with findings "
-            "carrying the justifying call chain. Deep analysis caches "
-            "per-module summaries keyed by file digest ($REPRO_FLOW_CACHE "
-            "overrides the cache directory; set it empty to disable)."
-        ),
-    )
-    parser.add_argument("paths", nargs="*", default=["src/repro"],
-                        help="files or directories (default: src/repro)")
-    parser.add_argument("--list-rules", action="store_true",
-                        help="print the rule catalogue and exit")
-    parser.add_argument("--deep", action="store_true",
-                        help="also run the whole-program contract rules "
-                             "(cache-purity, pool-safety, backend-purity)")
-    parser.add_argument("--format", choices=("text", "json"),
-                        default="text", dest="output_format",
-                        help="findings as human-readable lines (default) "
-                             "or a JSON array for CI")
-    args = parser.parse_args(argv)
-
-    if args.list_rules:
-        from repro.qa.flow.deeprules import DEEP_RULES
-
-        for rule in default_rules():
-            print(f"{rule.rule_id:<18} {rule.description}")
-        for deep_rule in DEEP_RULES:
-            print(f"{deep_rule.rule_id:<18} [deep] "
-                  f"{deep_rule.description}")
-        return 0
-
-    paths = args.paths or ["src/repro"]
-    try:
-        findings = lint_paths(paths)
-        if args.deep:
-            from repro.qa.flow.analyze import deep_findings
-            from repro.qa.flow.indexer import default_cache_dir
-
-            findings = sorted(findings + deep_findings(
-                paths, cache_dir=default_cache_dir()))
-    except FileNotFoundError as exc:
-        print(f"repro lint: {exc}", file=sys.stderr)
-        return 2
-    if args.output_format == "json":
-        print(json.dumps([f.as_dict() for f in findings], indent=2))
-    else:
-        for finding in findings:
-            print(finding)
-    if findings:
-        print(f"{len(findings)} finding(s)", file=sys.stderr)
-        return 1
-    return 0
+    return cli_main(["lint", *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ from repro.core.spread_score import spread_score
 from repro.core.trend_score import trend_score
 from repro.engine import (
     MISS,
-    CacheStats,
     Engine,
     KernelCache,
     content_key,
@@ -92,8 +91,9 @@ class TestKernelCache:
         assert cache.lookup(key) is MISS
         cache.put(key, "value")
         assert cache.lookup(content_key("k", np.arange(3.0))) == "value"
-        stats = cache.stats()
-        assert (stats.hits, stats.misses, stats.entries) == (1, 1, 1)
+        counts = cache.metrics.snapshot()
+        assert (counts["cache_hits"], counts["cache_misses"],
+                len(cache)) == (1, 1, 1)
 
     def test_miss_after_value_change(self):
         cache = KernelCache()
@@ -108,14 +108,16 @@ class TestKernelCache:
         cache.put("key", "value")
         assert cache.lookup("key") is MISS
         assert len(cache) == 0
-        assert cache.stats().misses == 1  # the lookup counts as a miss
+        # the lookup counts as a miss
+        assert cache.metrics.snapshot()["cache_misses"] == 1
 
     def test_peek_does_not_count(self):
         cache = KernelCache()
         cache.put("key", 1)
         assert cache.peek("key") == 1
         assert cache.peek("other") is MISS
-        assert cache.stats().lookups == 0
+        counts = cache.metrics.snapshot()
+        assert (counts["cache_hits"], counts["cache_misses"]) == (0, 0)
 
     def test_get_or_compute(self):
         cache = KernelCache()
@@ -127,15 +129,13 @@ class TestKernelCache:
 
     def test_stats_delta_and_hit_rate(self):
         cache = KernelCache()
-        before = cache.stats()
+        cache.lookup("missing")
+        before = cache.metrics.snapshot()
         cache.put("k", 1)
         cache.lookup("k")
         cache.lookup("missing")
-        delta = cache.stats().delta(before)
-        assert (delta.hits, delta.misses) == (1, 1)
-        assert delta.hit_rate == 0.5
-        assert CacheStats(0, 0, 0).hit_rate == 0.0
-        assert delta.as_dict()["hits"] == 1
+        delta = cache.metrics.snapshot().delta(before)
+        assert (delta["cache_hits"], delta["cache_misses"]) == (1, 1)
 
 
 class TestParallelMap:
@@ -195,18 +195,17 @@ class TestEngineBitIdentity:
         series = [rng.normal(size=12) for _ in range(4)]
         engine = Engine()
         engine.dtw_matrix(series)
-        before = engine.stats()
+        before = engine.metrics.snapshot()
         sub = engine.dtw_matrix(series[:3])
-        delta = engine.stats().delta(before)
-        assert delta.hits >= 3  # the three subset pairs
+        delta = engine.metrics.snapshot().delta(before)
+        assert delta["cache_hits"] >= 3  # the three subset pairs
         np.testing.assert_array_equal(sub, dtw_matrix(series[:3]))
 
     def test_dtw_pair_matches_matrix_entry(self):
         rng = np.random.default_rng(6)
         a, b = rng.normal(size=10), rng.normal(size=10)
-        engine = Engine()
-        assert_bits_equal(engine.dtw_pair(a, b),
-                          engine.dtw_matrix([a, b])[0, 1], "dtw pair")
+        assert_bits_equal(Engine().dtw_matrix([a, b])[0, 1],
+                          dtw_matrix([a, b])[0, 1], "dtw pair")
 
     def test_dtw_unequal_lengths_slow_path(self):
         rng = np.random.default_rng(7)
@@ -250,10 +249,10 @@ class TestEngineBitIdentity:
         x = rng.uniform(size=(6, 3))
         engine = Engine()
         first = engine.pairwise_distances(x)
-        before = engine.stats()
+        before = engine.metrics.snapshot()
         again = engine.pairwise_distances(x.copy())
-        delta = engine.stats().delta(before)
-        assert delta.hits == 1 and delta.misses == 0
+        delta = engine.metrics.snapshot().delta(before)
+        assert (delta["cache_hits"], delta["cache_misses"]) == (1, 0)
         assert again.tobytes() == first.tobytes()
 
     def test_cluster_score_routes_distances_through_engine(self):
@@ -266,10 +265,10 @@ class TestEngineBitIdentity:
         from repro.stats.preprocessing import minmax_normalize
 
         x = minmax_normalize(matrix.values)
-        before = engine.stats()
+        before = engine.metrics.snapshot()
         engine.pairwise_distances(x)
-        delta = engine.stats().delta(before)
-        assert delta.hits == 1  # already there from the score above
+        delta = engine.metrics.snapshot().delta(before)
+        assert delta["cache_hits"] == 1  # already there from the score above
         assert_bits_equal(cold.value, cluster_score(matrix, seed=3).value,
                           "cluster via hook")
 

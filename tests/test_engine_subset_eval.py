@@ -200,14 +200,14 @@ class TestEvaluatorMechanics:
                                     engine=engine)
         names = matrix.workloads[:6]
         evaluator.evaluate(names)
-        before = engine.stats()
+        before = engine.metrics.snapshot()
         # A second evaluator over the same engine re-scores the same
         # candidate without recomputing cluster/coverage kernels.
         other = SubsetEvaluator(matrix, seed=METRIC_SEED, engine=engine,
                                 full_scores=evaluator.full_scores)
         other.evaluate(names)
-        delta = engine.stats().delta(before)
-        assert delta.misses == 0
+        delta = engine.metrics.snapshot().delta(before)
+        assert delta["cache_misses"] == 0
 
 
 class TestSubsetSearch:

@@ -15,6 +15,7 @@ from repro.obs.history import (
     HistoryRecorder,
     HistoryStore,
     build_record,
+    by_digest,
     check_trajectory,
     current_recorder,
     diff_records,
@@ -188,7 +189,7 @@ class TestHistoryStore:
         store.append(synthetic_record())
         store.append(synthetic_record(digest=OTHER_DIGEST))
         store.append(synthetic_record())
-        trajectories = store.trajectories()
+        trajectories = by_digest(store.runs())
         assert list(trajectories) == [DIGEST, OTHER_DIGEST]
         assert len(trajectories[DIGEST]) == 2
         assert len(trajectories[OTHER_DIGEST]) == 1
@@ -196,7 +197,7 @@ class TestHistoryStore:
     def test_missing_directory_is_empty(self, tmp_path):
         store = HistoryStore(tmp_path / "never-created")
         assert store.run_ids() == []
-        assert store.trajectories() == {}
+        assert store.scan() == ([], [])
 
 
 #: Ways a record file gets damaged: truncated at several offsets (a
@@ -240,7 +241,7 @@ class TestDamagedRecords:
         assert [r["wall_time_s"] for r in records] == [0.0, 2.0]
         assert len(skipped) == 1 and skipped[0].startswith(f"{bad}: ")
         assert store.runs() == records
-        assert [len(t) for t in store.trajectories().values()] == [2]
+        assert [len(t) for t in by_digest(records).values()] == [2]
 
     def test_load_raises_one_value_error(self, tmp_path, damage):
         store, bad = damaged_store(tmp_path, damage)
@@ -487,6 +488,24 @@ class TestHistoryCli:
         assert "score-drift" in captured.out
         assert main(["obs", "diff", "--history-dir",
                      str(tmp_path)]) == 1
+
+    def test_check_reads_each_record_once(self, capsys, monkeypatch,
+                                          tmp_path):
+        import repro.obs.history as history
+
+        store = HistoryStore(tmp_path)
+        for digest in (DIGEST, OTHER_DIGEST, DIGEST):
+            store.append(synthetic_record(digest=digest))
+        read, reads = history._read_record, []
+
+        def counting(path):
+            reads.append(path)
+            return read(path)
+
+        monkeypatch.setattr(history, "_read_record", counting)
+        assert main(["obs", "check", "--history-dir", str(tmp_path)]) == 0
+        assert "3 run(s), 2 trajectory(ies)" in capsys.readouterr().out
+        assert sorted(reads) == sorted(store._paths())
 
     def test_history_commands_require_store(self, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_HISTORY", raising=False)

@@ -109,14 +109,12 @@ class TestManifestRoundTrip:
         manifest = build_manifest(
             "score", ["--quick", "score", "parsec"], BASE_CONFIG,
             trace_file=str(tmp_path / "t.jsonl"), trace_format="jsonl",
-            extra={"note": "round-trip"},
         )
         path = manifest_path(tmp_path / "t.jsonl")
         write_manifest(path, manifest)
         loaded = load_manifest(path)
         assert loaded == json.loads(json.dumps(manifest))
         assert loaded["config_digest"] == config_digest(BASE_CONFIG)
-        assert loaded["extra"] == {"note": "round-trip"}
 
     def test_schema_mismatch_rejected(self, tmp_path):
         manifest = build_manifest("score", [], BASE_CONFIG)

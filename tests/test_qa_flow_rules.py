@@ -28,7 +28,7 @@ def make_pkg(tmp_path, files, name="pkg"):
 
 
 def findings_for(tmp_path, files):
-    return deep_findings([make_pkg(tmp_path, files)], cache_dir=None)
+    return deep_findings([make_pkg(tmp_path, files)])
 
 
 def by_rule(findings, rule_id):
@@ -231,7 +231,7 @@ class TestPoolSafety:
                     return parallel_map(lambda x: x * 2, items, 2)
             """,
         }, name="repro")
-        findings = deep_findings([root], cache_dir=None)
+        findings = deep_findings([root])
         flagged = by_rule(findings, "pool-safety")
         assert len(flagged) == 1
         assert "lambda submitted to parallel_map" in flagged[0].message
@@ -299,24 +299,37 @@ class TestCli:
         })
         assert main(["lint", "--deep", str(root)]) == 0
 
-    def test_analyze_effects_cli(self, tmp_path, capsys, monkeypatch):
+    def test_analyze_effects_cli(self, tmp_path, capsys):
         from repro.cli import main
 
-        monkeypatch.setenv("REPRO_FLOW_CACHE", "")
         assert main(["analyze", "effects", "DiskCache.put",
                      "--root", str(SRC)]) == 0
         out = capsys.readouterr().out
         assert "repro.engine.diskcache.DiskCache.put" in out
         assert "IO" in out
 
-    def test_analyze_effects_unknown_symbol_exits_two(
-            self, tmp_path, capsys, monkeypatch):
+    def test_analyze_effects_unknown_symbol_exits_two(self, tmp_path,
+                                                      capsys):
         from repro.cli import main
 
-        monkeypatch.setenv("REPRO_FLOW_CACHE", "")
         assert main(["analyze", "effects", "not_a_symbol",
                      "--root", str(SRC)]) == 2
         assert "no function matches" in capsys.readouterr().err
+
+    def test_nothing_written_under_home(self, tmp_path, capsys,
+                                        monkeypatch):
+        # The analyzer parses fresh on every run and persists nothing:
+        # neither command may leave a file behind in the user's home.
+        from repro.cli import main
+
+        home = tmp_path / "home"
+        home.mkdir()
+        monkeypatch.setenv("HOME", str(home))
+        root = make_pkg(tmp_path, self.DIRTY)
+        assert main(["lint", "--deep", str(root)]) == 1
+        assert main(["analyze", "effects", "DiskCache.put",
+                     "--root", str(SRC)]) == 0
+        assert sorted(home.rglob("*")) == []
 
 
 class TestRealTreeContracts:
@@ -342,7 +355,7 @@ class TestBackendPurity:
             "stats/__init__.py": "",
             "stats/backend.py": backend_src,
         }, name="repro")
-        return by_rule(deep_findings([root], cache_dir=None),
+        return by_rule(deep_findings([root]),
                        "backend-purity")
 
     def test_clock_in_dispatch_function_flagged_with_chain(self, tmp_path):
@@ -409,7 +422,7 @@ class TestBackendPurity:
                     return time.time()
             """,
         }, name="repro")
-        assert by_rule(deep_findings([root], cache_dir=None),
+        assert by_rule(deep_findings([root]),
                        "backend-purity") == []
 
     def test_real_backend_module_is_clean(self):

@@ -36,7 +36,7 @@ def test_linter_actually_saw_the_tree():
 def test_tree_is_deep_clean():
     from repro.qa.flow.analyze import deep_findings
 
-    findings = deep_findings([SRC], cache_dir=None)
+    findings = deep_findings([SRC])
     assert findings == [], "\n" + "\n".join(str(f) for f in findings)
 
 

@@ -1,11 +1,18 @@
 """Per-rule linter coverage: a triggering snippet, a clean snippet and
 the suppression comment for every rule, plus CLI exit codes."""
 
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
 from repro.qa.lint import lint_paths, lint_source
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def lint(source, path="src/repro/core/snippet.py"):
@@ -570,6 +577,40 @@ class TestCli:
                         "overbroad-except", "all-drift", "obs-discipline",
                         "cache-purity", "pool-safety", "backend-purity"):
             assert rule_id in out
+
+    @staticmethod
+    def _python(*argv):
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith("REPRO_")}
+        env["PYTHONPATH"] = SRC
+        return subprocess.run([sys.executable, *argv], capture_output=True,
+                              text=True, env=env)
+
+    def test_parser_imports_nothing_from_qa(self):
+        # The lint arguments live in the CLI parser, so building it must
+        # not pay for the qa package: bare CLI start-up is timed.
+        probe = self._python("-c", (
+            "import sys, repro.cli; repro.cli.build_parser(); "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'repro.qa' or m.startswith('repro.qa.')))"))
+        assert probe.returncode == 0, probe.stderr
+        assert probe.stdout.strip() == "[]"
+
+    def test_module_entry_point_is_repro_lint(self, tmp_path, capsys):
+        from repro.cli import main
+
+        target = tmp_path / "dirty.py"
+        target.write_text("import numpy as np\nx = np.random.rand(3)\n")
+        trace = tmp_path / "lint.jsonl"
+        status = main(["lint", "--format", "json", str(target)])
+        expected = capsys.readouterr().out
+        run = self._python("-m", "repro.qa.lint", "--format", "json",
+                           "--trace", str(trace), str(target))
+        assert status == 1
+        assert (run.returncode, run.stdout) == (status, expected)
+        assert trace.is_file()
+        assert self._python("-m", "repro.qa.lint",
+                            str(tmp_path / "absent")).returncode == 2
 
 
 # -- rule helpers ------------------------------------------------------------

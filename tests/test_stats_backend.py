@@ -288,8 +288,9 @@ class TestEngineCrossBackend:
         from repro.engine import Engine
 
         a, b = self._series(equal=False)[:2]
-        ref = Engine(backend=ORACLE).dtw_pair(a, b, band=2)
-        assert bits([ref]) == bits([Engine().dtw_pair(a, b, band=2)])
+        ref = Engine(backend=ORACLE).dtw_matrix([a, b], band=2)[0, 1]
+        vec = Engine().dtw_matrix([a, b], band=2)[0, 1]
+        assert bits([ref]) == bits([vec])
 
     def test_cache_keys_are_backend_free(self, tmp_path):
         # A disk tier written through one record must serve the other:
