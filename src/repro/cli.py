@@ -218,7 +218,7 @@ def _cmd_subset(args):
 
 
 def _cmd_lint(args):
-    from repro.qa.lint import lint_paths
+    from repro.qa.lint import lint_contexts, read_sources
     from repro.qa.rules import default_rules
 
     if args.list_rules:
@@ -233,11 +233,13 @@ def _cmd_lint(args):
 
     paths = args.paths or ["src/repro"]
     try:
-        findings = lint_paths(paths)
+        # One parse per file: the deep pass reuses these contexts.
+        contexts = read_sources(paths)
+        findings = lint_contexts(contexts)
         if args.deep:
             from repro.qa.flow.analyze import deep_findings
 
-            findings = sorted(findings + deep_findings(paths))
+            findings = sorted(findings + deep_findings(paths, contexts))
     except FileNotFoundError as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2

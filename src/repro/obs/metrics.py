@@ -45,10 +45,6 @@ class Counter:
     def inc(self, n=1):
         self.value += n
 
-    def reset(self):
-        """Zero the counter."""
-        self.value = 0
-
 
 class Gauge:
     """Point-in-time value."""

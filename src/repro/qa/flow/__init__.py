@@ -6,11 +6,11 @@ single file can: is every cached kernel *actually* pure, is every
 pool-submitted callable picklable and deterministic, is every
 compute-backend dispatch target free of side effects?
 
-* :mod:`repro.qa.flow.summary` -- one parse per module into a
+* :mod:`repro.qa.flow.summary` -- one parsed module into a
   :class:`~repro.qa.flow.summary.ModuleSummary` (effect atoms, call
   sites, class/import tables).
-* :mod:`repro.qa.flow.indexer` -- project walking: every module
-  under a root, parsed fresh on each run.
+* :mod:`repro.qa.flow.indexer` -- every module under a root, each
+  parsed once per run: the per-file pass's tree where it has one.
 * :mod:`repro.qa.flow.callgraph` -- cross-module symbol resolution and
   edges, including ``functools.partial`` and pool-boundary targets.
 * :mod:`repro.qa.flow.effects` -- the effect lattice, the intrinsics

@@ -14,7 +14,6 @@ CLI's job.
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,9 +35,10 @@ class FlowAnalysis:
         return check_all(self.index, self.graph, self.solver)
 
 
-def analyze_project(root):
-    """Index ``root`` and solve the effect fixpoint."""
-    index = index_project(root)
+def analyze_project(root, parsed=()):
+    """Index ``root`` (reusing the source contexts in ``parsed``) and
+    solve the effect fixpoint."""
+    index = index_project(root, parsed)
     graph = CallGraph(index)
     solver = EffectSolver(graph).solve()
     return FlowAnalysis(index=index, graph=graph, solver=solver)
@@ -62,10 +62,12 @@ def _within(finding_path, requested):
         return str(Path(finding_path)) == str(requested)
 
 
-def deep_findings(paths):
+def deep_findings(paths, parsed=()):
     """All deep-rule findings under the requested paths, suppression
     applied. Directories are widened to their package root for
-    analysis; findings are filtered back to what was asked for."""
+    analysis; findings are filtered back to what was asked for.
+    ``parsed`` holds the per-file pass's source contexts, so no file
+    it linted is parsed again."""
     requested = []
     roots = []
     for raw in paths:
@@ -82,42 +84,19 @@ def deep_findings(paths):
         if root not in roots:
             roots.append(root)
 
-    findings = []
+    findings, sources = [], {}
     for root in roots:
-        analysis = analyze_project(root)
+        analysis = analyze_project(root, parsed)
         findings.extend(analysis.findings())
+        sources.update(analysis.index.sources)
 
-    findings = [
+    # ``# qa-ignore[...]`` applies as in the per-file pass, markers on
+    # the first line of a multi-line statement included.
+    return sorted(
         f for f in findings
         if any(_within(f.path, req) for req in requested)
-    ]
-    return sorted(_apply_suppressions(findings))
-
-
-def _apply_suppressions(findings):
-    """Honor ``# qa-ignore[...]`` for deep findings, including markers
-    on the first physical line of a multi-line statement."""
-    from repro.qa.lint import SourceContext
-
-    by_path = {}
-    for finding in findings:
-        by_path.setdefault(finding.path, []).append(finding)
-    surviving = []
-    for path, group in by_path.items():
-        try:
-            source = Path(path).read_text(encoding="utf-8")
-        except OSError:
-            surviving.extend(group)
-            continue
-        ctx = SourceContext(path, source)
-        try:
-            ctx.attach_statements(ast.parse(source, filename=str(path)))
-        except SyntaxError:
-            pass
-        surviving.extend(
-            f for f in group if not ctx.suppressed(f.line, f.rule_id)
-        )
-    return surviving
+        and not sources[f.path].suppressed(f.line, f.rule_id)
+    )
 
 
 def resolve_symbol(analysis, symbol):

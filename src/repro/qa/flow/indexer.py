@@ -1,17 +1,19 @@
-"""Project indexing: one summary per module, parsed fresh every run.
+"""Project indexing: one summary per module, each file parsed once.
 
 :func:`index_project` walks a package directory (or a plain directory
-of modules), derives dotted module names, and extracts a
-:class:`~repro.qa.flow.summary.ModuleSummary` per file. Nothing is
-persisted: every run parses every file.
+of modules) with :func:`repro.qa.lint.iter_module_files`, and extracts
+a :class:`~repro.qa.flow.summary.ModuleSummary` per file from its
+:class:`~repro.qa.lint.SourceContext`: the per-file pass's when that
+pass already parsed the file this run, a fresh one otherwise. Nothing
+is persisted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.qa.flow.summary import extract_module
+from repro.qa.lint import SourceContext, iter_module_files
 
 
 @dataclass
@@ -20,6 +22,7 @@ class ProjectIndex:
 
     root: str
     modules: dict = field(default_factory=dict)  # module -> ModuleSummary
+    sources: dict = field(default_factory=dict)  # path -> SourceContext
 
     @property
     def functions(self):
@@ -37,50 +40,19 @@ class ProjectIndex:
             out.update(summary.classes)
         return out
 
-    def module_of(self, fq):
-        """The summary owning a fully-qualified symbol, or ``None``."""
-        parts = fq.split(".")
-        for cut in range(len(parts), 0, -1):
-            name = ".".join(parts[:cut])
-            if name in self.modules:
-                return self.modules[name]
-        return None
 
-
-def iter_module_files(root):
-    """``(module_name, path, is_package)`` for every ``.py`` under
-    ``root``, hidden directories excluded.
-
-    A root containing ``__init__.py`` is treated as a package named
-    after the directory (``src/repro`` -> ``repro.*``); otherwise each
-    file becomes a top-level module named by its stem.
-    """
-    root = Path(root)
-    if not root.is_dir():
-        raise FileNotFoundError(f"not a directory: {root}")
-    is_pkg_root = (root / "__init__.py").is_file()
-    for path in sorted(root.rglob("*.py")):
-        relative = path.relative_to(root)
-        if any(part.startswith(".") for part in relative.parts):
-            continue
-        parts = list(relative.parts)
-        parts[-1] = parts[-1][:-3]  # strip .py
-        is_package = parts[-1] == "__init__"
-        if is_package:
-            parts = parts[:-1]
-        if is_pkg_root:
-            parts = [root.name] + parts
-        if not parts:
-            # a bare __init__.py directly under a non-package root
-            continue
-        yield ".".join(parts), path, is_package
-
-
-def index_project(root):
-    """Index every module under ``root`` into a :class:`ProjectIndex`."""
+def index_project(root, parsed=()):
+    """Index every module under ``root`` into a :class:`ProjectIndex`.
+    ``parsed`` holds source contexts already built this run; a file
+    among them is not parsed again."""
+    known = {ctx.path.resolve(): ctx for ctx in parsed}
     index = ProjectIndex(root=str(root))
     for module, path, is_package in iter_module_files(root):
-        source = path.read_bytes().decode("utf-8", errors="replace")
+        ctx = known.get(path.resolve())
+        if ctx is None:
+            ctx = SourceContext(
+                path, path.read_bytes().decode("utf-8", errors="replace"))
+        index.sources[str(path)] = ctx
         index.modules[module] = extract_module(
-            module, str(path), source, is_package=is_package)
+            module, str(path), ctx.tree, is_package=is_package)
     return index

@@ -1,10 +1,11 @@
 """Per-module extraction for the whole-program effect analyzer.
 
-One parse of one module produces a :class:`ModuleSummary`: every
-function (methods and nested functions included) with its directly
-observed :class:`~repro.qa.flow.effects.EffectAtom` list and raw call
-sites, the import table, class records (bases, methods, inferred
-``self.attr`` constructor types) and module-level bindings.
+One module's tree, parsed once per run by
+:class:`repro.qa.lint.SourceContext`, produces a :class:`ModuleSummary`:
+every function (methods and nested functions included) with its
+directly observed :class:`~repro.qa.flow.effects.EffectAtom` list and
+raw call sites, the import table, class records (bases, methods,
+inferred ``self.attr`` constructor types) and module-level bindings.
 
 Cross-module work (project-symbol resolution, the call graph, the
 effect fixpoint) runs over summaries afterwards and never needs the
@@ -17,10 +18,8 @@ import ast
 from dataclasses import dataclass, field
 
 from repro.qa.flow.effects import (
-    CLOCK,
     EffectAtom,
     INTRINSIC_METHODS,
-    IO,
     MUTATOR_METHODS,
     NONDET_ITERATION,
     READS_GLOBAL,
@@ -28,24 +27,13 @@ from repro.qa.flow.effects import (
     WRITES_GLOBAL,
     intrinsic_effect,
 )
+from repro.qa.lint import dotted
 
 _MUTABLE_CALLS = frozenset({
     "dict", "list", "set", "OrderedDict", "defaultdict", "deque",
     "collections.OrderedDict", "collections.defaultdict",
     "collections.deque",
 })
-
-
-def dotted(node):
-    """``a.b.c`` attribute/name chain as a string, or ``None``."""
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 def expand_head(chain, *import_maps):
@@ -114,7 +102,6 @@ class ModuleSummary:
     module_types: dict = field(default_factory=dict)
     module_assigned: list = field(default_factory=list)
     module_mutables: list = field(default_factory=list)
-    parse_error: object = None  # str | None
 
 
 # -- extraction ---------------------------------------------------------------
@@ -356,13 +343,11 @@ class _FunctionExtractor:
                       "iterates a set (hash-order dependent)")
 
 
-def extract_module(module, path, source, is_package=False):
-    """Parse one module and produce its :class:`ModuleSummary`."""
+def extract_module(module, path, tree, is_package=False):
+    """One parsed module's :class:`ModuleSummary`; a module that did not
+    parse (``tree`` is ``None``) summarizes as empty."""
     summary = ModuleSummary(module=module, path=str(path))
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError as exc:
-        summary.parse_error = f"{exc.msg} (line {exc.lineno})"
+    if tree is None:
         return summary
 
     # Pass A: module-level bindings.

@@ -1,13 +1,15 @@
 """AST-based static-analysis pass for the repro tree.
 
-The linter parses every Python file it is pointed at and runs a set of
-project-specific rules over the AST (see :mod:`repro.qa.rules`). Each
-finding is reported as ``file:line:col rule-id message`` -- the same
-shape compiler diagnostics take -- and the process exits non-zero when
-any finding survives suppression, so the pass can gate a merge. With
-``--deep`` the whole-program effect analyzer (:mod:`repro.qa.flow`)
-additionally proves the cross-module contracts (cache purity,
-pool safety, backend purity) over a fresh parse of the whole package;
+The linter parses every Python file it is pointed at once, into a
+:class:`SourceContext` whose one walk indexes the tree, and runs a set
+of project-specific rules over that index (see :mod:`repro.qa.rules`).
+Each finding is reported as ``file:line:col rule-id message`` -- the
+same shape compiler diagnostics take -- and the process exits non-zero
+when any finding survives suppression, so the pass can gate a merge.
+With ``--deep`` the whole-program effect analyzer
+(:mod:`repro.qa.flow`) additionally proves the cross-module contracts
+(cache purity, pool safety, backend purity) over the whole package,
+reusing these contexts: no file is parsed twice in one run.
 ``--format json`` emits the findings as a JSON array for CI
 consumption.
 
@@ -35,7 +37,9 @@ from __future__ import annotations
 import ast
 import re
 import sys
+from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 
@@ -61,15 +65,36 @@ class Finding:
 
 _SUPPRESS_RE = re.compile(r"#\s*qa-ignore(?:\[(?P<rules>[^\]]*)\])?")
 
+#: Node types of a (nested) function definition.
+FUNCTION_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def dotted(node):
+    """``a.b.c`` attribute/name chain as a string, or ``None``."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
+
 
 class SourceContext:
-    """Everything a rule may want to know about one source file."""
+    """One source file, parsed once: the tree plus, built by one walk
+    on first use, the statement-start map, parent links and a by-type
+    node index. Every per-file rule, the deep pass's module extraction
+    and deep-finding suppression read this one object."""
 
     def __init__(self, path, source):
         self.path = Path(path)
-        self.source = source
         self.lines = source.splitlines()
-        self._stmt_start = {}  # physical line -> enclosing stmt's line
+        try:
+            self.tree = ast.parse(source, filename=str(path))
+            self.error = None
+        except SyntaxError as exc:
+            self.tree, self.error = None, exc
 
     def in_directory(self, *names):
         """Whether any path component matches one of ``names``."""
@@ -79,20 +104,42 @@ class SourceContext:
     def is_package_init(self):
         return self.path.name == "__init__.py"
 
-    def attach_statements(self, tree):
-        """Record, for every physical line, the starting line of the
-        innermost statement containing it, so a ``# qa-ignore`` on the
-        first line of a multi-line statement covers findings anchored
-        on its continuation lines."""
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.stmt):
-                continue
-            end = getattr(node, "end_lineno", None) or node.lineno
-            for line in range(node.lineno, end + 1):
-                known = self._stmt_start.get(line, 0)
-                # Innermost statement wins: the largest start line.
-                if node.lineno > known:
-                    self._stmt_start[line] = node.lineno
+    @cached_property
+    def _walk(self):
+        """The one walk (breadth-first, as :func:`ast.walk`): for every
+        physical line the starting line of the innermost statement
+        containing it, each node's parent, and the nodes by type."""
+        stmt_start, parents, by_type = {}, {}, {}
+        todo = deque([self.tree] if self.tree is not None else [])
+        while todo:
+            node = todo.popleft()
+            by_type.setdefault(type(node), []).append(node)
+            if isinstance(node, ast.stmt):
+                end = getattr(node, "end_lineno", None) or node.lineno
+                for line in range(node.lineno, end + 1):
+                    # Innermost statement wins: the largest start line.
+                    if node.lineno > stmt_start.get(line, 0):
+                        stmt_start[line] = node.lineno
+            for child in ast.iter_child_nodes(node):
+                parents[child] = node
+                todo.append(child)
+        return stmt_start, parents, by_type
+
+    def nodes(self, *types):
+        """Every node of exactly the given types, in walk order within
+        each type."""
+        by_type = self._walk[2]
+        return [node for t in types for node in by_type.get(t, ())]
+
+    def enclosing(self, node, *types):
+        """The ancestors of ``node`` that are instances of ``types``,
+        innermost first."""
+        parents = self._walk[1]
+        node = parents.get(node)
+        while node is not None:
+            if isinstance(node, types):
+                yield node
+            node = parents.get(node)
 
     def _line_suppresses(self, line, rule_id):
         if not (1 <= line <= len(self.lines)):
@@ -112,55 +159,78 @@ class SourceContext:
         enclosing statement (multi-line calls, parenthesized args)."""
         if self._line_suppresses(line, rule_id):
             return True
-        start = self._stmt_start.get(line)
+        start = self._walk[0].get(line)
         return (start is not None and start != line
                 and self._line_suppresses(start, rule_id))
 
 
-def _default_rules():
-    from repro.qa.rules import default_rules
+def lint_contexts(contexts, rules=None):
+    """Lint parsed files; returns every surviving :class:`Finding`,
+    sorted. A file that does not parse is one ``parse-error``."""
+    if rules is None:
+        from repro.qa.rules import default_rules
 
-    return default_rules()
+        rules = default_rules()
+    findings = []
+    for ctx in contexts:
+        if ctx.error is not None:
+            findings.append(Finding(
+                path=str(ctx.path),
+                line=int(ctx.error.lineno or 1),
+                col=int(ctx.error.offset or 1),
+                rule_id="parse-error",
+                message=f"file does not parse: {ctx.error.msg}",
+            ))
+            continue
+        findings.extend(
+            finding for rule in rules if rule.applies_to(ctx)
+            for finding in rule.check(ctx)
+            if not ctx.suppressed(finding.line, finding.rule_id)
+        )
+    return sorted(findings)
 
 
 def lint_source(source, path="<string>", rules=None):
     """Lint one source string; returns surviving :class:`Finding`s."""
-    if rules is None:
-        rules = _default_rules()
-    ctx = SourceContext(path, source)
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError as exc:
-        return [
-            Finding(
-                path=str(path),
-                line=int(exc.lineno or 1),
-                col=int(exc.offset or 1),
-                rule_id="parse-error",
-                message=f"file does not parse: {exc.msg}",
-            )
-        ]
-    ctx.attach_statements(tree)
-    findings = []
-    for rule in rules:
-        if not rule.applies_to(ctx):
+    return lint_contexts([SourceContext(path, source)], rules=rules)
+
+
+def iter_module_files(root):
+    """``(module_name, path, is_package)`` for every ``.py`` under
+    ``root``, sorted, hidden directories below ``root`` excluded.
+
+    A root containing ``__init__.py`` is treated as a package named
+    after the directory (``src/repro`` -> ``repro.*``); otherwise each
+    file becomes a top-level module named by its stem.
+    """
+    root = Path(root)
+    if not root.is_dir():
+        raise FileNotFoundError(f"not a directory: {root}")
+    is_pkg_root = (root / "__init__.py").is_file()
+    for path in sorted(root.rglob("*.py")):
+        relative = path.relative_to(root)
+        if any(part.startswith(".") for part in relative.parts):
             continue
-        for finding in rule.check(tree, ctx):
-            if not ctx.suppressed(finding.line, finding.rule_id):
-                findings.append(finding)
-    return sorted(findings)
+        parts = list(relative.parts)
+        parts[-1] = parts[-1][:-3]  # strip .py
+        is_package = parts[-1] == "__init__"
+        if is_package:
+            parts = parts[:-1]
+        if is_pkg_root:
+            parts = [root.name] + parts
+        if not parts:
+            # a bare __init__.py directly under a non-package root
+            continue
+        yield ".".join(parts), path, is_package
 
 
 def iter_python_files(paths):
-    """Expand files/directories into a sorted list of ``.py`` files."""
+    """Expand files/directories into a list of ``.py`` files."""
     out = []
     for raw in paths:
         path = Path(raw)
         if path.is_dir():
-            out.extend(
-                p for p in sorted(path.rglob("*.py"))
-                if not any(part.startswith(".") for part in p.parts)
-            )
+            out.extend(file for _, file, _ in iter_module_files(path))
         elif path.suffix == ".py" and path.is_file():
             out.append(path)
         else:
@@ -168,17 +238,15 @@ def iter_python_files(paths):
     return out
 
 
+def read_sources(paths):
+    """One :class:`SourceContext` per ``.py`` file under ``paths``."""
+    return [SourceContext(path, path.read_text(encoding="utf-8"))
+            for path in iter_python_files(paths)]
+
+
 def lint_paths(paths, rules=None):
     """Lint files/directories; returns all surviving findings, sorted."""
-    if rules is None:
-        rules = _default_rules()
-    findings = []
-    for path in iter_python_files(paths):
-        findings.extend(
-            lint_source(path.read_text(encoding="utf-8"), path=path,
-                        rules=rules)
-        )
-    return sorted(findings)
+    return lint_contexts(read_sources(paths), rules=rules)
 
 
 def main(argv=None):

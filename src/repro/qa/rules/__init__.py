@@ -2,7 +2,8 @@
 
 Every rule is a :class:`repro.qa.rules.base.Rule` subclass; the linter
 instantiates :func:`default_rules` once per run. Order here is the
-report order for same-file, same-line findings.
+``repro lint --list-rules`` order; findings are reported sorted by
+path, line, column and rule id.
 """
 
 from repro.qa.rules.base import Rule

@@ -11,8 +11,10 @@ class Rule:
     """One static-analysis rule.
 
     Subclasses set ``rule_id`` / ``description`` and implement
-    :meth:`check`; :meth:`applies_to` scopes the rule to part of the
-    tree (e.g. kernel-only rules).
+    :meth:`check`, which reads the file's one parse and node index
+    through its :class:`~repro.qa.lint.SourceContext` rather than
+    walking the tree again; :meth:`applies_to` scopes the rule to part
+    of the tree (e.g. kernel-only rules).
     """
 
     rule_id = "abstract"
@@ -21,7 +23,7 @@ class Rule:
     def applies_to(self, ctx):
         return True
 
-    def check(self, tree, ctx):
+    def check(self, ctx):
         raise NotImplementedError
 
     def finding(self, ctx, node_or_line, message):
@@ -32,25 +34,6 @@ class Rule:
             col = getattr(node_or_line, "col_offset", 0) + 1
         return Finding(path=str(ctx.path), line=line, col=col,
                        rule_id=self.rule_id, message=message)
-
-
-def dotted_name(node):
-    """``a.b.c`` attribute/name chain as a string, or None."""
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-def iter_function_defs(tree):
-    """Every (async) function definition in the module, nested included."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
 
 
 def parameter_names(func):
@@ -78,34 +61,4 @@ def parameters_with_none_default(func):
         if (default is not None and isinstance(default, ast.Constant)
                 and default.value is None):
             out.add(param.arg)
-    return out
-
-
-def rebound_names(func):
-    """Parameter-shadowing local rebinds: names assigned as plain
-    ``name = ...`` (augmented assignment, walrus, for-targets and
-    with-targets included) in the body."""
-    out = set()
-
-    def add_target(target):
-        if isinstance(target, ast.Name):
-            out.add(target.id)
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                add_target(element)
-        elif isinstance(target, ast.Starred):
-            add_target(target.value)
-
-    for node in ast.walk(func):
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                add_target(target)
-        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-            add_target(node.target)
-        elif isinstance(node, ast.NamedExpr):
-            add_target(node.target)
-        elif isinstance(node, ast.For):
-            add_target(node.target)
-        elif isinstance(node, ast.withitem) and node.optional_vars is not None:
-            add_target(node.optional_vars)
     return out

@@ -12,14 +12,10 @@ from __future__ import annotations
 
 import ast
 
-from repro.qa.rules.base import Rule, dotted_name
+from repro.qa.lint import dotted
+from repro.qa.rules.base import Rule
 
 _OVERBROAD = frozenset({"Exception", "BaseException"})
-
-
-def _reraises(handler):
-    return any(isinstance(node, ast.Raise) and node.exc is None
-               for node in ast.walk(handler))
 
 
 class OverbroadExcept(Rule):
@@ -27,20 +23,23 @@ class OverbroadExcept(Rule):
     description = ("no bare except / except Exception unless the handler "
                    "re-raises")
 
-    def check(self, tree, ctx):
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.ExceptHandler):
-                continue
+    def check(self, ctx):
+        # Handlers holding a bare ``raise`` anywhere inside them.
+        reraising = {
+            handler for node in ctx.nodes(ast.Raise) if node.exc is None
+            for handler in ctx.enclosing(node, ast.ExceptHandler)
+        }
+        for node in ctx.nodes(ast.ExceptHandler):
             if node.type is None:
-                if not _reraises(node):
+                if node not in reraising:
                     yield self.finding(
                         ctx, node,
                         "bare except swallows every error (including "
                         "KeyboardInterrupt); name the exceptions",
                     )
                 continue
-            name = dotted_name(node.type)
-            if name in _OVERBROAD and not _reraises(node):
+            name = dotted(node.type)
+            if name in _OVERBROAD and node not in reraising:
                 yield self.finding(
                     ctx, node,
                     f"except {name} swallows programming errors; catch "

@@ -42,13 +42,13 @@ class AllDrift(Rule):
     def applies_to(self, ctx):
         return ctx.is_package_init and not ctx.in_directory("tests")
 
-    def check(self, tree, ctx):
+    def check(self, ctx):
         all_node = None
         all_entries = None
         imported = {}  # name -> lineno
         bound = set()
         has_getattr = False
-        for stmt in tree.body:
+        for stmt in ctx.tree.body:
             if isinstance(stmt, ast.ImportFrom):
                 for alias in stmt.names:
                     name = alias.asname or alias.name

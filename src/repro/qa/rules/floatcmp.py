@@ -29,10 +29,8 @@ class FloatEquality(Rule):
     description = ("no == / != against float literals; use a tolerance "
                    "(math.isclose, np.isclose)")
 
-    def check(self, tree, ctx):
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Compare):
-                continue
+    def check(self, ctx):
+        for node in ctx.nodes(ast.Compare):
             operands = [node.left] + list(node.comparators)
             for op, left, right in zip(node.ops, operands, operands[1:]):
                 if not isinstance(op, (ast.Eq, ast.NotEq)):

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import ast
 
-from repro.qa.rules.base import Rule, dotted_name, iter_function_defs
+from repro.qa.lint import FUNCTION_DEFS, dotted
+from repro.qa.rules.base import Rule
 
 #: Clock reads whose result is almost always a timing measurement.
 #: Bare names cover ``from time import perf_counter`` style imports;
@@ -64,32 +65,32 @@ class ObsDiscipline(Rule):
             return False
         return ctx.path.name != "cli.py"
 
-    def check(self, tree, ctx):
-        guarded = set()  # nodes inside a __main__ guard: fully exempt
-        for node in ast.walk(tree):
-            if isinstance(node, ast.If) and _is_main_guard(node.test):
-                guarded.update(id(sub) for sub in ast.walk(node))
-        print_ok = set(guarded)  # prints also exempt inside main()
-        for func in iter_function_defs(tree):
-            if func.name == "main":
-                print_ok.update(id(sub) for sub in ast.walk(func))
-
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = dotted_name(node.func)
-            if name in CLOCK_CALLS and id(node) not in guarded:
-                yield self.finding(
-                    ctx, node,
-                    f"raw clock read {name}(); time the region with "
-                    f"repro.obs.trace.span(...) so the measurement "
-                    f"reaches --trace output (qa-ignore with a reason "
-                    f"for non-timing wall-clock uses)",
-                )
-            elif (name == "print" and id(node) not in print_ok
-                    and not any(kw.arg == "file" for kw in node.keywords)):
+    def check(self, ctx):
+        for node in ctx.nodes(ast.Call):
+            name = dotted(node.func)
+            if name in CLOCK_CALLS:
+                if not _under_main_guard(node, ctx):
+                    yield self.finding(
+                        ctx, node,
+                        f"raw clock read {name}(); time the region with "
+                        f"repro.obs.trace.span(...) so the measurement "
+                        f"reaches --trace output (qa-ignore with a reason "
+                        f"for non-timing wall-clock uses)",
+                    )
+            elif (name == "print"
+                    and not any(kw.arg == "file" for kw in node.keywords)
+                    and not _under_main_guard(node, ctx)
+                    and not any(func.name == "main" for func in
+                                ctx.enclosing(node, *FUNCTION_DEFS))):
                 yield self.finding(
                     ctx, node,
                     "print() in library code; return data and let the "
                     "CLI render it (reports on stdout, status on stderr)",
                 )
+
+
+def _under_main_guard(node, ctx):
+    """Whether ``node`` sits anywhere in an ``if __name__ ==
+    "__main__":`` statement (its ``else`` branch included)."""
+    return any(_is_main_guard(guard.test)
+               for guard in ctx.enclosing(node, ast.If))

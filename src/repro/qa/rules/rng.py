@@ -22,12 +22,8 @@ from __future__ import annotations
 
 import ast
 
-from repro.qa.rules.base import (
-    Rule,
-    dotted_name,
-    iter_function_defs,
-    parameters_with_none_default,
-)
+from repro.qa.lint import FUNCTION_DEFS, dotted
+from repro.qa.rules.base import Rule, parameters_with_none_default
 
 #: Module-level samplers/state of the legacy numpy RNG.
 LEGACY_RNG_ATTRS = frozenset({
@@ -46,7 +42,7 @@ _NUMPY_ROOTS = ("np.random.", "numpy.random.")
 
 
 def _is_default_rng_call(call):
-    name = dotted_name(call.func)
+    name = dotted(call.func)
     return name is not None and (
         name == "default_rng" or name.endswith(".default_rng")
     )
@@ -60,21 +56,18 @@ class RngDiscipline(Rule):
     def applies_to(self, ctx):
         return not ctx.in_directory("tests", "examples", "benchmarks")
 
-    def check(self, tree, ctx):
-        yield from self._check_calls(tree, ctx)
-        for func in iter_function_defs(tree):
-            yield from self._check_none_default_params(func, ctx)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef):
-                yield from self._check_class_fields(node, ctx)
+    def check(self, ctx):
+        yield from self._check_calls(ctx)
+        seeded = [node for node in ctx.nodes(ast.Call)
+                  if _is_default_rng_call(node) and node.args]
+        yield from self._check_none_default_params(seeded, ctx)
+        yield from self._check_class_fields(seeded, ctx)
 
     # -- direct calls --------------------------------------------------------
 
-    def _check_calls(self, tree, ctx):
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = dotted_name(node.func)
+    def _check_calls(self, ctx):
+        for node in ctx.nodes(ast.Call):
+            name = dotted(node.func)
             if name is None:
                 continue
             for root in _NUMPY_ROOTS:
@@ -103,19 +96,17 @@ class RngDiscipline(Rule):
 
     # -- None-default seed parameters ---------------------------------------
 
-    def _check_none_default_params(self, func, ctx):
-        none_defaults = parameters_with_none_default(func)
-        if not none_defaults:
-            return
+    def _check_none_default_params(self, seeded, ctx):
         flagged = set()
-        for node in ast.walk(func):
-            if not (isinstance(node, ast.Call)
-                    and _is_default_rng_call(node) and node.args):
+        for call in seeded:
+            arg = call.args[0]
+            if not isinstance(arg, ast.Name):
                 continue
-            arg = node.args[0]
-            if isinstance(arg, ast.Name) and arg.id in none_defaults \
-                    and arg.id not in flagged:
-                flagged.add(arg.id)
+            for func in ctx.enclosing(call, *FUNCTION_DEFS):
+                if (func, arg.id) in flagged or \
+                        arg.id not in parameters_with_none_default(func):
+                    continue
+                flagged.add((func, arg.id))
                 yield self.finding(
                     ctx, func,
                     f"parameter {arg.id!r} of {func.name}() defaults to "
@@ -125,29 +116,32 @@ class RngDiscipline(Rule):
 
     # -- None-default dataclass fields --------------------------------------
 
-    def _check_class_fields(self, cls, ctx):
-        none_fields = {}
-        for stmt in cls.body:
-            if isinstance(stmt, ast.AnnAssign) \
-                    and isinstance(stmt.target, ast.Name) \
-                    and isinstance(stmt.value, ast.Constant) \
-                    and stmt.value.value is None:
-                none_fields[stmt.target.id] = stmt
-        if not none_fields:
-            return
+    def _check_class_fields(self, seeded, ctx):
         flagged = set()
-        for node in ast.walk(cls):
-            if not (isinstance(node, ast.Call)
-                    and _is_default_rng_call(node) and node.args):
-                continue
-            name = dotted_name(node.args[0])
+        for call in seeded:
+            name = dotted(call.args[0])
             if name is None or not name.startswith("self."):
                 continue
             field = name[len("self."):]
-            if field in none_fields and field not in flagged:
-                flagged.add(field)
+            for cls in ctx.enclosing(call, ast.ClassDef):
+                stmt = _none_fields(cls).get(field)
+                if stmt is None or (cls, field) in flagged:
+                    continue
+                flagged.add((cls, field))
                 yield self.finding(
-                    ctx, none_fields[field],
+                    ctx, stmt,
                     f"field {field!r} of {cls.name} defaults to None and "
                     f"feeds default_rng(); default to a concrete seed",
                 )
+
+
+def _none_fields(cls):
+    """``name -> AnnAssign`` for the class-body fields defaulting to
+    the constant None."""
+    return {
+        stmt.target.id: stmt for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign)
+        and isinstance(stmt.target, ast.Name)
+        and isinstance(stmt.value, ast.Constant)
+        and stmt.value.value is None
+    }

@@ -71,10 +71,6 @@ class _PredictorBase:
         self.mispredicts += mispredicts
         return mispredicts
 
-    def reset(self):
-        self.branches = 0
-        self.mispredicts = 0
-
 
 class StaticTakenPredictor(_PredictorBase):
     """Always predicts taken."""
@@ -123,10 +119,6 @@ class BimodalPredictor(_PredictorBase):
                 if counter > 0:
                     table[idx] = counter - 1
         return mispredicts
-
-    def reset(self):
-        super().reset()
-        self._table = [_WEAKLY_TAKEN] * len(self._table)
 
 
 class GSharePredictor(_PredictorBase):
@@ -177,11 +169,6 @@ class GSharePredictor(_PredictorBase):
             history = ((history << 1) | t) & history_mask
         self._history = history
         return mispredicts
-
-    def reset(self):
-        super().reset()
-        self._table = [_WEAKLY_TAKEN] * len(self._table)
-        self._history = 0
 
 
 class TournamentPredictor(_PredictorBase):
@@ -250,12 +237,6 @@ class TournamentPredictor(_PredictorBase):
                     chooser[idx] = choice - 1
         self._gshare._history = history
         return mispredicts
-
-    def reset(self):
-        super().reset()
-        self._bimodal.reset()
-        self._gshare.reset()
-        self._chooser = [_WEAKLY_TAKEN] * len(self._chooser)
 
 
 def make_predictor(config: BranchConfig):

@@ -159,14 +159,6 @@ class CacheStats:
             return 0.0
         return self.misses / self.accesses
 
-    def reset(self):
-        self.loads = 0
-        self.stores = 0
-        self.load_misses = 0
-        self.store_misses = 0
-        self.evictions = 0
-        self.writebacks = 0
-
     def snapshot(self):
         """Immutable copy of the current counters."""
         return CacheStats(
@@ -390,17 +382,3 @@ class SetAssociativeCache:
     def resident_lines(self):
         """Total number of valid lines."""
         return int(np.count_nonzero(self._tags >= 0))
-
-    def flush(self):
-        """Invalidate every line and restart the victim draws (stats are
-        kept)."""
-        self._tags.fill(-1)
-        self._stamps.fill(-1)
-        self._dirty.fill(False)
-        self._clock = 0
-        self._draws.fill(0)
-
-    def reset(self):
-        """Invalidate and zero the stats."""
-        self.flush()
-        self.stats.reset()

@@ -198,10 +198,3 @@ class CPU:
     def run(self, intervals):
         """Execute a sequence of trace intervals, returning all samples."""
         return [self.execute_interval(interval) for interval in intervals]
-
-    def reset(self):
-        """Cold-restart the core: caches, TLBs, predictor, pager."""
-        self.hierarchy.reset()
-        self.tlb.reset()
-        self.predictor.reset()
-        self.pager.reset()

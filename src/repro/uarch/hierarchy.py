@@ -50,10 +50,6 @@ class HierarchyCounters:
     def llc_misses(self):
         return self.llc_load_misses + self.llc_store_misses
 
-    @property
-    def dram_accesses(self):
-        return self.llc_misses
-
 
 class CacheHierarchy:
     """L1 -> L2 -> LLC demand path with optional next-line prefetch."""
@@ -148,15 +144,6 @@ class CacheHierarchy:
         self.prefetcher.installed += (
             n - int(np.count_nonzero(l2_present[1::2]))
             + n - int(np.count_nonzero(llc_present[llc_prefetch])))
-
-    def reset(self):
-        """Invalidate all levels and zero every stat, the prefetcher's
-        included."""
-        self.l1.reset()
-        self.l2.reset()
-        self.llc.reset()
-        if self.prefetcher is not None:
-            self.prefetcher.reset()
 
 
 def _delta(before, after):

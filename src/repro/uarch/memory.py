@@ -88,8 +88,3 @@ class DemandPager:
     @property
     def resident_count(self):
         return len(self._resident)
-
-    def reset(self):
-        self._resident.clear()
-        self.faults = 0
-        self.evictions = 0

@@ -30,8 +30,3 @@ class NextLinePrefetcher:
     line_bytes: int
     issued: int = field(default=0, init=False)
     installed: int = field(default=0, init=False)
-
-    def reset(self):
-        """Zero the issued and installed counts."""
-        self.issued = 0
-        self.installed = 0

@@ -81,15 +81,6 @@ class TLB:
         page = self.page_number(int(addr))
         return (page // self._n_sets) in self._sets[page % self._n_sets]
 
-    def flush(self):
-        for s in self._sets:
-            s.clear()
-
-    def reset(self):
-        self.flush()
-        self.hits = 0
-        self.misses = 0
-
 
 class TwoLevelTLB:
     """dTLB backed by a shared STLB, with page-walk cycle accounting.
@@ -175,7 +166,3 @@ class TwoLevelTLB:
             walks=walks,
             walk_cycles=walks * self.walk_cycles,
         )
-
-    def reset(self):
-        self.dtlb.reset()
-        self.stlb.reset()

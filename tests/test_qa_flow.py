@@ -21,7 +21,7 @@ from repro.qa.flow.effects import (
     RNG_UNSEEDED,
     WRITES_GLOBAL,
 )
-from repro.qa.flow.indexer import iter_module_files
+from repro.qa.lint import iter_module_files
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 

@@ -331,6 +331,31 @@ class TestCli:
                      "--root", str(SRC)]) == 0
         assert sorted(home.rglob("*")) == []
 
+    def test_deep_lint_parses_each_file_once(self, tmp_path, capsys,
+                                             monkeypatch):
+        # The per-file rules, the deep pass's module extraction and the
+        # deep-finding suppression all share one parse per file.
+        import ast
+
+        from repro.cli import main
+
+        root = make_pkg(tmp_path, {
+            **self.DIRTY,
+            "sub/__init__.py": "",
+            "sub/helpers.py": "def pure(x):\n    return x + 1\n",
+        })
+        parsed = []
+        real_parse = ast.parse
+
+        def counting_parse(source, filename="<unknown>", *args, **kwargs):
+            parsed.append(str(filename))
+            return real_parse(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        assert main(["lint", "--deep", str(root)]) == 1
+        assert "cache-purity" in capsys.readouterr().out
+        assert sorted(parsed) == sorted(str(p) for p in root.rglob("*.py"))
+
 
 class TestRealTreeContracts:
     def test_engine_cache_sites_are_pure(self):

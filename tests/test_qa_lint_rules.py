@@ -617,37 +617,41 @@ class TestCli:
 
 
 class TestReboundNames:
+    """A parameter rebound anywhere in the body is a local afterwards:
+    ``arg-mutation`` stops tracking it, and keeps tracking the rest."""
+
     @staticmethod
-    def _rebound(source):
-        import ast
-
-        from repro.qa.rules.base import rebound_names
-
-        func = ast.parse(textwrap.dedent(source)).body[0]
-        return rebound_names(func)
+    def _flagged(source):
+        findings = lint(source, path="src/repro/stats/thing.py")
+        assert set(rule_ids(findings)) <= {"arg-mutation"}
+        return [f.line for f in findings]
 
     def test_plain_and_tuple_assigns(self):
-        names = self._rebound("""\
-            def f(a, b):
+        assert self._flagged("""\
+            def f(a, b, y, z, kept):
                 a = 1
                 x, (y, *z) = b
-        """)
-        assert {"a", "x", "y", "z"} <= names
+                a[0] = x
+                y[0] = 1
+                z[0] = 1
+                kept[0] = 1
+        """) == [7]
 
     def test_augmented_assignment_counts_as_rebind(self):
-        names = self._rebound("""\
+        assert self._flagged("""\
             def f(total, items):
                 total += len(items)
-        """)
-        assert "total" in names
+                total[0] = 1
+                items[0] = 1
+        """) == [4]
 
     def test_walrus_counts_as_rebind(self):
-        names = self._rebound("""\
-            def f(values):
+        assert self._flagged("""\
+            def f(values, n):
                 if (n := len(values)) > 3:
-                    return n
-        """)
-        assert "n" in names
+                    n[0] = 1
+                values[0] = 1
+        """) == [4]
 
     def test_arg_mutation_not_flagged_after_augassign_rebind(self):
         # Pre-fix false positive: AugAssign did not count as a rebind,
@@ -715,3 +719,32 @@ class TestIterPythonFiles:
         (tmp_path / "README.md").write_text("hi\n")
         files = iter_python_files([tmp_path])
         assert [f.name for f in files] == ["mod.py"]
+
+    def test_root_reached_through_dot_dot_is_linted(self, tmp_path,
+                                                    monkeypatch, capsys):
+        from repro.cli import main
+
+        root = self._dirty_tree(tmp_path / "repo")
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path / "sub")
+        relative = Path("..") / root.relative_to(tmp_path)
+        for deep in ([], ["--deep"]):
+            assert main(["lint", *deep, str(relative)]) == 1
+            assert "rng-discipline" in capsys.readouterr().out
+
+    def test_root_under_dot_directory_is_linted(self, tmp_path, capsys):
+        from repro.cli import main
+
+        root = self._dirty_tree(tmp_path / ".work")
+        for deep in ([], ["--deep"]):
+            assert main(["lint", *deep, str(root)]) == 1
+            assert "rng-discipline" in capsys.readouterr().out
+
+    @staticmethod
+    def _dirty_tree(base):
+        # Hidden directories are skipped only below the linted root;
+        # the root's own path may hold ``..`` or a dot-directory.
+        kern = base / "src" / "repro" / "stats" / "kern.py"
+        kern.parent.mkdir(parents=True)
+        kern.write_text("import numpy as np\nx = np.random.rand(3)\n")
+        return base / "src" / "repro"

@@ -130,18 +130,6 @@ class TestTournament:
         b.run_trace(sites, outcomes)
         assert t.mispredicts <= b.mispredicts * 1.1
 
-    def test_reset_restores_initial_state(self):
-        p = TournamentPredictor(8, 6)
-        rng = np.random.default_rng(2)
-        sites = rng.integers(0, 64, size=300)
-        outcomes = rng.uniform(size=300) < 0.6
-        p.run_trace(sites, outcomes)
-        first = p.mispredicts
-        p.reset()
-        assert p.branches == 0
-        p.run_trace(sites, outcomes)
-        assert p.mispredicts == first
-
 
 class TestFactoryAndShared:
     @pytest.mark.parametrize(

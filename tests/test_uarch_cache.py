@@ -220,20 +220,6 @@ class TestBatchAccess:
 
 
 class TestMaintenance:
-    def test_flush_invalidates_but_keeps_stats(self):
-        c = tiny_cache()
-        hit(c, 0x0)
-        c.flush()
-        assert c.stats.loads == 1
-        assert hit(c, 0x0) is False
-
-    def test_reset_clears_everything(self):
-        c = tiny_cache()
-        hit(c, 0x0)
-        c.reset()
-        assert c.stats.accesses == 0
-        assert c.resident_lines() == 0
-
     def test_contains(self):
         c = tiny_cache()
         hit(c, 0x1000)

@@ -165,26 +165,6 @@ class TestRunAndReset:
         samples = cpu.run(intervals)
         assert len(samples) == 5
 
-    def test_reset_restores_cold_state(self):
-        cpu = CPU(small_test_machine(), seed=0)
-        iv = random_interval(seed=3, n_mem=500, n_branch=200)
-        first = cpu.execute_interval(iv)
-        cpu.reset()
-        again = cpu.execute_interval(iv)
-        assert again.l1_load_misses == first.l1_load_misses
-        assert again.page_faults == first.page_faults
-        assert again.branch_misses == first.branch_misses
-
-    @pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
-    def test_reset_matches_fresh_cpu(self, policy):
-        machine = small_test_machine().with_policy(policy)
-        used, fresh = CPU(machine, seed=2), CPU(machine, seed=2)
-        used.execute_interval(random_interval(seed=6, n_mem=1500))
-        used.reset()
-        intervals = [random_interval(seed=7, n_mem=1500),
-                     random_interval(seed=8, n_mem=1500)]
-        assert used.run(intervals) == fresh.run(intervals)
-
     def test_deterministic_given_seed(self):
         iv = random_interval(seed=4)
         s1 = CPU(small_test_machine(), seed=9).execute_interval(iv)

@@ -98,13 +98,6 @@ class TestDemandPager:
         with pytest.raises(ValueError, match="resident_pages"):
             DemandPager(resident_pages=0)
 
-    def test_reset(self):
-        p = DemandPager()
-        p.touch(0)
-        p.reset()
-        assert p.faults == 0
-        assert p.touch(0) is True
-
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 1000), cap=st.integers(1, 64))
     def test_property_resident_bounded(self, seed, cap):
@@ -190,36 +183,6 @@ class TestHierarchy:
         assert c.l1_loads == 0
         assert c.llc_loads == 0
         assert c.l1_stores == 1000
-
-    def test_reset(self):
-        h = CacheHierarchy(small_test_machine())
-        addrs = np.arange(0, 64 * 100, 64)
-        h.access_many(addrs)
-        h.reset()
-        c = h.access_many(addrs)
-        assert c.l1_load_misses == 100  # cold again
-
-    @pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
-    def test_reset_matches_fresh_hierarchy(self, policy):
-        machine = dataclasses.replace(
-            small_test_machine().with_policy(policy), enable_prefetcher=True)
-        rng = np.random.default_rng(5)
-        addrs = rng.integers(0, 1 << 16, size=1500)
-        writes = rng.uniform(size=1500) < 0.3
-        used, fresh = CacheHierarchy(machine), CacheHierarchy(machine)
-        used.access_many(addrs[::-1], ~writes)
-        used.reset()
-        assert used.access_many(addrs, writes) == fresh.access_many(
-            addrs, writes)
-        for pf in (used.prefetcher, fresh.prefetcher):
-            assert pf.issued > 0 and pf.installed > 0
-        assert ((used.prefetcher.issued, used.prefetcher.installed)
-                == (fresh.prefetcher.issued, fresh.prefetcher.installed))
-        for a, b in zip((used.l1, used.l2, used.llc),
-                        (fresh.l1, fresh.l2, fresh.llc)):
-            assert a.stats == b.stats
-            assert a.lines() == b.lines()
-            assert a._draws.tolist() == b._draws.tolist()
 
     def test_writes_length_mismatch_raises(self):
         h = CacheHierarchy(small_test_machine())

@@ -67,12 +67,6 @@ class TestSingleLevelTLB:
         assert t.misses == 2
         assert t.hits == 1
 
-    def test_flush(self):
-        t = tiny_tlb()
-        t.lookup(0)
-        t.flush()
-        assert t.lookup(0) is False
-
     def test_config_validation(self):
         with pytest.raises(ValueError, match="divisible"):
             TLBConfig(name="X", entries=10, associativity=4)
@@ -123,13 +117,6 @@ class TestTwoLevelTLB:
     def test_negative_walk_cycles_raises(self):
         with pytest.raises(ValueError, match="walk_cycles"):
             two_level(walk_cycles=-1)
-
-    def test_reset(self):
-        t = two_level()
-        t.access_many(np.array([0, PAGE]))
-        t.reset()
-        out = t.access_many(np.array([0]))
-        assert out.misses == 1
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 1000))
