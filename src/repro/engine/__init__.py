@@ -4,14 +4,12 @@
   keyed by the SHA-256 of the input arrays' bytes plus every config knob
   that affects the output, so a kernel entry cannot go stale.
 * :mod:`repro.engine.diskcache` -- on-disk second tier under the same
-  keys (``--cache-dir`` / ``$REPRO_CACHE_DIR``): atomic, versioned,
-  size-capped LRU files that let warm starts survive across processes
-  and CLI invocations. It also holds measured suites and whole
-  scorecards, keyed by suite name and settings rather than by input
-  bytes: those stay valid only while the suite models, the simulator
-  and the scoring code stay the same, and
-  :data:`~repro.engine.diskcache.FORMAT_VERSION` is bumped when they
-  change.
+  keys (``--cache-dir`` / ``$REPRO_CACHE_DIR``): atomic, size-capped
+  LRU files that let warm starts survive across processes and CLI
+  invocations. It also holds measured suites and whole scorecards,
+  keyed by suite name and settings rather than by input bytes; every
+  entry carries the digest of the package source that wrote it, and
+  reads as a miss under any other code.
 * :mod:`repro.engine.parallel` -- :func:`~repro.engine.parallel.parallel_map`,
   deterministic fan-out over the process-wide ``spawn`` pool with
   input-order reassembly.

@@ -18,9 +18,9 @@ output. Two consequences fall out of keying on content:
 :func:`content_key` also keys the disk tier's measured-suite and
 scorecard entries (:mod:`repro.experiments.runner`). Those keys name a
 suite and its settings rather than hashing input bytes, so they are
-valid only while the suite models, the simulator and the scoring code
-stay the same; :data:`repro.engine.diskcache.FORMAT_VERSION` is bumped
-when they change. :func:`content_key` imports nothing beyond hashlib:
+valid only for the code that wrote them; the disk tier checks each
+entry against :func:`repro.engine.diskcache.source_digest` when it
+reads it. :func:`content_key` imports nothing beyond hashlib:
 it touches numpy only for ndarray and numpy-scalar parts, which cannot
 exist unless numpy is already imported.
 

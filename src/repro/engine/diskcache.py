@@ -12,11 +12,14 @@ affects the output, so a changed input can never hit a stale entry.
 Measured suites (``"measured-suite"``) and whole scorecards
 (``"scorecard"``, see :mod:`repro.experiments.runner`) are keyed by
 suite *name* and settings instead: the measurement fields, and for a
-scorecard also ``metric_seed`` and the focus. Those entries stay valid
-only while the suite models, the simulator and the scoring code stay
-the same. A change to any of them that moves a pinned bit must bump
-:data:`FORMAT_VERSION`, which orphans every existing entry (``make
-rebless`` prints that reminder when ``tests/data`` moves).
+scorecard also ``metric_seed`` and the focus. Those entries are right
+only for the code that wrote them, so every entry's header carries
+:func:`source_digest`, the SHA-256 of the whole ``repro`` package's
+source. An entry written by other code reads as a miss and is deleted:
+any edit to the suite models, the simulator, the scoring code or this
+file's own layout (and the payload codec in
+:mod:`repro.service.protocol`) retires every entry, with no rule for
+anyone to remember.
 
 **What persists.** Results a later run asks for: full-suite kernel
 results, measured suites, whole scorecards and a subset search's
@@ -34,9 +37,9 @@ themselves, so a warm CLI run skips simulation),
 :class:`~repro.core.report.SuiteScorecard` and
 :class:`~repro.core.subset.SubsetReport`. Every file is
 
-* one JSON header line -- magic, :data:`FORMAT_VERSION`, payload
-  metadata, array count (a version bump orphans old entries: they read
-  as misses and are deleted);
+* one JSON header line -- magic, a ``version`` holding the writing
+  code's :func:`source_digest`, payload metadata, array count (an entry
+  written by other code reads as a miss and is deleted);
 * the arrays, raw :func:`np.lib.format.write_array` streams
   (``allow_pickle=False`` both ways -- a cache directory is shared
   state and must never execute on read).
@@ -78,6 +81,7 @@ least-recently-used entries until it fits.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -87,12 +91,10 @@ import time
 
 from repro.engine.cache import MISS
 
-#: Bump to orphan every existing entry (format or semantics change,
-#: including any change to the suite models, the simulator or the
-#: scoring code that moves a pinned bit).
-FORMAT_VERSION = 3
-
 _MAGIC = "repro-diskcache"
+
+#: The one subdirectory of a cache root that holds entries.
+_ENTRIES = "entries"
 
 #: Default size cap -- 1 GiB of kernel results.
 DEFAULT_MAX_BYTES = 1 << 30
@@ -106,6 +108,30 @@ _REPLACE_ATTEMPTS = 3
 
 _TMP_SEQUENCE = itertools.count()
 _HOST_TAG = None
+
+
+@functools.cache
+def source_digest():
+    """SHA-256 over the relative path and bytes of every ``.py`` file
+    in the ``repro`` package (``__pycache__`` and hidden directories
+    skipped), computed once per process. The code that wrote an entry
+    is the code it is valid for."""
+    package = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    files = []
+    for dirpath, dirnames, filenames in os.walk(package):
+        dirnames[:] = [d for d in dirnames
+                       if d != "__pycache__" and not d.startswith(".")]
+        files.extend(os.path.join(dirpath, name) for name in filenames
+                     if name.endswith(".py"))
+    digest = hashlib.sha256()
+    for relative, path in sorted(
+            (os.path.relpath(path, package).replace(os.sep, "/"), path)
+            for path in files):
+        with open(path, "rb") as f:
+            data = f.read()
+        digest.update(f"{relative}\0{len(data)}\0".encode("utf-8"))
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def _writer_tag():
@@ -235,18 +261,16 @@ class DiskCache:
     Parameters
     ----------
     root:
-        Cache directory (created on demand). Entries live under a
-        ``v<FORMAT_VERSION>`` subdirectory, fanned out by the first two
-        key hex digits.
+        Cache directory (created on demand). Entries live under its
+        ``entries`` subdirectory, fanned out by the first two key hex
+        digits.
     max_bytes:
         Size cap; LRU-evicted on overflow.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry` to count
         into (the owning engine shares one registry across its layers);
         a private registry is created when omitted. The ``disk_*``
-        counters there are the only copies -- the legacy ``hits`` /
-        ``misses`` / ``writes`` / ``evictions`` attributes are
-        read-only views over them.
+        counters there are the tier's only counts.
     """
 
     def __init__(self, root, max_bytes=DEFAULT_MAX_BYTES, metrics=None):
@@ -259,31 +283,14 @@ class DiskCache:
         self.root = os.path.abspath(os.fspath(root))
         self.max_bytes = max_bytes
         self.metrics = metrics
-        self._dir = os.path.join(self.root, f"v{FORMAT_VERSION}")
+        self._dir = os.path.join(self.root, _ENTRIES)
+        self._digest = source_digest()
         self._bytes = None  # lazily summed, then tracked incrementally
         self._hits = metrics.counter("disk_hits")
         self._misses = metrics.counter("disk_misses")
         self._writes = metrics.counter("disk_writes")
         self._evictions = metrics.counter("disk_evictions")
         self._put_races = metrics.counter("disk_put_races")
-
-    # Legacy counter attributes, now views over the shared registry.
-
-    @property
-    def hits(self):
-        return self._hits.value
-
-    @property
-    def misses(self):
-        return self._misses.value
-
-    @property
-    def writes(self):
-        return self._writes.value
-
-    @property
-    def evictions(self):
-        return self._evictions.value
 
     # -- paths -------------------------------------------------------------
 
@@ -295,9 +302,10 @@ class DiskCache:
     def get(self, key):
         """The stored value for ``key``, or :data:`MISS`.
 
-        Any read failure -- missing file, truncated payload, version or
-        magic mismatch, undecodable array -- counts as a miss, and a
-        corrupt file is deleted so it cannot fail again.
+        Any read failure -- missing file, truncated payload, magic
+        mismatch, an entry written by other code, undecodable array --
+        counts as a miss, and such a file is deleted so it cannot fail
+        again.
         """
         path = self._path(key)
         try:
@@ -310,8 +318,8 @@ class DiskCache:
                 header = json.loads(line.decode("utf-8"))
                 if header.get("magic") != _MAGIC:
                     raise ValueError("bad magic")
-                if header.get("version") != FORMAT_VERSION:
-                    raise ValueError("version mismatch")
+                if header.get("version") != self._digest:
+                    raise ValueError("written by other code")
                 arrays = []
                 if header["n_arrays"]:
                     # A scorecard entry has no arrays: its hit path
@@ -368,7 +376,7 @@ class DiskCache:
         tmp = os.path.join(directory, f".{key}.{_writer_tag()}.tmp")
         header = {
             "magic": _MAGIC,
-            "version": FORMAT_VERSION,
+            "version": self._digest,
             "n_arrays": len(arrays),
             "meta": meta,
         }
@@ -467,11 +475,6 @@ class DiskCache:
             pass
 
     # -- bookkeeping -------------------------------------------------------
-
-    def snapshot(self):
-        """Current counters (plain dict, for delta arithmetic)."""
-        return {"disk_hits": self.hits, "disk_misses": self.misses,
-                "disk_writes": self.writes, "disk_evictions": self.evictions}
 
     def __len__(self):
         return len(self._entries())

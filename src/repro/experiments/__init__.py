@@ -1,10 +1,11 @@
 """Experiment drivers: one module per paper table/figure.
 
 Every module exposes ``run(...)`` returning structured data and a
-``render(...)``/``main()`` that prints the paper artifact as text. The
-benchmark harness under ``benchmarks/`` calls the same ``run`` functions,
-so the regenerated numbers in EXPERIMENTS.md and the bench output are
-identical by construction.
+``render(...)`` that formats the paper artifact as text; ``repro
+experiment NAME`` prints ``render(run())``. The benchmark harness under
+``benchmarks/`` calls the same ``run`` functions, so the regenerated
+numbers in EXPERIMENTS.md and the bench output are identical by
+construction.
 
 | module                     | paper artifact                         |
 |----------------------------|----------------------------------------|

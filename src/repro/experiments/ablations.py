@@ -129,11 +129,3 @@ def render(result):
         marker = "  <- default" if mode == "quantized" else ""
         lines.append(f"  cdf={mode}: {value:.1f}{marker}")
     return "\n".join(lines)
-
-
-def main():
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

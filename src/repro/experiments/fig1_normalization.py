@@ -122,11 +122,3 @@ def render(result):
             f"  {name:<10} |{sparkline(result.normalized[name])}|"
         )
     return "\n".join(lines)
-
-
-def main():
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -125,11 +125,3 @@ def render(result):
         "WB wins on spread at comparable coverage.",
     ]
     return "\n".join(lines)
-
-
-def main():
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

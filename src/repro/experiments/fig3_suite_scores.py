@@ -148,11 +148,3 @@ def render(result):
     else:
         parts.append("shape check: all Section IV-A/B claims hold.")
     return "\n".join(parts)
-
-
-def main():
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -119,11 +119,3 @@ def render(result):
         lines.append(scatter_text(panel))
         lines.append("")
     return "\n".join(lines)
-
-
-def main():
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -97,11 +97,3 @@ def render(result, max_rows=8):
             lines.append(f"  ... ({len(panel.workloads) - max_rows} more)")
         lines.append("")
     return "\n".join(lines)
-
-
-def main():
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

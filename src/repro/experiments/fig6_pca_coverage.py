@@ -110,11 +110,3 @@ def render(result):
             f"extent=({ext[0]:.2f}, {ext[1]:.2f})"
         )
     return "\n".join(lines)
-
-
-def main():
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

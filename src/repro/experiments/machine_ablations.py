@@ -127,11 +127,3 @@ def render(result):
     parts.append("branch predictor:")
     parts.append(_table(sorted(result.by_predictor.items())))
     return "\n".join(parts)
-
-
-def main():
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

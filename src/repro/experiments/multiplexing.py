@@ -90,11 +90,3 @@ def render(result):
             f"{result.max_error[n]:>8.2%}"
         )
     return "\n".join(lines)
-
-
-def main():
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

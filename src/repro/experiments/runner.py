@@ -359,7 +359,7 @@ def subset_job(config, request, engine=None):
     return kind, result
 
 
-_DISK_TIERS = {}
+_TIERS_BY_DIR = {}
 
 
 def _disk_for(config):
@@ -369,11 +369,11 @@ def _disk_for(config):
     cache_dir = getattr(config, "cache_dir", None)
     if not cache_dir or not getattr(config, "cache", True):
         return None
-    if cache_dir not in _DISK_TIERS:
+    if cache_dir not in _TIERS_BY_DIR:
         from repro.engine.diskcache import DiskCache
 
-        _DISK_TIERS[cache_dir] = DiskCache(cache_dir)
-    return _DISK_TIERS[cache_dir]
+        _TIERS_BY_DIR[cache_dir] = DiskCache(cache_dir)
+    return _TIERS_BY_DIR[cache_dir]
 
 
 def perspector_for(config, engine=None):

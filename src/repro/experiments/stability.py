@@ -146,11 +146,3 @@ def render(result):
     for score, frac in result.ranking_agreement.items():
         lines.append(f"  {score:<9} {frac:.0%}")
     return "\n".join(lines)
-
-
-def main():
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

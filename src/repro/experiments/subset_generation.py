@@ -148,11 +148,3 @@ def render(result):
         f"paper reference: 43 -> 8 with 6.53% deviation.",
     ]
     return "\n".join(lines)
-
-
-def main():
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -7,10 +7,9 @@ the kernel cache's hit/miss stats, the disk tier's
 all of them. Counters kept in three shapes drift in three ways.
 :class:`MetricsRegistry` is the single store: each layer declares its
 instruments once (counters, gauges, histograms) against the
-registry its owning :class:`~repro.engine.Engine` carries, legacy
-accessors (``DiskCache.hits``, ...) become views over the same
-integers, and a per-pass delta is one
-``registry.snapshot()`` before and one ``.delta()`` after.
+registry its owning :class:`~repro.engine.Engine` carries (the disk
+tier's hits are the ``disk_hits`` counter, ...), and a per-pass delta
+is one ``registry.snapshot()`` before and one ``.delta()`` after.
 
 Instrument kinds:
 

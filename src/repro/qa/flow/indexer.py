@@ -50,8 +50,7 @@ def index_project(root, parsed=()):
     for module, path, is_package in iter_module_files(root):
         ctx = known.get(path.resolve())
         if ctx is None:
-            ctx = SourceContext(
-                path, path.read_bytes().decode("utf-8", errors="replace"))
+            ctx = SourceContext.read(path)
         index.sources[str(path)] = ctx
         index.modules[module] = extract_module(
             module, str(path), ctx.tree, is_package=is_package)

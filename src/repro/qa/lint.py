@@ -85,16 +85,29 @@ class SourceContext:
     """One source file, parsed once: the tree plus, built by one walk
     on first use, the statement-start map, parent links and a by-type
     node index. Every per-file rule, the deep pass's module extraction
-    and deep-finding suppression read this one object."""
+    and deep-finding suppression read this one object.
+
+    ``source`` is text or, for a file on disk (:meth:`read`), its raw
+    bytes: the parser then decodes them as the interpreter would, so a
+    file that does not decode is a ``SyntaxError`` like any other."""
 
     def __init__(self, path, source):
         self.path = Path(path)
-        self.lines = source.splitlines()
+        if isinstance(source, bytes):
+            self.lines = source.decode("utf-8", errors="replace").splitlines()
+        else:
+            self.lines = source.splitlines()
         try:
             self.tree = ast.parse(source, filename=str(path))
             self.error = None
         except SyntaxError as exc:
             self.tree, self.error = None, exc
+
+    @classmethod
+    def read(cls, path):
+        """The context of the file at ``path``: the one reader for the
+        per-file and the deep pass."""
+        return cls(path, Path(path).read_bytes())
 
     def in_directory(self, *names):
         """Whether any path component matches one of ``names``."""
@@ -196,7 +209,7 @@ def lint_source(source, path="<string>", rules=None):
 
 
 def iter_module_files(root):
-    """``(module_name, path, is_package)`` for every ``.py`` under
+    """``(module_name, path, is_package)`` for every ``.py`` file under
     ``root``, sorted, hidden directories below ``root`` excluded.
 
     A root containing ``__init__.py`` is treated as a package named
@@ -209,7 +222,8 @@ def iter_module_files(root):
     is_pkg_root = (root / "__init__.py").is_file()
     for path in sorted(root.rglob("*.py")):
         relative = path.relative_to(root)
-        if any(part.startswith(".") for part in relative.parts):
+        if (any(part.startswith(".") for part in relative.parts)
+                or not path.is_file()):
             continue
         parts = list(relative.parts)
         parts[-1] = parts[-1][:-3]  # strip .py
@@ -240,8 +254,7 @@ def iter_python_files(paths):
 
 def read_sources(paths):
     """One :class:`SourceContext` per ``.py`` file under ``paths``."""
-    return [SourceContext(path, path.read_text(encoding="utf-8"))
-            for path in iter_python_files(paths)]
+    return [SourceContext.read(path) for path in iter_python_files(paths)]
 
 
 def lint_paths(paths, rules=None):

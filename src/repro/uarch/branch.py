@@ -5,9 +5,9 @@ events (``branch-instructions``, ``branch-misses``). The workload models
 emit streams of ``(site, outcome)`` pairs; these predictors consume the
 stream sequentially (prediction state genuinely depends on history, so
 this path is a Python loop by necessity) and count mispredictions.
-:meth:`_PredictorBase.predict_and_update` is the per-branch reference
-model; :meth:`_PredictorBase.run_trace` hands a whole stream to one
-batch loop per predictor class (``_run_batch``), bit-identical to it.
+:meth:`_PredictorBase.run_trace` hands a whole stream to one batch loop
+per predictor class (``_run_batch``), bit-identical to the per-branch
+reference model kept with the tests.
 
 Predictors
 ----------
@@ -31,9 +31,8 @@ _WEAKLY_TAKEN = 2  # 2-bit counter states: 0,1 predict NT; 2,3 predict T.
 
 
 class _PredictorBase:
-    """Common counting shell. Subclasses implement ``_predict_update``
-    (one branch, the reference) and ``_run_batch`` (a chunk of the
-    stream, returning its mispredicts), which must agree bit for bit."""
+    """Common counting shell. Subclasses implement ``_run_batch`` (a
+    chunk of the stream, returning its mispredicts)."""
 
     def __init__(self):
         self.branches = 0
@@ -44,14 +43,6 @@ class _PredictorBase:
         if self.branches == 0:
             return 0.0
         return self.mispredicts / self.branches
-
-    def predict_and_update(self, site, taken):
-        """Predict one branch, update state, return the prediction."""
-        prediction = self._predict_update(int(site), bool(taken))
-        self.branches += 1
-        if prediction != bool(taken):
-            self.mispredicts += 1
-        return prediction
 
     def run_trace(self, sites, outcomes):
         """Run a full ``(site, outcome)`` stream; returns mispredict delta."""
@@ -75,9 +66,6 @@ class _PredictorBase:
 class StaticTakenPredictor(_PredictorBase):
     """Always predicts taken."""
 
-    def _predict_update(self, site, taken):
-        return True
-
     def _run_batch(self, sites, taken):
         return taken.shape[0] - int(np.count_nonzero(taken))
 
@@ -91,17 +79,6 @@ class BimodalPredictor(_PredictorBase):
             raise ValueError(f"table_bits out of range: {table_bits}")
         self._mask = (1 << table_bits) - 1
         self._table = [_WEAKLY_TAKEN] * (1 << table_bits)
-
-    def _predict_update(self, site, taken):
-        idx = site & self._mask
-        counter = self._table[idx]
-        prediction = counter >= _WEAKLY_TAKEN
-        if taken:
-            if counter < 3:
-                self._table[idx] = counter + 1
-        elif counter > 0:
-            self._table[idx] = counter - 1
-        return prediction
 
     def _run_batch(self, sites, taken):
         table = self._table
@@ -136,18 +113,6 @@ class GSharePredictor(_PredictorBase):
         self._history_mask = (1 << history_bits) - 1
         self._table = [_WEAKLY_TAKEN] * (1 << table_bits)
         self._history = 0
-
-    def _predict_update(self, site, taken):
-        idx = (site ^ self._history) & self._mask
-        counter = self._table[idx]
-        prediction = counter >= _WEAKLY_TAKEN
-        if taken:
-            if counter < 3:
-                self._table[idx] = counter + 1
-        elif counter > 0:
-            self._table[idx] = counter - 1
-        self._history = ((self._history << 1) | int(taken)) & self._history_mask
-        return prediction
 
     def _run_batch(self, sites, taken):
         table, mask = self._table, self._mask
@@ -185,24 +150,9 @@ class TournamentPredictor(_PredictorBase):
         self._mask = (1 << table_bits) - 1
         self._chooser = [_WEAKLY_TAKEN] * (1 << table_bits)
 
-    def _predict_update(self, site, taken):
-        p_bim = self._bimodal._predict_update(site, taken)
-        p_gsh = self._gshare._predict_update(site, taken)
-        idx = site & self._mask
-        choice = self._chooser[idx]
-        prediction = p_gsh if choice >= _WEAKLY_TAKEN else p_bim
-        if p_bim != p_gsh:
-            if p_gsh == taken:
-                if choice < 3:
-                    self._chooser[idx] = choice + 1
-            elif choice > 0:
-                self._chooser[idx] = choice - 1
-        return prediction
-
     def _run_batch(self, sites, taken):
         """Bimodal, gshare and chooser updates inlined; the components'
-        own ``branches``/``mispredicts`` stay untouched, as in
-        :meth:`_predict_update`."""
+        own ``branches``/``mispredicts`` stay untouched."""
         bimodal, gshare = self._bimodal._table, self._gshare._table
         chooser, mask = self._chooser, self._mask
         history = self._gshare._history

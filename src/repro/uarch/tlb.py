@@ -11,9 +11,9 @@ The Table IV events this module feeds:
 
 The TLB itself is a set-associative cache keyed by virtual page number,
 reusing the same OrderedDict LRU machinery shape as the data caches.
-:meth:`TLB.lookup` is the per-access reference model;
 :meth:`TwoLevelTLB.access_many` runs a batch as one fused dTLB -> STLB
-loop over precomputed set indices and tags, bit-identical to it.
+loop over precomputed set indices and tags, bit-identical to the
+per-access reference model kept with the tests.
 """
 
 from __future__ import annotations
@@ -61,25 +61,6 @@ class TLB:
 
     def page_number(self, addr):
         return addr >> self._page_bits
-
-    def lookup(self, addr):
-        """Translate one byte address; fills on miss. Returns hit flag."""
-        page = self.page_number(int(addr))
-        set_idx, tag = page % self._n_sets, page // self._n_sets
-        ways = self._sets[set_idx]
-        if tag in ways:
-            ways.move_to_end(tag)
-            self.hits += 1
-            return True
-        self.misses += 1
-        if len(ways) >= self.config.associativity:
-            ways.popitem(last=False)
-        ways[tag] = True
-        return False
-
-    def contains(self, addr):
-        page = self.page_number(int(addr))
-        return (page // self._n_sets) in self._sets[page % self._n_sets]
 
 
 class TwoLevelTLB:

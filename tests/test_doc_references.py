@@ -271,7 +271,7 @@ def test_guard_sees_references():
                        if _unknown_flags(command) is not None
                        and FLAG_RE.search(command))
     assert "repro.qa.determinism" in modules
-    assert "repro.engine.diskcache.FORMAT_VERSION" in names
+    assert "repro.engine.diskcache.source_digest" in names
     assert not _resolves("repro.engine.no_such_module")
     assert not _resolves("repro.engine.diskcache.NO_SUCH_NAME")
     assert {"qa", "bench", "bench-e2e"} <= cited

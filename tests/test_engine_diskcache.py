@@ -1,6 +1,6 @@
-"""Tests for the on-disk cache tier: bit-exact round-trips, corruption
-and version tolerance, atomic writes, LRU eviction, and its wiring into
-KernelCache/Engine."""
+"""Tests for the on-disk cache tier: bit-exact round-trips, corrupt
+entries and entries written by other code, atomic writes, LRU eviction,
+and its wiring into KernelCache/Engine."""
 
 import json
 import os
@@ -11,9 +11,9 @@ import pytest
 from repro.core.matrix import CounterMatrix
 from repro.engine import MISS, DiskCache, KernelCache, content_key
 from repro.engine.diskcache import (
-    FORMAT_VERSION,
     decode,
     encode,
+    source_digest,
     stale_artifacts,
 )
 
@@ -22,6 +22,14 @@ from tests.test_engine import fixture_matrix
 
 def _key(*parts):
     return content_key("test-kernel", *parts)
+
+
+def _count(cache, name):
+    return cache.metrics.counter(name).value
+
+
+#: A digest no source tree hashes to.
+OTHER_SOURCE = "0" * 64
 
 
 class TestRoundTrip:
@@ -82,7 +90,7 @@ class TestRoundTrip:
                       np.array([None, object()], dtype=object)):
             assert not cache.put(_key("u", repr(type(value))), value)
         assert encode(object()) is None
-        assert cache.writes == 0
+        assert _count(cache, "disk_writes") == 0
 
     def test_unknown_payload_type_raises(self):
         with pytest.raises(ValueError, match="payload type"):
@@ -93,7 +101,7 @@ class TestRobustness:
     def test_miss_on_absent_key(self, tmp_path):
         cache = DiskCache(tmp_path)
         assert cache.get(_key("absent")) is MISS
-        assert cache.misses == 1
+        assert _count(cache, "disk_misses") == 1
 
     def test_corrupt_entry_is_miss_and_deleted(self, tmp_path):
         cache = DiskCache(tmp_path)
@@ -118,6 +126,9 @@ class TestRobustness:
         assert not os.path.exists(path)
 
     def test_version_mismatch_is_miss(self, tmp_path):
+        # An entry whose header carries another source digest was
+        # written by other code: a miss, deleted, rewritten by the next
+        # put.
         cache = DiskCache(tmp_path)
         key = _key("v")
         cache.put(key, 1.5)
@@ -125,17 +136,21 @@ class TestRobustness:
         with open(path, "rb") as f:
             header = json.loads(f.readline())
             rest = f.read()
-        header["version"] = FORMAT_VERSION + 1
+        assert header["version"] == source_digest()
+        header["version"] = OTHER_SOURCE
         with open(path, "wb") as f:
             f.write(json.dumps(header).encode() + b"\n" + rest)
         assert cache.get(key) is MISS
+        assert not os.path.exists(path)
+        assert cache.put(key, 1.5)
+        assert cache.get(key) == 1.5
 
     def test_put_same_key_twice_is_noop(self, tmp_path):
         cache = DiskCache(tmp_path)
         key = _key("dup")
         assert cache.put(key, 1.0)
         assert not cache.put(key, 1.0)  # content-addressed: same bytes
-        assert cache.writes == 1
+        assert _count(cache, "disk_writes") == 1
 
     def test_no_tmp_files_after_writes(self, tmp_path):
         cache = DiskCache(tmp_path)
@@ -144,7 +159,7 @@ class TestRobustness:
         assert stale_artifacts(tmp_path) == []
 
     def test_stale_artifacts_finds_orphans(self, tmp_path):
-        orphan = tmp_path / f"v{FORMAT_VERSION}" / "ab" / ".dead.123.tmp"
+        orphan = tmp_path / "entries" / "ab" / ".dead.123.tmp"
         orphan.parent.mkdir(parents=True)
         orphan.write_bytes(b"half-written")
         assert stale_artifacts(tmp_path) == [str(orphan)]
@@ -163,7 +178,7 @@ class TestEviction:
             path = cache._path(key)
             if os.path.exists(path):  # may already be evicted
                 os.utime(path, (i + 1, i + 1))
-        assert cache.evictions > 0
+        assert _count(cache, "disk_evictions") > 0
         # the newest entries survive, the oldest were evicted
         assert cache.get(keys[-1]) is not MISS
         assert cache.get(keys[0]) is MISS
@@ -184,7 +199,7 @@ class TestEviction:
         os.utime(cache._path(key), (1, 1))
         before = os.stat(cache._path(key)).st_mtime
         assert not cache.put(key, 2.0)  # still no rewrite...
-        assert cache.writes == 1
+        assert _count(cache, "disk_writes") == 1
         assert os.stat(cache._path(key)).st_mtime > before  # ...but a use
 
     def test_reput_protects_hot_entry_from_eviction(self, tmp_path):
@@ -200,7 +215,7 @@ class TestEviction:
         size = os.path.getsize(cache._path(hot))
         cache.max_bytes = int(size * 2.5)  # a third entry overflows
         cache.put(_key("third"), np.ones(128) * 3)
-        assert cache.evictions == 1
+        assert _count(cache, "disk_evictions") == 1
         assert cache.get(hot) is not MISS
         assert cache.get(cold) is MISS
 
@@ -212,10 +227,10 @@ class TestKernelCacheIntegration:
         disk.put(key, 4.25)
         cache = KernelCache(disk=disk)
         assert cache.lookup(key) == 4.25
-        assert disk.hits == 1
+        assert _count(disk, "disk_hits") == 1
         # promoted: a second lookup is a memory hit, not a disk hit
         assert cache.lookup(key) == 4.25
-        assert disk.hits == 1
+        assert _count(disk, "disk_hits") == 1
 
     def test_put_writes_through_to_disk(self, tmp_path):
         disk = DiskCache(tmp_path)
@@ -228,7 +243,7 @@ class TestKernelCacheIntegration:
         disk = DiskCache(tmp_path)
         cache = KernelCache(disk=disk)
         cache.put(_key("mem"), 1.25, disk=False)
-        assert disk.writes == 0
+        assert _count(disk, "disk_writes") == 0
         assert DiskCache(tmp_path).get(_key("mem")) is MISS
 
     def test_get_or_compute_prefers_disk_over_compute(self, tmp_path):
@@ -378,7 +393,7 @@ BAD_ENTRIES = {
     "bad-magic": _rewrite_header(
         lambda h: h.update(magic="not-repro")),
     "wrong-version": _rewrite_header(
-        lambda h: h.update(version=FORMAT_VERSION + 1)),
+        lambda h: h.update(version=OTHER_SOURCE)),
     "non-hex-score-bits": _card_field(("score_bits", "cluster"), "zz" * 8),
     "short-score-bits": _card_field(("score_bits", "trend"), "00ff"),
     "non-hex-per-k-bits": _card_field(
@@ -429,7 +444,8 @@ class TestScorecardEntries:
         with open(path, "wb") as f:
             f.write(BAD_ENTRIES[damage](raw))
         assert cache.get(key) is MISS
-        assert cache.misses == 1 and cache.hits == 0
+        assert _count(cache, "disk_misses") == 1
+        assert _count(cache, "disk_hits") == 0
         assert not os.path.exists(path)  # cannot fail twice
 
     def test_corrupt_entry_falls_through_to_recomputation(self, tmp_path,

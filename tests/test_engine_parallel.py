@@ -229,11 +229,11 @@ class TestSubstrateBitIdentity:
         cold_engine = Engine(cache_dir=str(tmp_path))
         cold = cold_engine.score_matrix(matrix, config, "all")
         assert diff_scorecards(serial, cold) == []
-        assert cold_engine.cache.disk.writes > 0
+        assert cold_engine.metrics.counter("disk_writes").value > 0
 
         warm_engine = Engine(cache_dir=str(tmp_path))  # fresh memory tier
         warm = warm_engine.score_matrix(matrix, config, "all")
         assert diff_scorecards(serial, warm) == []
-        assert warm_engine.cache.disk.hits > 0
+        assert warm_engine.metrics.counter("disk_hits").value > 0
         details = warm.details["engine"]
         assert details["disk_hits"] > 0

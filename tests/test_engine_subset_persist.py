@@ -24,7 +24,6 @@ from repro.core.normalization import normalize_series_set
 from repro.core.subset import SubsetReport
 from repro.engine import MISS, DiskCache, Engine, SubsetEvaluator, SubsetSearch
 from repro.engine.cache import array_digest, content_key, pair_key
-from repro.engine.diskcache import FORMAT_VERSION
 from repro.qa.determinism import diff_search_results
 from repro.service.protocol import (
     decode_subset_report,
@@ -261,7 +260,8 @@ def _payloads():
 
 
 def _damaged(raw):
-    """Truncations at several byte offsets, plus a wrong version."""
+    """Truncations at several byte offsets, plus a header written by
+    other code (another source digest)."""
     header_end = raw.index(b"\n") + 1
     cuts = sorted({0, 1, header_end // 2, header_end - 1, header_end,
                    header_end + 7, (len(raw) + header_end) // 2,
@@ -269,7 +269,7 @@ def _damaged(raw):
     out = {f"truncated@{cut}": raw[:cut] for cut in cuts
            if cut < len(raw)}
     header = json.loads(raw[:header_end])
-    header["version"] = FORMAT_VERSION + 1
+    header["version"] = "0" * 64
     out["wrong-version"] = json.dumps(header).encode() + b"\n" + \
         raw[header_end:]
     return out
@@ -294,7 +294,9 @@ class TestCorruptEntries:
                 f.write(data)
             assert cache.get(key) is MISS, label
             assert not os.path.exists(path), label
-        assert cache.hits == 0 and cache.misses == len(damages)
+        counts = cache.metrics.snapshot()
+        assert counts["disk_hits"] == 0
+        assert counts["disk_misses"] == len(damages)
 
     def test_search_recomputes_identical_bits(self, tmp_path):
         matrix = _matrix(seed=1)

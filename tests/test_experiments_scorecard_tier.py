@@ -157,3 +157,38 @@ def test_disk_warm_score_imports_neither_numpy_nor_the_simulator(
     probe = json.loads(warm.stderr.decode().strip().splitlines()[-1])
     assert probe == {"parser": [], "status": 0, "loaded": []}
     assert warm.stdout.decode() == cold
+
+
+def test_a_source_edit_retires_the_tier(tmp_path):
+    """The tier keys on the code that wrote it: an unchanged copy of the
+    package reads its own entries back, and one edited constant in the
+    workload models makes the next run score afresh."""
+    import shutil
+
+    from repro.obs.export import load_spans
+
+    src = tmp_path / "src"
+    shutil.copytree(SRC, src,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = str(src)
+    trace = tmp_path / "trace.jsonl"
+
+    def source():
+        subprocess.run(
+            [sys.executable, "-m", "repro.cli", "--quick", "score",
+             "nbench", "--cache-dir", str(tmp_path / "tier"),
+             "--trace", str(trace)],
+            capture_output=True, env=env, check=True)
+        [found] = [s for s in load_spans(trace)
+                   if s.name == "experiment.score"]
+        return found.attrs["source"]
+
+    assert source() == "scored"
+    assert source() == "disk"
+    generators = src / "repro" / "workloads" / "generators.py"
+    text = generators.read_text()
+    assert "\nLINE = 64\n" in text
+    generators.write_text(text.replace("\nLINE = 64\n", "\nLINE = 128\n"))
+    assert source() == "scored"

@@ -740,6 +740,31 @@ class TestIterPythonFiles:
             assert main(["lint", *deep, str(root)]) == 1
             assert "rng-discipline" in capsys.readouterr().out
 
+    def test_directory_named_like_a_module_is_skipped(self, tmp_path,
+                                                       capsys):
+        from repro.cli import main
+
+        root = self._dirty_tree(tmp_path)
+        (root / "stats" / "dir.py").mkdir()
+        for argv in (["lint"], ["lint", "--deep"],
+                     ["analyze", "effects", "kern", "--root"]):
+            main([*argv, str(root)])
+            assert "dir.py" not in capsys.readouterr().out
+
+    def test_file_that_does_not_decode_is_one_finding(self, tmp_path,
+                                                      capsys):
+        from repro.cli import main
+
+        bad = tmp_path / "pkg" / "bad.py"
+        bad.parent.mkdir()
+        (tmp_path / "pkg" / "__init__.py").write_text("")
+        bad.write_bytes(b"x = 1\n\xff\n")
+        for deep in ([], ["--deep"]):
+            assert main(["lint", *deep, str(bad.parent)]) == 1
+            out = capsys.readouterr().out.splitlines()
+            assert len(out) == 1
+            assert out[0].startswith(f"{bad}:2:1 parse-error ")
+
     @staticmethod
     def _dirty_tree(base):
         # Hidden directories are skipped only below the linted root;

@@ -4,8 +4,8 @@ The simulator runs batch paths (``SetAssociativeCache.run_ops`` under
 ``CacheHierarchy.access_many``, the fused loops of
 ``TwoLevelTLB.access_many`` and ``run_trace``); the per-access models
 are the oracle: ``access`` and ``install`` in ``tests/uarch_reference.py``
-for the caches under every replacement policy, ``TLB.lookup`` and
-``predict_and_update``. Every counter and every piece of state must
+for the caches under every replacement policy, ``tlb_lookup`` and
+``predict_and_update`` there too. Every counter and every piece of state must
 agree, each set's ``random`` draw count included, across calls and
 across the kernel's chunks.
 """
@@ -29,7 +29,12 @@ from repro.uarch.cache import CHUNK, CacheStats, SetAssociativeCache
 from repro.uarch.config import CacheConfig, TLBConfig, small_test_machine
 from repro.uarch.hierarchy import CacheHierarchy, HierarchyCounters
 from repro.uarch.tlb import TLBCounters, TwoLevelTLB
-from tests.uarch_reference import access, install
+from tests.uarch_reference import (
+    access,
+    install,
+    predict_and_update,
+    tlb_lookup,
+)
 
 accesses = st.lists(st.tuples(st.integers(0, 2047), st.booleans()),
                     max_size=300)
@@ -270,13 +275,13 @@ def reference_tlb(tlb, addrs, writes):
             out.stores += 1
         else:
             out.loads += 1
-        if tlb.dtlb.lookup(addr):
+        if tlb_lookup(tlb.dtlb, addr):
             continue
         if write:
             out.store_misses += 1
         else:
             out.load_misses += 1
-        if tlb.stlb.lookup(addr):
+        if tlb_lookup(tlb.stlb, addr):
             out.stlb_hits += 1
         else:
             out.walks += 1
@@ -347,7 +352,7 @@ def _check_predictor(kind, sites, taken, split):
     for part in (slice(None, split), slice(split, None)):
         before = slow.mispredicts
         for site, t in zip(sites[part].tolist(), taken[part].tolist()):
-            slow.predict_and_update(site, t)
+            predict_and_update(slow, site, t)
         assert (fast.run_trace(sites[part], taken[part])
                 == slow.mispredicts - before)
     assert predictor_state(fast) == predictor_state(slow)

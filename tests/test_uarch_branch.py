@@ -13,6 +13,7 @@ from repro.uarch.branch import (
     make_predictor,
 )
 from repro.uarch.config import BranchConfig
+from tests.uarch_reference import predict_and_update
 
 ALL_PREDICTORS = [
     StaticTakenPredictor,
@@ -25,8 +26,8 @@ ALL_PREDICTORS = [
 class TestStaticTaken:
     def test_always_predicts_taken(self):
         p = StaticTakenPredictor()
-        assert p.predict_and_update(1, True) is True
-        assert p.predict_and_update(1, False) is True
+        assert predict_and_update(p, 1, True) is True
+        assert predict_and_update(p, 1, False) is True
 
     def test_mispredict_rate_on_never_taken(self):
         p = StaticTakenPredictor()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.uarch.config import TLBConfig
 from repro.uarch.tlb import TLB, TwoLevelTLB
+from tests.uarch_reference import tlb_contains, tlb_lookup
 
 PAGE = 4096
 
@@ -26,14 +27,14 @@ def two_level(dtlb_entries=4, stlb_entries=16, walk_cycles=100):
 class TestSingleLevelTLB:
     def test_cold_miss_then_hit(self):
         t = tiny_tlb()
-        assert t.lookup(0x1000) is False
-        assert t.lookup(0x1000) is True
+        assert tlb_lookup(t, 0x1000) is False
+        assert tlb_lookup(t, 0x1000) is True
 
     def test_same_page_different_offset_hits(self):
         t = tiny_tlb()
-        t.lookup(0)
-        assert t.lookup(PAGE - 1) is True
-        assert t.lookup(PAGE) is False
+        tlb_lookup(t, 0)
+        assert tlb_lookup(t, PAGE - 1) is True
+        assert tlb_lookup(t, PAGE) is False
 
     def test_page_number(self):
         t = tiny_tlb()
@@ -44,26 +45,27 @@ class TestSingleLevelTLB:
     def test_lru_within_set(self):
         # assoc=2, 1 set: pages 0, 1, re-touch 0, then 2 evicts 1.
         t = tiny_tlb(entries=2, assoc=2)
-        t.lookup(0 * PAGE)
-        t.lookup(1 * PAGE)
-        t.lookup(0 * PAGE)
-        t.lookup(2 * PAGE)
-        assert t.lookup(0 * PAGE) is True
-        assert t.lookup(1 * PAGE) is False
+        tlb_lookup(t, 0 * PAGE)
+        tlb_lookup(t, 1 * PAGE)
+        tlb_lookup(t, 0 * PAGE)
+        tlb_lookup(t, 2 * PAGE)
+        assert tlb_contains(t, 0 * PAGE) and not tlb_contains(t, 1 * PAGE)
+        assert tlb_lookup(t, 0 * PAGE) is True
+        assert tlb_lookup(t, 1 * PAGE) is False
 
     def test_capacity_working_set_hits(self):
         t = tiny_tlb(entries=8, assoc=2)
         pages = [i * PAGE for i in range(8)]
         for p in pages:
-            t.lookup(p)
+            tlb_lookup(t, p)
         for p in pages:
-            assert t.lookup(p) is True
+            assert tlb_lookup(t, p) is True
 
     def test_hit_miss_counters(self):
         t = tiny_tlb()
-        t.lookup(0)
-        t.lookup(0)
-        t.lookup(PAGE)
+        tlb_lookup(t, 0)
+        tlb_lookup(t, 0)
+        tlb_lookup(t, PAGE)
         assert t.misses == 2
         assert t.hits == 1
 

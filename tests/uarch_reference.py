@@ -1,16 +1,28 @@
-"""Per-access reference model of one cache level: the oracle that
-``SetAssociativeCache.run_ops`` is diffed against.
+"""Per-access reference models: the oracles the simulator's batch paths
+are diffed against.
 
-:func:`access` is one demand access and :func:`install` one prefetch
-fill, each acting on a :class:`repro.uarch.cache.SetAssociativeCache`'s
-own state one line at a time. A ``random`` victim comes from the same
-:func:`repro.uarch.cache.victim_positions` draw the kernel makes, so a
-cache driven through these functions and one driven through the kernel
-must agree bit for bit: hits, stats, lines in eviction order and each
-set's draw count.
+* One cache level (``SetAssociativeCache.run_ops``): :func:`access` is
+  one demand access and :func:`install` one prefetch fill, each acting
+  on a :class:`repro.uarch.cache.SetAssociativeCache`'s own state one
+  line at a time. A ``random`` victim comes from the same
+  :func:`repro.uarch.cache.victim_positions` draw the kernel makes, so
+  a cache driven through these functions and one driven through the
+  kernel must agree bit for bit: hits, stats, lines in eviction order
+  and each set's draw count.
+* One TLB level (``TwoLevelTLB.access_many``): :func:`tlb_lookup`
+  translates one address on a :class:`repro.uarch.tlb.TLB`.
+* A branch predictor (``run_trace``): :func:`predict_and_update` runs
+  one branch through any :mod:`repro.uarch.branch` predictor.
 """
 
+from repro.uarch.branch import (
+    BimodalPredictor,
+    GSharePredictor,
+    TournamentPredictor,
+)
 from repro.uarch.cache import victim_positions
+
+_WEAKLY_TAKEN = 2  # 2-bit counter states: 0,1 predict NT; 2,3 predict T.
 
 
 def _split(cache, addr):
@@ -87,3 +99,73 @@ def fill(cache, set_idx, tag, dirty=False):
     cache._tags[set_idx, way] = tag
     cache._stamps[set_idx, way] = cache._take_stamps(1)
     cache._dirty[set_idx, way] = dirty
+
+
+# -- TLB ----------------------------------------------------------------------
+
+
+def tlb_lookup(tlb, addr):
+    """Translate one byte address on one TLB level; fills on miss.
+    Returns the hit flag."""
+    page = tlb.page_number(int(addr))
+    set_idx, tag = page % tlb._n_sets, page // tlb._n_sets
+    ways = tlb._sets[set_idx]
+    if tag in ways:
+        ways.move_to_end(tag)
+        tlb.hits += 1
+        return True
+    tlb.misses += 1
+    if len(ways) >= tlb.config.associativity:
+        ways.popitem(last=False)
+    ways[tag] = True
+    return False
+
+
+def tlb_contains(tlb, addr):
+    """Whether ``addr``'s page is resident, changing no state."""
+    page = tlb.page_number(int(addr))
+    return (page // tlb._n_sets) in tlb._sets[page % tlb._n_sets]
+
+
+# -- branch predictors ---------------------------------------------------------
+
+
+def predict_and_update(predictor, site, taken):
+    """Predict one branch, update the predictor's state and counts, and
+    return the prediction."""
+    prediction = _predict_update(predictor, int(site), bool(taken))
+    predictor.branches += 1
+    if prediction != bool(taken):
+        predictor.mispredicts += 1
+    return prediction
+
+
+def _predict_update(predictor, site, taken):
+    """One branch's prediction and state update; a tournament's
+    components update their tables but not their own counts."""
+    if isinstance(predictor, TournamentPredictor):
+        p_bim = _predict_update(predictor._bimodal, site, taken)
+        p_gsh = _predict_update(predictor._gshare, site, taken)
+        idx = site & predictor._mask
+        choice = predictor._chooser[idx]
+        if p_bim != p_gsh:
+            if p_gsh == taken:
+                predictor._chooser[idx] = min(choice + 1, 3)
+            else:
+                predictor._chooser[idx] = max(choice - 1, 0)
+        return p_gsh if choice >= _WEAKLY_TAKEN else p_bim
+    if isinstance(predictor, GSharePredictor):
+        idx = (site ^ predictor._history) & predictor._mask
+        predictor._history = (((predictor._history << 1) | int(taken))
+                              & predictor._history_mask)
+        return _count(predictor._table, idx, taken)
+    if isinstance(predictor, BimodalPredictor):
+        return _count(predictor._table, site & predictor._mask, taken)
+    return True  # StaticTakenPredictor
+
+
+def _count(table, idx, taken):
+    """Read, then saturate, one 2-bit counter; returns its prediction."""
+    counter = table[idx]
+    table[idx] = min(counter + 1, 3) if taken else max(counter - 1, 0)
+    return counter >= _WEAKLY_TAKEN
