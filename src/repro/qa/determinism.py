@@ -263,6 +263,7 @@ def check_determinism(suite_or_matrix, seed=0, focus="all",
     -------
     DeterminismReport
     """
+    from repro.core.matrix import CounterMatrix
     from repro.core.perspector import Perspector, PerspectorConfig
 
     def run(**config_kwargs):
@@ -278,8 +279,34 @@ def check_determinism(suite_or_matrix, seed=0, focus="all",
     if cache_dir is not None:
         rows.insert(-1, ("scorecard-tier", lambda: _served_from_scorecard_tier(
             baseline, cache_dir, seed)))
+    if not isinstance(suite_or_matrix, CounterMatrix):
+        rows.insert(-1, ("lru-stack=off", lambda: _without_lru_stack(run)))
     return _run_rows(f"score {baseline.suite_name!r}", seed, baseline,
                      diff_scorecards, rows)
+
+
+def _without_lru_stack(run):
+    """The subject re-simulated with the LRU stack pass switched off,
+    for this row only: every cache stream takes the round kernel, and
+    the scorecard must be the stack pass's bit for bit. If no stream
+    would have taken the stack pass, the row compared the round kernel
+    with itself, and says so."""
+    from repro.uarch.cache import SetAssociativeCache
+
+    stack_pays = SetAssociativeCache._stack_pays
+    declined = []
+
+    def rounds_only(cache, lines):
+        declined.append(stack_pays(cache, lines))
+        return False
+
+    SetAssociativeCache._stack_pays = rounds_only
+    try:
+        result = run()
+    finally:
+        SetAssociativeCache._stack_pays = stack_pays
+    return result, () if any(declined) else (
+        "no cache stream would have taken the LRU stack pass",)
 
 
 def _served_from_scorecard_tier(card, cache_dir, seed):

@@ -20,11 +20,16 @@ A ``random`` victim is a pure function of the cache's seed, the set and
 how many victims that set has drawn before (:func:`victim_positions`),
 so the draws do not depend on the order in which sets are visited.
 
-:meth:`SetAssociativeCache.run_ops` is the one kernel, for every
-policy: an ordered stream of demand and prefetch ops is sorted by set,
-and the ops of every set are processed in rounds, the *r*-th op of each
-set in round *r*. Ops in one round touch distinct sets, so they commute,
-and each set still sees its ops in stream order.
+:meth:`SetAssociativeCache.run_ops` runs a stream of ops through one
+of two kernels, with the same hits, counters and state either way. The
+round kernel serves every stream and every policy: the ordered demand
+and prefetch ops are sorted by set, and the ops of every set are
+processed in rounds, the *r*-th op of each set in round *r*. Ops in one
+round touch distinct sets, so they commute, and each set still sees its
+ops in stream order. A demand-only LRU stream whose busiest set holds
+more than twice ``ways`` ops, which would take that many rounds, goes
+to the LRU stack pass instead: one vectorized step per stack depth,
+``ways`` steps over the whole stream.
 """
 
 from __future__ import annotations
@@ -42,10 +47,12 @@ CHUNK = 1024
 #: Largest stamp; stamps are int32, renumbered before the clock passes it.
 STAMP_LIMIT = 2**31 - 1
 
-#: Most ops one kernel call sorts into rounds; bounds its transient
-#: arrays to 32 KiB each. Whole warm-up intervals (up to ~18k ops at the
-#: L2) left ~1.6 MB more heap behind on a cold ``score nbench`` than the
-#: arrays' own size, through allocator fragmentation.
+#: Most ops one round-kernel call sorts into rounds; bounds its
+#: transient arrays to 32 KiB each. Whole warm-up intervals (up to ~18k
+#: ops at the L2) left ~1.6 MB more heap behind on a cold ``score
+#: nbench`` than the arrays' own size, through allocator fragmentation.
+#: The LRU stack pass takes whole streams: in pieces of this size it
+#: read more peak RSS, not less (DESIGN.md §5).
 ROUNDS_CHUNK = 4096
 
 #: SplitMix64's stream increment and finalizer multipliers (Steele,
@@ -117,16 +124,23 @@ def _stable_argsort(keys, bound):
     return np.argsort(keys, kind="stable")
 
 
+def _group_by_set(sets, n_sets):
+    """``(order, sorted_sets, new_set)``: the stable order of ops by
+    set, their sets in that order, and where each set's group starts."""
+    order = _stable_argsort(sets, n_sets)
+    sorted_sets = sets[order]
+    new_set = np.empty(sets.shape[0], dtype=bool)
+    new_set[0] = True
+    np.not_equal(sorted_sets[1:], sorted_sets[:-1], out=new_set[1:])
+    return order, sorted_sets, new_set
+
+
 def _round_order(sets, n_sets):
     """``(ops, bounds)``: op indices in round-major order, round *r*
     holding the *r*-th op of every set in ``ops[bounds[r]:bounds[r +
     1]]``."""
     n = sets.shape[0]
-    order = _stable_argsort(sets, n_sets)
-    sorted_sets = sets[order]
-    new_set = np.empty(n, dtype=bool)
-    new_set[0] = True
-    np.not_equal(sorted_sets[1:], sorted_sets[:-1], out=new_set[1:])
+    order, _, new_set = _group_by_set(sets, n_sets)
     set_start = np.flatnonzero(new_set)
     rank = np.arange(n) - np.repeat(set_start, np.diff(set_start, append=n))
     per_round = np.bincount(rank)
@@ -199,7 +213,6 @@ class SetAssociativeCache:
         self.config = config
         self.stats = CacheStats()
         self._offset_bits = config.line_bytes.bit_length() - 1
-        self._n_sets = config.n_sets
         shape = (config.n_sets, config.associativity)
         self._tags = np.full(shape, -1, dtype=np.int64)
         self._stamps = np.full(shape, -1, dtype=np.int32)
@@ -208,22 +221,6 @@ class SetAssociativeCache:
         self._seed = int(seed)
         # Victims each set has drawn under ``random``.
         self._draws = np.zeros(config.n_sets, dtype=np.uint64)
-
-    # -- address helpers -------------------------------------------------
-
-    def line_address(self, addr):
-        """Drop the intra-line offset bits."""
-        return addr >> self._offset_bits
-
-    def set_index(self, addr):
-        """Set index; modulo handles non-power-of-two set counts (e.g. the
-        sliced 12 MB LLC of Table II)."""
-        return self.line_address(addr) % self._n_sets
-
-    def tag(self, addr):
-        return self.line_address(addr) // self._n_sets
-
-    # -- batch path ---------------------------------------------------------
 
     def _take_stamps(self, n):
         """The first of ``n`` fresh stamps. Stamps only order the ways
@@ -268,7 +265,8 @@ class SetAssociativeCache:
         ``prefetch`` is set; its write flag must be clear) installs its
         line clean if absent and changes nothing if present: no stamp,
         no demand counter. Evictions and writebacks of both kinds are
-        counted.
+        counted. A stream :meth:`_stack_pays` for takes the LRU stack
+        pass, any other the round kernel in :data:`ROUNDS_CHUNK` pieces.
 
         Returns
         -------
@@ -288,22 +286,27 @@ class SetAssociativeCache:
         first[0] = True
         np.not_equal(lines[1:], lines[:-1], out=first[1:])
         starts = np.flatnonzero(first)
+        merged_lines = lines[starts]
         merged_writes = np.logical_or.reduceat(writes, starts)
         merged_prefetch = (None if prefetch is None
                            else np.logical_and.reduceat(prefetch, starts))
-        for lo in range(0, starts.shape[0], ROUNDS_CHUNK):
-            part = slice(lo, lo + ROUNDS_CHUNK)
-            present[starts[part]] = self._rounds(
-                lines[starts[part]], merged_writes[part],
-                None if merged_prefetch is None else merged_prefetch[part])
+        if prefetch is None and self._stack_pays(merged_lines):
+            present[starts] = self._lru_stack(merged_lines, merged_writes)
+        else:
+            for lo in range(0, starts.shape[0], ROUNDS_CHUNK):
+                part = slice(lo, lo + ROUNDS_CHUNK)
+                present[starts[part]] = self._rounds(
+                    merged_lines[part], merged_writes[part],
+                    None if merged_prefetch is None
+                    else merged_prefetch[part])
         demand = slice(None) if prefetch is None else ~prefetch
         self.stats.add_batch(writes[demand], present[demand])
         return present
 
     def _rounds(self, lines, writes, prefetch):
-        """The kernel behind :meth:`run_ops`: counts the evictions and
-        writebacks of a stream of ops and returns each op's hit, in
-        stream order."""
+        """The round kernel behind :meth:`run_ops`: counts the
+        evictions and writebacks of a stream of ops and returns each
+        op's hit, in stream order."""
         n = lines.shape[0]
         n_sets, n_ways = self._tags.shape
         ops, bounds = _round_order(lines % n_sets, n_sets)
@@ -362,23 +365,105 @@ class SetAssociativeCache:
         hits[ops] = op_hits
         return hits
 
-    # -- introspection -----------------------------------------------------
+    def _stack_pays(self, lines):
+        """Whether a demand-only stream of distinct-neighbour ``lines``
+        goes to :meth:`_lru_stack`: under LRU, when its busiest set
+        holds more than twice ``ways`` ops. :meth:`_rounds` needs one
+        round per op of that set, the stack pass one step per way."""
+        n_sets, n_ways = self._tags.shape
+        return (self.config.policy == "lru" and lines.shape[0] > 2 * n_ways
+                and np.bincount(lines % n_sets).max() > 2 * n_ways)
 
-    def lines(self):
-        """Each set's resident lines as ``(tag, dirty)`` pairs in
-        eviction order, oldest stamp first."""
-        order = np.argsort(self._stamps, axis=1, kind="stable")
-        tags = np.take_along_axis(self._tags, order, axis=1).tolist()
-        dirty = np.take_along_axis(self._dirty, order, axis=1).tolist()
-        return [[(t, d) for t, d in zip(row, bits) if t >= 0]
-                for row, bits in zip(tags, dirty)]
+    def _lru_stack(self, lines, writes):
+        """The LRU stack pass behind :meth:`run_ops` for a demand-only
+        stream: counts the evictions and writebacks of the ops and
+        returns each op's hit, in stream order, as :meth:`_rounds`
+        would.
 
-    def contains(self, addr):
-        """Whether the line holding ``addr`` is currently resident."""
-        line = self.line_address(int(addr))
-        return bool((self._tags[line % self._n_sets]
-                     == line // self._n_sets).any())
-
-    def resident_lines(self):
-        """Total number of valid lines."""
-        return int(np.count_nonzero(self._tags >= 0))
+        Under LRU each set is a recency stack (Mattson, Gecsei, Slutz and
+        Traiger, "Evaluation Techniques for Storage Hierarchies", IBM
+        Systems Journal 1970), and an op hits iff its line is among the
+        top ``ways`` entries. The ops are grouped by set, each touched
+        set's group opening with its resident lines as pseudo-ops, LRU
+        first, an empty way as a unique negative line. Pass *d* compares
+        every op still unmatched with its depth-*d* entry; a match is a
+        hit at that depth, pointing at the line's previous use. Ops
+        matched at a depth up to *d* leave the entries deeper than *d*
+        alone, so over the unmatched list the depth-*(d + 1)* entries
+        are the previous element's depth-*d* entries: a shift by one,
+        which the never-matching pseudo-ops keep inside each set. After
+        ``ways`` passes an unmatched op misses and its depth-``ways``
+        entry is its victim. A line's dirty bit is the OR of the writes
+        along its chain of hits, found by pointer jumping."""
+        n = lines.shape[0]
+        n_sets, n_ways = self._tags.shape
+        order, sorted_sets, new_set = _group_by_set(lines % n_sets, n_sets)
+        touched = sorted_sets[new_set]
+        n_pseudo = touched.shape[0] * n_ways
+        # Taking stamps may renumber the rows, so it comes first.
+        base = self._take_stamps(n)
+        rank = self._stamps[touched].argsort(axis=1, kind="stable")
+        old_tags, old_stamps, old_dirty = (
+            np.take_along_axis(a[touched], rank, axis=1).reshape(-1)
+            for a in (self._tags, self._stamps, self._dirty))
+        # Elements: each touched set's group, its pseudo-ops then its
+        # ops in stream order; one more holds a line nothing matches.
+        size = n + n_pseudo
+        op_at = np.arange(n) + n_ways * np.cumsum(new_set)
+        is_op = np.zeros(size, dtype=bool)
+        is_op[op_at] = True
+        pseudo_at = np.flatnonzero(~is_op)
+        line = np.empty(size + 1, dtype=np.int64)
+        line[pseudo_at] = np.where(old_tags >= 0,
+                                   old_tags * n_sets + np.repeat(touched,
+                                                                 n_ways),
+                                   -1 - np.arange(n_pseudo))
+        line[op_at] = lines[order]
+        line[size] = -1 - n_pseudo
+        # prev: the element a hit matched, its line's previous use;
+        # -1 for a pseudo-op or a miss.
+        prev = np.full(size, -1)
+        unmatched = np.arange(size)
+        entry = unmatched - 1
+        entry[0] = size
+        for depth in range(n_ways):
+            if depth:
+                entry = np.concatenate(([size], entry[:-1]))
+            match = line[unmatched] == line[entry]
+            prev[unmatched[match]] = entry[match]
+            keep = ~match
+            unmatched, entry = unmatched[keep], entry[keep]
+        missed = is_op[unmatched]
+        victims = entry[missed]
+        dirty = np.empty(size, dtype=bool)
+        dirty[pseudo_at] = old_dirty
+        dirty[op_at] = writes[order]
+        chain = np.flatnonzero(prev >= 0)
+        ptr = np.arange(size)
+        ptr[chain] = prev[chain]
+        while True:
+            dirty |= dirty[ptr]
+            jumped = ptr[ptr]
+            if np.array_equal(jumped, ptr):
+                break
+            ptr = jumped
+        real = line[victims] >= 0
+        self.stats.evictions += int(np.count_nonzero(real))
+        self.stats.writebacks += int(np.count_nonzero(dirty[victims[real]]))
+        # The new rows: each set's chain ends that were not evicted,
+        # exactly ``ways`` of them, oldest first.
+        resident = np.ones(size, dtype=bool)
+        resident[prev[chain]] = False
+        resident[victims] = False
+        stamps = np.empty(size, dtype=np.int64)
+        stamps[pseudo_at] = old_stamps
+        stamps[op_at] = base + order
+        shape = touched.shape[0], n_ways
+        kept = line[:size][resident]
+        self._tags[touched] = np.where(kept >= 0, kept // n_sets,
+                                       -1).reshape(shape)
+        self._stamps[touched] = stamps[resident].reshape(shape)
+        self._dirty[touched] = dirty[resident].reshape(shape)
+        hits = np.empty(n, dtype=bool)
+        hits[order] = prev[op_at] >= 0
+        return hits

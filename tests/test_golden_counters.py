@@ -38,6 +38,11 @@ from repro.service.protocol import encode_counter_matrix, float_bits
 from repro.uarch.config import small_test_machine
 from repro.uarch.cpu import CPU
 
+try:
+    from tests.uarch_reference import cache_lines
+except ModuleNotFoundError:  # run as a script, from tests/
+    from uarch_reference import cache_lines
+
 GOLDEN = Path(__file__).parent / "data" / "golden_counters.json"
 
 #: Quick-preset suites: the three the CLI and service tests measure
@@ -125,7 +130,7 @@ def _cpu_state(cpu):
         cache = getattr(hier, name)
         levels[name] = {
             "stats": dataclasses.astuple(cache.stats),
-            "sets": _sets(cache.lines()),
+            "sets": _sets(cache_lines(cache)),
         }
     pf = hier.prefetcher
     pred = cpu.predictor

@@ -228,6 +228,48 @@ class TestFullStack:
         card = report.results[0]
         for score in ("cluster", "trend", "coverage", "spread"):
             assert np.isfinite(getattr(card, score)), score
+        assert "lru-stack=off" in labels(report)
+
+
+class TestLruStackRow:
+    """A suite subject re-simulates with the LRU stack pass off; the
+    row fails on a stack pass that differs from the round kernel, and
+    on a subject no stream of which takes the stack pass."""
+
+    def _check(self):
+        from repro.qa.determinism import _default_subject
+
+        suite, factory = _default_subject(seed=0, quick=True)
+        return check_determinism(suite, seed=0, session_factory=factory)
+
+    def test_catches_a_wrong_stack_pass(self, monkeypatch):
+        from repro.uarch.cache import SetAssociativeCache
+
+        real = SetAssociativeCache._lru_stack
+
+        def wrong(cache, lines, writes):
+            hits = real(cache, lines, writes)
+            hits[-1] = ~hits[-1]
+            return hits
+
+        monkeypatch.setattr(SetAssociativeCache, "_lru_stack", wrong)
+        dispatch = SetAssociativeCache._stack_pays
+        report = self._check()
+        assert {m.split("]")[0] for m in report.mismatches} == {
+            "[lru-stack=off"}
+        # The row restores the dispatch.
+        assert SetAssociativeCache._stack_pays is dispatch
+
+    def test_a_subject_that_never_takes_the_stack_pass_fails(
+            self, monkeypatch):
+        from repro.uarch.cache import SetAssociativeCache
+
+        monkeypatch.setattr(SetAssociativeCache, "_stack_pays",
+                            lambda cache, lines: False)
+        report = self._check()
+        assert report.mismatches == (
+            "[lru-stack=off] no cache stream would have taken the LRU "
+            "stack pass",)
 
 
 class TestHarness:
@@ -237,7 +279,7 @@ class TestHarness:
     ROWS = {
         "score 'qa-determinism'": [
             "baseline", "cache=off", "workers=2", "disk-cold", "disk-warm",
-            "scorecard-tier", "traced"],
+            "scorecard-tier", "lru-stack=off", "traced"],
         "search 'swap' (8 candidates)": [
             "baseline", "cache=off", "workers=2", "disk-cold", "disk-warm",
             "traced"],

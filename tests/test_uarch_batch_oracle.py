@@ -1,9 +1,9 @@
 """Batch paths against the per-access reference models, bit for bit.
 
 The simulator runs batch paths (``SetAssociativeCache.run_ops`` under
-``CacheHierarchy.access_many``, the fused loops of
-``TwoLevelTLB.access_many`` and ``run_trace``); the per-access models
-are the oracle: ``access`` and ``install`` in ``tests/uarch_reference.py``
+``CacheHierarchy.access_many``, with its round kernel and its LRU stack
+pass, the fused loops of ``TwoLevelTLB.access_many`` and
+``run_trace``); the per-access models are the oracle: ``access`` and ``install`` in ``tests/uarch_reference.py``
 for the caches under every replacement policy, ``tlb_lookup`` and
 ``predict_and_update`` there too. Every counter and every piece of state must
 agree, each set's ``random`` draw count included, across calls and
@@ -31,6 +31,7 @@ from repro.uarch.hierarchy import CacheHierarchy, HierarchyCounters
 from repro.uarch.tlb import TLBCounters, TwoLevelTLB
 from tests.uarch_reference import (
     access,
+    cache_lines,
     install,
     predict_and_update,
     tlb_lookup,
@@ -56,7 +57,7 @@ def _cache(policy, assoc, sets):
 
 
 def cache_state(c):
-    return c.stats.snapshot(), c.lines(), c._draws.tolist()
+    return c.stats.snapshot(), cache_lines(c), c._draws.tolist()
 
 
 def reference_ops(cache, lines, writes, prefetch):
@@ -129,7 +130,7 @@ class TestOpKernelOracle:
         c = _cache(policy, assoc=2, sets=1)
         assert c.run_ops(lines, writes, prefetch).tolist() == [
             False, False, True, False]
-        assert c.lines() == [[(1, False), (2, False)]]
+        assert cache_lines(c) == [[(1, False), (2, False)]]
         _check_ops(policy, 2, 1, [(lines, writes, prefetch)])
 
     @pytest.mark.parametrize("between", [[], [6]])
@@ -179,6 +180,116 @@ class TestOpKernelOracle:
         calls = _split((lines, writes, prefetch), [50, 51, 300, 420])
         for policy in ("lru", "fifo", "random"):
             _check_ops(policy, 4, 3, calls)
+
+
+# -- one cache level: the LRU stack pass --------------------------------------
+
+
+def _check_stack(assoc, sets, calls):
+    """``_lru_stack`` against ``_rounds`` and ``access``, each cache
+    fed the same demand calls: hits, every stats field, lines in
+    eviction order, and a clock within ``STAMP_LIMIT``. Empty calls
+    are skipped, as ``run_ops`` never passes one to a kernel."""
+    stack, rounds, slow = (_cache("lru", assoc, sets) for _ in range(3))
+    for lines, writes in (call for call in calls if call[0].shape[0]):
+        want = [access(slow, line * 64, write)
+                for line, write in zip(lines.tolist(), writes.tolist())]
+        for fast, kernel in ((stack, stack._lru_stack),
+                             (rounds, lambda *a: rounds._rounds(*a, None))):
+            hits = kernel(lines, writes)
+            fast.stats.add_batch(writes, hits)
+            assert hits.tolist() == want
+            assert cache_state(fast) == cache_state(slow)
+            assert fast._clock <= cache_module.STAMP_LIMIT
+
+
+def _demand_arrays(pairs, line_of):
+    lines = np.array([line_of(i, u) for i, (u, _) in enumerate(pairs)],
+                     dtype=np.int64)
+    return lines, np.array([w for _, w in pairs], dtype=bool)
+
+
+class TestLruStackOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(assoc=st.integers(1, 16),
+           sets=st.sampled_from([1, 3, 4, 5, 7, 12]),
+           layout=st.sampled_from(["mixed", "one-set"]),
+           pairs=st.lists(st.tuples(st.integers(0, 40), st.booleans()),
+                          max_size=250),
+           cuts=st.lists(st.integers(0, 250), max_size=3))
+    def test_matches_rounds_and_access(self, assoc, sets, layout, pairs,
+                                       cuts):
+        # Several calls, so later ones start from resident and dirty
+        # lines; the direct calls see runs on one line too.
+        line_of = {"mixed": lambda i, u: u,
+                   "one-set": lambda i, u: u * sets}[layout]
+        _check_stack(assoc, sets,
+                     _split(_demand_arrays(pairs, line_of), cuts))
+
+    def test_dirty_line_evicted_before_its_first_use(self):
+        # One set of two ways: A (dirty) and B resident, then C evicts
+        # A before the batch's own use of A, which refills it.
+        a, b, c = 0, 1, 2
+        lines = [np.array([a, b]), np.array([c, a, b, c, a])]
+        writes = [np.array([True, False]), np.zeros(5, dtype=bool)]
+        _check_stack(2, 1, list(zip(lines, writes)))
+        cache = _cache("lru", 2, 1)
+        cache._lru_stack(lines[0], writes[0])
+        hits = cache._lru_stack(lines[1], writes[1])
+        assert hits.tolist() == [False, False, False, False, False]
+        assert cache.stats.writebacks == 1
+        assert cache_lines(cache) == [[(c, False), (a, False)]]
+
+    @pytest.mark.parametrize("ways", [1, 2, 8])
+    def test_stamp_renumbering_keeps_order(self, ways, monkeypatch):
+        # A limit of 40 renumbers the stamps every few calls; stamps
+        # must be taken before the rows are read.
+        monkeypatch.setattr(cache_module, "STAMP_LIMIT", 40)
+        rng = np.random.default_rng(7)
+        lines = rng.integers(0, 3 * ways + 2, size=300)
+        writes = rng.uniform(size=300) < 0.3
+        _check_stack(ways, 2, _split((lines, writes), range(0, 300, 11)))
+
+
+class TestLruStackDispatch:
+    @pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
+    @pytest.mark.parametrize("busiest", [8, 9])
+    def test_rule(self, policy, busiest):
+        # Four ways: a busiest set of more than 8 ops takes the stack
+        # pass, under LRU only.
+        cache = _cache(policy, 4, 3)
+        lines = np.concatenate([np.arange(busiest) * 3, [1, 2]])
+        assert cache._stack_pays(lines) == (policy == "lru"
+                                             and busiest > 8)
+
+    def test_state_carries_across_both_kernels(self, monkeypatch):
+        # Calls alternate between the kernels through access_many;
+        # prefetch streams always take the round kernel.
+        taken = []
+        for name in ("_lru_stack", "_rounds"):
+            real = getattr(SetAssociativeCache, name)
+
+            def spy(cache, *args, _real=real, _name=name):
+                taken.append(_name)
+                return _real(cache, *args)
+
+            monkeypatch.setattr(SetAssociativeCache, name, spy)
+        rng = np.random.default_rng(5)
+        fast, slow = _cache("lru", 4, 3), _cache("lru", 4, 3)
+        for n in (40, 6, 200, 1, 90, 12):
+            lines = rng.integers(0, 30, size=n)
+            writes = rng.uniform(size=n) < 0.3
+            want = [access(slow, line * 64, write) for line, write in
+                    zip(lines.tolist(), writes.tolist())]
+            assert fast.access_many(lines * 64, writes).tolist() == want
+            assert cache_state(fast) == cache_state(slow)
+        assert taken == ["_lru_stack", "_rounds", "_lru_stack", "_rounds",
+                         "_lru_stack", "_rounds"]
+        lines = np.zeros(40, dtype=np.int64)
+        lines[1::2] = 3
+        fast.run_ops(lines, np.zeros(40, dtype=bool),
+                     np.zeros(40, dtype=bool))
+        assert taken[-1] == "_rounds"
 
 
 # -- cache hierarchy ----------------------------------------------------------

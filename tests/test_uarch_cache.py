@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 
 from repro.uarch.cache import CHUNK, SetAssociativeCache, victim_positions
 from repro.uarch.config import CacheConfig
-from tests.uarch_reference import access
+from tests.uarch_reference import (
+    access,
+    cache_lines,
+    contains,
+    line_address,
+    resident_lines,
+    line_tag,
+    set_index,
+)
 
 
 def tiny_cache(assoc=2, sets=4, line=64, policy="lru"):
@@ -30,18 +38,18 @@ def hit(c, addr, is_write=False):
 class TestAddressSplitting:
     def test_line_address_drops_offset(self):
         c = tiny_cache()
-        assert c.line_address(0) == c.line_address(63)
-        assert c.line_address(64) == c.line_address(0) + 1
+        assert line_address(c, 0) == line_address(c, 63)
+        assert line_address(c, 64) == line_address(c, 0) + 1
 
     def test_set_index_wraps(self):
         c = tiny_cache(sets=4)
         # Lines 0 and 4 share set 0.
-        assert c.set_index(0) == c.set_index(4 * 64)
-        assert c.set_index(64) == 1
+        assert set_index(c, 0) == set_index(c, 4 * 64)
+        assert set_index(c, 64) == 1
 
     def test_tag_distinguishes_same_set_lines(self):
         c = tiny_cache(sets=4)
-        assert c.tag(0) != c.tag(4 * 64)
+        assert line_tag(c, 0) != line_tag(c, 4 * 64)
 
 
 class TestBasicHitMiss:
@@ -129,7 +137,7 @@ class TestRandomReplacement:
         c = tiny_cache(assoc=2, sets=1, policy="random")
         for i in range(10):
             hit(c, i * 64 * 1)  # sets=1, so all conflict
-        assert c.resident_lines() == 2
+        assert resident_lines(c) == 2
         assert c.stats.evictions == 8
         assert c._draws.tolist() == [8]
 
@@ -147,7 +155,7 @@ class TestRandomReplacement:
 def cache_state(c):
     """Everything a fill or hit can change: stats, each set's tags in
     order with their dirty bits, and each set's victim draw count."""
-    return c.stats.snapshot(), c.lines(), c._draws.tolist()
+    return c.stats.snapshot(), cache_lines(c), c._draws.tolist()
 
 
 class TestBatchAccess:
@@ -223,15 +231,15 @@ class TestMaintenance:
     def test_contains(self):
         c = tiny_cache()
         hit(c, 0x1000)
-        assert c.contains(0x1000)
-        assert c.contains(0x1010)  # same line
-        assert not c.contains(0x2000)
+        assert contains(c, 0x1000)
+        assert contains(c, 0x1010)  # same line
+        assert not contains(c, 0x2000)
 
     def test_resident_never_exceeds_capacity(self):
         c = tiny_cache(assoc=2, sets=4)
         rng = np.random.default_rng(1)
         c.access_many(rng.integers(0, 1 << 16, size=1000))
-        assert c.resident_lines() <= c.config.n_lines
+        assert resident_lines(c) <= c.config.n_lines
 
 
 class TestConfigValidation:

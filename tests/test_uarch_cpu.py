@@ -5,6 +5,7 @@ import pytest
 
 from repro.uarch.config import small_test_machine, xeon_e2186g
 from repro.uarch.cpu import CPU
+from tests.uarch_reference import cache_lines
 
 
 class FakeInterval:
@@ -105,7 +106,7 @@ class TestExecuteInterval:
 def cpu_state(cpu):
     """Every piece of simulator state an interval can change."""
     hier = cpu.hierarchy
-    caches = [(c.stats.snapshot(), c.lines())
+    caches = [(c.stats.snapshot(), cache_lines(c))
               for c in (hier.l1, hier.l2, hier.llc)]
     tlbs = [([list(w.items()) for w in t._sets], t.hits, t.misses)
             for t in (cpu.tlb.dtlb, cpu.tlb.stlb)]

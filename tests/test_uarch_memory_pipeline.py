@@ -19,6 +19,7 @@ from repro.uarch.hierarchy import CacheHierarchy
 from repro.uarch.memory import DemandPager
 from repro.uarch.pipeline import TimingModel
 from repro.uarch.tlb import TLBCounters
+from tests.uarch_reference import contains, resident_lines
 
 PAGE = 4096
 
@@ -117,7 +118,7 @@ class TestNextLinePrefetcher:
         # of the miss on line 1, is resident in both already.
         assert (pf.issued, pf.installed) == (3, 4)
         for level in (h.l2, h.llc):
-            assert level.contains(64) and level.contains(192)
+            assert contains(level, 64) and contains(level, 192)
 
     def test_install_fills_without_demand_stats(self):
         cache = SetAssociativeCache(
@@ -128,10 +129,10 @@ class TestNextLinePrefetcher:
                                  np.array([True]))
         assert cache.run_ops(line, write, prefetch).tolist() == [False]
         assert cache.stats.accesses == 0
-        assert cache.contains(0x40)
+        assert contains(cache, 0x40)
         # Already resident: installs nothing.
         assert cache.run_ops(line, write, prefetch).tolist() == [True]
-        assert cache.resident_lines() == 1
+        assert resident_lines(cache) == 1
 
     def test_prefetcher_reduces_misses_on_streams(self):
         plain = small_test_machine()

@@ -7,13 +7,18 @@ are diffed against.
   line at a time. A ``random`` victim comes from the same
   :func:`repro.uarch.cache.victim_positions` draw the kernel makes, so
   a cache driven through these functions and one driven through the
-  kernel must agree bit for bit: hits, stats, lines in eviction order
-  and each set's draw count.
+  kernel must agree bit for bit: hits, stats, :func:`cache_lines` and
+  each set's draw count. :func:`line_address`, :func:`set_index`,
+  :func:`line_tag`, :func:`contains` and :func:`resident_lines` read one
+  address or the whole state.
 * One TLB level (``TwoLevelTLB.access_many``): :func:`tlb_lookup`
-  translates one address on a :class:`repro.uarch.tlb.TLB`.
+  translates one address on a :class:`repro.uarch.tlb.TLB`, keyed by
+  :func:`page_number`.
 * A branch predictor (``run_trace``): :func:`predict_and_update` runs
   one branch through any :mod:`repro.uarch.branch` predictor.
 """
+
+import numpy as np
 
 from repro.uarch.branch import (
     BimodalPredictor,
@@ -25,9 +30,44 @@ from repro.uarch.cache import victim_positions
 _WEAKLY_TAKEN = 2  # 2-bit counter states: 0,1 predict NT; 2,3 predict T.
 
 
+def line_address(cache, addr):
+    """``addr`` without its intra-line offset bits."""
+    return addr >> cache._offset_bits
+
+
+def set_index(cache, addr):
+    """``addr``'s set; modulo handles non-power-of-two set counts (e.g.
+    the sliced 12 MB LLC of Table II)."""
+    return line_address(cache, addr) % cache.config.n_sets
+
+
+def line_tag(cache, addr):
+    return line_address(cache, addr) // cache.config.n_sets
+
+
 def _split(cache, addr):
-    line = cache.line_address(int(addr))
-    return line % cache._n_sets, line // cache._n_sets
+    return set_index(cache, int(addr)), line_tag(cache, int(addr))
+
+
+def cache_lines(cache):
+    """Each set's resident lines as ``(tag, dirty)`` pairs in eviction
+    order, oldest stamp first."""
+    order = np.argsort(cache._stamps, axis=1, kind="stable")
+    tags = np.take_along_axis(cache._tags, order, axis=1).tolist()
+    dirty = np.take_along_axis(cache._dirty, order, axis=1).tolist()
+    return [[(t, d) for t, d in zip(row, bits) if t >= 0]
+            for row, bits in zip(tags, dirty)]
+
+
+def contains(cache, addr):
+    """Whether the line holding ``addr`` is resident, changing no
+    state."""
+    return find(cache, *_split(cache, addr)) is not None
+
+
+def resident_lines(cache):
+    """Total number of valid lines."""
+    return int(np.count_nonzero(cache._tags >= 0))
 
 
 def access(cache, addr, is_write=False):
@@ -104,10 +144,14 @@ def fill(cache, set_idx, tag, dirty=False):
 # -- TLB ----------------------------------------------------------------------
 
 
+def page_number(tlb, addr):
+    return addr >> tlb._page_bits
+
+
 def tlb_lookup(tlb, addr):
     """Translate one byte address on one TLB level; fills on miss.
     Returns the hit flag."""
-    page = tlb.page_number(int(addr))
+    page = page_number(tlb, int(addr))
     set_idx, tag = page % tlb._n_sets, page // tlb._n_sets
     ways = tlb._sets[set_idx]
     if tag in ways:
@@ -123,7 +167,7 @@ def tlb_lookup(tlb, addr):
 
 def tlb_contains(tlb, addr):
     """Whether ``addr``'s page is resident, changing no state."""
-    page = tlb.page_number(int(addr))
+    page = page_number(tlb, int(addr))
     return (page // tlb._n_sets) in tlb._sets[page % tlb._n_sets]
 
 
