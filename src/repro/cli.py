@@ -86,6 +86,7 @@ from dataclasses import replace
 # Neither these modules nor the lazy package inits they sit under import
 # numpy or the simulator; every import that does lives in the handler
 # that needs it, so a disk-warm ``repro score`` imports neither.
+from repro.core.report import SCORES
 from repro.experiments.runner import (
     FOCUS_VALUES,
     REQUESTS,
@@ -199,7 +200,7 @@ def _cmd_compare(args):
     comparison = compare_job(_config(args), _checked_request(args))
     print(comparison.table())
     if args.bars:
-        for score in ("cluster", "trend", "coverage", "spread"):
+        for score in SCORES:
             print()
             print(comparison.bars(score))
     if args.csv:

@@ -8,6 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+#: The four Section III scores, in the order reports and records list them.
+SCORES = ("cluster", "trend", "coverage", "spread")
+
 #: score name -> (polarity string, better-direction sign for ranking)
 SCORE_POLARITY = {
     "cluster": ("lower is better", -1),

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.report import SCORES
 from repro.experiments.runner import (
     FOCUS_VALUES,
     ExperimentConfig,
@@ -138,7 +139,7 @@ def render(result):
         parts.append("")
     # Bar panels for the headline (all-events) comparison, mirroring the
     # paper's Fig. 3a bar chart.
-    for score in ("cluster", "trend", "coverage", "spread"):
+    for score in SCORES:
         parts.append(result.comparisons["all"].bars(score))
         parts.append("")
     failures = check_expected_shape(result)

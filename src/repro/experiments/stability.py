@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.matrix import CounterMatrix
+from repro.core.report import SCORES
 from repro.engine import Engine
 from repro.experiments.runner import (
     ExperimentConfig,
@@ -112,7 +113,7 @@ def run(config=None, suite="sgxgauge",
         comparison = perspector.compare(*matrices)
         rankings = {
             score: tuple(comparison.ranking(score))
-            for score in ("cluster", "trend", "coverage", "spread")
+            for score in SCORES
         }
         if rep == 0:
             reference = rankings

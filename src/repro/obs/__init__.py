@@ -8,9 +8,9 @@
   pool's pickle pipe, and the owner re-parents them under the
   dispatching ``parallel.map`` span).
 * :mod:`repro.obs.metrics` -- the unified
-  :class:`~repro.obs.metrics.MetricsRegistry` (counters / gauges /
-  histograms) behind every engine-layer counter: kernel-cache hits,
-  disk-tier traffic, pool lifecycle events.
+  :class:`~repro.obs.metrics.MetricsRegistry` (counters, plus the
+  daemon's in-flight gauge) behind every engine-layer counter:
+  kernel-cache hits, disk-tier traffic, pool lifecycle events.
   ``SuiteScorecard.details["engine"]`` is a ``snapshot()``/``delta()``
   view over it.
 * :mod:`repro.obs.export` -- JSONL span logs and Chrome
@@ -22,7 +22,8 @@
   utilization.
 * :mod:`repro.obs.history` -- the longitudinal layer (DESIGN.md
   section 15): an append-only run-history store keyed by config
-  digest, bit-exact run diffing over the wire-format hex bits, and
+  digest, bit-exact run diffing over the wire records
+  (:func:`repro.service.protocol.record_diff`), and
   trajectory regression gates (``repro obs history`` / ``diff`` /
   ``check``).
 
@@ -51,7 +52,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "resolved_env", "write_manifest",
     ),
     "repro.obs.metrics": (
-        "Counter", "Gauge", "Histogram", "MetricsRegistry", "MetricsSnapshot",
+        "Counter", "Gauge", "MetricsRegistry", "MetricsSnapshot",
     ),
     "repro.obs.summary": ("render_summary", "summarize_file"),
     "repro.obs.trace": (

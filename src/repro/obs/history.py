@@ -56,6 +56,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 
+from repro.core.report import SCORES
 from repro.obs.export import _atomic_write
 from repro.obs.summary import aggregate_by_name
 
@@ -70,9 +71,6 @@ HISTORY_ENV = "REPRO_HISTORY"
 #: against the best earlier rate.
 MAX_WALL_REGRESSION_PCT = 25.0
 MAX_HIT_RATE_DROP = 0.10
-
-_SCORES = ("cluster", "trend", "coverage", "spread")
-
 
 # -- recorder -----------------------------------------------------------------
 
@@ -367,7 +365,8 @@ class HistoryStore:
     def scan(self):
         """``(records, skipped)``: every readable record, oldest first,
         and one message naming each record file that was skipped
-        because it does not decode or carries another schema version."""
+        because it does not decode, carries another schema version or
+        holds a wrong-typed field."""
         records, skipped = [], []
         for path in self._paths():
             try:
@@ -381,9 +380,48 @@ class HistoryStore:
         return self.scan()[0]
 
 
+_NUMBER_OR_NULL = (int, float, type(None))
+
+#: The JSON types of the top-level record fields the history code reads.
+_FIELD_TYPES = {
+    "command": (str,),
+    "config_digest": (str,),
+    "run_id": (str,),
+    "scorecards": (list,),
+    "subset_reports": (list,),
+    "search_results": (list,),
+    "windows": (list,),
+    "metrics": (dict, type(None)),
+    "wall_time_s": _NUMBER_OR_NULL,
+    "created_unix": _NUMBER_OR_NULL,
+}
+
+
+def _read_fields(record):
+    """``(label, value, allowed types)`` of every record field the
+    history code reads, outermost first: a field is yielded only after
+    the one holding it has been checked."""
+    for name, types in _FIELD_TYPES.items():
+        if name in record:
+            yield name, record[name], types
+    for i, card in enumerate(record.get("scorecards", ())):
+        yield f"scorecards[{i}]", card, (dict,)
+        for part in ("scores", "score_bits"):
+            yield f"scorecards[{i}].{part}", card.get(part, {}), (dict,)
+        scores = card.get("scores", {})
+        for name in SCORES:
+            yield (f"scorecards[{i}].scores.{name}", scores.get(name),
+                   _NUMBER_OR_NULL)
+    values = (record.get("metrics") or {}).get("values", {})
+    yield "metrics.values", values, (dict,)
+    for name in ("cache_hits", "cache_misses", "disk_hits"):
+        yield f"metrics.values.{name}", values.get(name), _NUMBER_OR_NULL
+
+
 def _read_record(path):
     """One record file; a ``ValueError`` naming ``path`` when it is not
-    a JSON object of this :data:`SCHEMA_VERSION`."""
+    a JSON object of this :data:`SCHEMA_VERSION`, or when a field the
+    history code reads holds the wrong JSON type."""
     try:
         with open(path, encoding="utf-8") as f:
             record = json.load(f)
@@ -397,6 +435,10 @@ def _read_record(path):
     if version != SCHEMA_VERSION:
         raise ValueError(f"{path}: history schema {version!r} != "
                          f"{SCHEMA_VERSION}")
+    for label, value, types in _read_fields(record):
+        if not isinstance(value, types):
+            raise ValueError(f"{path}: mis-shaped history record ({label} "
+                             f"is a {type(value).__name__})")
     return record
 
 
@@ -418,55 +460,23 @@ def skipped_notes(skipped):
 # -- bit-exact diffing --------------------------------------------------------
 
 
+#: The parts of a record the bit-exact diff compares.
+_COMPARED = ("scorecards", "subset_reports", "search_results", "windows",
+             "rendered_sha256")
+
+
+def _compared(record):
+    return {name: record[name] for name in _COMPARED if name in record}
+
+
 def _bits_of(record):
-    """Flatten every bit-pattern hex in a record into one ordered
-    ``{label: hexbits}`` map -- the comparison surface of the bit-exact
-    diff. Labels are stable and human-readable (``scorecards[0].
-    score_bits.cluster``)."""
-    out = {}
+    """The comparison surface of a record: the
+    :func:`~repro.service.protocol.flatten` of its compared parts, one
+    ``{label: value}`` map with stable, human-readable labels
+    (``scorecards[0].score_bits.cluster``)."""
+    from repro.service.protocol import flatten
 
-    def _take_map(label, mapping):
-        for key in sorted(mapping):
-            out[f"{label}.{key}"] = mapping[key]
-
-    for i, card in enumerate(record.get("scorecards", ())):
-        label = f"scorecards[{i}]"
-        _take_map(f"{label}.score_bits", card.get("score_bits", {}))
-        details = card.get("details", {})
-        for name, attr in (("cluster", "per_k_bits"),
-                           ("trend", "per_event_bits"),
-                           ("spread", "per_item_bits")):
-            detail = details.get(name)
-            if detail is not None:
-                _take_map(f"{label}.{name}.{attr}", detail.get(attr, {}))
-        coverage = details.get("coverage")
-        if coverage is not None:
-            for j, bits in enumerate(
-                    coverage.get("component_variance_bits", ())):
-                out[f"{label}.coverage.component_variance_bits[{j}]"] = \
-                    bits
-    for i, report in enumerate(record.get("subset_reports", ())):
-        label = f"subset_reports[{i}]"
-        for name in ("full_score_bits", "subset_score_bits",
-                     "deviation_bits"):
-            _take_map(f"{label}.{name}", report.get(name, {}))
-        out[f"{label}.mean_deviation_pct_bits"] = \
-            report.get("mean_deviation_pct_bits")
-    for i, result in enumerate(record.get("search_results", ())):
-        label = f"search_results[{i}]"
-        out[f"{label}.best.selected"] = \
-            ",".join(result.get("best", {}).get("selected", ()))
-        best = result.get("best", {})
-        for name in ("full_score_bits", "subset_score_bits",
-                     "deviation_bits"):
-            _take_map(f"{label}.best.{name}", best.get(name, {}))
-        out[f"{label}.best.mean_deviation_pct_bits"] = \
-            best.get("mean_deviation_pct_bits")
-    for i, window in enumerate(record.get("windows", ())):
-        _take_map(f"windows[{i}].score_bits",
-                  window.get("score_bits", {}))
-    out["rendered_sha256"] = record.get("rendered_sha256")
-    return out
+    return flatten(_compared(record))
 
 
 def _hit_rate(record):
@@ -518,13 +528,9 @@ def diff_records(a, b):
     hide nor fake a change. Perf quantities (wall time, cache hit
     rates) compare as relative deltas in :attr:`RunDiff.perf`.
     """
-    bits_a, bits_b = _bits_of(a), _bits_of(b)
-    drift = []
-    for label in sorted(set(bits_a) | set(bits_b)):
-        va, vb = bits_a.get(label), bits_b.get(label)
-        if va != vb:
-            drift.append(f"{label}: {va or '<absent>'} != "
-                         f"{vb or '<absent>'}")
+    from repro.service.protocol import record_diff
+
+    drift = record_diff(_compared(a), _compared(b))
     perf = {}
     wall_a, wall_b = a.get("wall_time_s"), b.get("wall_time_s")
     if wall_a and wall_b:
@@ -668,20 +674,6 @@ def check_trajectories(trajectories, digest=None,
 # -- trajectory listing -------------------------------------------------------
 
 
-def _record_scores(record):
-    """``{score: (value, bits)}`` of a record's first scorecard (or the
-    first window-less artifact that carries scores); empty otherwise."""
-    cards = record.get("scorecards") or ()
-    if cards:
-        card = cards[0]
-        return {
-            name: (card.get("scores", {}).get(name),
-                   card.get("score_bits", {}).get(name))
-            for name in _SCORES
-        }
-    return {}
-
-
 def render_history(store, digest=None):
     """The ``repro obs history`` report: every trajectory (grouped by
     config digest), one line per run, plus per-score sparkline-style
@@ -703,26 +695,17 @@ def render_history(store, digest=None):
         lines.append(f"config {run_digest[:12]} "
                      f"({', '.join(commands)}; {len(records)} run(s)):")
         bits_seq = [_bits_of(r) for r in records]
-        strips = {}
-        for name in _SCORES:
-            strip = []
-            for i, record in enumerate(records):
-                scores = _record_scores(record)
-                if name not in scores or scores[name][1] is None:
-                    strip.append(" ")
-                elif i == 0:
-                    strip.append("*")
-                else:
-                    key = f"scorecards[0].score_bits.{name}"
-                    strip.append("=" if bits_seq[i].get(key)
-                                 == bits_seq[i - 1].get(key) else "!")
-            if strip and set(strip) != {" "}:
-                strips[name] = "".join(strip)
-        for name, strip in strips.items():
-            latest = _record_scores(records[-1]).get(name)
-            value = ("" if latest is None or latest[0] is None
-                     else f"  latest={latest[0]:.4f}")
-            lines.append(f"  {name:<9} {strip}{value}")
+        latest = (records[-1].get("scorecards") or ({},))[0].get("scores", {})
+        for name in SCORES:
+            key = f"scorecards[0].score_bits.{name}"
+            strip = "".join(
+                " " if bits.get(key) is None else "*" if i == 0
+                else "=" if bits[key] == bits_seq[i - 1].get(key) else "!"
+                for i, bits in enumerate(bits_seq))
+            if strip.strip():
+                value = ("" if latest.get(name) is None
+                         else f"  latest={latest[name]:.4f}")
+                lines.append(f"  {name:<9} {strip}{value}")
         identical = ["*"] + [
             "=" if bits_seq[i] == bits_seq[i - 1] else "!"
             for i in range(1, len(records))

@@ -6,7 +6,7 @@ the kernel cache's hit/miss stats, the disk tier's
 ``Engine._engine_details`` recomputed per-pass deltas by hand across
 all of them. Counters kept in three shapes drift in three ways.
 :class:`MetricsRegistry` is the single store: each layer declares its
-instruments once (counters, gauges, histograms) against the
+instruments once (counters, and one gauge) against the
 registry its owning :class:`~repro.engine.Engine` carries (the disk
 tier's hits are the ``disk_hits`` counter, ...), and a per-pass delta
 is one ``registry.snapshot()`` before and one ``.delta()`` after.
@@ -15,11 +15,8 @@ Instrument kinds:
 
 * **Counter** -- monotonically increasing int (`inc`); deltas subtract.
 * **Gauge** -- point-in-time value (`set`); deltas report the current
-  value (a gauge has no meaningful movement arithmetic).
-* **Histogram** -- running count/sum/min/max over observed values
-  (`observe`); snapshots expand to ``<name>_count``/``<name>_sum``
-  (counter-like, so deltas subtract) and the delta carries the current
-  ``<name>_min``/``<name>_max``.
+  value (a gauge has no meaningful movement arithmetic). The daemon's
+  ``service_inflight`` is the one gauge.
 
 Increments are plain int attribute updates under the CPython GIL --
 the engine's layers mutate them from one thread per process, and the
@@ -58,39 +55,12 @@ class Gauge:
         self.value = value
 
 
-class Histogram:
-    """Running count/sum/min/max over observed values."""
-
-    __slots__ = ("name", "count", "total", "min", "max")
-
-    def __init__(self, name):
-        self.name = name
-        self.count = 0
-        self.total = 0
-        self.min = None
-        self.max = None
-
-    def observe(self, value):
-        self.count += 1
-        self.total += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-
-    @property
-    def mean(self):
-        return self.total / self.count if self.count else 0.0
-
-
 @dataclass(frozen=True)
 class MetricsSnapshot:
     """Immutable flat view of a registry at one instant.
 
-    ``values`` maps expanded metric names to numbers; ``kinds`` maps
-    each name to ``"counter"`` or ``"gauge"`` (histogram fields arrive
-    pre-expanded as counter-like ``_count``/``_sum`` plus gauge-like
-    ``_min``/``_max``).
+    ``values`` maps metric names to numbers; ``kinds`` maps each name
+    to ``"counter"`` or ``"gauge"``.
     """
 
     values: dict
@@ -118,14 +88,6 @@ class MetricsSnapshot:
         return dict(self.values)
 
 
-#: Snapshot name suffixes a histogram ``h`` expands into. A non-histogram
-#: instrument whose name collides with one of these expansions would
-#: silently share (or shadow) the expanded entry in :meth:`snapshot`,
-#: with the surviving value decided by dict insertion order -- so the
-#: collision is rejected at registration time instead.
-RESERVED_SUFFIXES = ("_count", "_sum", "_min", "_max")
-
-
 class MetricsRegistry:
     """Named instruments, created on first use, snapshottable."""
 
@@ -133,42 +95,10 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._metrics = {}
 
-    def _check_expansion_collision(self, name, cls):
-        """Reject names whose :meth:`snapshot` expansions would collide.
-
-        Two directions, both fatal: registering histogram ``lat`` while
-        an instrument ``lat_count`` (or ``lat_sum``/``lat_min``/
-        ``lat_max``) exists, and registering an instrument ``lat_count``
-        while histogram ``lat`` exists. Called under ``self._lock``.
-        """
-        if cls is Histogram:
-            for suffix in RESERVED_SUFFIXES:
-                other = self._metrics.get(name + suffix)
-                if other is not None and not isinstance(other, Histogram):
-                    raise ValueError(
-                        f"histogram {name!r} would expand to "
-                        f"{name + suffix!r} in snapshots, which is "
-                        f"already registered as a "
-                        f"{type(other).__name__.lower()}; rename one of "
-                        f"them"
-                    )
-        for suffix in RESERVED_SUFFIXES:
-            if not name.endswith(suffix):
-                continue
-            base = name[:-len(suffix)]
-            other = self._metrics.get(base)
-            if isinstance(other, Histogram) and cls is not Histogram:
-                raise ValueError(
-                    f"{cls.__name__.lower()} {name!r} collides with the "
-                    f"snapshot expansion of histogram {base!r}; rename "
-                    f"one of them"
-                )
-
     def _get_or_create(self, name, cls):
         with self._lock:
             metric = self._metrics.get(name)
             if metric is None:
-                self._check_expansion_collision(name, cls)
                 metric = self._metrics[name] = cls(name)
             elif not isinstance(metric, cls):
                 raise TypeError(
@@ -182,9 +112,6 @@ class MetricsRegistry:
 
     def gauge(self, name):
         return self._get_or_create(name, Gauge)
-
-    def histogram(self, name):
-        return self._get_or_create(name, Histogram)
 
     def __contains__(self, name):
         with self._lock:
@@ -201,20 +128,7 @@ class MetricsRegistry:
         with self._lock:
             metrics = list(self._metrics.values())
         for metric in metrics:
-            if isinstance(metric, Counter):
-                values[metric.name] = metric.value
-                kinds[metric.name] = "counter"
-            elif isinstance(metric, Gauge):
-                values[metric.name] = metric.value
-                kinds[metric.name] = "gauge"
-            else:
-                values[f"{metric.name}_count"] = metric.count
-                kinds[f"{metric.name}_count"] = "counter"
-                values[f"{metric.name}_sum"] = metric.total
-                kinds[f"{metric.name}_sum"] = "counter"
-                if metric.count:
-                    values[f"{metric.name}_min"] = metric.min
-                    kinds[f"{metric.name}_min"] = "gauge"
-                    values[f"{metric.name}_max"] = metric.max
-                    kinds[f"{metric.name}_max"] = "gauge"
+            values[metric.name] = metric.value
+            kinds[metric.name] = ("counter" if isinstance(metric, Counter)
+                                  else "gauge")
         return MetricsSnapshot(values=values, kinds=kinds)

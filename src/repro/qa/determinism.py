@@ -4,9 +4,10 @@ Reproducibility claims are only honest at the bit level: "close enough"
 drift between two same-seed runs means an unseeded RNG or an
 order-dependent reduction is hiding somewhere. Every check here is a
 table of ``(label, run)`` rows that one loop runs: each row's result is
-diffed against the check's baseline with that result kind's diff
-(IEEE-754 bit patterns of every score and per-item value, so NaN ==
-NaN, unlike ``==``), and the row adds its own checks. Four tables:
+diffed against the check's baseline through its wire record
+(:func:`repro.service.protocol.record_diff`: every field, floats as
+IEEE-754 hex, so NaN == NaN, unlike ``==``), and the row adds its own
+checks. Four tables:
 
 * **score** (:func:`check_determinism`) -- ``Perspector.score`` from
   fresh instances: a second baseline, the kernel cache off, fanned
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import struct
 import sys
 import tempfile
 import threading
@@ -44,64 +44,31 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-
-def _bits(value):
-    """IEEE-754 bit pattern of a float (total ordering, NaN-stable)."""
-    return struct.pack("<d", float(value))
-
-
-def _mismatch(label, a, b):
-    return (f"{label}: {a!r} (bits {_bits(a).hex()}) != "
-            f"{b!r} (bits {_bits(b).hex()})")
-
-
-def _compare_mapping(label, a, b, mismatches):
-    if set(a) != set(b):
-        mismatches.append(
-            f"{label}: key sets differ ({sorted(map(str, a))} vs "
-            f"{sorted(map(str, b))})"
-        )
-        return
-    for key in a:
-        va, vb = a[key], b[key]
-        if isinstance(va, (int, float, np.floating, np.integer)):
-            if _bits(va) != _bits(vb):
-                mismatches.append(_mismatch(f"{label}[{key!r}]", va, vb))
+from repro.service import protocol
 
 
 def diff_scorecards(a, b):
-    """Bit-level differences between two scorecards; empty list means
-    bit-identical."""
-    mismatches = []
-    if a.suite_name != b.suite_name:
-        mismatches.append(f"suite_name: {a.suite_name!r} != {b.suite_name!r}")
-    if a.focus != b.focus:
-        mismatches.append(f"focus: {a.focus!r} != {b.focus!r}")
-    for score in ("cluster", "trend", "coverage", "spread"):
-        va, vb = getattr(a, score), getattr(b, score)
-        if _bits(va) != _bits(vb):
-            mismatches.append(_mismatch(score, va, vb))
-    for name, attr in (("cluster", "per_k"), ("trend", "per_event"),
-                       ("spread", "per_item")):
-        da, db = a.details.get(name), b.details.get(name)
-        if (da is None) != (db is None):
-            mismatches.append(f"details[{name!r}]: present in one run only")
-        elif da is not None:
-            _compare_mapping(f"{name}.{attr}", getattr(da, attr),
-                             getattr(db, attr), mismatches)
-    ca, cb = a.details.get("coverage"), b.details.get("coverage")
-    if (ca is None) != (cb is None):
-        mismatches.append("details['coverage']: present in one run only")
-    elif ca is not None:
-        if ca.n_components != cb.n_components:
-            mismatches.append(
-                f"coverage.n_components: {ca.n_components} != "
-                f"{cb.n_components}"
-            )
-        elif [_bits(v) for v in ca.component_variances] != \
-                [_bits(v) for v in cb.component_variances]:
-            mismatches.append("coverage.component_variances: bit drift")
-    return mismatches
+    """Bit-level differences between two scorecards: every leaf their
+    :func:`~repro.service.protocol.scorecard_record` disagree on;
+    empty list means bit-identical."""
+    return protocol.record_diff(protocol.scorecard_record(a),
+                                protocol.scorecard_record(b))
+
+
+def _search_record(result):
+    """A :class:`~repro.engine.subset_eval.SubsetSearchResult` as the
+    comparison sees it: its identity fields, then the
+    :func:`~repro.service.protocol.subset_report_record` of its best
+    and of every candidate report."""
+    return {
+        "suite": result.suite,
+        "subset_size": result.subset_size,
+        "method": result.method,
+        "n_candidates": result.n_candidates,
+        "best": protocol.subset_report_record(result.best),
+        "reports": [protocol.subset_report_record(report)
+                    for report in result.reports],
+    }
 
 
 def diff_search_results(a, b):
@@ -109,41 +76,7 @@ def diff_search_results(a, b):
     :class:`~repro.engine.subset_eval.SubsetSearchResult` objects; empty
     list means bit-identical (including every candidate's report and
     which trend path each event took)."""
-    mismatches = []
-    for attr in ("suite", "subset_size", "method", "n_candidates"):
-        va, vb = getattr(a, attr), getattr(b, attr)
-        if va != vb:
-            mismatches.append(f"{attr}: {va!r} != {vb!r}")
-    if tuple(a.best.selected) != tuple(b.best.selected):
-        mismatches.append(
-            f"best.selected: {a.best.selected} != {b.best.selected}"
-        )
-    if len(a.reports) != len(b.reports):
-        mismatches.append(
-            f"n_evaluated: {len(a.reports)} != {len(b.reports)}"
-        )
-        return mismatches
-    for i, (ra, rb) in enumerate(zip(a.reports, b.reports)):
-        label = f"reports[{i}]"
-        if tuple(ra.selected) != tuple(rb.selected):
-            mismatches.append(
-                f"{label}.selected: {ra.selected} != {rb.selected}"
-            )
-            continue
-        for name in ("full_scores", "subset_scores", "deviations"):
-            _compare_mapping(f"{label}.{name}", getattr(ra, name),
-                             getattr(rb, name), mismatches)
-        if _bits(ra.mean_deviation_pct) != _bits(rb.mean_deviation_pct):
-            mismatches.append(_mismatch(f"{label}.mean_deviation_pct",
-                                        ra.mean_deviation_pct,
-                                        rb.mean_deviation_pct))
-        pa = ra.details.get("trend_paths")
-        pb = rb.details.get("trend_paths")
-        if pa != pb:
-            mismatches.append(
-                f"{label}.details['trend_paths']: {pa!r} != {pb!r}"
-            )
-    return mismatches
+    return protocol.record_diff(_search_record(a), _search_record(b))
 
 
 @dataclass(frozen=True)
@@ -388,8 +321,9 @@ def check_served(config, focus="all"):
     """The served table: a scoring daemon on an ephemeral port must
     serve what ``repro score nbench`` prints. The baseline is
     :func:`~repro.experiments.runner.score_suite` from a cold
-    measurement memo; every served card must match it bit for bit and
-    carry its ``str()`` as ``rendered``. Rows: ``served`` (a cold
+    measurement memo; every served payload must diff clean against its
+    :func:`~repro.service.protocol.scorecard_record` and carry its
+    ``str()`` as ``rendered``. Rows: ``served`` (a cold
     daemon's first request), ``served-warm`` (a second request must
     move the kernel-cache hit counter), ``served-concurrent`` (three
     sessions at once, rendered bytes only) and ``served-restart`` (a
@@ -404,11 +338,12 @@ def check_served(config, focus="all"):
     from repro.experiments import runner
     from repro.service import ServiceClient, ServiceThread
 
-    def diff(card, served):
-        found = diff_scorecards(card, served)
-        if served.rendered != str(card):
+    def diff(card, payload):
+        found = protocol.record_diff(protocol.scorecard_record(card),
+                                     payload)
+        if payload["rendered"] != str(card):
             found.append(f"rendered text differs from the CLI: "
-                         f"{served.rendered!r} != {str(card)!r}")
+                         f"{payload['rendered']!r} != {str(card)!r}")
         return found
 
     daemon = contextlib.ExitStack()
@@ -427,13 +362,13 @@ def check_served(config, focus="all"):
         return clients[-1].metrics()["values"].get(name, 0)
 
     def served():
-        return boot().score_card("nbench", focus=focus), ()
+        return boot().score("nbench", focus=focus), ()
 
     def warm():
         before = counter("cache_hits")
-        card = clients[-1].score_card("nbench", focus=focus)
+        payload = clients[-1].score("nbench", focus=focus)
         moved = counter("cache_hits") - before
-        return card, () if moved > 0 else (
+        return payload, () if moved > 0 else (
             f"a warm second request moved cache_hits by {moved}",)
 
     def concurrent():
@@ -453,9 +388,9 @@ def check_served(config, focus="all"):
                       if text != str(cli_card)]
 
     def restart():
-        card = boot().score_card("nbench", focus=focus)
+        payload = boot().score("nbench", focus=focus)
         hits = counter("disk_hits")
-        return card, () if hits > 0 else (
+        return payload, () if hits > 0 else (
             f"a daemon restarted over a warm disk tier read {hits} "
             f"disk-tier hits on its first request",)
 
@@ -471,8 +406,8 @@ def check_served(config, focus="all"):
 def check_history(config, store_dir):
     """The history table: recording observes, never perturbs. The
     baseline scores parsec on ``config`` without a recorder. Rows:
-    ``recorded`` (the same scoring with a recorder installed; the
-    record's wire ``score_bits`` must be the scorecard's), ``rerun``
+    ``recorded`` (the same scoring with a recorder installed; the card
+    it recorded must diff clean against the one it returned), ``rerun``
     (two ``repro --quick score parsec`` runs into the store at
     ``store_dir`` share a config digest, diff to zero drift and print
     identical bytes) and ``windows`` (two :func:`~repro.obs.history.window_trajectory`
@@ -496,7 +431,6 @@ def check_history(config, store_dir):
         uninstall_recorder,
         window_trajectory,
     )
-    from repro.service.protocol import encode_scorecard, float_bits
 
     matrix = measure_suites(["parsec"], config)["parsec"]
 
@@ -513,10 +447,8 @@ def check_history(config, store_dir):
                 recorder.metrics_snapshot is None:
             return card, ("the recorder did not capture exactly one "
                           "scorecard and a metrics snapshot",)
-        bits = encode_scorecard(recorder.scorecards[0])["score_bits"]
-        direct = encode_scorecard(card)["score_bits"]
-        return card, () if bits == direct else (
-            f"recorded score_bits {bits} != direct {direct}",)
+        return card, [f"recorded {mismatch}" for mismatch in
+                      diff_scorecards(card, recorder.scorecards[0])]
 
     def rerun():
         argv = ["--quick", "score", "parsec", "--history-dir", store_dir]
@@ -553,15 +485,14 @@ def check_history(config, store_dir):
         evaluator = SubsetEvaluator(matrix, seed=seed, engine=engine)
         full = evaluator.evaluate(list(matrix.workloads))
         problems = []
-        if first != second:
+        if protocol.record_diff(first, second):
             problems.append("two window_trajectory passes are not "
                             "bit-identical")
         last = first[-1]
         if last["workloads"] != len(matrix.workloads):
             problems.append(f"final window spans {last['workloads']} "
                             f"workloads, expected {len(matrix.workloads)}")
-        full_bits = {name: float_bits(value)
-                     for name, value in full.subset_scores.items()}
+        full_bits = protocol.subset_report_record(full)["subset_score_bits"]
         if last["score_bits"] != full_bits:
             problems.append(f"final window bits {last['score_bits']} != "
                             f"full-suite evaluator bits {full_bits}")

@@ -9,7 +9,9 @@
 * :mod:`repro.service.http` -- the minimal HTTP/1.1 slice it speaks.
 * :mod:`repro.service.protocol` -- bit-exact JSON wire format: every
   score travels both as a JSON number and as its IEEE-754 bit pattern,
-  so a served scorecard can be diffed bit-for-bit against a local one.
+  and every comparison of score results diffs these records
+  (``flatten`` / ``record_diff``), a served scorecard against a local
+  one included.
 * :mod:`repro.service.client` -- the blocking :class:`ServiceClient`
   behind ``repro client`` (bounded connect/read timeouts and retry
   with backoff, so a dead daemon fails fast with
@@ -31,8 +33,8 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "ServiceClient", "ServiceConnectionError", "ServiceError",
     ),
     "repro.service.protocol": (
-        "DEFAULT_HOST", "DEFAULT_PORT", "PROTOCOL_VERSION", "ServedScorecard",
-        "decode_scorecard", "encode_array", "encode_comparison",
+        "DEFAULT_HOST", "DEFAULT_PORT", "PROTOCOL_VERSION",
+        "decode_stored_scorecard", "encode_array", "encode_comparison",
         "encode_counter_matrix", "encode_scorecard", "encode_search_result",
         "encode_subset_report",
     ),

@@ -24,7 +24,6 @@ from repro.service.protocol import (
     DEFAULT_HOST,
     DEFAULT_PORT,
     PROTOCOL_VERSION,
-    decode_scorecard,
 )
 
 
@@ -150,11 +149,6 @@ class ServiceClient:
         """The raw ``/v1/score`` result payload."""
         return self._request("POST", "/v1/score",
                              {"suite": suite, "focus": focus})
-
-    def score_card(self, suite, focus="all"):
-        """The served scorecard decoded back to floats from its bit
-        patterns (:class:`~repro.service.protocol.ServedScorecard`)."""
-        return decode_scorecard(self.score(suite, focus=focus))
 
     def compare(self, suites, focus="all"):
         return self._request("POST", "/v1/compare",

@@ -11,13 +11,13 @@ contract travels twice:
 * as the little-endian IEEE-754 bit pattern in hex (``score_bits`` /
   the ``*_bits`` detail maps), which round-trips exactly.
 
-:func:`decode_scorecard` rebuilds a scorecard *from the bits* into
-lightweight shims that satisfy exactly the attribute surface
-:func:`repro.qa.determinism.diff_scorecards` walks (scores, ``per_k`` /
-``per_event`` / ``per_item`` maps, coverage component variances), so
-the service qa variant can diff a served card against a locally
-computed one at the bit level with the same comparator the rest of the
-repo trusts.
+Every comparison of score results reads these records: :func:`flatten`
+turns one into ``{label: value}`` leaves and :func:`record_diff` lists
+the labels two records disagree on. The qa harness diffs live results
+through :func:`scorecard_record` / :func:`subset_report_record`, its
+served rows diff a served payload directly, and ``repro obs diff``
+diffs history records, so a field the encoders gain is compared
+everywhere at once.
 
 Every response also carries ``rendered``: the exact ``str()`` text the
 CLI would have printed, so ``repro client score`` emits byte-for-byte
@@ -27,7 +27,7 @@ The same codec persists whole scorecards and subset-search candidate
 reports in the disk tier (:func:`scorecard_record` /
 :func:`decode_stored_scorecard`, :func:`subset_report_record` /
 :func:`decode_subset_report`), so the wire, the run history and the
-disk share one bit encoding. The module
+disk share one bit encoding, and one decoder per result kind. The module
 imports numpy only to encode arrays: a disk-warm ``repro score``
 decodes its scorecard without it.
 """
@@ -37,12 +37,11 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
+from repro.core.report import SCORES, SuiteScorecard
+
 #: Default bind address/port of ``repro serve`` (and of the client).
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8641
-
-#: The four Section III scores, in wire order.
-_SCORES = ("cluster", "trend", "coverage", "spread")
 
 #: Wire-format version; servers and clients reject mismatches loudly
 #: instead of mis-decoding silently.
@@ -111,7 +110,7 @@ def scorecard_record(card):
     without the ``rendered`` text or the ``details["engine"]`` counters
     of the run that computed it. This is the disk tier's scorecard
     entry; :func:`decode_stored_scorecard` reads it back."""
-    scores = {name: getattr(card, name) for name in _SCORES}
+    scores = {name: getattr(card, name) for name in SCORES}
     payload = {
         "suite": card.suite_name,
         "focus": card.focus,
@@ -154,8 +153,9 @@ def encode_scorecard(card):
 
 @dataclass(frozen=True)
 class ServedDetail:
-    """Per-score decomposition shim (``per_k``/``per_event``/``per_item``
-    stand-in for the real result dataclasses)."""
+    """Per-score decomposition of a decoded scorecard: the
+    ``per_k``/``per_event``/``per_item`` map :func:`scorecard_record`
+    reads off the real result dataclasses."""
 
     per_k: dict = field(default_factory=dict)
     per_event: dict = field(default_factory=dict)
@@ -164,98 +164,108 @@ class ServedDetail:
 
 @dataclass(frozen=True)
 class ServedCoverage:
-    """Coverage-detail shim carrying exactly what the bit-diff reads."""
+    """Coverage detail of a decoded scorecard: what
+    :func:`scorecard_record` reads."""
 
     n_components: int
     component_variances: tuple
 
 
-@dataclass(frozen=True)
-class ServedScorecard:
-    """A scorecard rebuilt from the wire, attribute-compatible with
-    :func:`repro.qa.determinism.diff_scorecards` (and with
-    :meth:`~repro.core.report.SuiteScorecard.__str__`-style rendering
-    via the ``rendered`` field it rode in with)."""
-
-    suite_name: str
-    focus: str
-    cluster: float
-    trend: float
-    coverage: float
-    spread: float
-    details: dict
-    rendered: str
-
-
-def _decode_scores(payload):
+def decode_stored_scorecard(payload):
+    """Rebuild a :class:`~repro.core.report.SuiteScorecard` from
+    :func:`scorecard_record` output (or a served or recorded
+    :func:`encode_scorecard` payload, whose rendered text and engine
+    counters it drops), every float from its bit pattern; it prints
+    exactly what the original prints. A missing field raises
+    ``KeyError``, and a malformed bit string raises ``ValueError`` or
+    ``struct.error``."""
     bits = payload["score_bits"]
-    return {name: bits_float(bits[name]) for name in _SCORES}
-
-
-def _decode_details(wire_details):
+    stored = payload["details"]
     details = {}
-    cluster = wire_details.get("cluster")
+    cluster = stored.get("cluster")
     if cluster is not None:
         details["cluster"] = ServedDetail(per_k={
             # per_k is keyed by the integer k of the Eq. 6 sweep; JSON
             # stringified it on the way out.
-            int(k): bits_float(v)
-            for k, v in cluster["per_k_bits"].items()
+            int(k): bits_float(v) for k, v in cluster["per_k_bits"].items()
         })
-    trend = wire_details.get("trend")
+    trend = stored.get("trend")
     if trend is not None:
         details["trend"] = ServedDetail(per_event={
             event: bits_float(v)
             for event, v in trend["per_event_bits"].items()
         })
-    spread = wire_details.get("spread")
+    spread = stored.get("spread")
     if spread is not None:
         details["spread"] = ServedDetail(per_item={
             item: bits_float(v)
             for item, v in spread["per_item_bits"].items()
         })
-    coverage = wire_details.get("coverage")
+    coverage = stored.get("coverage")
     if coverage is not None:
         details["coverage"] = ServedCoverage(
             n_components=int(coverage["n_components"]),
             component_variances=tuple(
-                bits_float(v)
-                for v in coverage["component_variance_bits"]
+                bits_float(v) for v in coverage["component_variance_bits"]
             ),
         )
-    engine = wire_details.get("engine")
-    if engine is not None:
-        details["engine"] = dict(engine)
-    return details
-
-
-def decode_scorecard(payload):
-    """Rebuild a :class:`ServedScorecard` from :func:`encode_scorecard`
-    output, reconstructing every float from its bit pattern."""
-    return ServedScorecard(
-        suite_name=payload["suite"],
-        focus=payload["focus"],
-        details=_decode_details(payload.get("details", {})),
-        rendered=payload["rendered"],
-        **_decode_scores(payload),
-    )
-
-
-def decode_stored_scorecard(payload):
-    """Rebuild a :class:`~repro.core.report.SuiteScorecard` from
-    :func:`scorecard_record` output, every float from its bit pattern;
-    it prints exactly what the original prints. Unlike the wire
-    decoder, every top-level field is required: a missing one raises
-    ``KeyError``, and a malformed bit string raises ``ValueError`` or
-    ``struct.error``."""
-    from repro.core.report import SuiteScorecard
-
     return SuiteScorecard(
         suite_name=payload["suite"],
         focus=payload["focus"],
-        details=_decode_details(payload["details"]),
-        **_decode_scores(payload),
+        details=details,
+        **{name: bits_float(bits[name]) for name in SCORES},
     )
+
+
+# -- comparing records --------------------------------------------------------
+
+
+#: Keys :func:`flatten` leaves out: the rendered text (the bits it is
+#: printed from are compared), the JSON-number copies of the bits (NaN
+#: never equals itself), and, under ``details``, the counters of the
+#: engine run that computed a card.
+_UNCOMPARED = frozenset({"rendered", "scores", "details.engine"})
+
+
+def flatten(record):
+    """Every compared leaf of a JSON-safe record as one ``{label:
+    value}`` map, labelled by its path (``score_bits.cluster``,
+    ``details.coverage.component_variance_bits[0]``,
+    ``reports[2].trend_paths[0][1]``). Floats are compared through
+    their ``*_bits`` hex, so a leaf is a string, an int, ``None`` or an
+    empty map or list."""
+    flat = {}
+
+    def walk(label, parent, value):
+        if isinstance(value, dict) and value:
+            for key, item in value.items():
+                if key in _UNCOMPARED or f"{parent}.{key}" in _UNCOMPARED:
+                    continue
+                walk(f"{label}.{key}" if label else str(key), key, item)
+        elif isinstance(value, (list, tuple)) and value:
+            for i, item in enumerate(value):
+                walk(f"{label}[{i}]", parent, item)
+        else:
+            # An empty map or list stays a leaf, so a detail that one
+            # record has and the other lacks still differs.
+            flat[label] = value
+
+    walk("", "", record)
+    return flat
+
+
+def record_diff(a, b):
+    """``label: A != B`` for every leaf two records' :func:`flatten`
+    disagree on (``<absent>`` where one lacks it), in label order; an
+    empty list means bit-identical."""
+    flat_a, flat_b = flatten(a), flatten(b)
+    mismatches = []
+    for label in sorted(flat_a.keys() | flat_b.keys()):
+        va = flat_a.get(label, "<absent>")
+        vb = flat_b.get(label, "<absent>")
+        if va != vb:
+            mismatches.append(f"{label}: {va} != {vb}")
+    return mismatches
 
 
 # -- comparisons and subsets --------------------------------------------------

@@ -202,9 +202,14 @@ class TestHistoryStore:
 
 #: Ways a record file gets damaged: truncated at several offsets (a
 #: negative offset counts from the end), not UTF-8, not a JSON object,
-#: or written under another schema version.
+#: written under another schema version, or parsing as JSON with a field
+#: of the wrong type.
 DAMAGE = ("truncate:0", "truncate:1", "truncate:200", "truncate:-2",
-          "binary", "array", "schema")
+          "binary", "array", "schema", "score-bits-type", "wall-type")
+
+#: The wrong-typed field each mis-shaped damage plants, by its label.
+MIS_SHAPED = {"score-bits-type": "scorecards[0].score_bits",
+              "wall-type": "wall_time_s"}
 
 
 def damage_record(path, damage):
@@ -218,7 +223,12 @@ def damage_record(path, damage):
         out = b"[1, 2]\n"
     else:
         record = json.loads(raw)
-        record["schema_version"] = 99
+        if kind == "score-bits-type":
+            record["scorecards"][0]["score_bits"] = 5
+        elif kind == "wall-type":
+            record["wall_time_s"] = "slow"
+        else:
+            record["schema_version"] = 99
         out = json.dumps(record).encode()
     open(path, "wb").write(out)
 
@@ -267,6 +277,18 @@ class TestDamagedRecords:
         err = capsys.readouterr().err
         assert err.startswith(f"repro obs diff: {bad}: ")
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("damage", sorted(MIS_SHAPED))
+def test_mis_shaped_record_error_names_its_field(tmp_path, capsys, damage):
+    store, bad = damaged_store(tmp_path, damage)
+    with pytest.raises(ValueError) as info:
+        store.load("2")
+    assert str(info.value).startswith(
+        f"{bad}: mis-shaped history record ({MIS_SHAPED[damage]} is a ")
+    assert main(["obs", "diff", "--history-dir", str(tmp_path), "2",
+                 "3"]) == 2
+    assert capsys.readouterr().err == f"repro obs diff: {info.value}\n"
 
 
 class TestDiffRecords:

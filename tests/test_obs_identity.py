@@ -17,7 +17,7 @@ from repro.obs import history as obs_history
 from repro.obs import trace as obs_trace
 from repro.obs.manifest import build_manifest
 from repro.qa.determinism import diff_scorecards
-from repro.service.protocol import decode_scorecard
+from repro.service.protocol import decode_stored_scorecard
 
 
 def fixture_matrix(seed=0, n_workloads=6, n_events=3, length=30):
@@ -115,7 +115,7 @@ class TestBitIdentity:
         # The record itself carries the same bits.
         store = obs_history.HistoryStore(tmp_path)
         (run_id,) = store.run_ids()
-        stored = decode_scorecard(store.load(run_id)["scorecards"][0])
+        stored = decode_stored_scorecard(store.load(run_id)["scorecards"][0])
         assert diff_scorecards(plain, stored) == []
 
     def test_tracing_does_not_perturb_engine_counters(self):

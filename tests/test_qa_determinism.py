@@ -86,8 +86,12 @@ class TestMatrixPath:
         report = check_determinism(fixture_matrix(), seed=0,
                                    cache_dir=str(tmp_path))
         assert not report.identical
-        assert [m.split(":")[0] for m in report.mismatches] == [
-            "[scorecard-tier] cluster.per_k"]
+        # The stored entry lost a per-k value; re-encoding the served
+        # card shows the label it lost.
+        [mismatch] = report.mismatches
+        assert mismatch.startswith("[scorecard-tier] details.cluster."
+                                   "per_k_bits.")
+        assert mismatch.endswith(" != <absent>")
 
     def test_focus_is_threaded_through(self):
         report = check_determinism(fixture_matrix(), seed=0, focus="llc")
@@ -106,8 +110,7 @@ class TestDiffScorecards:
             card, spread=card.spread + 1e-15)
         mismatches = diff_scorecards(card, drifted)
         assert len(mismatches) == 1
-        assert mismatches[0].startswith("spread:")
-        assert "bits" in mismatches[0]
+        assert mismatches[0].startswith("score_bits.spread: ")
 
     def test_nan_equals_nan_bitwise(self):
         card = check_determinism(fixture_matrix(), seed=0).results[0]
@@ -118,8 +121,8 @@ class TestDiffScorecards:
     def test_metadata_drift_detected(self):
         card = check_determinism(fixture_matrix(), seed=0).results[0]
         renamed = dataclasses.replace(card, suite_name="other")
-        assert any(m.startswith("suite_name") for m in
-                   diff_scorecards(card, renamed))
+        assert diff_scorecards(card, renamed) == [
+            "suite: determinism-fixture != other"]
 
     def test_failing_report_str_lists_mismatches(self):
         card = check_determinism(fixture_matrix(), seed=0).results[0]
@@ -318,20 +321,25 @@ class TestHarness:
         from repro.qa.determinism import check_served
         from repro.service import client
 
-        real = client.decode_scorecard
+        from repro.service.protocol import bits_float, float_bits
 
-        def flipped(payload):
-            card = real(payload)
-            return replace(card, cluster=np.nextafter(card.cluster, np.inf))
+        real = client.ServiceClient.score
 
-        monkeypatch.setattr(client, "decode_scorecard", flipped)
+        def flipped(self, suite, focus="all"):
+            payload = real(self, suite, focus=focus)
+            bits = payload["score_bits"]
+            bits["cluster"] = float_bits(
+                np.nextafter(bits_float(bits["cluster"]), np.inf))
+            return payload
+
+        monkeypatch.setattr(client.ServiceClient, "score", flipped)
         report = check_served(replace(ExperimentConfig.quick(),
                                       cache_dir=str(tmp_path)))
         # served-concurrent compares rendered bytes, which ride the
         # wire as text.
         assert [m.split(":")[0] for m in report.mismatches] == [
-            "[served] cluster", "[served-warm] cluster",
-            "[served-restart] cluster"]
+            "[served] score_bits.cluster", "[served-warm] score_bits.cluster",
+            "[served-restart] score_bits.cluster"]
 
     def test_recorded_row_catches_a_perturbed_record(self, tmp_path,
                                                      monkeypatch):
@@ -354,4 +362,4 @@ class TestHarness:
                     cache_dir=str(tmp_path / "cache")),
             str(tmp_path / "history"))
         [mismatch] = report.mismatches
-        assert mismatch.startswith("[recorded] recorded score_bits ")
+        assert mismatch.startswith("[recorded] recorded score_bits.trend: ")

@@ -18,7 +18,7 @@ from repro.service import (
     ServiceConnectionError,
     ServiceError,
     ServiceThread,
-    decode_scorecard,
+    decode_stored_scorecard,
     encode_scorecard,
 )
 from repro.service.protocol import (
@@ -57,24 +57,14 @@ class TestProtocol:
                 "engine": {"cache_hits": 3},
             },
         )
-        served = decode_scorecard(
-            json.loads(json.dumps(encode_scorecard(card)))
-        )
+        payload = json.loads(json.dumps(encode_scorecard(card)))
+        served = decode_stored_scorecard(payload)
         assert diff_scorecards(card, served) == []
-        assert served.rendered == str(card)
-        assert served.details["engine"] == {"cache_hits": 3}
-
-    def test_decode_tolerates_missing_details(self):
-        payload = {
-            "suite": "s", "focus": "all",
-            "score_bits": {name: float_bits(float("nan"))
-                           for name in ("cluster", "trend", "coverage",
-                                        "spread")},
-            "rendered": "s [all] ...",
-        }
-        served = decode_scorecard(payload)
-        assert served.details == {}
-        assert np.isnan(served.cluster)
+        assert payload["rendered"] == str(served) == str(card)
+        # The engine counters of the computing run ride the wire but
+        # are not part of the scorecard's bits.
+        assert payload["details"]["engine"] == {"cache_hits": 3}
+        assert "engine" not in served.details
 
 
 @pytest.fixture(scope="module")
@@ -109,14 +99,14 @@ class TestEndpoints:
 
     def test_score_round_trip_is_bit_identical_to_cli(self, service):
         config, client = service
-        served = client.score_card("nbench")
+        payload = client.score("nbench")
         card = _cli_card(config, "nbench")
-        assert diff_scorecards(card, served) == []
-        assert served.rendered == str(card)
+        assert diff_scorecards(card, decode_stored_scorecard(payload)) == []
+        assert payload["rendered"] == str(card)
 
     def test_score_honors_focus(self, service):
         config, client = service
-        served = client.score_card("nbench", focus="llc")
+        served = decode_stored_scorecard(client.score("nbench", focus="llc"))
         assert served.focus == "llc"
         card = _cli_card(config, "nbench", focus="llc")
         assert diff_scorecards(card, served) == []
@@ -163,7 +153,7 @@ class TestEndpoints:
         assert result["rendered"] == comparison.table()
         for wire, card in zip(result["scorecards"],
                               comparison.scorecards):
-            assert diff_scorecards(card, decode_scorecard(wire)) == []
+            assert diff_scorecards(card, decode_stored_scorecard(wire)) == []
 
     def test_subset_report_round_trip(self, service):
         _config, client = service
@@ -189,7 +179,7 @@ class TestEndpoints:
         # names no backend and a served card matches the CLI's bits.
         assert kernels().pair_distances is not None
         assert "backend" not in client.health()
-        served = client.score_card("nbench")
+        served = decode_stored_scorecard(client.score("nbench"))
         assert diff_scorecards(_cli_card(config, "nbench"), served) == []
 
     def test_concurrent_sessions_get_identical_bytes(self, service):
@@ -373,7 +363,7 @@ class TestServiceHistory:
         )
         with ServiceThread(config) as thread:
             client = ServiceClient(host=thread.host, port=thread.port)
-            served = client.score_card("nbench")
+            served = client.score("nbench")
             client.score("nbench")
             listing = client.history()
             assert listing["enabled"] is True
@@ -384,8 +374,7 @@ class TestServiceHistory:
             digests = {r["config_digest"] for r in runs}
             assert len(digests) == 1
             # The listed bits are the served card's exact bits.
-            assert runs[0]["score_bits"] == \
-                encode_scorecard(served)["score_bits"]
+            assert runs[0]["score_bits"] == served["score_bits"]
             # And the on-disk records diff to zero under that digest.
             store = HistoryStore(config.history_dir)
             record_a, record_b = store.runs()
@@ -427,8 +416,8 @@ class TestServiceHistory:
                          history_dir=str(store))
         with ServiceThread(config) as thread:
             served = ServiceClient(host=thread.host,
-                                   port=thread.port).score_card("nbench")
-        assert served.rendered == str(_cli_card(config, "nbench"))
+                                   port=thread.port).score("nbench")
+        assert served["rendered"] == str(_cli_card(config, "nbench"))
         notes = [line for line in capsys.readouterr().err.splitlines()
                  if "history append failed" in line]
         assert len(notes) == 1
@@ -475,12 +464,13 @@ class TestShutdown:
             clear_cache()
             with ServiceThread(config) as thread:
                 client = ServiceClient(host=thread.host, port=thread.port)
-                card = client.score_card("nbench")
+                payload = client.score("nbench")
                 disk_hits = client.metrics()["values"].get("disk_hits", 0)
-            rendered[workers] = card.rendered
+            rendered[workers] = payload["rendered"]
         assert rendered[1] == rendered[2]
         assert disk_hits > 0
-        assert diff_scorecards(_cli_card(config, "nbench"), card) == []
+        assert diff_scorecards(_cli_card(config, "nbench"),
+                               decode_stored_scorecard(payload)) == []
 
 
 def _dead_port():
