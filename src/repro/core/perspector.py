@@ -46,8 +46,8 @@ class PerspectorConfig:
         Seed for K-means and any sampled variants.
     workers:
         Worker processes for the scoring engine's parallel fan-out
-        (per-event DTW matrices, per-k K-means, per-suite comparison
-        scoring). ``1`` (the default) keeps the serial path; any value
+        (per-k K-means, per-suite comparison scoring, subset candidate
+        batches). ``1`` (the default) keeps the serial path; any value
         produces bit-identical scorecards.
     cache:
         Enable the engine's content-addressed kernel cache. Results are

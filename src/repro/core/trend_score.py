@@ -98,8 +98,8 @@ def trend_score(matrix_or_series, events=None, n_points=100, band=None,
     kernels:
         Optional kernel provider with an ``event_trend_scores`` hook
         (see :class:`repro.engine.Engine`); replaces the serial
-        per-event loop with a cached/parallel one. Results are
-        bit-identical either way.
+        per-event loop with one that reads and fills a DTW pair store.
+        Results are bit-identical either way.
 
     Returns
     -------

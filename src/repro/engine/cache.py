@@ -190,13 +190,6 @@ class KernelCache:
                 return self._remember(key, value), TIER_DISK
         return MISS, TIER_MISS
 
-    def peek(self, key):
-        """Like :meth:`lookup` but without touching the counters (for
-        probing several assembly strategies before committing to one)."""
-        if not self.enabled:
-            return MISS
-        return self._store.get(key, MISS)
-
     def put(self, key, value, disk=True):
         """Store a value (no-op when disabled). Returns the value, so
         ``return cache.put(key, compute())`` reads naturally. Writes

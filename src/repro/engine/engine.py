@@ -9,23 +9,25 @@ capabilities without changing a single output bit:
   decompositions (via whole CoverageScore results) and per-k K-means
   labels are cached under content-addressed keys. Focused re-scoring,
   subset fidelity checks and repeated experiment runs hit the cache
-  instead of recomputing. The missing DTW pairs of one or several
-  matrices go to the kernel in one deduplicated batch
-  (:meth:`Engine.dtw_matrices`).
-* **Parallel fan-out** (:mod:`repro.engine.parallel`): per-event DTW
-  matrices, the per-k K-means sweep and per-suite comparison scoring
-  fan across a process pool when ``workers > 1``. Results are
+  instead of recomputing. Every DTW matrix -- trend scoring's and the
+  subset evaluator's -- is filled through the pair store: the missing
+  pairs of one or several matrices go to the kernel in one
+  deduplicated batch (:meth:`Engine.dtw_matrices`).
+* **Parallel fan-out** (:mod:`repro.engine.parallel`): the per-k
+  K-means sweep, per-suite comparison scoring and subset candidate
+  batches fan across a process pool when ``workers > 1``. Results are
   reassembled in input order and each element is computed by the exact
   kernel the serial path uses, so scorecards are bit-identical at any
   worker count -- a property ``repro.qa.determinism`` checks.
 
 Determinism-under-caching hinges on one kernel-selection rule: a given
 (series pair, band) always yields the same bits whatever code path
-computes it. The engine dispatches DTW pairs through the one
-:class:`~repro.stats.backend.ComputeBackend` record
-(:func:`repro.stats.backend.kernels`), whose batched kernels are
-bit-identical to one ``dtw_distance`` per pair, so mixing cached and
-fresh pairs is safe whichever batch computed them.
+computes it. The engine dispatches every DTW pair batch through its
+one :class:`~repro.stats.backend.ComputeBackend` record
+(:attr:`Engine.backend`, :func:`repro.stats.backend.kernels` by
+default), whose batched kernels are bit-identical to one
+``dtw_distance`` per pair, so mixing cached and fresh pairs is safe
+whichever batch computed them.
 """
 
 from __future__ import annotations
@@ -59,32 +61,6 @@ from repro.stats.kmeans import KMeans
 
 
 # -- worker tasks (top-level so they pickle) --------------------------------
-
-
-def _trend_event_task(series_list, n_points, band, normalize, cdf):
-    """Normalize one event's series set (optionally) and compute its
-    pairwise DTW matrix. Pure: returns everything it computed."""
-    arrays = [np.asarray(s, dtype=float) for s in series_list]
-    if normalize:
-        norm = normalize_series_set(arrays, n_points=n_points, cdf=cdf)
-    else:
-        norm = validate_series_list(arrays)
-    return norm, _dtw_matrix_direct(norm, band)
-
-
-def _dtw_matrix_direct(arrays, band):
-    """The plain (cache-free) pairwise DTW matrix over validated arrays,
-    via the same kernels the cached assembly path uses."""
-    arrays = validate_series_list(arrays)
-    n = len(arrays)
-    out = np.zeros((n, n))
-    if n < 2:
-        return out
-    idx_i, idx_j = np.triu_indices(n, k=1)
-    totals = kernels().pair_distances(arrays, idx_i, idx_j, band)
-    out[idx_i, idx_j] = totals
-    out[idx_j, idx_i] = totals
-    return out
 
 
 def _kmeans_task(x, k, seed, n_restarts):
@@ -127,7 +103,8 @@ class Engine:
         A :class:`~repro.stats.backend.ComputeBackend` record to
         dispatch through instead of :func:`~repro.stats.backend.kernels`
         -- a seam for wrapped copies that count or record kernel calls.
-        Pool tasks always use ``kernels()``.
+        Every DTW pair this engine computes goes through it; engines
+        built inside pool tasks use ``kernels()``.
     """
 
     def __init__(self, cache=True, workers=1, cache_dir=None, backend=None):
@@ -151,10 +128,6 @@ class Engine:
         # counters at any worker count.
         for name in POOL_COUNTERS:
             self.metrics.counter(name)
-        #: Digests seen in any cached DTW pair -- lets
-        #: :meth:`_any_pair_cached` answer "fully cold" in O(1) instead
-        #: of hashing O(n^2) candidate keys per trend call.
-        self._pair_digests = set()
 
     @property
     def cache_dir(self):
@@ -204,20 +177,16 @@ class Engine:
         """Cached pairwise DTW matrix.
 
         Misses are filled at pair granularity: any pair already known --
-        from a previous full-matrix computation over a superset, or an
-        earlier identical subset -- is reused, and only the genuinely
-        new pairs are computed (batched, when fast-path eligible).
+        from another event's matrix, a previous full-matrix computation
+        over a superset, or an earlier identical subset -- is reused,
+        and only the genuinely new pairs are computed, in one
+        :meth:`dtw_matrices` batch.
         """
         arrays = validate_series_list(series)
         mkey = content_key("dtw-matrix", tuple(arrays), band)
         cached = self._cached("dtw-matrix", mkey)
         if cached is not MISS:
             return cached
-        return self._fill_dtw_matrix(arrays, mkey, band)
-
-    def _fill_dtw_matrix(self, arrays, mkey, band):
-        """Compute (reusing cached pairs) and store the matrix of
-        validated ``arrays`` whose ``mkey`` lookup missed."""
         digests = [array_digest(a) for a in arrays]
         (out,), _computed = self.dtw_matrices([(arrays, digests)], band)
         return self.cache.put(mkey, out)
@@ -280,7 +249,6 @@ class Engine:
                     else:
                         known[key] = value
             set_keys.append(keys)
-            self._pair_digests.update(digests)
         if missing:
             idx = np.array(list(missing.values())).reshape(-1, 2)
             fresh = self.backend.pair_distances(rows, idx[:, 0], idx[:, 1],
@@ -299,103 +267,44 @@ class Engine:
             matrices.append(out)
         return matrices, len(missing)
 
-    def _store_trend_event(self, nkey, norm, band, dmatrix):
-        """Merge one worker-computed trend-event result into the cache:
-        the normalized set, the matrix, and every individual pair."""
-        if nkey is not None:
-            self.cache.put(nkey, norm)
-        digests = [array_digest(a) for a in norm]
-        n = len(norm)
-        for i in range(n):
-            for j in range(i + 1, n):
-                self.cache.put(pair_key(digests[i], digests[j], band),
-                               float(dmatrix[i, j]), disk=False)
-        self._pair_digests.update(digests)
-        self.cache.put(
-            content_key("dtw-matrix", tuple(norm), band), dmatrix,
-        )
-
     # -- kernels hooks (consumed by repro.core via `kernels=`) -------------
+
+    def normalized_set(self, arrays, n_points=100, cdf="quantized"):
+        """The Fig. 1-normalized set of float ``arrays``, cached under
+        its ``norm-set`` key -- the one normalization both
+        :meth:`event_trend_scores` and the subset evaluator's
+        precompute read."""
+        nkey = content_key("norm-set", tuple(arrays), n_points, cdf)
+        norm = self._cached("norm-set", nkey)
+        if norm is MISS:
+            norm = self.cache.put(nkey, normalize_series_set(
+                arrays, n_points=n_points, cdf=cdf))
+        return norm
 
     def event_trend_scores(self, series_by_event, n_points=100, band=None,
                            normalize=True, cdf="quantized"):
         """Per-event ``TScore_z`` values (Eq. 7) for a ``{event: [series]}``
-        map -- the cached/parallel replacement for the serial loop in
+        map -- the cached replacement for the serial loop in
         :func:`repro.core.trend_score.trend_score`.
 
-        Events whose normalized set (or DTW matrix) is cached are served
-        in-process; the rest fan out across the worker pool as whole
-        normalize-plus-DTW tasks, merged back in event order.
+        Each event's matrix comes from :meth:`dtw_matrix`, so a cold
+        one computes only the pairs the pair store lacks: every series
+        that is flat at the quantized-CDF resolution normalizes to the
+        same array, and its pairs repeat across workloads and events.
+        Values come back in event order -- the Eq. 8 mean sums them in
+        this order, and bit-reproducibility includes the summation
+        order.
         """
-        events = list(series_by_event)
         values = {}
-        pending = []
-        for event in events:
-            arrays = [
-                np.asarray(s, dtype=float) for s in series_by_event[event]
-            ]
+        for event, series_list in series_by_event.items():
+            arrays = [np.asarray(s, dtype=float) for s in series_list]
             if len(arrays) < 2:
                 values[event] = 0.0
                 continue
             if normalize:
-                nkey = content_key("norm-set", tuple(arrays), n_points, cdf)
-                norm = self._cached("norm-set", nkey)
-            else:
-                nkey, norm = None, validate_series_list(arrays)
-            if norm is MISS:
-                # Nothing cached for this event: whole task to the pool.
-                pending.append((event, arrays, nkey, True))
-                continue
-            mkey = content_key("dtw-matrix", tuple(norm), band)
-            # Memory, then disk: a disk-warm run reads the matrix back
-            # instead of recomputing every pair.
-            dmatrix = self._cached("dtw-matrix", mkey)
-            if dmatrix is MISS:
-                if not self._any_pair_cached(norm, band):
-                    # Normalization known but DTW entirely cold: the
-                    # matrix is the expensive half, so it still goes to
-                    # the pool.
-                    pending.append((event, norm, None, False))
-                    continue
-                dmatrix = self._fill_dtw_matrix(
-                    validate_series_list(norm), mkey, band)
-            values[event] = self._tscore(dmatrix)
-        if pending:
-            results = parallel_map(
-                _trend_event_task,
-                [(tuple(arrays), n_points, band, do_norm, cdf)
-                 for (_event, arrays, _nkey, do_norm) in pending],
-                self.workers, self.metrics,
-            )
-            for (event, _arrays, nkey, _do_norm), (norm, dmatrix) in zip(
-                    pending, results):
-                self._store_trend_event(nkey, norm, band, dmatrix)
-                values[event] = self._tscore(dmatrix)
-        # Rebuild in event order: the Eq. 8 mean sums the values in this
-        # order, and bit-reproducibility includes the summation order.
-        return {event: values[event] for event in events}
-
-    def _any_pair_cached(self, arrays, band):
-        """Whether any DTW pair over ``arrays`` is already cached -- the
-        inline-vs-pool routing heuristic for a trend event.
-
-        Routing only affects *where* a matrix is computed, never its
-        bits, so this may be cheap: the ``_pair_digests`` index answers
-        the common fully-cold case in O(1) (the old implementation
-        digested every series and hashed O(n^2) candidate keys per
-        call even when the cache was empty), digests are computed once
-        per call, and only pairs whose *both* digests have ever been
-        stored are worth a key hash + peek."""
-        if not self.cache.enabled or not self._pair_digests:
-            return False
-        digests = [array_digest(a) for a in arrays]
-        known = [d for d in digests if d in self._pair_digests]
-        if len(known) < 2:
-            return False
-        return any(
-            self.cache.peek(pair_key(known[i], known[j], band)) is not MISS
-            for i in range(len(known)) for j in range(i + 1, len(known))
-        )
+                arrays = self.normalized_set(arrays, n_points, cdf)
+            values[event] = self._tscore(self.dtw_matrix(arrays, band))
+        return values
 
     @staticmethod
     def _tscore(dmatrix):
@@ -471,8 +380,8 @@ class Engine:
     def trend_score(self, matrix_or_series, events=None, n_points=100,
                     band=None, normalize=True, cdf="quantized"):
         """Cached :func:`repro.core.trend_score.trend_score` with
-        normalized sets, DTW matrices and DTW pairs memoized and
-        per-event work fanned out."""
+        normalized sets, DTW matrices and DTW pairs memoized; each
+        event's matrix computes only the pairs the pair store lacks."""
         if isinstance(matrix_or_series, CounterMatrix):
             series_by_event = matrix_or_series.series
         else:

@@ -9,8 +9,8 @@ make the fan-out safe for a bit-for-bit-reproducible pipeline:
   order (``executor.map`` semantics), never completion order, so
   downstream reductions see the same operand order at any worker count.
 * **Pure tasks.** Tasks receive all inputs as arguments and return all
-  outputs; they touch no shared mutable state. The engine merges
-  worker-computed values into its cache afterwards, in input order.
+  outputs; they touch no shared mutable state. The caller stores
+  worker-computed values in its cache afterwards, in input order.
 * **Identical kernels.** A task runs the very same numpy kernels the
   serial path runs, so each element's result is bit-identical whether
   it was computed in-process or in a worker.
@@ -19,8 +19,8 @@ Two lifecycle decisions (see DESIGN.md section 9):
 
 * **The pool belongs to the process, not to a caller.** One pool per
   worker count is created lazily, under a lock, on the first fan-out at
-  that width and reused by every later one -- trend scoring's per-batch
-  fan-outs, K-means sweeps, subset-search batches, and every engine the
+  that width and reused by every later one -- K-means sweeps,
+  per-suite compare scoring, subset-search batches, and every engine the
   process builds (a compare, a subset search and the scoring daemon's
   requests all share it). Paying pool startup per engine would multiply
   that cost by the number of engines. The pools are shut down when the

@@ -57,7 +57,6 @@ evaluator, so results are bit-identical at any worker count).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -219,7 +218,7 @@ class SubsetEvaluator:
         event, through the engine cache (a preceding full-suite trend
         score has already paid for the norm set and every DTW pair)."""
         arrays = [np.asarray(s, dtype=float) for s in series_list]
-        norm = self._normalized_set(arrays)
+        norm = self.engine.normalized_set(arrays, self.n_points, self.cdf)
         dmatrix = self.engine.dtw_matrix(norm, band=self.band)
         raveled = tuple(a.ravel() for a in arrays)
         mins = np.array([r.min() for r in raveled])
@@ -236,18 +235,6 @@ class SubsetEvaluator:
             lo=lo,
             hi=hi,
             global_step=(hi - lo) / CDF_QUANT_LEVELS,
-        )
-
-    def _normalized_set(self, arrays):
-        """The Fig. 1-normalized series set, under the engine's
-        ``norm-set`` cache key (shared with ``Engine.event_trend_scores``,
-        so neither path recomputes the other's work)."""
-        nkey = content_key("norm-set", tuple(arrays), self.n_points,
-                           self.cdf)
-        return self.engine.cache.get_or_compute(
-            nkey,
-            partial(normalize_series_set, arrays, n_points=self.n_points,
-                    cdf=self.cdf),
         )
 
     # -- slice-exactness ---------------------------------------------------

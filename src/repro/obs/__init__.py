@@ -8,8 +8,8 @@
   pool's pickle pipe, and the owner re-parents them under the
   dispatching ``parallel.map`` span).
 * :mod:`repro.obs.metrics` -- the unified
-  :class:`~repro.obs.metrics.MetricsRegistry` (counters, plus the
-  daemon's in-flight gauge) behind every engine-layer counter:
+  :class:`~repro.obs.metrics.MetricsRegistry` behind every
+  engine-layer counter:
   kernel-cache hits, disk-tier traffic, pool lifecycle events.
   ``SuiteScorecard.details["engine"]`` is a ``snapshot()``/``delta()``
   view over it.
@@ -52,7 +52,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "resolved_env", "write_manifest",
     ),
     "repro.obs.metrics": (
-        "Counter", "Gauge", "MetricsRegistry", "MetricsSnapshot",
+        "Counter", "MetricsRegistry", "MetricsSnapshot",
     ),
     "repro.obs.summary": ("render_summary", "summarize_file"),
     "repro.obs.trace": (

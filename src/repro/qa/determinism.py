@@ -298,10 +298,10 @@ def check_search_determinism(matrix, subset_size=4, n_candidates=8,
 def _pair_counting(engine_kwargs):
     """``engine_kwargs`` with a kernel record that records the size of
     every DTW pair batch it computes, plus that record (a list; empty
-    while no pair was computed). It sees every call made through the
-    engine's own record -- all candidate work and every inline
-    full-suite matrix fill -- but not trend-event pool tasks, which
-    read :func:`~repro.stats.backend.kernels` even when run inline."""
+    while no pair was computed). Every DTW pair an engine computes at
+    one worker goes through the engine's own record -- candidate work,
+    the evaluator's full-suite matrices and trend scoring alike -- so
+    a disk-warm search that recomputes any of them is caught."""
     import dataclasses
 
     from repro.stats.backend import kernels

@@ -18,8 +18,10 @@ surface over HTTP/JSON (DESIGN.md section 12):
     ``search`` is given; exactly ``repro subset``.
 ``GET /v1/metrics``
     Live :class:`~repro.obs.metrics.MetricsRegistry` snapshot of the
-    shared engine (cache tiers, the pool counters of its fan-outs,
-    service request counters) -- ``repro obs`` as a service surface.
+    shared engine (cache tiers, the pool counters of its fan-outs),
+    plus the daemon's own request, error and in-flight counts --
+    ``repro obs`` as a service surface. The daemon's counts stay off
+    the engine's registry, so no served scorecard carries them.
 ``GET /v1/health``
     Liveness + engine configuration + daemon uptime and per-endpoint
     request counts (a stable identity line for history sampling of a
@@ -147,10 +149,8 @@ class ScoringService:
         self.port = port
         self.bound_port = None
         self.engine = Engine.from_config(config)
-        self.metrics = self.engine.metrics
-        self._requests = self.metrics.counter("service_requests")
-        self._errors = self.metrics.counter("service_errors")
-        self._inflight = self.metrics.gauge("service_inflight")
+        self._requests = 0
+        self._errors = 0
         # Uptime bookkeeping for /v1/health; monotonic for the elapsed
         # measure, wall clock for the identity line. Not a span: the
         # daemon's lifetime is not a unit of scored work.
@@ -241,7 +241,6 @@ class ScoringService:
     async def _client_connected(self, reader, writer):
         self._active += 1
         self._idle.clear()
-        self._inflight.set(self._active)
         try:
             status, payload = await self._respond(reader, writer)
             if status is not None:
@@ -256,7 +255,6 @@ class ScoringService:
             except (ConnectionError, OSError):
                 pass
             self._active -= 1
-            self._inflight.set(self._active)
             if self._active == 0:
                 self._idle.set()
 
@@ -269,18 +267,18 @@ class ScoringService:
             return 400, protocol.error_envelope(exc)
         if request is None:
             return None, None
-        self._requests.inc()
+        self._requests += 1
         try:
             with span("service.request", method=request.method,
                       path=request.path):
                 return await self._dispatch(request)
         except (service_http.ProtocolError, RequestError) as exc:
-            self._errors.inc()
+            self._errors += 1
             return 400, protocol.error_envelope(exc)
         # The daemon must outlive any single bad request: report the
         # failure to the client and the log, never crash the listener.
         except Exception as exc:  # qa-ignore[overbroad-except]
-            self._errors.inc()
+            self._errors += 1
             traceback.print_exc(file=sys.stderr)
             return 500, protocol.error_envelope(
                 f"{type(exc).__name__}: {exc}")
@@ -340,10 +338,14 @@ class ScoringService:
         return 200, protocol.ok_envelope(_SCORING[command][1](result))
 
     async def _handle_metrics(self, request):
-        snapshot = self.metrics.snapshot()
+        snapshot = self.engine.metrics.snapshot()
+        service = {"service_requests": self._requests,
+                   "service_errors": self._errors,
+                   "service_inflight": self._active}
         return 200, protocol.ok_envelope({
-            "values": snapshot.as_dict(),
-            "kinds": dict(snapshot.kinds),
+            "values": {**snapshot.as_dict(), **service},
+            "kinds": dict(snapshot.kinds,
+                          **dict.fromkeys(service, "counter")),
             "cache_entries": len(self.engine.cache),
         })
 
@@ -357,7 +359,7 @@ class ScoringService:
             "workers": self.engine.workers,
             "cache_enabled": self.engine.cache.enabled,
             "cache_dir": self.engine.cache_dir,
-            "requests": self._requests.value,
+            "requests": self._requests,
             "inflight": self._active,
             "uptime_s": uptime,
             "started_unix": self._started_unix,

@@ -1,10 +1,7 @@
 """Tests for repro.obs.metrics: instruments, snapshots, and deltas."""
 
-import pytest
-
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     MetricsRegistry,
 )
 
@@ -17,29 +14,16 @@ class TestInstruments:
         assert c.value == 5
         assert Counter("hits").value == 0
 
-    def test_gauge_set(self):
-        g = Gauge("entries")
-        g.set(17)
-        assert g.value == 17
-        g.set(3)
-        assert g.value == 3
-
 
 class TestRegistry:
     def test_same_name_same_instance(self):
         registry = MetricsRegistry()
         assert registry.counter("hits") is registry.counter("hits")
 
-    def test_kind_collision_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("hits")
-        with pytest.raises(TypeError, match="already registered"):
-            registry.gauge("hits")
-
     def test_contains_and_len(self):
         registry = MetricsRegistry()
         registry.counter("a")
-        registry.gauge("b")
+        registry.counter("b")
         assert "a" in registry and "b" in registry
         assert "c" not in registry
         assert len(registry) == 2
@@ -47,10 +31,10 @@ class TestRegistry:
     def test_snapshot_values_and_kinds(self):
         registry = MetricsRegistry()
         registry.counter("hits").inc(2)
-        registry.gauge("entries").set(9)
+        registry.counter("entries").inc(9)
         snap = registry.snapshot()
         assert snap.values == {"hits": 2, "entries": 9}
-        assert snap.kinds == {"hits": "counter", "entries": "gauge"}
+        assert snap.kinds == {"hits": "counter", "entries": "counter"}
 
     def test_snapshot_is_immutable_view(self):
         registry = MetricsRegistry()
@@ -62,18 +46,16 @@ class TestRegistry:
 
 
 class TestDelta:
-    def test_counters_subtract_gauges_pass_through(self):
+    def test_counters_subtract(self):
         registry = MetricsRegistry()
         hits = registry.counter("hits")
-        entries = registry.gauge("entries")
+        idle = registry.counter("idle")
         hits.inc(3)
-        entries.set(10)
+        idle.inc(10)
         before = registry.snapshot()
         hits.inc(4)
-        entries.set(12)
         delta = registry.snapshot().delta(before)
-        assert delta["hits"] == 4
-        assert delta["entries"] == 12
+        assert delta == {"hits": 4, "idle": 0}
 
     def test_counter_created_after_earlier_counts_from_zero(self):
         registry = MetricsRegistry()

@@ -198,6 +198,43 @@ class TestSearchDeterminism:
         assert mismatch.startswith("[disk-warm] computed ")
         assert "DTW pair(s)" in mismatch
 
+    def test_disk_warm_counts_full_suite_matrix_fills(self, tmp_path,
+                                                      monkeypatch):
+        # A tier that lost the full-suite DTW matrices makes the
+        # disk-warm search recompute every distinct pair of them; the
+        # row must fail and say how many.
+        from repro.core.normalization import normalize_series_set
+        from repro.engine.cache import (
+            MISS,
+            array_digest,
+            content_key,
+            pair_key,
+        )
+        from repro.engine.diskcache import DiskCache
+
+        matrix = self._matrix()
+        lost, pairs = set(), set()
+        for series in matrix.series.values():
+            norm = normalize_series_set(
+                [np.asarray(s, dtype=float) for s in series])
+            lost.add(content_key("dtw-matrix", tuple(norm), None))
+            digests = [array_digest(a) for a in norm]
+            pairs |= {pair_key(a, b, None) for i, a in enumerate(digests)
+                      for b in digests[i + 1:]}
+        real = DiskCache.get
+
+        def get(self, key):
+            return MISS if key in lost else real(self, key)
+
+        monkeypatch.setattr(DiskCache, "get", get)
+        report = check_search_determinism(matrix, subset_size=4,
+                                          n_candidates=6, method="random",
+                                          seed=0, cache_dir=str(tmp_path))
+        assert not report.identical
+        [mismatch] = report.mismatches
+        assert mismatch.startswith(
+            f"[disk-warm] computed {len(pairs)} DTW pair(s)")
+
     def test_diff_detects_injected_drift(self):
         report = check_search_determinism(self._matrix(), subset_size=4,
                                           n_candidates=3, method="lhs",

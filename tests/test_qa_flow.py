@@ -323,7 +323,6 @@ class TestRealTree:
     def test_pool_targets(self):
         analysis = analyze_project(SRC)
         assert {site.target for site in analysis.graph.pool_sites} == {
-            "repro.engine.engine._trend_event_task",
             "repro.engine.engine._kmeans_task",
             "repro.engine.engine._score_matrix_task",
             "repro.engine.parallel._invoke",

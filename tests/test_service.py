@@ -120,6 +120,21 @@ class TestEndpoints:
         assert after["cache_hits"] > before["cache_hits"]
         assert after["service_requests"] > before["service_requests"]
 
+    def test_daemon_counters_stay_off_served_cards(self, service):
+        _config, client = service
+        # A pair no other test asks for: the daemon computes it, so the
+        # served card carries this pass's engine counters.
+        engine = client.score("lmbench", focus="tlb")["details"]["engine"]
+        assert "cache_hits" in engine
+        assert not [name for name in engine if name.startswith("service_")]
+        metrics = client.metrics()
+        names = ("service_requests", "service_errors", "service_inflight")
+        assert {name: metrics["kinds"][name] for name in names} == \
+            dict.fromkeys(names, "counter")
+        assert metrics["values"]["service_requests"] >= 2
+        # The metrics request itself is the one in flight.
+        assert metrics["values"]["service_inflight"] == 1
+
     def test_health_reports_uptime_and_endpoint_counts(self, service):
         _config, client = service
         first = client.health()

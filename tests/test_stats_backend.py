@@ -308,10 +308,12 @@ class TestEngineCrossBackend:
         assert ref.tobytes() == vec.tobytes()
 
     def test_engine_and_inline_tasks_read_the_registry(self, monkeypatch):
-        # A wrapped record swapped into the registry must see both the
-        # engine's own pair batches and the trend-event tasks that
-        # parallel_map runs inline at one worker.
+        # A wrapped record swapped into the registry must see every DTW
+        # pair an engine computes at one worker: its own matrix fills
+        # and every trend event's, one batch per event that the pair
+        # store cannot serve in full.
         from repro.engine import Engine
+        from repro.engine.cache import array_digest, pair_key
 
         counted = []
         record = kernels()
@@ -323,12 +325,28 @@ class TestEngineCrossBackend:
         monkeypatch.setitem(
             backend._BACKENDS, "batched",
             dataclasses.replace(record, pair_distances=pair_distances))
+        # Each batch holds the pairs of one matrix that no earlier
+        # matrix stored.
+        stored, expected = set(), []
+
+        def expect(arrays):
+            digests = [array_digest(a) for a in arrays]
+            keys = {pair_key(a, b, None) for i, a in enumerate(digests)
+                    for b in digests[i + 1:]}
+            if keys - stored:
+                expected.append(len(keys - stored))
+            stored.update(keys)
+
         series = self._series()
         engine = Engine()
         engine.dtw_matrix(series)
-        assert counted == [15]
-        engine.trend_score({"e0": series[:4], "e1": series[2:]})
-        assert counted == [15, 6, 6]
+        expect(series)
+        assert counted == expected == [15]
+        by_event = {"e0": series[:4], "e1": series[2:]}
+        for event_series in by_event.values():
+            expect(Engine().normalized_set(event_series))
+        engine.trend_score(by_event)
+        assert counted == expected
 
     def test_spread_score_matches_column_oracle(self):
         from repro.core.matrix import CounterMatrix
