@@ -8,10 +8,14 @@ where the DTW kernels land and the per-k silhouettes are where K-means
 lands, so a kernel that moves one bit shows up here by event or by k,
 even when it averages out of the mean. One subset search on quick
 nbench (``SubsetSearch(matrix, 4, seed=0).search(8)``) is pinned too:
-the chosen subset and its full, subset and deviation bits. The counter
-matrices come through the ``measure_suites`` memo, so other tests'
-measurements are reused (and ``tests/test_golden_counters.py`` already
-pins them).
+the chosen subset and its full, subset and deviation bits. So is one
+quick spec17 search at the benchmark's subset size
+(``SubsetSearch(matrix, 8, seed=0).search(16)``), candidate by
+candidate: where k sweeps 2..7, so the lockstep K-means fits and the
+maximin-LHS draws behind every candidate show up by candidate. The
+counter matrices come through the ``measure_suites`` memo, so other
+tests' measurements are reused (and ``tests/test_golden_counters.py``
+already pins them).
 
 A deliberate science change re-blesses in the same commit::
 
@@ -44,8 +48,9 @@ SCORES = ("cluster", "trend", "coverage", "spread")
 #: Bit-pinned groups of a scorecard fingerprint.
 GROUPS = ("scores", "trend_per_event", "cluster_per_k")
 
-#: The pinned subset search: suite, subset size, seed, candidates.
+#: The pinned subset searches: suite, subset size, seed, candidates.
 SEARCH = ("nbench", 4, 0, 8)
+SPEC17_SEARCH = ("spec17", 8, 0, 16)
 
 
 def scorecard_fingerprint(card):
@@ -73,26 +78,42 @@ def suite_fingerprint(suite):
         perspector_for(config).score(quick_matrix(suite)))
 
 
-def search_fingerprint():
-    suite, size, seed, candidates = SEARCH
-    best = SubsetSearch(quick_matrix(suite), size, seed=seed).search(
-        candidates).best
+def bits(scores):
+    return {name: float_bits(value) for name, value in scores.items()}
 
-    def bits(scores):
-        return {name: float_bits(value) for name, value in scores.items()}
 
+def report_fingerprint(report):
     return {
-        "selected": list(best.selected),
-        "full": bits(best.full_scores),
-        "subset": bits(best.subset_scores),
-        "deviations": bits(best.deviations),
-        "mean_deviation_pct": float_bits(best.mean_deviation_pct),
+        "selected": list(report.selected),
+        "subset": bits(report.subset_scores),
+        "deviations": bits(report.deviations),
+        "mean_deviation_pct": float_bits(report.mean_deviation_pct),
+    }
+
+
+def run_search(spec):
+    suite, size, seed, candidates = spec
+    return SubsetSearch(quick_matrix(suite), size, seed=seed).search(
+        candidates)
+
+
+def search_fingerprint():
+    best = run_search(SEARCH).best
+    return dict(report_fingerprint(best), full=bits(best.full_scores))
+
+
+def spec17_search_fingerprint():
+    result = run_search(SPEC17_SEARCH)
+    return {
+        "full": bits(result.best.full_scores),
+        "candidates": [report_fingerprint(r) for r in result.reports],
     }
 
 
 def compute_goldens():
     goldens = {suite: suite_fingerprint(suite) for suite in SUITES}
     goldens["search"] = search_fingerprint()
+    goldens["search_spec17"] = spec17_search_fingerprint()
     return goldens
 
 
@@ -118,6 +139,18 @@ def test_quick_scorecard_unchanged(golden, suite):
 
 def test_subset_search_unchanged(golden):
     assert search_fingerprint() == golden["search"]
+
+
+def test_spec17_search_candidates_unchanged(golden):
+    got = spec17_search_fingerprint()
+    want = golden["search_spec17"]
+    assert got["full"] == want["full"], "full-suite bits moved"
+    assert len(got["candidates"]) == len(want["candidates"])
+    moved = [f"candidate {i}: {a} -> {b}"
+             for i, (a, b) in enumerate(zip(want["candidates"],
+                                            got["candidates"]))
+             if a != b]
+    assert not moved, "candidate bits moved:\n" + "\n".join(moved)
 
 
 if __name__ == "__main__":
