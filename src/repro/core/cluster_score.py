@@ -48,6 +48,16 @@ class ClusterScoreResult:
         return format(self.value, spec)
 
 
+def sweep_seeds(n, seed):
+    """``{k: seed}`` for the Eq. 6 sweep over ``k`` in ``2..n-1``, drawn
+    up front from one ``default_rng(seed)`` stream in ``k`` order -- the
+    seeds every path that fits an ``n``-row sweep uses (the serial loop,
+    the cached/parallel ``kmeans_sweep`` hook and the subset evaluator's
+    lockstep fits)."""
+    rng = np.random.default_rng(seed)
+    return {k: int(rng.integers(2 ** 31)) for k in range(2, n)}
+
+
 def cluster_score(matrix, seed=0, n_restarts=8, normalize=True,
                   per_cluster_average=True, kernels=None):
     """Compute the ClusterScore of a suite (Eq. 6).
@@ -73,7 +83,12 @@ def cluster_score(matrix, seed=0, n_restarts=8, normalize=True,
         replaces the serial per-k K-means loop with a cached/parallel
         one and memoizes the silhouette distance matrix across the
         sweep and across repeated calls (subset candidates re-score the
-        same rows). The per-k seeds are drawn from one stream and the
+        same rows). The engine's sweep may answer with labels it fitted
+        for this ``x`` in lockstep with other subset candidates
+        (:meth:`repro.engine.Engine.kmeans_sweeps`: one
+        :func:`~repro.stats.kmeans.fit_stack` per k, under the same
+        :func:`sweep_seeds`). The per-k seeds are drawn from one
+        stream, every fit equals ``KMeans.fit`` bit for bit and the
         distance kernel is the same either way, so results are
         bit-identical.
 
@@ -104,9 +119,8 @@ def cluster_score(matrix, seed=0, n_restarts=8, normalize=True,
     # Per-k seeds come from one stream drawn up front, so a cached or
     # parallel sweep (the `kernels` hook) sees the exact seeds the
     # serial loop would.
-    rng = np.random.default_rng(seed)
-    ks = list(range(2, n))
-    kseeds = {k: int(rng.integers(2 ** 31)) for k in ks}
+    kseeds = sweep_seeds(n, seed)
+    ks = list(kseeds)
     if kernels is not None:
         labels_by_k = kernels.kmeans_sweep(x, kseeds, n_restarts)
     else:

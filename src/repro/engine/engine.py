@@ -57,7 +57,7 @@ from repro.obs.trace import span
 from repro.stats.backend import kernels
 from repro.stats.distance import pairwise_distances
 from repro.stats.dtw import validate_series_list
-from repro.stats.kmeans import KMeans
+from repro.stats.kmeans import KMeans, fit_stack
 
 
 # -- worker tasks (top-level so they pickle) --------------------------------
@@ -128,6 +128,9 @@ class Engine:
         # counters at any worker count.
         for name in POOL_COUNTERS:
             self.metrics.counter(name)
+        #: kmeans-labels key -> labels that :meth:`kmeans_sweeps` fitted
+        #: ahead of their :meth:`kmeans_sweep`, which takes them once.
+        self._fitted = {}
 
     @property
     def cache_dir(self):
@@ -337,6 +340,10 @@ class Engine:
             key = content_key("kmeans-labels", x, k, kseeds[k], n_restarts)
             labels = self._cached("kmeans-labels", key)
             if labels is MISS:
+                labels = self._fitted.pop(key, MISS)
+                if labels is not MISS:
+                    labels = self.cache.put(key, labels)
+            if labels is MISS:
                 pending.append((k, key))
             else:
                 labels_by_k[k] = labels
@@ -349,6 +356,33 @@ class Engine:
             for (k, key), labels in zip(pending, results):
                 labels_by_k[k] = self.cache.put(key, labels)
         return labels_by_k
+
+    def kmeans_sweeps(self, xs, kseeds, n_restarts):
+        """Fit the Eq. 6 sweeps of several equal-shape matrices in
+        lockstep, ahead of their :meth:`kmeans_sweep` calls: one
+        :func:`~repro.stats.kmeans.fit_stack` per k over every ``x``
+        whose ``kmeans-labels`` entry is not in memory. The labels wait
+        until that ``x``'s sweep takes them (each is taken once, and the
+        next call drops any left over), which then stores them like
+        labels it fitted itself -- so they reach its ClusterScore with
+        the kernel cache off too. ``kseeds`` are the sweep's per-k seeds
+        (:func:`~repro.core.cluster_score.sweep_seeds`)."""
+        self._fitted = {}
+        with span("kernel.kmeans_lockstep", candidates=len(xs)):
+            for k in sorted(kseeds):
+                todo = {}
+                for x in xs:
+                    x = np.asarray(x, dtype=float)
+                    key = content_key("kmeans-labels", x, k, kseeds[k],
+                                      n_restarts)
+                    # fit_stack's slices are C-contiguous; any other
+                    # layout is left to its own fit.
+                    if x.flags.c_contiguous and key not in self.cache:
+                        todo.setdefault(key, x)
+                results = fit_stack(list(todo.values()), k, kseeds[k],
+                                    n_restarts) if todo else []
+                for key, result in zip(todo, results):
+                    self._fitted[key] = result.labels
 
     # -- cached score kernels ----------------------------------------------
 

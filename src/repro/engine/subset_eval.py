@@ -28,10 +28,13 @@ slicing:
   (K-means and PCA re-fit), so they re-run -- but on the already-sliced
   normalized rows, through the shared :class:`~repro.engine.Engine`
   cache (memory tier only), whose content-addressed keys make repeats
-  across candidates (and across evaluator instances) free. The
-  silhouette distance matrix is deliberately *not* sliced: BLAS-backed
-  Euclidean distances are shape-dependent at the ULP level, so slicing
-  would break bit identity (measured; see DESIGN.md section 8).
+  across candidates (and across evaluator instances) free. A search
+  fits the K-means sweeps of all its fresh candidates together first,
+  one lockstep fit per k (:meth:`SubsetEvaluator.evaluate_many`),
+  bit-identical to fitting each alone. The silhouette distance matrix
+  is deliberately *not* sliced: BLAS-backed Euclidean distances are
+  shape-dependent at the ULP level, so slicing would break bit
+  identity (measured; see DESIGN.md section 8).
   Recomputing it on the tiny subset is microseconds and exact by
   construction.
 
@@ -60,6 +63,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.cluster_score import sweep_seeds
 from repro.core.matrix import CounterMatrix
 from repro.core.normalization import (
     CDF_QUANT_LEVELS,
@@ -96,7 +100,12 @@ def _evaluate_batch_task(matrix, batch, seed, full_scores, n_points, band,
         engine=Engine(cache=cache, workers=1, cache_dir=cache_dir),
         full_scores=full_scores, n_points=n_points, band=band, cdf=cdf,
     )
-    return [evaluator.evaluate(names) for names in batch]
+    return evaluator.evaluate_many(batch)
+
+
+#: K-means restarts per k of a candidate's ClusterScore sweep: the
+#: ``cluster_score`` default that ``_scores`` fits with.
+KMEANS_RESTARTS = 8
 
 
 @dataclass(frozen=True)
@@ -172,6 +181,9 @@ class SubsetEvaluator:
         #: fallback event re-normalizes only series it has not met
         #: under that set minimum and step.
         self._norm_series = {}
+        #: Candidates of the running :meth:`evaluate_many` whose K-means
+        #: sweeps are not fitted yet.
+        self._unfitted = []
 
         with span("subset.precompute", suite=str(matrix.suite_name or ""),
                   workloads=matrix.n_workloads):
@@ -333,6 +345,7 @@ class SubsetEvaluator:
             pairs = 0
             if report is MISS:
                 with self.engine.cache.memory_only():
+                    self._fit_sweeps()
                     report, pairs = self._compute(names, list(key))
                 self.engine.cache.put(rkey, report)
             paths = list(report.details.get("trend_paths", {}).values())
@@ -342,6 +355,41 @@ class SubsetEvaluator:
             self._memo[key] = report
             return report
 
+    def evaluate_many(self, candidates):
+        """:meth:`evaluate` over ``candidates``, in order, with their
+        K-means sweeps fitted in lockstep: the first candidate that has
+        to be computed first fits the sweeps of every candidate not yet
+        memoized (:meth:`_fit_sweeps`), and each ClusterScore then reads
+        its labels instead of fitting them alone. Candidates whose
+        reports are all stored fit nothing.
+
+        Returns
+        -------
+        list[repro.core.subset.SubsetReport]
+        """
+        candidates = [tuple(names) for names in candidates]
+        self._unfitted = candidates
+        try:
+            return [self.evaluate(names) for names in candidates]
+        finally:
+            self._unfitted = []
+
+    def _fit_sweeps(self):
+        """Hand the pending candidates that still need a ClusterScore
+        (>= 4 rows, not memoized) to :meth:`Engine.kmeans_sweeps`, one
+        call per subset size that has at least two of them."""
+        pending, self._unfitted = self._unfitted, []
+        by_size = {}
+        for names in dict.fromkeys(pending):
+            key = self._candidate_key(names)
+            if len(key) >= 4 and key not in self._memo:
+                by_size.setdefault(len(key), []).append(
+                    self._base[list(key)])
+        for size, xs in by_size.items():
+            if len(xs) > 1:
+                self.engine.kmeans_sweeps(xs, sweep_seeds(size, self.seed),
+                                          KMEANS_RESTARTS)
+
     def _compute(self, names, idx):
         """The candidate's report and how many DTW pairs it computed."""
         k = len(idx)
@@ -349,7 +397,8 @@ class SubsetEvaluator:
         subset_scores = {}
         if k >= 4:
             subset_scores["cluster"] = self.engine.cluster_score(
-                x, seed=self.seed, normalize=False,
+                x, seed=self.seed, n_restarts=KMEANS_RESTARTS,
+                normalize=False,
             ).value
         else:
             subset_scores["cluster"] = float("nan")
@@ -623,11 +672,13 @@ class SubsetSearch:
     # -- evaluation fan-out ------------------------------------------------
 
     def _evaluate_all(self, candidates):
-        """Evaluate candidates in order, fanning fresh ones out in
-        contiguous batches across the process's worker pool when
-        ``workers > 1``. Reports already stored (memory or disk tier)
-        are read back first, so only genuinely new candidates cost a
-        worker round-trip. Each worker builds an identical
+        """Evaluate candidates in order through
+        :meth:`SubsetEvaluator.evaluate_many` (their K-means sweeps fit
+        in lockstep), fanning fresh ones out in contiguous batches
+        across the process's worker pool when ``workers > 1``. Reports
+        already stored (memory or disk tier) are read back first, so
+        only genuinely new candidates cost a worker round-trip. Each
+        worker runs ``evaluate_many`` on its batch in an identical
         single-process evaluator, so the merged reports are
         bit-identical to serial evaluation."""
         candidates = [tuple(c) for c in candidates]
@@ -656,4 +707,4 @@ class SubsetSearch:
             for batch, batch_reports in zip(batches, results):
                 for names, report in zip(batch, batch_reports):
                     self.evaluator.adopt(names, report)
-        return [self.evaluator.evaluate(names) for names in candidates]
+        return self.evaluator.evaluate_many(candidates)

@@ -17,7 +17,8 @@ checks. Four tables:
   whose span tree must also validate;
 * **search** (:func:`check_search_determinism`) -- ``SubsetSearch``
   through the same engine rows; its disk-warm run must compute no DTW
-  pair;
+  pair, and ``lockstep=off`` fits every candidate's K-means sweep
+  alone;
 * **served** (:func:`check_served`) -- a real daemon over real HTTP
   must answer with ``repro score``'s bits and rendered bytes: cold,
   warm (kernel-cache hits move), to three concurrent sessions, and
@@ -263,7 +264,8 @@ def check_search_determinism(matrix, subset_size=4, n_candidates=8,
     """The search table: ``SubsetSearch.search`` from fresh engines
     under one seed, through the engine rows of
     :func:`check_determinism`; the disk-warm run must also compute no
-    DTW pair at all.
+    DTW pair at all, and ``lockstep=off`` re-runs the search with every
+    candidate's K-means sweep fitted alone.
 
     Returns
     -------
@@ -290,9 +292,34 @@ def check_search_determinism(matrix, subset_size=4, n_candidates=8,
 
     baseline = run()
     rows = _engine_rows(run, workers, cache_dir, disk_warm=disk_warm)
+    rows.insert(-1, ("lockstep=off", lambda: _without_lockstep(run)))
     return _run_rows(f"search {method!r} ({baseline.n_evaluated} "
                      f"candidates)", seed, baseline, diff_search_results,
                      rows)
+
+
+def _without_lockstep(run):
+    """The search re-run with :meth:`~repro.engine.Engine.kmeans_sweeps`
+    fitting nothing, for this row only: every candidate's ClusterScore
+    fits its own sweep, one ``KMeans.fit`` per k, and the result must be
+    the lockstep fits' bit for bit. If no batch of at least two
+    candidates was handed over, the row compared the one-candidate
+    path with itself, and says so."""
+    from repro.engine import Engine
+
+    lockstep = Engine.kmeans_sweeps
+    batches = []
+
+    def alone(engine, xs, kseeds, n_restarts):
+        batches.append(len(xs))
+
+    Engine.kmeans_sweeps = alone
+    try:
+        result = run()
+    finally:
+        Engine.kmeans_sweeps = lockstep
+    return result, () if max(batches, default=0) >= 2 else (
+        "no batch of two or more candidates was fitted in lockstep",)
 
 
 def _pair_counting(engine_kwargs):

@@ -16,25 +16,35 @@ Empty clusters -- likely here because benchmark-suite matrices are tiny
 (tens of rows) -- are repaired by reseeding the empty centroid at the point
 farthest from its assigned centroid.
 
-All restarts of one fit advance in lockstep as stacked arrays, and the
-result is bit-identical to running them one at a time (the per-restart
-loop is kept as the oracle in ``tests/test_stats_kmeans.py``). Why:
+All restarts of one fit advance in lockstep as stacked arrays, and so
+do the fits of many candidates at one k (:func:`fit_stack`): the
+stacked axis is (candidate x restart), with one ``x`` per slice, and
+:meth:`KMeans.fit` is the one-candidate case, its ``x`` shared by every
+restart. The result is bit-identical to running every restart of every
+candidate one at a time (the per-restart loop is kept as the oracle in
+``tests/test_stats_kmeans.py``). Why:
 
 * **Distances.** Each slice of the stacked ``x @ C.transpose(0, 2, 1)``
   is the same BLAS call, with the same operand shapes and strides, that
   ``cdist(x, c, "sqeuclidean")`` makes per restart; BLAS results are
   shape-dependent at the ULP level, so the shapes are kept, never merged
-  across restarts. The row norms ``xx`` are the same ``sum(x * x,
-  axis=1)`` of the same ``x``, computed once per fit.
+  across slices. A shared ``x`` is ``x[None]``, with its own strides;
+  :func:`fit_stack` stacks its candidates C-contiguously, so each slice
+  has the layout of a C-contiguous ``x``. The row norms ``xx`` are the
+  same ``sum(x * x)`` per row of the same ``x``, computed once per fit.
 * **Draw order.** The serial fit draws, per restart, ``integers(n)``
   and then one ``random()`` inside each ``rng.choice(n, p=...)``. The
   lockstep seeding takes exactly those draws up front, in that order,
   and replays ``choice``'s own arithmetic on them (see
   :func:`_d2_pick`), so the picks and the generator state after the fit
-  match. The one branch that draws differently -- every point already
+  match. Every candidate of :func:`fit_stack` starts from a fresh
+  generator with the same seed, so the draws are taken once and shared.
+  The one branch that draws differently -- every point already
   covered, ``integers(n)`` instead of ``random()`` -- only occurs with
-  repeated rows; then the generator is rewound and every restart is
-  seeded serially.
+  repeated rows; such a slice leaves the lockstep, and then
+  :meth:`KMeans.fit` rewinds the generator and seeds every restart
+  serially, while :func:`fit_stack` fits that candidate alone with
+  :meth:`KMeans.fit` and keeps the others in lockstep.
 * **Centroid means.** ``members.mean(axis=0)`` on a ``(m, d)`` block
   with ``d >= 2`` adds rows one by one from ``+0.0``, which is what
   ``np.add.at`` does over all restarts at once. With a single column
@@ -84,17 +94,40 @@ class KMeansResult:
 
 
 def _sq_dists(x, xx, c):
-    """Squared distances from the rows of ``x`` to stacked centroids.
+    """Squared distances from each slice's rows to its stacked centroids.
 
-    ``c`` is ``(restarts, m, d)``; the result is ``(restarts, n, m)``.
-    Each slice is :func:`~repro.stats.distance.cdist`'s ``sqeuclidean``
-    expression on the same operands, with the row norms ``xx`` computed
-    once per fit and no per-call validation.
+    ``x`` is ``(S, n, d)`` with its row norms ``xx`` ``(S, n, 1)``, and
+    ``c`` is ``(B, m, d)``; the result is ``(B, n, m)``. ``S`` is 1 (one
+    ``x`` shared by every slice) or ``B`` (one ``x`` per slice). Each
+    slice is :func:`~repro.stats.distance.cdist`'s ``sqeuclidean``
+    expression on the same operands, with the row norms computed once
+    per fit and no per-call validation.
     """
     cc = np.sum(c * c, axis=2)[:, None, :]
     sq = xx + cc - 2.0 * (x @ c.transpose(0, 2, 1))
     np.maximum(sq, 0.0, out=sq)
     return sq
+
+
+def _row_norms(x):
+    """``sum(x * x)`` per row of an ``(S, n, d)`` stack, as ``(S, n, 1)``."""
+    return np.sum(x * x, axis=2)[:, :, None]
+
+
+def _slices(a, which):
+    """Slices ``which`` (ascending) of a per-slice stack, without a copy
+    when that is every slice; a shared ``(1, ...)`` stack serves every
+    slice as it is."""
+    return a if a.shape[0] in (1, which.size) else a[which]
+
+
+def _rows(x, idx):
+    """Row ``idx[b]`` of slice ``b``'s ``x``: ``(B,)`` indices give
+    ``(B, d)``, ``(B, k)`` give ``(B, k, d)``."""
+    if x.shape[0] == 1:
+        return x[0, idx]
+    slots = np.arange(idx.shape[0])
+    return x[slots[:, None] if idx.ndim == 2 else slots, idx]
 
 
 def _d2_pick(closest, u):
@@ -114,7 +147,8 @@ def _d2_pick(closest, u):
 
 
 def _seed_one(x, xx, k, rng):
-    """k-means++ seeding for one restart, drawing as it goes.
+    """k-means++ seeding for one restart of one ``(n, d)`` ``x``, drawing
+    as it goes.
 
     Returns the ``k`` chosen row indices. When every point coincides
     with a chosen centroid (``total <= 0``) the next index is uniform,
@@ -134,41 +168,54 @@ def _seed_one(x, xx, k, rng):
     return idx
 
 
-def _seed(x, xx, k, n_restarts, rng):
-    """k-means++ seeding (D^2-weighted) for every restart in lockstep.
-
-    Every restart's draws are taken up front in the serial order --
+def _draws(rng, n, k, n_restarts):
+    """Every restart's seeding draws in the serial order: per restart,
     ``integers(n)`` for the first centroid, then one ``random()`` per
-    D^2 step -- so the stream and the final generator state match
-    seeding the restarts one at a time. Only the all-covered branch
-    draws differently; if any restart reaches it, the generator is
-    rewound and every restart is seeded serially instead.
-
-    Returns the ``(n_restarts, k, d)`` initial centroids.
-    """
-    n = x.shape[0]
-    state = rng.bit_generator.state
+    D^2 step. Returns ``first`` ``(n_restarts,)`` and ``u``
+    ``(n_restarts, k - 1)``."""
     first = np.empty(n_restarts, dtype=int)
     u = np.empty((n_restarts, k - 1))
     for r in range(n_restarts):
         first[r] = rng.integers(n)
         u[r] = rng.random(k - 1)
-    idx = np.empty((n_restarts, k), dtype=int)
+    return first, u
+
+
+def _seed(x, xx, k, first, u):
+    """k-means++ seeding (D^2-weighted) for every slice in lockstep.
+
+    Slice ``b`` starts at row ``first[b]`` of its ``x`` and takes its
+    D^2 steps with the uniforms ``u[b]``, as serial seeding from those
+    draws would. A slice that reaches the branch serial seeding draws
+    differently for -- every point already covered -- or whose weights
+    are not finite is dropped from the lockstep and flagged.
+
+    Returns the ``(B, k)`` chosen row indices and the ``(B,)`` mask of
+    slices seeded in lockstep; a flagged slice's indices are unset.
+    """
+    idx = np.zeros((first.shape[0], k), dtype=int)
     idx[:, 0] = first
-    closest = _sq_dists(x, xx, x[first][:, None, :])[:, :, 0]
+    live = np.arange(first.shape[0])
+    ok = np.ones(first.shape[0], dtype=bool)
+    closest = _sq_dists(x, xx, _rows(x, first)[:, None, :])[:, :, 0]
     for i in range(1, k):
         total = closest.sum(axis=1)
-        if not np.all(np.isfinite(total) & (total > 0)):
-            rng.bit_generator.state = state
-            return x[[_seed_one(x, xx, k, rng) for _ in range(n_restarts)]]
-        idx[:, i] = _d2_pick(closest, u[:, i - 1])
-        new_sq = _sq_dists(x, xx, x[idx[:, i]][:, None, :])[:, :, 0]
+        good = np.isfinite(total) & (total > 0)
+        if not good.all():
+            ok[live[~good]] = False
+            live, closest = live[good], closest[good]
+            if live.size == 0:
+                break
+        idx[live, i] = _d2_pick(closest, u[live, i - 1])
+        xl = _slices(x, live)
+        new_sq = _sq_dists(xl, _slices(xx, live),
+                           _rows(xl, idx[live, i])[:, None, :])[:, :, 0]
         np.minimum(closest, new_sq, out=closest)
-    return x[idx]
+    return idx, ok
 
 
 def _centroid_means(x, labels, k):
-    """Per-restart cluster means ``(restarts, k, d)`` and the empty mask.
+    """Per-slice cluster means ``(B, k, d)`` and the empty mask.
 
     ``np.add.at`` adds member rows in index order, which is how
     ``members.mean(axis=0)`` reduces a ``(m, d)`` block for ``d >= 2``,
@@ -176,52 +223,56 @@ def _centroid_means(x, labels, k):
     single column is reduced pairwise by ``mean``, so that case keeps
     the per-cluster ``mean``. Empty clusters' rows are left unset.
     """
-    restarts, n = labels.shape
-    d = x.shape[1]
-    groups = (np.arange(restarts)[:, None] * k + labels).ravel()
-    counts = np.bincount(groups, minlength=restarts * k)
-    empty = (counts == 0).reshape(restarts, k)
+    slices, n = labels.shape
+    d = x.shape[2]
+    groups = (np.arange(slices)[:, None] * k + labels).ravel()
+    counts = np.bincount(groups, minlength=slices * k)
+    empty = (counts == 0).reshape(slices, k)
     if d == 1:
-        means = np.empty((restarts, k, 1))
-        for r, j in zip(*np.nonzero(~empty)):
-            means[r, j] = x[labels[r] == j].mean(axis=0)
+        means = np.empty((slices, k, 1))
+        for b, j in zip(*np.nonzero(~empty)):
+            xb = x[b if x.shape[0] > 1 else 0]
+            means[b, j] = xb[labels[b] == j].mean(axis=0)
         return means, empty
-    sums = np.zeros((restarts * k, d))
-    np.add.at(sums, groups, np.broadcast_to(x, (restarts, n, d)).reshape(-1, d))
+    sums = np.zeros((slices * k, d))
+    np.add.at(sums, groups, np.broadcast_to(x, (slices, n, d)).reshape(-1, d))
     means = sums / np.maximum(counts, 1)[:, None]
-    return means.reshape(restarts, k, d), empty
+    return means.reshape(slices, k, d), empty
 
 
 def _lloyd(x, xx, centroids, max_iter, tol):
-    """Lloyd's algorithm for stacked restarts, advancing in lockstep.
+    """Lloyd's algorithm for stacked slices, advancing in lockstep.
 
-    A restart that meets the tolerance is frozen with its own ``n_iter``
-    and ``converged``; the others keep iterating. Returns per-restart
-    labels ``(restarts, n)``, centroids, inertias, ``n_iter`` and
-    ``converged`` arrays.
+    ``x``/``xx`` are shared or per-slice stacks (see :func:`_sq_dists`)
+    and ``centroids`` the ``(B, k, d)`` starting points. A slice that
+    meets the tolerance is frozen with its own ``n_iter`` and
+    ``converged``; the others keep iterating. Returns per-slice labels
+    ``(B, n)``, centroids, inertias, ``n_iter`` and ``converged`` arrays.
     """
-    restarts = centroids.shape[0]
+    slices = centroids.shape[0]
     centroids = centroids.copy()
-    n_iter = np.full(restarts, max(max_iter, 0))
-    converged = np.zeros(restarts, dtype=bool)
-    live = np.arange(restarts)
+    n_iter = np.full(slices, max(max_iter, 0))
+    converged = np.zeros(slices, dtype=bool)
+    live = np.arange(slices)
     for it in range(1, max_iter + 1):
         if live.size == 0:
             break
-        current = centroids[live]
-        dists = _sq_dists(x, xx, current)
+        current = _slices(centroids, live)
+        xl = _slices(x, live)
+        dists = _sq_dists(xl, _slices(xx, live), current)
         labels = np.argmin(dists, axis=2)
-        new, empty = _centroid_means(x, labels, current.shape[1])
+        new, empty = _centroid_means(xl, labels, current.shape[1])
         if empty.any():
             # Repair: move an empty centroid to the point currently
             # worst-served by its centroid.
             worst = np.argmax(np.min(dists, axis=2), axis=1)
             rows, _ = np.nonzero(empty)
-            new[empty] = x[worst[rows]]
+            new[empty] = _rows(xl, worst)[rows]
         if not np.all(np.isfinite(new)):
             raise ValueError("centroids contain non-finite values")
-        shift = np.sqrt(np.sum(((new - current) ** 2).reshape(live.size, -1),
-                               axis=1))
+        step = new - current
+        step *= step
+        shift = np.sqrt(np.sum(step.reshape(live.size, -1), axis=1))
         centroids[live] = new
         done = shift <= tol
         n_iter[live[done]] = it
@@ -231,6 +282,33 @@ def _lloyd(x, xx, centroids, max_iter, tol):
     labels = np.argmin(dists, axis=2)
     inertia = np.take_along_axis(dists, labels[:, :, None], axis=2)[:, :, 0]
     return labels, centroids, inertia.sum(axis=1), n_iter, converged
+
+
+def _best(fits, first, n_restarts):
+    """The lowest-inertia restart among slices ``first .. first +
+    n_restarts - 1`` of :func:`_lloyd`'s arrays (first-found wins ties),
+    as a :class:`KMeansResult`."""
+    labels, centroids, inertia, n_iter, converged = fits
+    best = first
+    for r in range(first + 1, first + n_restarts):
+        if inertia[r] < inertia[best]:
+            best = r
+    return KMeansResult(
+        labels=labels[best].copy(),
+        centroids=centroids[best].copy(),
+        inertia=float(inertia[best]),
+        n_iter=int(n_iter[best]),
+        converged=bool(converged[best]),
+    )
+
+
+def _check_x(x, k):
+    if x.shape[-2] < k:
+        raise ValueError(
+            f"cannot form {k} clusters from {x.shape[-2]} samples"
+        )
+    if k > 1 and not np.all(np.isfinite(x)):
+        raise ValueError("x contains non-finite values")
 
 
 @dataclass
@@ -277,9 +355,8 @@ class KMeans:
         x = np.asarray(x, dtype=float)
         if x.ndim != 2:
             raise ValueError(f"x must be 2-D, got shape {x.shape}")
+        _check_x(x, self.k)
         n = x.shape[0]
-        if n < self.k:
-            raise ValueError(f"cannot form {self.k} clusters from {n} samples")
         if self.k == 1:
             centroid = x.mean(axis=0, keepdims=True)
             inertia = float(np.sum((x - centroid) ** 2))
@@ -291,25 +368,90 @@ class KMeans:
                 converged=True,
             )
 
-        if not np.all(np.isfinite(x)):
-            raise ValueError("x contains non-finite values")
+        # One x shared by every restart: x[None] keeps its strides, so
+        # each restart's product sees this x's own layout.
+        xs = x[None]
+        xx = _row_norms(xs)
+        state = self._rng.bit_generator.state
+        first, u = _draws(self._rng, n, self.k, self.n_restarts)
+        idx, ok = _seed(xs, xx, self.k, first, u)
+        if ok.all():
+            init = _rows(xs, idx)
+        else:
+            self._rng.bit_generator.state = state
+            init = x[[_seed_one(x, xx[0], self.k, self._rng)
+                      for _ in range(self.n_restarts)]]
+        fits = _lloyd(xs, xx, init, self.max_iter, self.tol)
+        return _best(fits, 0, self.n_restarts)
 
-        xx = np.sum(x * x, axis=1)[:, None]
-        init = _seed(x, xx, self.k, self.n_restarts, self._rng)
-        labels, centroids, inertia, n_iter, converged = _lloyd(
-            x, xx, init, self.max_iter, self.tol
-        )
-        best = 0
-        for r in range(1, self.n_restarts):
-            if inertia[r] < inertia[best]:
-                best = r
-        return KMeansResult(
-            labels=labels[best].copy(),
-            centroids=centroids[best].copy(),
-            inertia=float(inertia[best]),
-            n_iter=int(n_iter[best]),
-            converged=bool(converged[best]),
-        )
+
+#: Most slices (candidate x restart) one lockstep pass stacks: bounds
+#: the pass's temporaries. 64 candidates of 8 x 14 rows at k = 2..7 peak
+#: at 0.8 MB in blocks of 128 slices against 2.9 MB in one block, in the
+#: same time (in-process, tracemalloc).
+MAX_SLICES = 128
+
+
+def fit_stack(xs, k, seed=0, n_restarts=8, max_iter=300, tol=1e-9):
+    """``KMeans(k, n_restarts, max_iter, tol, seed).fit(x)`` for every
+    ``x`` of ``xs``, with the candidates' restarts in lockstep (in
+    blocks of at most :data:`MAX_SLICES` slices).
+
+    Every candidate's fit starts from a fresh ``default_rng(seed)``, so
+    they all take the same seeding draws; those are drawn once and
+    shared. ``xs`` (equal-shape ``(n, d)`` matrices) is stacked
+    C-contiguous, so each slice's product has the layout a C-contiguous
+    ``x`` gives :meth:`KMeans.fit`. A candidate with a restart whose
+    seeding finds every point already covered is fitted alone by
+    :meth:`KMeans.fit`, which rewinds to serial seeding; the others stay
+    in lockstep.
+
+    Returns
+    -------
+    list[KMeansResult]
+        One per candidate, bit-identical to :meth:`KMeans.fit` on it.
+    """
+    model = KMeans(k=k, n_restarts=n_restarts, max_iter=max_iter, tol=tol,
+                   seed=seed)
+    xs = np.ascontiguousarray(np.stack([np.asarray(x, dtype=float)
+                                        for x in xs]))
+    if xs.ndim != 3:
+        raise ValueError(f"xs must stack 2-D matrices, got shape {xs.shape}")
+    _check_x(xs, k)
+    if k == 1:
+        return [model.fit(x) for x in xs]
+    first, u = _draws(model._rng, xs.shape[1], k, n_restarts)
+    per = max(1, MAX_SLICES // n_restarts)
+    results = []
+    for start in range(0, len(xs), per):
+        results.extend(_fit_block(xs[start:start + per], model, first, u))
+    return results
+
+
+def _fit_block(xs, model, first, u):
+    """:func:`fit_stack`'s lockstep pass over one block of candidates,
+    from the shared draws ``first`` and ``u``."""
+    n_cand, restarts = len(xs), model.n_restarts
+    owner = np.repeat(np.arange(n_cand), restarts)
+    x, xx = xs[owner], _row_norms(xs)[owner]
+    idx, ok = _seed(x, xx, model.k, np.tile(first, n_cand),
+                    np.tile(u, (n_cand, 1)))
+    alone = ~ok.reshape(n_cand, restarts).all(axis=1)
+    init = _rows(x, idx)
+    if alone.any():
+        keep = ~alone[owner]
+        x, xx, init = x[keep], xx[keep], init[keep]
+    fits = _lloyd(x, xx, init, model.max_iter, model.tol)
+    results, start = [], 0
+    for c in range(n_cand):
+        if alone[c]:
+            results.append(KMeans(k=model.k, n_restarts=restarts,
+                                  max_iter=model.max_iter, tol=model.tol,
+                                  seed=model.seed).fit(xs[c]))
+        else:
+            results.append(_best(fits, start, restarts))
+            start += restarts
+    return results
 
 
 def kmeans(x, k, seed=0, n_restarts=8):

@@ -14,13 +14,20 @@ Two variants:
   the one maximizing the minimum pairwise point distance, improving the
   space-filling property (used by the subset generator so the selected
   anchor points, and hence the chosen workloads, are well spread).
+
+The maximin variant draws and scores all its designs at once, on one
+C-contiguous ``(designs, n, d)`` stack, bit-identical to one
+:func:`latin_hypercube` and one
+:func:`~repro.stats.distance.pairwise_distances` per design: the draws
+keep :func:`latin_hypercube`'s order, and each slice of the stack has
+the layout of one design, so its distance product is the one ``cdist``
+makes for that design (the per-design loop is kept as the oracle in
+``tests/test_stats_lhs.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.stats.distance import pairwise_distances
 
 
 def _check_args(n_samples, n_dims):
@@ -72,8 +79,12 @@ def maximin_latin_hypercube(n_samples, n_dims, rng=0, n_candidates=32,
     """LHS design maximizing the minimum pairwise distance.
 
     Draws ``n_candidates`` independent LHS designs and returns the one with
-    the largest minimum inter-point distance. With ``n_samples == 1`` the
-    criterion is vacuous and a single draw is returned.
+    the largest minimum inter-point distance (the first such design on a
+    tie). With ``n_samples == 1`` the criterion is vacuous and a single
+    draw is returned.
+
+    All designs are drawn and scored at once (:func:`_designs`,
+    :func:`_min_distances`), bit-identical to one design at a time.
     """
     _check_args(n_samples, n_dims)
     if n_candidates < 1:
@@ -82,17 +93,39 @@ def maximin_latin_hypercube(n_samples, n_dims, rng=0, n_candidates=32,
     if n_samples == 1:
         return latin_hypercube(1, n_dims, rng=rng, centered=centered)
 
-    best = None
-    best_score = -np.inf
-    for _ in range(n_candidates):
-        design = latin_hypercube(n_samples, n_dims, rng=rng, centered=centered)
-        d = pairwise_distances(design)
-        np.fill_diagonal(d, np.inf)
-        score = float(d.min())
-        if score > best_score:
-            best_score = score
-            best = design
-    return best
+    designs = _designs(n_samples, n_dims, rng, n_candidates, centered)
+    return designs[np.argmax(_min_distances(designs))].copy()
+
+
+def _designs(n_samples, n_dims, rng, count, centered):
+    """``count`` :func:`latin_hypercube` designs from ``rng``, drawn in
+    its order and built by its expression, as one C-contiguous
+    ``(count, n_samples, n_dims)`` stack."""
+    perms = np.empty((count, n_dims, n_samples), dtype=int)
+    offsets = np.full((count, n_dims, n_samples), 0.5)
+    for c in range(count):
+        for d in range(n_dims):
+            perms[c, d] = rng.permutation(n_samples)
+            if not centered:
+                offsets[c, d] = rng.uniform(size=n_samples)
+    return np.ascontiguousarray(
+        ((perms + offsets) / n_samples).transpose(0, 2, 1))
+
+
+def _min_distances(designs):
+    """Each design's minimum pairwise point distance: ``cdist``'s
+    Euclidean expression per slice, then
+    :func:`~repro.stats.distance.pairwise_distances`' exact symmetry,
+    with the diagonal left out."""
+    norms = np.sum(designs * designs, axis=2)
+    sq = (norms[:, :, None] + norms[:, None, :]
+          - 2.0 * (designs @ designs.transpose(0, 2, 1)))
+    np.maximum(sq, 0.0, out=sq)
+    dist = np.sqrt(sq)
+    dist = 0.5 * (dist + dist.transpose(0, 2, 1))
+    diag = np.arange(designs.shape[1])
+    dist[:, diag, diag] = np.inf
+    return dist.min(axis=(1, 2))
 
 
 def lhs_strata(n_samples):

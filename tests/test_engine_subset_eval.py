@@ -276,6 +276,56 @@ class TestSubsetSearch:
         assert (tuple(results[0].best.selected)
                 == tuple(results[1].best.selected))
 
+    def test_worker_batches_fit_in_lockstep(self):
+        # A fanned search equals the serial one, and each worker's batch
+        # went through one lockstep K-means pass (its span ships back
+        # from the worker process).
+        import os
+
+        from repro.obs import trace as obs_trace
+
+        matrix = synthetic_matrix(seed=12, n=10, m=3, length=16)
+        serial = SubsetSearch(matrix, 4, seed=METRIC_SEED).search(
+            8, method="random")
+        tracer = obs_trace.install(obs_trace.Tracer())
+        try:
+            fanned = SubsetSearch(matrix, 4, seed=METRIC_SEED,
+                                  engine=Engine(workers=2)).search(
+                8, method="random")
+        finally:
+            obs_trace.uninstall()
+        assert ([_report_sig(r) for r in fanned.reports]
+                == [_report_sig(r) for r in serial.reports])
+        spans = [s for s in tracer.spans()
+                 if s.name == "kernel.kmeans_lockstep"]
+        assert [s.attrs["candidates"] for s in spans] == [4, 4]
+        assert os.getpid() not in {s.pid for s in spans}
+
+    def test_evaluate_many_fits_pending_candidates_once(self, monkeypatch):
+        matrix = synthetic_matrix(seed=14, n=10, m=3, length=16)
+        names = [random_subset_names(matrix, 5, seed=i) for i in range(5)]
+        names += [names[0], tuple(matrix.workloads[:3])]
+        batches = []
+        real = Engine.kmeans_sweeps
+
+        def spy(engine, xs, kseeds, n_restarts):
+            batches.append((len(xs), sorted(kseeds)))
+            return real(engine, xs, kseeds, n_restarts)
+
+        monkeypatch.setattr(Engine, "kmeans_sweeps", spy)
+        evaluator = SubsetEvaluator(matrix, seed=METRIC_SEED)
+        reports = evaluator.evaluate_many(names)
+        # One batch: the five distinct 5-row candidates; the repeat is
+        # one candidate and the 3-row one has no ClusterScore.
+        assert batches == [(5, [2, 3, 4])]
+        full = evaluator.full_scores
+        for report, picked in zip(reports, names):
+            ref = _reference_report(matrix, picked, full)
+            assert _report_sig(report) == _report_sig(ref)
+        # Everything is memoized now: a second pass fits nothing.
+        evaluator.evaluate_many(names)
+        assert len(batches) == 1
+
     def test_rejects_bad_inputs(self):
         matrix = synthetic_matrix(seed=13)
         with pytest.raises(ValueError, match="subset_size"):

@@ -146,8 +146,9 @@ class TestSearchDeterminism:
         report = check_search_determinism(self._matrix(), subset_size=4,
                                           n_candidates=4, seed=0)
         assert report.identical, str(report)
-        assert labels(report) == ["baseline", "cache=off", "traced"]
-        assert len(report.results) == 4
+        assert labels(report) == ["baseline", "cache=off", "lockstep=off",
+                                  "traced"]
+        assert len(report.results) == 5
         assert "PASS" in str(report)
 
     def test_workers_adds_invariance_runs(self):
@@ -157,7 +158,7 @@ class TestSearchDeterminism:
                                           workers=2)
         assert report.identical, str(report)
         assert labels(report) == ["baseline", "cache=off", "workers=2",
-                                  "traced"]
+                                  "lockstep=off", "traced"]
 
     def test_cache_dir_adds_disk_runs(self, tmp_path):
         report = check_search_determinism(self._matrix(), subset_size=4,
@@ -165,7 +166,7 @@ class TestSearchDeterminism:
                                           cache_dir=str(tmp_path))
         assert report.identical, str(report)
         assert labels(report) == ["baseline", "cache=off", "disk-cold",
-                                  "disk-warm", "traced"]
+                                  "disk-warm", "lockstep=off", "traced"]
 
     @pytest.mark.parametrize("damage", ["unstored", "undecodable"])
     def test_disk_warm_recomputation_fails_loudly(self, tmp_path,
@@ -234,6 +235,46 @@ class TestSearchDeterminism:
         [mismatch] = report.mismatches
         assert mismatch.startswith(
             f"[disk-warm] computed {len(pairs)} DTW pair(s)")
+
+    def test_lockstep_row_catches_a_flipped_label(self, monkeypatch):
+        # One wrong label out of the candidate-stacked fit: every row
+        # that fits in lockstep agrees with the baseline (cache=off too,
+        # where the fitted labels reach each sweep without the cache),
+        # and only the row fitting each candidate alone disagrees.
+        from repro.engine import Engine
+        from repro.engine import engine as engine_module
+
+        real = engine_module.fit_stack
+
+        def flipped(xs, k, *args, **kwargs):
+            results = real(xs, k, *args, **kwargs)
+            labels = results[0].labels.copy()
+            labels[0] = (labels[0] + 1) % k
+            results[0] = dataclasses.replace(results[0], labels=labels)
+            return results
+
+        monkeypatch.setattr(engine_module, "fit_stack", flipped)
+        lockstep = Engine.kmeans_sweeps
+        report = check_search_determinism(self._matrix(), subset_size=4,
+                                          n_candidates=4, method="random",
+                                          seed=0)
+        assert {m.split("]")[0] for m in report.mismatches} == {
+            "[lockstep=off"}
+        assert Engine.kmeans_sweeps is lockstep
+
+    def test_lockstep_row_fails_without_a_batch(self, monkeypatch):
+        # A search whose candidates never reach kmeans_sweeps in a batch
+        # of two compares the one-candidate path with itself.
+        from repro.engine import SubsetEvaluator
+
+        monkeypatch.setattr(SubsetEvaluator, "_fit_sweeps",
+                            lambda evaluator: None)
+        report = check_search_determinism(self._matrix(), subset_size=4,
+                                          n_candidates=4, method="random",
+                                          seed=0)
+        assert report.mismatches == (
+            "[lockstep=off] no batch of two or more candidates was "
+            "fitted in lockstep",)
 
     def test_diff_detects_injected_drift(self):
         report = check_search_determinism(self._matrix(), subset_size=4,
@@ -322,7 +363,7 @@ class TestHarness:
             "scorecard-tier", "lru-stack=off", "traced"],
         "search 'swap' (8 candidates)": [
             "baseline", "cache=off", "workers=2", "disk-cold", "disk-warm",
-            "traced"],
+            "lockstep=off", "traced"],
         "served 'nbench'": [
             "served", "served-warm", "served-concurrent", "served-restart"],
         "history 'parsec'": ["recorded", "rerun", "windows"],

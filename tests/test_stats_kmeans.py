@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from repro.service.protocol import float_bits
 from repro.stats.distance import cdist
-from repro.stats.kmeans import KMeans, KMeansResult, _d2_pick, kmeans
+from repro.stats.kmeans import (
+    KMeans,
+    KMeansResult,
+    _d2_pick,
+    fit_stack,
+    kmeans,
+)
 
 
 def three_blobs(n_per=20, seed=0, sep=10.0):
@@ -314,3 +320,90 @@ class TestLockstepOracle:
             reference_fit(oracle, x)
         with pytest.raises(ValueError):
             kmeans(x, 2, n_restarts=1)
+
+
+@st.composite
+def stack_cases(draw):
+    n = draw(st.integers(4, 24))
+    d = draw(st.sampled_from([1, 1, 2, 3, 8, 14]))
+    k = draw(st.integers(2, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    xs = []
+    for _ in range(draw(st.integers(1, 12))):
+        x = rng.normal(size=(n, d)) * scale
+        shape = draw(st.sampled_from(["plain", "plain", "duplicates",
+                                      "rounded"]))
+        if shape == "duplicates":
+            x = x[rng.integers(max(2, n // 3), size=n)]
+        elif shape == "rounded":
+            x = np.round(x * 2) / 2
+        xs.append(x)
+    if draw(st.booleans()):
+        # At most k - 1 distinct rows, on a half-integer grid so their
+        # distances are exact zeros: seeding finds every point covered
+        # before its k-th centroid.
+        rows = np.round(rng.normal(size=(k - 1, d)) * 4) / 2
+        xs.insert(draw(st.integers(0, len(xs))),
+                  rows[rng.integers(k - 1, size=n)])
+    return xs, dict(k=k, seed=draw(st.integers(0, 2 ** 31 - 1)),
+                    n_restarts=draw(st.integers(1, 10)),
+                    max_iter=draw(st.sampled_from([1, 2, 3, 300])))
+
+
+class TestCandidateStackOracle:
+    """fit_stack equals one KMeans(k, seed, n_restarts).fit(x) per
+    candidate bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=stack_cases())
+    def test_matches_per_candidate_fit(self, case):
+        xs, params = case
+        got = fit_stack(xs, **params)
+        assert len(got) == len(xs)
+        for result, x in zip(got, xs):
+            assert_same_fit(result, KMeans(**params).fit(x))
+
+    def test_all_covered_candidate_falls_back_alone(self, monkeypatch):
+        # 40 candidates of 4 restarts span two lockstep blocks; the one
+        # with two distinct rows (k=3), whose distances are exact zeros,
+        # sits in the second.
+        rng = np.random.default_rng(2)
+        xs = [rng.normal(size=(12, 3)) for _ in range(40)]
+        xs[37] = np.repeat(np.eye(2, 3), 6, axis=0)
+        alone = []
+        real = KMeans.fit
+
+        def fit(model, x):
+            alone.append(np.array(x))
+            return real(model, x)
+
+        monkeypatch.setattr(KMeans, "fit", fit)
+        got = fit_stack(xs, k=3, seed=11, n_restarts=4)
+        assert [x.tobytes() for x in alone] == [xs[37].tobytes()]
+        monkeypatch.setattr(KMeans, "fit", real)
+        for result, x in zip(got, xs):
+            assert_same_fit(result, KMeans(k=3, seed=11,
+                                           n_restarts=4).fit(x))
+
+    def test_one_column_candidates(self):
+        rng = np.random.default_rng(8)
+        xs = [rng.normal(size=(9, 1)) * 1e3 for _ in range(6)]
+        for k in (2, 4, 8):
+            for result, x in zip(fit_stack(xs, k=k, seed=k), xs):
+                assert_same_fit(result, KMeans(k=k, seed=k).fit(x))
+
+    def test_k1_and_bad_stacks(self):
+        xs = [np.arange(8.0).reshape(4, 2), np.ones((4, 2))]
+        for result, x in zip(fit_stack(xs, k=1), xs):
+            assert_same_fit(result, KMeans(k=1).fit(x))
+        with pytest.raises(ValueError, match="cannot form"):
+            fit_stack(xs, k=5)
+        with pytest.raises(ValueError):
+            fit_stack([np.zeros((4, 2)), np.zeros((5, 2))], k=2)
+        with pytest.raises(ValueError, match="2-D"):
+            fit_stack([np.zeros(4)], k=2)
+        bad = np.ones((4, 2))
+        bad[1, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            fit_stack([np.eye(4, 2), bad], k=2)

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.service.protocol import float_bits
 from repro.stats.distance import pairwise_distances
 from repro.stats.lhs import (
+    _designs,
+    _min_distances,
     is_latin_hypercube,
     latin_hypercube,
     lhs_strata,
@@ -111,3 +114,77 @@ class TestHelpers:
     def test_is_latin_rejects_1d(self):
         with pytest.raises(ValueError, match="2-D"):
             is_latin_hypercube(np.zeros(4))
+
+
+# The per-design loop that the stacked maximin_latin_hypercube replaced,
+# verbatim: the oracle for every design bit and every design's score.
+
+def reference_maximin(n_samples, n_dims, rng=0, n_candidates=32,
+                      centered=False):
+    """(chosen design, every design's minimum pairwise distance)."""
+    rng = np.random.default_rng(rng)
+    best = None
+    best_score = -np.inf
+    scores = []
+    for _ in range(n_candidates):
+        design = latin_hypercube(n_samples, n_dims, rng=rng,
+                                 centered=centered)
+        d = pairwise_distances(design)
+        np.fill_diagonal(d, np.inf)
+        score = float(d.min())
+        scores.append(score)
+        if score > best_score:
+            best_score = score
+            best = design
+    return best, scores
+
+
+class TestStackedMaximinOracle:
+    """The stacked maximin pass equals the per-design loop bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(2, 12), d=st.integers(1, 16),
+           seed=st.integers(0, 2 ** 32 - 1), candidates=st.integers(1, 40),
+           centered=st.booleans())
+    def test_matches_per_design_loop(self, n, d, seed, candidates, centered):
+        want, scores = reference_maximin(n, d, rng=seed,
+                                         n_candidates=candidates,
+                                         centered=centered)
+        got = maximin_latin_hypercube(n, d, rng=seed,
+                                      n_candidates=candidates,
+                                      centered=centered)
+        assert got.shape == want.shape
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+        designs = _designs(n, d, np.random.default_rng(seed), candidates,
+                           centered)
+        assert [float_bits(s) for s in _min_distances(designs)] == [
+            float_bits(s) for s in scores]
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 31 - 1])
+    @pytest.mark.parametrize("centered", [False, True])
+    @pytest.mark.parametrize("n, d", [(2, 1), (5, 3), (8, 14), (12, 16)])
+    def test_designs_match_latin_hypercube_draws(self, seed, centered, n,
+                                                 d):
+        rng = np.random.default_rng(seed)
+        want = [latin_hypercube(n, d, rng=rng, centered=centered)
+                for _ in range(12)]
+        got = _designs(n, d, np.random.default_rng(seed), 12, centered)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == np.stack(want).tobytes()
+
+    def test_tie_keeps_the_first_design(self):
+        # Centered two-point designs in one dimension are {0.25, 0.75}
+        # in one order or the other: every design ties on distance, and
+        # the first one drawn must win.
+        seed = 3
+        rng = np.random.default_rng(seed)
+        drawn = [latin_hypercube(2, 1, rng=rng, centered=True)
+                 for _ in range(8)]
+        assert len({design.tobytes() for design in drawn}) == 2
+        want, scores = reference_maximin(2, 1, rng=seed, n_candidates=8,
+                                         centered=True)
+        assert len(set(scores)) == 1
+        got = maximin_latin_hypercube(2, 1, rng=seed, n_candidates=8,
+                                      centered=True)
+        assert got.tobytes() == want.tobytes() == drawn[0].tobytes()
