@@ -15,7 +15,12 @@
 # declares (bench/run.py: four CLI/daemon workloads, outputs checked
 # against bench/goldens.json, end-to-end metrics only, tracing off);
 # `make bench-trace` runs it with one traced pass per workload added,
-# ending with the per-layer metrics.
+# ending with the per-layer metrics. Both first delete src/repro's
+# bytecode caches and run with PYTHONDONTWRITEBYTECODE=1, so every
+# child compiles each module it imports from source, as the benchmark
+# pipeline's children do: a disk-warm `repro score` reads ~65 ms that
+# way against ~49 ms with bytecode present, and local numbers should
+# read like the pipeline's.
 # `make rebless` rewrites the tier-1 golden files (counters, scores,
 # traces) after a deliberate science change and shows which moved. An
 # existing --cache-dir needs no step: its entries carry the digest of
@@ -59,11 +64,14 @@ test:
 bench:
 	$(RUN) -m pytest benchmarks -q
 
+NO_BYTECODE = find src/repro -name __pycache__ -type d -prune \
+	-exec rm -rf {} + && PYTHONDONTWRITEBYTECODE=1
+
 bench-e2e:
-	$(PYTHON) bench/run.py --trace 0
+	$(NO_BYTECODE) $(PYTHON) bench/run.py --trace 0
 
 bench-trace:
-	$(PYTHON) bench/run.py
+	$(NO_BYTECODE) $(PYTHON) bench/run.py
 
 # Each golden test file rewrites its tests/data JSON when run as a
 # script; the diff stat names the files whose pinned bits moved.

@@ -56,8 +56,9 @@ bit either -- ``repro qa`` checks that too. A failed append is one
 
 ``score``, ``compare`` and ``subset`` adapt arguments in and text out;
 the request vocabulary, its checks and the jobs live in
-:mod:`repro.experiments.runner`, the recorder in
-:func:`repro.obs.history.record_run`, both shared with the daemon. A
+:mod:`repro.experiments.runner`, the recording path in
+:func:`repro.obs.history.record_run` (imported only by a run that
+records or traces), both shared with the daemon. A
 request that fails a check is one ``repro <cmd>: ...`` line, exit 2,
 before anything is measured.
 
@@ -72,6 +73,16 @@ IEEE-754 bit level).
 
 Report tables go to stdout; status lines (``wrote ...``) go to stderr,
 so piping a report into a file never interleaves progress chatter.
+
+Each subcommand's parser has its own builder in one table
+(``_SUBCOMMANDS``, with its handler). When argv names a subcommand
+(only ``--quick`` before it), :func:`main` builds that subcommand's
+parser alone, ``build_parser(command)``; help, a missing or an unknown
+command get the full tree, ``build_parser()``. Both parse one argv to
+the same namespace and print the same usage, help and errors, so a
+disk-warm ``repro score`` pays for neither the other subcommands'
+arguments nor the modules their defaults come from (the history
+store's thresholds, the service's address).
 """
 
 from __future__ import annotations
@@ -99,13 +110,7 @@ from repro.experiments.runner import (
     score_suite,
     subset_job,
 )
-from repro.obs.history import (
-    MAX_HIT_RATE_DROP,
-    MAX_WALL_REGRESSION_PCT,
-    publish,
-    record_run,
-)
-from repro.obs.trace import span
+from repro.obs.trace import publish, span
 from repro.workloads import available_suites
 
 _EXPERIMENTS = {
@@ -537,21 +542,14 @@ def _add_request_args(p, command):
     )
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="perspector",
-        description="Benchmark benchmark suites (DATE 2023 reproduction).",
-    )
-    parser.add_argument("--quick", action="store_true",
-                        help="short-trace preset (fast, noisier)")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _parser_suites(sub):
+    _add_trace_flags(sub.add_parser("suites", help="list modelled suites"))
 
-    p_suites = sub.add_parser("suites", help="list modelled suites")
-    _add_trace_flags(p_suites)
 
-    p_score = sub.add_parser("score", help="score one suite")
-    _add_request_args(p_score, "score")
-    p_score.add_argument(
+def _parser_score(sub):
+    p = sub.add_parser("score", help="score one suite")
+    _add_request_args(p, "score")
+    p.add_argument(
         "--history-windows", type=_bounded(int, 0), default=0, metavar="N",
         help="with --history-dir: also record an N-point windowed "
              "trajectory inside this run -- cumulative prefixes of the "
@@ -560,31 +558,39 @@ def build_parser():
              "(default 0 = off; the printed scorecard is bit-identical "
              "either way)",
     )
-    _add_engine_flags(p_score)
-    _add_trace_flags(p_score)
+    _add_engine_flags(p)
+    _add_trace_flags(p)
 
-    p_cmp = sub.add_parser("compare", help="compare suites jointly")
-    _add_request_args(p_cmp, "compare")
-    p_cmp.add_argument("--csv", metavar="PATH",
-                       help="also write the comparison as CSV")
-    p_cmp.add_argument("--bars", action="store_true",
-                       help="print bar panels per score")
-    _add_engine_flags(p_cmp)
-    _add_trace_flags(p_cmp)
 
-    p_sub = sub.add_parser(
+def _parser_compare(sub):
+    p = sub.add_parser("compare", help="compare suites jointly")
+    _add_request_args(p, "compare")
+    p.add_argument("--csv", metavar="PATH",
+                   help="also write the comparison as CSV")
+    p.add_argument("--bars", action="store_true",
+                   help="print bar panels per score")
+    _add_engine_flags(p)
+    _add_trace_flags(p)
+
+
+def _parser_subset(sub):
+    p = sub.add_parser(
         "subset", help="LHS subset generation / multi-candidate search"
     )
-    _add_request_args(p_sub, "subset")
-    _add_engine_flags(p_sub)
-    _add_trace_flags(p_sub)
+    _add_request_args(p, "subset")
+    _add_engine_flags(p)
+    _add_trace_flags(p)
 
-    p_exp = sub.add_parser("experiment", help="regenerate a paper artifact")
-    p_exp.add_argument("name", choices=sorted(_EXPERIMENTS))
-    _add_engine_flags(p_exp)
-    _add_trace_flags(p_exp)
 
-    p_lint = sub.add_parser(
+def _parser_experiment(sub):
+    p = sub.add_parser("experiment", help="regenerate a paper artifact")
+    p.add_argument("name", choices=sorted(_EXPERIMENTS))
+    _add_engine_flags(p)
+    _add_trace_flags(p)
+
+
+def _parser_lint(sub):
+    p = sub.add_parser(
         "lint", help="run the QA static-analysis pass over the tree",
         description="Project-specific numerical static-analysis pass.",
         epilog=(
@@ -595,28 +601,30 @@ def build_parser():
             "package fresh; nothing is cached."
         ),
     )
-    p_lint.add_argument("paths", nargs="*",
-                        help="files or directories (default: src/repro)")
-    p_lint.add_argument("--list-rules", action="store_true",
-                        help="print the rule catalogue and exit")
-    p_lint.add_argument(
+    p.add_argument("paths", nargs="*",
+                   help="files or directories (default: src/repro)")
+    p.add_argument("--list-rules", action="store_true",
+                   help="print the rule catalogue and exit")
+    p.add_argument(
         "--deep", action="store_true",
         help="also run the whole-program effect analyzer: cache-purity, "
              "pool-safety and backend-purity proven over the cross-module "
              "call graph, parsed fresh on every run",
     )
-    p_lint.add_argument(
+    p.add_argument(
         "--format", choices=["text", "json"], default="text",
         dest="output_format",
         help="findings as diagnostics lines (default) or a JSON array "
              "for CI",
     )
-    _add_trace_flags(p_lint)
+    _add_trace_flags(p)
 
-    p_ana = sub.add_parser(
+
+def _parser_analyze(sub):
+    p = sub.add_parser(
         "analyze", help="whole-program effect analysis queries"
     )
-    ana_sub = p_ana.add_subparsers(dest="analyze_command", required=True)
+    ana_sub = p.add_subparsers(dest="analyze_command", required=True)
     p_eff = ana_sub.add_parser(
         "effects",
         help="print a function's inferred effect set with one "
@@ -631,33 +639,41 @@ def build_parser():
         "--root", default="src/repro", metavar="DIR",
         help="project root to index (default: src/repro)",
     )
-    _add_trace_flags(p_ana)
+    _add_trace_flags(p)
 
-    p_qa = sub.add_parser(
+
+def _parser_qa(sub):
+    p = sub.add_parser(
         "qa", help="bit-for-bit determinism check of the scoring pipeline"
     )
-    p_qa.add_argument("--seed", type=int, default=0)
-    p_qa.add_argument("--focus", default="all", choices=FOCUS_VALUES)
-    p_qa.add_argument("--full", action="store_true",
-                      help="full-length traces (slower)")
-    p_qa.add_argument(
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--focus", default="all", choices=FOCUS_VALUES)
+    p.add_argument("--full", action="store_true",
+                   help="full-length traces (slower)")
+    p.add_argument(
         "--workers", type=_bounded(int, 1), default=1, metavar="N",
         help="also check engine invariance at this worker count, and "
              "run the served rows' daemon at it (every result must be "
              "bit-identical to the serial path)",
     )
-    _add_trace_flags(p_qa)
+    _add_trace_flags(p)
 
-    p_rep = sub.add_parser(
+
+def _parser_report(sub):
+    p = sub.add_parser(
         "report", help="full suite report (scores + characterization)"
     )
-    p_rep.add_argument("suite", help="suite name or path to a JSON spec")
-    _add_trace_flags(p_rep)
+    p.add_argument("suite", help="suite name or path to a JSON spec")
+    _add_trace_flags(p)
 
-    p_obs = sub.add_parser(
+
+def _parser_obs(sub):
+    from repro.obs.history import MAX_HIT_RATE_DROP, MAX_WALL_REGRESSION_PCT
+
+    p = sub.add_parser(
         "obs", help="observability utilities (span traces, run history)"
     )
-    obs_sub = p_obs.add_subparsers(dest="obs_command", required=True)
+    obs_sub = p.add_subparsers(dest="obs_command", required=True)
     p_sum = obs_sub.add_parser(
         "summary",
         help="render a JSONL span trace as a human report: top spans "
@@ -735,23 +751,29 @@ def build_parser():
              f"negative disables)",
     )
 
+
+def _parser_serve(sub):
     from repro.service.protocol import DEFAULT_HOST, DEFAULT_PORT
 
-    p_serve = sub.add_parser(
+    p = sub.add_parser(
         "serve",
         help="run the scoring daemon: one shared warm engine "
              "(persistent pool, kernel cache, disk tier) behind an "
              "HTTP/JSON API (POST /v1/score|compare|subset, "
              "GET /v1/metrics|health|history, POST /v1/shutdown)",
     )
-    p_serve.add_argument("--host", default=DEFAULT_HOST,
-                         help=f"bind address (default {DEFAULT_HOST})")
-    p_serve.add_argument("--port", type=_bounded(int, 0, 65535),
-                         default=DEFAULT_PORT,
-                         help=f"bind port; 0 picks an ephemeral one "
-                              f"(default {DEFAULT_PORT})")
-    _add_engine_flags(p_serve)
-    _add_trace_flags(p_serve)
+    p.add_argument("--host", default=DEFAULT_HOST,
+                   help=f"bind address (default {DEFAULT_HOST})")
+    p.add_argument("--port", type=_bounded(int, 0, 65535),
+                   default=DEFAULT_PORT,
+                   help=f"bind port; 0 picks an ephemeral one "
+                        f"(default {DEFAULT_PORT})")
+    _add_engine_flags(p)
+    _add_trace_flags(p)
+
+
+def _parser_client(sub):
+    from repro.service.protocol import DEFAULT_HOST, DEFAULT_PORT
 
     p_client = sub.add_parser(
         "client", help="talk to a running scoring daemon"
@@ -796,8 +818,6 @@ def build_parser():
     _client_parser("shutdown", "graceful drain-and-stop")
     _add_trace_flags(p_client)
 
-    return parser
-
 
 def _cmd_report(args):
     from repro.perf.report import build_report, render_report
@@ -821,6 +841,58 @@ def _cmd_report(args):
     return 0
 
 
+#: Every subcommand, in help order: ``(parser builder, handler)``.
+_SUBCOMMANDS = {
+    "suites": (_parser_suites, _cmd_suites),
+    "score": (_parser_score, _cmd_score),
+    "compare": (_parser_compare, _cmd_compare),
+    "subset": (_parser_subset, _cmd_subset),
+    "experiment": (_parser_experiment, _cmd_experiment),
+    "lint": (_parser_lint, _cmd_lint),
+    "analyze": (_parser_analyze, _cmd_analyze),
+    "qa": (_parser_qa, _cmd_qa),
+    "report": (_parser_report, _cmd_report),
+    "obs": (_parser_obs, _cmd_obs),
+    "serve": (_parser_serve, _cmd_serve),
+    "client": (_parser_client, _cmd_client),
+}
+
+
+def build_parser(command=None):
+    """The CLI's parser: every subcommand, or ``command``'s alone.
+
+    A one-subcommand parser parses that subcommand's argv to the same
+    namespace, and prints the same usage, help and errors, as the full
+    tree; building it skips the other subcommands' arguments and the
+    modules their defaults come from."""
+    parser = argparse.ArgumentParser(
+        prog="perspector",
+        description="Benchmark benchmark suites (DATE 2023 reproduction).",
+    )
+    parser.add_argument("--quick", action="store_true",
+                        help="short-trace preset (fast, noisier)")
+    # The full tree's usage line names every subcommand; a
+    # one-subcommand parser's must too.
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=(None if command is None
+                 else "{" + ",".join(_SUBCOMMANDS) + "}"),
+    )
+    for name in _SUBCOMMANDS if command is None else [command]:
+        _SUBCOMMANDS[name][0](sub)
+    return parser
+
+
+def _command_of(argv):
+    """The subcommand ``argv`` names, when only ``--quick`` comes
+    before it; else ``None`` (help, a missing or unknown command, or
+    anything argparse might read another way gets the full tree)."""
+    for token in argv:
+        if token != "--quick":
+            return token if token in _SUBCOMMANDS else None
+    return None
+
+
 #: Subcommands whose runs the history store records.
 _HISTORY_COMMANDS = {"score", "compare", "subset", "experiment"}
 
@@ -838,22 +910,9 @@ def _run_config(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    handlers = {
-        "suites": _cmd_suites,
-        "score": _cmd_score,
-        "compare": _cmd_compare,
-        "subset": _cmd_subset,
-        "experiment": _cmd_experiment,
-        "report": _cmd_report,
-        "lint": _cmd_lint,
-        "analyze": _cmd_analyze,
-        "qa": _cmd_qa,
-        "obs": _cmd_obs,
-        "serve": _cmd_serve,
-        "client": _cmd_client,
-    }
-    handler = handlers[args.command]
+    command = _command_of(sys.argv[1:] if argv is None else argv)
+    args = build_parser(command).parse_args(argv)
+    handler = _SUBCOMMANDS[args.command][1]
     history_dir = (getattr(args, "history_dir", None)
                    if args.command in _HISTORY_COMMANDS else None)
     trace = getattr(args, "trace", None)
@@ -865,6 +924,8 @@ def main(argv=None):
     try:
         if not (history_dir or trace):
             return handler(args)
+        from repro.obs.history import record_run
+
         config, request = _run_config(args)
         status, path, error = record_run(
             args.command, config, request, job, history_dir=history_dir,

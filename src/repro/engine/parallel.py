@@ -47,7 +47,6 @@ are bit-identical across worker counts.
 from __future__ import annotations
 
 import atexit
-import multiprocessing
 import threading
 
 from repro.obs import trace as obs_trace
@@ -95,6 +94,9 @@ def _pool_for(workers):
         pool = _pools.get(workers)
         if pool is not None:
             return pool, False
+        # Imported here, not at module level: a serial run never loads
+        # multiprocessing or concurrent.futures.
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         pool = ProcessPoolExecutor(

@@ -27,8 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.obs.history import publish
-from repro.obs.trace import span
+from repro.obs.trace import publish, span
 from repro.workloads import available_suites, load_suite
 
 _CACHE = {}

@@ -25,7 +25,10 @@
   digest, bit-exact run diffing over the wire records
   (:func:`repro.service.protocol.record_diff`), and
   trajectory regression gates (``repro obs history`` / ``diff`` /
-  ``check``).
+  ``check``). The recorder those runs publish into
+  (:class:`~repro.obs.trace.HistoryRecorder`, :func:`publish`,
+  ``install_recorder``) lives in :mod:`repro.obs.trace`, next to the
+  tracer, so handlers publish without importing the store.
 
 The hard invariant (enforced by ``repro qa``'s ``traced`` and
 ``recorded`` rows): tracing on vs off is bit-identical in every score
@@ -41,11 +44,9 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "load_spans", "load_spans_tolerant", "write_trace",
     ),
     "repro.obs.history": (
-        "HistoryRecorder", "HistoryStore", "RunDiff", "TrajectoryFinding",
-        "build_record", "check_trajectories", "check_trajectory",
-        "current_recorder", "diff_records", "install_recorder", "publish",
-        "render_diff", "render_history", "uninstall_recorder",
-        "window_trajectory",
+        "HistoryStore", "RunDiff", "TrajectoryFinding", "build_record",
+        "check_trajectories", "check_trajectory", "diff_records",
+        "render_diff", "render_history", "window_trajectory",
     ),
     "repro.obs.manifest": (
         "build_manifest", "config_digest", "load_manifest", "manifest_path",
@@ -56,7 +57,9 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "repro.obs.summary": ("render_summary", "summarize_file"),
     "repro.obs.trace": (
-        "NOOP_SPAN", "ShippedSpans", "SpanRecord", "Tracer", "current_tracer",
-        "enabled", "install", "span", "swap", "uninstall", "validate_spans",
+        "HistoryRecorder", "NOOP_SPAN", "ShippedSpans", "SpanRecord",
+        "Tracer", "current_recorder", "current_tracer", "enabled",
+        "install", "install_recorder", "publish", "span", "swap",
+        "uninstall", "uninstall_recorder", "validate_spans",
     ),
 })

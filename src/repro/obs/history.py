@@ -15,11 +15,15 @@ week?". This module is the missing memory:
   pool utilization), per-span-name wall/self-time totals from
   the tracer, and the run manifest itself -- enough to re-key, re-plot
   and bit-diff any run from its artifact alone.
-* :class:`HistoryRecorder` -- the in-process collection hook. Like the
-  span tracer, it installs as a module global; scoring handlers call
-  :func:`publish` unconditionally (a no-op while no recorder is
-  installed), so recording can never perturb a result -- the history
-  rows of ``repro qa`` enforce the consequence at the bit level.
+* :class:`~repro.obs.trace.HistoryRecorder` -- the in-process
+  collection hook. It installs as a module global next to the span
+  tracer's, in :mod:`repro.obs.trace`, and so do :func:`publish` and
+  the install/uninstall functions (re-exported here): scoring
+  handlers call :func:`~repro.obs.trace.publish` unconditionally (a
+  no-op while no recorder is installed) without importing this
+  module, so a run that records nothing never loads the store.
+  Recording can never perturb a result -- the history rows of
+  ``repro qa`` enforce that at the bit level.
 * :func:`record_run` -- the one recording path of the CLI and the
   daemon: it runs a job under a recorder (and a tracer), then builds
   and appends the record, digesting one mapping for both sides.
@@ -59,6 +63,14 @@ from dataclasses import asdict, dataclass, field
 from repro.core.report import SCORES
 from repro.obs.export import _atomic_write
 from repro.obs.summary import aggregate_by_name
+from repro.obs.trace import HistoryRecorder, Tracer, _swap_recorder, swap
+
+# The recorder's process-wide hooks live next to the tracer's; these
+# names stay importable from here.
+from repro.obs.trace import current_recorder as current_recorder
+from repro.obs.trace import install_recorder as install_recorder
+from repro.obs.trace import publish as publish
+from repro.obs.trace import uninstall_recorder as uninstall_recorder
 
 SCHEMA_VERSION = 1
 
@@ -71,82 +83,6 @@ HISTORY_ENV = "REPRO_HISTORY"
 #: against the best earlier rate.
 MAX_WALL_REGRESSION_PCT = 25.0
 MAX_HIT_RATE_DROP = 0.10
-
-# -- recorder -----------------------------------------------------------------
-
-
-class HistoryRecorder:
-    """Collects one run's scoring artifacts until the record is built.
-
-    Handlers publish live objects (scorecards, subset reports, search
-    results, window trajectories, rendered report text, a metrics
-    snapshot); :func:`build_record` encodes them into the JSON-safe,
-    bit-exact record shape. Publishing only ever appends to these
-    lists -- it reads nothing back -- so an installed recorder cannot
-    change any output bit.
-    """
-
-    def __init__(self):
-        self.scorecards = []
-        self.subset_reports = []
-        self.search_results = []
-        self.windows = []
-        self.rendered = []
-        self.metrics_snapshot = None
-
-    def publish(self, kind, obj):
-        if kind == "scorecard":
-            self.scorecards.append(obj)
-        elif kind == "subset_report":
-            self.subset_reports.append(obj)
-        elif kind == "search_result":
-            self.search_results.append(obj)
-        elif kind == "windows":
-            self.windows.extend(obj)
-        elif kind == "rendered":
-            self.rendered.append(str(obj))
-        elif kind == "metrics":
-            self.metrics_snapshot = obj
-        else:
-            raise ValueError(f"unknown history publish kind {kind!r}")
-
-
-_RECORDER = None
-
-
-def install_recorder(recorder=None):
-    """Install (and return) the process-wide history recorder."""
-    global _RECORDER
-    _RECORDER = recorder if recorder is not None else HistoryRecorder()
-    return _RECORDER
-
-
-def uninstall_recorder():
-    """Remove the installed recorder (idempotent)."""
-    global _RECORDER
-    _RECORDER = None
-
-
-def current_recorder():
-    """The installed :class:`HistoryRecorder`, or ``None``."""
-    return _RECORDER
-
-
-def publish(kind, obj):
-    """Hand one artifact to the installed recorder; no-op without one.
-
-    Safe to wire permanently into handlers, exactly like
-    :func:`repro.obs.trace.span`: one module-global read when recording
-    is off.
-    """
-    if _RECORDER is not None:
-        _RECORDER.publish(kind, obj)
-
-
-def _swap_recorder(recorder):
-    global _RECORDER
-    previous, _RECORDER = _RECORDER, recorder
-    return previous
 
 
 def record_run(command, config, request, job, history_dir=None, trace=None,
@@ -172,7 +108,6 @@ def record_run(command, config, request, job, history_dir=None, trace=None,
         manifest_path,
         write_manifest,
     )
-    from repro.obs.trace import Tracer, swap
 
     tracer = Tracer() if trace or traced else None
     recorder = HistoryRecorder() if history_dir else None

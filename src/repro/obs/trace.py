@@ -26,6 +26,11 @@ rules that make it safe to leave permanently wired into the hot paths:
   are per-process, so duration math (summary self-time) only ever
   subtracts same-pid children.
 
+The process-wide history recorder (:class:`HistoryRecorder`,
+:func:`publish`) is installed the same way and lives here too, so
+scoring code publishes its results without importing the history
+store (:mod:`repro.obs.history`), which only a recording run needs.
+
 Usage::
 
     from repro.obs import span, install, uninstall, Tracer
@@ -302,6 +307,85 @@ def span(name, **attrs):
     if tracer is None:
         return NOOP_SPAN
     return tracer.span(name, **attrs)
+
+
+# -- the installed history recorder -------------------------------------------
+
+
+class HistoryRecorder:
+    """Collects one run's scoring artifacts until the history record is
+    built (:func:`repro.obs.history.record_run`).
+
+    Handlers publish live objects (scorecards, subset reports, search
+    results, window trajectories, rendered report text, a metrics
+    snapshot); :func:`repro.obs.history.build_record` encodes them into
+    the JSON-safe, bit-exact record shape. Publishing only ever appends
+    to these lists -- it reads nothing back -- so an installed recorder
+    cannot change any output bit.
+    """
+
+    def __init__(self):
+        self.scorecards = []
+        self.subset_reports = []
+        self.search_results = []
+        self.windows = []
+        self.rendered = []
+        self.metrics_snapshot = None
+
+    def publish(self, kind, obj):
+        if kind == "scorecard":
+            self.scorecards.append(obj)
+        elif kind == "subset_report":
+            self.subset_reports.append(obj)
+        elif kind == "search_result":
+            self.search_results.append(obj)
+        elif kind == "windows":
+            self.windows.extend(obj)
+        elif kind == "rendered":
+            self.rendered.append(str(obj))
+        elif kind == "metrics":
+            self.metrics_snapshot = obj
+        else:
+            raise ValueError(f"unknown history publish kind {kind!r}")
+
+
+_RECORDER = None
+
+
+def install_recorder(recorder=None):
+    """Install (and return) the process-wide history recorder."""
+    global _RECORDER
+    _RECORDER = recorder if recorder is not None else HistoryRecorder()
+    return _RECORDER
+
+
+def uninstall_recorder():
+    """Remove the installed recorder (idempotent)."""
+    global _RECORDER
+    _RECORDER = None
+
+
+def current_recorder():
+    """The installed :class:`HistoryRecorder`, or ``None``."""
+    return _RECORDER
+
+
+def _swap_recorder(recorder):
+    global _RECORDER
+    previous, _RECORDER = _RECORDER, recorder
+    return previous
+
+
+def publish(kind, obj):
+    """Hand one artifact to the installed recorder; no-op without one.
+
+    Safe to wire permanently into handlers, exactly like :func:`span`:
+    one module-global read when recording is off. It lives here, not in
+    :mod:`repro.obs.history`, so a run that records nothing never
+    imports the history store.
+    """
+    if _RECORDER is not None:
+        _RECORDER.publish(kind, obj)
 
 
 # -- well-formedness ----------------------------------------------------------

@@ -109,6 +109,18 @@ def _sq_dists(x, xx, c):
     return sq
 
 
+def _seed_sq(x, xx, rows):
+    """``(B, n)`` squared distances from each slice's rows to its one
+    new seed ``rows[b]`` (``rows`` is ``(B, d)``): :func:`_sq_dists`,
+    except that a row equal to the seed is exactly 0. The expansion can
+    leave a rounding residue there (8.9e-16), which would give the
+    seed's copies D^2 weight and let k-means++ seed twice on one point.
+    """
+    sq = _sq_dists(x, xx, rows[:, None, :])[:, :, 0]
+    sq[(x == rows[:, None, :]).all(axis=-1)] = 0.0
+    return sq
+
+
 def _row_norms(x):
     """``sum(x * x)`` per row of an ``(S, n, d)`` stack, as ``(S, n, 1)``."""
     return np.sum(x * x, axis=2)[:, :, None]
@@ -156,15 +168,14 @@ def _seed_one(x, xx, k, rng):
     """
     n = x.shape[0]
     idx = [int(rng.integers(n))]
-    closest = _sq_dists(x, xx, x[idx][None])[:, :, 0]
+    closest = _seed_sq(x, xx, x[idx])
     for _ in range(1, k):
         if closest.sum() <= 0:
             pick = int(rng.integers(n))
         else:
             pick = int(_d2_pick(closest, np.array([rng.random()]))[0])
         idx.append(pick)
-        new_sq = _sq_dists(x, xx, x[[pick]][None])[:, :, 0]
-        np.minimum(closest, new_sq, out=closest)
+        np.minimum(closest, _seed_sq(x, xx, x[[pick]]), out=closest)
     return idx
 
 
@@ -197,7 +208,7 @@ def _seed(x, xx, k, first, u):
     idx[:, 0] = first
     live = np.arange(first.shape[0])
     ok = np.ones(first.shape[0], dtype=bool)
-    closest = _sq_dists(x, xx, _rows(x, first)[:, None, :])[:, :, 0]
+    closest = _seed_sq(x, xx, _rows(x, first))
     for i in range(1, k):
         total = closest.sum(axis=1)
         good = np.isfinite(total) & (total > 0)
@@ -208,8 +219,7 @@ def _seed(x, xx, k, first, u):
                 break
         idx[live, i] = _d2_pick(closest, u[live, i - 1])
         xl = _slices(x, live)
-        new_sq = _sq_dists(xl, _slices(xx, live),
-                           _rows(xl, idx[live, i])[:, None, :])[:, :, 0]
+        new_sq = _seed_sq(xl, _slices(xx, live), _rows(xl, idx[live, i]))
         np.minimum(closest, new_sq, out=closest)
     return idx, ok
 

@@ -37,6 +37,100 @@ class TestParser:
         assert args.quick
 
 
+#: One argv per subcommand (and per ``obs``/``client`` command).
+PARSED = [
+    ["suites"],
+    ["--quick", "score", "nbench", "--focus", "llc", "--history-windows",
+     "3", "--history-dir", "h", "--cache-dir", "c", "--no-cache"],
+    ["compare", "nbench", "ligra", "--csv", "out.csv", "--bars",
+     "--workers", "2"],
+    ["--quick", "subset", "spec17", "--size", "6", "--search", "16",
+     "--method", "swap"],
+    ["experiment", "fig3", "--trace", "t.jsonl", "--trace-format",
+     "chrome"],
+    ["report", "nbench"],
+    ["lint", "--deep", "--format", "json", "src/repro"],
+    ["analyze", "effects", "Engine.dtw_matrix", "--root", "src/repro"],
+    ["qa", "--seed", "3", "--focus", "tlb", "--full", "--workers", "2"],
+    ["obs", "summary", "t.jsonl", "--top", "5"],
+    ["obs", "history", "--history-dir", "h", "--digest", "ab"],
+    ["obs", "diff", "1", "2", "--history-dir", "h"],
+    ["obs", "check", "--max-wall-pct", "10", "--max-hit-drop", "0.2"],
+    ["serve", "--port", "0", "--workers", "1"],
+    ["client", "score", "nbench", "--focus", "tlb", "--retries", "0"],
+    ["client", "compare", "nbench", "ligra", "--port", "9000"],
+    ["client", "subset", "nbench", "--size", "4", "--search", "2",
+     "--method", "random"],
+    ["client", "metrics"],
+    ["client", "health", "--timeout", "5", "--connect-timeout", "1"],
+    ["client", "history", "--host", "localhost"],
+    ["client", "shutdown"],
+]
+
+def _help_argv(argv):
+    """``argv``'s command words, then ``--help``."""
+    words = [word for word in argv if word != "--quick"]
+    nested = words[0] in ("analyze", "obs", "client")
+    return [*words[:1 + nested], "--help"]
+
+
+#: Argvs that end in usage, help or an argparse error.
+REJECTED = [
+    [], ["--quick"], ["bogus"], ["--quick", "bogus", "nbench"],
+    ["score", "nbench", "--focus", "bad"], ["score"], ["score", "--quick"],
+    ["--quick", "score", "nbench", "extra"], ["--help"], ["-h", "score"],
+    ["--quick", "--help"], ["obs"], ["obs", "bogus"], ["client"],
+    ["analyze"], ["lint", "--format", "xml"], ["analyze", "--help"],
+    ["obs", "--help"], ["client", "--help"],
+] + [_help_argv(argv) for argv in PARSED]
+
+
+def _outcome(call, argv, capsys):
+    """``(exit code, stdout, stderr)`` of one parse through ``call``."""
+    with pytest.raises(SystemExit) as exc:
+        call(argv)
+    return (exc.value.code, *capsys.readouterr())
+
+
+class TestOneSubcommandParser:
+    """``main`` builds only the subcommand its argv names; that parser
+    must behave exactly like the full tree."""
+
+    @pytest.mark.parametrize("argv", PARSED, ids=" ".join)
+    def test_parses_to_the_full_trees_namespace(self, argv):
+        from repro.cli import _command_of
+
+        command = _command_of(argv)
+        assert command == argv[argv[0] == "--quick"]
+        one = build_parser(command)
+        assert list(one._subparsers._group_actions[0].choices) == \
+            [command]
+        assert one.parse_args(argv) == build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("argv", REJECTED, ids=" ".join)
+    def test_usage_help_and_errors_match_the_full_tree(self, argv,
+                                                        capsys):
+        full = _outcome(build_parser().parse_args, argv, capsys)
+        assert _outcome(main, argv, capsys) == full
+        assert full[0] in (0, 2)
+
+    def test_main_builds_the_named_subcommand_through_build_parser(
+            self, monkeypatch):
+        import repro.cli as cli
+
+        built, real = [], cli.build_parser
+
+        def spy(command=None):
+            built.append(command)
+            return real(command)
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        assert main(["suites"]) == 0
+        with pytest.raises(SystemExit):
+            main(["-h", "suites"])
+        assert built == ["suites", None]
+
+
 class TestCommands:
     def test_suites_lists_all(self, capsys):
         assert main(["suites"]) == 0

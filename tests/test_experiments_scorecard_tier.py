@@ -2,8 +2,8 @@
 
 A stored scorecard must round-trip every bit the wire and the history
 carry, a changed key part must miss, and a disk-warm ``repro score``
-must print the cold run's bytes without importing numpy or the
-simulator.
+must print the cold run's bytes without importing numpy, the
+simulator, the history store or a process pool.
 """
 
 import json
@@ -125,38 +125,58 @@ def test_a_tier_hit_reports_its_own_counts(tmp_path):
     assert counts[1:] == [(1, 0, 0), (1, 0, 0)]
 
 
-_HIT_PROBE = """
+_PROBE = """
 import json, sys
 from repro.cli import build_parser, main
 
-def heavy():
-    return sorted(m for m in sys.modules if m == "numpy" or m.startswith(
-        ("numpy.", "repro.uarch", "repro.engine.engine")))
+HEAVY = ("numpy", "repro.uarch", "repro.engine.engine", "repro.obs.history",
+         "repro.obs.export", "repro.obs.summary", "multiprocessing",
+         "concurrent.futures")
 
-build_parser()
-parser = heavy()
+def heavy():
+    return sorted(m for m in sys.modules
+                  if any(m == h or m.startswith(h + ".") for h in HEAVY))
+
 status = main(sys.argv[1:])
 sys.stdout.flush()
-sys.stderr.write(json.dumps({"parser": parser, "status": status,
-                             "loaded": heavy()}))
+loaded = heavy()
+build_parser()
+sys.stderr.write(json.dumps({"status": status, "loaded": loaded,
+                             "help": heavy()}))
 """
 
 
-def test_disk_warm_score_imports_neither_numpy_nor_the_simulator(
-        tmp_path, capsys):
-    from repro.cli import main
-
-    argv = ["--quick", "score", "nbench", "--cache-dir", str(tmp_path)]
-    assert main(argv) == 0
-    cold = capsys.readouterr().out
+def _probe(argv):
+    """``(stdout, report)`` of ``main(argv)`` in a fresh interpreter:
+    which of the probe's heavy modules ``main`` loaded, and which the
+    full parser tree (built afterwards, as for help) adds."""
     env = {k: v for k, v in os.environ.items()
            if not k.startswith("REPRO_")}
     env["PYTHONPATH"] = SRC
-    warm = subprocess.run([sys.executable, "-c", _HIT_PROBE, *argv],
-                          capture_output=True, env=env, check=True)
-    probe = json.loads(warm.stderr.decode().strip().splitlines()[-1])
-    assert probe == {"parser": [], "status": 0, "loaded": []}
-    assert warm.stdout.decode() == cold
+    run = subprocess.run([sys.executable, "-c", _PROBE, *argv],
+                         capture_output=True, env=env, check=True)
+    return (run.stdout.decode(),
+            json.loads(run.stderr.decode().strip().splitlines()[-1]))
+
+
+def test_disk_warm_score_imports_neither_numpy_nor_the_simulator(tmp_path):
+    """Nor the history store, nor a process pool: the warm path loads
+    only its own modules."""
+    argv = ["--quick", "score", "nbench", "--workers", "1", "--cache-dir",
+            str(tmp_path)]
+    cold, report = _probe(argv)
+    # A serial run starts no pool, so it never loads one.
+    assert report["status"] == 0
+    assert not [m for m in report["loaded"]
+                if m.startswith(("multiprocessing", "concurrent."))]
+    assert "numpy" in report["loaded"]
+    warm, report = _probe(argv)
+    assert warm == cold
+    # Only the full tree (help, a missing or unknown command) builds
+    # the ``obs`` parser, whose defaults come from the history module.
+    assert report == {"status": 0, "loaded": [],
+                      "help": ["repro.obs.export", "repro.obs.history",
+                               "repro.obs.summary"]}
 
 
 def test_a_source_edit_retires_the_tier(tmp_path):

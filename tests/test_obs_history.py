@@ -115,6 +115,30 @@ class TestRecorder:
         with pytest.raises(ValueError, match="unknown history publish"):
             HistoryRecorder().publish("telemetry", object())
 
+    def test_score_publishes_to_a_recorder_installed_through_obs(
+            self, capsys):
+        """The benchmark's traced pass reads a run this way: a recorder
+        installed through :mod:`repro.obs` collects what ``repro
+        score`` publishes, and the record built from it digests the
+        printed text."""
+        import hashlib
+
+        import repro.obs as obs
+        import repro.obs.trace as trace
+
+        assert obs.install_recorder is trace.install_recorder \
+            is install_recorder
+        recorder = obs.install_recorder()
+        assert main(["--quick", "score", "nbench"]) == 0
+        out = capsys.readouterr().out
+        [card] = recorder.scorecards
+        assert out == f"{card}\n"
+        assert recorder.metrics_snapshot.values["cache_misses"] > 0
+        manifest = build_manifest("score", ["score", "nbench"], {})
+        record = build_record("score", manifest, recorder)
+        assert record["rendered_sha256"] == hashlib.sha256(
+            out[:-1].encode("utf-8") + b"\x00").hexdigest()
+
 
 class TestBuildRecord:
     def test_record_shape_and_bits(self):

@@ -11,6 +11,10 @@ from repro.stats.kmeans import (
     KMeans,
     KMeansResult,
     _d2_pick,
+    _draws,
+    _row_norms,
+    _seed,
+    _seed_one,
     fit_stack,
     kmeans,
 )
@@ -143,8 +147,16 @@ class TestKMeansProperties:
         assert many <= few + 1e-9
 
 
-# The per-restart fit that the lockstep KMeans.fit replaced, verbatim:
-# the oracle for every label, centroid, inertia and generator bit.
+# The per-restart fit that the lockstep KMeans.fit replaced: the oracle
+# for every label, centroid, inertia and generator bit. One change from
+# the original: seeding gives a row equal to a chosen centroid D^2
+# exactly 0 (``_seed_sq``), not the expansion's rounding residue.
+
+def _seed_dist(x, centroid):
+    sq = cdist(x, centroid[None], metric="sqeuclidean")[:, 0]
+    sq[np.all(x == centroid, axis=1)] = 0.0
+    return sq
+
 
 def _plus_plus_init(x, k, rng):
     """k-means++ seeding: D^2-weighted centroid selection."""
@@ -152,7 +164,7 @@ def _plus_plus_init(x, k, rng):
     centroids = np.empty((k, x.shape[1]), dtype=float)
     first = int(rng.integers(n))
     centroids[0] = x[first]
-    closest_sq = cdist(x, centroids[:1], metric="sqeuclidean")[:, 0]
+    closest_sq = _seed_dist(x, centroids[0])
     for i in range(1, k):
         total = closest_sq.sum()
         if total <= 0:
@@ -162,8 +174,7 @@ def _plus_plus_init(x, k, rng):
             probs = closest_sq / total
             idx = int(rng.choice(n, p=probs))
         centroids[i] = x[idx]
-        new_sq = cdist(x, centroids[i : i + 1], metric="sqeuclidean")[:, 0]
-        np.minimum(closest_sq, new_sq, out=closest_sq)
+        np.minimum(closest_sq, _seed_dist(x, centroids[i]), out=closest_sq)
     return centroids
 
 
@@ -277,6 +288,26 @@ class TestLockstepOracle:
         oracle = KMeans(k=4, n_restarts=5, seed=9)
         assert_same_fit(model.fit(x), reference_fit(oracle, x))
         assert model._rng.bit_generator.state == oracle._rng.bit_generator.state
+
+    def test_copies_of_a_seed_get_no_weight(self):
+        # Two distinct rows, six copies each: the expansion puts the
+        # copies of row 1 at D^2 8.9e-16 from it, not 0, so k-means++
+        # drew a third seed at row 3, another copy of row 1. Both
+        # distinct points seeded, every point is covered, and the third
+        # seed must be the uniform pick.
+        rows = np.random.default_rng(2).normal(size=(40, 12, 3))[37][:2]
+        x = np.repeat(rows, 6, axis=0)
+        xx = _row_norms(x[None])
+        idx = _seed_one(x, xx[0], 3, np.random.default_rng(11))
+        assert idx == [1, 8, 1]
+        first, u = _draws(np.random.default_rng(11), 12, 3, 1)
+        assert not _seed(x[None], xx, 3, first, u)[1].any()
+        for k in (2, 3):
+            model = KMeans(k=k, n_restarts=8, seed=11)
+            oracle = KMeans(k=k, n_restarts=8, seed=11)
+            assert_same_fit(model.fit(x), reference_fit(oracle, x))
+            assert_same_fit(fit_stack([x, x[::-1]], k, seed=11)[0],
+                            KMeans(k=k, n_restarts=8, seed=11).fit(x))
 
     def test_one_column_keeps_pairwise_mean(self):
         # One column is where numpy's mean sums pairwise, not row by row.
