@@ -117,12 +117,12 @@ def array_digest(array):
 def pair_key(digest_a, digest_b, band):
     """Key of one DTW pair from the two series' :func:`array_digest` values.
 
-    DTW accumulation is exactly symmetric (minimum is commutative,
-    additions see the same operands), so the digests are sorted and
-    both orientations share one entry. The key is a plain tuple, not a
-    hash: pair entries are memory-only (one file per float would drown
-    the disk tier), and a pass over a few thousand pairs should not
-    re-hash what the digests already name."""
+    A DTW distance's bits depend only on the pair and the band, and
+    are exactly symmetric in the pair (:mod:`repro.stats.dtw`), so the
+    digests are sorted and both orientations share one entry. The key
+    is a plain tuple, not a hash: pair entries are memory-only (one
+    file per float would drown the disk tier), and a pass over a few
+    thousand pairs should not re-hash what the digests already name."""
     if digest_b < digest_a:
         digest_a, digest_b = digest_b, digest_a
     return ("dtw-pair", digest_a, digest_b, band)

@@ -20,14 +20,14 @@ capabilities without changing a single output bit:
   kernel the serial path uses, so scorecards are bit-identical at any
   worker count -- a property ``repro.qa.determinism`` checks.
 
-Determinism-under-caching hinges on one kernel-selection rule: a given
-(series pair, band) always yields the same bits whatever code path
-computes it. The engine dispatches every DTW pair batch through its
-one :class:`~repro.stats.backend.ComputeBackend` record
+Determinism-under-caching hinges on one rule: a DTW distance's bits
+are a function of ``(a, b, band)`` alone, whatever batch computes it
+and in either orientation (:mod:`repro.stats.dtw`). The engine
+dispatches every DTW pair batch through its one
+:class:`~repro.stats.backend.ComputeBackend` record
 (:attr:`Engine.backend`, :func:`repro.stats.backend.kernels` by
-default), whose batched kernels are bit-identical to one
-``dtw_distance`` per pair, so mixing cached and fresh pairs is safe
-whichever batch computed them.
+default), so mixing cached and fresh pairs is safe whichever batch
+computed them.
 """
 
 from __future__ import annotations
@@ -204,11 +204,9 @@ class Engine:
         Pairs already in the pair store are reused; the missing ones are
         deduplicated by :func:`~repro.engine.cache.pair_key` across all
         sets, so each distinct pair reaches the kernel once, and go to
-        one ``pair_distances`` call. The kernel is elementwise over the
-        pair axis, so no bit depends on the batching -- as long as the
-        batch takes the same kernel path each set would alone, which is
-        why several sets must share one 1-D length (the equal-length
-        fast path is chosen per call).
+        one ``pair_distances`` call. A pair's distance depends only on
+        the pair and the band, so no bit depends on the batching, and
+        sets of any lengths may share the call.
 
         Returns
         -------
@@ -216,16 +214,6 @@ class Engine:
             One symmetric matrix per set, and how many pairs the kernel
             computed.
         """
-        if len(sets) > 1:
-            lengths = {a.shape for arrays, _digests in sets for a in arrays}
-            if len(lengths) > 1 or any(len(shape) != 1 for shape in lengths):
-                raise ValueError(
-                    "dtw_matrices batches several sets only over 1-D "
-                    f"series of one length, got shapes {sorted(lengths)}"
-                )
-        # Every distinct series of the batch rides along, not only those
-        # in missing pairs: for one set this is the argument list
-        # dtw_matrix always passed, so the kernel path cannot change.
         rows, row_of = [], {}
         known, missing = {}, {}
         set_keys = []

@@ -12,7 +12,7 @@ implemented from first principles on top of numpy:
 * :mod:`repro.stats.pca` -- principal component analysis via SVD with a
   retained-variance cutoff.
 * :mod:`repro.stats.dtw` -- dynamic time warping with optional Sakoe-Chiba
-  band, including the batched pair kernels.
+  band, including the one batched pair kernel.
 * :mod:`repro.stats.kstest` -- one- and two-sample Kolmogorov-Smirnov tests,
   including the column-batched one-sample kernel.
 * :mod:`repro.stats.backend` -- the one compute dispatch the engine
@@ -26,7 +26,7 @@ implemented from first principles on top of numpy:
 The implementations favour clarity over raw speed, but all hot paths are
 vectorized; none of them loops over individual samples in Python except
 where the algorithm is inherently sequential (e.g. the DTW recurrence,
-which runs over a numpy cost matrix row by row).
+which runs one anti-diagonal per vectorized step).
 """
 
 from repro._lazy import lazy_exports
@@ -45,15 +45,14 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "repro.stats.pca": ("PCA", "PCAResult", "pca_fit_transform"),
     "repro.stats.dtw": (
-        "dtw_distance", "dtw_path", "dtw_matrix", "batched_pair_distances",
-        "bucketed_pair_distances",
+        "dtw_distance", "dtw_path", "dtw_matrix", "pair_distances",
     ),
     "repro.stats.kstest": (
         "ks_statistic_uniform", "ks_statistic_uniform_columns",
         "kolmogorov_sf_batch", "ks_test_uniform", "ks_two_sample", "KSResult",
     ),
     "repro.stats.backend": (
-        "ComputeBackend", "kernels", "pair_distances", "ks_columns",
+        "ComputeBackend", "kernels", "ks_columns",
     ),
     "repro.stats.lhs": ("latin_hypercube", "maximin_latin_hypercube"),
     "repro.stats.hierarchical": (

@@ -4,11 +4,10 @@ The scoring pipeline funnels its two numerical hot loops through one
 kernel each:
 
 * :func:`pair_distances` -- batched DTW pair distances (TrendScore,
-  Section III-B): the equal-length unbanded batch
-  (:func:`repro.stats.dtw.batched_pair_distances`) or shape-bucketed
-  batches (:func:`repro.stats.dtw.bucketed_pair_distances`). Engines
-  and pool tasks call it through the :class:`ComputeBackend` record
-  that :func:`kernels` returns, so a wrapped copy can count the pairs.
+  Section III-B) through :func:`repro.stats.dtw.pair_distances`.
+  Engines and pool tasks call it through the :class:`ComputeBackend`
+  record that :func:`kernels` returns, so a wrapped copy can count the
+  pairs.
 * :func:`ks_columns` -- per-column one-sample KS statistics
   (SpreadScore, Section III-D) through the column-batched kernel
   (:func:`repro.stats.kstest.ks_statistic_uniform_columns`).
@@ -50,32 +49,10 @@ class ComputeBackend:
 
 def pair_distances(arrays, idx_i, idx_j, band=None):
     """Batched DTW pair distances, bit-identical to one
-    ``dtw_distance`` per pair (``band=L`` for the unbanded batch).
+    ``dtw_distance`` per pair: :func:`repro.stats.dtw.pair_distances`."""
+    from repro.stats.dtw import pair_distances as dtw_pair_distances
 
-    Dispatch: equal-length unbanded pairs run the batch kernel; any
-    other 1-D mix, banded equal-length pairs included (one bucket), runs
-    shape-bucketed batches. Multivariate (2-D) series run one
-    ``dtw_distance`` per pair -- the batched kernels are univariate and
-    silently flattening would change the cost matrix.
-    """
-    import numpy as np
-
-    from repro.stats.dtw import (
-        batched_pair_distances,
-        bucketed_pair_distances,
-        dtw_distance,
-    )
-
-    if any(a.ndim != 1 for a in arrays):
-        return np.array(
-            [
-                dtw_distance(arrays[i], arrays[j], band=band)
-                for i, j in zip(idx_i, idx_j)
-            ]
-        )
-    if band is None and len({a.shape[0] for a in arrays}) == 1:
-        return batched_pair_distances(np.vstack(arrays), idx_i, idx_j)
-    return bucketed_pair_distances(arrays, idx_i, idx_j, band=band)
+    return dtw_pair_distances(arrays, idx_i, idx_j, band)
 
 
 def ks_columns(x):

@@ -31,6 +31,7 @@ from repro.service.protocol import (
     subset_report_record,
 )
 from repro.stats.backend import kernels
+from repro.stats.dtw import dtw_matrix
 
 from tests.test_engine_diskcache import _scorecard
 
@@ -385,14 +386,19 @@ class TestBatchedFallbackOracle:
             assert len(calls) - before <= min(1, fallback)
         assert seen and len(seen) == len(set(seen))
 
-    def test_batches_need_one_series_length(self):
+    def test_sets_of_different_lengths_share_one_call(self):
+        # A pair's distance depends only on the pair and the band, so
+        # sets of any lengths share one kernel call and each matrix
+        # reads as dtw_matrix reads it alone.
         rng = np.random.default_rng(3)
         sets = []
         for length in (8, 9):
             arrays = [rng.uniform(size=length) for _ in range(3)]
             sets.append((arrays, [array_digest(a) for a in arrays]))
-        with pytest.raises(ValueError, match="one length"):
-            Engine().dtw_matrices(sets)
+        matrices, computed = Engine().dtw_matrices(sets)
+        assert computed == 6
+        for (arrays, _digests), matrix in zip(sets, matrices):
+            assert matrix.tobytes() == dtw_matrix(arrays).tobytes()
         # One set alone may mix lengths, as dtw_matrix always allowed.
         mixed = sets[0][0][:2] + sets[1][0][:1]
         (matrix,), computed = Engine().dtw_matrices(

@@ -7,6 +7,7 @@ must stay clean. Analysis is static; fixtures are never imported.
 """
 
 import json
+import shutil
 import textwrap
 from pathlib import Path
 
@@ -449,6 +450,28 @@ class TestBackendPurity:
         }, name="repro")
         assert by_rule(deep_findings([root]),
                        "backend-purity") == []
+
+    def test_write_in_the_real_dtw_kernel_reaches_the_dispatch(
+            self, tmp_path):
+        # The dispatch imports its kernel inside the function body; the
+        # real tree's chain must still carry an effect planted in
+        # repro.stats.dtw up to the record-called dispatch function.
+        root = tmp_path / "repro"
+        shutil.copytree(SRC, root,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        dtw = root / "stats" / "dtw.py"
+        anchor = "    a = np.ascontiguousarray(xa[idx_a].T, dtype=float)\n"
+        source = dtw.read_text()
+        assert source.count(anchor) == 1
+        dtw.write_text(source.replace(
+            anchor, "    global _LAST_BAND\n    _LAST_BAND = band\n" + anchor))
+        flagged = by_rule(deep_findings([root]), "backend-purity")
+        assert len(flagged) == 1
+        message = flagged[0].message
+        assert "repro.stats.backend.pair_distances carries WRITES_GLOBAL" \
+            in message
+        assert "-> repro.stats.dtw.pair_distances (" in message
+        assert "-> repro.stats.dtw._pair_wavefront (" in message
 
     def test_real_backend_module_is_clean(self):
         analysis = analyze_project(SRC)

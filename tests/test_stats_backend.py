@@ -2,48 +2,34 @@
 
 The dispatch's whole contract is that batching is a speed choice and
 never a numerical one, so almost every test here is a bit-identity
-assertion: batched wavefront vs the sequential fill, bucketed
-mixed-length sweeps vs the per-pair loop, column-batched KS vs the
-scalar statistic, and whole engines run on the dispatch and on the
-per-pair / per-column oracles below.
+assertion: the batched wavefront and the full-matrix fill vs the
+per-cell row loop, mixed-length sweeps vs the per-pair loop, a pair
+alone vs the same pair in any call, column-batched KS vs the scalar
+statistic, and whole engines run on the dispatch and on the per-pair /
+per-column oracles below.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.stats import backend
+from repro.stats import backend, dtw
 from repro.stats.backend import ComputeBackend, kernels
-from repro.stats.dtw import (
-    _accumulate,
-    _accumulate_banded,
-    _batched_accumulate,
-    _local_cost_matrix,
-    bucketed_pair_distances,
-    dtw_distance,
-)
+from repro.stats.dtw import _accumulate, dtw_distance, pair_distances
 from repro.stats.kstest import (
     _kolmogorov_sf,
     kolmogorov_sf_batch,
     ks_statistic_uniform,
     ks_statistic_uniform_columns,
 )
+from tests.dtw_reference import accumulate_banded
 
 
 def reference_pair_distances(arrays, idx_i, idx_j, band=None):
-    """Oracle DTW pair distances: one ``dtw_distance`` per pair.
-
-    Equal-length unbanded 1-D pairs use ``band=L``, the exact per-pair
-    twin of the batch kernel; unbanded ``dtw_distance`` associates the
-    first-row border differently and can differ in the last bit (see
-    :mod:`repro.stats.dtw`).
-    """
-    if (band is None and arrays and all(a.ndim == 1 for a in arrays)
-            and len({a.shape[0] for a in arrays}) == 1):
-        band = arrays[0].shape[0]
+    """Oracle DTW pair distances: one ``dtw_distance`` per pair."""
     return np.array(
         [dtw_distance(arrays[i], arrays[j], band=band)
          for i, j in zip(idx_i, idx_j)]
@@ -68,16 +54,35 @@ def bits(values):
     return np.asarray(values, dtype=float).tobytes()
 
 
+def check_against_row_loop(a_list, b_list, band):
+    """Each pair's full-matrix fill equals the per-cell row loop cell for
+    cell, and the batch kernel's distance equals the fill's corner."""
+    arrays = list(a_list) + list(b_list)
+    k = len(a_list)
+    got = pair_distances(arrays, np.arange(k), np.arange(k, 2 * k), band)
+    for p, (a, b) in enumerate(zip(a_list, b_list)):
+        cost = np.abs(a[:, None] - b[None, :])
+        wide = a.shape[0] + b.shape[0] if band is None else band
+        expected = accumulate_banded(cost, wide)
+        assert bits(_accumulate(cost, band)) == bits(expected)
+        assert bits([got[p]]) == bits([expected[-1, -1]])
+
+
+def draw_pairs(rng, k, n, m):
+    return ([rng.uniform(0.0, 10.0, size=n) for _ in range(k)],
+            [rng.uniform(0.0, 10.0, size=m) for _ in range(k)])
+
+
 class TestBatchedAccumulate:
+    """The one full-matrix fill and the one batch kernel against the
+    per-cell row loop (``tests/dtw_reference.py``)."""
+
     def test_unbanded_matches_reference_fill(self):
         rng = np.random.default_rng(0)
         for _ in range(60):
             n = int(rng.integers(1, 30))
             m = int(rng.integers(1, 30))
-            cost = rng.uniform(0.0, 10.0, size=(3, n, m))
-            batched = _batched_accumulate(cost)
-            for p in range(cost.shape[0]):
-                assert bits(batched[p]) == bits(_accumulate(cost[p]))
+            check_against_row_loop(*draw_pairs(rng, 3, n, m), None)
 
     def test_banded_matches_reference_fill(self):
         rng = np.random.default_rng(1)
@@ -85,44 +90,45 @@ class TestBatchedAccumulate:
             n = int(rng.integers(1, 30))
             m = int(rng.integers(1, 30))
             band = int(rng.integers(0, 12))
-            cost = rng.uniform(0.0, 10.0, size=(2, n, m))
-            batched = _batched_accumulate(cost, band=band)
-            for p in range(cost.shape[0]):
-                assert bits(batched[p]) == bits(
-                    _accumulate_banded(cost[p], band))
+            check_against_row_loop(*draw_pairs(rng, 2, n, m), band)
 
     def test_degenerate_shapes(self):
         # L=1 on either axis and band=0 must all agree exactly.
         rng = np.random.default_rng(2)
         for n, m, band in [(1, 1, None), (1, 7, None), (7, 1, None),
                            (1, 1, 0), (1, 7, 0), (7, 1, 0), (5, 5, 0)]:
-            cost = rng.uniform(0.0, 10.0, size=(2, n, m))
-            if band is None:
-                expected = [_accumulate(c) for c in cost]
-            else:
-                expected = [_accumulate_banded(c, band) for c in cost]
-            batched = _batched_accumulate(cost, band=band)
-            for p, exp in enumerate(expected):
-                assert bits(batched[p]) == bits(exp)
+            check_against_row_loop(*draw_pairs(rng, 2, n, m), band)
 
     def test_band_narrower_than_length_gap(self):
-        # The clamp b = max(band, |n-m|) must match the scalar kernel.
+        # The clamp b = max(band, |n-m|) must match the row loop's.
         rng = np.random.default_rng(3)
-        cost = rng.uniform(0.0, 10.0, size=(1, 20, 9))
-        batched = _batched_accumulate(cost, band=2)
-        assert bits(batched[0]) == bits(_accumulate_banded(cost[0], 2))
+        check_against_row_loop(*draw_pairs(rng, 1, 20, 9), 2)
+
+
+def unchunked(fn, *args):
+    """``fn(*args)`` with the pair axis in one chunk."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dtw, "PAIR_CHUNK", 10 ** 9)
+        return fn(*args)
+
+
+def chunked(chunk, fn, *args):
+    """``fn(*args)`` with ``chunk`` pairs per wavefront batch."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dtw, "PAIR_CHUNK", chunk)
+        return fn(*args)
 
 
 class TestBandedPairDistances:
-    """Equal-length banded pairs run as one bucket of
-    :func:`bucketed_pair_distances`."""
+    """Equal-length banded pairs run as one group of
+    :func:`pair_distances`."""
 
     def test_all_pairs_matches_per_pair_loop(self):
         rng = np.random.default_rng(4)
         x = rng.uniform(0.0, 10.0, size=(11, 25))
         idx_i, idx_j = np.triu_indices(11, k=1)
         for band in (0, 1, 3, 10, 40):
-            got = bucketed_pair_distances(list(x), idx_i, idx_j, band=band)
+            got = pair_distances(list(x), idx_i, idx_j, band)
             expected = [dtw_distance(x[i], x[j], band=band)
                         for i, j in zip(idx_i, idx_j)]
             assert bits(got) == bits(expected)
@@ -131,11 +137,10 @@ class TestBandedPairDistances:
         rng = np.random.default_rng(5)
         x = list(rng.uniform(0.0, 10.0, size=(9, 17)))
         idx_i, idx_j = np.triu_indices(9, k=1)
-        whole = bucketed_pair_distances(x, idx_i, idx_j, band=4,
-                                        pair_chunk=None)
+        whole = unchunked(pair_distances, x, idx_i, idx_j, 4)
         for chunk in (1, 2, 7, 1000):
-            assert bits(bucketed_pair_distances(
-                x, idx_i, idx_j, band=4, pair_chunk=chunk)) == bits(whole)
+            assert bits(chunked(chunk, pair_distances,
+                                x, idx_i, idx_j, 4)) == bits(whole)
 
 
 class TestBucketedPairDistances:
@@ -149,7 +154,7 @@ class TestBucketedPairDistances:
     def test_mixed_lengths_match_per_pair_loop(self, band):
         arrays = self._arrays()
         idx_i, idx_j = np.triu_indices(len(arrays), k=1)
-        got = bucketed_pair_distances(arrays, idx_i, idx_j, band=band)
+        got = pair_distances(arrays, idx_i, idx_j, band)
         expected = [dtw_distance(arrays[i], arrays[j], band=band)
                     for i, j in zip(idx_i, idx_j)]
         assert bits(got) == bits(expected)
@@ -157,19 +162,18 @@ class TestBucketedPairDistances:
     def test_chunking_is_invisible(self):
         arrays = self._arrays(seed=7)
         idx_i, idx_j = np.triu_indices(len(arrays), k=1)
-        whole = bucketed_pair_distances(arrays, idx_i, idx_j,
-                                        pair_chunk=None)
+        whole = unchunked(pair_distances, arrays, idx_i, idx_j)
         for chunk in (1, 3, 1000):
-            assert bits(bucketed_pair_distances(
-                arrays, idx_i, idx_j, pair_chunk=chunk)) == bits(whole)
+            assert bits(chunked(chunk, pair_distances,
+                                arrays, idx_i, idx_j)) == bits(whole)
 
     def test_order_is_the_request_order(self):
-        # Bucketing reorders work internally; results must come back in
-        # the caller's pair order regardless.
+        # Grouping by length reorders work internally; results must
+        # come back in the caller's pair order regardless.
         arrays = self._arrays(seed=8)
         idx_i = np.array([9, 0, 5, 3])
         idx_j = np.array([2, 1, 0, 8])
-        got = bucketed_pair_distances(arrays, idx_i, idx_j)
+        got = pair_distances(arrays, idx_i, idx_j)
         expected = [dtw_distance(arrays[i], arrays[j])
                     for i, j in zip(idx_i, idx_j)]
         assert bits(got) == bits(expected)
@@ -211,7 +215,7 @@ class TestColumnKS:
 @st.composite
 def series_sets(draw):
     """A DTW pair request: 2-7 univariate series of one shared length
-    or of two lengths (so shape buckets hold several pairs), a band
+    or of two lengths (so length groups hold several pairs), a band
     (``None`` or narrow to wide), and every distinct pair in a drawn
     order."""
     n = draw(st.integers(2, 7))
@@ -263,6 +267,108 @@ class TestRegistry:
             assert bits(kernels().pair_distances(arrays, idx_i, idx_j,
                                                  band)) == bits(
                 reference_pair_distances(arrays, idx_i, idx_j, band))
+
+
+def probe_series():
+    """Two length-12 series whose unbanded distance runs along the
+    first row, and a length-7 series, all in ``[0, 100)``. Summing that
+    border with ``cost[0, 0]`` folded in after the prefix sum moves the
+    distance's last bit, so the pair reads one way alone and another
+    beside a series of another length under any second border rule."""
+    rng = np.random.default_rng(0)
+    for _ in range(34):
+        a, b = rng.uniform(0.0, 100.0, 12), rng.uniform(0.0, 100.0, 12)
+    return a, b, rng.uniform(0.0, 100.0, 7)
+
+
+class TestPairBitsDependOnlyOnThePair:
+    """A DTW distance is a function of ``(a, b, band)`` alone: the
+    engine's pair store keys it that way, sorted so both orientations
+    share one entry."""
+
+    def test_trend_score_is_free_of_batch_and_order(self):
+        # e2's pair is also in e1's mixed-length matrix: the engine
+        # computes it there once and reuses it, cache-off engines and
+        # the serial core path compute it alone. Every way and either
+        # event order must read the same bits.
+        from repro.core.trend_score import trend_score
+        from repro.engine import Engine
+
+        a, b, c = probe_series()
+        series = {"e1": [a, b, c], "e2": [a, b]}
+        seen = set()
+        for order in (("e1", "e2"), ("e2", "e1")):
+            by_event = {event: series[event] for event in order}
+            for result in (
+                    Engine().trend_score(by_event, normalize=False),
+                    Engine(cache=False).trend_score(by_event,
+                                                    normalize=False),
+                    trend_score(by_event, normalize=False)):
+                seen.add(bits([result.per_event["e1"],
+                               result.per_event["e2"]]))
+        assert len(seen) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 20), m=st.integers(1, 20),
+           band=st.one_of(st.none(), st.integers(0, 24)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_distances_are_bitwise_symmetric(self, n, m, band, seed):
+        rng = np.random.default_rng(seed)
+        a, b = rng.uniform(0.0, 100.0, n), rng.uniform(0.0, 100.0, m)
+        forward = kernels().pair_distances([a, b], [0], [1], band)
+        backward = kernels().pair_distances([a, b], [1], [0], band)
+        assert bits(forward) == bits(backward)
+        assert bits([dtw_distance(a, b, band=band)]) == bits(
+            [dtw_distance(b, a, band=band)]) == bits(forward)
+
+    def test_symmetric_where_the_first_row_decides(self):
+        # 5,000 pairs of lengths 12 and 9: a few dozen have an optimal
+        # path along a border, where a second border rule shows.
+        rng = np.random.default_rng(5)
+        arrays = []
+        for _ in range(5000):
+            arrays += [rng.uniform(0.0, 100.0, 12),
+                       rng.uniform(0.0, 100.0, 9)]
+        first = np.arange(0, len(arrays), 2)
+        second = first + 1
+        forward = kernels().pair_distances(arrays, first, second, None)
+        assert bits(forward) == bits(
+            kernels().pair_distances(arrays, second, first, None))
+        assert bits(forward) == bits(
+            [dtw_distance(arrays[i], arrays[j]) for i, j in zip(first,
+                                                                 second)])
+        assert bits(forward) == bits(
+            [dtw_distance(arrays[j], arrays[i]) for i, j in zip(first,
+                                                                 second)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(request=series_sets(),
+           pad_lengths=st.lists(st.integers(21, 30), min_size=1,
+                                max_size=3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(request=(list(probe_series()[:2]), np.array([0]),
+                      np.array([1]), None),
+             pad_lengths=[7], seed=0)
+    def test_pair_bits_are_free_of_the_call(self, request, pad_lengths,
+                                            seed):
+        # Alone, in the whole call, and in a call padded with series of
+        # other lengths (and pairs of them) -- the same bits.
+        arrays, idx_i, idx_j, band = request
+        whole = kernels().pair_distances(arrays, idx_i, idx_j, band)
+        alone = [kernels().pair_distances(arrays, idx_i[p : p + 1],
+                                          idx_j[p : p + 1], band)[0]
+                 for p in range(len(idx_i))]
+        assert bits(whole) == bits(alone)
+        rng = np.random.default_rng(seed)
+        pads = [rng.uniform(0.0, 10.0, size=n) for n in pad_lengths]
+        shift = len(pads)
+        extra_i = np.arange(shift)
+        extra_j = np.full(shift, shift)
+        padded = kernels().pair_distances(
+            pads + list(arrays),
+            np.concatenate([extra_i, idx_i + shift]),
+            np.concatenate([extra_j, idx_j + shift]), band)
+        assert bits(padded[shift:]) == bits(whole)
 
 
 class TestEngineCrossBackend:

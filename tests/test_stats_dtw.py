@@ -5,21 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.stats import dtw
 from repro.stats.dtw import (
     _accumulate,
-    _accumulate_banded,
     _local_cost_matrix,
-    _pairwise_aligned,
-    batched_pair_distances,
     dtw_distance,
     dtw_matrix,
     dtw_path,
+    pair_distances,
     validate_series_list,
 )
+from tests.dtw_reference import accumulate_banded
 
 
 def _pair_wavefront(x, idx_i, idx_j):
-    """One materialized anti-diagonal wavefront over a pair batch."""
+    """One materialized anti-diagonal wavefront over a pair batch of
+    equal-length series."""
     length = x.shape[1]
     cost = np.abs(x[idx_i][:, :, None] - x[idx_j][:, None, :])
     acc = np.empty_like(cost)
@@ -39,6 +40,15 @@ def _pair_wavefront(x, idx_i, idx_j):
             np.minimum(up, left), diag
         )
     return acc[:, -1, -1]
+
+
+def batched(x, idx_i, idx_j, chunk=None):
+    """:func:`pair_distances` over the rows of ``x``, ``chunk`` pairs
+    per wavefront batch (default: the module's ``PAIR_CHUNK``)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(dtw, "PAIR_CHUNK", chunk)
+        return pair_distances(list(x), idx_i, idx_j)
 
 
 def series(min_len=2, max_len=20):
@@ -74,7 +84,7 @@ class TestDTWDistance:
         rng = np.random.default_rng(0)
         a = rng.normal(size=10)
         b = rng.normal(size=14)
-        assert dtw_distance(a, b) == pytest.approx(dtw_distance(b, a))
+        assert dtw_distance(a, b) == dtw_distance(b, a)
 
     def test_multivariate(self):
         a = np.array([[0.0, 0.0], [1.0, 1.0]])
@@ -112,7 +122,7 @@ class TestDTWDistance:
         rng = np.random.default_rng(2)
         a = rng.normal(size=10)
         b = rng.normal(size=13)
-        assert dtw_distance(a, b, band=50) == pytest.approx(dtw_distance(a, b))
+        assert dtw_distance(a, b, band=50) == dtw_distance(a, b)
 
     def test_normalized_divides_by_path_length(self):
         a = np.zeros(5)
@@ -155,7 +165,7 @@ class TestDTWDistance:
     def test_property_nonnegative_and_symmetric(self, a, b):
         d = dtw_distance(a, b)
         assert d >= 0
-        assert d == pytest.approx(dtw_distance(b, a))
+        assert d == dtw_distance(b, a)
 
     @settings(max_examples=30, deadline=None)
     @given(series())
@@ -221,8 +231,8 @@ class TestDTWMatrix:
         rng = np.random.default_rng(8)
         series_list = [rng.normal(size=6) for _ in range(3)]
         m = dtw_matrix(series_list)
-        assert m[0, 1] == pytest.approx(dtw_distance(series_list[0], series_list[1]))
-        assert m[1, 2] == pytest.approx(dtw_distance(series_list[1], series_list[2]))
+        assert m[0, 1] == dtw_distance(series_list[0], series_list[1])
+        assert m[1, 2] == dtw_distance(series_list[1], series_list[2])
 
     def test_nan_series_raises_with_index(self):
         rng = np.random.default_rng(9)
@@ -248,8 +258,8 @@ class TestValidateSeriesList:
 
 
 class TestKernelCrossChecks:
-    """Property cross-checks between the three DTW kernels: the batched
-    wavefront, the banded reference fill, and the per-pair recurrence."""
+    """Property cross-checks between the batched wavefront, the
+    full-matrix fill and the per-cell reference fill."""
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1), st.integers(3, 6),
@@ -258,12 +268,10 @@ class TestKernelCrossChecks:
                                                         length):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(k, length))
-        m = _pairwise_aligned(x)
-        for i in range(k):
-            for j in range(i + 1, k):
-                assert m[i, j] == pytest.approx(
-                    dtw_distance(x[i], x[j]), rel=1e-12, abs=1e-12
-                )
+        idx_i, idx_j = np.triu_indices(k, k=1)
+        got = batched(x, idx_i, idx_j)
+        want = [dtw_distance(x[i], x[j]) for i, j in zip(idx_i, idx_j)]
+        assert got.tobytes() == np.array(want).tobytes()
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 12),
@@ -271,9 +279,9 @@ class TestKernelCrossChecks:
     def test_full_width_band_matches_unbanded(self, seed, n, m):
         rng = np.random.default_rng(seed)
         cost = np.abs(rng.normal(size=(n, m)))
-        banded = _accumulate_banded(cost, band=n + m)
+        banded = accumulate_banded(cost, band=n + m)
         free = _accumulate(cost)
-        np.testing.assert_allclose(banded, free, rtol=1e-12, atol=1e-12)
+        assert banded.tobytes() == free.tobytes()
 
     def test_banded_distance_consistent_with_matrix(self):
         rng = np.random.default_rng(10)
@@ -289,27 +297,25 @@ class TestKernelCrossChecks:
         rng = np.random.default_rng(11)
         x = rng.normal(size=(5, 9))
         idx_i, idx_j = np.triu_indices(5, k=1)
-        full = batched_pair_distances(x, idx_i, idx_j)
+        full = batched(x, idx_i, idx_j)
         for p in range(len(idx_i)):
-            alone = batched_pair_distances(
-                x, idx_i[p : p + 1], idx_j[p : p + 1]
-            )
+            alone = batched(x, idx_i[p : p + 1], idx_j[p : p + 1])
             assert alone[0].tobytes() == full[p].tobytes()
 
     def test_batched_matches_accumulate_wavefront(self):
         rng = np.random.default_rng(12)
         a, b = rng.normal(size=7), rng.normal(size=7)
-        batched = batched_pair_distances(np.vstack([a, b]),
-                                         np.array([0]), np.array([1]))
+        got = batched(np.vstack([a, b]), np.array([0]), np.array([1]))
         cost = _local_cost_matrix(a[:, None], b[:, None])
         acc = _accumulate(cost)
-        assert batched[0] == pytest.approx(acc[-1, -1], rel=1e-12)
+        assert got[0] == acc[-1, -1]
 
 
 class TestPairChunking:
-    """The pair-axis chunking of batched_pair_distances is pure memory
-    management: every chunk size must reproduce the unchunked wavefront
-    bit for bit (the recurrence is elementwise along the pair axis)."""
+    """The pair-axis chunking of pair_distances (``PAIR_CHUNK``) is pure
+    memory management: every chunk size must reproduce the unchunked
+    wavefront bit for bit (the recurrence is elementwise along the pair
+    axis)."""
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1), st.integers(4, 8),
@@ -318,28 +324,24 @@ class TestPairChunking:
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(k, 9))
         idx_i, idx_j = np.triu_indices(k, k=1)
-        unchunked = batched_pair_distances(x, idx_i, idx_j,
-                                           pair_chunk=None)
-        chunked = batched_pair_distances(x, idx_i, idx_j,
-                                         pair_chunk=pair_chunk)
+        unchunked = batched(x, idx_i, idx_j, chunk=10 ** 9)
+        chunked = batched(x, idx_i, idx_j, chunk=pair_chunk)
         assert chunked.tobytes() == unchunked.tobytes()
 
     def test_default_chunk_bitwise_equal(self):
         rng = np.random.default_rng(13)
         x = rng.normal(size=(6, 11))
         idx_i, idx_j = np.triu_indices(6, k=1)
-        default = batched_pair_distances(x, idx_i, idx_j)
-        unchunked = batched_pair_distances(x, idx_i, idx_j,
-                                           pair_chunk=None)
+        default = batched(x, idx_i, idx_j)
+        unchunked = batched(x, idx_i, idx_j, chunk=10 ** 9)
         assert default.tobytes() == unchunked.tobytes()
 
     def test_chunk_larger_than_pairs(self):
         rng = np.random.default_rng(14)
         x = rng.normal(size=(4, 8))
         idx_i, idx_j = np.triu_indices(4, k=1)
-        big = batched_pair_distances(x, idx_i, idx_j, pair_chunk=10 ** 6)
-        unchunked = batched_pair_distances(x, idx_i, idx_j,
-                                           pair_chunk=None)
+        big = batched(x, idx_i, idx_j, chunk=10 ** 6)
+        unchunked = batched(x, idx_i, idx_j, chunk=10 ** 9)
         assert big.tobytes() == unchunked.tobytes()
 
 
@@ -365,16 +367,16 @@ def pair_batches(draw):
 
 
 class TestWavefrontOracle:
-    """The diagonal-major wavefront behind batched_pair_distances must
+    """The diagonal-major wavefront behind pair_distances must
     reproduce, bit for bit, both the materialized ``(pairs, L, L)``
     wavefront it replaced (``_pair_wavefront`` above) and the per-pair
-    banded fill ``dtw_distance(a, b, band=L)``."""
+    fills ``dtw_distance(a, b, band=L)`` and ``dtw_distance(a, b)``."""
 
     @settings(max_examples=150, deadline=None)
     @given(pair_batches())
     def test_matches_materialized_wavefront(self, batch):
         x, idx_i, idx_j = batch
-        got = batched_pair_distances(x, idx_i, idx_j)
+        got = batched(x, idx_i, idx_j)
         assert got.shape == idx_i.shape
         assert got.tobytes() == _pair_wavefront(x, idx_i, idx_j).tobytes()
 
@@ -382,7 +384,7 @@ class TestWavefrontOracle:
     @given(pair_batches())
     def test_matches_per_pair_full_band(self, batch):
         x, idx_i, idx_j = batch
-        got = batched_pair_distances(x, idx_i, idx_j)
+        got = batched(x, idx_i, idx_j)
         length = x.shape[1]
         want = np.array([dtw_distance(x[i], x[j], band=length)
                          for i, j in zip(idx_i, idx_j)])
@@ -393,7 +395,7 @@ class TestWavefrontOracle:
     def test_every_pair_chunk(self, batch, data):
         x, idx_i, idx_j = batch
         chunk = data.draw(st.integers(1, len(idx_i) + 3))
-        got = batched_pair_distances(x, idx_i, idx_j, pair_chunk=chunk)
+        got = batched(x, idx_i, idx_j, chunk=chunk)
         assert got.tobytes() == _pair_wavefront(x, idx_i, idx_j).tobytes()
 
     @settings(max_examples=40, deadline=None)
@@ -401,14 +403,14 @@ class TestWavefrontOracle:
     def test_self_pairs_are_zero(self, batch):
         x, _, _ = batch
         idx = np.arange(x.shape[0])
-        got = batched_pair_distances(x, idx, idx)
+        got = batched(x, idx, idx)
         assert got.tobytes() == np.zeros(len(idx)).tobytes()
 
     @pytest.mark.parametrize("length", [1, 2])
     def test_shortest_series(self, length):
         x = np.array([[0.5, -2.0], [3.0, 1.25], [7.0, 7.0]])[:, :length]
         idx_i, idx_j = np.array([0, 0, 1, 2]), np.array([1, 2, 2, 2])
-        got = batched_pair_distances(x, idx_i, idx_j)
+        got = batched(x, idx_i, idx_j)
         assert got.tobytes() == _pair_wavefront(x, idx_i, idx_j).tobytes()
         want = np.array([dtw_distance(x[i], x[j], band=length)
                          for i, j in zip(idx_i, idx_j)])
@@ -417,23 +419,21 @@ class TestWavefrontOracle:
     def test_empty_pair_selection(self):
         x = np.ones((3, 5))
         empty = np.array([], dtype=int)
-        assert batched_pair_distances(x, empty, empty).shape == (0,)
+        assert batched(x, empty, empty).shape == (0,)
 
     def test_borders_are_plain_prefix_sums(self):
         # Enough pairs that some optimal paths run along the first row,
-        # where the border association is bit-visible: the batch keeps
-        # band=L's plain prefix sums, and unbanded dtw_distance (which
-        # adds cost[0, 0] after the first-row cumsum) differs in the
-        # last bit on a few of them.
+        # where the border association is bit-visible: every fill sums
+        # both borders as plain prefix sums, so the batch, band=L and
+        # unbanded dtw_distance agree on every pair.
         rng = np.random.default_rng(0)
         x = rng.normal(size=(48, 16))
         idx_i, idx_j = np.triu_indices(48, k=1)
-        got = batched_pair_distances(x, idx_i, idx_j)
+        got = batched(x, idx_i, idx_j)
         assert got.tobytes() == _pair_wavefront(x, idx_i, idx_j).tobytes()
         banded = np.array([dtw_distance(x[i], x[j], band=16)
                            for i, j in zip(idx_i, idx_j)])
         assert got.tobytes() == banded.tobytes()
         unbanded = np.array([dtw_distance(x[i], x[j])
                              for i, j in zip(idx_i, idx_j)])
-        assert np.any(got != unbanded)
-        np.testing.assert_allclose(got, unbanded, rtol=1e-14)
+        assert got.tobytes() == unbanded.tobytes()
