@@ -105,18 +105,16 @@ class TestBatchedAccumulate:
         check_against_row_loop(*draw_pairs(rng, 1, 20, 9), 2)
 
 
-def unchunked(fn, *args):
-    """``fn(*args)`` with the pair axis in one chunk."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dtw, "PAIR_CHUNK", 10 ** 9)
-        return fn(*args)
+#: A chunk size no test call reaches: the pair axis in one chunk.
+WHOLE = 10 ** 9
 
 
-def chunked(chunk, fn, *args):
-    """``fn(*args)`` with ``chunk`` pairs per wavefront batch."""
+def chunked(chunk, *args):
+    """``pair_distances(*args)`` with ``chunk`` pairs per wavefront
+    batch."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dtw, "PAIR_CHUNK", chunk)
-        return fn(*args)
+        return pair_distances(*args)
 
 
 class TestBandedPairDistances:
@@ -137,10 +135,9 @@ class TestBandedPairDistances:
         rng = np.random.default_rng(5)
         x = list(rng.uniform(0.0, 10.0, size=(9, 17)))
         idx_i, idx_j = np.triu_indices(9, k=1)
-        whole = unchunked(pair_distances, x, idx_i, idx_j, 4)
+        whole = chunked(WHOLE, x, idx_i, idx_j, 4)
         for chunk in (1, 2, 7, 1000):
-            assert bits(chunked(chunk, pair_distances,
-                                x, idx_i, idx_j, 4)) == bits(whole)
+            assert bits(chunked(chunk, x, idx_i, idx_j, 4)) == bits(whole)
 
 
 class TestBucketedPairDistances:
@@ -162,10 +159,9 @@ class TestBucketedPairDistances:
     def test_chunking_is_invisible(self):
         arrays = self._arrays(seed=7)
         idx_i, idx_j = np.triu_indices(len(arrays), k=1)
-        whole = unchunked(pair_distances, arrays, idx_i, idx_j)
+        whole = chunked(WHOLE, arrays, idx_i, idx_j)
         for chunk in (1, 3, 1000):
-            assert bits(chunked(chunk, pair_distances,
-                                arrays, idx_i, idx_j)) == bits(whole)
+            assert bits(chunked(chunk, arrays, idx_i, idx_j)) == bits(whole)
 
     def test_order_is_the_request_order(self):
         # Grouping by length reorders work internally; results must
