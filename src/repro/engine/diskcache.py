@@ -140,11 +140,14 @@ def _writer_tag():
     unique when two hosts share one cache directory over the network."""
     global _HOST_TAG
     if _HOST_TAG is None:
-        import socket
+        if hasattr(os, "uname"):
+            host = os.uname().nodename
+        else:
+            import socket
 
+            host = socket.gethostname()
         _HOST_TAG = hashlib.sha256(
-            socket.gethostname().encode("utf-8", "replace")
-        ).hexdigest()[:8]
+            host.encode("utf-8", "replace")).hexdigest()[:8]
     return f"{_HOST_TAG}-{os.getpid()}-{next(_TMP_SEQUENCE)}"
 
 

@@ -79,6 +79,20 @@ def _score_matrix_task(matrix, config, focus_value, normalize, cache,
                                normalize=normalize)
 
 
+def _pair_codes(id_lists, idx_i, idx_j, n_rows):
+    """``min * n_rows + max`` of the series ids of every pair
+    ``(idx_i, idx_j)`` of every equal-length id list, one row of pairs
+    per list, raveled. A function of its own so that its temporaries
+    are freed before the kernel's buffers are allocated: a search's
+    fallback pass codes tens of thousands of pairs."""
+    ids = np.array(id_lists, dtype=np.int64).reshape(len(id_lists), -1)
+    a, b = ids[:, idx_i], ids[:, idx_j]
+    code = np.minimum(a, b)
+    code *= n_rows
+    code += np.maximum(a, b, out=b)
+    return code.ravel()
+
+
 class Engine:
     """Memoizing, optionally parallel scoring engine.
 
@@ -201,11 +215,14 @@ class Engine:
         ``sets`` holds ``(arrays, digests)`` pairs: validated series and
         their :func:`~repro.engine.cache.array_digest`, which the caller
         computes once (the subset evaluator memoizes them per series).
-        Pairs already in the pair store are reused; the missing ones are
-        deduplicated by :func:`~repro.engine.cache.pair_key` across all
-        sets, so each distinct pair reaches the kernel once, and go to
-        one ``pair_distances`` call. A pair's distance depends only on
-        the pair and the band, so no bit depends on the batching, and
+        Each distinct digest becomes one integer series id, and each
+        pair of every set one ``min * R + max`` code over the ``R`` ids,
+        so the pairs are deduplicated across all sets by one
+        ``np.unique``. Only the distinct pairs consult the pair store
+        (under their :func:`~repro.engine.cache.pair_key`); the missing
+        ones go to one ``pair_distances`` call, so each reaches the
+        kernel once. A pair's distance depends only on the pair and the
+        band, so no bit depends on the batching or the orientation, and
         sets of any lengths may share the call.
 
         Returns
@@ -215,47 +232,60 @@ class Engine:
             computed.
         """
         rows, row_of = [], {}
-        known, missing = {}, {}
-        set_keys = []
-        for arrays, digests in sets:
+        by_size = {}
+        for position, (arrays, digests) in enumerate(sets):
+            ids = []
             for a, d in zip(arrays, digests):
-                if d not in row_of:
-                    row_of[d] = len(rows)
+                row = row_of.get(d)
+                if row is None:
+                    row = row_of[d] = len(rows)
                     rows.append(a)
-            n = len(arrays)
-            keys = []
-            for i in range(n):
-                for j in range(i + 1, n):
-                    key = pair_key(digests[i], digests[j], band)
-                    keys.append(key)
-                    if key in known or key in missing:
-                        continue
-                    # Pair entries stay memory-only (disk=False): one
-                    # file per float would drown the disk tier, and the
-                    # matrices above them persist.
-                    value = self.cache.lookup(key, disk=False)
-                    if value is MISS:
-                        missing[key] = (row_of[digests[i]],
-                                        row_of[digests[j]])
-                    else:
-                        known[key] = value
-            set_keys.append(keys)
+                ids.append(row)
+            members, id_lists = by_size.setdefault(len(ids), ([], []))
+            members.append(position)
+            id_lists.append(ids)
+        # Sets of one size share one (sets, pairs) code block.
+        n_rows = len(rows)
+        groups = [(members, n, *np.triu_indices(n, k=1))
+                  for n, (members, _ids) in by_size.items()]
+        distinct, inverse = np.unique(
+            np.concatenate([np.empty(0, dtype=np.int64)] + [
+                _pair_codes(by_size[n][1], idx_i, idx_j, n_rows)
+                for _members, n, idx_i, idx_j in groups]),
+            return_inverse=True)
+        first, second = np.divmod(distinct, n_rows)
+        digest_of = list(row_of)
+        values = np.empty(distinct.shape[0])
+        missing, missing_keys = [], []
+        for p, (i, j) in enumerate(zip(first.tolist(), second.tolist())):
+            key = pair_key(digest_of[i], digest_of[j], band)
+            # Pair entries stay memory-only (disk=False): one file per
+            # float would drown the disk tier, and the matrices above
+            # them persist.
+            value = self.cache.lookup(key, disk=False)
+            if value is MISS:
+                missing.append(p)
+                missing_keys.append(key)
+            else:
+                values[p] = value
         if missing:
-            idx = np.array(list(missing.values())).reshape(-1, 2)
-            fresh = self.backend.pair_distances(rows, idx[:, 0], idx[:, 1],
-                                                band)
-            for key, value in zip(missing, fresh):
-                known[key] = self.cache.put(key, float(value), disk=False)
-        matrices = []
-        for (arrays, _digests), keys in zip(sets, set_keys):
-            n = len(arrays)
-            out = np.zeros((n, n))
-            if n > 1:
-                idx_i, idx_j = np.triu_indices(n, k=1)
-                values = [known[key] for key in keys]
-                out[idx_i, idx_j] = values
-                out[idx_j, idx_i] = values
-            matrices.append(out)
+            fresh = self.backend.pair_distances(rows, first[missing],
+                                                second[missing], band)
+            values[missing] = fresh
+            for key, value in zip(missing_keys, fresh):
+                self.cache.put(key, float(value), disk=False)
+        matrices = [None] * len(sets)
+        start = 0
+        for members, n, idx_i, idx_j in groups:
+            stop = start + len(members) * idx_i.shape[0]
+            pair_values = values[inverse[start:stop]].reshape(len(members),
+                                                              -1)
+            out = np.zeros((len(members), n, n))
+            out[:, idx_i, idx_j] = pair_values
+            out[:, idx_j, idx_i] = pair_values
+            for position, matrix in zip(members, out):
+                matrices[position] = matrix
+            start = stop
         return matrices, len(missing)
 
     # -- kernels hooks (consumed by repro.core via `kernels=`) -------------
@@ -278,24 +308,41 @@ class Engine:
         map -- the cached replacement for the serial loop in
         :func:`repro.core.trend_score.trend_score`.
 
-        Each event's matrix comes from :meth:`dtw_matrix`, so a cold
-        one computes only the pairs the pair store lacks: every series
-        that is flat at the quantized-CDF resolution normalizes to the
-        same array, and its pairs repeat across workloads and events.
-        Values come back in event order -- the Eq. 8 mean sums them in
-        this order, and bit-reproducibility includes the summation
-        order.
+        Each event's normalized set and DTW matrix persist under their
+        own ``norm-set`` and ``dtw-matrix`` entries, as
+        :meth:`dtw_matrix` stores them. Every event whose matrix misses
+        is filled in one :meth:`dtw_matrices` pass, so a cold score
+        computes each pair the pair store lacks once, whichever events
+        share it: every series that is flat at the quantized-CDF
+        resolution normalizes to the same array, and its pairs repeat
+        across workloads and events. Values come back in event order --
+        the Eq. 8 mean sums them in this order, and bit-reproducibility
+        includes the summation order.
         """
-        values = {}
+        dmatrices = {}
+        pending = []
         for event, series_list in series_by_event.items():
             arrays = [np.asarray(s, dtype=float) for s in series_list]
             if len(arrays) < 2:
-                values[event] = 0.0
                 continue
             if normalize:
                 arrays = self.normalized_set(arrays, n_points, cdf)
-            values[event] = self._tscore(self.dtw_matrix(arrays, band))
-        return values
+            arrays = validate_series_list(arrays)
+            mkey = content_key("dtw-matrix", tuple(arrays), band)
+            dmatrices[event] = self._cached("dtw-matrix", mkey)
+            if dmatrices[event] is MISS:
+                pending.append((event, mkey, arrays))
+        if pending:
+            matrices, _computed = self.dtw_matrices(
+                [(arrays, [array_digest(a) for a in arrays])
+                 for _event, _mkey, arrays in pending], band)
+            for (event, mkey, _arrays), dmatrix in zip(pending, matrices):
+                dmatrices[event] = self.cache.put(mkey, dmatrix)
+        return {
+            event: (self._tscore(dmatrices[event]) if event in dmatrices
+                    else 0.0)
+            for event in series_by_event
+        }
 
     @staticmethod
     def _tscore(dmatrix):

@@ -20,10 +20,11 @@ slicing:
   DESIGN.md section 8 for the exact condition), the subset's pairwise
   DTW matrix is the sliced submatrix of the full one, and ``TScore_z``
   is its off-diagonal mean. Where the condition fails, the evaluator
-  falls back to recomputing the event -- every fallback event of one
-  candidate in a single DTW kernel call, from per-series normalizations
-  memoized under ``(event, row, lo, step)`` -- and records which path
-  ran in ``SubsetReport.details['trend_paths']``;
+  falls back to recomputing the event -- every fallback event of every
+  candidate of one :meth:`SubsetEvaluator.evaluate_many` pass in a
+  single DTW kernel call, from per-series normalizations memoized under
+  ``(event, row, lo, step)`` -- and records which path ran in
+  ``SubsetReport.details['trend_paths']``;
 * **ClusterScore / CoverageScore** depend on the subset *jointly*
   (K-means and PCA re-fit), so they re-run -- but on the already-sliced
   normalized rows, through the shared :class:`~repro.engine.Engine`
@@ -182,8 +183,12 @@ class SubsetEvaluator:
         #: under that set minimum and step.
         self._norm_series = {}
         #: Candidates of the running :meth:`evaluate_many` whose K-means
-        #: sweeps are not fitted yet.
-        self._unfitted = []
+        #: sweeps and trend fallbacks are not batched yet.
+        self._pending = []
+        #: Candidate key -> ``{event: DTW matrix}`` of its fallback
+        #: events, filled by :meth:`_fallbacks_pass` for its
+        #: :meth:`_compute`, which takes it once.
+        self._batched = {}
 
         with span("subset.precompute", suite=str(matrix.suite_name or ""),
                   workloads=matrix.n_workloads):
@@ -345,7 +350,7 @@ class SubsetEvaluator:
             pairs = 0
             if report is MISS:
                 with self.engine.cache.memory_only():
-                    self._fit_sweeps()
+                    self._batch_pending()
                     report, pairs = self._compute(names, list(key))
                 self.engine.cache.put(rkey, report)
             paths = list(report.details.get("trend_paths", {}).values())
@@ -356,33 +361,46 @@ class SubsetEvaluator:
             return report
 
     def evaluate_many(self, candidates):
-        """:meth:`evaluate` over ``candidates``, in order, with their
-        K-means sweeps fitted in lockstep: the first candidate that has
-        to be computed first fits the sweeps of every candidate not yet
-        memoized (:meth:`_fit_sweeps`), and each ClusterScore then reads
-        its labels instead of fitting them alone. Candidates whose
-        reports are all stored fit nothing.
+        """:meth:`evaluate` over ``candidates``, in order, as batch
+        passes: the first candidate that has to be computed first
+        batches every candidate not yet memoized
+        (:meth:`_batch_pending`) -- their K-means sweeps fit in
+        lockstep and their trend fallbacks fill in one DTW pass -- and
+        each candidate then reads its labels and matrices instead of
+        computing them alone. Candidates whose reports are all stored
+        batch nothing.
 
         Returns
         -------
         list[repro.core.subset.SubsetReport]
         """
         candidates = [tuple(names) for names in candidates]
-        self._unfitted = candidates
+        self._pending = candidates
         try:
             return [self.evaluate(names) for names in candidates]
         finally:
-            self._unfitted = []
+            self._pending = []
+            self._batched = {}
 
-    def _fit_sweeps(self):
-        """Hand the pending candidates that still need a ClusterScore
-        (>= 4 rows, not memoized) to :meth:`Engine.kmeans_sweeps`, one
-        call per subset size that has at least two of them."""
-        pending, self._unfitted = self._unfitted, []
+    def _batch_pending(self):
+        """Batch the pending candidates that are not memoized: fit their
+        K-means sweeps in lockstep (:meth:`_fit_sweeps`) and fill their
+        fallback events in one DTW pass (:meth:`_fallbacks_pass`)."""
+        pending, self._pending = self._pending, []
+        keys = [key for key in dict.fromkeys(
+                    self._candidate_key(names) for names in pending)
+                if key not in self._memo]
+        self._fit_sweeps(keys)
+        if keys and self._events:
+            self._fallbacks_pass(keys)
+
+    def _fit_sweeps(self, keys):
+        """Hand the candidates that need a ClusterScore (>= 4 rows) to
+        :meth:`Engine.kmeans_sweeps`, one call per subset size that has
+        at least two of them."""
         by_size = {}
-        for names in dict.fromkeys(pending):
-            key = self._candidate_key(names)
-            if len(key) >= 4 and key not in self._memo:
+        for key in keys:
+            if len(key) >= 4:
                 by_size.setdefault(len(key), []).append(
                     self._base[list(key)])
         for size, xs in by_size.items():
@@ -390,8 +408,35 @@ class SubsetEvaluator:
                 self.engine.kmeans_sweeps(xs, sweep_seeds(size, self.seed),
                                           KMEANS_RESTARTS)
 
+    def _fallbacks_pass(self, keys):
+        """Every listed candidate's fallback events in one
+        :meth:`Engine.dtw_matrices` call, handed to each candidate's
+        :meth:`_compute` through :attr:`_batched`. Returns how many
+        pairs the kernel computed."""
+        with span("subset.fallbacks", candidates=len(keys)) as sp:
+            plans = [(key, self._fallback_events(key)) for key in keys]
+            matrices, pairs = self.engine.dtw_matrices(
+                [self._fallback_set(event, key)
+                 for key, events in plans for event in events],
+                band=self.band,
+            )
+            matrices = iter(matrices)
+            for key, events in plans:
+                self._batched[key] = {event: next(matrices)
+                                      for event in events}
+            sp.set(dtw_pairs=pairs, dtw_calls=int(pairs > 0))
+        return pairs
+
+    def _fallback_events(self, idx):
+        """The events whose trend the candidate ``idx`` recomputes: those
+        whose DTW submatrix is not an exact slice (:meth:`_slice_exact`)."""
+        return [event for event in self._events
+                if not self._slice_exact(self._trend[event], idx)]
+
     def _compute(self, names, idx):
-        """The candidate's report and how many DTW pairs it computed."""
+        """The candidate's report and how many DTW pairs it computed
+        outside a batch pass (a lone :meth:`evaluate` fills its own
+        fallbacks)."""
         k = len(idx)
         x = self._base[idx]
         subset_scores = {}
@@ -412,25 +457,20 @@ class SubsetEvaluator:
         details = {}
         pairs = 0
         if self._events:
+            key = tuple(idx)
+            if key not in self._batched:
+                pairs = self._fallbacks_pass([key])
+            fallback = self._batched.pop(key)
             per_event = {}
             paths = {}
-            fallback = []
             for event in self._events:
-                kernel = self._trend[event]
-                if self._slice_exact(kernel, idx):
-                    sub = kernel.dmatrix[np.ix_(idx, idx)]
+                if event in fallback:
+                    per_event[event] = Engine._tscore(fallback[event])
+                    paths[event] = "fallback"
+                else:
+                    sub = self._trend[event].dmatrix[np.ix_(idx, idx)]
                     per_event[event] = float(sub.sum() / (k * (k - 1)))
                     paths[event] = "sliced"
-                else:
-                    fallback.append(event)
-                    paths[event] = "fallback"
-            if fallback:
-                matrices, pairs = self.engine.dtw_matrices(
-                    [self._fallback_set(event, idx) for event in fallback],
-                    band=self.band,
-                )
-                for event, dmatrix in zip(fallback, matrices):
-                    per_event[event] = Engine._tscore(dmatrix)
             # Eq. 8 averages in event order; the summation order is
             # part of the bit-identity contract.
             subset_scores["trend"] = float(

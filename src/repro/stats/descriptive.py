@@ -15,6 +15,7 @@ by reports and tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,9 +69,16 @@ def percentile_resample(series, n_points=100):
         raise ValueError(f"n_points must be >= 1, got {n_points}")
     if s.size == 1:
         return np.full(n_points, s[0])
-    src = np.linspace(0.0, 100.0, s.size)
-    dst = np.linspace(0.0, 100.0, n_points)
-    return np.interp(dst, src, s)
+    return np.interp(_percent_grid(n_points), _percent_grid(s.size), s)
+
+
+@lru_cache(maxsize=64)
+def _percent_grid(size):
+    """``np.linspace(0, 100, size)``, built once per size and read-only:
+    a trend score resamples thousands of series onto a few grids."""
+    grid = np.linspace(0.0, 100.0, size)
+    grid.flags.writeable = False
+    return grid
 
 
 def normalize_series_for_dtw(series, n_points=100):

@@ -204,10 +204,14 @@ def dtw_path(a, b, band=None):
 
 #: Pairs per wavefront batch. :func:`_pair_wavefront` holds eight
 #: ``(L, pairs)`` float64 buffers (both series, both borders, three
-#: rolling diagonals and one scratch block), ~6.5 MB at L=100 and 1024
-#: pairs, so one SPEC'17 event (43 workloads, 903 pairs) runs as a
-#: single chunk in well under 20 MB of temporaries.
-PAIR_CHUNK = 1024
+#: rolling diagonals and one scratch block), ~1.6 MB at L=100 and 256
+#: pairs. Batches run to thousands of pairs (every event of a trend
+#: score, or every fallback of a subset search, shares one call), so
+#: the chunk, not the batch, bounds the temporaries. On a 3,000-pair
+#: batch at L=100, 256 was the fastest of 64-1024 pairs per chunk
+#: (128 and 1024 were 20-30% slower per pair: per-diagonal call overhead
+#: below, cache misses above).
+PAIR_CHUNK = 256
 
 
 def pair_distances(arrays, idx_i, idx_j, band=None):

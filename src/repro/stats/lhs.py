@@ -15,13 +15,15 @@ Two variants:
   space-filling property (used by the subset generator so the selected
   anchor points, and hence the chosen workloads, are well spread).
 
-The maximin variant draws and scores all its designs at once, on one
-C-contiguous ``(designs, n, d)`` stack, bit-identical to one
-:func:`latin_hypercube` and one
+Both draw through one loop, :func:`_designs`; :func:`latin_hypercube`
+is its one-design case. The maximin variant draws and scores all its
+designs at once, on one C-contiguous ``(designs, n, d)`` stack,
+bit-identical to one :func:`latin_hypercube` and one
 :func:`~repro.stats.distance.pairwise_distances` per design: the draws
 keep :func:`latin_hypercube`'s order, and each slice of the stack has
 the layout of one design, so its distance product is the one ``cdist``
-makes for that design (the per-design loop is kept as the oracle in
+makes for that design (the per-design loop, drawing with
+``Generator.permutation`` and ``uniform``, is kept as the oracle in
 ``tests/test_stats_lhs.py``).
 """
 
@@ -61,17 +63,8 @@ def latin_hypercube(n_samples, n_dims, rng=0, centered=False):
         ``1/n_samples``-wide interval in every dimension.
     """
     _check_args(n_samples, n_dims)
-    rng = np.random.default_rng(rng)
-    out = np.empty((n_samples, n_dims))
-    base = np.arange(n_samples, dtype=float)
-    for d in range(n_dims):
-        perm = rng.permutation(n_samples)
-        if centered:
-            offsets = 0.5
-        else:
-            offsets = rng.uniform(size=n_samples)
-        out[:, d] = (base[perm] + offsets) / n_samples
-    return out
+    return _designs(n_samples, n_dims, np.random.default_rng(rng), 1,
+                    centered)[0]
 
 
 def maximin_latin_hypercube(n_samples, n_dims, rng=0, n_candidates=32,
@@ -98,16 +91,25 @@ def maximin_latin_hypercube(n_samples, n_dims, rng=0, n_candidates=32,
 
 
 def _designs(n_samples, n_dims, rng, count, centered):
-    """``count`` :func:`latin_hypercube` designs from ``rng``, drawn in
-    its order and built by its expression, as one C-contiguous
-    ``(count, n_samples, n_dims)`` stack."""
-    perms = np.empty((count, n_dims, n_samples), dtype=int)
+    """``count`` LHS designs from ``rng`` as one C-contiguous
+    ``(count, n_samples, n_dims)`` stack: per design and dimension, a
+    random permutation of the strata, then (unless ``centered``) a
+    uniform jitter within each, and the point ``(perm + jitter) / n``.
+
+    Each permutation is ``rng.shuffle`` of a copy of ``arange(n)`` and
+    each jitter ``rng.random`` into its row, which draw the very bits
+    and stream positions of ``rng.permutation(n)`` and
+    ``rng.uniform(size=n)``, without their per-call argument handling
+    (that loop is kept as the oracle in ``tests/test_stats_lhs.py``)."""
+    perms = np.empty((count, n_dims, n_samples), dtype=np.int64)
+    perms[...] = np.arange(n_samples)
     offsets = np.full((count, n_dims, n_samples), 0.5)
+    shuffle, uniform = rng.shuffle, rng.random
     for c in range(count):
         for d in range(n_dims):
-            perms[c, d] = rng.permutation(n_samples)
+            shuffle(perms[c, d])
             if not centered:
-                offsets[c, d] = rng.uniform(size=n_samples)
+                uniform(out=offsets[c, d])
     return np.ascontiguousarray(
         ((perms + offsets) / n_samples).transpose(0, 2, 1))
 

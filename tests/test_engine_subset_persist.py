@@ -3,10 +3,13 @@
 A candidate's whole :class:`~repro.core.subset.SubsetReport` goes to the
 disk tier through the wire codec; its intermediates (normalized series,
 DTW pairs and matrices, K-means labels, silhouette distances) stay in
-memory. A candidate's fallback events share one DTW kernel call in
-which each distinct pair key appears once. Every score keeps its bits:
-the batched path is checked against the per-event ``Engine.dtw_matrix``
-+ ``Engine._tscore`` oracle, and a disk-warm search against a cold one.
+memory. The fallback events of every candidate of one
+``evaluate_many`` pass share one DTW kernel call in which each distinct
+pair appears once. Every score keeps its bits: the batched path is
+checked against the per-event ``Engine.dtw_matrix`` + ``Engine._tscore``
+oracle, ``evaluate_many`` against each candidate evaluated alone, the
+integer-coded ``Engine.dtw_matrices`` against one ``dtw_matrix`` per
+set, and a disk-warm search against a cold one.
 """
 
 import dataclasses
@@ -28,6 +31,7 @@ from repro.qa.determinism import diff_search_results
 from repro.service.protocol import (
     decode_subset_report,
     encode_subset_report,
+    record_diff,
     subset_report_record,
 )
 from repro.stats.backend import kernels
@@ -405,3 +409,137 @@ class TestBatchedFallbackOracle:
             [(mixed, [array_digest(a) for a in mixed])])
         assert computed == 3
         assert matrix.tobytes() == Engine().dtw_matrix(mixed).tobytes()
+
+
+def _counting_backend():
+    """A kernel record that records the pair count of every call."""
+    backend = kernels()
+    calls = []
+
+    def pair_distances(arrays, idx_i, idx_j, band=None):
+        calls.append(len(idx_i))
+        return backend.pair_distances(arrays, idx_i, idx_j, band)
+
+    return dataclasses.replace(backend, pair_distances=pair_distances), calls
+
+
+class TestIntegerCodedPairs:
+    """``Engine.dtw_matrices`` equals one direct ``dtw_matrix`` per set,
+    and computes each distinct pair once."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        kinds=st.lists(st.sampled_from(["random", "flat", "copy"]),
+                       min_size=1, max_size=8),
+        lengths=st.lists(st.sampled_from([5, 6, 9]), min_size=8,
+                         max_size=8),
+        sets=st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=6),
+                      min_size=1, max_size=5),
+        band=st.sampled_from([None, 1, 3]),
+    )
+    def test_matches_one_dtw_matrix_per_set(self, seed, kinds, lengths,
+                                            sets, band):
+        rng = np.random.default_rng(seed)
+        pool = []
+        for kind, length in zip(kinds, lengths):
+            if kind == "flat":
+                pool.append(np.full(length, 100.0))
+            elif kind == "copy" and pool:
+                pool.append(pool[-1].copy())  # a repeated series
+            else:
+                pool.append(rng.uniform(0.0, 100.0, size=length))
+        picked = [[pool[i % len(pool)] for i in members]
+                  for members in sets]
+        backend, calls = _counting_backend()
+        engine = Engine(backend=backend)
+        matrices, computed = engine.dtw_matrices(
+            [(arrays, [array_digest(a) for a in arrays])
+             for arrays in picked], band=band)
+        keys = {pair_key(array_digest(a), array_digest(b), band)
+                for arrays in picked
+                for i, a in enumerate(arrays) for b in arrays[i + 1:]}
+        assert computed == len(keys) == sum(calls)
+        assert len(calls) == int(bool(keys))
+        for arrays, matrix in zip(picked, matrices):
+            assert matrix.tobytes() == dtw_matrix(arrays, band=band).tobytes()
+        # A second pass reads every pair back from the store.
+        again, computed = engine.dtw_matrices(
+            [(arrays, [array_digest(a) for a in arrays])
+             for arrays in picked], band=band)
+        assert computed == 0
+        assert [m.tobytes() for m in again] == [m.tobytes()
+                                                for m in matrices]
+
+
+def _report_diff(a, b):
+    return record_diff(subset_report_record(a), subset_report_record(b))
+
+
+class TestEvaluateManyOracle:
+    """A batch pass reports what each candidate reports alone."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        constant=st.sets(st.integers(0, 9), max_size=4),
+        picks=st.lists(
+            st.lists(st.integers(0, 9), min_size=2, max_size=6,
+                     unique=True),
+            min_size=2, max_size=5,
+        ),
+        memoized=st.integers(0, 2),
+        cache=st.booleans(),
+    )
+    def test_matches_each_candidate_alone(self, seed, constant, picks,
+                                          memoized, cache):
+        matrix = _matrix(seed=seed, constant=constant)
+        names = [tuple(matrix.workloads[i] for i in pick) for pick in picks]
+        # Overlapping candidates: a repeat and a reordering of the first.
+        names += [names[0], names[0][::-1]]
+        backend, calls = _counting_backend()
+        evaluator = SubsetEvaluator(
+            matrix, seed=METRIC_SEED,
+            engine=Engine(cache=cache, backend=backend))
+        for candidate in names[:memoized]:
+            evaluator.evaluate(candidate)
+        before = len(calls)
+        reports = evaluator.evaluate_many(names)
+        # One DTW pass for every fresh candidate's fallbacks.
+        assert len(calls) - before <= 1
+        for candidate, report in zip(names, reports):
+            alone = SubsetEvaluator(
+                matrix, seed=METRIC_SEED,
+                engine=Engine(cache=cache)).evaluate(candidate)
+            assert report.selected == candidate
+            assert _report_diff(report, alone) == []
+
+
+class TestFallbacksSpan:
+    def test_batch_pass_owns_the_pair_cost(self):
+        from repro.obs import trace as obs_trace
+
+        matrix = _matrix(seed=7, constant={1, 2})
+        rng = np.random.default_rng(0)
+        names = [tuple(matrix.workloads[i]
+                       for i in rng.choice(10, size=5, replace=False))
+                 for _ in range(6)]
+        backend, calls = _counting_backend()
+        tracer = obs_trace.install(obs_trace.Tracer())
+        try:
+            evaluator = SubsetEvaluator(matrix, seed=METRIC_SEED,
+                                        engine=Engine(backend=backend))
+            before = len(calls)
+            reports = evaluator.evaluate_many(names)
+        finally:
+            obs_trace.uninstall()
+        spans = tracer.spans()
+        (batch,) = [s.attrs for s in spans if s.name == "subset.fallbacks"]
+        evaluates = [s.attrs for s in spans if s.name == "subset.evaluate"]
+        assert any("fallback" in r.details["trend_paths"].values()
+                   for r in reports)
+        assert batch["candidates"] == len(set(names))
+        assert batch["dtw_pairs"] == sum(calls[before:]) > 0
+        assert batch["dtw_calls"] == len(calls) - before == 1
+        assert [a["dtw_pairs"] for a in evaluates] == [0] * len(evaluates)
+        assert [a["dtw_calls"] for a in evaluates] == [0] * len(evaluates)

@@ -268,7 +268,7 @@ class TestSearchDeterminism:
         from repro.engine import SubsetEvaluator
 
         monkeypatch.setattr(SubsetEvaluator, "_fit_sweeps",
-                            lambda evaluator: None)
+                            lambda evaluator, keys: None)
         report = check_search_determinism(self._matrix(), subset_size=4,
                                           n_candidates=4, method="random",
                                           seed=0)

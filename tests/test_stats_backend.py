@@ -412,8 +412,8 @@ class TestEngineCrossBackend:
     def test_engine_and_inline_tasks_read_the_registry(self, monkeypatch):
         # A wrapped record swapped into the registry must see every DTW
         # pair an engine computes at one worker: its own matrix fills
-        # and every trend event's, one batch per event that the pair
-        # store cannot serve in full.
+        # and every trend event's, one batch per pass that the pair
+        # store cannot serve in full (a trend score is one pass).
         from repro.engine import Engine
         from repro.engine.cache import array_digest, pair_key
 
@@ -427,14 +427,17 @@ class TestEngineCrossBackend:
         monkeypatch.setitem(
             backend._BACKENDS, "batched",
             dataclasses.replace(record, pair_distances=pair_distances))
-        # Each batch holds the pairs of one matrix that no earlier
-        # matrix stored.
+        # Each batch holds the distinct pairs of one pass's matrices
+        # that no earlier pass stored.
         stored, expected = set(), []
 
-        def expect(arrays):
-            digests = [array_digest(a) for a in arrays]
-            keys = {pair_key(a, b, None) for i, a in enumerate(digests)
-                    for b in digests[i + 1:]}
+        def expect(*sets):
+            keys = set()
+            for arrays in sets:
+                digests = [array_digest(a) for a in arrays]
+                keys.update(pair_key(a, b, None)
+                            for i, a in enumerate(digests)
+                            for b in digests[i + 1:])
             if keys - stored:
                 expected.append(len(keys - stored))
             stored.update(keys)
@@ -445,10 +448,10 @@ class TestEngineCrossBackend:
         expect(series)
         assert counted == expected == [15]
         by_event = {"e0": series[:4], "e1": series[2:]}
-        for event_series in by_event.values():
-            expect(Engine().normalized_set(event_series))
+        expect(*(Engine().normalized_set(event_series)
+                 for event_series in by_event.values()))
         engine.trend_score(by_event)
-        assert counted == expected
+        assert counted == expected == [15, 11]
 
     def test_spread_score_matches_column_oracle(self):
         from repro.core.matrix import CounterMatrix

@@ -116,8 +116,25 @@ class TestHelpers:
             is_latin_hypercube(np.zeros(4))
 
 
-# The per-design loop that the stacked maximin_latin_hypercube replaced,
-# verbatim: the oracle for every design bit and every design's score.
+# The per-dimension draw loop and the per-design maximin loop that
+# _designs and the stacked maximin_latin_hypercube replaced, verbatim:
+# the oracle for every design bit and every design's score.
+
+def reference_latin_hypercube(n_samples, n_dims, rng=0, centered=False):
+    """One design, one ``permutation`` and one ``uniform`` call per
+    dimension."""
+    rng = np.random.default_rng(rng)
+    out = np.empty((n_samples, n_dims))
+    base = np.arange(n_samples, dtype=float)
+    for d in range(n_dims):
+        perm = rng.permutation(n_samples)
+        if centered:
+            offsets = 0.5
+        else:
+            offsets = rng.uniform(size=n_samples)
+        out[:, d] = (base[perm] + offsets) / n_samples
+    return out
+
 
 def reference_maximin(n_samples, n_dims, rng=0, n_candidates=32,
                       centered=False):
@@ -127,8 +144,8 @@ def reference_maximin(n_samples, n_dims, rng=0, n_candidates=32,
     best_score = -np.inf
     scores = []
     for _ in range(n_candidates):
-        design = latin_hypercube(n_samples, n_dims, rng=rng,
-                                 centered=centered)
+        design = reference_latin_hypercube(n_samples, n_dims, rng=rng,
+                                           centered=centered)
         d = pairwise_distances(design)
         np.fill_diagonal(d, np.inf)
         score = float(d.min())
@@ -167,11 +184,31 @@ class TestStackedMaximinOracle:
     def test_designs_match_latin_hypercube_draws(self, seed, centered, n,
                                                  d):
         rng = np.random.default_rng(seed)
-        want = [latin_hypercube(n, d, rng=rng, centered=centered)
+        want = [reference_latin_hypercube(n, d, rng=rng, centered=centered)
                 for _ in range(12)]
         got = _designs(n, d, np.random.default_rng(seed), 12, centered)
         assert got.flags.c_contiguous
         assert got.tobytes() == np.stack(want).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 20), d=st.integers(1, 16),
+           seed=st.integers(0, 2 ** 32 - 1), count=st.integers(1, 8),
+           centered=st.booleans())
+    def test_designs_match_permutation_uniform_loop(self, n, d, seed, count,
+                                                    centered):
+        # The same bits, and the generator left at the same stream
+        # position, as the permutation / uniform loop.
+        rng, oracle = (np.random.default_rng(seed) for _ in range(2))
+        want = [reference_latin_hypercube(n, d, rng=oracle,
+                                          centered=centered)
+                for _ in range(count)]
+        got = _designs(n, d, rng, count, centered)
+        assert got.tobytes() == np.stack(want).tobytes()
+        assert rng.random() == oracle.random()
+        one = latin_hypercube(n, d, rng=seed, centered=centered)
+        assert one.shape == (n, d)
+        assert one.tobytes() == reference_latin_hypercube(
+            n, d, rng=seed, centered=centered).tobytes()
 
     def test_tie_keeps_the_first_design(self):
         # Centered two-point designs in one dimension are {0.25, 0.75}
@@ -179,7 +216,7 @@ class TestStackedMaximinOracle:
         # the first one drawn must win.
         seed = 3
         rng = np.random.default_rng(seed)
-        drawn = [latin_hypercube(2, 1, rng=rng, centered=True)
+        drawn = [reference_latin_hypercube(2, 1, rng=rng, centered=True)
                  for _ in range(8)]
         assert len({design.tobytes() for design in drawn}) == 2
         want, scores = reference_maximin(2, 1, rng=seed, n_candidates=8,
