@@ -191,7 +191,8 @@ class Engine:
     # -- DTW (matrix + pair granularity) -----------------------------------
 
     def dtw_matrix(self, series, band=None):
-        """Cached pairwise DTW matrix.
+        """Cached pairwise DTW matrix: the one-set case of
+        :meth:`_dtw_matrix_entries`.
 
         Misses are filled at pair granularity: any pair already known --
         from another event's matrix, a previous full-matrix computation
@@ -199,14 +200,31 @@ class Engine:
         and only the genuinely new pairs are computed, in one
         :meth:`dtw_matrices` batch.
         """
-        arrays = validate_series_list(series)
-        mkey = content_key("dtw-matrix", tuple(arrays), band)
-        cached = self._cached("dtw-matrix", mkey)
-        if cached is not MISS:
-            return cached
-        digests = [array_digest(a) for a in arrays]
-        (out,), _computed = self.dtw_matrices([(arrays, digests)], band)
-        return self.cache.put(mkey, out)
+        return self._dtw_matrix_entries([series], band)[0]
+
+    def _dtw_matrix_entries(self, series_lists, band):
+        """The ``dtw-matrix`` entry of every series list, in order.
+
+        Each list's matrix is looked up under its own entry; every list
+        whose entry misses is filled by one :meth:`dtw_matrices` pass,
+        and its matrix stored under that entry.
+        """
+        out, pending = [], []
+        for series in series_lists:
+            arrays = validate_series_list(series)
+            mkey = content_key("dtw-matrix", tuple(arrays), band)
+            cached = self._cached("dtw-matrix", mkey)
+            if cached is MISS:
+                pending.append((len(out), mkey, arrays))
+            out.append(cached)
+        if pending:
+            matrices, _computed = self.dtw_matrices(
+                [(arrays, [array_digest(a) for a in arrays])
+                 for _position, _mkey, arrays in pending], band)
+            for (position, mkey, _arrays), dmatrix in zip(pending,
+                                                          matrices):
+                out[position] = self.cache.put(mkey, dmatrix)
+        return out
 
     def dtw_matrices(self, sets, band=None):
         """Pairwise DTW matrices of several series sets, from at most
@@ -309,35 +327,26 @@ class Engine:
         :func:`repro.core.trend_score.trend_score`.
 
         Each event's normalized set and DTW matrix persist under their
-        own ``norm-set`` and ``dtw-matrix`` entries, as
-        :meth:`dtw_matrix` stores them. Every event whose matrix misses
-        is filled in one :meth:`dtw_matrices` pass, so a cold score
-        computes each pair the pair store lacks once, whichever events
-        share it: every series that is flat at the quantized-CDF
-        resolution normalizes to the same array, and its pairs repeat
-        across workloads and events. Values come back in event order --
-        the Eq. 8 mean sums them in this order, and bit-reproducibility
-        includes the summation order.
+        own ``norm-set`` and ``dtw-matrix`` entries. Every event whose
+        matrix misses is filled in one :meth:`dtw_matrices` pass
+        (:meth:`_dtw_matrix_entries`, as for :meth:`dtw_matrix`), so a
+        cold score computes each pair the pair store lacks once,
+        whichever events share it: every series that is flat at the
+        quantized-CDF resolution normalizes to the same array, and its
+        pairs repeat across workloads and events. Values come back in
+        event order -- the Eq. 8 mean sums them in this order, and
+        bit-reproducibility includes the summation order.
         """
-        dmatrices = {}
-        pending = []
+        sets = {}
         for event, series_list in series_by_event.items():
             arrays = [np.asarray(s, dtype=float) for s in series_list]
             if len(arrays) < 2:
                 continue
             if normalize:
                 arrays = self.normalized_set(arrays, n_points, cdf)
-            arrays = validate_series_list(arrays)
-            mkey = content_key("dtw-matrix", tuple(arrays), band)
-            dmatrices[event] = self._cached("dtw-matrix", mkey)
-            if dmatrices[event] is MISS:
-                pending.append((event, mkey, arrays))
-        if pending:
-            matrices, _computed = self.dtw_matrices(
-                [(arrays, [array_digest(a) for a in arrays])
-                 for _event, _mkey, arrays in pending], band)
-            for (event, mkey, _arrays), dmatrix in zip(pending, matrices):
-                dmatrices[event] = self.cache.put(mkey, dmatrix)
+            sets[event] = arrays
+        dmatrices = dict(zip(sets, self._dtw_matrix_entries(
+            list(sets.values()), band)))
         return {
             event: (self._tscore(dmatrices[event]) if event in dmatrices
                     else 0.0)

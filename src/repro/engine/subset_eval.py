@@ -108,6 +108,11 @@ def _evaluate_batch_task(matrix, batch, seed, full_scores, n_points, band,
 #: ``cluster_score`` default that ``_scores`` fits with.
 KMEANS_RESTARTS = 8
 
+#: Most candidates one :meth:`SubsetEvaluator.evaluate_many` batch pass
+#: covers: bounds what a pass holds at once (fallback sets, pair codes,
+#: the handed-out matrices) whatever the search budget.
+BATCH_CANDIDATES = 64
+
 
 @dataclass(frozen=True)
 class _TrendEventKernel:
@@ -182,13 +187,18 @@ class SubsetEvaluator:
         #: fallback event re-normalizes only series it has not met
         #: under that set minimum and step.
         self._norm_series = {}
-        #: Candidates of the running :meth:`evaluate_many` whose K-means
-        #: sweeps and trend fallbacks are not batched yet.
-        self._pending = []
+        #: Iterator over the candidates of the running
+        #: :meth:`evaluate_many` not yet considered for a batch pass;
+        #: ``None`` outside it.
+        self._pending = None
         #: Candidate key -> ``{event: DTW matrix}`` of its fallback
         #: events, filled by :meth:`_fallbacks_pass` for its
         #: :meth:`_compute`, which takes it once.
         self._batched = {}
+        #: Candidate key -> ``(report, tier)``: the stored-report lookup
+        #: :meth:`_batch_pending` made for it, which its
+        #: :meth:`evaluate` takes instead of looking up again.
+        self._looked_up = {}
 
         with span("subset.precompute", suite=str(matrix.suite_name or ""),
                   workloads=matrix.n_workloads):
@@ -346,11 +356,14 @@ class SubsetEvaluator:
 
         with span("subset.evaluate", size=len(key)) as sp:
             rkey = self._report_key(key)
-            report, tier = self.engine.cache.lookup_tier(rkey)
+            found = self._looked_up.pop(key, None)
+            report, tier = (found if found is not None
+                            else self.engine.cache.lookup_tier(rkey))
             pairs = 0
             if report is MISS:
+                if self._pending is not None and key not in self._batched:
+                    self._batch_pending(key)
                 with self.engine.cache.memory_only():
-                    self._batch_pending()
                     report, pairs = self._compute(names, list(key))
                 self.engine.cache.put(rkey, report)
             paths = list(report.details.get("trend_paths", {}).values())
@@ -362,36 +375,51 @@ class SubsetEvaluator:
 
     def evaluate_many(self, candidates):
         """:meth:`evaluate` over ``candidates``, in order, as batch
-        passes: the first candidate that has to be computed first
-        batches every candidate not yet memoized
-        (:meth:`_batch_pending`) -- their K-means sweeps fit in
-        lockstep and their trend fallbacks fill in one DTW pass -- and
-        each candidate then reads its labels and matrices instead of
-        computing them alone. Candidates whose reports are all stored
-        batch nothing.
+        passes: a candidate that has to be computed and is not batched
+        yet first batches itself with the next pending candidates that
+        are neither memoized nor stored, up to
+        :data:`BATCH_CANDIDATES` (:meth:`_batch_pending`) -- their
+        K-means sweeps fit in lockstep and their trend fallbacks fill
+        in one DTW pass -- and each candidate then reads its labels and
+        matrices instead of computing them alone. Candidates whose
+        reports are all stored batch nothing.
 
         Returns
         -------
         list[repro.core.subset.SubsetReport]
         """
         candidates = [tuple(names) for names in candidates]
-        self._pending = candidates
+        self._pending = iter(candidates)
         try:
             return [self.evaluate(names) for names in candidates]
         finally:
-            self._pending = []
+            self._pending = None
             self._batched = {}
+            self._looked_up = {}
 
-    def _batch_pending(self):
-        """Batch the pending candidates that are not memoized: fit their
-        K-means sweeps in lockstep (:meth:`_fit_sweeps`) and fill their
-        fallback events in one DTW pass (:meth:`_fallbacks_pass`)."""
-        pending, self._pending = self._pending, []
-        keys = [key for key in dict.fromkeys(
-                    self._candidate_key(names) for names in pending)
-                if key not in self._memo]
-        self._fit_sweeps(keys)
-        if keys and self._events:
+    def _batch_pending(self, key):
+        """Batch the candidate ``key`` with the next pending candidates
+        that are neither memoized nor stored, up to
+        :data:`BATCH_CANDIDATES` in all: fit their K-means sweeps in
+        lockstep (:meth:`_fit_sweeps`) and fill their fallback events in
+        one DTW pass (:meth:`_fallbacks_pass`). Each pending candidate's
+        stored report is looked up here, once, for its
+        :meth:`evaluate`."""
+        keys = [key]
+        while len(keys) < BATCH_CANDIDATES:
+            names = next(self._pending, None)
+            if names is None:
+                break
+            other = self._candidate_key(names)
+            if (other in self._memo or other in self._looked_up
+                    or other in keys):
+                continue
+            found = self._looked_up[other] = self.engine.cache.lookup_tier(
+                self._report_key(other))
+            if found[0] is MISS:
+                keys.append(other)
+        with self.engine.cache.memory_only():
+            self._fit_sweeps(keys)
             self._fallbacks_pass(keys)
 
     def _fit_sweeps(self, keys):
@@ -410,21 +438,22 @@ class SubsetEvaluator:
 
     def _fallbacks_pass(self, keys):
         """Every listed candidate's fallback events in one
-        :meth:`Engine.dtw_matrices` call, handed to each candidate's
-        :meth:`_compute` through :attr:`_batched`. Returns how many
-        pairs the kernel computed."""
-        with span("subset.fallbacks", candidates=len(keys)) as sp:
-            plans = [(key, self._fallback_events(key)) for key in keys]
-            matrices, pairs = self.engine.dtw_matrices(
-                [self._fallback_set(event, key)
-                 for key, events in plans for event in events],
-                band=self.band,
-            )
-            matrices = iter(matrices)
-            for key, events in plans:
-                self._batched[key] = {event: next(matrices)
-                                      for event in events}
-            sp.set(dtw_pairs=pairs, dtw_calls=int(pairs > 0))
+        :meth:`Engine.dtw_matrices` call (under a ``subset.fallbacks``
+        span; no call and no span when none has one), handed to each
+        candidate's :meth:`_compute` through :attr:`_batched`. Returns
+        how many pairs the kernel computed."""
+        plans = [(key, self._fallback_events(key)) for key in keys]
+        sets = [self._fallback_set(event, key)
+                for key, events in plans for event in events]
+        matrices, pairs = [], 0
+        if sets:
+            with span("subset.fallbacks", candidates=len(keys)) as sp:
+                matrices, pairs = self.engine.dtw_matrices(sets,
+                                                           band=self.band)
+                sp.set(dtw_pairs=pairs, dtw_calls=int(pairs > 0))
+        matrices = iter(matrices)
+        for key, events in plans:
+            self._batched[key] = {event: next(matrices) for event in events}
         return pairs
 
     def _fallback_events(self, idx):

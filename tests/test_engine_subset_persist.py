@@ -543,3 +543,74 @@ class TestFallbacksSpan:
         assert batch["dtw_calls"] == len(calls) - before == 1
         assert [a["dtw_pairs"] for a in evaluates] == [0] * len(evaluates)
         assert [a["dtw_calls"] for a in evaluates] == [0] * len(evaluates)
+
+    def test_passes_cover_at_most_a_block(self, monkeypatch):
+        from repro.engine import subset_eval
+        from repro.obs import trace as obs_trace
+
+        matrix = _matrix(seed=7, constant={1, 2})
+        rng = np.random.default_rng(1)
+        names = [tuple(matrix.workloads[i]
+                       for i in rng.choice(10, size=5, replace=False))
+                 for _ in range(7)]
+        whole = SubsetEvaluator(matrix, seed=METRIC_SEED).evaluate_many(
+            names)
+        monkeypatch.setattr(subset_eval, "BATCH_CANDIDATES", 3)
+        tracer = obs_trace.install(obs_trace.Tracer())
+        try:
+            blocked = SubsetEvaluator(matrix,
+                                      seed=METRIC_SEED).evaluate_many(names)
+        finally:
+            obs_trace.uninstall()
+        passes = [s.attrs["candidates"] for s in tracer.spans()
+                  if s.name == "subset.fallbacks"]
+        assert passes == [3, 3, 1]
+        assert [_report_diff(a, b) for a, b in zip(blocked, whole)] == \
+            [[]] * len(names)
+
+    def test_stored_reports_join_no_pass(self):
+        from repro.obs import trace as obs_trace
+
+        matrix = _matrix(seed=7, constant={1, 2})
+        rng = np.random.default_rng(2)
+        names = [tuple(matrix.workloads[i]
+                       for i in rng.choice(10, size=5, replace=False))
+                 for _ in range(4)]
+        engine = Engine()
+        # An earlier evaluator leaves the second candidate's report in
+        # the engine's memory tier.
+        SubsetEvaluator(matrix, seed=METRIC_SEED,
+                        engine=engine).evaluate(names[1])
+        tracer = obs_trace.install(obs_trace.Tracer())
+        try:
+            SubsetEvaluator(matrix, seed=METRIC_SEED,
+                            engine=engine).evaluate_many(names)
+        finally:
+            obs_trace.uninstall()
+        spans = tracer.spans()
+        (batch,) = [s.attrs for s in spans if s.name == "subset.fallbacks"]
+        assert batch["candidates"] == 3
+        assert [s.attrs["tier"] for s in spans
+                if s.name == "subset.evaluate"] == \
+            ["miss", "memory", "miss", "miss"]
+
+    def test_no_fallback_event_opens_no_span(self):
+        from repro.obs import trace as obs_trace
+
+        # One event: about half of these candidates slice it exactly.
+        matrix = _matrix(seed=7, m=1)
+        rng = np.random.default_rng(3)
+        tracer = obs_trace.install(obs_trace.Tracer())
+        try:
+            evaluator = SubsetEvaluator(matrix, seed=METRIC_SEED)
+            reports = [evaluator.evaluate(tuple(
+                matrix.workloads[i]
+                for i in rng.choice(10, size=4, replace=False)))
+                for _ in range(12)]
+        finally:
+            obs_trace.uninstall()
+        with_fallback = sum("fallback" in r.details["trend_paths"].values()
+                            for r in reports)
+        assert 0 < with_fallback < len(reports)
+        assert with_fallback == sum(s.name == "subset.fallbacks"
+                                    for s in tracer.spans())
