@@ -52,8 +52,8 @@ def sweep_seeds(n, seed):
     """``{k: seed}`` for the Eq. 6 sweep over ``k`` in ``2..n-1``, drawn
     up front from one ``default_rng(seed)`` stream in ``k`` order -- the
     seeds every path that fits an ``n``-row sweep uses (the serial loop,
-    the cached/parallel ``kmeans_sweep`` hook and the subset evaluator's
-    lockstep fits)."""
+    the cached/parallel ``kmeans_sweep`` hook and the engine's lockstep
+    ``kmeans_sweeps``)."""
     rng = np.random.default_rng(seed)
     return {k: int(rng.integers(2 ** 31)) for k in range(2, n)}
 
@@ -82,15 +82,10 @@ def cluster_score(matrix, seed=0, n_restarts=8, normalize=True,
         ``pairwise_distances`` hooks (see :class:`repro.engine.Engine`);
         replaces the serial per-k K-means loop with a cached/parallel
         one and memoizes the silhouette distance matrix across the
-        sweep and across repeated calls (subset candidates re-score the
-        same rows). The engine's sweep may answer with labels it fitted
-        for this ``x`` in lockstep with other subset candidates
-        (:meth:`repro.engine.Engine.kmeans_sweeps`: one
-        :func:`~repro.stats.kmeans.fit_stack` per k, under the same
-        :func:`sweep_seeds`). The per-k seeds are drawn from one
-        stream, every fit equals ``KMeans.fit`` bit for bit and the
-        distance kernel is the same either way, so results are
-        bit-identical.
+        sweep and across repeated calls. The per-k seeds are drawn from
+        one stream (:func:`sweep_seeds`), every fit equals
+        ``KMeans.fit`` bit for bit and the distance kernel is the same
+        either way, so results are bit-identical.
 
     Returns
     -------
@@ -111,42 +106,38 @@ def cluster_score(matrix, seed=0, n_restarts=8, normalize=True,
     if normalize:
         x = normalize_matrix(x)
 
-    distance_hook = getattr(kernels, "pairwise_distances", None)
-    if distance_hook is not None:
-        distances = distance_hook(x)
-    else:
-        distances = pairwise_distances(x)
+    distances = getattr(kernels, "pairwise_distances",
+                        pairwise_distances)(x)
     # Per-k seeds come from one stream drawn up front, so a cached or
     # parallel sweep (the `kernels` hook) sees the exact seeds the
     # serial loop would.
     kseeds = sweep_seeds(n, seed)
-    ks = list(kseeds)
     if kernels is not None:
         labels_by_k = kernels.kmeans_sweep(x, kseeds, n_restarts)
     else:
         labels_by_k = {
-            k: KMeans(k=k, seed=kseeds[k], n_restarts=n_restarts).fit(x).labels
-            for k in ks
+            k: KMeans(k=k, seed=kseed, n_restarts=n_restarts).fit(x).labels
+            for k, kseed in kseeds.items()
         }
-    per_k = {}
-    best_k = 2
-    best_score = -np.inf
-    best_labels = None
-    for k in ks:
+    return silhouette_sweep(x, distances, labels_by_k, per_cluster_average)
+
+
+def silhouette_sweep(x, distances, labels_by_k, per_cluster_average=True):
+    """The :class:`ClusterScoreResult` of a fitted Eq. 6 sweep
+    (``{k: labels}``): each k's Eq. 5 silhouette over ``distances`` and
+    their mean, in ascending k. The one loop :func:`cluster_score` and
+    the subset evaluator's lockstep-fitted candidates both end in."""
+    per_k, best_k, best_score, best_labels = {}, 2, -np.inf, None
+    for k in sorted(labels_by_k):
         labels = labels_by_k[k]
-        score = silhouette_score(
+        per_k[k] = score = silhouette_score(
             x, labels, precomputed_distances=distances,
             per_cluster=per_cluster_average,
         )
-        per_k[k] = score
         if score > best_score:
-            best_score = score
-            best_k = k
-            best_labels = labels
-
-    value = float(np.mean(list(per_k.values())))
+            best_k, best_score, best_labels = k, score, labels
     return ClusterScoreResult(
-        value=value,
+        value=float(np.mean(list(per_k.values()))),
         per_k=per_k,
         best_k=best_k,
         labels_at_best_k=best_labels,

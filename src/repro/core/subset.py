@@ -181,10 +181,10 @@ class LHSSubsetGenerator:
         Alternatively, pass a shared :class:`repro.engine.Engine` as
         ``engine`` and repeated kernel work (full-suite scores, K-means
         fits, DTW pairs) is memoized across reports. To score many
-        subsets of one suite, pass :meth:`select`'s names to a
-        :class:`repro.engine.subset_eval.SubsetEvaluator` instead: it
-        slices precomputed full-suite kernels (bit-identical, much
-        faster).
+        subsets of one suite, pass their names in one list to
+        :meth:`repro.engine.subset_eval.SubsetEvaluator.evaluate_many`
+        instead: it slices precomputed full-suite kernels and fits the
+        candidates in blocks (bit-identical, much faster).
 
         Returns
         -------

@@ -20,9 +20,9 @@ scorecard entries (:mod:`repro.experiments.runner`). Those keys name a
 suite and its settings rather than hashing input bytes, so they are
 valid only for the code that wrote them; the disk tier checks each
 entry against :func:`repro.engine.diskcache.source_digest` when it
-reads it. :func:`content_key` imports nothing beyond hashlib:
-it touches numpy only for ndarray and numpy-scalar parts, which cannot
-exist unless numpy is already imported.
+reads it. :func:`content_key` imports nothing beyond hashlib and
+functools: it touches numpy only for ndarray and numpy-scalar parts,
+which cannot exist unless numpy is already imported.
 
 Cached values are returned by reference; they are treated as immutable
 by every engine code path (and are frozen dataclasses or arrays nobody
@@ -34,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import sys
 from contextlib import contextmanager
+from functools import lru_cache
 
 #: Sentinel distinguishing "missing" from a cached ``None``.
 MISS = object()
@@ -45,6 +46,14 @@ TIER_DISK = "disk"
 TIER_MISS = "miss"
 
 
+@lru_cache(maxsize=64)
+def _dtype_tag(dtype):
+    """``str(dtype)``, encoded, once per dtype: numpy builds the string
+    in Python (``_dtype.__str__``), and a subset search keys thousands
+    of arrays of one or two dtypes."""
+    return str(dtype).encode()
+
+
 def _feed(h, part):
     """Feed one key part into a hash, with type tags so e.g. the string
     ``"1"`` and the integer ``1`` cannot collide."""
@@ -52,7 +61,7 @@ def _feed(h, part):
     if np is not None and isinstance(part, np.ndarray):
         a = np.ascontiguousarray(part)
         h.update(b"<nd>")
-        h.update(str(a.dtype).encode())
+        h.update(_dtype_tag(a.dtype))
         h.update(repr(a.shape).encode())
         h.update(a.tobytes())
     elif np is not None and isinstance(part, (np.floating, np.integer)):

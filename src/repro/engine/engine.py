@@ -142,9 +142,6 @@ class Engine:
         # counters at any worker count.
         for name in POOL_COUNTERS:
             self.metrics.counter(name)
-        #: kmeans-labels key -> labels that :meth:`kmeans_sweeps` fitted
-        #: ahead of their :meth:`kmeans_sweep`, which takes them once.
-        self._fitted = {}
 
     @property
     def cache_dir(self):
@@ -372,61 +369,59 @@ class Engine:
         return self.cache.put(key, pairwise_distances(x))
 
     def kmeans_sweep(self, x, kseeds, n_restarts):
-        """``{k: labels}`` for the Eq. 6 sweep -- the cached/parallel
-        replacement for the per-k loop in
-        :func:`repro.core.cluster_score.cluster_score`. ``kseeds`` maps
-        each k to the seed the serial loop would have drawn for it."""
-        x = np.asarray(x, dtype=float)
-        ks = sorted(kseeds)
-        labels_by_k = {}
-        pending = []
-        for k in ks:
-            key = content_key("kmeans-labels", x, k, kseeds[k], n_restarts)
-            labels = self._cached("kmeans-labels", key)
-            if labels is MISS:
-                labels = self._fitted.pop(key, MISS)
-                if labels is not MISS:
-                    labels = self.cache.put(key, labels)
-            if labels is MISS:
-                pending.append((k, key))
-            else:
-                labels_by_k[k] = labels
-        if pending:
-            results = parallel_map(
-                _kmeans_task,
-                [(x, k, kseeds[k], n_restarts) for k, _key in pending],
-                self.workers, self.metrics,
-            )
-            for (k, key), labels in zip(pending, results):
-                labels_by_k[k] = self.cache.put(key, labels)
-        return labels_by_k
+        """``{k: labels}`` for the Eq. 6 sweep of one ``x`` (``kseeds``
+        maps each k to its seed): the hook ``cluster_score`` calls, and
+        the one-x case of :meth:`kmeans_sweeps`."""
+        return self._sweeps([x], kseeds, n_restarts)[0]
 
     def kmeans_sweeps(self, xs, kseeds, n_restarts):
-        """Fit the Eq. 6 sweeps of several equal-shape matrices in
-        lockstep, ahead of their :meth:`kmeans_sweep` calls: one
-        :func:`~repro.stats.kmeans.fit_stack` per k over every ``x``
-        whose ``kmeans-labels`` entry is not in memory. The labels wait
-        until that ``x``'s sweep takes them (each is taken once, and the
-        next call drops any left over), which then stores them like
-        labels it fitted itself -- so they reach its ClusterScore with
-        the kernel cache off too. ``kseeds`` are the sweep's per-k seeds
-        (:func:`~repro.core.cluster_score.sweep_seeds`)."""
-        self._fitted = {}
+        """One ``{k: labels}`` per equal-shape ``x`` of ``xs`` (a
+        candidate subset's rows each), fitted in lockstep under a
+        ``kernel.kmeans_lockstep`` span; ``kseeds`` come from
+        :func:`~repro.core.cluster_score.sweep_seeds`."""
         with span("kernel.kmeans_lockstep", candidates=len(xs)):
-            for k in sorted(kseeds):
-                todo = {}
-                for x in xs:
-                    x = np.asarray(x, dtype=float)
-                    key = content_key("kmeans-labels", x, k, kseeds[k],
-                                      n_restarts)
-                    # fit_stack's slices are C-contiguous; any other
-                    # layout is left to its own fit.
-                    if x.flags.c_contiguous and key not in self.cache:
-                        todo.setdefault(key, x)
-                results = fit_stack(list(todo.values()), k, kseeds[k],
-                                    n_restarts) if todo else []
-                for key, result in zip(todo, results):
-                    self._fitted[key] = result.labels
+            return self._sweeps(xs, kseeds, n_restarts)
+
+    def _sweeps(self, xs, kseeds, n_restarts):
+        """The sweeps of :meth:`kmeans_sweeps`. Each ``(x, k)`` entry is
+        looked up once and every fit stored. At each k, two or more
+        C-contiguous misses fit in one :func:`~repro.stats.kmeans.fit_stack`;
+        any other miss (a lone ``x``, or a layout ``fit_stack``'s slices
+        would not reproduce) fits alone by ``KMeans.fit``, one pool task
+        per fit. The labels are ``KMeans.fit``'s, cache on or off."""
+        xs = [np.asarray(x, dtype=float) for x in xs]
+        ks = sorted(kseeds)
+        keys = [[content_key("kmeans-labels", x, k, kseeds[k], n_restarts)
+                 for k in ks] for x in xs]
+        labels, todo = {}, {k: {} for k in ks}
+        for x, row in zip(xs, keys):
+            for k, key in zip(ks, row):
+                if key not in labels and key not in todo[k]:
+                    found = self._cached("kmeans-labels", key)
+                    if found is MISS:
+                        todo[k][key] = x
+                    else:
+                        labels[key] = found
+        alone = []
+        for k, pending in todo.items():
+            stack = {key: x for key, x in pending.items()
+                     if x.flags.c_contiguous}
+            if len(stack) > 1:
+                fits = fit_stack(list(stack.values()), k, kseeds[k],
+                                 n_restarts)
+                for key, fit in zip(stack, fits):
+                    labels[key] = self.cache.put(key, fit.labels)
+            alone += [(key, x, k) for key, x in pending.items()
+                      if key not in labels]
+        if alone:
+            fits = parallel_map(
+                _kmeans_task,
+                [(x, k, kseeds[k], n_restarts) for _key, x, k in alone],
+                self.workers, self.metrics,
+            )
+            for (key, _x, _k), fit in zip(alone, fits):
+                labels[key] = self.cache.put(key, fit)
+        return [{k: labels[key] for k, key in zip(ks, row)} for row in keys]
 
     # -- cached score kernels ----------------------------------------------
 

@@ -21,23 +21,26 @@ slicing:
   DTW matrix is the sliced submatrix of the full one, and ``TScore_z``
   is its off-diagonal mean. Where the condition fails, the evaluator
   falls back to recomputing the event -- every fallback event of every
-  candidate of one :meth:`SubsetEvaluator.evaluate_many` pass in a
-  single DTW kernel call, from per-series normalizations memoized under
-  ``(event, row, lo, step)`` -- and records which path ran in
-  ``SubsetReport.details['trend_paths']``;
+  candidate of one block in a single DTW kernel call, from per-series
+  normalizations memoized under ``(event, row, lo, step)`` -- and
+  records which path ran in ``SubsetReport.details['trend_paths']``;
 * **ClusterScore / CoverageScore** depend on the subset *jointly*
   (K-means and PCA re-fit), so they re-run -- but on the already-sliced
   normalized rows, through the shared :class:`~repro.engine.Engine`
   cache (memory tier only), whose content-addressed keys make repeats
-  across candidates (and across evaluator instances) free. A search
-  fits the K-means sweeps of all its fresh candidates together first,
-  one lockstep fit per k (:meth:`SubsetEvaluator.evaluate_many`),
-  bit-identical to fitting each alone. The silhouette distance matrix
+  across candidates (and across evaluator instances) free. A block's
+  K-means sweeps fit together, one lockstep fit per k
+  (:meth:`~repro.engine.Engine.kmeans_sweeps`), bit-identical to
+  fitting each alone. The silhouette distance matrix
   is deliberately *not* sliced: BLAS-backed Euclidean distances are
   shape-dependent at the ULP level, so slicing would break bit
   identity (measured; see DESIGN.md section 8).
   Recomputing it on the tiny subset is microseconds and exact by
   construction.
+
+:meth:`SubsetEvaluator.evaluate_many` runs as stages over its
+distinct candidates: look every report up (memo, memory, disk), compute
+the misses in blocks of at most :data:`BATCH_CANDIDATES`, store.
 
 With a disk tier, what persists is each candidate's whole report
 (through the wire codec, keyed by one evaluator digest plus the
@@ -52,10 +55,11 @@ inputs.
 
 :class:`SubsetSearch` drives the evaluator over N candidates (LHS
 seeds, random draws, or a greedy swap local search seeded by the
-prior-work baselines) and returns the lowest-mean-deviation subset,
-fanning candidate batches across the engine's worker pool when
-``workers > 1`` (each worker runs an identical single-process
-evaluator, so results are bit-identical at any worker count).
+prior-work baselines) and returns the lowest-mean-deviation subset.
+When ``workers > 1`` the evaluator fans its misses across the engine's
+worker pool in contiguous batches (each worker runs an identical
+single-process evaluator, so results are bit-identical at any worker
+count).
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.cluster_score import sweep_seeds
+from repro.core.cluster_score import silhouette_sweep, sweep_seeds
 from repro.core.matrix import CounterMatrix
 from repro.core.normalization import (
     CDF_QUANT_LEVELS,
@@ -108,9 +112,9 @@ def _evaluate_batch_task(matrix, batch, seed, full_scores, n_points, band,
 #: ``cluster_score`` default that ``_scores`` fits with.
 KMEANS_RESTARTS = 8
 
-#: Most candidates one :meth:`SubsetEvaluator.evaluate_many` batch pass
-#: covers: bounds what a pass holds at once (fallback sets, pair codes,
-#: the handed-out matrices) whatever the search budget.
+#: Most candidates one block of :meth:`SubsetEvaluator.evaluate_many`
+#: computes together: bounds what a block holds at once (K-means labels,
+#: fallback sets, pair codes, DTW matrices) whatever the search budget.
 BATCH_CANDIDATES = 64
 
 
@@ -187,18 +191,6 @@ class SubsetEvaluator:
         #: fallback event re-normalizes only series it has not met
         #: under that set minimum and step.
         self._norm_series = {}
-        #: Iterator over the candidates of the running
-        #: :meth:`evaluate_many` not yet considered for a batch pass;
-        #: ``None`` outside it.
-        self._pending = None
-        #: Candidate key -> ``{event: DTW matrix}`` of its fallback
-        #: events, filled by :meth:`_fallbacks_pass` for its
-        #: :meth:`_compute`, which takes it once.
-        self._batched = {}
-        #: Candidate key -> ``(report, tier)``: the stored-report lookup
-        #: :meth:`_batch_pending` made for it, which its
-        #: :meth:`evaluate` takes instead of looking up again.
-        self._looked_up = {}
 
         with span("subset.precompute", suite=str(matrix.suite_name or ""),
                   workloads=matrix.n_workloads):
@@ -294,30 +286,6 @@ class SubsetEvaluator:
 
     # -- evaluation --------------------------------------------------------
 
-    def memoized(self, names):
-        """Whether :meth:`evaluate` already holds a report for exactly
-        this candidate (same workloads, same order)."""
-        return self._candidate_key(names) in self._memo
-
-    def adopt(self, names, report):
-        """Install an externally-computed report for a candidate (used by
-        the search driver to merge worker-pool results)."""
-        self._memo[self._candidate_key(names)] = report
-
-    def recall(self, names):
-        """Whether a report for this candidate is already stored -- in
-        the evaluator's memo, the engine's memory tier or its disk tier
-        -- adopting it if so. Computes nothing: the search driver asks
-        before fanning candidates out to the worker pool."""
-        key = self._candidate_key(names)
-        if key not in self._memo:
-            report = self.engine._cached("subset-report",
-                                         self._report_key(key))
-            if report is MISS:
-                return False
-            self._memo[key] = report
-        return True
-
     def _candidate_key(self, names):
         key = tuple(self._index[w] for w in names)
         if len(set(key)) != len(key):
@@ -333,13 +301,8 @@ class SubsetEvaluator:
         return content_key("subset-report", self._digest, key)
 
     def evaluate(self, names):
-        """Score one candidate subset (workload names, order-sensitive).
-
-        The evaluator's memo answers first, then a stored report (engine
-        memory, then the disk tier), and only then is the candidate
-        computed. A computed report is stored whole, disk included; its
-        intermediates (per-candidate K-means labels, silhouette
-        distances, normalized series, DTW pairs) stay in memory.
+        """Score one candidate subset (workload names, order-sensitive):
+        :meth:`evaluate_many` of it alone.
 
         Returns
         -------
@@ -349,112 +312,120 @@ class SubsetEvaluator:
             trend value was ``"sliced"`` from the precomputed DTW matrix
             or recomputed via the ``"fallback"`` engine path.
         """
-        names = tuple(names)
-        key = self._candidate_key(names)
-        if key in self._memo:
-            return self._memo[key]
-
-        with span("subset.evaluate", size=len(key)) as sp:
-            rkey = self._report_key(key)
-            found = self._looked_up.pop(key, None)
-            report, tier = (found if found is not None
-                            else self.engine.cache.lookup_tier(rkey))
-            pairs = 0
-            if report is MISS:
-                if self._pending is not None and key not in self._batched:
-                    self._batch_pending(key)
-                with self.engine.cache.memory_only():
-                    report, pairs = self._compute(names, list(key))
-                self.engine.cache.put(rkey, report)
-            paths = list(report.details.get("trend_paths", {}).values())
-            sp.set(tier=tier, dtw_pairs=pairs, dtw_calls=int(pairs > 0),
-                   sliced=paths.count("sliced"),
-                   fallback=paths.count("fallback"))
-            self._memo[key] = report
-            return report
+        return self.evaluate_many([names])[0]
 
     def evaluate_many(self, candidates):
-        """:meth:`evaluate` over ``candidates``, in order, as batch
-        passes: a candidate that has to be computed and is not batched
-        yet first batches itself with the next pending candidates that
-        are neither memoized nor stored, up to
-        :data:`BATCH_CANDIDATES` (:meth:`_batch_pending`) -- their
-        K-means sweeps fit in lockstep and their trend fallbacks fill
-        in one DTW pass -- and each candidate then reads its labels and
-        matrices instead of computing them alone. Candidates whose
-        reports are all stored batch nothing.
+        """Score candidate subsets, in three stages over the distinct
+        candidates:
+
+        1. *Look up.* Every candidate key is checked, then each one not
+           in the evaluator's memo is looked up once: engine memory,
+           then the disk tier.
+        2. *Compute the misses* (:meth:`_compute`), in blocks of at most
+           :data:`BATCH_CANDIDATES` -- or, on an engine with
+           ``workers > 1`` and two or more misses, in contiguous batches
+           across the worker pool.
+        3. *Store* each computed report whole (disk included) under a
+           ``subset.evaluate`` span per looked-up candidate (``tier``,
+           ``sliced``, ``fallback``), and memoize every report.
 
         Returns
         -------
         list[repro.core.subset.SubsetReport]
+            One per candidate, in input order (a repeat is the same
+            object).
         """
-        candidates = [tuple(names) for names in candidates]
-        self._pending = iter(candidates)
-        try:
-            return [self.evaluate(names) for names in candidates]
-        finally:
-            self._pending = None
-            self._batched = {}
-            self._looked_up = {}
+        keys, names_of = [], {}
+        for names in candidates:
+            key = self._candidate_key(names)
+            keys.append(key)
+            names_of.setdefault(key, tuple(names))
+        found = {}
+        for key in names_of:
+            if key not in self._memo:
+                rkey = self._report_key(key)
+                found[key] = (rkey, *self.engine.cache.lookup_tier(rkey))
+        misses = [key for key, (_rkey, report, _tier) in found.items()
+                  if report is MISS]
+        computed = dict(zip(misses, self._compute(
+            [(key, names_of[key]) for key in misses])))
+        for key, (rkey, report, tier) in found.items():
+            with span("subset.evaluate", size=len(key), tier=tier) as sp:
+                if report is MISS:
+                    report = self.engine.cache.put(rkey, computed[key])
+                paths = list(report.details.get("trend_paths", {}).values())
+                sp.set(sliced=paths.count("sliced"),
+                       fallback=paths.count("fallback"))
+            self._memo[key] = report
+        return [self._memo[key] for key in keys]
 
-    def _batch_pending(self, key):
-        """Batch the candidate ``key`` with the next pending candidates
-        that are neither memoized nor stored, up to
-        :data:`BATCH_CANDIDATES` in all: fit their K-means sweeps in
-        lockstep (:meth:`_fit_sweeps`) and fill their fallback events in
-        one DTW pass (:meth:`_fallbacks_pass`). Each pending candidate's
-        stored report is looked up here, once, for its
-        :meth:`evaluate`."""
-        keys = [key]
-        while len(keys) < BATCH_CANDIDATES:
-            names = next(self._pending, None)
-            if names is None:
-                break
-            other = self._candidate_key(names)
-            if (other in self._memo or other in self._looked_up
-                    or other in keys):
-                continue
-            found = self._looked_up[other] = self.engine.cache.lookup_tier(
-                self._report_key(other))
-            if found[0] is MISS:
-                keys.append(other)
-        with self.engine.cache.memory_only():
-            self._fit_sweeps(keys)
-            self._fallbacks_pass(keys)
+    def _compute(self, todo):
+        """Reports of the ``(key, names)`` candidates ``todo``, in
+        order. In-process, each block of :data:`BATCH_CANDIDATES` fits
+        its K-means sweeps in lockstep and its trend fallbacks in one
+        DTW pass, and its intermediates are memory-only and dropped
+        before the next block. With ``workers > 1`` and two or more
+        candidates, contiguous batches go to the worker pool, each to
+        an identical single-process evaluator, so the reports are
+        bit-identical either way."""
+        engine = self.engine
+        if engine.workers > 1 and len(todo) > 1:
+            size = -(-len(todo) // min(engine.workers, len(todo)))
+            batches = [[names for _key, names in todo[i:i + size]]
+                       for i in range(0, len(todo), size)]
+            results = parallel_map(
+                _evaluate_batch_task,
+                [(self.matrix, batch, self.seed, self.full_scores,
+                  self.n_points, self.band, self.cdf, engine.cache.enabled,
+                  engine.cache_dir) for batch in batches],
+                engine.workers, engine.metrics,
+            )
+            return [report for reports in results for report in reports]
+        with engine.cache.memory_only():
+            return [report for i in range(0, len(todo), BATCH_CANDIDATES)
+                    for report in self._compute_block(
+                        todo[i:i + BATCH_CANDIDATES])]
 
-    def _fit_sweeps(self, keys):
-        """Hand the candidates that need a ClusterScore (>= 4 rows) to
-        :meth:`Engine.kmeans_sweeps`, one call per subset size that has
-        at least two of them."""
+    def _compute_block(self, block):
+        """Reports of one block of ``(key, names)`` candidates: one
+        :meth:`Engine.kmeans_sweeps` call per subset size (candidates of
+        at least 4 rows; below that there is no ClusterScore), one
+        :meth:`_fallbacks_pass`, then each report assembled from those
+        parts, which are dropped on return."""
+        xs = [self._base[list(key)] for key, _names in block]
         by_size = {}
-        for key in keys:
+        for position, (key, _names) in enumerate(block):
             if len(key) >= 4:
-                by_size.setdefault(len(key), []).append(
-                    self._base[list(key)])
-        for size, xs in by_size.items():
-            if len(xs) > 1:
-                self.engine.kmeans_sweeps(xs, sweep_seeds(size, self.seed),
-                                          KMEANS_RESTARTS)
+                by_size.setdefault(len(key), []).append(position)
+        sweeps = [None] * len(block)
+        for size, positions in by_size.items():
+            fitted = self.engine.kmeans_sweeps(
+                [xs[p] for p in positions], sweep_seeds(size, self.seed),
+                KMEANS_RESTARTS)
+            for position, labels in zip(positions, fitted):
+                sweeps[position] = labels
+        fallbacks = self._fallbacks_pass([key for key, _names in block])
+        return [self._report(names, key, x, labels, fallback)
+                for (key, names), x, labels, fallback
+                in zip(block, xs, sweeps, fallbacks)]
 
     def _fallbacks_pass(self, keys):
-        """Every listed candidate's fallback events in one
-        :meth:`Engine.dtw_matrices` call (under a ``subset.fallbacks``
-        span; no call and no span when none has one), handed to each
-        candidate's :meth:`_compute` through :attr:`_batched`. Returns
-        how many pairs the kernel computed."""
+        """Each candidate's ``{event: DTW matrix}`` of its fallback
+        events, from one :meth:`Engine.dtw_matrices` call under a
+        ``subset.fallbacks`` span (no call and no span when none has
+        one)."""
         plans = [(key, self._fallback_events(key)) for key in keys]
         sets = [self._fallback_set(event, key)
                 for key, events in plans for event in events]
-        matrices, pairs = [], 0
+        matrices = []
         if sets:
             with span("subset.fallbacks", candidates=len(keys)) as sp:
                 matrices, pairs = self.engine.dtw_matrices(sets,
                                                            band=self.band)
                 sp.set(dtw_pairs=pairs, dtw_calls=int(pairs > 0))
         matrices = iter(matrices)
-        for key, events in plans:
-            self._batched[key] = {event: next(matrices) for event in events}
-        return pairs
+        return [{event: next(matrices) for event in events}
+                for _key, events in plans]
 
     def _fallback_events(self, idx):
         """The events whose trend the candidate ``idx`` recomputes: those
@@ -462,20 +433,15 @@ class SubsetEvaluator:
         return [event for event in self._events
                 if not self._slice_exact(self._trend[event], idx)]
 
-    def _compute(self, names, idx):
-        """The candidate's report and how many DTW pairs it computed
-        outside a batch pass (a lone :meth:`evaluate` fills its own
-        fallbacks)."""
+    def _report(self, names, idx, x, labels_by_k, fallback):
+        """One candidate's report, from its rows ``x``, its fitted
+        K-means sweep (``None`` below 4 rows) and its fallback events'
+        DTW matrices."""
         k = len(idx)
-        x = self._base[idx]
-        subset_scores = {}
-        if k >= 4:
-            subset_scores["cluster"] = self.engine.cluster_score(
-                x, seed=self.seed, n_restarts=KMEANS_RESTARTS,
-                normalize=False,
-            ).value
-        else:
-            subset_scores["cluster"] = float("nan")
+        subset_scores = {"cluster": float("nan")}
+        if labels_by_k is not None:
+            subset_scores["cluster"] = silhouette_sweep(
+                x, self.engine.pairwise_distances(x), labels_by_k).value
         subset_scores["coverage"] = self.engine.coverage_score(
             x, normalize=False,
         ).value
@@ -484,12 +450,7 @@ class SubsetEvaluator:
         )
 
         details = {}
-        pairs = 0
         if self._events:
-            key = tuple(idx)
-            if key not in self._batched:
-                pairs = self._fallbacks_pass([key])
-            fallback = self._batched.pop(key)
             per_event = {}
             paths = {}
             for event in self._events:
@@ -509,9 +470,8 @@ class SubsetEvaluator:
         else:
             subset_scores["trend"] = float("nan")
 
-        report = report_from_scores(names, self.full_scores, subset_scores,
-                                    details=details)
-        return report, pairs
+        return report_from_scores(names, self.full_scores, subset_scores,
+                                  details=details)
 
     def _fallback_set(self, event, idx):
         """The subset's normalized series of one fallback event and
@@ -658,7 +618,7 @@ class SubsetSearch:
         if method == "swap":
             reports = self._swap_search(n_candidates)
         else:
-            reports = self._evaluate_all(
+            reports = self.evaluator.evaluate_many(
                 self._seed_candidates(n_candidates, method)
             )
         best = None
@@ -708,7 +668,7 @@ class SubsetSearch:
                 pool.append(cand)
         pool = pool[:budget]
 
-        reports = list(self._evaluate_all(pool))
+        reports = self.evaluator.evaluate_many(pool)
         seen = {tuple(r.selected) for r in reports}
         best = min(reports, key=_dev_rank)
         while len(seen) < budget:
@@ -728,7 +688,7 @@ class SubsetSearch:
             neighbors = neighbors[:budget - len(reports)]
             if not neighbors:
                 break
-            fresh = self._evaluate_all(neighbors)
+            fresh = self.evaluator.evaluate_many(neighbors)
             reports.extend(fresh)
             round_best = min(fresh, key=_dev_rank)
             if _dev_rank(round_best) < _dev_rank(best):
@@ -737,43 +697,3 @@ class SubsetSearch:
                 break
             seen = {tuple(r.selected) for r in reports}
         return reports
-
-    # -- evaluation fan-out ------------------------------------------------
-
-    def _evaluate_all(self, candidates):
-        """Evaluate candidates in order through
-        :meth:`SubsetEvaluator.evaluate_many` (their K-means sweeps fit
-        in lockstep), fanning fresh ones out in contiguous batches
-        across the process's worker pool when ``workers > 1``. Reports
-        already stored (memory or disk tier) are read back first, so
-        only genuinely new candidates cost a worker round-trip. Each
-        worker runs ``evaluate_many`` on its batch in an identical
-        single-process evaluator, so the merged reports are
-        bit-identical to serial evaluation."""
-        candidates = [tuple(c) for c in candidates]
-        engine = self.evaluator.engine
-        fresh = []
-        for names in candidates:
-            if not self.evaluator.memoized(names) and names not in fresh:
-                fresh.append(names)
-        if engine.workers > 1 and len(fresh) > 1:
-            fresh = [names for names in fresh
-                     if not self.evaluator.recall(names)]
-        if engine.workers > 1 and len(fresh) > 1:
-            n_batches = min(engine.workers, len(fresh))
-            size = -(-len(fresh) // n_batches)
-            batches = [fresh[i:i + size]
-                       for i in range(0, len(fresh), size)]
-            results = parallel_map(
-                _evaluate_batch_task,
-                [(self.evaluator.matrix, batch, self.evaluator.seed,
-                  self.evaluator.full_scores, self.evaluator.n_points,
-                  self.evaluator.band, self.evaluator.cdf,
-                  engine.cache.enabled, engine.cache_dir)
-                 for batch in batches],
-                engine.workers, engine.metrics,
-            )
-            for batch, batch_reports in zip(batches, results):
-                for names, report in zip(batch, batch_reports):
-                    self.evaluator.adopt(names, report)
-        return self.evaluator.evaluate_many(candidates)

@@ -94,16 +94,14 @@ def run(config=None, suite=SUBSET_SUITE, subset_size=SUBSET_SIZE,
     # PCA) hits the engine's content-addressed cache across reports.
     evaluator = SubsetEvaluator(matrix, seed=seed,
                                 engine=Engine.from_config(config))
-    lhs = evaluator.evaluate(
-        LHSSubsetGenerator(subset_size=subset_size, seed=seed).select(matrix))
-    randoms = tuple(
-        evaluator.evaluate(random_subset_names(matrix, subset_size,
-                                               seed=seed + i))
-        for i in range(n_random)
-    )
     baselines = baseline_subsets(matrix, subset_size)
-    prior = evaluator.evaluate(baselines["prior_pca_hierarchical"])
-    greedy = evaluator.evaluate(baselines["greedy_maxmin"])
+    # One evaluate_many call: the one-shot methods' subsets share one
+    # lockstep K-means fit and one trend-fallback pass.
+    lhs, *randoms, prior, greedy = evaluator.evaluate_many(
+        [LHSSubsetGenerator(subset_size=subset_size, seed=seed).select(matrix)]
+        + [random_subset_names(matrix, subset_size, seed=seed + i)
+           for i in range(n_random)]
+        + [baselines["prior_pca_hierarchical"], baselines["greedy_maxmin"]])
     search = SubsetSearch(
         matrix, subset_size, seed=seed, evaluator=evaluator,
     ).search(n_search, method="swap")
@@ -111,7 +109,7 @@ def run(config=None, suite=SUBSET_SUITE, subset_size=SUBSET_SIZE,
         suite=suite,
         subset_size=subset_size,
         lhs=lhs,
-        random_reports=randoms,
+        random_reports=tuple(randoms),
         prior_work=prior,
         greedy=greedy,
         search=search,

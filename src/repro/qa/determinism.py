@@ -264,8 +264,8 @@ def check_search_determinism(matrix, subset_size=4, n_candidates=8,
     """The search table: ``SubsetSearch.search`` from fresh engines
     under one seed, through the engine rows of
     :func:`check_determinism`; the disk-warm run must also compute no
-    DTW pair at all, and ``lockstep=off`` re-runs the search with every
-    candidate's K-means sweep fitted alone.
+    DTW pair at all, and ``lockstep=off`` re-runs the search in blocks
+    of one candidate, so every K-means sweep fits alone.
 
     Returns
     -------
@@ -290,35 +290,51 @@ def check_search_determinism(matrix, subset_size=4, n_candidates=8,
                         f"disk-warm search must read every kernel and "
                         f"candidate report back",)
 
-    baseline = run()
+    baseline, blocks = _lockstep_blocks(run)
     rows = _engine_rows(run, workers, cache_dir, disk_warm=disk_warm)
-    rows.insert(-1, ("lockstep=off", lambda: _without_lockstep(run)))
+    rows.insert(-1, ("lockstep=off", lambda: _without_lockstep(run,
+                                                               blocks)))
     return _run_rows(f"search {method!r} ({baseline.n_evaluated} "
                      f"candidates)", seed, baseline, diff_search_results,
                      rows)
 
 
-def _without_lockstep(run):
-    """The search re-run with :meth:`~repro.engine.Engine.kmeans_sweeps`
-    fitting nothing, for this row only: every candidate's ClusterScore
-    fits its own sweep, one ``KMeans.fit`` per k, and the result must be
-    the lockstep fits' bit for bit. If no batch of at least two
-    candidates was handed over, the row compared the one-candidate
-    path with itself, and says so."""
+def _lockstep_blocks(run):
+    """``run()`` plus the candidate count of every
+    :meth:`~repro.engine.Engine.kmeans_sweeps` call it made: the
+    blocks whose K-means sweeps it fitted in lockstep."""
     from repro.engine import Engine
 
-    lockstep = Engine.kmeans_sweeps
-    batches = []
+    sweeps, blocks = Engine.kmeans_sweeps, []
 
-    def alone(engine, xs, kseeds, n_restarts):
-        batches.append(len(xs))
+    def counted(engine, xs, kseeds, n_restarts):
+        blocks.append(len(xs))
+        return sweeps(engine, xs, kseeds, n_restarts)
 
-    Engine.kmeans_sweeps = alone
+    Engine.kmeans_sweeps = counted
+    try:
+        return run(), blocks
+    finally:
+        Engine.kmeans_sweeps = sweeps
+
+
+def _without_lockstep(run, blocks):
+    """The search re-run with blocks of one candidate
+    (:data:`~repro.engine.subset_eval.BATCH_CANDIDATES` set to 1 for
+    this row only): every candidate's ClusterScore sweep fits alone,
+    one ``KMeans.fit`` per k, and the result must be the lockstep
+    fits' bit for bit. If the lockstep run's ``blocks`` hold no block
+    of at least two candidates, the row compared the one-candidate
+    path with itself, and says so."""
+    from repro.engine import subset_eval
+
+    block = subset_eval.BATCH_CANDIDATES
+    subset_eval.BATCH_CANDIDATES = 1
     try:
         result = run()
     finally:
-        Engine.kmeans_sweeps = lockstep
-    return result, () if max(batches, default=0) >= 2 else (
+        subset_eval.BATCH_CANDIDATES = block
+    return result, () if max(blocks, default=0) >= 2 else (
         "no batch of two or more candidates was fitted in lockstep",)
 
 

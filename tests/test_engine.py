@@ -1,8 +1,13 @@
 """Tests for repro.engine: content-addressed cache, parallel fan-out,
 and the Engine's bit-identity contract against the plain core kernels."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core.cluster_score import cluster_score
 from repro.core.coverage_score import coverage_score
@@ -19,6 +24,31 @@ from repro.engine import (
 from repro.engine.parallel import parallel_map
 from repro.qa.determinism import diff_scorecards
 from repro.stats.dtw import dtw_matrix
+
+
+def _unmemoized_feed(h, part):
+    """The cache key feed with ``str(dtype)`` built for every array, as
+    before the dtype tag was memoized: the reference key bytes."""
+    if isinstance(part, np.ndarray):
+        a = np.ascontiguousarray(part)
+        h.update(b"<nd>")
+        h.update(str(a.dtype).encode())
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    elif isinstance(part, str):
+        h.update(b"<s>")
+        h.update(part.encode())
+    elif isinstance(part, (bool, int, float)):
+        h.update(f"<{type(part).__name__}>{part!r}".encode())
+    elif isinstance(part, (tuple, list)):
+        h.update(f"<seq:{len(part)}>".encode())
+        for item in part:
+            _unmemoized_feed(h, item)
+    else:
+        h.update(f"<map:{len(part)}>".encode())
+        for key in sorted(part, key=repr):
+            _unmemoized_feed(h, key)
+            _unmemoized_feed(h, part[key])
 
 
 def fixture_matrix(seed=0, n_workloads=6, n_events=3, length=30):
@@ -82,6 +112,28 @@ class TestContentKey:
     def test_unhashable_part_raises(self):
         with pytest.raises(TypeError, match="unhashable"):
             content_key("k", object())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dtype=st.sampled_from(["float64", "float32", "int64", "bool"]),
+        shape=hnp.array_shapes(min_dims=1, max_dims=3, max_side=5),
+        layout=st.sampled_from(["c", "fortran", "strided"]),
+        data=st.data(),
+    )
+    def test_memoized_dtype_tag_keeps_key_bytes(self, dtype, shape,
+                                                layout, data):
+        # The per-dtype memo of the encoded dtype string changes no key:
+        # every array part hashes as the unmemoized feed below does.
+        a = data.draw(hnp.arrays(dtype, shape))
+        if layout == "fortran":
+            a = np.asfortranarray(a)
+        elif layout == "strided":
+            a = a[::2]
+        parts = (a, [a, 3, "s"], {"x": a})
+        want = hashlib.sha256()
+        for part in ("kind",) + parts:
+            _unmemoized_feed(want, part)
+        assert content_key("kind", *parts) == want.hexdigest()
 
 
 class TestKernelCache:

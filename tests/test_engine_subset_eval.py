@@ -167,18 +167,6 @@ class TestSliceEquivalenceSynthetic:
 
 
 class TestEvaluatorMechanics:
-    def test_memoized_and_adopt(self):
-        matrix = synthetic_matrix(seed=7)
-        evaluator = SubsetEvaluator(matrix, seed=METRIC_SEED)
-        names = matrix.workloads[:4]
-        assert not evaluator.memoized(names)
-        first = evaluator.evaluate(names)
-        assert evaluator.memoized(names)
-        assert evaluator.evaluate(names) is first
-        other = matrix.workloads[4:8]
-        evaluator.adopt(other, first)
-        assert evaluator.evaluate(other) is first
-
     def test_rejects_bad_candidates(self):
         matrix = synthetic_matrix(seed=7)
         evaluator = SubsetEvaluator(matrix, seed=METRIC_SEED)
@@ -199,7 +187,9 @@ class TestEvaluatorMechanics:
         evaluator = SubsetEvaluator(matrix, seed=METRIC_SEED,
                                     engine=engine)
         names = matrix.workloads[:6]
-        evaluator.evaluate(names)
+        first = evaluator.evaluate(names)
+        # The evaluator's memo answers a repeat with the same report.
+        assert evaluator.evaluate(names) is first
         before = engine.metrics.snapshot()
         # A second evaluator over the same engine re-scores the same
         # candidate without recomputing cluster/coverage kernels.

@@ -16,16 +16,25 @@ import dataclasses
 import json
 import os
 import struct
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.matrix import CounterMatrix
 from repro.core.normalization import normalize_series_set
 from repro.core.subset import SubsetReport
-from repro.engine import MISS, DiskCache, Engine, SubsetEvaluator, SubsetSearch
+from repro.engine import (
+    MISS,
+    DiskCache,
+    Engine,
+    SubsetEvaluator,
+    SubsetSearch,
+    subset_eval,
+)
 from repro.engine.cache import array_digest, content_key, pair_key
 from repro.qa.determinism import diff_search_results
 from repro.service.protocol import (
@@ -171,19 +180,29 @@ class TestPersistedReports:
                 evaluator.evaluate(names[0])  # memo hit: no new span
             finally:
                 obs_trace.uninstall()
-            spans[run] = [s.attrs for s in tracer.spans()
-                          if s.name == "subset.evaluate"]
-        assert [a["tier"] for a in spans["cold"]] == ["miss", "miss"]
-        assert [a["tier"] for a in spans["warm"]] == ["disk", "disk"]
-        assert all(a["dtw_pairs"] == a["dtw_calls"] == 0
-                   for a in spans["warm"])
-        for attrs, report in zip(spans["cold"], reports):
+            spans[run] = {name: [s.attrs for s in tracer.spans()
+                                 if s.name == name]
+                          for name in ("subset.evaluate",
+                                       "subset.fallbacks")}
+        cold, warm = spans["cold"], spans["warm"]
+        assert [a["tier"] for a in cold["subset.evaluate"]] == \
+            ["miss", "miss"]
+        assert [a["tier"] for a in warm["subset.evaluate"]] == \
+            ["disk", "disk"]
+        # The pair cost is the fallback pass's: a lone evaluate with a
+        # fallback event opens one, a disk-warm one computes nothing.
+        assert warm["subset.fallbacks"] == []
+        with_fallback = []
+        for attrs, report in zip(cold["subset.evaluate"], reports):
             paths = list(report.details["trend_paths"].values())
             assert attrs["fallback"] == paths.count("fallback")
+            assert attrs["sliced"] == paths.count("sliced")
+            with_fallback.append(attrs["fallback"] > 0)
+        assert len(cold["subset.fallbacks"]) == sum(with_fallback)
+        for attrs in cold["subset.fallbacks"]:
+            assert attrs["candidates"] == 1
             assert attrs["dtw_calls"] == int(attrs["dtw_pairs"] > 0)
-            if attrs["dtw_pairs"]:
-                assert attrs["fallback"] > 0
-        assert any(a["dtw_pairs"] for a in spans["cold"])
+        assert any(a["dtw_pairs"] for a in cold["subset.fallbacks"])
 
     def test_other_knobs_do_not_share_reports(self, tmp_path):
         matrix = _matrix(seed=4, n=8, m=2)
@@ -477,7 +496,7 @@ def _report_diff(a, b):
 
 
 class TestEvaluateManyOracle:
-    """A batch pass reports what each candidate reports alone."""
+    """A block reports what each candidate reports alone."""
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -488,31 +507,102 @@ class TestEvaluateManyOracle:
                      unique=True),
             min_size=2, max_size=5,
         ),
-        memoized=st.integers(0, 2),
+        memoized=st.integers(0, 1),
         cache=st.booleans(),
+        block=st.sampled_from([1, 3, 64]),
     )
     def test_matches_each_candidate_alone(self, seed, constant, picks,
-                                          memoized, cache):
+                                          memoized, cache, block):
+        from repro.obs import trace as obs_trace
+
         matrix = _matrix(seed=seed, constant=constant)
         names = [tuple(matrix.workloads[i] for i in pick) for pick in picks]
+        # Stored before the pass: the second pick's report in the
+        # engine's memory tier, its reversal's on the disk tier.
+        in_memory, on_disk = names[1], names[1][::-1]
+        assume(not {in_memory, on_disk} & {names[0], names[0][::-1]})
         # Overlapping candidates: a repeat and a reordering of the first.
-        names += [names[0], names[0][::-1]]
+        names += [names[0], names[0][::-1], on_disk]
         backend, calls = _counting_backend()
-        evaluator = SubsetEvaluator(
-            matrix, seed=METRIC_SEED,
-            engine=Engine(cache=cache, backend=backend))
-        for candidate in names[:memoized]:
-            evaluator.evaluate(candidate)
-        before = len(calls)
-        reports = evaluator.evaluate_many(names)
-        # One DTW pass for every fresh candidate's fallbacks.
-        assert len(calls) - before <= 1
+        with tempfile.TemporaryDirectory() as root, \
+                mock.patch.object(subset_eval, "BATCH_CANDIDATES", block):
+            SubsetEvaluator(matrix, seed=METRIC_SEED, engine=Engine(
+                cache=cache, cache_dir=root)).evaluate(on_disk)
+            engine = Engine(cache=cache, backend=backend, cache_dir=root)
+            SubsetEvaluator(matrix, seed=METRIC_SEED,
+                            engine=engine).evaluate(in_memory)
+            evaluator = SubsetEvaluator(matrix, seed=METRIC_SEED,
+                                        engine=engine)
+            for candidate in names[:memoized]:
+                evaluator.evaluate(candidate)
+            before = len(calls)
+            tracer = obs_trace.install(obs_trace.Tracer())
+            try:
+                reports = evaluator.evaluate_many(names)
+            finally:
+                obs_trace.uninstall()
+        tiers = [s.attrs["tier"] for s in tracer.spans()
+                 if s.name == "subset.evaluate"]
+        looked_up = [c for c in dict.fromkeys(names)
+                     if c not in names[:memoized]]
+        stored = {in_memory: "memory", on_disk: "disk"} if cache else {}
+        assert tiers == [stored.get(c, "miss") for c in looked_up]
+        # One DTW pass per block of fresh candidates' fallbacks.
+        assert len(calls) - before <= -(-tiers.count("miss") // block)
+        alone = {}
         for candidate, report in zip(names, reports):
-            alone = SubsetEvaluator(
-                matrix, seed=METRIC_SEED,
-                engine=Engine(cache=cache)).evaluate(candidate)
+            if candidate not in alone:
+                alone[candidate] = SubsetEvaluator(
+                    matrix, seed=METRIC_SEED,
+                    engine=Engine(cache=cache)).evaluate(candidate)
             assert report.selected == candidate
-            assert _report_diff(report, alone) == []
+            assert _report_diff(report, alone[candidate]) == []
+
+    @pytest.mark.parametrize("cache", [True, False])
+    def test_kmeans_sweeps_return_each_fit(self, cache, monkeypatch):
+        from repro.core.cluster_score import sweep_seeds
+        from repro.engine import engine as engine_module
+        from repro.stats.kmeans import KMeans
+
+        rng = np.random.default_rng(5)
+        xs = [rng.uniform(size=(6, 3)) for _ in range(3)]
+        # A repeated x, and one laid out column-major.
+        xs += [xs[0], np.asfortranarray(rng.uniform(size=(6, 3)))]
+        assert not xs[-1].flags.c_contiguous
+        kseeds = sweep_seeds(6, METRIC_SEED)
+        fit, stack, fits = KMeans.fit, engine_module.fit_stack, []
+
+        def counted_fit(model, x):
+            fits.append("fit")
+            return fit(model, x)
+
+        def counted_stack(xs, *args):
+            fits.append(f"stack of {len(xs)}")
+            return stack(xs, *args)
+
+        monkeypatch.setattr(KMeans, "fit", counted_fit)
+        monkeypatch.setattr(engine_module, "fit_stack", counted_stack)
+        engine = Engine(cache=cache)
+        sweeps = engine.kmeans_sweeps(xs, kseeds, 8)
+        # Per k: the three distinct C-contiguous x in one lockstep fit,
+        # the column-major one alone.
+        assert sorted(fits) == ["fit"] * len(kseeds) + \
+            ["stack of 3"] * len(kseeds)
+        for x, sweep in zip(xs, sweeps):
+            assert list(sweep) == sorted(kseeds)
+            for k, labels in sweep.items():
+                want = fit(KMeans(k=k, seed=kseeds[k], n_restarts=8), x)
+                assert labels.tobytes() == want.labels.tobytes()
+        fits.clear()
+        again = engine.kmeans_sweeps(xs, kseeds, 8)
+        if cache:
+            assert fits == []
+        # A lone x fits by KMeans.fit at every k, never by fit_stack([x]).
+        fits.clear()
+        Engine(cache=cache).kmeans_sweeps(xs[1:2], kseeds, 8)
+        assert fits == ["fit"] * len(kseeds)
+        assert [[a[k].tobytes() for k in a] for a in again] == \
+            [[s[k].tobytes() for k in s] for s in sweeps]
 
 
 class TestFallbacksSpan:
@@ -541,8 +631,9 @@ class TestFallbacksSpan:
         assert batch["candidates"] == len(set(names))
         assert batch["dtw_pairs"] == sum(calls[before:]) > 0
         assert batch["dtw_calls"] == len(calls) - before == 1
-        assert [a["dtw_pairs"] for a in evaluates] == [0] * len(evaluates)
-        assert [a["dtw_calls"] for a in evaluates] == [0] * len(evaluates)
+        # No candidate's span claims a share of the pass's pairs.
+        assert [("dtw_pairs" in a or "dtw_calls" in a)
+                for a in evaluates] == [False] * len(set(names))
 
     def test_passes_cover_at_most_a_block(self, monkeypatch):
         from repro.engine import subset_eval

@@ -239,9 +239,9 @@ class TestSearchDeterminism:
     def test_lockstep_row_catches_a_flipped_label(self, monkeypatch):
         # One wrong label out of the candidate-stacked fit: every row
         # that fits in lockstep agrees with the baseline (cache=off too,
-        # where the fitted labels reach each sweep without the cache),
-        # and only the row fitting each candidate alone disagrees.
-        from repro.engine import Engine
+        # where kmeans_sweeps returns the fitted labels without the
+        # cache), and only the row fitting each candidate alone disagrees.
+        from repro.engine import Engine, subset_eval
         from repro.engine import engine as engine_module
 
         real = engine_module.fit_stack
@@ -261,14 +261,14 @@ class TestSearchDeterminism:
         assert {m.split("]")[0] for m in report.mismatches} == {
             "[lockstep=off"}
         assert Engine.kmeans_sweeps is lockstep
+        assert subset_eval.BATCH_CANDIDATES == 64
 
     def test_lockstep_row_fails_without_a_batch(self, monkeypatch):
-        # A search whose candidates never reach kmeans_sweeps in a batch
+        # A search whose candidates never reach kmeans_sweeps in a block
         # of two compares the one-candidate path with itself.
-        from repro.engine import SubsetEvaluator
+        from repro.engine import subset_eval
 
-        monkeypatch.setattr(SubsetEvaluator, "_fit_sweeps",
-                            lambda evaluator, keys: None)
+        monkeypatch.setattr(subset_eval, "BATCH_CANDIDATES", 1)
         report = check_search_determinism(self._matrix(), subset_size=4,
                                           n_candidates=4, method="random",
                                           seed=0)
